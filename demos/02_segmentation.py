@@ -20,13 +20,13 @@ ds, _ = generate_experiment(ScenarioConfig(seed=7, n_users=8, n_features=1))
 
 print("individual split, N=4 (intervals are (lower, upper]):")
 for i, segment in enumerate(individual_split(ds, "f1", 4), start=1):
-    print(f"  slot {i}: {segment.describe():38} {len(segment.members)} users")
+    print(f"  slot {i}: {segment.describe():38} {segment.size} users")
 
 print()
 print("binary split at i0=1 of N=4 (bottom quartile vs the rest):")
 low, high = binary_split(ds, "f1", 1, 4)
-print(f"  S1: {low.describe():40} {len(low.members)} users")
-print(f"  S2: {high.describe():40} {len(high.members)} users")
+print(f"  S1: {low.describe():40} {low.size} users")
+print(f"  S2: {high.describe():40} {high.size} users")
 
 print()
 print("ties collapse bins but keep slot positions stable:")
@@ -39,7 +39,7 @@ tied = ExperimentDataset(
     actions=("control",), control_action="control",
     metrics=("m1",), features=("f1",))
 for i, segment in enumerate(individual_split(tied, "f1", 4), start=1):
-    flag = "EMPTY" if segment.is_empty else f"{len(segment.members)} users"
+    flag = "EMPTY" if segment.is_empty else f"{segment.size} users"
     print(f"  slot {i}: {flag}")
 
 print()

@@ -9,7 +9,7 @@ from cohortpolicy import (DriftSpec, PlantedEffect, ScenarioConfig,
                           classify_stability, generate_daily_slices,
                           generate_experiment, generate_snapshots,
                           pre_search_filter, robustness_check, run_backtest,
-                          shift_ratio)
+                          shift_ratio, stitch_days)
 from cohortpolicy.search import evaluate_policies, global_policies
 
 print("=" * 70)
@@ -56,7 +56,7 @@ slices = [evaluate_policies(d, [policy])[0].estimates for d in daily[::4]]
 rob = robustness_check(policy, slices, ["m1"])
 print(f"robustness over {len(slices)} slices: {rob.verdict} ({rob.narrative})")
 
-series, backtest = run_backtest(policy, daily, ["m1"])
+series, backtest = run_backtest(policy, stitch_days(daily), ["m1"])
 print(f"backtest over {len(series.days)} days: {backtest.verdict} "
       f"({backtest.narrative})")
 print("cumulative lift by day:",
@@ -66,6 +66,6 @@ print()
 print("the same policy backtested on a window where the effect decayed away:")
 decayed = generate_daily_slices(cfg, n_days=14,
                                 lift_schedule=[1.0] * 4 + [0.0] * 10)
-_, rejected = run_backtest(policy, decayed, ["m1"])
+_, rejected = run_backtest(policy, stitch_days(decayed), ["m1"])
 print(f"verdict: {rejected.verdict}, codes {rejected.reason_codes}")
 print(f"narrative: {rejected.narrative}")

@@ -44,7 +44,7 @@ with tempfile.TemporaryDirectory() as tmp:
     manifest = json.loads((out / "manifest.json").read_text())
     print(f"manifest status: {manifest['status']}, "
           f"seed {manifest['config']['seed']} "
-          f"(byte-identical on reruns, any worker count)")
+          f"(byte-identical on reruns and for any input row order)")
 
 print("\nthe same run is available from the shell:")
 print("  cohortpolicy pipeline --config run_config.json --out runs/demo")

@@ -29,7 +29,7 @@ from .segmentation import (CutEnumerationConfig, CutSpec, Segment, binary_split,
                            enumerate_cuts, individual_split, quantile)
 from .synth import (BenchmarkConfig, DriftSpec, PlantedEffect, ScenarioConfig,
                     build_benchmark, conflict_scenario, generate_daily_slices,
-                    generate_experiment, generate_snapshots)
+                    generate_experiment, generate_snapshots, stitch_days)
 
 __version__ = "0.1.0"
 
@@ -55,6 +55,6 @@ __all__ = [
     "spearman_corr", "top1_metrics",
     "BenchmarkConfig", "DriftSpec", "PlantedEffect", "ScenarioConfig",
     "build_benchmark", "conflict_scenario", "generate_daily_slices",
-    "generate_experiment", "generate_snapshots",
+    "generate_experiment", "generate_snapshots", "stitch_days",
     "PipelineResult", "RunConfig", "govern_pipeline", "write_run_artifacts",
 ]

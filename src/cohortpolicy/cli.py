@@ -154,8 +154,7 @@ def cmd_search(args) -> int:
         if args.cuts else CutEnumerationConfig(features=ds.features)
     cuts = enumerate_cuts(ds, cuts_cfg)
     policies = enumerate_policies(ds, cuts, budget=args.budget, seed=seed)
-    evaluated = evaluate_policies(ds, policies, threads=args.threads,
-                                  skip_unsupported=True)
+    evaluated = evaluate_policies(ds, policies, skip_unsupported=True)
     weights = sample_weights(len(ds.metrics), args.weights, seed)
     candidates = collect_candidates(evaluated, weights, args.top_k,
                                     metrics=ds.metrics)
@@ -225,7 +224,7 @@ def cmd_pipeline(args) -> int:
         data = _load_json(args.config)
         data["seed"] = args.seed
         config = RunConfig.from_mapping(data)
-    result = govern_pipeline(config, threads=args.threads)
+    result = govern_pipeline(config)
     out = _out_dir(args, "run")
     write_run_artifacts(result, config, out)
     if result.recommended:
@@ -287,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads (output is identical regardless)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

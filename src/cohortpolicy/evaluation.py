@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .errors import UnmatchedInstructionError
 from .experiment import MetricEstimate
@@ -152,18 +151,19 @@ def spearman_corr(ranked: Sequence[str], gt: GroundTruth) -> float:
     """Spearman's rho between the two orderings over their common policies.
 
     Computed on the rank positions of the intersection; fewer than two
-    common items gives 0.
+    common items gives 0. Both position lists are tie-free (a ranking holds
+    no duplicate ids), so rho is exactly 1 - 6 sum(d^2) / (n (n^2 - 1)).
     """
     gt_pos = {pid: i for i, pid in enumerate(gt.top5)}
-    common = [(i, gt_pos[pid]) for i, pid in enumerate(ranked) if pid in gt_pos]
-    if len(common) < 2:
+    gt_positions = [gt_pos[pid] for pid in ranked if pid in gt_pos]
+    n = len(gt_positions)
+    if n < 2:
         return 0.0
-    pred_ranks = [c[0] for c in common]
-    gt_ranks = [c[1] for c in common]
-    rho = scipy_stats.spearmanr(pred_ranks, gt_ranks).statistic
-    if not math.isfinite(rho):
-        return 0.0
-    return float(rho)
+    # Predicted ranks are 0..n-1 in order; the ground-truth ranks order the
+    # positions the common items hold in the ground truth.
+    gt_ranks = np.argsort(np.argsort(gt_positions))
+    d2 = float(((np.arange(n) - gt_ranks) ** 2).sum())
+    return 1.0 - 6.0 * d2 / (n * (n * n - 1))
 
 
 # -- ground-truth oracle -----------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -141,12 +141,10 @@ class ExperimentDataset:
         return tuple(u.user_id for u in self.users)
 
     @cached_property
-    def _row_of(self) -> dict[str, int]:
-        return {uid: i for i, uid in enumerate(self.user_ids)}
-
-    @cached_property
-    def _arms(self) -> np.ndarray:
-        return np.array([u.arm for u in self.users], dtype=object)
+    def arm_codes(self) -> np.ndarray:
+        """Each user's arm as an index into `actions`."""
+        index = {a: i for i, a in enumerate(self.actions)}
+        return np.array([index[u.arm] for u in self.users], dtype=np.intp)
 
     @cached_property
     def _feature_columns(self) -> dict[str, np.ndarray]:
@@ -156,35 +154,35 @@ class ExperimentDataset:
         return cols
 
     @cached_property
-    def _outcome_columns(self) -> dict[str, np.ndarray]:
-        cols = {}
-        for name in self.metrics:
-            cols[name] = np.array([u.outcomes[name] for u in self.users], dtype=float)
-        return cols
+    def _sorted_feature_columns(self) -> dict[str, np.ndarray]:
+        return {name: np.sort(col, kind="stable")
+                for name, col in self._feature_columns.items()}
+
+    @cached_property
+    def outcome_matrix(self) -> np.ndarray:
+        """Outcomes as a (metrics, users) array, rows in `metrics` order."""
+        return np.array([[u.outcomes[name] for u in self.users]
+                         for name in self.metrics], dtype=float)
 
     def feature_values(self, feature: str) -> np.ndarray:
         if feature not in self._feature_columns:
             raise ValueError(f"unknown feature {feature!r}")
         return self._feature_columns[feature]
 
+    def sorted_feature_values(self, feature: str) -> np.ndarray:
+        """`feature_values(feature)` in ascending order."""
+        self.feature_values(feature)
+        return self._sorted_feature_columns[feature]
+
     def outcome_values(self, metric: str) -> np.ndarray:
-        if metric not in self._outcome_columns:
+        if metric not in self.metrics:
             raise ValueError(f"unknown metric {metric!r}")
-        return self._outcome_columns[metric]
+        return self.outcome_matrix[self.metrics.index(metric)]
 
     def arm_mask(self, action: str) -> np.ndarray:
         if action not in self.actions:
             raise ValueError(f"unknown action {action!r}")
-        return self._arms == action
-
-    def member_mask(self, user_ids: Iterable[str]) -> np.ndarray:
-        mask = np.zeros(self.n_users, dtype=bool)
-        rows = self._row_of
-        for uid in user_ids:
-            row = rows.get(uid)
-            if row is not None:
-                mask[row] = True
-        return mask
+        return self.arm_codes == self.actions.index(action)
 
     def subset(self, mask: np.ndarray, experiment_id: str | None = None) -> "ExperimentDataset":
         users = tuple(u for u, keep in zip(self.users, mask) if keep)
@@ -198,61 +196,101 @@ class ExperimentDataset:
             lift_units=self.lift_units,
         )
 
-    def daily_slices(self, n_days: int | None = None) -> list["ExperimentDataset"]:
-        """Split into per-day datasets.
+    def day_codes(self, n_days: int | None = None) -> tuple[np.ndarray, list[int]]:
+        """Each user's day as an index into the returned day labels.
 
-        Uses the users' day labels when present; otherwise partitions the
-        id-sorted users into `n_days` contiguous chunks (a valid proxy for
-        time slices in a randomized experiment, where users are exchangeable).
+        Uses the users' day labels when present (sorted distinct labels);
+        otherwise partitions the id-sorted users into `n_days` contiguous
+        chunks labelled 0..n_days-1 (a valid proxy for time slices in a
+        randomized experiment, where users are exchangeable).
         """
         labels = [u.day for u in self.users]
-        if all(d is not None for d in labels) and self.users:
-            days = sorted(set(labels))
-            out = []
-            for d in days:
-                mask = np.array([u.day == d for u in self.users], dtype=bool)
-                out.append(self.subset(mask, f"{self.experiment_id}#day{d}"))
-            return out
+        if self.users and all(d is not None for d in labels):
+            days, codes = np.unique(np.array(labels), return_inverse=True)
+            return codes, [int(d) for d in days]
         if n_days is None or n_days < 1:
             raise ValueError("dataset has no day labels; pass n_days >= 1")
         bounds = np.linspace(0, self.n_users, n_days + 1).astype(int)
-        out = []
-        for d in range(n_days):
-            mask = np.zeros(self.n_users, dtype=bool)
-            mask[bounds[d]:bounds[d + 1]] = True
-            out.append(self.subset(mask, f"{self.experiment_id}#day{d}"))
-        return out
+        return np.repeat(np.arange(n_days), np.diff(bounds)), list(range(n_days))
+
+    def daily_slices(self, n_days: int | None = None) -> list["ExperimentDataset"]:
+        """Split into per-day datasets, one per label of `day_codes`."""
+        codes, days = self.day_codes(n_days)
+        return [self.subset(codes == k, f"{self.experiment_id}#day{d}")
+                for k, d in enumerate(days)]
 
 
 # -- estimators --------------------------------------------------------------
 
 
-def _variance(values: np.ndarray) -> float:
-    # Sample variance (n-1 denominator); a single observation contributes 0.
-    if values.size < 2:
-        return 0.0
-    return float(np.var(values, ddof=1))
+def slot_effects(ds: ExperimentDataset, codes: np.ndarray, n_slots: int,
+                 rows: np.ndarray | None = None,
+                 metrics: Sequence[str] | None = None
+                 ) -> tuple[list[int], dict[tuple[int, str, str], MetricEstimate | None]]:
+    """Effect of every treatment vs control in every slot, over `rows` of `ds`.
+
+    `codes` holds every user's slot. One bincount pass per metric fills the
+    count, mean and centred sum of squares of every (slot, arm) cell. An
+    effect is the treated-minus-control mean difference with the unpooled
+    standard error sqrt(s_t^2/n_t + s_c^2/n_c), sample variances having an
+    n-1 denominator (0 for a single user).
+
+    Returns the number of selected users in each slot and the effects keyed
+    by (slot, action, metric), None where a slot lacks treated or control
+    users.
+    """
+    metrics = ds.metrics if metrics is None else tuple(metrics)
+    arms = ds.arm_codes
+    outcomes = [ds.outcome_values(metric) for metric in metrics]
+    if rows is not None:
+        codes, arms = codes[rows], arms[rows]
+        outcomes = [y[rows] for y in outcomes]
+    n_arms = len(ds.actions)
+    cell = codes * n_arms + arms
+    count = np.bincount(cell, minlength=n_slots * n_arms)
+    stats = []
+    for y in outcomes:
+        mean = np.bincount(cell, weights=y, minlength=count.size) / np.maximum(count, 1)
+        dev = y - mean[cell]
+        m2 = np.bincount(cell, weights=dev * dev, minlength=count.size)
+        var = np.where(count > 1, m2 / np.maximum(count - 1, 1), 0.0)
+        stats.append((mean.reshape(n_slots, n_arms), var.reshape(n_slots, n_arms)))
+    count = count.reshape(n_slots, n_arms)
+
+    control = ds.actions.index(ds.control_action)
+    effects: dict[tuple[int, str, str], MetricEstimate | None] = {}
+    for slot in range(n_slots):
+        n_c = int(count[slot, control])
+        for arm, action in enumerate(ds.actions):
+            n_t = int(count[slot, arm])
+            if arm == control:
+                continue
+            for metric, (mean, var) in zip(metrics, stats):
+                effects[slot, action, metric] = MetricEstimate(
+                    mean=float(mean[slot, arm] - mean[slot, control]),
+                    std_err=math.sqrt(var[slot, arm] / n_t + var[slot, control] / n_c),
+                    n_treated=n_t, n_control=n_c) if n_t and n_c else None
+    return count.sum(axis=1).tolist(), effects
 
 
-def _lift(ds: ExperimentDataset, mask: np.ndarray | None, action: str,
+def _lift(ds: ExperimentDataset, rows: np.ndarray | None, action: str,
           metric: str, where: str) -> MetricEstimate:
-    treated = ds.arm_mask(action)
-    control = ds.arm_mask(ds.control_action)
-    if mask is not None:
-        treated = treated & mask
-        control = control & mask
-    n_t = int(treated.sum())
-    n_c = int(control.sum())
-    if n_t == 0:
-        raise EstimationError(f"no users treated with {action!r} in {where}")
-    if n_c == 0:
-        raise EstimationError(f"no control users in {where}")
-    outcomes = ds.outcome_values(metric)
-    t_vals = outcomes[treated]
-    c_vals = outcomes[control]
-    mean = float(np.mean(t_vals) - np.mean(c_vals))
-    std_err = math.sqrt(_variance(t_vals) / n_t + _variance(c_vals) / n_c)
-    return MetricEstimate(mean=mean, std_err=std_err, n_treated=n_t, n_control=n_c)
+    # The effect of `action` over `rows`, taken as a single slot.
+    if action not in ds.actions:
+        raise ValueError(f"unknown action {action!r}")
+    if metric not in ds.metrics:
+        raise ValueError(f"unknown metric {metric!r}")
+    if action == ds.control_action:
+        in_arm = ds.arm_mask(action)
+        n_c = int((in_arm if rows is None else in_arm[rows]).sum())
+        return MetricEstimate(mean=0.0, std_err=0.0, n_treated=n_c, n_control=n_c)
+    codes = np.zeros(ds.n_users, dtype=np.intp)
+    _, effects = slot_effects(ds, codes, 1, rows, (metric,))
+    estimate = effects[0, action, metric]
+    if estimate is None:
+        raise EstimationError(
+            f"{action!r} lacks treated or control users in {where}")
+    return estimate
 
 
 def compute_ate(ds: ExperimentDataset, action: str, metric: str) -> MetricEstimate:
@@ -261,11 +299,6 @@ def compute_ate(ds: ExperimentDataset, action: str, metric: str) -> MetricEstima
     Mean outcome over the treated arm minus mean outcome over the control
     arm; standard error is the two-sample unpooled sqrt(s_t^2/n_t + s_c^2/n_c).
     """
-    if action not in ds.actions:
-        raise ValueError(f"unknown action {action!r}")
-    if action == ds.control_action:
-        n_c = int(ds.arm_mask(action).sum())
-        return MetricEstimate(mean=0.0, std_err=0.0, n_treated=n_c, n_control=n_c)
     return _lift(ds, None, action, metric, f"experiment {ds.experiment_id!r}")
 
 
@@ -273,14 +306,16 @@ def segment_hte(ds: ExperimentDataset, segment: "Segment", action: str,
                 metric: str) -> MetricEstimate:
     """Segment-level heterogeneous treatment effect of `action` on `metric`.
 
-    Restricted to the segment's members: mean outcome of treated members
-    minus mean outcome of control members. Over the full population this
-    equals compute_ate exactly.
+    Restricted to the users whose feature value lies in the segment's
+    interval (every user for the feature-less whole-population segment):
+    mean outcome of treated members minus mean outcome of control members.
+    Over the full population this equals compute_ate exactly. A segment
+    without treated or control users, an empty one included, raises
+    EstimationError.
     """
-    if action not in ds.actions:
-        raise ValueError(f"unknown action {action!r}")
-    mask = ds.member_mask(segment.members)
-    if action == ds.control_action:
-        n_c = int((mask & ds.arm_mask(action)).sum())
-        return MetricEstimate(mean=0.0, std_err=0.0, n_treated=n_c, n_control=n_c)
-    return _lift(ds, mask, action, metric, f"segment {segment.describe()}")
+    if segment.feature:
+        values = ds.feature_values(segment.feature)
+        rows = (values > segment.lower) & (values <= segment.upper)
+    else:
+        rows = np.ones(ds.n_users, dtype=bool)
+    return _lift(ds, rows, action, metric, f"segment {segment.describe()}")

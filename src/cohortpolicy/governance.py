@@ -20,7 +20,7 @@ import numpy as np
 from .errors import EstimationError, InsufficientDataError
 from .experiment import ExperimentDataset, MetricEstimate
 from .search import FORMAT_VERSION, PolicyCandidate, evaluate_policy_pinned
-from .segmentation import bucket_index, interior_cutpoints, materialize, quantile
+from .segmentation import interior_cutpoints, quantile, slot_codes
 
 STAGE_PRE_SEARCH = "pre_search"
 STAGE_POST_SEARCH = "post_search"
@@ -61,7 +61,6 @@ class FeatureSnapshotPair:
     feature: str
     t0_values: dict[str, float]
     t1_values: dict[str, float]
-    window_days: int = 180
 
 
 @dataclass
@@ -139,8 +138,7 @@ def shift_ratio(pair: FeatureSnapshotPair, cut: str = QUANTILE_CUT,
         cuts = [quantile(t0, 0.25), quantile(t0, 0.75)]
     else:
         raise ValueError(f"unknown cut basis {cut!r}")
-    moved = sum(1 for v0, v1 in zip(t0, t1)
-                if bucket_index(v0, cuts) != bucket_index(v1, cuts))
+    moved = np.count_nonzero(slot_codes(t0, cuts) != slot_codes(t1, cuts))
     return moved / len(common)
 
 
@@ -290,21 +288,24 @@ class BacktestSeries:
                 writer.writerow(row)
 
 
-def run_backtest(policy: PolicyCandidate, daily: Sequence[ExperimentDataset],
-                 target_metrics: Sequence[str],
+def run_backtest(policy: PolicyCandidate, window: ExperimentDataset,
+                 target_metrics: Sequence[str], n_days: int | None = None,
                  min_days: int = BACKTEST_BURN_IN_DAYS
                  ) -> tuple[BacktestSeries, HookReport]:
     """Replay the policy's lift day by day and check temporal persistence.
 
-    The reference is the policy's own (search-time) full-window estimate.
-    Pass iff, from day `min_days` on, each cumulative estimate stays within
-    2 standard errors of the reference (SE of the difference) and its sign
-    never flips against the reference. Empty daily slices are skipped with
-    a warning code.
+    Days are `window.day_codes(n_days)`. Cohort boundaries are pinned from
+    the whole window; each day and each cumulative prefix of days is a row
+    subset of it. The reference is the policy's own (search-time)
+    full-window estimate. Pass iff, from day `min_days` on, each cumulative
+    estimate stays within 2 standard errors of the reference (SE of the
+    difference) and its sign never flips against the reference. Days that
+    are empty or lack arm support are skipped with a warning code.
     """
-    if len(daily) < min_days:
+    day, labels = window.day_codes(n_days)
+    if len(labels) < min_days:
         raise InsufficientDataError(
-            f"backtest needs >= {min_days} daily slices, got {len(daily)}")
+            f"backtest needs >= {min_days} daily slices, got {len(labels)}")
     for metric in target_metrics:
         if metric not in policy.estimates:
             raise ValueError(
@@ -315,46 +316,23 @@ def run_backtest(policy: PolicyCandidate, daily: Sequence[ExperimentDataset],
     cumulative_series: list[dict[str, MetricEstimate]] = []
     codes: list[str] = []
     notes: list[str] = []
-    template = daily[0]
-    usable = []
-    for ds in daily:
-        if ds.n_users == 0:
+    for k, label in enumerate(labels):
+        name = f"{window.experiment_id}#day{label}"
+        today = day == k
+        if not today.any():
             codes.append(CODE_EMPTY_SLICE)
-            notes.append(f"slice {ds.experiment_id} empty, skipped")
-        else:
-            usable.append(ds)
-    if not usable:
-        raise InsufficientDataError("every backtest slice is empty")
-
-    def pooled_dataset(users):
-        return ExperimentDataset(
-            experiment_id=f"{template.experiment_id}#window",
-            users=tuple(users),
-            actions=template.actions,
-            control_action=template.control_action,
-            metrics=template.metrics,
-            features=template.features,
-            lift_units=template.lift_units,
-        )
-
-    # Cohort boundaries are pinned from the whole backtest window; each day
-    # re-buckets its users against those fixed intervals.
-    window = pooled_dataset([u for ds in usable for u in ds.users])
-    pinned = materialize(window, policy.cut)
-    pooled_users: list = []
-    for ds in usable:
-        pooled_users.extend(ds.users)
+            notes.append(f"slice {name} empty, skipped")
+            continue
         try:
-            day_est = evaluate_policy_pinned(ds, policy, pinned).estimates
-            cum_est = evaluate_policy_pinned(pooled_dataset(pooled_users),
-                                             policy, pinned).estimates
+            day_est = evaluate_policy_pinned(window, policy, today).estimates
+            cum_est = evaluate_policy_pinned(window, policy, day <= k).estimates
         except EstimationError:
             codes.append(CODE_EMPTY_SLICE)
-            notes.append(f"slice {ds.experiment_id} lacks arm support, skipped")
+            notes.append(f"slice {name} lacks arm support, skipped")
             continue
-        days.append(ds.experiment_id)
-        daily_series.append({m: day_est[m] for m in template.metrics})
-        cumulative_series.append({m: cum_est[m] for m in template.metrics})
+        days.append(name)
+        daily_series.append(day_est)
+        cumulative_series.append(cum_est)
 
     series = BacktestSeries(days=days, daily=daily_series,
                             cumulative=cumulative_series)
@@ -402,8 +380,7 @@ def run_backtest(policy: PolicyCandidate, daily: Sequence[ExperimentDataset],
 # -- snapshot and report persistence ----------------------------------------------
 
 
-def load_snapshots(path: str | Path,
-                   window_days: int = 180) -> dict[str, FeatureSnapshotPair]:
+def load_snapshots(path: str | Path) -> dict[str, FeatureSnapshotPair]:
     """Read snapshot CSV rows (user_id, feature_id, value, snapshot in {t0,t1})
     into per-feature snapshot pairs."""
     pairs: dict[str, FeatureSnapshotPair] = {}
@@ -416,7 +393,7 @@ def load_snapshots(path: str | Path,
     for row in reader:
         feature = row["feature_id"]
         pair = pairs.setdefault(feature, FeatureSnapshotPair(
-            feature=feature, t0_values={}, t1_values={}, window_days=window_days))
+            feature=feature, t0_values={}, t1_values={}))
         target = pair.t0_values if row["snapshot"] == "t0" else pair.t1_values
         target[row["user_id"]] = float(row["value"])
     return pairs

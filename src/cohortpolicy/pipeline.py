@@ -2,13 +2,13 @@
 robustness -> backtest, with a bounded refinement loop.
 
 Every stage is seeded and deterministic, so identical run configs produce
-byte-identical artifacts regardless of worker count.
+byte-identical artifacts regardless of input row order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -27,7 +27,7 @@ from .ingest import IngestSchema, ingest
 from .search import (FORMAT_VERSION, PolicyCandidate, collect_candidates,
                      evaluate_policies, evaluate_policy_pinned,
                      enumerate_policies, sample_weights, save_policy_table)
-from .segmentation import CutEnumerationConfig, enumerate_cuts, materialize
+from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import ScenarioConfig, generate_experiment, generate_snapshots
 
 
@@ -76,6 +76,7 @@ class RunConfig:
             raise ConfigError("run config needs either a scenario or a dataset path")
         if self.dataset_path and not self.schema_path:
             raise ConfigError("a dataset path needs a schema path")
+        self.features = tuple(self.features) if self.features else None
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "RunConfig":
@@ -115,40 +116,7 @@ class RunConfig:
         return cls.from_mapping(data)
 
     def to_json(self) -> dict:
-        data = {
-            "seed": self.seed,
-            "weight_samples": self.weight_samples,
-            "top_k": self.top_k,
-            "tau": self.tau,
-            "thresholds": dict(sorted(self.thresholds.items())),
-            "max_refinements": self.max_refinements,
-            "primary_metric": self.primary_metric,
-            "minimize_metrics": list(self.minimize_metrics),
-            "n_bins": self.n_bins,
-            "cut_kinds": list(self.cut_kinds),
-            "policy_budget": self.policy_budget,
-            "features": list(self.features) if self.features else None,
-            "backtest_days": self.backtest_days,
-            "robustness_slices": self.robustness_slices,
-            "dataset_path": self.dataset_path,
-            "schema_path": self.schema_path,
-            "snapshots_path": self.snapshots_path,
-            "scenario": None,
-        }
-        if self.scenario is not None:
-            data["scenario"] = {
-                "seed": self.scenario.seed,
-                "n_users": self.scenario.n_users,
-                "n_features": self.scenario.n_features,
-                "n_metrics": self.scenario.n_metrics,
-                "n_actions": self.scenario.n_actions,
-                "noise_sd": self.scenario.noise_sd,
-                "n_days": self.scenario.n_days,
-                "experiment_id": self.scenario.experiment_id,
-                "planted_effects": [vars(e) for e in self.scenario.planted_effects],
-                "drift_specs": [vars(d) for d in self.scenario.drift_specs],
-            }
-        return data
+        return asdict(self)
 
 
 @dataclass
@@ -201,9 +169,12 @@ def _stability_verdicts(features: Sequence[str],
     return verdicts
 
 
-def _qualifies(policy: PolicyCandidate, primary: str, metrics: Sequence[str]) -> bool:
+def _qualifies(policy: PolicyCandidate, primary: str, sign: float,
+               metrics: Sequence[str]) -> bool:
+    # `sign` orients the primary metric so that its better direction is +.
     est = policy.estimates[primary]
-    if est.mean < SIGNIFICANCE_Z * est.std_err or est.mean <= 0:
+    mean = sign * est.mean
+    if mean < SIGNIFICANCE_Z * est.std_err or mean <= 0:
         return False
     for metric in metrics:
         if metric == primary:
@@ -214,7 +185,7 @@ def _qualifies(policy: PolicyCandidate, primary: str, metrics: Sequence[str]) ->
     return True
 
 
-def govern_pipeline(config: RunConfig, threads: int = 1) -> PipelineResult:
+def govern_pipeline(config: RunConfig) -> PipelineResult:
     """Run the full governed search and return the hook-report trail plus
     either a recommended policy or a terminal rejection.
 
@@ -226,7 +197,8 @@ def govern_pipeline(config: RunConfig, threads: int = 1) -> PipelineResult:
     primary = config.primary_metric or ds.metrics[0]
     if primary not in ds.metrics:
         raise ConfigError(f"primary metric {primary!r} not in dataset metrics")
-    eligible = tuple(config.features) if config.features else ds.features
+    eligible = config.features or ds.features
+    sign = -1.0 if primary in config.minimize_metrics else 1.0
 
     reports: list[HookReport] = []
     excluded_policies: set[str] = set()
@@ -252,8 +224,7 @@ def govern_pipeline(config: RunConfig, threads: int = 1) -> PipelineResult:
         policies = enumerate_policies(ds, cuts, budget=config.policy_budget,
                                       seed=config.seed)
         policies = [p for p in policies if p.policy_id not in excluded_policies]
-        evaluated = evaluate_policies(ds, policies, threads=threads,
-                                      skip_unsupported=True)
+        evaluated = evaluate_policies(ds, policies, skip_unsupported=True)
         last_policies = evaluated
 
         weights = sample_weights(len(ds.metrics), config.weight_samples,
@@ -270,7 +241,7 @@ def govern_pipeline(config: RunConfig, threads: int = 1) -> PipelineResult:
         last_frontier = frontier
 
         qualifying = [by_id[pid] for pid in frontier.admitted
-                      if _qualifies(by_id[pid], primary, ds.metrics)]
+                      if _qualifies(by_id[pid], primary, sign, ds.metrics)]
         if not qualifying:
             reports.append(HookReport(
                 stage=STAGE_POST_SEARCH, verdict=REJECT,
@@ -284,22 +255,15 @@ def govern_pipeline(config: RunConfig, threads: int = 1) -> PipelineResult:
                                   policies=last_policies, frontier=last_frontier,
                                   dataset=ds)
         candidate = max(qualifying,
-                        key=lambda p: (p.estimates[primary].mean, p.policy_id))
+                        key=lambda p: (sign * p.estimates[primary].mean, p.policy_id))
 
-        daily = ds.daily_slices(config.backtest_days)
-        pinned = materialize(ds, candidate.cut)
-        slice_bounds = np.linspace(0, len(daily), config.robustness_slices + 1)
-        slice_estimates = []
-        for s in range(config.robustness_slices):
-            chunk = daily[int(slice_bounds[s]):int(slice_bounds[s + 1])]
-            users = tuple(u for part in chunk for u in part.users)
-            slice_ds = ExperimentDataset(
-                experiment_id=f"{ds.experiment_id}#slice{s}", users=users,
-                actions=ds.actions, control_action=ds.control_action,
-                metrics=ds.metrics, features=ds.features,
-                lift_units=ds.lift_units)
-            slice_estimates.append(
-                evaluate_policy_pinned(slice_ds, candidate, pinned).estimates)
+        day, day_labels = ds.day_codes(config.backtest_days)
+        slice_bounds = np.linspace(0, len(day_labels),
+                                   config.robustness_slices + 1).astype(int)
+        slice_estimates = [
+            evaluate_policy_pinned(ds, candidate,
+                                   (day >= lo) & (day < hi)).estimates
+            for lo, hi in zip(slice_bounds[:-1], slice_bounds[1:])]
         robustness_report = robustness_check(candidate, slice_estimates,
                                              target_metrics=[primary])
         reports.append(robustness_report)
@@ -307,8 +271,8 @@ def govern_pipeline(config: RunConfig, threads: int = 1) -> PipelineResult:
             excluded_policies.add(candidate.policy_id)
             continue
 
-        series, backtest_report = run_backtest(candidate, daily,
-                                               target_metrics=[primary])
+        series, backtest_report = run_backtest(
+            candidate, ds, target_metrics=[primary], n_days=config.backtest_days)
         reports.append(backtest_report)
         if backtest_report.rejected:
             excluded_policies.add(candidate.policy_id)

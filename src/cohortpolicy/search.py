@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -19,8 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, EstimationError
-from .experiment import ExperimentDataset, MetricEstimate, segment_hte
-from .segmentation import CutSpec, Segment, materialize
+from .experiment import ExperimentDataset, MetricEstimate, segment_hte, slot_effects
+from .segmentation import CutSpec, Segment, cut_slot_codes, materialize
 
 FORMAT_VERSION = 1
 
@@ -142,157 +141,84 @@ def enumerate_policies(ds: ExperimentDataset, cuts: Sequence[CutSpec],
 # -- evaluation ---------------------------------------------------------------
 
 
-def _slot_keys(ds: ExperimentDataset, policy: PolicyCandidate,
-               segments: Sequence[Segment]):
-    for slot, (segment, action) in enumerate(zip(segments, policy.assignment)):
-        yield slot, segment, action
-
-
-def _combine(ds: ExperimentDataset, policy: PolicyCandidate,
-             segments: Sequence[Segment],
-             stats: Mapping[tuple[int, str, str], MetricEstimate]) -> PolicyCandidate:
-    n_total = ds.n_users
+def _estimate(ds: ExperimentDataset, policy: PolicyCandidate, sizes: Sequence[int],
+              effects: Mapping[tuple[int, str, str], MetricEstimate | None]
+              ) -> PolicyCandidate:
+    # Size-weighted sum of the effects of the treated, non-empty slots;
+    # `effects[slot, action, metric]` is None where a slot lacks support.
+    total = sum(sizes)
+    treated = [(slot, action, size / total)
+               for slot, (action, size) in enumerate(zip(policy.assignment, sizes))
+               if size and action != ds.control_action]
+    for slot, action, _ in treated:
+        if effects[slot, action, ds.metrics[0]] is None:
+            raise EstimationError(
+                f"policy {policy.policy_id!r} slot {slot}: no treated/control "
+                f"support for action {action!r}")
     estimates: dict[str, MetricEstimate] = {}
     for metric in ds.metrics:
-        mean = 0.0
-        var = 0.0
-        n_t = 0
-        n_c = 0
-        for slot, segment, action in _slot_keys(ds, policy, segments):
-            if segment.is_empty or action == ds.control_action:
-                continue
-            est = stats[(slot, action, metric)]
-            weight = len(segment.members) / n_total
-            mean += weight * est.mean
-            var += (weight * est.std_err) ** 2
-            n_t += est.n_treated
-            n_c += est.n_control
-        estimates[metric] = MetricEstimate(mean=mean, std_err=math.sqrt(var),
-                                           n_treated=n_t, n_control=n_c)
+        parts = [(weight, effects[slot, action, metric])
+                 for slot, action, weight in treated]
+        estimates[metric] = MetricEstimate(
+            mean=sum((w * e.mean for w, e in parts), 0.0),
+            std_err=math.sqrt(sum(((w * e.std_err) ** 2 for w, e in parts), 0.0)),
+            n_treated=sum(e.n_treated for _, e in parts),
+            n_control=sum(e.n_control for _, e in parts))
     return replace(policy, estimates=estimates)
 
 
-def evaluate_policy(ds: ExperimentDataset, policy: PolicyCandidate) -> PolicyCandidate:
-    """Fill per-metric estimates for one policy (returns a new candidate).
+def evaluate_policies(ds: ExperimentDataset, policies: Sequence[PolicyCandidate],
+                      skip_unsupported: bool = False) -> list[PolicyCandidate]:
+    """Fill per-metric estimates for each policy (returns new candidates).
 
+    Each cut is materialized once and each (slot, action, metric) segment
+    effect is estimated once, shared by every policy on that cut.
     Control-assigned slots contribute zero lift by definition; empty slots
     carry zero weight. A non-empty slot whose assigned action lacks treated
-    or control members raises EstimationError naming the slot.
+    or control users raises EstimationError naming the slot, or with
+    `skip_unsupported` drops the policy from the result.
     """
-    segments = materialize(ds, policy.cut)
-    stats: dict[tuple[int, str, str], MetricEstimate] = {}
-    for slot, segment, action in _slot_keys(ds, policy, segments):
-        if segment.is_empty or action == ds.control_action:
-            continue
-        for metric in ds.metrics:
-            try:
-                stats[(slot, action, metric)] = segment_hte(ds, segment, action, metric)
-            except EstimationError as exc:
-                raise EstimationError(
-                    f"policy {policy.policy_id!r} slot {slot}: {exc}") from exc
-    return _combine(ds, policy, segments, stats)
-
-
-def evaluate_policy_pinned(ds: ExperimentDataset, policy: PolicyCandidate,
-                           pinned: Sequence[Segment]) -> PolicyCandidate:
-    """Evaluate against cohort boundaries fixed elsewhere (e.g. the full
-    backtest window): this dataset's users are re-bucketed by value into the
-    pinned intervals instead of re-deriving quantiles."""
-    segments = []
-    for i, seg in enumerate(pinned):
-        if policy.cut is None:
-            members = frozenset(ds.user_ids)
-        else:
-            # The top slot is open-ended so values above the reference
-            # window's maximum still land in a cohort.
-            top = i == len(pinned) - 1
-            values = ds.feature_values(seg.feature)
-            members = frozenset(
-                uid for uid, v in zip(ds.user_ids, values)
-                if v > seg.lower and (top or v <= seg.upper))
-        segments.append(Segment(feature=seg.feature, lower=seg.lower,
-                                upper=seg.upper, members=members))
-    stats: dict[tuple[int, str, str], MetricEstimate] = {}
-    for slot, segment, action in _slot_keys(ds, policy, segments):
-        if segment.is_empty or action == ds.control_action:
-            continue
-        for metric in ds.metrics:
-            try:
-                stats[(slot, action, metric)] = segment_hte(ds, segment, action, metric)
-            except EstimationError as exc:
-                raise EstimationError(
-                    f"policy {policy.policy_id!r} slot {slot}: {exc}") from exc
-    return _combine(ds, policy, segments, stats)
-
-
-def evaluate_policies(ds: ExperimentDataset, policies: Sequence[PolicyCandidate],
-                      threads: int = 1,
-                      skip_unsupported: bool = False) -> list[PolicyCandidate]:
-    """Batch-evaluate policies, sharing segment-level effect estimates.
-
-    Segment effects are keyed by (cut, slot, action, metric), so policies on
-    the same cut reuse them. The result is independent of `threads`: every
-    estimate is a pure function of the immutable dataset.
-    """
-    by_cut: dict[CutSpec | None, list[Segment]] = {}
-    needed: set[tuple[CutSpec | None, int, str, str]] = set()
-    for policy in policies:
-        if policy.cut not in by_cut:
-            by_cut[policy.cut] = materialize(ds, policy.cut)
-        segments = by_cut[policy.cut]
-        for slot, segment, action in _slot_keys(ds, policy, segments):
-            if segment.is_empty or action == ds.control_action:
-                continue
-            for metric in ds.metrics:
-                needed.add((policy.cut, slot, action, metric))
-
-    def compute(key):
-        cut, slot, action, metric = key
-        segment = by_cut[cut][slot]
-        return key, segment_hte(ds, segment, action, metric)
-
-    keys = sorted(needed, key=lambda k: (repr(k[0]), k[1], k[2], k[3]))
-    stats: dict[tuple[CutSpec | None, int, str, str], MetricEstimate | None] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_guarded(compute), keys))
-    else:
-        results = [_guarded(compute)(k) for k in keys]
-    for key, value in results:
-        stats[key] = value
-
+    by_cut: dict[CutSpec | None, tuple[list[Segment], dict]] = {}
     out = []
     for policy in policies:
-        segments = by_cut[policy.cut]
-        slot_stats = {}
-        supported = True
-        for slot, segment, action in _slot_keys(ds, policy, segments):
+        if policy.cut not in by_cut:
+            by_cut[policy.cut] = (materialize(ds, policy.cut), {})
+        segments, effects = by_cut[policy.cut]
+        for slot, (segment, action) in enumerate(zip(segments, policy.assignment)):
             if segment.is_empty or action == ds.control_action:
                 continue
             for metric in ds.metrics:
-                est = stats[(policy.cut, slot, action, metric)]
-                if est is None:
-                    if skip_unsupported:
-                        supported = False
-                        break
-                    raise EstimationError(
-                        f"policy {policy.policy_id!r} slot {slot}: no treated/control "
-                        f"support for action {action!r}")
-                slot_stats[(slot, action, metric)] = est
-            if not supported:
-                break
-        if supported:
-            out.append(_combine(ds, policy, segments, slot_stats))
+                key = (slot, action, metric)
+                if key not in effects:
+                    try:
+                        effects[key] = segment_hte(ds, segment, action, metric)
+                    except EstimationError:
+                        effects[key] = None
+        try:
+            out.append(_estimate(ds, policy, [s.size for s in segments], effects))
+        except EstimationError:
+            if not skip_unsupported:
+                raise
     return out
 
 
-def _guarded(fn):
-    def wrapper(key):
-        try:
-            return fn(key)
-        except EstimationError:
-            return key, None
-    return wrapper
+def evaluate_policy(ds: ExperimentDataset, policy: PolicyCandidate) -> PolicyCandidate:
+    """Fill per-metric estimates for one policy (see evaluate_policies)."""
+    return evaluate_policies(ds, [policy])[0]
+
+
+def evaluate_policy_pinned(ds: ExperimentDataset, policy: PolicyCandidate,
+                           rows: np.ndarray) -> PolicyCandidate:
+    """This policy on `rows` of `ds` (a mask or index array), with cohort
+    bounds fixed from all of `ds`.
+
+    Slot weights and arm counts come from the selected rows only, so a
+    temporal slice or a backtest day is evaluated against the cohorts of
+    the window it belongs to rather than re-deriving its own quantiles.
+    """
+    n_slots = policy.cut.slot_count if policy.cut is not None else 1
+    sizes, effects = slot_effects(ds, cut_slot_codes(ds, policy.cut), n_slots, rows)
+    return _estimate(ds, policy, sizes, effects)
 
 
 # -- random-weight search ------------------------------------------------------

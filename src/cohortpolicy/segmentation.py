@@ -63,19 +63,16 @@ class CutSpec:
 
 @dataclass(frozen=True, slots=True)
 class Segment:
-    """A cohort: users whose feature value lies in (lower, upper]."""
+    """A cohort: the `size` users whose feature value lies in (lower, upper]."""
 
     feature: str
     lower: float
     upper: float
-    members: frozenset[str]
+    size: int
 
     @property
     def is_empty(self) -> bool:
-        return not self.members
-
-    def contains(self, value: float) -> bool:
-        return self.lower < value <= self.upper
+        return self.size == 0
 
     def describe(self) -> str:
         return f"{self.feature} in ({_bound_str(self.lower)}, {_bound_str(self.upper)}]"
@@ -132,62 +129,70 @@ def _boundary_values(sorted_values: np.ndarray, n_bins: int) -> list[float]:
     return bounds
 
 
+def slot_codes(values: Sequence[float] | np.ndarray,
+               cutpoints: Sequence[float]) -> np.ndarray:
+    """Slot of each value against fixed interior cutpoints.
+
+    Slots are (-inf, c1], (c1, c2], ..., (c_{B-1}, +inf): a value's slot is
+    the number of cutpoints strictly below it, so out-of-range values fall
+    into the end slots and tied cutpoints leave their slot empty.
+    """
+    return np.searchsorted(np.asarray(cutpoints, dtype=float),
+                           np.asarray(values, dtype=float), side="left")
+
+
+def _slot_uppers(ds: ExperimentDataset, cut: CutSpec) -> list[float]:
+    # Upper bound of every slot of `cut`; the binary top slot ends at the max.
+    order = ds.sorted_feature_values(cut.feature)
+    bounds = _boundary_values(order, cut.n_bins)
+    if cut.kind == INDIVIDUAL:
+        return bounds
+    return [bounds[cut.threshold_index - 1], float(order[-1])]
+
+
+def cut_slot_codes(ds: ExperimentDataset, cut: CutSpec | None) -> np.ndarray:
+    """Every user's slot under `cut` (all 0 for the whole population), the
+    cohorts `materialize` describes."""
+    if cut is None:
+        return np.zeros(ds.n_users, dtype=np.intp)
+    return slot_codes(ds.feature_values(cut.feature), _slot_uppers(ds, cut)[:-1])
+
+
+def _segments(ds: ExperimentDataset, cut: CutSpec) -> list[Segment]:
+    uppers = _slot_uppers(ds, cut)
+    sizes = np.bincount(cut_slot_codes(ds, cut), minlength=len(uppers))
+    lowers = [NEG_INF, *uppers[:-1]]
+    return [Segment(feature=cut.feature, lower=lower, upper=upper, size=int(size))
+            for lower, upper, size in zip(lowers, uppers, sizes)]
+
+
 def individual_split(ds: ExperimentDataset, feature: str, n_bins: int) -> list[Segment]:
     """Split users into N quantile bins of `feature`.
 
     Segment i covers (Q((i-1)/N), Q(i/N)]. Bins emptied by ties are retained
     (flagged via `is_empty`) so slot indices stay positionally stable.
     """
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    values = ds.feature_values(feature)
-    order = np.sort(values, kind="stable")
-    bounds = _boundary_values(order, n_bins)
-    segments = []
-    lower = NEG_INF
-    for i in range(n_bins):
-        upper = bounds[i]
-        mask = (values > lower) & (values <= upper)
-        members = frozenset(uid for uid, hit in zip(ds.user_ids, mask) if hit)
-        segments.append(Segment(feature=feature, lower=lower, upper=upper, members=members))
-        lower = upper
-    return segments
+    return _segments(ds, CutSpec(feature=feature, kind=INDIVIDUAL, n_bins=n_bins))
 
 
 def binary_split(ds: ExperimentDataset, feature: str, threshold_index: int,
                  n_bins: int) -> tuple[Segment, Segment]:
     """Two-way split at the i0/N quantile: (-inf, Q(i0/N)] vs (Q(i0/N), max]."""
-    if not (1 <= threshold_index <= n_bins - 1):
-        raise ValueError(
-            f"threshold index must be in [1, {n_bins - 1}], got {threshold_index}"
-        )
-    values = ds.feature_values(feature)
-    order = np.sort(values, kind="stable")
-    cut = _boundary_values(order, n_bins)[threshold_index - 1]
-    top = float(order[-1])
-    low_mask = values <= cut
-    ids = ds.user_ids
-    low = frozenset(uid for uid, hit in zip(ids, low_mask) if hit)
-    high = frozenset(uid for uid, hit in zip(ids, low_mask) if not hit)
-    return (
-        Segment(feature=feature, lower=NEG_INF, upper=cut, members=low),
-        Segment(feature=feature, lower=cut, upper=top, members=high),
-    )
+    low, high = _segments(ds, CutSpec(feature=feature, kind=BINARY, n_bins=n_bins,
+                                      threshold_index=threshold_index))
+    return low, high
 
 
 def full_population_segment(ds: ExperimentDataset) -> Segment:
     """The degenerate single-slot partition: every user, unbounded interval."""
-    return Segment(feature="", lower=NEG_INF, upper=POS_INF,
-                   members=frozenset(ds.user_ids))
+    return Segment(feature="", lower=NEG_INF, upper=POS_INF, size=ds.n_users)
 
 
 def materialize(ds: ExperimentDataset, cut: CutSpec | None) -> list[Segment]:
     """Segments of `cut` against `ds`; None means the whole population."""
     if cut is None:
         return [full_population_segment(ds)]
-    if cut.kind == INDIVIDUAL:
-        return individual_split(ds, cut.feature, cut.n_bins)
-    return list(binary_split(ds, cut.feature, cut.threshold_index, cut.n_bins))
+    return _segments(ds, cut)
 
 
 def interior_cutpoints(values: Sequence[float] | np.ndarray, n_bins: int) -> list[float]:
@@ -196,16 +201,6 @@ def interior_cutpoints(values: Sequence[float] | np.ndarray, n_bins: int) -> lis
     if arr.size == 0:
         raise ValueError("cutpoints of empty values are undefined")
     return _boundary_values(arr, n_bins)[:-1]
-
-
-def bucket_index(value: float, cutpoints: Sequence[float]) -> int:
-    """Bucket of `value` against fixed interior cutpoints.
-
-    Buckets are (-inf, c1], (c1, c2], ..., (c_{B-1}, +inf): the index equals
-    the number of cutpoints strictly below the value, so out-of-range values
-    fall into the end buckets.
-    """
-    return int(np.searchsorted(np.asarray(cutpoints, dtype=float), value, side="left"))
 
 
 @dataclass(frozen=True)

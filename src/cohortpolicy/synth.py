@@ -18,7 +18,8 @@ from .evaluation import KINDS, GroundTruth, InstructionSpec, ground_truth_oracle
 from .experiment import ExperimentDataset, MetricEstimate, UserRecord
 from .governance import FeatureSnapshotPair
 from .search import enumerate_policies, evaluate_policies
-from .segmentation import CutEnumerationConfig, bucket_index, enumerate_cuts, interior_cutpoints, quantile
+from .segmentation import (CutEnumerationConfig, enumerate_cuts, interior_cutpoints,
+                           quantile, slot_codes)
 
 NEG_INF = float("-inf")
 
@@ -242,7 +243,7 @@ def stitch_days(slices: Sequence[ExperimentDataset],
 
 
 def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int,
-                       n_bins: int = 4, window_days: int = 180) -> FeatureSnapshotPair:
+                       n_bins: int = 4) -> FeatureSnapshotPair:
     """Snapshot pair whose measured quantile shift ratio matches the target.
 
     Exactly round(target * n) users get their t1 value re-drawn inside a
@@ -254,6 +255,7 @@ def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int,
     user_ids = ds.user_ids
     n = len(user_ids)
     cuts = interior_cutpoints(values, n_bins)
+    buckets = slot_codes(values, cuts)
     n_buckets = len(cuts) + 1
     span = float(values.max() - values.min()) or 1.0
     # Buckets emptied by tied cutpoints cannot receive a value; skip them.
@@ -266,7 +268,7 @@ def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int,
     movers = rng.choice(n, size=n_move, replace=False)
     for row in sorted(int(i) for i in movers):
         uid = user_ids[row]
-        current = bucket_index(t0[uid], cuts)
+        current = buckets[row]
         choices = [b for b in reachable if b != current]
         target = int(choices[rng.integers(0, len(choices))])
         lower = cuts[target - 1] if target > 0 else None
@@ -280,8 +282,7 @@ def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int,
             if new_value <= lower:
                 new_value = upper
         t1[uid] = float(new_value)
-    return FeatureSnapshotPair(feature=drift.feature, t0_values=t0, t1_values=t1,
-                               window_days=window_days)
+    return FeatureSnapshotPair(feature=drift.feature, t0_values=t0, t1_values=t1)
 
 
 # -- canonical scenarios ---------------------------------------------------------

@@ -1,5 +1,10 @@
 import json
+import random
 from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortpolicy.cli import main
 from cohortpolicy.evaluation import (SelectorRanking, load_ground_truths,
@@ -51,14 +56,51 @@ def test_pipeline_success_exit_zero(tmp_path, capsys):
     assert rec["policy"]["feature"] == "f1"
 
 
-def test_pipeline_byte_identical_across_threads(tmp_path):
+def test_pipeline_byte_identical_across_runs(tmp_path):
     config = conflict_run_config(tmp_path)
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    assert main(["pipeline", "--config", str(config), "--out", str(out1),
-                 "--threads", "1"]) == 0
-    assert main(["pipeline", "--config", str(config), "--out", str(out2),
-                 "--threads", "4"]) == 0
+    assert main(["pipeline", "--config", str(config), "--out", str(out1)]) == 0
+    assert main(["pipeline", "--config", str(config), "--out", str(out2)]) == 0
     assert read_all_bytes(out1) == read_all_bytes(out2)
+
+
+def test_threads_option_rejected(tmp_path):
+    config = conflict_run_config(tmp_path)
+    with pytest.raises(SystemExit):
+        main(["pipeline", "--config", str(config), "--threads", "2"])
+
+
+def _shuffle_data_rows(path, rnd):
+    lines = path.read_text().splitlines(keepends=True)
+    head = [ln for ln in lines if ln.startswith("#")] + \
+        [next(ln for ln in lines if not ln.startswith("#"))]
+    rows = lines[len(head):]
+    rnd.shuffle(rows)
+    path.write_text("".join(head + rows))
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_run_directory_invariant_to_input_row_order(tmp_path_factory, seed):
+    work = tmp_path_factory.mktemp("row_order")
+    scenario = work / "scenario.json"
+    scenario.write_text(json.dumps(
+        json.loads(conflict_run_config(work).read_text())["scenario"]))
+    assert main(["synth", "--scenario", str(scenario), "--out", str(work)]) == 0
+    config = work / "file_run.json"
+    config.write_text(json.dumps({
+        "seed": 7, "weight_samples": 120, "primary_metric": "m1",
+        "dataset_path": str(work / "dataset.csv"),
+        "schema_path": str(work / "schema.json"),
+        "snapshots_path": str(work / "snapshots.csv")}))
+    assert main(["pipeline", "--config", str(config),
+                 "--out", str(work / "run1")]) == 0
+    order = random.Random(seed)
+    _shuffle_data_rows(work / "dataset.csv", order)
+    _shuffle_data_rows(work / "snapshots.csv", order)
+    assert main(["pipeline", "--config", str(config),
+                 "--out", str(work / "run2")]) == 0
+    assert read_all_bytes(work / "run1") == read_all_bytes(work / "run2")
 
 
 def test_pipeline_rejection_exit_two(tmp_path):

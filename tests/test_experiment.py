@@ -97,18 +97,20 @@ def test_segment_hte_direct_arithmetic():
     # treated in segment {5}, control in segment {2}
     ds = build_dataset([1, 1, 9, 9], ["t1", "control", "t1", "control"],
                        [5, 2, 100, 100])
-    segment = Segment(feature="f1", lower=0.0, upper=2.0,
-                      members=frozenset({"u000", "u001"}))
+    segment = Segment(feature="f1", lower=0.0, upper=2.0, size=2)
     est = segment_hte(ds, segment, "t1", "m1")
     assert est.mean == pytest.approx(3.0)
 
 
 def test_segment_hte_no_control_errors():
     ds = build_dataset([1, 1, 9], ["t1", "t1", "control"], [5, 5, 2])
-    segment = Segment(feature="f1", lower=0.0, upper=2.0,
-                      members=frozenset({"u000", "u001"}))
+    segment = Segment(feature="f1", lower=0.0, upper=2.0, size=2)
     with pytest.raises(EstimationError):
         segment_hte(ds, segment, "t1", "m1")
+    # A segment holding no users (a bin emptied by ties) has no estimate.
+    empty = Segment(feature="f1", lower=2.0, upper=5.0, size=0)
+    with pytest.raises(EstimationError, match=r"f1 in \(2.0, 5.0\]"):
+        segment_hte(ds, empty, "t1", "m1")
 
 
 def test_permutation_invariance_bit_identical():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from cohortpolicy.governance import (BINARY_CUT, QUANTILE_CUT,
 from cohortpolicy.search import evaluate_policies, global_policies
 from cohortpolicy.synth import (DriftSpec, PlantedEffect, ScenarioConfig,
                                 generate_daily_slices, generate_experiment,
-                                generate_snapshots)
+                                generate_snapshots, stitch_days)
 
 from conftest import make_policy
 
@@ -211,7 +212,7 @@ def test_backtest_stationary_passes():
     cfg = planted_config()
     policy = searched_policy(cfg)
     daily = generate_daily_slices(cfg, n_days=14)
-    series, report = run_backtest(policy, daily, ["m1"])
+    series, report = run_backtest(policy, stitch_days(daily), ["m1"])
     assert not report.rejected
     final = series.cumulative[-1]["m1"]
     # converges to the planted lift
@@ -227,7 +228,7 @@ def test_backtest_decaying_lift_rejected():
     policy = searched_policy(cfg)
     schedule = [1.0] * 4 + [0.0] * 10  # effect vanishes mid-window
     daily = generate_daily_slices(cfg, n_days=14, lift_schedule=schedule)
-    _, report = run_backtest(policy, daily, ["m1"])
+    _, report = run_backtest(policy, stitch_days(daily), ["m1"])
     assert report.rejected
     assert "BACKTEST_DIVERGED" in report.reason_codes
 
@@ -237,19 +238,23 @@ def test_backtest_needs_seven_days():
     policy = searched_policy(cfg)
     daily = generate_daily_slices(cfg, n_days=6)
     with pytest.raises(InsufficientDataError):
-        run_backtest(policy, daily, ["m1"])
+        run_backtest(policy, stitch_days(daily), ["m1"])
 
 
 def test_backtest_skips_empty_slice_with_warning():
     cfg = planted_config()
     policy = searched_policy(cfg)
     daily = generate_daily_slices(cfg, n_days=8)
-    empty = daily[0].subset(np.zeros(daily[0].n_users, dtype=bool),
-                            "conflict#empty")
-    series, report = run_backtest(policy, [*daily, empty], ["m1"])
+    # A ninth day holding only control users: no treated support.
+    extra = tuple(replace(u, user_id=f"d008.{u.user_id}", day=8)
+                  for u in daily[0].users if u.arm == "a0")
+    window = stitch_days(daily)
+    window = replace(window, users=window.users + extra)
+    series, report = run_backtest(policy, window, ["m1"])
     assert "EMPTY_SLICE_SKIPPED" in report.reason_codes
     assert not report.rejected
     assert len(series.days) == 8
+
 
 
 # -- report and snapshot round trips ----------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 
 import pytest
 
@@ -87,6 +88,23 @@ def test_null_scenario_no_qualifying_policy():
     assert result.reports[-1].reason_codes == ["NO_QUALIFYING_POLICY"]
 
 
+def test_minimized_primary_recommends_significant_decrease():
+    # The only planted effect lowers m1; minimizing m1 must find it.
+    scenario = ScenarioConfig(
+        seed=1, n_users=4000, n_features=2, n_metrics=2, n_actions=2,
+        noise_sd=1.0, n_days=14, experiment_id="minimize",
+        planted_effects=(PlantedEffect("f1", 0.5, 1.0, "a1", "m1", -2.0),),
+        drift_specs=(DriftSpec("f1", 0.04), DriftSpec("f2", 0.03)))
+    config = RunConfig(seed=1, weight_samples=200, scenario=scenario,
+                       primary_metric="m1", minimize_metrics=("m1",))
+    result = govern_pipeline(config)
+    assert result.recommended
+    m1 = result.recommendation.estimates["m1"]
+    m2 = result.recommendation.estimates["m2"]
+    assert m1.mean < 0 and -m1.mean >= SIGNIFICANCE_Z * m1.std_err
+    assert abs(m2.mean) <= SIGNIFICANCE_Z * m2.std_err
+
+
 def decayed_file_inputs(tmp_path):
     cfg = ScenarioConfig(
         seed=41, n_users=400, n_features=1, n_metrics=1, n_actions=1,
@@ -142,12 +160,15 @@ def test_governance_does_not_mutate_estimates():
     assert fresh.estimates == result.recommendation.estimates
 
 
-def test_pipeline_deterministic_across_threads():
-    a = govern_pipeline(small_conflict_config(), threads=1)
-    b = govern_pipeline(small_conflict_config(), threads=4)
+def test_pipeline_deterministic_across_runs():
+    a = govern_pipeline(small_conflict_config())
+    b = govern_pipeline(small_conflict_config())
     assert a.recommendation.policy_id == b.recommendation.policy_id
     assert a.recommendation.estimates == b.recommendation.estimates
     assert [r.to_json() for r in a.reports] == [r.to_json() for r in b.reports]
+    assert [(p.policy_id, p.estimates) for p in a.policies] == \
+        [(p.policy_id, p.estimates) for p in b.policies]
+    assert a.backtest_series == b.backtest_series
 
 
 def test_run_artifacts_written(tmp_path):
@@ -186,3 +207,17 @@ def test_run_config_round_trip(tmp_path):
     assert loaded.seed == config.seed
     assert loaded.scenario == config.scenario
     assert loaded.thresholds == config.thresholds
+
+    # Every field set away from its default survives the JSON round trip.
+    full = RunConfig(
+        seed=3, weight_samples=17, top_k=2, tau=0.5,
+        thresholds={"binary": 0.1, "quantile": 0.4}, max_refinements=1,
+        primary_metric="m2", minimize_metrics=("m1",), n_bins=3,
+        cut_kinds=("binary",), policy_budget=9, features=("f2",),
+        backtest_days=10, robustness_slices=3,
+        scenario=replace(conflict_scenario(n_users=100), noise_sd=0.5, n_days=7),
+        dataset_path="data.csv", schema_path="schema.json",
+        snapshots_path="snapshots.csv")
+    data = full.to_json()
+    assert set(data) == {f.name for f in fields(RunConfig)}
+    assert RunConfig.from_mapping(json.loads(json.dumps(data))) == full

@@ -1,4 +1,6 @@
 import itertools
+import math
+import statistics
 
 import numpy as np
 import pytest
@@ -6,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohortpolicy.errors import ConfigError, EstimationError
-from cohortpolicy.experiment import compute_ate
+from cohortpolicy.experiment import ExperimentDataset, compute_ate
 from cohortpolicy.search import (WeightVector, collect_candidates,
                                  enumerate_policies, evaluate_policies,
-                                 evaluate_policy, global_policies,
+                                 evaluate_policy, evaluate_policy_pinned,
+                                 global_policies,
                                  load_policy_table, sample_weights,
                                  save_policy_table, scalarized_score)
 from cohortpolicy.segmentation import CutSpec, enumerate_cuts
@@ -140,14 +143,136 @@ def test_evaluate_policies_batch_matches_single(rng):
         assert evaluate_policy(ds, policy).estimates == from_batch.estimates
 
 
-def test_evaluate_policies_thread_count_irrelevant(rng):
+def test_evaluate_policies_invariant_to_row_order(rng):
     outcomes = rng.normal(size=16)
     ds = two_arm_dataset(outcome=list(outcomes))
+    shuffled = ExperimentDataset(
+        experiment_id=ds.experiment_id,
+        users=tuple(ds.users[i] for i in rng.permutation(ds.n_users)),
+        actions=ds.actions, control_action=ds.control_action,
+        metrics=ds.metrics, features=ds.features)
     cuts = enumerate_cuts(ds, {"features": ["f1"], "N": 4})
     policies = enumerate_policies(ds, cuts, budget=16, seed=1)
-    one = evaluate_policies(ds, policies, threads=1)
-    four = evaluate_policies(ds, policies, threads=4)
-    assert [p.estimates for p in one] == [p.estimates for p in four]
+    first = [p.estimates for p in evaluate_policies(ds, policies)]
+    assert first == [p.estimates for p in evaluate_policies(ds, policies)]
+    assert first == [p.estimates for p in evaluate_policies(shuffled, policies)]
+
+
+# -- estimator oracle ----------------------------------------------------------------
+
+
+def _oracle_slot(value, bounds, kind):
+    # Independent cohort rule: (lower, upper] intervals, open top slot.
+    if kind == "global":
+        return 0
+    for slot, upper in enumerate(bounds[:-1]):
+        if value <= upper:
+            return slot
+    return len(bounds) - 1
+
+
+def _oracle_bounds(values, cut):
+    ordered = sorted(values)
+    n = len(ordered)
+    if cut is None:
+        return "global", [math.inf]
+    q = [ordered[math.ceil(i * n / cut.n_bins) - 1] for i in range(1, cut.n_bins + 1)]
+    if cut.kind == "individual":
+        return "individual", q
+    return "binary", [q[cut.threshold_index - 1], ordered[-1]]
+
+
+def oracle_policy(ds, policy, rows):
+    """Per-user loop: size-weighted difference of means with unpooled ddof=1
+    standard errors, cohorts fixed from all of `ds`. Returns metric ->
+    (mean, std_err), or the first treated non-empty slot lacking support."""
+    users = list(ds.users)
+    feature = policy.cut.feature if policy.cut is not None else None
+    kind, bounds = _oracle_bounds(
+        [u.features[feature] for u in users] if feature else [0.0], policy.cut)
+    selected = [u for u, keep in zip(users, rows) if keep]
+    slot_of = [_oracle_slot(u.features[feature] if feature else 0.0, bounds, kind)
+               for u in selected]
+    out = {}
+    for metric in ds.metrics:
+        mean = 0.0
+        var = 0.0
+        for slot, action in enumerate(policy.assignment):
+            members = [u for u, s in zip(selected, slot_of) if s == slot]
+            if not members or action == ds.control_action:
+                continue
+            t = [u.outcomes[metric] for u in members if u.arm == action]
+            c = [u.outcomes[metric] for u in members if u.arm == ds.control_action]
+            if not t or not c:
+                return slot
+            weight = len(members) / len(selected)
+            mean += weight * (statistics.fmean(t) - statistics.fmean(c))
+            var += weight ** 2 * sum(statistics.variance(v) / len(v)
+                                     for v in (t, c) if len(v) > 1)
+        out[metric] = (mean, math.sqrt(var))
+    return out
+
+
+def _assert_matches(got, want):
+    for metric, (mean, std_err) in want.items():
+        est = got.estimates[metric]
+        assert est.mean == pytest.approx(mean, rel=1e-9, abs=1e-9)
+        assert est.std_err == pytest.approx(std_err, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def small_experiments(draw):
+    n = draw(st.integers(2, 24))
+    # Few distinct feature values: ties and bins emptied by ties.
+    values = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    # Three arms drawn freely: arms of one user, or of none, occur.
+    arms = draw(st.lists(st.sampled_from(["c", "t1", "t2"]), min_size=n, max_size=n))
+    outcomes = draw(st.lists(st.floats(-5, 5, allow_nan=False), min_size=n,
+                             max_size=n))
+    second = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    ds = build_dataset(values, arms, outcomes, control="c",
+                       extra_metrics={"m2": second})
+    ds = ExperimentDataset(experiment_id="oracle", users=ds.users,
+                           actions=("c", "t1", "t2"), control_action="c",
+                           metrics=ds.metrics, features=ds.features)
+    n_bins = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["global", "individual", "binary"]
+                                if n_bins > 1 else ["global", "individual"]))
+    if kind == "global":
+        cut = None
+    elif kind == "individual":
+        cut = CutSpec(feature="f1", kind="individual", n_bins=n_bins)
+    else:
+        cut = CutSpec(feature="f1", kind="binary", n_bins=n_bins,
+                      threshold_index=draw(st.integers(1, n_bins - 1)))
+    rows = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return ds, cut, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_experiments())
+def test_estimators_match_per_user_loop(case):
+    ds, cut, rows = case
+    policies = enumerate_policies(ds, [cut] if cut is not None else [], budget=81)
+    everyone = np.ones(ds.n_users, dtype=bool)
+    want = {p.policy_id: oracle_policy(ds, p, everyone) for p in policies}
+    batch = {p.policy_id: p for p in
+             evaluate_policies(ds, policies, skip_unsupported=True)}
+    assert set(batch) == {pid for pid, w in want.items() if isinstance(w, dict)}
+    for policy in policies:
+        expected = want[policy.policy_id]
+        if isinstance(expected, int):
+            with pytest.raises(EstimationError, match=f"slot {expected}:"):
+                evaluate_policies(ds, [policy])
+        else:
+            _assert_matches(batch[policy.policy_id], expected)
+            _assert_matches(evaluate_policy(ds, policy), expected)
+        pinned = oracle_policy(ds, policy, rows)
+        if isinstance(pinned, int):
+            with pytest.raises(EstimationError, match=f"slot {pinned}:"):
+                evaluate_policy_pinned(ds, policy, rows)
+        else:
+            _assert_matches(evaluate_policy_pinned(ds, policy, rows), pinned)
 
 
 # -- weights -----------------------------------------------------------------------

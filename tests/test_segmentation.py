@@ -4,19 +4,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from cohortpolicy.segmentation import (CutSpec, Segment,
                                        binary_split, bound_from_json,
-                                       bucket_index, enumerate_cuts,
+                                       cut_slot_codes, enumerate_cuts,
                                        individual_split, interior_cutpoints,
-                                       quantile)
+                                       quantile, slot_codes)
 
 from conftest import build_dataset
 
 NEG_INF = float("-inf")
 
 
-def members(segment):
-    return {int(uid[1:]) for uid in segment.members}
+def members(ds, cut):
+    """Per slot, the row numbers of the users the cut's slot codes put there."""
+    codes = cut_slot_codes(ds, cut)
+    return [{int(i) for i in np.flatnonzero(codes == s)}
+            for s in range(cut.slot_count)]
+
+
+def individual(n_bins):
+    return CutSpec(feature="f1", kind="individual", n_bins=n_bins)
+
+
+def binary(i0, n_bins):
+    return CutSpec(feature="f1", kind="binary", n_bins=n_bins, threshold_index=i0)
 
 
 # -- quantile -------------------------------------------------------------------
@@ -65,8 +78,9 @@ def test_quantile_matches_nearest_rank_oracle(rng):
 
 def test_individual_split_quartiles(eight_user_dataset):
     segments = individual_split(eight_user_dataset, "f1", 4)
-    assert [members(s) for s in segments] == [
+    assert members(eight_user_dataset, individual(4)) == [
         {0, 1}, {2, 3}, {4, 5}, {6, 7}]
+    assert [s.size for s in segments] == [2, 2, 2, 2]
     assert segments[0].lower == NEG_INF
     assert segments[0].upper == 2
     assert segments[3].upper == 8
@@ -75,15 +89,17 @@ def test_individual_split_quartiles(eight_user_dataset):
 def test_individual_split_single_bin(eight_user_dataset):
     segments = individual_split(eight_user_dataset, "f1", 1)
     assert len(segments) == 1
-    assert len(segments[0].members) == 8
+    assert segments[0].size == 8
+    assert members(eight_user_dataset, individual(1)) == [set(range(8))]
 
 
 def test_individual_split_all_ties():
     ds = build_dataset([5.0] * 8, ["t1", "control"] * 4, [0.0] * 8)
     segments = individual_split(ds, "f1", 4)
     assert len(segments) == 4
-    assert len(segments[0].members) == 8
+    assert segments[0].size == 8
     assert all(s.is_empty for s in segments[1:])
+    assert members(ds, individual(4)) == [set(range(8)), set(), set(), set()]
 
 
 def test_individual_split_unknown_feature(eight_user_dataset):
@@ -96,13 +112,15 @@ def test_individual_split_unknown_feature(eight_user_dataset):
 
 def test_binary_split_first_quartile(eight_user_dataset):
     low, high = binary_split(eight_user_dataset, "f1", 1, 4)
-    assert members(low) == {0, 1}
-    assert members(high) == {2, 3, 4, 5, 6, 7}
+    assert (low.size, high.size) == (2, 6)
+    assert members(eight_user_dataset, binary(1, 4)) == [
+        {0, 1}, {2, 3, 4, 5, 6, 7}]
 
 
 def test_binary_split_top_index(eight_user_dataset):
     low, high = binary_split(eight_user_dataset, "f1", 3, 4)
-    assert members(high) == {6, 7}
+    assert high.size == 2
+    assert members(eight_user_dataset, binary(3, 4))[1] == {6, 7}
 
 
 @pytest.mark.parametrize("i0", [0, 4, 5])
@@ -116,10 +134,13 @@ def test_binary_matches_individual_union(rng):
     ds = build_dataset(values, ["t1", "control"] * 11 + ["t1"], [0.0] * 23)
     n = 4
     segments = individual_split(ds, "f1", n)
+    slots = members(ds, individual(n))
     for i0 in range(1, n):
         low, high = binary_split(ds, "f1", i0, n)
-        assert low.members == frozenset().union(*(s.members for s in segments[:i0]))
-        assert high.members == frozenset().union(*(s.members for s in segments[i0:]))
+        assert members(ds, binary(i0, n)) == [set().union(*slots[:i0]),
+                                              set().union(*slots[i0:])]
+        assert low.size == sum(s.size for s in segments[:i0])
+        assert high.size == sum(s.size for s in segments[i0:])
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,8 +150,15 @@ def test_partition_property(values, n):
     ds = build_dataset(values, ["t1", "control"] * (len(values) // 2 + 1),
                        [0.0] * len(values))
     segments = individual_split(ds, "f1", n)
-    all_members = [uid for s in segments for uid in s.members]
+    slots = members(ds, individual(n))
+    all_members = [row for slot in slots for row in slot]
     assert len(all_members) == len(set(all_members)) == ds.n_users
+    assert [s.size for s in segments] == [len(slot) for slot in slots]
+    # The codes put each user in the segment whose interval holds its value.
+    values = ds.feature_values("f1")
+    for segment, slot in zip(segments, slots):
+        inside = (values > segment.lower) & (values <= segment.upper)
+        assert set(np.flatnonzero(inside)) == slot
 
 
 # -- enumeration and serialization ---------------------------------------------------
@@ -166,8 +194,7 @@ def test_cutspec_validation():
 
 
 def test_segment_serialization_sentinels():
-    segment = Segment(feature="f1", lower=NEG_INF, upper=2.0,
-                      members=frozenset({"u1"}))
+    segment = Segment(feature="f1", lower=NEG_INF, upper=2.0, size=1)
     data = segment.to_json()
     assert data["lower"] == "-inf"
     assert bound_from_json(data["lower"]) == NEG_INF
@@ -177,10 +204,9 @@ def test_segment_serialization_sentinels():
 
 def test_bucket_index_fixed_cuts():
     cuts = [1.0, 2.0, 3.0]
-    assert bucket_index(0.5, cuts) == 0
-    assert bucket_index(1.0, cuts) == 0  # ties go low, (lower, upper]
-    assert bucket_index(1.5, cuts) == 1
-    assert bucket_index(99.0, cuts) == 3  # above the last cut stays in range
+    # ties go low, (lower, upper]; values beyond either end stay in range
+    assert slot_codes([0.5, 1.0, 1.5, 99.0, -99.0], cuts).tolist() == [0, 0, 1, 3, 0]
+    assert slot_codes([1.0, 1.5], [1.0, 1.0]).tolist() == [0, 2]  # tied cuts
 
 
 def test_interior_cutpoints(eight_user_dataset):
