@@ -29,6 +29,10 @@ scenario = ScenarioConfig(
 ds, truth = generate_experiment(scenario)
 print(f"experiment {ds.experiment_id!r}: {ds.n_users} users, "
       f"arms {ds.actions}, metrics {ds.metrics}")
+print(f"stored as id-sorted columns: user_ids {ds.user_ids.shape}, "
+      f"arm_codes {ds.arm_codes.shape} (index into arms), "
+      f"feature_matrix {ds.feature_matrix.shape}, "
+      f"outcome_matrix {ds.outcome_matrix.shape}")
 print(f"planted: +{truth['effects'][0]['lift']} on m1 for "
       f"{truth['effects'][0]['n_affected']} treated users in the top half of f1")
 
@@ -65,9 +69,11 @@ with tempfile.TemporaryDirectory() as tmp:
     data = Path(tmp) / "experiment.csv"
     with open(data, "w") as fh:
         fh.write("user_id,arm,activity,retention\n")
-        for user in ds.users[:1000]:
-            fh.write(f"{user.user_id},{user.arm},{user.features['f1']},"
-                     f"{user.outcomes['m1']}\n")
+        rows = zip(ds.user_ids[:1000].tolist(), ds.arm_codes[:1000].tolist(),
+                   ds.feature_values("f1")[:1000].tolist(),
+                   ds.outcome_values("m1")[:1000].tolist())
+        for user_id, arm, activity, retention in rows:
+            fh.write(f"{user_id},{ds.actions[arm]},{activity},{retention}\n")
     schema = IngestSchema.from_mapping({
         "user_id": "user_id", "arm": "arm", "control": "a0",
         "features": ["activity"], "metrics": ["retention"],

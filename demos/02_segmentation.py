@@ -30,14 +30,13 @@ print(f"  S2: {high.describe():40} {high.size} users")
 
 print()
 print("ties collapse bins but keep slot positions stable:")
-from cohortpolicy.experiment import ExperimentDataset, UserRecord
+from cohortpolicy.experiment import ExperimentDataset
 tied = ExperimentDataset(
-    experiment_id="tied",
-    users=tuple(UserRecord(user_id=f"u{i}", features={"f1": 5.0},
-                           arm="control", outcomes={"m1": 0.0})
-                for i in range(6)),
+    experiment_id="tied", user_ids=[f"u{i}" for i in range(6)],
+    arm_codes=[0] * 6, feature_matrix=[[5.0] * 6], outcome_matrix=[[0.0] * 6],
     actions=("control",), control_action="control",
     metrics=("m1",), features=("f1",))
+print(f"  f1 column: {tied.feature_values('f1').tolist()}")
 for i, segment in enumerate(individual_split(tied, "f1", 4), start=1):
     flag = "EMPTY" if segment.is_empty else f"{segment.size} users"
     print(f"  slot {i}: {flag}")

@@ -12,13 +12,13 @@ from .evaluation import (GroundTruth, InstructionSpec, SelectorRanking,
                          evaluate_selector, ground_truth_oracle, ndcg_at_k,
                          precision_at_k, recall_at_k, spearman_corr,
                          top1_metrics)
-from .experiment import (ExperimentDataset, MetricEstimate, UserRecord,
-                         compute_ate, segment_hte)
+from .experiment import ExperimentDataset, MetricEstimate, compute_ate, segment_hte
 from .frontier import (FrontierResult, ToleranceConfig, strict_pareto_oracle,
                        tolerance_dominates, tolerance_filter)
 from .governance import (FeatureSnapshotPair, HookReport, StabilityVerdict,
                          classify_stability, pre_search_filter,
-                         robustness_check, run_backtest, shift_ratio)
+                         robustness_check, run_backtest, shift_ratio,
+                         stability_verdicts)
 from .ingest import IngestSchema, ingest, load_stored_estimates, parse_lift_text
 from .pipeline import PipelineResult, RunConfig, govern_pipeline, write_run_artifacts
 from .search import (CandidateSet, PolicyCandidate, WeightVector,
@@ -37,8 +37,7 @@ __all__ = [
     "CohortPolicyError", "ConfigError", "EstimationError",
     "InsufficientDataError", "IntegrityError", "RowIngestError", "SchemaError",
     "UnmatchedInstructionError",
-    "ExperimentDataset", "MetricEstimate", "UserRecord", "compute_ate",
-    "segment_hte",
+    "ExperimentDataset", "MetricEstimate", "compute_ate", "segment_hte",
     "IngestSchema", "ingest", "load_stored_estimates", "parse_lift_text",
     "CutEnumerationConfig", "CutSpec", "Segment", "binary_split",
     "enumerate_cuts", "individual_split", "quantile",
@@ -49,7 +48,7 @@ __all__ = [
     "tolerance_dominates", "tolerance_filter",
     "FeatureSnapshotPair", "HookReport", "StabilityVerdict",
     "classify_stability", "pre_search_filter", "robustness_check",
-    "run_backtest", "shift_ratio",
+    "run_backtest", "shift_ratio", "stability_verdicts",
     "GroundTruth", "InstructionSpec", "SelectorRanking", "evaluate_selector",
     "ground_truth_oracle", "ndcg_at_k", "precision_at_k", "recall_at_k",
     "spearman_corr", "top1_metrics",

@@ -19,8 +19,8 @@ from .evaluation import (evaluate_selector, load_ground_truths, load_rankings,
                          save_report)
 from .frontier import (ToleranceConfig, save_frontier, save_frontier_coords,
                        tolerance_filter)
-from .governance import (classify_stability, load_snapshots, pre_search_filter,
-                         save_reports, shift_ratio)
+from .governance import (load_snapshots, pre_search_filter, save_reports,
+                         stability_verdicts)
 from .ingest import IngestSchema, ingest
 from .pipeline import RunConfig, govern_pipeline, write_run_artifacts
 from .search import (FORMAT_VERSION, PolicyCandidate, collect_candidates,
@@ -99,20 +99,19 @@ def cmd_synth(args) -> int:
         data["seed"] = args.seed
     cfg = ScenarioConfig.from_mapping(data)
     ds, truth = generate_experiment(cfg)
-    rows = ["user_id", "arm", *ds.features, *ds.metrics]
-    include_day = cfg.n_days > 0
+    header = ["user_id", "arm", *ds.features, *ds.metrics]
+    # `.tolist()` gives Python scalars, whose repr is the plain number.
+    columns = [ds.user_ids.tolist(), [ds.actions[c] for c in ds.arm_codes.tolist()],
+               *([repr(v) for v in row] for row in ds.feature_matrix.tolist()),
+               *([repr(v) for v in row] for row in ds.outcome_matrix.tolist())]
+    include_day = ds.days is not None
     if include_day:
-        rows.append("day")
+        header.append("day")
+        columns.append([str(d) for d in ds.days.tolist()])
     with open(out / "dataset.csv", "w", encoding="utf-8") as fh:
         fh.write(f"# format_version: {FORMAT_VERSION}\n")
-        fh.write(",".join(rows) + "\n")
-        for user in ds.users:
-            cells = [user.user_id, user.arm]
-            cells += [repr(user.features[f]) for f in ds.features]
-            cells += [repr(user.outcomes[m]) for m in ds.metrics]
-            if include_day:
-                cells.append(str(user.day))
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(cells) + "\n" for cells in zip(*columns))
     schema = {
         "format_version": FORMAT_VERSION,
         "user_id": "user_id", "arm": "arm", "control": ds.control_action,
@@ -197,14 +196,7 @@ def cmd_filter(args) -> int:
 def cmd_govern(args) -> int:
     pairs = load_snapshots(args.snapshots)
     thresholds = _load_json(args.thresholds) if args.thresholds else None
-    verdicts = []
-    for feature in sorted(pairs):
-        pair = pairs[feature]
-        verdicts.append(classify_stability(
-            feature,
-            shift_quantile=shift_ratio(pair, "quantile"),
-            shift_binary=shift_ratio(pair, "binary"),
-            thresholds=thresholds))
+    verdicts = stability_verdicts(sorted(pairs), pairs, thresholds)
     report, admitted = pre_search_filter(verdicts, thresholds)
     out = _out_dir(args, "govern")
     _write_json(out / "stability_verdicts.json", {

@@ -20,8 +20,7 @@ import numpy as np
 from .errors import UnmatchedInstructionError
 from .experiment import MetricEstimate
 from .frontier import weak_pareto_ids
-
-FORMAT_VERSION = 1
+from .search import FORMAT_VERSION
 
 MAXIMIZE_BOTH = "maximize_both"
 MAXIMIZE_WITH_CONSTRAINT = "maximize_with_constraint"

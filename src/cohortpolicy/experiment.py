@@ -1,16 +1,16 @@
 """Randomized-experiment data model and treatment-effect estimators.
 
-The dataset is immutable after construction: users are stored sorted by
-user_id so every estimate is independent of input row order, and all
-estimators are pure functions of the dataset.
+The dataset is immutable after construction: its per-user columns are
+stored sorted by user_id so every estimate is independent of input row
+order, and all estimators are pure functions of the dataset.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -53,36 +53,33 @@ class MetricEstimate:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class UserRecord:
-    """One experiment participant: features, assigned arm, observed outcomes."""
-
-    user_id: str
-    features: Mapping[str, float]
-    arm: str
-    outcomes: Mapping[str, float]
-    day: int | None = None
-
-
-@dataclass(eq=False)
+@dataclass(eq=False, kw_only=True)
 class ExperimentDataset:
-    """One randomized experiment. Treat as immutable after construction.
+    """One randomized experiment, stored as per-user columns. Treat as
+    immutable after construction.
 
-    `actions` lists every arm including the control; `control_action` names
-    which one is the control. All users must carry the same feature and
-    metric keys, with finite values.
+    `user_ids` holds one string per user, `arm_codes` each user's arm as an
+    index into `actions` (which lists every arm, the control included),
+    `feature_matrix` and `outcome_matrix` one row per name in `features`
+    and `metrics`, and `days` each user's integer day label (or None). The
+    constructor sorts every column by user id, so estimates do not depend
+    on input row order, and rejects duplicate ids, unknown arm codes,
+    non-finite values and columns of the wrong length.
     """
 
     experiment_id: str
-    users: tuple[UserRecord, ...]
+    user_ids: np.ndarray
+    arm_codes: np.ndarray
+    feature_matrix: np.ndarray
+    outcome_matrix: np.ndarray
     actions: tuple[str, ...]
     control_action: str
     metrics: tuple[str, ...]
     features: tuple[str, ...]
+    days: np.ndarray | None = None
     lift_units: str = ABSOLUTE
 
     def __post_init__(self):
-        self.users = tuple(sorted(self.users, key=lambda u: u.user_id))
         self.actions = tuple(self.actions)
         self.metrics = tuple(self.metrics)
         self.features = tuple(self.features)
@@ -92,87 +89,72 @@ class ExperimentDataset:
             )
         if self.lift_units not in LIFT_UNITS:
             raise ValueError(f"lift_units must be one of {LIFT_UNITS}")
-        self._validate_users()
+        ids = np.asarray(self.user_ids, dtype=str)
+        n = len(ids)
+        columns = {
+            "arm_codes": (np.asarray(self.arm_codes, dtype=np.intp), (n,)),
+            "feature_matrix": (np.asarray(self.feature_matrix, dtype=float),
+                               (len(self.features), n)),
+            "outcome_matrix": (np.asarray(self.outcome_matrix, dtype=float),
+                               (len(self.metrics), n)),
+        }
+        if self.days is not None:
+            columns["days"] = (np.asarray(self.days, dtype=np.int64), (n,))
+        for name, (column, shape) in columns.items():
+            if column.shape != shape:
+                raise IntegrityError(
+                    f"column {name} has shape {column.shape}, expected {shape}")
+        order = np.argsort(ids, kind="stable")
+        self.user_ids = ids[order]
+        for name, (column, _) in columns.items():
+            setattr(self, name, column[..., order])
+        for column in (self.user_ids, *(getattr(self, name) for name in columns)):
+            column.flags.writeable = False
 
-    def _validate_users(self):
-        feature_keys = set(self.features)
-        metric_keys = set(self.metrics)
-        action_set = set(self.actions)
-        seen: set[str] = set()
-        for user in self.users:
-            if user.user_id in seen:
-                raise IntegrityError(f"user {user.user_id!r} appears more than once")
-            seen.add(user.user_id)
-            if user.arm not in action_set:
+        repeated = np.flatnonzero(self.user_ids[1:] == self.user_ids[:-1])
+        if repeated.size:
+            raise IntegrityError(
+                f"user {str(self.user_ids[repeated[0]])!r} appears more than once")
+        unknown = np.flatnonzero((self.arm_codes < 0)
+                                 | (self.arm_codes >= len(self.actions)))
+        if unknown.size:
+            raise IntegrityError(
+                f"user {str(self.user_ids[unknown[0]])!r} assigned to unknown arm "
+                f"code {self.arm_codes[unknown[0]]}")
+        for kind, names, matrix in (("feature", self.features, self.feature_matrix),
+                                    ("outcome", self.metrics, self.outcome_matrix)):
+            bad = np.argwhere(~np.isfinite(matrix))
+            if bad.size:
+                row, user = bad[np.argmin(bad[:, 1])]
                 raise IntegrityError(
-                    f"user {user.user_id!r} assigned to unknown arm {user.arm!r}"
-                )
-            if set(user.features) != feature_keys:
-                raise IntegrityError(
-                    f"user {user.user_id!r} features do not match dataset features"
-                )
-            if set(user.outcomes) != metric_keys:
-                raise IntegrityError(
-                    f"user {user.user_id!r} outcomes do not match dataset metrics"
-                )
-            for key, value in user.features.items():
-                if not math.isfinite(value):
-                    raise IntegrityError(
-                        f"user {user.user_id!r} has non-finite feature {key!r}"
-                    )
-            for key, value in user.outcomes.items():
-                if not math.isfinite(value):
-                    raise IntegrityError(
-                        f"user {user.user_id!r} has non-finite outcome {key!r}"
-                    )
+                    f"user {str(self.user_ids[user])!r} has non-finite {kind} "
+                    f"{names[row]!r}")
 
     # -- derived views -----------------------------------------------------
 
     @property
     def n_users(self) -> int:
-        return len(self.users)
+        return len(self.user_ids)
 
     @property
     def treatments(self) -> tuple[str, ...]:
         return tuple(a for a in self.actions if a != self.control_action)
 
     @cached_property
-    def user_ids(self) -> tuple[str, ...]:
-        return tuple(u.user_id for u in self.users)
+    def _sorted_feature_matrix(self) -> np.ndarray:
+        return np.sort(self.feature_matrix, axis=1, kind="stable")
 
-    @cached_property
-    def arm_codes(self) -> np.ndarray:
-        """Each user's arm as an index into `actions`."""
-        index = {a: i for i, a in enumerate(self.actions)}
-        return np.array([index[u.arm] for u in self.users], dtype=np.intp)
-
-    @cached_property
-    def _feature_columns(self) -> dict[str, np.ndarray]:
-        cols = {}
-        for name in self.features:
-            cols[name] = np.array([u.features[name] for u in self.users], dtype=float)
-        return cols
-
-    @cached_property
-    def _sorted_feature_columns(self) -> dict[str, np.ndarray]:
-        return {name: np.sort(col, kind="stable")
-                for name, col in self._feature_columns.items()}
-
-    @cached_property
-    def outcome_matrix(self) -> np.ndarray:
-        """Outcomes as a (metrics, users) array, rows in `metrics` order."""
-        return np.array([[u.outcomes[name] for u in self.users]
-                         for name in self.metrics], dtype=float)
+    def _feature_row(self, feature: str) -> int:
+        if feature not in self.features:
+            raise ValueError(f"unknown feature {feature!r}")
+        return self.features.index(feature)
 
     def feature_values(self, feature: str) -> np.ndarray:
-        if feature not in self._feature_columns:
-            raise ValueError(f"unknown feature {feature!r}")
-        return self._feature_columns[feature]
+        return self.feature_matrix[self._feature_row(feature)]
 
     def sorted_feature_values(self, feature: str) -> np.ndarray:
         """`feature_values(feature)` in ascending order."""
-        self.feature_values(feature)
-        return self._sorted_feature_columns[feature]
+        return self._sorted_feature_matrix[self._feature_row(feature)]
 
     def outcome_values(self, metric: str) -> np.ndarray:
         if metric not in self.metrics:
@@ -185,16 +167,12 @@ class ExperimentDataset:
         return self.arm_codes == self.actions.index(action)
 
     def subset(self, mask: np.ndarray, experiment_id: str | None = None) -> "ExperimentDataset":
-        users = tuple(u for u, keep in zip(self.users, mask) if keep)
-        return ExperimentDataset(
-            experiment_id=experiment_id or self.experiment_id,
-            users=users,
-            actions=self.actions,
-            control_action=self.control_action,
-            metrics=self.metrics,
-            features=self.features,
-            lift_units=self.lift_units,
-        )
+        return replace(
+            self, experiment_id=experiment_id or self.experiment_id,
+            user_ids=self.user_ids[mask], arm_codes=self.arm_codes[mask],
+            feature_matrix=self.feature_matrix[:, mask],
+            outcome_matrix=self.outcome_matrix[:, mask],
+            days=None if self.days is None else self.days[mask])
 
     def day_codes(self, n_days: int | None = None) -> tuple[np.ndarray, list[int]]:
         """Each user's day as an index into the returned day labels.
@@ -204,9 +182,8 @@ class ExperimentDataset:
         chunks labelled 0..n_days-1 (a valid proxy for time slices in a
         randomized experiment, where users are exchangeable).
         """
-        labels = [u.day for u in self.users]
-        if self.users and all(d is not None for d in labels):
-            days, codes = np.unique(np.array(labels), return_inverse=True)
+        if self.days is not None and self.n_users:
+            days, codes = np.unique(self.days, return_inverse=True)
             return codes, [int(d) for d in days]
         if n_days is None or n_days < 1:
             raise ValueError("dataset has no day labels; pass n_days >= 1")

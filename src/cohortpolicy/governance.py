@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EstimationError, InsufficientDataError
+from .errors import ConfigError, EstimationError, InsufficientDataError
 from .experiment import ExperimentDataset, MetricEstimate
 from .search import FORMAT_VERSION, PolicyCandidate, evaluate_policy_pinned
 from .segmentation import interior_cutpoints, quantile, slot_codes
@@ -169,6 +169,24 @@ def classify_stability(feature: str, shift_quantile: float | None = None,
     return StabilityVerdict(feature=feature, shift_quantile=shift_quantile,
                             shift_binary=shift_binary, status=status,
                             threshold_basis=thresholds)
+
+
+def stability_verdicts(features: Sequence[str],
+                       snapshots: Mapping[str, FeatureSnapshotPair],
+                       thresholds: Mapping[str, float] | None = None
+                       ) -> list[StabilityVerdict]:
+    """One verdict per feature, from its quantile and binary shift ratios."""
+    verdicts = []
+    for feature in features:
+        pair = snapshots.get(feature)
+        if pair is None:
+            raise ConfigError(f"no snapshot data for feature {feature!r}")
+        verdicts.append(classify_stability(
+            feature,
+            shift_quantile=shift_ratio(pair, QUANTILE_CUT),
+            shift_binary=shift_ratio(pair, BINARY_CUT),
+            thresholds=thresholds))
+    return verdicts
 
 
 def pre_search_filter(verdicts: Sequence[StabilityVerdict],

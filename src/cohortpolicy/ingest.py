@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import IntegrityError, RowIngestError, SchemaError
-from .experiment import ABSOLUTE, LIFT_UNITS, ExperimentDataset, MetricEstimate, UserRecord
+from .experiment import ABSOLUTE, LIFT_UNITS, ExperimentDataset, MetricEstimate
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,10 @@ def ingest(path: str | Path, schema: IngestSchema | Mapping) -> ExperimentDatase
         if column not in header:
             raise SchemaError(f"input is missing declared column {column!r}")
 
-    users: list[UserRecord] = []
     arm_of: dict[str, str] = {}
-    arms_seen: set[str] = set()
+    features = [[] for _ in schema.feature_columns]
+    outcomes = [[] for _ in schema.metric_columns]
+    days = [] if schema.day_column else None
     row_idx = 0
     for _, row in rows:
         row_idx += 1
@@ -140,20 +141,23 @@ def ingest(path: str | Path, schema: IngestSchema | Mapping) -> ExperimentDatase
                 f"user {user_id!r} appears in arms {arm_of[user_id]!r} and {arm!r}"
             )
         arm_of[user_id] = arm
-        arms_seen.add(arm)
-        features = {c: _parse_number(row[c], c, row_idx) for c in schema.feature_columns}
-        outcomes = {c: _parse_number(row[c], c, row_idx) for c in schema.metric_columns}
-        day = None
-        if schema.day_column:
-            day = int(_parse_number(row[schema.day_column], schema.day_column, row_idx))
-        users.append(UserRecord(user_id=user_id, features=features, arm=arm,
-                                outcomes=outcomes, day=day))
+        for values, c in zip(features, schema.feature_columns):
+            values.append(_parse_number(row[c], c, row_idx))
+        for values, c in zip(outcomes, schema.metric_columns):
+            values.append(_parse_number(row[c], c, row_idx))
+        if days is not None:
+            days.append(int(_parse_number(row[schema.day_column],
+                                          schema.day_column, row_idx)))
 
-    treatments = sorted(a for a in arms_seen if a != schema.control_action)
+    treatments = sorted(set(arm_of.values()) - {schema.control_action})
     actions = (schema.control_action, *treatments)
     return ExperimentDataset(
         experiment_id=schema.experiment_id,
-        users=tuple(users),
+        user_ids=list(arm_of),
+        arm_codes=[actions.index(arm) for arm in arm_of.values()],
+        feature_matrix=features,
+        outcome_matrix=outcomes,
+        days=days,
         actions=actions,
         control_action=schema.control_action,
         metrics=schema.metric_columns,

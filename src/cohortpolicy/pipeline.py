@@ -20,9 +20,9 @@ from .frontier import (FrontierResult, ToleranceConfig, save_frontier,
                        save_frontier_coords, tolerance_filter)
 from .governance import (CODE_NO_QUALIFYING_POLICY, DEFAULT_THRESHOLDS,
                          REJECT, STAGE_POST_SEARCH, SIGNIFICANCE_Z,
-                         FeatureSnapshotPair, HookReport, classify_stability,
-                         load_snapshots, pre_search_filter, robustness_check,
-                         run_backtest, save_reports, shift_ratio)
+                         FeatureSnapshotPair, HookReport, load_snapshots,
+                         pre_search_filter, robustness_check, run_backtest,
+                         save_reports, stability_verdicts)
 from .ingest import IngestSchema, ingest
 from .search import (FORMAT_VERSION, PolicyCandidate, collect_candidates,
                      evaluate_policies, evaluate_policy_pinned,
@@ -153,22 +153,6 @@ def _load_inputs(config: RunConfig
     return ds, load_snapshots(config.snapshots_path)
 
 
-def _stability_verdicts(features: Sequence[str],
-                        snapshots: Mapping[str, FeatureSnapshotPair],
-                        thresholds: Mapping[str, float]) -> list:
-    verdicts = []
-    for feature in features:
-        pair = snapshots.get(feature)
-        if pair is None:
-            raise ConfigError(f"no snapshot data for feature {feature!r}")
-        verdicts.append(classify_stability(
-            feature,
-            shift_quantile=shift_ratio(pair, "quantile"),
-            shift_binary=shift_ratio(pair, "binary"),
-            thresholds=thresholds))
-    return verdicts
-
-
 def _qualifies(policy: PolicyCandidate, primary: str, sign: float,
                metrics: Sequence[str]) -> bool:
     # `sign` orients the primary metric so that its better direction is +.
@@ -189,9 +173,13 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
     """Run the full governed search and return the hook-report trail plus
     either a recommended policy or a terminal rejection.
 
-    A policy-level rejection removes the offending policy and re-runs, up to
-    `max_refinements` extra iterations; a rejection nothing can be removed
-    for (empty search space, no qualifying policy) is terminal.
+    A policy-level rejection removes the offending policy and re-runs Top-K,
+    the tolerance filter and the hooks over the remaining evaluated
+    policies, up to `max_refinements` extra iterations; a rejection nothing
+    can be removed for (empty search space, no qualifying policy) is
+    terminal. Everything before Top-K is independent of the removed
+    policies and runs once; its pre-search report opens every iteration's
+    trail.
     """
     ds, snapshots = _load_inputs(config)
     primary = config.primary_metric or ds.metrics[0]
@@ -200,45 +188,35 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
     eligible = config.features or ds.features
     sign = -1.0 if primary in config.minimize_metrics else 1.0
 
+    verdicts = stability_verdicts(eligible, snapshots, config.thresholds)
+    pre_report, admitted_features = pre_search_filter(verdicts, config.thresholds)
+    if not admitted_features:
+        return PipelineResult(status="rejected", recommendation=None,
+                              reports=[pre_report], iterations=1, policies=[],
+                              frontier=None, dataset=ds)
+    cuts = enumerate_cuts(ds, CutEnumerationConfig(
+        features=tuple(admitted_features), n_bins=config.n_bins,
+        kinds=config.cut_kinds))
+    evaluated = evaluate_policies(
+        ds, enumerate_policies(ds, cuts, budget=config.policy_budget,
+                               seed=config.seed),
+        skip_unsupported=True)
+    by_id = {p.policy_id: p for p in evaluated}
+    weights = sample_weights(len(ds.metrics), config.weight_samples, config.seed)
+    directions = {m: ("minimize" if m in config.minimize_metrics else "maximize")
+                  for m in ds.metrics}
+    tolerance = ToleranceConfig(tau=config.tau, directions=directions)
+
     reports: list[HookReport] = []
     excluded_policies: set[str] = set()
-    last_policies: list[PolicyCandidate] = []
-    last_frontier: FrontierResult | None = None
-    iterations = 0
-
     for iteration in range(config.max_refinements + 1):
         iterations = iteration + 1
-        verdicts = _stability_verdicts(eligible, snapshots, config.thresholds)
-        pre_report, admitted_features = pre_search_filter(verdicts,
-                                                          config.thresholds)
         reports.append(pre_report)
-        if not admitted_features:
-            return PipelineResult(status="rejected", recommendation=None,
-                                  reports=reports, iterations=iterations,
-                                  policies=last_policies, frontier=last_frontier,
-                                  dataset=ds)
-
-        cuts = enumerate_cuts(ds, CutEnumerationConfig(
-            features=tuple(admitted_features), n_bins=config.n_bins,
-            kinds=config.cut_kinds))
-        policies = enumerate_policies(ds, cuts, budget=config.policy_budget,
-                                      seed=config.seed)
-        policies = [p for p in policies if p.policy_id not in excluded_policies]
-        evaluated = evaluate_policies(ds, policies, skip_unsupported=True)
-        last_policies = evaluated
-
-        weights = sample_weights(len(ds.metrics), config.weight_samples,
-                                 config.seed)
-        candidate_set = collect_candidates(evaluated, weights, config.top_k,
+        policies = [p for p in evaluated if p.policy_id not in excluded_policies]
+        candidate_set = collect_candidates(policies, weights, config.top_k,
                                            metrics=ds.metrics)
-        by_id = {p.policy_id: p for p in evaluated}
         candidates = [by_id[pid] for pid in candidate_set.policy_ids]
-        directions = {m: ("minimize" if m in config.minimize_metrics else "maximize")
-                      for m in ds.metrics}
-        frontier = tolerance_filter(
-            candidates, ToleranceConfig(tau=config.tau, directions=directions),
-            metrics=ds.metrics)
-        last_frontier = frontier
+        frontier = tolerance_filter(candidates, tolerance, metrics=ds.metrics)
 
         qualifying = [by_id[pid] for pid in frontier.admitted
                       if _qualifies(by_id[pid], primary, sign, ds.metrics)]
@@ -252,7 +230,7 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
                            f"elsewhere")))
             return PipelineResult(status="rejected", recommendation=None,
                                   reports=reports, iterations=iterations,
-                                  policies=last_policies, frontier=last_frontier,
+                                  policies=policies, frontier=frontier,
                                   dataset=ds)
         candidate = max(qualifying,
                         key=lambda p: (sign * p.estimates[primary].mean, p.policy_id))
@@ -280,13 +258,12 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
 
         return PipelineResult(status="recommended", recommendation=candidate,
                               reports=reports, iterations=iterations,
-                              policies=last_policies, frontier=frontier,
+                              policies=policies, frontier=frontier,
                               dataset=ds, backtest_series=series)
 
     return PipelineResult(status="rejected", recommendation=None,
                           reports=reports, iterations=iterations,
-                          policies=last_policies, frontier=last_frontier,
-                          dataset=ds)
+                          policies=policies, frontier=frontier, dataset=ds)
 
 
 def write_run_artifacts(result: PipelineResult, config: RunConfig,

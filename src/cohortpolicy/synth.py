@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .evaluation import KINDS, GroundTruth, InstructionSpec, ground_truth_oracle
-from .experiment import ExperimentDataset, MetricEstimate, UserRecord
+from .experiment import ExperimentDataset, MetricEstimate
 from .governance import FeatureSnapshotPair
 from .search import enumerate_policies, evaluate_policies
 from .segmentation import (CutEnumerationConfig, enumerate_cuts, interior_cutpoints,
@@ -121,9 +121,9 @@ def _effect_mask(values: np.ndarray, q_lo: float, q_hi: float) -> np.ndarray:
     return (values > lower) & (values <= upper)
 
 
-def _balanced_labels(labels: Sequence, n: int, rng: np.random.Generator) -> np.ndarray:
-    tiled = np.array(list(labels) * (n // len(labels) + 1), dtype=object)[:n]
-    return tiled[rng.permutation(n)]
+def _balanced_codes(n_labels: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    # Codes 0..n_labels-1 tiled over n users, then shuffled.
+    return (np.arange(n) % n_labels)[rng.permutation(n)]
 
 
 def generate_experiment(cfg: ScenarioConfig,
@@ -139,28 +139,24 @@ def generate_experiment(cfg: ScenarioConfig,
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_users
     width = max(5, len(str(n)))
-    user_ids = [f"u{i:0{width}d}" for i in range(n)]
-    features = {name: rng.random(n) for name in cfg.feature_names}
-    arms = _balanced_labels(cfg.action_names, n, rng)
-    days = None
-    if cfg.n_days > 0:
-        days = _balanced_labels(range(cfg.n_days), n, rng)
+    features, actions, metrics = cfg.feature_names, cfg.action_names, cfg.metric_names
+    feature_matrix = np.array([rng.random(n) for _ in features])
+    arm_codes = _balanced_codes(len(actions), n, rng)
+    days = _balanced_codes(cfg.n_days, n, rng) if cfg.n_days > 0 else None
 
-    outcomes = {name: np.zeros(n) for name in cfg.metric_names}
+    outcome_matrix = np.zeros((len(metrics), n))
     truth_effects = []
     for effect in cfg.planted_effects:
-        if effect.feature not in features:
-            raise ConfigError(f"planted effect references unknown feature "
-                              f"{effect.feature!r}")
-        if effect.action not in cfg.action_names:
-            raise ConfigError(f"planted effect references unknown action "
-                              f"{effect.action!r}")
-        if effect.metric not in outcomes:
-            raise ConfigError(f"planted effect references unknown metric "
-                              f"{effect.metric!r}")
-        in_range = _effect_mask(features[effect.feature], effect.q_lo, effect.q_hi)
-        mask = in_range & (arms == effect.action)
-        outcomes[effect.metric][mask] += effect.lift * lift_scale
+        for kind, name, names in (("feature", effect.feature, features),
+                                  ("action", effect.action, actions),
+                                  ("metric", effect.metric, metrics)):
+            if name not in names:
+                raise ConfigError(f"planted effect references unknown {kind} "
+                                  f"{name!r}")
+        in_range = _effect_mask(feature_matrix[features.index(effect.feature)],
+                                effect.q_lo, effect.q_hi)
+        mask = in_range & (arm_codes == actions.index(effect.action))
+        outcome_matrix[metrics.index(effect.metric), mask] += effect.lift * lift_scale
         truth_effects.append({
             "feature": effect.feature, "q_lo": effect.q_lo, "q_hi": effect.q_hi,
             "action": effect.action, "metric": effect.metric,
@@ -168,26 +164,20 @@ def generate_experiment(cfg: ScenarioConfig,
             "n_in_range": int(in_range.sum()), "n_affected": int(mask.sum()),
         })
     if cfg.noise_sd > 0:
-        for name in cfg.metric_names:
-            outcomes[name] += rng.normal(0.0, cfg.noise_sd, n)
+        for row in outcome_matrix:
+            row += rng.normal(0.0, cfg.noise_sd, n)
 
-    users = tuple(
-        UserRecord(
-            user_id=user_ids[i],
-            features={name: float(features[name][i]) for name in cfg.feature_names},
-            arm=str(arms[i]),
-            outcomes={name: float(outcomes[name][i]) for name in cfg.metric_names},
-            day=int(days[i]) if days is not None else None,
-        )
-        for i in range(n)
-    )
     dataset = ExperimentDataset(
         experiment_id=cfg.experiment_id,
-        users=users,
-        actions=cfg.action_names,
+        user_ids=[f"u{i:0{width}d}" for i in range(n)],
+        arm_codes=arm_codes,
+        feature_matrix=feature_matrix,
+        outcome_matrix=outcome_matrix,
+        days=days,
+        actions=actions,
         control_action="a0",
-        metrics=cfg.metric_names,
-        features=cfg.feature_names,
+        metrics=metrics,
+        features=features,
     )
     truth = {
         "experiment_id": cfg.experiment_id,
@@ -218,14 +208,8 @@ def generate_daily_slices(cfg: ScenarioConfig, n_days: int,
         day_cfg = replace(cfg, seed=int(seeds[day]), n_days=0,
                           experiment_id=f"{cfg.experiment_id}#day{day}")
         ds, _ = generate_experiment(day_cfg, lift_scale=scale)
-        users = tuple(
-            UserRecord(user_id=f"d{day:03d}.{u.user_id}", features=u.features,
-                       arm=u.arm, outcomes=u.outcomes, day=day)
-            for u in ds.users)
-        out.append(ExperimentDataset(
-            experiment_id=day_cfg.experiment_id, users=users,
-            actions=ds.actions, control_action=ds.control_action,
-            metrics=ds.metrics, features=ds.features, lift_units=ds.lift_units))
+        out.append(replace(ds, user_ids=np.char.add(f"d{day:03d}.", ds.user_ids),
+                           days=np.full(ds.n_users, day)))
     return out
 
 
@@ -235,11 +219,17 @@ def stitch_days(slices: Sequence[ExperimentDataset],
     if not slices:
         raise ConfigError("no slices to stitch")
     first = slices[0]
-    users = tuple(u for ds in slices for u in ds.users)
-    return ExperimentDataset(
-        experiment_id=experiment_id or first.experiment_id.split("#")[0],
-        users=users, actions=first.actions, control_action=first.control_action,
-        metrics=first.metrics, features=first.features, lift_units=first.lift_units)
+    layout = (first.actions, first.metrics, first.features)
+    if any((ds.actions, ds.metrics, ds.features) != layout for ds in slices):
+        raise ConfigError("slices differ in actions, metrics or features")
+    labelled = all(ds.days is not None for ds in slices)
+    return replace(
+        first, experiment_id=experiment_id or first.experiment_id.split("#")[0],
+        user_ids=np.concatenate([ds.user_ids for ds in slices]),
+        arm_codes=np.concatenate([ds.arm_codes for ds in slices]),
+        feature_matrix=np.concatenate([ds.feature_matrix for ds in slices], axis=1),
+        outcome_matrix=np.concatenate([ds.outcome_matrix for ds in slices], axis=1),
+        days=np.concatenate([ds.days for ds in slices]) if labelled else None)
 
 
 def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int,
@@ -252,7 +242,7 @@ def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int,
     """
     rng = np.random.default_rng(seed)
     values = ds.feature_values(drift.feature)
-    user_ids = ds.user_ids
+    user_ids = ds.user_ids.tolist()
     n = len(user_ids)
     cuts = interior_cutpoints(values, n_bins)
     buckets = slot_codes(values, cuts)

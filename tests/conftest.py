@@ -1,34 +1,44 @@
 import numpy as np
 import pytest
 
-from cohortpolicy.experiment import ExperimentDataset, MetricEstimate, UserRecord
+from cohortpolicy.experiment import ExperimentDataset, MetricEstimate
 from cohortpolicy.search import PolicyCandidate
 
 
 def build_dataset(feature_values, arms, outcomes, *, feature="f1", metric="m1",
                   control="control", experiment_id="test", extra_metrics=None):
     """Tiny dataset factory: parallel lists of feature value, arm, outcome."""
-    actions = sorted(set(arms) - {control})
-    metrics = [metric, *(extra_metrics or {}).keys()]
-    users = []
-    for i, (value, arm, outcome) in enumerate(zip(feature_values, arms, outcomes)):
-        user_outcomes = {metric: float(outcome)}
-        for name, series in (extra_metrics or {}).items():
-            user_outcomes[name] = float(series[i])
-        users.append(UserRecord(
-            user_id=f"u{i:03d}",
-            features={feature: float(value)},
-            arm=arm,
-            outcomes=user_outcomes,
-        ))
+    actions = (control, *sorted(set(arms) - {control}))
+    extra_metrics = extra_metrics or {}
+    n = min(len(feature_values), len(arms), len(outcomes))  # as zip would
     return ExperimentDataset(
         experiment_id=experiment_id,
-        users=tuple(users),
-        actions=(control, *actions),
+        user_ids=[f"u{i:03d}" for i in range(n)],
+        arm_codes=[actions.index(arm) for arm in arms[:n]],
+        feature_matrix=[feature_values[:n]],
+        outcome_matrix=[outcomes[:n], *(s[:n] for s in extra_metrics.values())],
+        actions=actions,
         control_action=control,
-        metrics=tuple(metrics),
+        metrics=(metric, *extra_metrics),
         features=(feature,),
     )
+
+
+def shuffled(ds, order):
+    """`ds` rebuilt from its columns taken in row order `order`."""
+    return ExperimentDataset(
+        experiment_id=ds.experiment_id, user_ids=ds.user_ids[order],
+        arm_codes=ds.arm_codes[order], feature_matrix=ds.feature_matrix[:, order],
+        outcome_matrix=ds.outcome_matrix[:, order],
+        days=None if ds.days is None else ds.days[order],
+        actions=ds.actions, control_action=ds.control_action,
+        metrics=ds.metrics, features=ds.features, lift_units=ds.lift_units)
+
+
+def columns_of(ds):
+    """Every per-user column of `ds` as plain lists, for equality checks."""
+    return (ds.user_ids.tolist(), ds.arm_codes.tolist(), ds.feature_matrix.tolist(),
+            ds.outcome_matrix.tolist(), None if ds.days is None else ds.days.tolist())
 
 
 def make_policy(policy_id, means, std_errs=None, metrics=None):

@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from cohortpolicy.cli import main
 from cohortpolicy.evaluation import (SelectorRanking, load_ground_truths,
                                      save_rankings)
-from cohortpolicy.synth import (BenchmarkConfig, build_benchmark,
-                                conflict_scenario, write_benchmark)
+from cohortpolicy.ingest import IngestSchema, ingest
+from cohortpolicy.synth import (BenchmarkConfig, ScenarioConfig, build_benchmark,
+                                conflict_scenario, generate_experiment,
+                                write_benchmark)
+
+from conftest import columns_of
 
 
 def conflict_run_config(tmp_path, **overrides):
@@ -145,6 +149,12 @@ def test_synth_writes_dataset_and_snapshots(tmp_path):
     assert (out / "schema.json").exists()
     assert (out / "planted_truth.json").exists()
     assert (out / "snapshots.csv").exists()
+    # Ingesting the written file reproduces the generated dataset bit for bit.
+    expected, _ = generate_experiment(
+        ScenarioConfig.from_mapping(json.loads(scenario.read_text())))
+    loaded = ingest(out / "dataset.csv", IngestSchema.from_json(out / "schema.json"))
+    assert loaded.actions == expected.actions
+    assert columns_of(loaded) == columns_of(expected)
 
 
 def test_ingest_search_filter_govern_round_trip(tmp_path):

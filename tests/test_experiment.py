@@ -5,11 +5,11 @@ import pytest
 
 from cohortpolicy.errors import EstimationError, IntegrityError
 from cohortpolicy.experiment import (ExperimentDataset, MetricEstimate,
-                                     UserRecord, compute_ate, segment_hte)
+                                     compute_ate, segment_hte)
 from cohortpolicy.segmentation import Segment, full_population_segment
 from cohortpolicy.synth import ScenarioConfig, PlantedEffect, generate_experiment
 
-from conftest import build_dataset
+from conftest import build_dataset, shuffled
 
 
 def test_metric_estimate_rejects_negative_std_err():
@@ -22,22 +22,40 @@ def test_metric_estimate_rejects_non_finite():
         MetricEstimate(mean=float("nan"), std_err=0.1)
 
 
-def test_duplicate_user_rejected():
-    user = UserRecord(user_id="u1", features={"f1": 1.0}, arm="control",
-                      outcomes={"m1": 0.0})
-    with pytest.raises(IntegrityError):
-        ExperimentDataset(experiment_id="x", users=(user, user),
-                          actions=("control",), control_action="control",
-                          metrics=("m1",), features=("f1",))
+def _columns(**changes):
+    # Three valid users, u2 listed first; `changes` replaces whole columns.
+    columns = dict(user_ids=["u2", "u1", "u3"], arm_codes=[0, 1, 0],
+                   feature_matrix=[[1.0, 2.0, 3.0]], outcome_matrix=[[0.0, 1.0, 2.0]],
+                   days=[1, 0, 2])
+    return {**columns, **changes}
 
 
-def test_non_finite_outcome_rejected():
-    user = UserRecord(user_id="u1", features={"f1": 1.0}, arm="control",
-                      outcomes={"m1": float("inf")})
-    with pytest.raises(IntegrityError):
-        ExperimentDataset(experiment_id="x", users=(user,),
-                          actions=("control",), control_action="control",
-                          metrics=("m1",), features=("f1",))
+def _dataset(**columns):
+    return ExperimentDataset(experiment_id="x", actions=("control", "t1"),
+                             control_action="control", metrics=("m1",),
+                             features=("f1",), **columns)
+
+
+def test_valid_columns_sorted_by_user_id():
+    ds = _dataset(**_columns())
+    assert ds.user_ids.tolist() == ["u1", "u2", "u3"]
+    assert ds.arm_codes.tolist() == [1, 0, 0]
+    assert ds.feature_values("f1").tolist() == [2.0, 1.0, 3.0]
+    assert ds.outcome_values("m1").tolist() == [1.0, 0.0, 2.0]
+    assert ds.days.tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({"user_ids": ["u2", "u1", "u2"]}, "'u2' appears more than once"),
+    ({"arm_codes": [0, 2, 0]}, "'u1' assigned to unknown arm"),
+    ({"feature_matrix": [[1.0, 2.0, float("nan")]]}, "'u3' has non-finite feature 'f1'"),
+    ({"outcome_matrix": [[0.0, float("inf"), 2.0]]}, "'u1' has non-finite outcome 'm1'"),
+    ({"days": [0, 1]}, "column days"),
+], ids=["duplicate-id", "unknown-arm", "non-finite-feature", "non-finite-outcome",
+        "wrong-length"])
+def test_invalid_columns_rejected(changes, named):
+    with pytest.raises(IntegrityError, match=named):
+        _dataset(**_columns(**changes))
 
 
 def test_ate_identical_distributions_is_zero():
@@ -120,13 +138,8 @@ def test_permutation_invariance_bit_identical():
     outcomes = rng.normal(size=30)
     ds = build_dataset(values, arms, outcomes)
 
-    order = rng.permutation(30)
-    shuffled = ExperimentDataset(
-        experiment_id=ds.experiment_id,
-        users=tuple(ds.users[i] for i in order),
-        actions=ds.actions, control_action=ds.control_action,
-        metrics=ds.metrics, features=ds.features)
-    assert compute_ate(ds, "t1", "m1") == compute_ate(shuffled, "t1", "m1")
+    permuted = shuffled(ds, rng.permutation(30))
+    assert compute_ate(ds, "t1", "m1") == compute_ate(permuted, "t1", "m1")
 
 
 def test_constant_outcomes_give_zero_mean():
@@ -139,13 +152,11 @@ def test_constant_outcomes_give_zero_mean():
 
 
 def test_daily_slices_from_labels():
-    users = tuple(
-        UserRecord(user_id=f"u{i}", features={"f1": float(i)}, arm="control",
-                   outcomes={"m1": 0.0}, day=i % 3)
-        for i in range(9))
-    ds = ExperimentDataset(experiment_id="x", users=users, actions=("control",),
-                           control_action="control", metrics=("m1",),
-                           features=("f1",))
+    ds = ExperimentDataset(experiment_id="x", user_ids=[f"u{i}" for i in range(9)],
+                           arm_codes=[0] * 9, feature_matrix=[list(range(9))],
+                           outcome_matrix=[[0.0] * 9], days=[i % 3 for i in range(9)],
+                           actions=("control",), control_action="control",
+                           metrics=("m1",), features=("f1",))
     slices = ds.daily_slices()
     assert len(slices) == 3
     assert all(s.n_users == 3 for s in slices)

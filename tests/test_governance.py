@@ -55,12 +55,12 @@ def test_half_users_crossing_quantile():
 
 
 def generate_snapshots_like(t0_values, target, seed, feature="f1"):
-    from cohortpolicy.experiment import ExperimentDataset, UserRecord
-    users = tuple(
-        UserRecord(user_id=f"u{i:04d}", features={feature: float(v)},
-                   arm="control", outcomes={"m1": 0.0})
-        for i, v in enumerate(t0_values))
-    ds = ExperimentDataset(experiment_id="drift", users=users,
+    from cohortpolicy.experiment import ExperimentDataset
+    n = len(t0_values)
+    ds = ExperimentDataset(experiment_id="drift",
+                           user_ids=[f"u{i:04d}" for i in range(n)],
+                           arm_codes=[0] * n, feature_matrix=[t0_values],
+                           outcome_matrix=[[0.0] * n],
                            actions=("control",), control_action="control",
                            metrics=("m1",), features=(feature,))
     return generate_snapshots(ds, DriftSpec(feature, target), seed=seed)
@@ -246,10 +246,11 @@ def test_backtest_skips_empty_slice_with_warning():
     policy = searched_policy(cfg)
     daily = generate_daily_slices(cfg, n_days=8)
     # A ninth day holding only control users: no treated support.
-    extra = tuple(replace(u, user_id=f"d008.{u.user_id}", day=8)
-                  for u in daily[0].users if u.arm == "a0")
-    window = stitch_days(daily)
-    window = replace(window, users=window.users + extra)
+    control = daily[0].arm_mask("a0")
+    extra = replace(daily[0].subset(control),
+                    user_ids=np.char.add("d008.", daily[0].user_ids[control]),
+                    days=np.full(int(control.sum()), 8))
+    window = stitch_days([*daily, extra])
     series, report = run_backtest(policy, window, ["m1"])
     assert "EMPTY_SLICE_SKIPPED" in report.reason_codes
     assert not report.rejected

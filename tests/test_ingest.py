@@ -45,8 +45,8 @@ def test_ingest_row_order_irrelevant(tmp_path):
     rows = ["u1,t1,30,1.0", "u2,t1,40,2.0", "u3,control,35,1.5"]
     a = ingest(write_csv(tmp_path / "a.csv", rows), SCHEMA)
     b = ingest(write_csv(tmp_path / "b.csv", rows[::-1]), SCHEMA)
-    assert a.user_ids == b.user_ids
-    assert [u.outcomes for u in a.users] == [u.outcomes for u in b.users]
+    assert a.user_ids.tolist() == b.user_ids.tolist()
+    assert a.outcome_matrix.tolist() == b.outcome_matrix.tolist()
 
 
 def test_missing_column_names_it(tmp_path):

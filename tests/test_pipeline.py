@@ -116,9 +116,11 @@ def decayed_file_inputs(tmp_path):
     data = tmp_path / "decayed.csv"
     with open(data, "w", encoding="utf-8") as fh:
         fh.write("user_id,arm,f1,m1,day\n")
-        for user in ds.users:
-            fh.write(f"{user.user_id},{user.arm},{user.features['f1']!r},"
-                     f"{user.outcomes['m1']!r},{user.day}\n")
+        for uid, arm, f1, m1, day in zip(ds.user_ids.tolist(), ds.arm_codes.tolist(),
+                                         ds.feature_values("f1").tolist(),
+                                         ds.outcome_values("m1").tolist(),
+                                         ds.days.tolist()):
+            fh.write(f"{uid},{ds.actions[arm]},{f1!r},{m1!r},{day}\n")
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps({
         "user_id": "user_id", "arm": "arm", "control": "a0",

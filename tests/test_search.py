@@ -17,7 +17,7 @@ from cohortpolicy.search import (WeightVector, collect_candidates,
                                  save_policy_table, scalarized_score)
 from cohortpolicy.segmentation import CutSpec, enumerate_cuts
 
-from conftest import build_dataset, make_policy
+from conftest import build_dataset, make_policy, shuffled
 
 
 def two_arm_dataset(n=16, outcome=None):
@@ -146,16 +146,12 @@ def test_evaluate_policies_batch_matches_single(rng):
 def test_evaluate_policies_invariant_to_row_order(rng):
     outcomes = rng.normal(size=16)
     ds = two_arm_dataset(outcome=list(outcomes))
-    shuffled = ExperimentDataset(
-        experiment_id=ds.experiment_id,
-        users=tuple(ds.users[i] for i in rng.permutation(ds.n_users)),
-        actions=ds.actions, control_action=ds.control_action,
-        metrics=ds.metrics, features=ds.features)
+    permuted = shuffled(ds, rng.permutation(ds.n_users))
     cuts = enumerate_cuts(ds, {"features": ["f1"], "N": 4})
     policies = enumerate_policies(ds, cuts, budget=16, seed=1)
     first = [p.estimates for p in evaluate_policies(ds, policies)]
     assert first == [p.estimates for p in evaluate_policies(ds, policies)]
-    assert first == [p.estimates for p in evaluate_policies(shuffled, policies)]
+    assert first == [p.estimates for p in evaluate_policies(permuted, policies)]
 
 
 # -- estimator oracle ----------------------------------------------------------------
@@ -186,23 +182,23 @@ def oracle_policy(ds, policy, rows):
     """Per-user loop: size-weighted difference of means with unpooled ddof=1
     standard errors, cohorts fixed from all of `ds`. Returns metric ->
     (mean, std_err), or the first treated non-empty slot lacking support."""
-    users = list(ds.users)
     feature = policy.cut.feature if policy.cut is not None else None
-    kind, bounds = _oracle_bounds(
-        [u.features[feature] for u in users] if feature else [0.0], policy.cut)
-    selected = [u for u, keep in zip(users, rows) if keep]
-    slot_of = [_oracle_slot(u.features[feature] if feature else 0.0, bounds, kind)
-               for u in selected]
+    values = ds.feature_values(feature).tolist() if feature else [0.0] * ds.n_users
+    arms = [ds.actions[code] for code in ds.arm_codes.tolist()]
+    kind, bounds = _oracle_bounds(values if feature else [0.0], policy.cut)
+    selected = [i for i, keep in enumerate(rows) if keep]
+    slot_of = [_oracle_slot(values[i], bounds, kind) for i in selected]
     out = {}
     for metric in ds.metrics:
+        y = ds.outcome_values(metric).tolist()
         mean = 0.0
         var = 0.0
         for slot, action in enumerate(policy.assignment):
-            members = [u for u, s in zip(selected, slot_of) if s == slot]
+            members = [i for i, s in zip(selected, slot_of) if s == slot]
             if not members or action == ds.control_action:
                 continue
-            t = [u.outcomes[metric] for u in members if u.arm == action]
-            c = [u.outcomes[metric] for u in members if u.arm == ds.control_action]
+            t = [y[i] for i in members if arms[i] == action]
+            c = [y[i] for i in members if arms[i] == ds.control_action]
             if not t or not c:
                 return slot
             weight = len(members) / len(selected)
@@ -230,11 +226,13 @@ def small_experiments(draw):
     outcomes = draw(st.lists(st.floats(-5, 5, allow_nan=False), min_size=n,
                              max_size=n))
     second = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    ds = build_dataset(values, arms, outcomes, control="c",
-                       extra_metrics={"m2": second})
-    ds = ExperimentDataset(experiment_id="oracle", users=ds.users,
-                           actions=("c", "t1", "t2"), control_action="c",
-                           metrics=ds.metrics, features=ds.features)
+    actions = ("c", "t1", "t2")
+    ds = ExperimentDataset(experiment_id="oracle",
+                           user_ids=[f"u{i:03d}" for i in range(n)],
+                           arm_codes=[actions.index(a) for a in arms],
+                           feature_matrix=[values], outcome_matrix=[outcomes, second],
+                           actions=actions, control_action="c",
+                           metrics=("m1", "m2"), features=("f1",))
     n_bins = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["global", "individual", "binary"]
                                 if n_bins > 1 else ["global", "individual"]))

@@ -10,19 +10,21 @@ from cohortpolicy.synth import (BenchmarkConfig, DriftSpec, PlantedEffect,
                                 generate_experiment, generate_snapshots,
                                 stitch_days)
 
+from conftest import columns_of
+
 
 def test_same_seed_identical_datasets():
     cfg = ScenarioConfig(seed=17, n_users=100)
     a, truth_a = generate_experiment(cfg)
     b, truth_b = generate_experiment(cfg)
-    assert a.users == b.users
+    assert columns_of(a) == columns_of(b)
     assert truth_a == truth_b
 
 
 def test_different_seed_differs():
     a, _ = generate_experiment(ScenarioConfig(seed=1, n_users=50))
     b, _ = generate_experiment(ScenarioConfig(seed=2, n_users=50))
-    assert a.users != b.users
+    assert columns_of(a) != columns_of(b)
 
 
 def test_noiseless_planting_recovered_exactly():
@@ -108,8 +110,8 @@ def test_daily_slices_deterministic_and_disjoint():
     cfg = ScenarioConfig(seed=31, n_users=100, n_metrics=1, n_actions=1)
     days = generate_daily_slices(cfg, n_days=5)
     again = generate_daily_slices(cfg, n_days=5)
-    assert [d.users for d in days] == [d.users for d in again]
-    ids = [uid for d in days for uid in d.user_ids]
+    assert [columns_of(d) for d in days] == [columns_of(d) for d in again]
+    ids = [uid for d in days for uid in d.user_ids.tolist()]
     assert len(ids) == len(set(ids))
 
 
