@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import UnmatchedInstructionError
 from .experiment import MetricEstimate
-from .frontier import weak_pareto_ids
+from .frontier import weak_pareto_mask_2d
 from .search import FORMAT_VERSION
 
 MAXIMIZE_BOTH = "maximize_both"
@@ -189,10 +189,13 @@ def _top_by(ids: Sequence[str], score: Mapping[str, float], n: int = GT_SIZE) ->
     return sorted(ids, key=lambda pid: (-score[pid], pid))[:n]
 
 
-def _tradeoff_spread(table: PolicyTable, primary: str, secondary: str) -> list[str]:
+def _tradeoff_spread(ids: Sequence[str], table: PolicyTable, primary: str,
+                     secondary: str) -> list[str]:
+    x = np.array([table[pid][primary].mean for pid in ids])
+    y = np.array([table[pid][secondary].mean for pid in ids])
+    pareto = [ids[i] for i in np.flatnonzero(weak_pareto_mask_2d(x, y))]
     means = {pid: (table[pid][primary].mean, table[pid][secondary].mean)
-             for pid in table}
-    pareto = sorted(weak_pareto_ids(means))
+             for pid in pareto}
     if len(pareto) <= GT_SIZE:
         seeds = sorted(pareto, key=lambda pid: (-means[pid][0], pid))
         return seeds
@@ -228,9 +231,11 @@ def ground_truth_oracle(instruction: InstructionSpec, table: PolicyTable) -> Gro
       secondary metric is not significantly negative (mean + 1.96*sigma >= 0).
     - maximize_both: z-score sum over policies non-negative on both metrics,
       topped up unconstrained when fewer than five qualify.
-    - tradeoff_analysis: Pareto-optimal set, spread-maximized (extremes
-      first, then greedy max-min distance in normalized mean space).
-    - efficiency_optimization: equal-weight mean of per-metric z-scores.
+    - tradeoff_analysis: weak-Pareto set on the two means (one sort and
+      sweep), spread-maximized (extremes first, then greedy max-min distance
+      in normalized mean space).
+    - efficiency_optimization: equal-weight mean of per-metric z-scores;
+      every policy must carry every metric any policy has.
     """
     ids = sorted(table)
     kind = instruction.kind
@@ -257,18 +262,19 @@ def ground_truth_oracle(instruction: InstructionSpec, table: PolicyTable) -> Gro
                     if table[pid][primary].mean >= 0 and table[pid][secondary].mean >= 0]
         top = _top_by(eligible, score)
         if len(top) < GT_SIZE:
-            rest = [pid for pid in ids if pid not in set(top)]
+            taken = set(top)
+            rest = [pid for pid in ids if pid not in taken]
             top += _top_by(rest, score, GT_SIZE - len(top))
     elif kind == TRADEOFF_ANALYSIS:
         secondary = _require_metric(table, instruction.secondary_metric, kind)
-        top = _tradeoff_spread(table, primary, secondary)
+        top = _tradeoff_spread(ids, table, primary, secondary)
     elif kind == EFFICIENCY_OPTIMIZATION:
-        metrics = None
-        for pid in ids:
-            keys = tuple(table[pid])
-            if metrics is None:
-                metrics = keys
-        score = {pid: float(np.mean([_z(table[pid][m]) for m in metrics]))
+        # Every policy must carry every scored metric; the first policy's
+        # order fixes the summation order.
+        metrics = tuple(dict.fromkeys(m for pid in ids for m in table[pid]))
+        for metric in metrics:
+            _require_metric(table, metric, kind)
+        score = {pid: sum(_z(table[pid][m]) for m in metrics) / len(metrics)
                  for pid in ids}
         top = _top_by(ids, score)
     else:  # pragma: no cover - guarded by InstructionSpec

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .search import FORMAT_VERSION, PolicyCandidate
 
 MAXIMIZE = "maximize"
@@ -118,14 +120,41 @@ def tolerance_filter(candidates: Sequence[PolicyCandidate], cfg: ToleranceConfig
                           tau_used=cfg.tau)
 
 
+def weak_pareto_mask_2d(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Weak-Pareto mask of the points (x[i], y[i]), maximize case, by one
+    sort and one sweep in O(n log n) (Kung, Luccio & Preparata, 1975).
+
+    Point i is dominated iff some point has a strictly larger x and a y at
+    least as large, or the same x and a strictly larger y. Sorting by
+    (-x, -y) puts each group of equal x together with its largest y first,
+    so the best y over strictly larger x is a running max over the groups
+    before it. Equal vectors never dominate each other, and -0.0 equals 0.0,
+    as in `weak_pareto_ids`. The coordinates must not be NaN.
+    """
+    order = np.lexsort((-y, -x))
+    xs, ys = x[order], y[order]
+    starts = np.ones(xs.size, dtype=bool)
+    starts[1:] = xs[1:] != xs[:-1]
+    group = np.cumsum(starts) - 1
+    group_max = ys[starts]
+    best_before = np.maximum.accumulate(group_max)
+    beaten_by_larger_x = (group > 0) & (best_before[group - 1] >= ys)
+    dominated = beaten_by_larger_x | (group_max[group] > ys)
+    mask = np.empty(xs.size, dtype=bool)
+    mask[order] = ~dominated
+    return mask
+
+
 # -- independent reference oracle ---------------------------------------------
 
 
 def weak_pareto_ids(means: Mapping[str, Sequence[float]]) -> set[str]:
     """Brute-force O(n^2) weak-Pareto set over mean vectors (maximize case).
 
-    Kept free of the tolerance machinery on purpose: this is the reference
-    the filter is checked against.
+    Kept free of the tolerance machinery and of the sweep on purpose: this is
+    the reference that both the tolerance filter (at tau=0) and the
+    oracle's sort-and-sweep Pareto set (`weak_pareto_mask_2d`) are checked
+    against.
     """
     ids = sorted(means)
     out = set()

@@ -14,6 +14,8 @@ from cohortpolicy.evaluation import (REPORT_COLUMNS, GroundTruth,
                                      score_ranking, spearman_corr,
                                      top1_metrics)
 from cohortpolicy.experiment import MetricEstimate
+from cohortpolicy.frontier import weak_pareto_ids
+from cohortpolicy.synth import BenchmarkConfig, build_benchmark
 
 
 def gt(top5, experiment_id="e1", idx=0):
@@ -261,6 +263,20 @@ def test_efficiency_uses_all_metric_z_scores():
     assert top == ["balanced", "spiky"]
 
 
+@pytest.mark.parametrize("lacking", ["a", "b"])
+def test_efficiency_requires_every_metric(lacking):
+    # The first policy in id order lacking m3, or a later one: either way
+    # the policy and the metric are named.
+    rows = {"a": [(1.0, 0.1), (0.5, 0.1), (0.2, 0.1)],
+            "b": [(0.3, 0.1), (0.4, 0.1), (0.1, 0.1)]}
+    rows[lacking] = rows[lacking][:2]
+    spec = InstructionSpec(kind="efficiency_optimization", primary_metric="m1",
+                           secondary_metric="m2")
+    with pytest.raises(ValueError,
+                       match=f"policy '{lacking}' has no estimate for metric 'm3'"):
+        ground_truth_oracle(spec, table_from(rows))
+
+
 def test_oracle_pure_function_row_order():
     rows = {"a": [(1.0, 0.1), (0.2, 0.1)], "b": [(0.5, 0.2), (0.9, 0.1)],
             "c": [(0.7, 0.1), (0.7, 0.1)]}
@@ -280,6 +296,83 @@ def test_instruction_validation():
                         secondary_metric="m2")
     with pytest.raises(ValueError):
         InstructionSpec(kind="mystery", primary_metric="m1")
+
+
+# -- the oracle against its pre-sweep algorithm ------------------------------------------
+
+
+def reference_maximize_both(ids, table, primary, secondary):
+    def z(est):
+        return est.mean / max(est.std_err, 1e-9)
+
+    score = {pid: z(table[pid][primary]) + z(table[pid][secondary]) for pid in ids}
+    eligible = [pid for pid in ids
+                if table[pid][primary].mean >= 0 and table[pid][secondary].mean >= 0]
+    top = sorted(eligible, key=lambda pid: (-score[pid], pid))[:5]
+    if len(top) < 5:
+        rest = [pid for pid in ids if pid not in set(top)]
+        top += sorted(rest, key=lambda pid: (-score[pid], pid))[:5 - len(top)]
+    return top
+
+
+def reference_tradeoff(table, primary, secondary):
+    means = {pid: (table[pid][primary].mean, table[pid][secondary].mean)
+             for pid in table}
+    pareto = sorted(weak_pareto_ids(means))
+    if len(pareto) <= 5:
+        return sorted(pareto, key=lambda pid: (-means[pid][0], pid))
+    lo = [min(means[p][i] for p in pareto) for i in (0, 1)]
+    hi = [max(means[p][i] for p in pareto) for i in (0, 1)]
+    span = [max(hi[i] - lo[i], 1e-9) for i in (0, 1)]
+
+    def norm(pid):
+        return tuple((means[pid][i] - lo[i]) / span[i] for i in (0, 1))
+
+    chosen = [min(pareto, key=lambda pid: (-means[pid][0], pid))]
+    extreme_secondary = min(pareto, key=lambda pid: (-means[pid][1], pid))
+    if extreme_secondary != chosen[0]:
+        chosen.append(extreme_secondary)
+    remaining = [pid for pid in pareto if pid not in chosen]
+    while len(chosen) < 5 and remaining:
+        best = min(remaining, key=lambda pid: (
+            -min(math.dist(norm(pid), norm(c)) for c in chosen), pid))
+        chosen.append(best)
+        remaining.remove(best)
+    return chosen
+
+
+def reference_efficiency(ids, table):
+    metrics = tuple(table[ids[0]])
+    score = {pid: float(np.mean([table[pid][m].mean / max(table[pid][m].std_err, 1e-9)
+                                 for m in metrics]))
+             for pid in ids}
+    return sorted(ids, key=lambda pid: (-score[pid], pid))[:5]
+
+
+@pytest.mark.parametrize("n_metrics", [2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_ground_truths_match_pre_sweep_algorithm(seed, n_metrics):
+    bundle = build_benchmark(BenchmarkConfig(
+        seed=seed, n_experiments=4, n_users=600, n_metrics=n_metrics,
+        n_actions=3, policy_budget=48))
+    checked = set()
+    for truth, spec in zip(bundle.ground_truths, bundle.instructions):
+        table = bundle.policy_tables[truth.experiment_id]
+        ids = sorted(table)
+        primary, secondary = spec.primary_metric, spec.secondary_metric
+        if spec.kind == "maximize_both":
+            expected = reference_maximize_both(ids, table, primary, secondary)
+        elif spec.kind == "tradeoff_analysis":
+            expected = reference_tradeoff(table, primary, secondary)
+        elif spec.kind == "efficiency_optimization":
+            expected = reference_efficiency(ids, table)
+        else:
+            continue
+        assert truth.top5 == expected, (spec.kind, truth.experiment_id)
+        assert len(expected) == 5
+        checked.add(spec.kind)
+    assert checked == {"maximize_both", "tradeoff_analysis",
+                       "efficiency_optimization"}
 
 
 # -- selector scoring --------------------------------------------------------------------

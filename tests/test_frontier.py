@@ -2,13 +2,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohortpolicy.frontier import (ToleranceConfig, save_frontier,
                                    save_frontier_coords, strict_pareto_oracle,
                                    tolerance_dominates, tolerance_filter,
-                                   weak_pareto_ids)
+                                   weak_pareto_ids, weak_pareto_mask_2d)
 
 from conftest import make_policy
 
@@ -192,6 +192,38 @@ def test_oracle_full_dominance():
 def test_weak_pareto_ids_mapping_interface():
     means = {"a": (1.0, 0.0), "b": (0.0, 1.0), "c": (-1.0, -1.0)}
     assert weak_pareto_ids(means) == {"a", "b"}
+
+
+# -- 2-D sort-and-sweep ------------------------------------------------------------
+
+# Small integers give tied coordinates and duplicate vectors; the zeros give
+# -0.0 beside 0.0; arbitrary floats (infinities included) give the rest.
+coordinate = st.one_of(st.integers(-3, 3).map(float),
+                       st.sampled_from([0.0, -0.0]),
+                       st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(coordinate, coordinate), max_size=40))
+@example([(1.5, -2.0)])
+@example([(0.0, 1.0), (-0.0, 1.0), (0.0, 1.0)])
+@example([(-0.0, 0.0), (0.0, -0.0), (0.0, -1.0), (-1.0, 0.0)])
+def test_sweep_mask_matches_brute_force(points):
+    ids = [f"p{i:02d}" for i in range(len(points))]
+    mask = weak_pareto_mask_2d(np.array([x for x, _ in points]),
+                               np.array([y for _, y in points]))
+    assert mask.dtype == bool and mask.shape == (len(points),)
+    assert {pid for pid, keep in zip(ids, mask) if keep} == \
+        weak_pareto_ids(dict(zip(ids, points)))
+
+
+def test_sweep_mask_cases():
+    # ties on x: only the larger y survives; equal vectors both survive
+    x = np.array([1.0, 1.0, 0.0, 2.0, 2.0])
+    y = np.array([0.0, 1.0, 5.0, 0.0, 0.0])
+    assert weak_pareto_mask_2d(x, y).tolist() == [False, True, True, True, True]
+    assert weak_pareto_mask_2d(np.array([3.0]), np.array([-1.0])).tolist() == [True]
+    assert weak_pareto_mask_2d(np.array([]), np.array([])).tolist() == []
 
 
 # -- serialization -----------------------------------------------------------------
