@@ -11,16 +11,20 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EstimationError, InsufficientDataError
+from .errors import (ConfigError, EstimationError, InsufficientDataError,
+                     IntegrityError, RowIngestError)
 from .experiment import ExperimentDataset, MetricEstimate
 from .search import FORMAT_VERSION, PolicyCandidate, evaluate_policy_pinned
-from .segmentation import interior_cutpoints, quantile, slot_codes
+from .segmentation import interior_cutpoints, slot_codes
 
 STAGE_PRE_SEARCH = "pre_search"
 STAGE_POST_SEARCH = "post_search"
@@ -54,13 +58,31 @@ BACKTEST_ENVELOPE_Z = 2.0
 BACKTEST_BURN_IN_DAYS = 7
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureSnapshotPair:
-    """Per-user values of one feature at two snapshot times."""
+    """One feature's values at two snapshot times, as aligned columns.
+
+    `user_ids` holds the users present in both snapshots, sorted and
+    unique; `t0` and `t1` hold their values, aligned with `user_ids`.
+    """
 
     feature: str
-    t0_values: dict[str, float]
-    t1_values: dict[str, float]
+    user_ids: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+
+    def __post_init__(self):
+        self.user_ids = np.asarray(self.user_ids, dtype=str)
+        self.t0 = np.asarray(self.t0, dtype=float)
+        self.t1 = np.asarray(self.t1, dtype=float)
+        shape = self.user_ids.shape
+        if len(shape) != 1 or self.t0.shape != shape or self.t1.shape != shape:
+            raise ValueError(
+                f"feature {self.feature!r}: user_ids, t0 and t1 must be aligned "
+                f"1-D columns, got shapes {shape}, {self.t0.shape}, {self.t1.shape}")
+        if not (self.user_ids[1:] > self.user_ids[:-1]).all():
+            raise ValueError(f"feature {self.feature!r}: user_ids must be "
+                             f"sorted and unique")
 
 
 @dataclass
@@ -125,21 +147,24 @@ def shift_ratio(pair: FeatureSnapshotPair, cut: str = QUANTILE_CUT,
     values are re-bucketed against those fixed t0 cutpoints, so the ratio
     measures user migration rather than distribution reshaping.
     """
-    common = sorted(set(pair.t0_values) & set(pair.t1_values))
-    if len(common) < 2:
+    n = pair.user_ids.size
+    if n < 2:
         raise InsufficientDataError(
             f"feature {pair.feature!r}: need >= 2 users present in both "
-            f"snapshots, got {len(common)}")
-    t0 = np.array([pair.t0_values[u] for u in common], dtype=float)
-    t1 = np.array([pair.t1_values[u] for u in common], dtype=float)
+            f"snapshots, got {n}")
+    if not np.isfinite(pair.t0).all():
+        raise ValueError(f"feature {pair.feature!r}: t0 values must be finite")
     if cut == QUANTILE_CUT:
-        cuts = interior_cutpoints(t0, n_bins)
+        cuts = interior_cutpoints(pair.t0, n_bins)
     elif cut == BINARY_CUT:
-        cuts = [quantile(t0, 0.25), quantile(t0, 0.75)]
+        # The nearest-rank p25 and p75 are the first and third quartile
+        # boundaries.
+        p25, _, p75 = interior_cutpoints(pair.t0, 4)
+        cuts = [p25, p75]
     else:
         raise ValueError(f"unknown cut basis {cut!r}")
-    moved = np.count_nonzero(slot_codes(t0, cuts) != slot_codes(t1, cuts))
-    return moved / len(common)
+    moved = np.count_nonzero(slot_codes(pair.t0, cuts) != slot_codes(pair.t1, cuts))
+    return moved / n
 
 
 def classify_stability(feature: str, shift_quantile: float | None = None,
@@ -398,22 +423,95 @@ def run_backtest(policy: PolicyCandidate, window: ExperimentDataset,
 # -- snapshot and report persistence ----------------------------------------------
 
 
+SNAPSHOT_COLUMNS = ("user_id", "feature_id", "value", "snapshot")
+SNAPSHOT_LABELS = ("t0", "t1")
+
+
+def _bad_snapshot_row(row_idx: int, row: list[str], pick: itemgetter,
+                      n_columns: int) -> RowIngestError:
+    # Says which check a snapshot data row failed.
+    try:
+        _, _, raw, label = pick(row)
+    except IndexError:
+        return RowIngestError(row_idx, f"expected {n_columns} fields, "
+                                       f"got {len(row)}")
+    try:
+        float(raw)
+    except ValueError:
+        return RowIngestError(row_idx, f"non-numeric value {raw!r}")
+    return RowIngestError(row_idx, f"snapshot label {label!r} is not one of "
+                                   f"{SNAPSHOT_LABELS}")
+
+
 def load_snapshots(path: str | Path) -> dict[str, FeatureSnapshotPair]:
     """Read snapshot CSV rows (user_id, feature_id, value, snapshot in {t0,t1})
-    into per-feature snapshot pairs."""
-    pairs: dict[str, FeatureSnapshotPair] = {}
+    into per-feature snapshot pairs, in order of first appearance.
+
+    Each pair keeps the users present in both snapshots of its feature;
+    users present in only one are dropped. A label other than t0/t1, a
+    non-numeric value or a short row raises RowIngestError with the 1-based
+    data row; a repeated (user, feature, snapshot) raises IntegrityError.
+    """
+    label_codes = {label: k for k, label in enumerate(SNAPSHOT_LABELS)}
+    user_codes: dict[str, int] = {}
+    feature_codes: dict[str, int] = {}
+    # Per row: user code, group (2 * feature code + snapshot code), value.
+    users, groups, values = array("q"), array("q"), array("d")
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    for column in ("user_id", "feature_id", "value", "snapshot"):
-        if column not in (reader.fieldnames or []):
-            raise ValueError(f"snapshot file is missing column {column!r}")
-    for row in reader:
-        feature = row["feature_id"]
-        pair = pairs.setdefault(feature, FeatureSnapshotPair(
-            feature=feature, t0_values={}, t1_values={}))
-        target = pair.t0_values if row["snapshot"] == "t0" else pair.t1_values
-        target[row["user_id"]] = float(row["value"])
+        reader = csv.reader(ln for ln in fh if not ln.startswith("#"))
+        header = next(reader, [])
+        for column in SNAPSHOT_COLUMNS:
+            if column not in header:
+                raise ValueError(f"snapshot file is missing column {column!r}")
+        pick = itemgetter(*(header.index(column) for column in SNAPSHOT_COLUMNS))
+        last_feature, offset = None, 0
+        for row in filter(None, reader):
+            try:
+                user, feature, raw, label = pick(row)
+                value = float(raw)
+                snapshot = label_codes[label]
+            except (IndexError, ValueError, KeyError):
+                raise _bad_snapshot_row(len(values) + 1, row, pick,
+                                        len(header)) from None
+            if feature != last_feature:
+                offset = 2 * feature_codes.setdefault(feature, len(feature_codes))
+                last_feature = feature
+            groups.append(offset + snapshot)
+            values.append(value)
+            users.append(user_codes.setdefault(user, len(user_codes)))
+    if not values:
+        return {}
+
+    ids = np.array(list(user_codes), dtype=str)
+    by_id = np.argsort(ids, kind="stable")
+    rank = np.empty(ids.size, dtype=np.int64)
+    rank[by_id] = np.arange(ids.size)
+    ids = ids[by_id]
+    # Sorting on (group, user rank) puts each group's rows together in
+    # user-id order, with repeats adjacent.
+    key = np.frombuffer(groups, dtype=np.int64) * ids.size \
+        + rank[np.frombuffer(users, dtype=np.int64)]
+    order = np.argsort(key)
+    key = key[order]
+    repeated = np.flatnonzero(key[1:] == key[:-1])
+    if repeated.size:
+        group, user = divmod(int(key[repeated[0]]), ids.size)
+        raise IntegrityError(
+            f"user {str(ids[user])!r} has more than one "
+            f"{SNAPSHOT_LABELS[group % 2]} value for feature "
+            f"{list(feature_codes)[group // 2]!r}")
+    group, user_rank = np.divmod(key, ids.size)
+    value = np.frombuffer(values, dtype=float)[order]
+    bounds = np.searchsorted(group, np.arange(2 * len(feature_codes) + 1))
+    pairs: dict[str, FeatureSnapshotPair] = {}
+    for code, feature in enumerate(feature_codes):
+        t0 = slice(bounds[2 * code], bounds[2 * code + 1])
+        t1 = slice(bounds[2 * code + 1], bounds[2 * code + 2])
+        common, i0, i1 = np.intersect1d(user_rank[t0], user_rank[t1],
+                                        assume_unique=True, return_indices=True)
+        pairs[feature] = FeatureSnapshotPair(
+            feature=feature, user_ids=ids[common],
+            t0=value[t0][i0], t1=value[t1][i1])
     return pairs
 
 
@@ -422,12 +520,13 @@ def save_snapshots(path: str | Path,
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# format_version: {FORMAT_VERSION}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "feature_id", "value", "snapshot"])
+        writer.writerow(SNAPSHOT_COLUMNS)
         for feature in sorted(pairs):
             pair = pairs[feature]
-            for label, values in (("t0", pair.t0_values), ("t1", pair.t1_values)):
-                for user_id in sorted(values):
-                    writer.writerow([user_id, feature, repr(values[user_id]), label])
+            user_ids = pair.user_ids.tolist()
+            for label, values in zip(SNAPSHOT_LABELS, (pair.t0, pair.t1)):
+                writer.writerows(zip(user_ids, repeat(feature),
+                                     map(repr, values.tolist()), repeat(label)))
 
 
 def save_reports(path: str | Path, reports: Sequence[HookReport]) -> None:

@@ -214,7 +214,8 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
         reports.append(pre_report)
         policies = [p for p in evaluated if p.policy_id not in excluded_policies]
         candidate_set = collect_candidates(policies, weights, config.top_k,
-                                           metrics=ds.metrics)
+                                           metrics=ds.metrics,
+                                           minimize=config.minimize_metrics)
         candidates = [by_id[pid] for pid in candidate_set.policy_ids]
         frontier = tolerance_filter(candidates, tolerance, metrics=ds.metrics)
 

@@ -271,12 +271,15 @@ def scalarized_score(policy: PolicyCandidate, weights: WeightVector,
 
 def collect_candidates(policies: Sequence[PolicyCandidate],
                        weights: Sequence[WeightVector], top_k: int,
-                       metrics: Sequence[str] | None = None) -> CandidateSet:
+                       metrics: Sequence[str] | None = None,
+                       minimize: Sequence[str] = ()) -> CandidateSet:
     """Union of Top-K policies per weight vector (Step 1 of frontier search).
 
-    Ties in score break by ascending policy_id, so the result is independent
-    of input ordering and scheduling. Provenance records every (weight
-    index, 1-based rank) that admitted each policy.
+    Scores are weighted sums of means oriented so that higher is better:
+    the means of metrics in `minimize` enter negated. Ties in score break
+    by ascending policy_id, so the result is independent of input ordering
+    and scheduling. Provenance records every (weight index, 1-based rank)
+    that admitted each policy.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -288,6 +291,7 @@ def collect_candidates(policies: Sequence[PolicyCandidate],
     except KeyError as exc:
         raise ValueError(f"a policy is missing an estimate for metric "
                          f"{exc.args[0]!r}") from exc
+    mu[:, [metric in minimize for metric in metric_order]] *= -1.0
     ids = [p.policy_id for p in policies]
     id_order = np.argsort(np.array(ids, dtype=object), kind="stable")
 

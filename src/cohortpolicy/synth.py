@@ -242,8 +242,7 @@ def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int,
     """
     rng = np.random.default_rng(seed)
     values = ds.feature_values(drift.feature)
-    user_ids = ds.user_ids.tolist()
-    n = len(user_ids)
+    n = ds.n_users
     cuts = interior_cutpoints(values, n_bins)
     buckets = slot_codes(values, cuts)
     n_buckets = len(cuts) + 1
@@ -252,12 +251,11 @@ def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int,
     reachable = [b for b in range(n_buckets)
                  if b == 0 or b == n_buckets - 1 or cuts[b] > cuts[b - 1]]
 
-    t0 = {uid: float(v) for uid, v in zip(user_ids, values)}
-    t1 = dict(t0)
+    t0 = np.array(values, dtype=float)
+    t1 = t0.copy()
     n_move = round(drift.target_shift_ratio * n)
     movers = rng.choice(n, size=n_move, replace=False)
     for row in sorted(int(i) for i in movers):
-        uid = user_ids[row]
         current = buckets[row]
         choices = [b for b in reachable if b != current]
         target = int(choices[rng.integers(0, len(choices))])
@@ -271,8 +269,9 @@ def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int,
             new_value = lower + (upper - lower) * float(rng.random())
             if new_value <= lower:
                 new_value = upper
-        t1[uid] = float(new_value)
-    return FeatureSnapshotPair(feature=drift.feature, t0_values=t0, t1_values=t1)
+        t1[row] = new_value
+    return FeatureSnapshotPair(feature=drift.feature, user_ids=ds.user_ids,
+                               t0=t0, t1=t1)
 
 
 # -- canonical scenarios ---------------------------------------------------------

@@ -1,10 +1,16 @@
+import bisect
 import json
+import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cohortpolicy.errors import InsufficientDataError
+from cohortpolicy.errors import (InsufficientDataError, IntegrityError,
+                                 RowIngestError)
 from cohortpolicy.experiment import MetricEstimate
 from cohortpolicy.governance import (BINARY_CUT, QUANTILE_CUT,
                                      FeatureSnapshotPair, HookReport,
@@ -21,11 +27,17 @@ from conftest import make_policy
 
 
 def snapshot_pair(t0, t1=None, feature="f1"):
-    ids = [f"u{i}" for i in range(len(t0))]
-    t0_map = dict(zip(ids, map(float, t0)))
-    t1_map = t0_map if t1 is None else dict(zip(ids, map(float, t1)))
-    return FeatureSnapshotPair(feature=feature, t0_values=t0_map,
-                               t1_values=dict(t1_map))
+    t0 = np.asarray(t0, dtype=float)
+    return FeatureSnapshotPair(
+        feature=feature, user_ids=[f"u{i:04d}" for i in range(t0.size)],
+        t0=t0, t1=t0 if t1 is None else np.asarray(t1, dtype=float))
+
+
+def write_snapshot_csv(path, rows):
+    """Write (user_id, feature_id, value, snapshot) rows under a header."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("user_id,feature_id,value,snapshot\n")
+        fh.writelines(f"{u},{f},{v},{s}\n" for u, f, v, s in rows)
 
 
 # -- shift ratio -------------------------------------------------------------------
@@ -66,19 +78,90 @@ def generate_snapshots_like(t0_values, target, seed, feature="f1"):
     return generate_snapshots(ds, DriftSpec(feature, target), seed=seed)
 
 
-def test_shift_ratio_needs_two_common_users():
-    pair = FeatureSnapshotPair(feature="f1", t0_values={"a": 1.0, "b": 2.0},
-                               t1_values={"a": 1.0, "c": 2.0})
+def test_shift_ratio_needs_two_common_users(tmp_path):
+    path = tmp_path / "snapshots.csv"
+    write_snapshot_csv(path, [("a", "f1", 1.0, "t0"), ("b", "f1", 2.0, "t0"),
+                              ("a", "f1", 1.0, "t1"), ("c", "f1", 2.0, "t1")])
     with pytest.raises(InsufficientDataError):
-        shift_ratio(pair)
+        shift_ratio(load_snapshots(path)["f1"])
 
 
-def test_shift_only_counts_common_users():
-    pair = FeatureSnapshotPair(
-        feature="f1",
-        t0_values={"a": 1.0, "b": 2.0, "c": 3.0, "gone": 4.0},
-        t1_values={"a": 1.0, "b": 2.0, "c": 3.0, "new": 9.0})
+def test_shift_only_counts_common_users(tmp_path):
+    path = tmp_path / "snapshots.csv"
+    write_snapshot_csv(path, [
+        ("a", "f1", 1.0, "t0"), ("b", "f1", 2.0, "t0"), ("c", "f1", 3.0, "t0"),
+        ("gone", "f1", 4.0, "t0"),
+        ("a", "f1", 1.0, "t1"), ("b", "f1", 2.0, "t1"), ("c", "f1", 3.0, "t1"),
+        ("new", "f1", 9.0, "t1")])
+    pair = load_snapshots(path)["f1"]
+    assert pair.user_ids.tolist() == ["a", "b", "c"]
     assert shift_ratio(pair, QUANTILE_CUT) == 0.0
+
+
+def reference_shift_ratio(t0, t1, cut, n_bins=4):
+    """Shift ratio over per-user dicts: nearest-rank t0 cutpoints, and a
+    bucket is the number of cutpoints strictly below the value."""
+    common = sorted(set(t0) & set(t1))
+    ranked = sorted(t0[u] for u in common)
+    n = len(ranked)
+    if cut == QUANTILE_CUT:
+        cuts = [ranked[-(-i * n // n_bins) - 1] for i in range(1, n_bins)]
+    else:
+        cuts = [ranked[math.ceil(0.25 * n) - 1], ranked[math.ceil(0.75 * n) - 1]]
+    moved = sum(bisect.bisect_left(cuts, t0[u]) != bisect.bisect_left(cuts, t1[u])
+                for u in common)
+    return moved / n
+
+
+snapshot_rows = st.lists(
+    st.tuples(st.integers(0, 30), st.sampled_from(["f1", "f2"]),
+              st.sampled_from(["t0", "t1"]),
+              st.integers(0, 6).map(lambda v: v / 2)),  # few values: many ties
+    min_size=1, max_size=150,
+    unique_by=lambda row: row[:3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=snapshot_rows, seed=st.integers(0, 2**32 - 1))
+def test_columnar_snapshots_match_dict_reference(tmp_path_factory, rows, seed):
+    # Users present in one snapshot only, tied values and any row order.
+    rows = [(f"u{u}", f, v, s) for u, f, s, v in rows]
+    shuffled = rows[:]
+    random.Random(seed).shuffle(shuffled)
+    base = tmp_path_factory.mktemp("snapshots")
+    write_snapshot_csv(base / "a.csv", rows)
+    write_snapshot_csv(base / "b.csv", shuffled)
+    loaded, reloaded = load_snapshots(base / "a.csv"), load_snapshots(base / "b.csv")
+    assert sorted(loaded) == sorted(reloaded)
+    for feature, pair in loaded.items():
+        other = reloaded[feature]
+        assert pair.user_ids.tolist() == other.user_ids.tolist()
+        assert pair.t0.tobytes() == other.t0.tobytes()
+        assert pair.t1.tobytes() == other.t1.tobytes()
+
+        t0 = {u: v for u, f, v, s in rows if f == feature and s == "t0"}
+        t1 = {u: v for u, f, v, s in rows if f == feature and s == "t1"}
+        assert pair.user_ids.tolist() == sorted(set(t0) & set(t1))
+        for cut in (QUANTILE_CUT, BINARY_CUT):
+            if pair.user_ids.size < 2:
+                with pytest.raises(InsufficientDataError):
+                    shift_ratio(pair, cut)
+            else:
+                assert shift_ratio(pair, cut) == reference_shift_ratio(t0, t1, cut)
+
+
+@pytest.mark.parametrize("bad_row,error,message", [
+    (("u2", "f1", "1.5", "t2"), RowIngestError, "row 4"),
+    (("u2", "f1", "high", "t0"), RowIngestError, "row 4"),
+    (("u1", "f1", "9.0", "t0"), IntegrityError, "'u1'.*'f1'"),
+])
+def test_load_snapshots_rejects_bad_rows(tmp_path, bad_row, error, message):
+    path = tmp_path / "snapshots.csv"
+    write_snapshot_csv(path, [("u1", "f1", "1.0", "t0"), ("u1", "f1", "1.0", "t1"),
+                              ("u3", "f1", "2.0", "t0"), bad_row,
+                              ("u3", "f1", "2.0", "t1")])
+    with pytest.raises(error, match=message):
+        load_snapshots(path)
 
 
 # -- stability verdicts (Table-2-style fixtures) --------------------------------------
@@ -288,6 +371,7 @@ def test_snapshots_round_trip(tmp_path):
     path = tmp_path / "snapshots.csv"
     save_snapshots(path, {"f1": pair})
     loaded = load_snapshots(path)
-    assert loaded["f1"].t0_values == pair.t0_values
-    assert loaded["f1"].t1_values == pair.t1_values
+    assert loaded["f1"].user_ids.tolist() == pair.user_ids.tolist()
+    assert loaded["f1"].t0.tolist() == pair.t0.tolist()
+    assert loaded["f1"].t1.tolist() == pair.t1.tolist()
     assert shift_ratio(loaded["f1"], BINARY_CUT) == 0.25

@@ -105,6 +105,21 @@ def test_minimized_primary_recommends_significant_decrease():
     assert abs(m2.mean) <= SIGNIFICANCE_Z * m2.std_err
 
 
+def test_minimized_primary_recommends_largest_decrease():
+    # Top-K ranks m1 in its minimized direction, so the frontier reaches
+    # the f1 policies that lower m1 by about 1.0 rather than 0.5.
+    scenario = ScenarioConfig(
+        seed=0, n_users=4000, n_features=2, n_metrics=2, n_actions=2,
+        noise_sd=1.0, n_days=14, experiment_id="minimize",
+        planted_effects=(PlantedEffect("f1", 0.5, 1.0, "a1", "m1", -2.0),),
+        drift_specs=(DriftSpec("f1", 0.04), DriftSpec("f2", 0.03)))
+    result = govern_pipeline(RunConfig(
+        seed=0, weight_samples=200, scenario=scenario, primary_metric="m1",
+        minimize_metrics=("m1",)))
+    assert result.recommended
+    assert result.recommendation.estimates["m1"].mean < -0.9
+
+
 def decayed_file_inputs(tmp_path):
     cfg = ScenarioConfig(
         seed=41, n_users=400, n_features=1, n_metrics=1, n_actions=1,

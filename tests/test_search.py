@@ -380,6 +380,15 @@ def test_collection_invariant_to_input_order():
     assert forward.provenance == backward.provenance
 
 
+def test_minimized_metric_ranks_lower_mean_first():
+    policies = [make_policy("a", [-1.0, 0.0]), make_policy("b", [-0.5, 0.0]),
+                make_policy("c", [0.5, 0.0])]
+    weights = [WeightVector((1.0, 0.0))]
+    result = collect_candidates(policies, weights, top_k=2, minimize=("m1",))
+    assert result.provenance == {"a": [(0, 1)], "b": [(0, 2)]}
+    assert collect_candidates(policies, weights, top_k=1).policy_ids == ["c"]
+
+
 def test_provenance_records_ranks():
     policies = [make_policy("a", [2.0]), make_policy("b", [1.0]),
                 make_policy("c", [0.0])]

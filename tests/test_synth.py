@@ -1,9 +1,14 @@
+import json
+
+import numpy as np
 import pytest
 
+from cohortpolicy.cli import main
 from cohortpolicy.errors import ConfigError
-from cohortpolicy.experiment import compute_ate, segment_hte
-from cohortpolicy.governance import shift_ratio
-from cohortpolicy.segmentation import binary_split, individual_split
+from cohortpolicy.experiment import ExperimentDataset, compute_ate, segment_hte
+from cohortpolicy.governance import load_snapshots, save_snapshots, shift_ratio
+from cohortpolicy.segmentation import (binary_split, individual_split,
+                                       interior_cutpoints, slot_codes)
 from cohortpolicy.synth import (BenchmarkConfig, DriftSpec, PlantedEffect,
                                 ScenarioConfig, build_benchmark,
                                 conflict_scenario, generate_daily_slices,
@@ -100,7 +105,84 @@ def test_snapshot_deterministic():
     ds, _ = generate_experiment(ScenarioConfig(seed=23, n_users=200))
     a = generate_snapshots(ds, DriftSpec("f1", 0.3), seed=5)
     b = generate_snapshots(ds, DriftSpec("f1", 0.3), seed=5)
-    assert a.t1_values == b.t1_values
+    assert a.user_ids.tolist() == b.user_ids.tolist()
+    assert a.t1.tobytes() == b.t1.tobytes()
+
+
+def dict_snapshots(ds, drift, seed, n_bins=4):
+    """Snapshot values per user id, drawn user by user into dicts: the
+    layout generate_snapshots used before it returned aligned arrays."""
+    rng = np.random.default_rng(seed)
+    values = ds.feature_values(drift.feature)
+    user_ids = ds.user_ids.tolist()
+    n = len(user_ids)
+    cuts = interior_cutpoints(values, n_bins)
+    buckets = slot_codes(values, cuts)
+    n_buckets = len(cuts) + 1
+    span = float(values.max() - values.min()) or 1.0
+    reachable = [b for b in range(n_buckets)
+                 if b == 0 or b == n_buckets - 1 or cuts[b] > cuts[b - 1]]
+    t0 = {uid: float(v) for uid, v in zip(user_ids, values)}
+    t1 = dict(t0)
+    movers = rng.choice(n, size=round(drift.target_shift_ratio * n), replace=False)
+    for row in sorted(int(i) for i in movers):
+        choices = [b for b in reachable if b != buckets[row]]
+        target = int(choices[rng.integers(0, len(choices))])
+        lower = cuts[target - 1] if target > 0 else None
+        upper = cuts[target] if target < len(cuts) else None
+        if lower is None:
+            new_value = upper - span * float(rng.random())
+        elif upper is None:
+            new_value = lower + span * (float(rng.random()) + 1e-9)
+        else:
+            new_value = lower + (upper - lower) * float(rng.random())
+            if new_value <= lower:
+                new_value = upper
+        t1[user_ids[row]] = float(new_value)
+    return t0, t1
+
+
+def tied_dataset(n=300):
+    # 70% of users share the value 1.0, which ties all three quartile
+    # cutpoints and leaves the two middle buckets unreachable.
+    rng = np.random.default_rng(3)
+    f1 = np.where(rng.random(n) < 0.7, 1.0, rng.random(n) * 5)
+    return ExperimentDataset(
+        experiment_id="tied", user_ids=[f"t{i:03d}" for i in range(n)],
+        arm_codes=[0] * n, feature_matrix=[f1], outcome_matrix=[[0.0] * n],
+        actions=("control",), control_action="control", metrics=("m1",),
+        features=("f1",))
+
+
+@pytest.mark.parametrize("target", [0.0, 0.05, 0.3, 0.9])
+@pytest.mark.parametrize("seed", [0, 5, 77])
+@pytest.mark.parametrize("tied", [False, True])
+def test_snapshots_match_dict_algorithm(target, seed, tied):
+    if tied:
+        ds = tied_dataset()
+        assert len(set(interior_cutpoints(ds.feature_values("f1"), 4))) == 1
+    else:
+        ds, _ = generate_experiment(ScenarioConfig(seed=23, n_users=400))
+    pair = generate_snapshots(ds, DriftSpec("f1", target), seed=seed)
+    t0, t1 = dict_snapshots(ds, DriftSpec("f1", target), seed=seed)
+    assert pair.user_ids.tolist() == sorted(t0)
+    assert pair.t0.tobytes() == np.array([t0[u] for u in sorted(t0)]).tobytes()
+    assert pair.t1.tobytes() == np.array([t1[u] for u in sorted(t1)]).tobytes()
+
+
+def test_synth_snapshots_survive_load_save_round_trip(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "seed": 9, "n_users": 300, "n_features": 2, "n_metrics": 2,
+        "n_actions": 2, "n_days": 4,
+        "drift_specs": [{"feature": "f1", "target_shift_ratio": 0.2},
+                        {"feature": "f2", "target_shift_ratio": 0.5}],
+    }))
+    out = tmp_path / "synth"
+    assert main(["synth", "--scenario", str(scenario), "--out", str(out)]) == 0
+    save_snapshots(tmp_path / "again.csv", load_snapshots(out / "snapshots.csv"))
+    assert (tmp_path / "again.csv").read_bytes() == \
+        (out / "snapshots.csv").read_bytes()
 
 
 # -- daily slices ------------------------------------------------------------------
