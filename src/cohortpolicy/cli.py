@@ -156,7 +156,8 @@ def cmd_search(args) -> int:
     evaluated = evaluate_policies(ds, policies, skip_unsupported=True)
     weights = sample_weights(len(ds.metrics), args.weights, seed)
     candidates = collect_candidates(evaluated, weights, args.top_k,
-                                    metrics=ds.metrics)
+                                    metrics=ds.metrics,
+                                    minimize=tuple(args.minimize or ()))
     out = _out_dir(args, "search")
     save_policy_table(out / "policy_table.csv", evaluated, ds.metrics)
     _write_json(out / "candidates.json", {
@@ -302,6 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", type=int, default=1000)
     p.add_argument("--top-k", type=int, default=5, dest="top_k")
     p.add_argument("--budget", type=int, default=128)
+    p.add_argument("--minimize", action="append",
+                   help="metric to minimize (repeatable)")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("filter", parents=[common],

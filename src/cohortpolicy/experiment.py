@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -200,74 +200,87 @@ class ExperimentDataset:
 # -- estimators --------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
+class SlotEffects:
+    """Every arm's effect vs control in every slot of one cut.
+
+    Arms are indexed as `ds.actions`. `counts[slot, arm]` is the number of
+    selected users in each (slot, arm) cell. `mean[slot, arm, metric]` is the
+    treated-minus-control mean difference and `std_err[slot, arm, metric]`
+    its unpooled standard error. `supported[slot, arm]` is False where a
+    treatment arm lacks treated or control users in the slot; there, and in
+    the control arm's column, mean and std_err are 0.
+    """
+
+    counts: np.ndarray
+    mean: np.ndarray
+    std_err: np.ndarray
+    supported: np.ndarray
+
+
 def slot_effects(ds: ExperimentDataset, codes: np.ndarray, n_slots: int,
-                 rows: np.ndarray | None = None,
-                 metrics: Sequence[str] | None = None
-                 ) -> tuple[list[int], dict[tuple[int, str, str], MetricEstimate | None]]:
-    """Effect of every treatment vs control in every slot, over `rows` of `ds`.
+                 rows: np.ndarray | None = None) -> SlotEffects:
+    """Effect of every arm vs control in every slot, over `rows` of `ds`.
 
     `codes` holds every user's slot. One bincount pass per metric fills the
     count, mean and centred sum of squares of every (slot, arm) cell. An
     effect is the treated-minus-control mean difference with the unpooled
     standard error sqrt(s_t^2/n_t + s_c^2/n_c), sample variances having an
     n-1 denominator (0 for a single user).
-
-    Returns the number of selected users in each slot and the effects keyed
-    by (slot, action, metric), None where a slot lacks treated or control
-    users.
     """
-    metrics = ds.metrics if metrics is None else tuple(metrics)
-    arms = ds.arm_codes
-    outcomes = [ds.outcome_values(metric) for metric in metrics]
-    if rows is not None:
-        codes, arms = codes[rows], arms[rows]
-        outcomes = [y[rows] for y in outcomes]
+    arms, outcomes = ds.arm_codes, ds.outcome_matrix
+    if rows is not None and np.asarray(rows).dtype == bool:
+        # compress runs several times faster than indexing by a mask.
+        codes, arms = codes.compress(rows), arms.compress(rows)
+        outcomes = outcomes.compress(rows, axis=1)
+    elif rows is not None:
+        codes, arms, outcomes = codes[rows], arms[rows], outcomes[:, rows]
     n_arms = len(ds.actions)
     cell = codes * n_arms + arms
     count = np.bincount(cell, minlength=n_slots * n_arms)
-    stats = []
+    means, variances = [], []
     for y in outcomes:
         mean = np.bincount(cell, weights=y, minlength=count.size) / np.maximum(count, 1)
-        dev = y - mean[cell]
-        m2 = np.bincount(cell, weights=dev * dev, minlength=count.size)
-        var = np.where(count > 1, m2 / np.maximum(count - 1, 1), 0.0)
-        stats.append((mean.reshape(n_slots, n_arms), var.reshape(n_slots, n_arms)))
+        # Squared deviations from the cell mean, in one temporary.
+        dev = mean[cell]
+        np.subtract(y, dev, out=dev)
+        m2 = np.bincount(cell, weights=np.square(dev, out=dev), minlength=count.size)
+        means.append(mean)
+        variances.append(np.where(count > 1, m2 / np.maximum(count - 1, 1), 0.0))
+    shape = (n_slots, n_arms, len(means))
+    mean = np.stack(means, axis=-1).reshape(shape)
+    var = np.stack(variances, axis=-1).reshape(shape)
     count = count.reshape(n_slots, n_arms)
 
     control = ds.actions.index(ds.control_action)
-    effects: dict[tuple[int, str, str], MetricEstimate | None] = {}
-    for slot in range(n_slots):
-        n_c = int(count[slot, control])
-        for arm, action in enumerate(ds.actions):
-            n_t = int(count[slot, arm])
-            if arm == control:
-                continue
-            for metric, (mean, var) in zip(metrics, stats):
-                effects[slot, action, metric] = MetricEstimate(
-                    mean=float(mean[slot, arm] - mean[slot, control]),
-                    std_err=math.sqrt(var[slot, arm] / n_t + var[slot, control] / n_c),
-                    n_treated=n_t, n_control=n_c) if n_t and n_c else None
-    return count.sum(axis=1).tolist(), effects
+    is_control = np.arange(n_arms) == control
+    treated = (count > 0) & (count[:, control] > 0)[:, None] & ~is_control
+    sampling = var / np.maximum(count, 1)[..., None]
+    se = np.sqrt(sampling + sampling[:, control, None])
+    return SlotEffects(
+        counts=count,
+        mean=np.where(treated[..., None], mean - mean[:, control, None], 0.0),
+        std_err=np.where(treated[..., None], se, 0.0),
+        supported=treated | is_control)
 
 
 def _lift(ds: ExperimentDataset, rows: np.ndarray | None, action: str,
           metric: str, where: str) -> MetricEstimate:
-    # The effect of `action` over `rows`, taken as a single slot.
+    # The effect of `action` over `rows`, read from a single-slot table.
     if action not in ds.actions:
         raise ValueError(f"unknown action {action!r}")
     if metric not in ds.metrics:
         raise ValueError(f"unknown metric {metric!r}")
-    if action == ds.control_action:
-        in_arm = ds.arm_mask(action)
-        n_c = int((in_arm if rows is None else in_arm[rows]).sum())
-        return MetricEstimate(mean=0.0, std_err=0.0, n_treated=n_c, n_control=n_c)
-    codes = np.zeros(ds.n_users, dtype=np.intp)
-    _, effects = slot_effects(ds, codes, 1, rows, (metric,))
-    estimate = effects[0, action, metric]
-    if estimate is None:
+    arm, control = ds.actions.index(action), ds.actions.index(ds.control_action)
+    effects = slot_effects(ds, np.zeros(ds.n_users, dtype=np.intp), 1, rows)
+    if not effects.supported[0, arm]:
         raise EstimationError(
             f"{action!r} lacks treated or control users in {where}")
-    return estimate
+    m = ds.metrics.index(metric)
+    return MetricEstimate(mean=float(effects.mean[0, arm, m]),
+                          std_err=float(effects.std_err[0, arm, m]),
+                          n_treated=int(effects.counts[0, arm]),
+                          n_control=int(effects.counts[0, control]))
 
 
 def compute_ate(ds: ExperimentDataset, action: str, metric: str) -> MetricEstimate:

@@ -449,8 +449,9 @@ def load_snapshots(path: str | Path) -> dict[str, FeatureSnapshotPair]:
 
     Each pair keeps the users present in both snapshots of its feature;
     users present in only one are dropped. A label other than t0/t1, a
-    non-numeric value or a short row raises RowIngestError with the 1-based
-    data row; a repeated (user, feature, snapshot) raises IntegrityError.
+    non-numeric or non-finite value or a short row raises RowIngestError
+    with the 1-based data row; a repeated (user, feature, snapshot) raises
+    IntegrityError.
     """
     label_codes = {label: k for k, label in enumerate(SNAPSHOT_LABELS)}
     user_codes: dict[str, int] = {}
@@ -481,6 +482,10 @@ def load_snapshots(path: str | Path) -> dict[str, FeatureSnapshotPair]:
             users.append(user_codes.setdefault(user, len(user_codes)))
     if not values:
         return {}
+    non_finite = np.flatnonzero(~np.isfinite(np.frombuffer(values, dtype=float)))
+    if non_finite.size:
+        row = int(non_finite[0])
+        raise RowIngestError(row + 1, f"non-finite value {values[row]}")
 
     ids = np.array(list(user_codes), dtype=str)
     by_id = np.argsort(ids, kind="stable")

@@ -1,25 +1,26 @@
 """Candidate policy enumeration, evaluation, and random-weight Top-K search.
 
 A policy maps each segment slot of one cut to an action (control allowed).
-Per-metric policy lift is the segment-size-weighted average of segment-level
-effects; policy standard errors compose segment standard errors as
-independent size-weighted variances (segments are disjoint user sets).
+Per-metric policy lift is the segment-size-weighted sum of the slot effects
+of its treated slots; policy standard errors compose slot standard errors as
+independent size-weighted variances (segments are disjoint user sets). Each
+cut's effects come from one `experiment.slot_effects` table, and every policy
+on the cut is composed from that table's arrays.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, EstimationError
-from .experiment import ExperimentDataset, MetricEstimate, segment_hte, slot_effects
-from .segmentation import CutSpec, Segment, cut_slot_codes, materialize
+from .experiment import ExperimentDataset, MetricEstimate, SlotEffects, slot_effects
+from .segmentation import CutSpec, cut_slot_codes
 
 FORMAT_VERSION = 1
 
@@ -141,65 +142,98 @@ def enumerate_policies(ds: ExperimentDataset, cuts: Sequence[CutSpec],
 # -- evaluation ---------------------------------------------------------------
 
 
-def _estimate(ds: ExperimentDataset, policy: PolicyCandidate, sizes: Sequence[int],
-              effects: Mapping[tuple[int, str, str], MetricEstimate | None]
-              ) -> PolicyCandidate:
-    # Size-weighted sum of the effects of the treated, non-empty slots;
-    # `effects[slot, action, metric]` is None where a slot lacks support.
-    total = sum(sizes)
-    treated = [(slot, action, size / total)
-               for slot, (action, size) in enumerate(zip(policy.assignment, sizes))
-               if size and action != ds.control_action]
-    for slot, action, _ in treated:
-        if effects[slot, action, ds.metrics[0]] is None:
-            raise EstimationError(
+def _cut_effects(ds: ExperimentDataset, cut: CutSpec | None,
+                 rows: np.ndarray | None = None) -> SlotEffects:
+    n_slots = cut.slot_count if cut is not None else 1
+    return slot_effects(ds, cut_slot_codes(ds, cut), n_slots, rows)
+
+
+def _compose(ds: ExperimentDataset, effects: SlotEffects,
+             policies: Sequence[PolicyCandidate]
+             ) -> list[PolicyCandidate | EstimationError]:
+    """Each policy on the cut that `effects` describes, with its estimates
+    filled, or the EstimationError naming its first unsupported slot.
+
+    A policy's lift is the size-weighted sum, in slot order, of the effects
+    of its treated, non-empty slots; its variance is the sum of the squared
+    size-weighted standard errors. The P x S matrix of arm codes is composed
+    one slot at a time across all P policies.
+    """
+    arm_of = {action: k for k, action in enumerate(ds.actions)}
+    try:
+        arms = np.array([[arm_of[a] for a in p.assignment] for p in policies],
+                        dtype=np.intp).reshape(len(policies), -1)
+    except KeyError as exc:
+        raise ValueError(f"unknown action {exc.args[0]!r}") from None
+    control = arm_of[ds.control_action]
+    sizes = effects.counts.sum(axis=1)
+    weights = sizes / max(int(sizes.sum()), 1)
+    terms = weights[:, None, None] * effects.mean
+    weighted = weights[:, None, None] * effects.std_err
+    # Squared with libm pow (Python's float `**`), not numpy's x * x, which
+    # rounds differently on about 0.1% of inputs: written std_err columns
+    # stay byte-identical to those of earlier versions.
+    squares = np.array([x ** 2 for x in weighted.ravel().tolist()]
+                       ).reshape(weighted.shape)
+    # The control arm's column holds zero effect and zero error, and sums
+    # run in slot order.
+    mean = np.zeros((len(policies), len(ds.metrics)))
+    var = np.zeros_like(mean)
+    for slot in np.flatnonzero(sizes):
+        mean += terms[slot, arms[:, slot]]
+        var += squares[slot, arms[:, slot]]
+    slots = np.arange(arms.shape[1])
+    treated = arms != control
+    n_treated = (effects.counts[slots, arms] * treated).sum(axis=1)
+    n_control = (effects.counts[slots, control] * treated).sum(axis=1)
+    lacking = ~effects.supported[slots, arms] & (sizes > 0)
+    unsupported = np.where(lacking.any(axis=1), lacking.argmax(axis=1), -1)
+
+    out: list[PolicyCandidate | EstimationError] = []
+    for policy, means, errors, n_t, n_c, slot in zip(
+            policies, mean.tolist(), np.sqrt(var).tolist(), n_treated.tolist(),
+            n_control.tolist(), unsupported.tolist()):
+        if slot >= 0:
+            out.append(EstimationError(
                 f"policy {policy.policy_id!r} slot {slot}: no treated/control "
-                f"support for action {action!r}")
-    estimates: dict[str, MetricEstimate] = {}
-    for metric in ds.metrics:
-        parts = [(weight, effects[slot, action, metric])
-                 for slot, action, weight in treated]
-        estimates[metric] = MetricEstimate(
-            mean=sum((w * e.mean for w, e in parts), 0.0),
-            std_err=math.sqrt(sum(((w * e.std_err) ** 2 for w, e in parts), 0.0)),
-            n_treated=sum(e.n_treated for _, e in parts),
-            n_control=sum(e.n_control for _, e in parts))
-    return replace(policy, estimates=estimates)
+                f"support for action {policy.assignment[slot]!r}"))
+        else:
+            out.append(PolicyCandidate(
+                policy_id=policy.policy_id, cut=policy.cut,
+                assignment=policy.assignment, estimates={
+                    metric: MetricEstimate(mean=mu, std_err=se, n_treated=n_t,
+                                           n_control=n_c)
+                    for metric, mu, se in zip(ds.metrics, means, errors)}))
+    return out
 
 
 def evaluate_policies(ds: ExperimentDataset, policies: Sequence[PolicyCandidate],
                       skip_unsupported: bool = False) -> list[PolicyCandidate]:
-    """Fill per-metric estimates for each policy (returns new candidates).
+    """Fill per-metric estimates for each policy (returns new candidates, in
+    input order).
 
-    Each cut is materialized once and each (slot, action, metric) segment
-    effect is estimated once, shared by every policy on that cut.
+    Each cut's slot-effect table comes from one `slot_effects` pass, and
+    every policy on the cut is composed from that table.
     Control-assigned slots contribute zero lift by definition; empty slots
     carry zero weight. A non-empty slot whose assigned action lacks treated
-    or control users raises EstimationError naming the slot, or with
-    `skip_unsupported` drops the policy from the result.
+    or control users makes the policy unsupported: the first unsupported
+    policy raises EstimationError naming the slot, or with
+    `skip_unsupported` every unsupported policy is dropped from the result.
     """
-    by_cut: dict[CutSpec | None, tuple[list[Segment], dict]] = {}
-    out = []
-    for policy in policies:
-        if policy.cut not in by_cut:
-            by_cut[policy.cut] = (materialize(ds, policy.cut), {})
-        segments, effects = by_cut[policy.cut]
-        for slot, (segment, action) in enumerate(zip(segments, policy.assignment)):
-            if segment.is_empty or action == ds.control_action:
-                continue
-            for metric in ds.metrics:
-                key = (slot, action, metric)
-                if key not in effects:
-                    try:
-                        effects[key] = segment_hte(ds, segment, action, metric)
-                    except EstimationError:
-                        effects[key] = None
-        try:
-            out.append(_estimate(ds, policy, [s.size for s in segments], effects))
-        except EstimationError:
-            if not skip_unsupported:
-                raise
-    return out
+    by_cut: dict[CutSpec | None, list[int]] = {}
+    for index, policy in enumerate(policies):
+        by_cut.setdefault(policy.cut, []).append(index)
+    results: list = [None] * len(policies)
+    for cut, indices in by_cut.items():
+        composed = _compose(ds, _cut_effects(ds, cut),
+                            [policies[i] for i in indices])
+        for index, result in zip(indices, composed):
+            results[index] = result
+    if not skip_unsupported:
+        for result in results:
+            if isinstance(result, EstimationError):
+                raise result
+    return [r for r in results if isinstance(r, PolicyCandidate)]
 
 
 def evaluate_policy(ds: ExperimentDataset, policy: PolicyCandidate) -> PolicyCandidate:
@@ -216,9 +250,10 @@ def evaluate_policy_pinned(ds: ExperimentDataset, policy: PolicyCandidate,
     temporal slice or a backtest day is evaluated against the cohorts of
     the window it belongs to rather than re-deriving its own quantiles.
     """
-    n_slots = policy.cut.slot_count if policy.cut is not None else 1
-    sizes, effects = slot_effects(ds, cut_slot_codes(ds, policy.cut), n_slots, rows)
-    return _estimate(ds, policy, sizes, effects)
+    [result] = _compose(ds, _cut_effects(ds, policy.cut, rows), [policy])
+    if isinstance(result, EstimationError):
+        raise result
+    return result
 
 
 # -- random-weight search ------------------------------------------------------

@@ -10,6 +10,7 @@ from cohortpolicy.cli import main
 from cohortpolicy.evaluation import (SelectorRanking, load_ground_truths,
                                      save_rankings)
 from cohortpolicy.ingest import IngestSchema, ingest
+from cohortpolicy.search import load_policy_table
 from cohortpolicy.synth import (BenchmarkConfig, ScenarioConfig, build_benchmark,
                                 conflict_scenario, generate_experiment,
                                 write_benchmark)
@@ -198,6 +199,27 @@ def test_ingest_search_filter_govern_round_trip(tmp_path):
                  "--out", str(govern_out)]) == 0
     verdicts = json.loads((govern_out / "stability_verdicts.json").read_text())
     assert verdicts["admitted"] == ["f1"]
+
+
+def test_search_minimize_ranks_lower_mean_first(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "seed": 3, "n_users": 400, "n_features": 1, "n_metrics": 1,
+        "n_actions": 2, "noise_sd": 1.0,
+        "planted_effects": [{"feature": "f1", "q_lo": 0.5, "q_hi": 1.0,
+                             "action": "a1", "metric": "m1", "lift": -2.0}]}))
+    top = {}
+    for flags in ([], ["--minimize", "m1"]):
+        out = tmp_path / f"search{len(flags)}"
+        assert main(["search", "--scenario", str(scenario), "--weights", "3",
+                     "--top-k", "1", "--out", str(out), *flags]) == 0
+        top[bool(flags)] = json.loads(
+            (out / "candidates.json").read_text())["policy_ids"]
+    table, _ = load_policy_table(out / "policy_table.csv")
+    means = {pid: estimates["m1"].mean for pid, estimates in table.items()}
+    assert top[True] == [min(means, key=means.get)]
+    assert top[False] == [max(means, key=means.get)]
+    assert means[top[True][0]] < means[top[False][0]]
 
 
 def test_eval_oracle_row_all_ones(tmp_path, capsys):

@@ -154,6 +154,9 @@ def test_columnar_snapshots_match_dict_reference(tmp_path_factory, rows, seed):
     (("u2", "f1", "1.5", "t2"), RowIngestError, "row 4"),
     (("u2", "f1", "high", "t0"), RowIngestError, "row 4"),
     (("u1", "f1", "9.0", "t0"), IntegrityError, "'u1'.*'f1'"),
+    (("u2", "f1", "nan", "t1"), RowIngestError, "row 4: non-finite value nan"),
+    (("u2", "f1", "inf", "t1"), RowIngestError, "row 4: non-finite value inf"),
+    (("u2", "f1", "nan", "t0"), RowIngestError, "row 4: non-finite value nan"),
 ])
 def test_load_snapshots_rejects_bad_rows(tmp_path, bad_row, error, message):
     path = tmp_path / "snapshots.csv"

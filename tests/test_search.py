@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from cohortpolicy.errors import ConfigError, EstimationError
 from cohortpolicy.experiment import ExperimentDataset, compute_ate
-from cohortpolicy.search import (WeightVector, collect_candidates,
-                                 enumerate_policies, evaluate_policies,
-                                 evaluate_policy, evaluate_policy_pinned,
-                                 global_policies,
-                                 load_policy_table, sample_weights,
-                                 save_policy_table, scalarized_score)
+from cohortpolicy.search import (PolicyCandidate, WeightVector,
+                                 collect_candidates, enumerate_policies,
+                                 evaluate_policies, evaluate_policy,
+                                 evaluate_policy_pinned, global_policies,
+                                 load_policy_table, make_policy_id,
+                                 sample_weights, save_policy_table,
+                                 scalarized_score)
 from cohortpolicy.segmentation import CutSpec, enumerate_cuts
 
 from conftest import build_dataset, make_policy, shuffled
@@ -154,6 +155,35 @@ def test_evaluate_policies_invariant_to_row_order(rng):
     assert first == [p.estimates for p in evaluate_policies(permuted, policies)]
 
 
+def test_evaluate_policies_keeps_input_order_and_skips_unsupported(rng):
+    # a1 users sit at values 1 and 3 only: the binary high slot and the
+    # individual slots 2 and 3 have no a1 support.
+    arms = ["a1", "a0", "a1", "a0", "a0", "a0", "a0", "a0"]
+    ds = build_dataset(list(range(1, 9)), arms, list(rng.normal(size=8)),
+                       control="a0")
+    binary = CutSpec(feature="f1", kind="binary", n_bins=2, threshold_index=1)
+    individual = CutSpec(feature="f1", kind="individual", n_bins=4)
+    policies = [PolicyCandidate(policy_id=make_policy_id(cut, assignment),
+                                cut=cut, assignment=assignment)
+                for cut, assignment in [
+                    (binary, ("a1", "a0")),
+                    (individual, ("a0", "a0", "a1", "a0")),   # slot 2
+                    (binary, ("a1", "a1")),                   # slot 1
+                    (individual, ("a1", "a1", "a0", "a0")),
+                    (None, ("a1",)),
+                    (individual, ("a1", "a0", "a0", "a1")),   # slot 3
+                    (binary, ("a0", "a0"))]]
+    kept = evaluate_policies(ds, policies, skip_unsupported=True)
+    assert [p.policy_id for p in kept] == [policies[i].policy_id
+                                           for i in (0, 3, 4, 6)]
+    for policy in kept:
+        assert policy.estimates == evaluate_policy(ds, policy).estimates
+    with pytest.raises(EstimationError,
+                       match=r"f1\.ind4\.a0-a0-a1-a0' slot 2: no treated/control "
+                             r"support for action 'a1'"):
+        evaluate_policies(ds, policies)
+
+
 # -- estimator oracle ----------------------------------------------------------------
 
 
@@ -218,9 +248,9 @@ def _assert_matches(got, want):
 
 @st.composite
 def small_experiments(draw):
-    n = draw(st.integers(2, 24))
+    n = draw(st.integers(2, 32))
     # Few distinct feature values: ties and bins emptied by ties.
-    values = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    values = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
     # Three arms drawn freely: arms of one user, or of none, occur.
     arms = draw(st.lists(st.sampled_from(["c", "t1", "t2"]), min_size=n, max_size=n))
     outcomes = draw(st.lists(st.floats(-5, 5, allow_nan=False), min_size=n,
@@ -233,7 +263,9 @@ def small_experiments(draw):
                            feature_matrix=[values], outcome_matrix=[outcomes, second],
                            actions=actions, control_action="c",
                            metrics=("m1", "m2"), features=("f1",))
-    n_bins = draw(st.integers(1, 4))
+    # Up to 8 bins: 3^8 assignments exceed the budget of 81, so the sampled
+    # enumeration path meets the oracle too.
+    n_bins = draw(st.integers(1, 8))
     kind = draw(st.sampled_from(["global", "individual", "binary"]
                                 if n_bins > 1 else ["global", "individual"]))
     if kind == "global":
@@ -265,6 +297,8 @@ def test_estimators_match_per_user_loop(case):
         else:
             _assert_matches(batch[policy.policy_id], expected)
             _assert_matches(evaluate_policy(ds, policy), expected)
+            assert (evaluate_policy_pinned(ds, policy, everyone).estimates
+                    == batch[policy.policy_id].estimates)
         pinned = oracle_policy(ds, policy, rows)
         if isinstance(pinned, int):
             with pytest.raises(EstimationError, match=f"slot {pinned}:"):
