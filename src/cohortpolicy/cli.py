@@ -179,7 +179,12 @@ def cmd_filter(args) -> int:
     policies = [PolicyCandidate(policy_id=pid, cut=None, assignment=("a0",),
                                 estimates=dict(est))
                 for pid, est in table.items()]
-    directions = {m: ("minimize" if m in (args.minimize or ()) else "maximize")
+    minimize = tuple(args.minimize or ())
+    for metric in minimize:
+        if metric not in metrics:
+            raise ValueError(f"metric {metric!r} to minimize is not one of "
+                             f"the metrics {metrics}")
+    directions = {m: ("minimize" if m in minimize else "maximize")
                   for m in metrics}
     result = tolerance_filter(
         policies, ToleranceConfig(tau=args.tau, directions=directions),

@@ -209,7 +209,8 @@ class SlotEffects:
     treated-minus-control mean difference and `std_err[slot, arm, metric]`
     its unpooled standard error. `supported[slot, arm]` is False where a
     treatment arm lacks treated or control users in the slot; there, and in
-    the control arm's column, mean and std_err are 0.
+    the control arm's column, mean and std_err are 0. A table per range of
+    days carries a leading range axis on every array.
     """
 
     counts: np.ndarray
@@ -218,15 +219,30 @@ class SlotEffects:
     supported: np.ndarray
 
 
-def slot_effects(ds: ExperimentDataset, codes: np.ndarray, n_slots: int,
-                 rows: np.ndarray | None = None) -> SlotEffects:
-    """Effect of every arm vs control in every slot, over `rows` of `ds`.
+@dataclass(frozen=True, slots=True)
+class CellMoments:
+    """Sample moments of the selected users in every (cell, arm) group.
 
-    `codes` holds every user's slot. One bincount pass per metric fills the
-    count, mean and centred sum of squares of every (slot, arm) cell. An
-    effect is the treated-minus-control mean difference with the unpooled
-    standard error sqrt(s_t^2/n_t + s_c^2/n_c), sample variances having an
-    n-1 denominator (0 for a single user).
+    Leading axes index cells: a slot, or a (day, slot) pair. Arms are
+    indexed as `ds.actions`. `counts[..., arm]` is the number of users,
+    `sums[..., arm, metric]` their outcome sum and `m2[..., arm, metric]`
+    the sum of squared deviations from the group mean.
+    """
+
+    counts: np.ndarray
+    sums: np.ndarray
+    m2: np.ndarray
+
+
+def cell_moments(ds: ExperimentDataset, codes: np.ndarray,
+                 shape: tuple[int, ...], rows: np.ndarray | None = None
+                 ) -> CellMoments:
+    """Count, outcome sum and centred sum of squares of every (cell, arm)
+    group, over `rows` of `ds`.
+
+    `codes` holds every user's cell as a flat index into `shape`. One
+    bincount pass per metric fills the sums, and one more the squared
+    deviations from each group's mean.
     """
     arms, outcomes = ds.arm_codes, ds.outcome_matrix
     if rows is not None and np.asarray(rows).dtype == bool:
@@ -237,31 +253,79 @@ def slot_effects(ds: ExperimentDataset, codes: np.ndarray, n_slots: int,
         codes, arms, outcomes = codes[rows], arms[rows], outcomes[:, rows]
     n_arms = len(ds.actions)
     cell = codes * n_arms + arms
-    count = np.bincount(cell, minlength=n_slots * n_arms)
-    means, variances = [], []
+    count = np.bincount(cell, minlength=math.prod(shape) * n_arms)
+    sums, m2s = [], []
     for y in outcomes:
-        mean = np.bincount(cell, weights=y, minlength=count.size) / np.maximum(count, 1)
-        # Squared deviations from the cell mean, in one temporary.
-        dev = mean[cell]
+        total = np.bincount(cell, weights=y, minlength=count.size)
+        # Squared deviations from the group mean, in one temporary.
+        dev = (total / np.maximum(count, 1))[cell]
         np.subtract(y, dev, out=dev)
-        m2 = np.bincount(cell, weights=np.square(dev, out=dev), minlength=count.size)
-        means.append(mean)
-        variances.append(np.where(count > 1, m2 / np.maximum(count - 1, 1), 0.0))
-    shape = (n_slots, n_arms, len(means))
-    mean = np.stack(means, axis=-1).reshape(shape)
-    var = np.stack(variances, axis=-1).reshape(shape)
-    count = count.reshape(n_slots, n_arms)
+        sums.append(total)
+        m2s.append(np.bincount(cell, weights=np.square(dev, out=dev),
+                               minlength=count.size))
+    shape = (*shape, n_arms, len(sums))
+    return CellMoments(counts=count.reshape(shape[:-1]),
+                       sums=np.stack(sums, axis=-1).reshape(shape),
+                       m2=np.stack(m2s, axis=-1).reshape(shape))
 
-    control = ds.actions.index(ds.control_action)
-    is_control = np.arange(n_arms) == control
-    treated = (count > 0) & (count[:, control] > 0)[:, None] & ~is_control
+
+def pool_moments(moments: CellMoments, lo: np.ndarray, hi: np.ndarray
+                 ) -> CellMoments:
+    """The moments of the cells in each range [lo[i], hi[i]) of the first
+    cell axis, pooled per remaining cell, with a new leading range axis.
+
+    Groups merge as in Chan, Golub & LeVeque (1979): n = sum n_d,
+    sum = sum sum_d and M2 = sum M2_d + sum n_d (mean_d - mean)^2. A
+    one-cell range returns that cell's moments exactly.
+    """
+    index = np.arange(len(moments.counts))
+    inside = (index >= np.asarray(lo)[:, None]) & (index < np.asarray(hi)[:, None])
+    # Range axis first, then the first cell axis, which the sums run over
+    # in cell order.
+    inside = inside.reshape(inside.shape + (1,) * (moments.counts.ndim - 1))
+    counts = np.where(inside, moments.counts, 0).sum(axis=1)
+    sums = np.where(inside[..., None], moments.sums, 0.0).sum(axis=1)
+    mean = sums / np.maximum(counts, 1)[..., None]
+    cell_mean = moments.sums / np.maximum(moments.counts, 1)[..., None]
+    spread = moments.counts[..., None] * np.square(cell_mean - mean[:, None])
+    m2 = np.where(inside[..., None], moments.m2 + spread, 0.0).sum(axis=1)
+    return CellMoments(counts=counts, sums=sums, m2=m2)
+
+
+def effects_from_moments(moments: CellMoments, control: int) -> SlotEffects:
+    """Every arm's effect vs the `control` arm in every cell of `moments`,
+    leading axes kept.
+
+    An effect is the treated-minus-control mean difference with the
+    unpooled standard error sqrt(s_t^2/n_t + s_c^2/n_c), sample variances
+    having an n-1 denominator (0 for a single user).
+    """
+    count = moments.counts
+    mean = moments.sums / np.maximum(count, 1)[..., None]
+    var = np.where(count[..., None] > 1,
+                   moments.m2 / np.maximum(count - 1, 1)[..., None], 0.0)
+    is_control = np.arange(count.shape[-1]) == control
+    treated = (count > 0) & (count[..., control] > 0)[..., None] & ~is_control
     sampling = var / np.maximum(count, 1)[..., None]
-    se = np.sqrt(sampling + sampling[:, control, None])
+    se = np.sqrt(sampling + sampling[..., control, None, :])
     return SlotEffects(
         counts=count,
-        mean=np.where(treated[..., None], mean - mean[:, control, None], 0.0),
+        mean=np.where(treated[..., None],
+                      mean - mean[..., control, None, :], 0.0),
         std_err=np.where(treated[..., None], se, 0.0),
         supported=treated | is_control)
+
+
+def slot_effects(ds: ExperimentDataset, codes: np.ndarray, n_slots: int,
+                 rows: np.ndarray | None = None) -> SlotEffects:
+    """Effect of every arm vs control in every slot, over `rows` of `ds`.
+
+    `codes` holds every user's slot. The effects come from the count, mean
+    and centred sum of squares of every (slot, arm) cell (`cell_moments`,
+    then `effects_from_moments`).
+    """
+    return effects_from_moments(cell_moments(ds, codes, (n_slots,), rows),
+                                ds.actions.index(ds.control_action))
 
 
 def _lift(ds: ExperimentDataset, rows: np.ndarray | None, action: str,

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (ConfigError, EstimationError, InsufficientDataError,
                      IntegrityError, RowIngestError)
 from .experiment import ExperimentDataset, MetricEstimate
-from .search import FORMAT_VERSION, PolicyCandidate, evaluate_policy_pinned
+from .search import FORMAT_VERSION, PolicyCandidate, evaluate_policy_days
 from .segmentation import interior_cutpoints, slot_codes
 
 STAGE_PRE_SEARCH = "pre_search"
@@ -39,6 +39,7 @@ CODE_NOT_SIGNIFICANT = "NOT_SIGNIFICANT"
 CODE_BACKTEST_DIVERGED = "BACKTEST_DIVERGED"
 CODE_EMPTY_SLICE = "EMPTY_SLICE_SKIPPED"
 CODE_NO_QUALIFYING_POLICY = "NO_QUALIFYING_POLICY"
+CODE_INSUFFICIENT_DATA = "INSUFFICIENT_DATA"
 
 STATUS_BENCHMARK = "benchmark"
 STATUS_STABLE = "stable"
@@ -331,6 +332,13 @@ class BacktestSeries:
                 writer.writerow(row)
 
 
+def backtest_spans(n_days: int) -> tuple[np.ndarray, np.ndarray]:
+    """The day ranges [lo, hi) a backtest over `n_days` days reads: each
+    day, then each prefix of days."""
+    k = np.arange(n_days)
+    return np.concatenate([k, np.zeros_like(k)]), np.concatenate([k + 1, k + 1])
+
+
 def run_backtest(policy: PolicyCandidate, window: ExperimentDataset,
                  target_metrics: Sequence[str], n_days: int | None = None,
                  min_days: int = BACKTEST_BURN_IN_DAYS
@@ -338,21 +346,46 @@ def run_backtest(policy: PolicyCandidate, window: ExperimentDataset,
     """Replay the policy's lift day by day and check temporal persistence.
 
     Days are `window.day_codes(n_days)`. Cohort boundaries are pinned from
-    the whole window; each day and each cumulative prefix of days is a row
-    subset of it. The reference is the policy's own (search-time)
-    full-window estimate. Pass iff, from day `min_days` on, each cumulative
-    estimate stays within 2 standard errors of the reference (SE of the
-    difference) and its sign never flips against the reference. Days that
-    are empty or lack arm support are skipped with a warning code.
+    the whole window, and every daily and cumulative estimate comes from one
+    per-policy table of (day, slot, arm) cell moments
+    (`evaluate_policy_days`): a day reads its own cells, a cumulative
+    prefix pools the cells of its days. See `backtest_verdict` for the
+    pass rule. Fewer than `min_days` days raise InsufficientDataError.
     """
     day, labels = window.day_codes(n_days)
     if len(labels) < min_days:
         raise InsufficientDataError(
             f"backtest needs >= {min_days} daily slices, got {len(labels)}")
+    lo, hi = backtest_spans(len(labels))
+    return backtest_verdict(
+        policy, window, day, labels,
+        evaluate_policy_days(window, policy, day, len(labels), lo, hi),
+        target_metrics, min_days)
+
+
+def backtest_verdict(policy: PolicyCandidate, window: ExperimentDataset,
+                     day: np.ndarray, labels: Sequence[int],
+                     estimates: Sequence[PolicyCandidate | EstimationError],
+                     target_metrics: Sequence[str],
+                     min_days: int = BACKTEST_BURN_IN_DAYS
+                     ) -> tuple[BacktestSeries, HookReport]:
+    """The backtest series and report from the policy's estimates on the
+    `backtest_spans` of `window`'s days (`day`, `labels` as
+    `window.day_codes` returns them).
+
+    The reference is the policy's own (search-time) full-window estimate.
+    Pass iff, from day `min_days` on, each cumulative estimate stays within
+    2 standard errors of the reference (SE of the difference) and its sign
+    never flips against the reference. Days that are empty or lack arm
+    support are skipped with a warning code; fewer than `min_days` usable
+    days raise InsufficientDataError.
+    """
     for metric in target_metrics:
         if metric not in policy.estimates:
             raise ValueError(
                 f"policy {policy.policy_id!r} has no estimate for {metric!r}")
+    n_days = len(labels)
+    users = np.bincount(day, minlength=n_days)
 
     days: list[str] = []
     daily_series: list[dict[str, MetricEstimate]] = []
@@ -361,21 +394,18 @@ def run_backtest(policy: PolicyCandidate, window: ExperimentDataset,
     notes: list[str] = []
     for k, label in enumerate(labels):
         name = f"{window.experiment_id}#day{label}"
-        today = day == k
-        if not today.any():
+        today, prefix = estimates[k], estimates[n_days + k]
+        if not users[k]:
             codes.append(CODE_EMPTY_SLICE)
             notes.append(f"slice {name} empty, skipped")
             continue
-        try:
-            day_est = evaluate_policy_pinned(window, policy, today).estimates
-            cum_est = evaluate_policy_pinned(window, policy, day <= k).estimates
-        except EstimationError:
+        if isinstance(today, EstimationError) or isinstance(prefix, EstimationError):
             codes.append(CODE_EMPTY_SLICE)
             notes.append(f"slice {name} lacks arm support, skipped")
             continue
         days.append(name)
-        daily_series.append(day_est)
-        cumulative_series.append(cum_est)
+        daily_series.append(today.estimates)
+        cumulative_series.append(prefix.estimates)
 
     series = BacktestSeries(days=days, daily=daily_series,
                             cumulative=cumulative_series)

@@ -14,18 +14,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, EstimationError, InsufficientDataError
 from .experiment import ExperimentDataset
 from .frontier import (FrontierResult, ToleranceConfig, save_frontier,
                        save_frontier_coords, tolerance_filter)
-from .governance import (CODE_NO_QUALIFYING_POLICY, DEFAULT_THRESHOLDS,
-                         REJECT, STAGE_POST_SEARCH, SIGNIFICANCE_Z,
-                         FeatureSnapshotPair, HookReport, load_snapshots,
-                         pre_search_filter, robustness_check, run_backtest,
-                         save_reports, stability_verdicts)
+from .governance import (CODE_INSUFFICIENT_DATA, CODE_NO_QUALIFYING_POLICY,
+                         DEFAULT_THRESHOLDS, REJECT, STAGE_POST_SEARCH,
+                         STAGE_PRE_RECOMMENDATION, SIGNIFICANCE_Z,
+                         FeatureSnapshotPair, HookReport, backtest_spans,
+                         backtest_verdict, load_snapshots, pre_search_filter,
+                         robustness_check, save_reports, stability_verdicts)
 from .ingest import IngestSchema, ingest
 from .search import (FORMAT_VERSION, PolicyCandidate, collect_candidates,
-                     evaluate_policies, evaluate_policy_pinned,
+                     evaluate_policies, evaluate_policy_days,
                      enumerate_policies, sample_weights, save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import ScenarioConfig, generate_experiment, generate_snapshots
@@ -169,6 +170,13 @@ def _qualifies(policy: PolicyCandidate, primary: str, sign: float,
     return True
 
 
+def _insufficient_data(policy: PolicyCandidate, stage: str,
+                       narrative: str) -> HookReport:
+    return HookReport(stage=stage, verdict=REJECT,
+                      reason_codes=[CODE_INSUFFICIENT_DATA],
+                      entities=[policy.policy_id], narrative=narrative)
+
+
 def govern_pipeline(config: RunConfig) -> PipelineResult:
     """Run the full governed search and return the hook-report trail plus
     either a recommended policy or a terminal rejection.
@@ -177,9 +185,12 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
     the tolerance filter and the hooks over the remaining evaluated
     policies, up to `max_refinements` extra iterations; a rejection nothing
     can be removed for (empty search space, no qualifying policy) is
-    terminal. Everything before Top-K is independent of the removed
-    policies and runs once; its pre-search report opens every iteration's
-    trail.
+    terminal. A candidate whose robustness slices or backtest days lack the
+    data to judge it (an unsupported slice, too few usable days) is
+    rejected with INSUFFICIENT_DATA. A candidate's robustness slices and
+    backtest come from one table of its (day, slot, arm) moments.
+    Everything before Top-K is independent of the removed policies and runs
+    once; its pre-search report opens every iteration's trail.
     """
     ds, snapshots = _load_inputs(config)
     primary = config.primary_metric or ds.metrics[0]
@@ -206,6 +217,14 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
     directions = {m: ("minimize" if m in config.minimize_metrics else "maximize")
                   for m in ds.metrics}
     tolerance = ToleranceConfig(tau=config.tau, directions=directions)
+    # Each candidate is validated on these day ranges: the robustness
+    # slices, then the backtest's days and cumulative prefixes.
+    day, day_labels = ds.day_codes(config.backtest_days)
+    slice_bounds = np.linspace(0, len(day_labels),
+                               config.robustness_slices + 1).astype(int)
+    backtest_lo, backtest_hi = backtest_spans(len(day_labels))
+    span_lo = np.concatenate([slice_bounds[:-1], backtest_lo])
+    span_hi = np.concatenate([slice_bounds[1:], backtest_hi])
 
     reports: list[HookReport] = []
     excluded_policies: set[str] = set()
@@ -236,22 +255,33 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
         candidate = max(qualifying,
                         key=lambda p: (sign * p.estimates[primary].mean, p.policy_id))
 
-        day, day_labels = ds.day_codes(config.backtest_days)
-        slice_bounds = np.linspace(0, len(day_labels),
-                                   config.robustness_slices + 1).astype(int)
-        slice_estimates = [
-            evaluate_policy_pinned(ds, candidate,
-                                   (day >= lo) & (day < hi)).estimates
-            for lo, hi in zip(slice_bounds[:-1], slice_bounds[1:])]
-        robustness_report = robustness_check(candidate, slice_estimates,
-                                             target_metrics=[primary])
+        spans = evaluate_policy_days(ds, candidate, day, len(day_labels),
+                                     span_lo, span_hi)
+        slices = spans[:config.robustness_slices]
+        shortfall = next((s for s in slices if isinstance(s, EstimationError)),
+                         None)
+        if shortfall is not None:
+            reports.append(_insufficient_data(candidate, STAGE_POST_SEARCH,
+                                              f"robustness slice: {shortfall}"))
+            excluded_policies.add(candidate.policy_id)
+            continue
+        robustness_report = robustness_check(
+            candidate, [s.estimates for s in slices], target_metrics=[primary])
         reports.append(robustness_report)
         if robustness_report.rejected:
             excluded_policies.add(candidate.policy_id)
             continue
 
-        series, backtest_report = run_backtest(
-            candidate, ds, target_metrics=[primary], n_days=config.backtest_days)
+        try:
+            series, backtest_report = backtest_verdict(
+                candidate, ds, day, day_labels,
+                spans[config.robustness_slices:], target_metrics=[primary])
+        except InsufficientDataError as exc:
+            reports.append(_insufficient_data(
+                candidate, STAGE_PRE_RECOMMENDATION,
+                f"policy {candidate.policy_id!r}: {exc}"))
+            excluded_policies.add(candidate.policy_id)
+            continue
         reports.append(backtest_report)
         if backtest_report.rejected:
             excluded_policies.add(candidate.policy_id)

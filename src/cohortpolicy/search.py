@@ -19,7 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, EstimationError
-from .experiment import ExperimentDataset, MetricEstimate, SlotEffects, slot_effects
+from .experiment import (ExperimentDataset, MetricEstimate, SlotEffects,
+                         cell_moments, effects_from_moments, pool_moments,
+                         slot_effects)
 from .segmentation import CutSpec, cut_slot_codes
 
 FORMAT_VERSION = 1
@@ -157,7 +159,9 @@ def _compose(ds: ExperimentDataset, effects: SlotEffects,
     A policy's lift is the size-weighted sum, in slot order, of the effects
     of its treated, non-empty slots; its variance is the sum of the squared
     size-weighted standard errors. The P x S matrix of arm codes is composed
-    one slot at a time across all P policies.
+    one slot at a time across all P policies. Effects with leading axes
+    (one table per range of days) compose every table at once; the result
+    lists each table's P policies in turn.
     """
     arm_of = {action: k for k, action in enumerate(ds.actions)}
     try:
@@ -166,33 +170,35 @@ def _compose(ds: ExperimentDataset, effects: SlotEffects,
     except KeyError as exc:
         raise ValueError(f"unknown action {exc.args[0]!r}") from None
     control = arm_of[ds.control_action]
-    sizes = effects.counts.sum(axis=1)
-    weights = sizes / max(int(sizes.sum()), 1)
-    terms = weights[:, None, None] * effects.mean
-    weighted = weights[:, None, None] * effects.std_err
+    sizes = effects.counts.sum(axis=-1)
+    weights = sizes / np.maximum(sizes.sum(axis=-1, keepdims=True), 1)
+    terms = weights[..., None, None] * effects.mean
+    weighted = weights[..., None, None] * effects.std_err
     # Squared with libm pow (Python's float `**`), not numpy's x * x, which
     # rounds differently on about 0.1% of inputs: written std_err columns
     # stay byte-identical to those of earlier versions.
     squares = np.array([x ** 2 for x in weighted.ravel().tolist()]
                        ).reshape(weighted.shape)
-    # The control arm's column holds zero effect and zero error, and sums
-    # run in slot order.
-    mean = np.zeros((len(policies), len(ds.metrics)))
+    # The control arm's column and every empty slot hold zero effect and
+    # zero error, and sums run in slot order.
+    mean = np.zeros((*sizes.shape[:-1], len(policies), len(ds.metrics)))
     var = np.zeros_like(mean)
-    for slot in np.flatnonzero(sizes):
-        mean += terms[slot, arms[:, slot]]
-        var += squares[slot, arms[:, slot]]
+    for slot in range(arms.shape[1]):
+        mean += terms[..., slot, arms[:, slot], :]
+        var += squares[..., slot, arms[:, slot], :]
     slots = np.arange(arms.shape[1])
     treated = arms != control
-    n_treated = (effects.counts[slots, arms] * treated).sum(axis=1)
-    n_control = (effects.counts[slots, control] * treated).sum(axis=1)
-    lacking = ~effects.supported[slots, arms] & (sizes > 0)
-    unsupported = np.where(lacking.any(axis=1), lacking.argmax(axis=1), -1)
+    n_treated = (effects.counts[..., slots, arms] * treated).sum(axis=-1)
+    n_control = (effects.counts[..., None, :, control] * treated).sum(axis=-1)
+    lacking = ~effects.supported[..., slots, arms] & (sizes[..., None, :] > 0)
+    unsupported = np.where(lacking.any(axis=-1), lacking.argmax(axis=-1), -1)
 
     out: list[PolicyCandidate | EstimationError] = []
     for policy, means, errors, n_t, n_c, slot in zip(
-            policies, mean.tolist(), np.sqrt(var).tolist(), n_treated.tolist(),
-            n_control.tolist(), unsupported.tolist()):
+            itertools.cycle(policies), mean.reshape(-1, len(ds.metrics)).tolist(),
+            np.sqrt(var).reshape(-1, len(ds.metrics)).tolist(),
+            n_treated.ravel().tolist(), n_control.ravel().tolist(),
+            unsupported.ravel().tolist()):
         if slot >= 0:
             out.append(EstimationError(
                 f"policy {policy.policy_id!r} slot {slot}: no treated/control "
@@ -256,6 +262,28 @@ def evaluate_policy_pinned(ds: ExperimentDataset, policy: PolicyCandidate,
     return result
 
 
+def evaluate_policy_days(ds: ExperimentDataset, policy: PolicyCandidate,
+                         day: np.ndarray, n_days: int, lo: np.ndarray,
+                         hi: np.ndarray) -> list[PolicyCandidate | EstimationError]:
+    """This policy on the users of each day range [lo[i], hi[i]), with
+    cohort bounds fixed from all of `ds`; `day` holds every user's day code
+    in range(n_days).
+
+    One moment pass over (day, slot, arm) cells serves every range, and
+    every range is composed at once. A one-day range reads that day's cells
+    and equals `evaluate_policy_pinned` on the day's rows exactly; a longer
+    range pools its days' moments (`pool_moments`) and agrees with it to
+    rounding. A range without arm support yields the EstimationError that
+    `evaluate_policy_pinned` would raise.
+    """
+    n_slots = policy.cut.slot_count if policy.cut is not None else 1
+    codes = day * n_slots + cut_slot_codes(ds, policy.cut)
+    moments = cell_moments(ds, codes, (n_days, n_slots))
+    effects = effects_from_moments(pool_moments(moments, lo, hi),
+                                   ds.actions.index(ds.control_action))
+    return _compose(ds, effects, [policy])
+
+
 # -- random-weight search ------------------------------------------------------
 
 
@@ -304,6 +332,12 @@ def scalarized_score(policy: PolicyCandidate, weights: WeightVector,
     return total
 
 
+# Weights are scored this many at a time. A governed run can reach its
+# peak RSS in Top-K, where every (weights x policies) temporary adds to it;
+# blocks this small keep each one to tens of kilobytes.
+_WEIGHT_BLOCK = 16
+
+
 def collect_candidates(policies: Sequence[PolicyCandidate],
                        weights: Sequence[WeightVector], top_k: int,
                        metrics: Sequence[str] | None = None,
@@ -311,16 +345,24 @@ def collect_candidates(policies: Sequence[PolicyCandidate],
     """Union of Top-K policies per weight vector (Step 1 of frontier search).
 
     Scores are weighted sums of means oriented so that higher is better:
-    the means of metrics in `minimize` enter negated. Ties in score break
-    by ascending policy_id, so the result is independent of input ordering
-    and scheduling. Provenance records every (weight index, 1-based rank)
-    that admitted each policy.
+    the means of metrics in `minimize`, each of which must be one of the
+    metrics, enter negated. Ties in score break by ascending policy_id, so
+    the result is independent of input ordering and scheduling. Provenance
+    records every (weight index, 1-based rank) that admitted each policy.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     if not policies:
         raise ValueError("no policies to search")
     metric_order = tuple(metrics) if metrics is not None else tuple(policies[0].estimates)
+    for metric in minimize:
+        if metric not in metric_order:
+            raise ValueError(f"metric {metric!r} to minimize is not one of "
+                             f"the metrics {list(metric_order)}")
+    for w in weights:
+        if len(w.weights) != len(metric_order):
+            raise ValueError(f"weight vector has {len(w.weights)} entries for "
+                             f"{len(metric_order)} metrics")
     try:
         mu = np.array([[p.estimates[m].mean for m in metric_order] for p in policies])
     except KeyError as exc:
@@ -328,16 +370,30 @@ def collect_candidates(policies: Sequence[PolicyCandidate],
                          f"{exc.args[0]!r}") from exc
     mu[:, [metric in minimize for metric in metric_order]] *= -1.0
     ids = [p.policy_id for p in policies]
-    id_order = np.argsort(np.array(ids, dtype=object), kind="stable")
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[np.argsort(np.array(ids, dtype=object), kind="stable")] = np.arange(len(ids))
+    w_matrix = np.array([w.weights for w in weights],
+                        dtype=float).reshape(len(weights), len(metric_order))
+    k = min(top_k, len(ids))
 
     provenance: dict[str, list[tuple[int, int]]] = {}
-    for w_idx, w in enumerate(weights):
-        scores = mu @ np.asarray(w.weights)
-        # Sort by id first, then stably by descending score: equal scores
-        # keep ascending-id order.
-        ranked = id_order[np.argsort(-scores[id_order], kind="stable")]
-        for rank, row in enumerate(ranked[:top_k], start=1):
-            provenance.setdefault(ids[row], []).append((w_idx, rank))
+    for start in range(0, len(w_matrix), _WEIGHT_BLOCK):
+        # A stack of matrix-vector products rounds every score as `mu @ w`
+        # does for one weight; a matrix product rounds some differently.
+        block = w_matrix[start:start + _WEIGHT_BLOCK]
+        scores = np.matmul(mu, block[:, :, None])[..., 0]
+        # Every score at least each weight's k-th largest survives, ties
+        # included; one sort orders them by weight, descending score and
+        # ascending id.
+        kth = np.partition(scores, -k, axis=1)[:, -k]
+        weight, row = np.nonzero(scores >= kth[:, None])
+        order = np.lexsort((id_rank[row], -scores[weight, row], weight))
+        weight, row = weight[order], row[order]
+        rank = np.arange(weight.size) - np.searchsorted(weight, weight)
+        keep = rank < k
+        for w_idx, r, rank_ in zip((weight[keep] + start).tolist(),
+                                   row[keep].tolist(), (rank[keep] + 1).tolist()):
+            provenance.setdefault(ids[r], []).append((w_idx, rank_))
     return CandidateSet(policy_ids=sorted(provenance), provenance=provenance)
 
 

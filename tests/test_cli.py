@@ -222,6 +222,37 @@ def test_search_minimize_ranks_lower_mean_first(tmp_path):
     assert means[top[True][0]] < means[top[False][0]]
 
 
+def test_minimize_unknown_metric_fails(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(
+        json.loads(conflict_run_config(tmp_path).read_text())["scenario"]))
+    search_out = tmp_path / "search"
+    assert main(["search", "--scenario", str(scenario), "--weights", "3",
+                 "--out", str(search_out), "--minimize", "m9"]) == 1
+    assert "'m9'" in capsys.readouterr().err
+    assert main(["search", "--scenario", str(scenario), "--weights", "3",
+                 "--out", str(search_out)]) == 0
+    assert main(["filter", "--policy-table", str(search_out / "policy_table.csv"),
+                 "--minimize", "m9", "--out", str(tmp_path / "filter")]) == 1
+    assert "'m9'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 39])
+def test_small_pipeline_run_writes_verdict(tmp_path, seed):
+    # Seed 0's first candidate has too few usable backtest days, seed 39's
+    # lacks arm support in a robustness slice: both are rejected and the
+    # run goes on to a verdict.
+    scenario = json.loads(conflict_run_config(tmp_path).read_text())["scenario"]
+    scenario.update(seed=seed, n_users=300,
+                    planted_effects=scenario["planted_effects"][:1])
+    config = tmp_path / "small_run.json"
+    config.write_text(json.dumps({"seed": seed, "scenario": scenario}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) in (0, 2)
+    assert (out / "manifest.json").exists()
+    assert "INSUFFICIENT_DATA" in (out / "hook_reports.jsonl").read_text()
+
+
 def test_eval_oracle_row_all_ones(tmp_path, capsys):
     bundle = build_benchmark(BenchmarkConfig(seed=8, n_experiments=2,
                                              n_users=250, policy_budget=16))

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import pytest
 
 from cohortpolicy.errors import ConfigError
-from cohortpolicy.governance import SIGNIFICANCE_Z
+from cohortpolicy.governance import CODE_INSUFFICIENT_DATA, SIGNIFICANCE_Z
 from cohortpolicy.pipeline import (RunConfig, govern_pipeline,
                                    write_run_artifacts)
 from cohortpolicy.search import evaluate_policies, global_policies
@@ -161,6 +161,31 @@ def test_in_window_decay_exhausts_refinements(tmp_path):
     assert len(policy_rejects) >= 2
     rejected_ids = {e for r in policy_rejects for e in r.entities}
     assert len(rejected_ids) == 2  # a different policy each iteration
+
+
+def one_effect_scenario(seed, n_users=300):
+    # The conflict scenario with only its m1 effect planted.
+    return replace(conflict_scenario(seed=seed, n_users=n_users),
+                   planted_effects=(PlantedEffect("f1", 0.5, 1.0, "a1", "m1", 2.0),))
+
+
+def test_small_runs_end_in_a_verdict():
+    # At 300 users a candidate can lack arm support in a robustness slice or
+    # in too many backtest days; that rejects the candidate, not the run.
+    shortfalls = 0
+    for seed in range(40):
+        result = govern_pipeline(RunConfig(scenario=one_effect_scenario(seed),
+                                           seed=seed))
+        assert result.status in ("recommended", "rejected")
+        for report in result.reports:
+            if CODE_INSUFFICIENT_DATA in report.reason_codes:
+                shortfalls += 1
+                assert report.rejected and report.reason_codes == [CODE_INSUFFICIENT_DATA]
+                [policy_id] = report.entities
+                assert policy_id in report.narrative
+                assert (result.recommendation is None
+                        or result.recommendation.policy_id != policy_id)
+    assert shortfalls > 0
 
 
 def test_rejected_entities_absent_from_recommendation():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from cohortpolicy.experiment import ExperimentDataset, compute_ate
 from cohortpolicy.search import (PolicyCandidate, WeightVector,
                                  collect_candidates, enumerate_policies,
                                  evaluate_policies, evaluate_policy,
-                                 evaluate_policy_pinned, global_policies,
+                                 evaluate_policy_days, evaluate_policy_pinned,
+                                 global_policies,
                                  load_policy_table, make_policy_id,
                                  sample_weights, save_policy_table,
                                  scalarized_score)
@@ -307,6 +309,57 @@ def test_estimators_match_per_user_loop(case):
             _assert_matches(evaluate_policy_pinned(ds, policy, rows), pinned)
 
 
+@st.composite
+def day_ranges(draw):
+    ds, cut, _ = draw(small_experiments())
+    n_days = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        # Day labels with gaps; `day_codes` numbers the labels in use.
+        labels = draw(st.lists(st.integers(0, 2 * n_days), min_size=ds.n_users,
+                               max_size=ds.n_users))
+        ds = replace(ds, days=np.array(labels))
+    # Without labels, `n_days` chunks of users: more days than users leaves
+    # some empty.
+    day, labels = ds.day_codes(n_days)
+    n_days = len(labels)
+    k = np.arange(n_days)
+    extra = draw(st.lists(st.tuples(st.integers(0, n_days), st.integers(0, n_days)),
+                          max_size=4))
+    lo = np.array([*k, *np.zeros_like(k), *(min(a, b) for a, b in extra)], dtype=int)
+    hi = np.array([*(k + 1), *(k + 1), *(max(a, b) for a, b in extra)], dtype=int)
+    return ds, cut, day, n_days, lo, hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(day_ranges())
+def test_day_ranges_match_pinned_evaluation(case):
+    ds, cut, day, n_days, lo, hi = case
+    # Pooled ranges agree to rounding, relative to the estimate's size or to
+    # the outcome scale where the estimate is about zero.
+    scale = max(float(np.abs(ds.outcome_matrix).max(initial=0.0)), 1e-300)
+    for policy in enumerate_policies(ds, [cut] if cut is not None else [], budget=12):
+        got = evaluate_policy_days(ds, policy, day, n_days, lo, hi)
+        assert len(got) == len(lo)
+        for result, a, b in zip(got, lo.tolist(), hi.tolist()):
+            try:
+                want = evaluate_policy_pinned(ds, policy, (day >= a) & (day < b))
+            except EstimationError as exc:
+                assert isinstance(result, EstimationError)
+                assert str(result) == str(exc)
+                continue
+            assert isinstance(result, PolicyCandidate)
+            if b - a == 1:
+                assert result.estimates == want.estimates
+                continue
+            for metric, est in want.estimates.items():
+                other = result.estimates[metric]
+                assert (other.n_treated, other.n_control) == (est.n_treated,
+                                                              est.n_control)
+                tol = 1e-12 * max(abs(est.mean), est.std_err, scale)
+                assert abs(other.mean - est.mean) <= tol
+                assert abs(other.std_err - est.std_err) <= tol
+
+
 # -- weights -----------------------------------------------------------------------
 
 
@@ -442,6 +495,70 @@ def test_rank_one_policies_weakly_pareto_optimal():
     rank_one = {pid for pid, pairs in result.provenance.items()
                 if any(rank == 1 for _, rank in pairs)}
     assert rank_one <= pareto
+
+
+def test_unknown_minimized_metric_rejected():
+    policies = [make_policy("a", [1.0, 0.0])]
+    with pytest.raises(ValueError, match="'m9'"):
+        collect_candidates(policies, [WeightVector((0.5, 0.5))], top_k=1,
+                           minimize=("m9",))
+
+
+def per_weight_candidates(policies, weights, top_k, metrics, minimize):
+    """Top-K one weight at a time, as collect_candidates once did: sort by
+    id, then stably by descending score."""
+    mu = np.array([[p.estimates[m].mean for m in metrics] for p in policies])
+    mu[:, [metric in minimize for metric in metrics]] *= -1.0
+    ids = [p.policy_id for p in policies]
+    id_order = np.argsort(np.array(ids, dtype=object), kind="stable")
+    provenance = {}
+    for w_idx, w in enumerate(weights):
+        scores = mu @ np.asarray(w.weights)
+        ranked = id_order[np.argsort(-scores[id_order], kind="stable")]
+        for rank, row in enumerate(ranked[:top_k], start=1):
+            provenance.setdefault(ids[row], []).append((w_idx, rank))
+    return sorted(provenance), provenance
+
+
+@st.composite
+def top_k_cases(draw):
+    n_metrics = draw(st.integers(1, 3))
+    metrics = tuple(f"m{i + 1}" for i in range(n_metrics))
+    # Integer means tie often, and -0.0 sits beside 0.0.
+    value = st.one_of(st.integers(-2, 2).map(float), st.just(-0.0),
+                      st.floats(-5, 5, allow_nan=False))
+    ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), min_size=1,
+                        max_size=20, unique=True))
+    policies = [make_policy(pid, draw(st.lists(value, min_size=n_metrics,
+                                               max_size=n_metrics)))
+                for pid in ids]
+    # Up to 40 weights: blocks of 16 leave a partial last block.
+    n_weights = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        weights = sample_weights(n_metrics, n_weights, draw(st.integers(0, 999)))
+    else:
+        # Weights on a grid tie distinct integer policies exactly.
+        grid = st.lists(st.integers(0, 3), min_size=n_metrics,
+                        max_size=n_metrics).filter(any)
+        weights = [WeightVector(tuple(x / sum(row) for x in row))
+                   for row in draw(st.lists(grid, min_size=n_weights,
+                                            max_size=n_weights))]
+    top_k = draw(st.integers(1, len(ids) + 2))
+    minimize = tuple(draw(st.lists(st.sampled_from(metrics), unique=True)))
+    return policies, weights, top_k, metrics, minimize
+
+
+@settings(max_examples=300, deadline=None)
+@given(top_k_cases())
+def test_collect_candidates_matches_per_weight_loop(case):
+    policies, weights, top_k, metrics, minimize = case
+    got = collect_candidates(policies, weights, top_k, metrics=metrics,
+                             minimize=minimize)
+    ids, provenance = per_weight_candidates(policies, weights, top_k, metrics,
+                                            minimize)
+    assert got.policy_ids == ids
+    assert got.provenance == provenance
+    assert list(got.provenance) == list(provenance)
 
 
 # -- table persistence ----------------------------------------------------------------
