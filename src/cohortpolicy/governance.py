@@ -11,10 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -23,6 +21,7 @@ import numpy as np
 from .errors import (ConfigError, EstimationError, InsufficientDataError,
                      IntegrityError, RowIngestError)
 from .experiment import ExperimentDataset, MetricEstimate
+from .ingest import csv_blocks, csv_rows
 from .search import FORMAT_VERSION, PolicyCandidate, evaluate_policy_days
 from .segmentation import interior_cutpoints, slot_codes
 
@@ -57,6 +56,7 @@ SIGNIFICANCE_Z = 1.96
 SIGN_CONSISTENCY_SHARE = 2.0 / 3.0
 BACKTEST_ENVELOPE_Z = 2.0
 BACKTEST_BURN_IN_DAYS = 7
+MIN_ROBUSTNESS_SLICES = 3
 
 
 @dataclass(eq=False)
@@ -267,7 +267,7 @@ def _pooled(series: Sequence[MetricEstimate]) -> MetricEstimate:
 def robustness_check(policy: PolicyCandidate,
                      slices: Sequence[Mapping[str, MetricEstimate]],
                      target_metrics: Sequence[str],
-                     min_slices: int = 3) -> HookReport:
+                     min_slices: int = MIN_ROBUSTNESS_SLICES) -> HookReport:
     """Temporal-slice robustness for the metrics the policy is meant to move.
 
     Pass iff, per target metric, the slice-level lift keeps the pooled sign
@@ -457,75 +457,76 @@ SNAPSHOT_COLUMNS = ("user_id", "feature_id", "value", "snapshot")
 SNAPSHOT_LABELS = ("t0", "t1")
 
 
-def _bad_snapshot_row(row_idx: int, row: list[str], pick: itemgetter,
-                      n_columns: int) -> RowIngestError:
-    # Says which check a snapshot data row failed.
-    try:
-        _, _, raw, label = pick(row)
-    except IndexError:
-        return RowIngestError(row_idx, f"expected {n_columns} fields, "
-                                       f"got {len(row)}")
-    try:
-        float(raw)
-    except ValueError:
-        return RowIngestError(row_idx, f"non-numeric value {raw!r}")
-    return RowIngestError(row_idx, f"snapshot label {label!r} is not one of "
-                                   f"{SNAPSHOT_LABELS}")
+def _raise_first_bad_row(path: str | Path) -> None:
+    # Names the first data row that is short, holds a non-numeric value or
+    # holds a label other than t0/t1, checked in that order.
+    for row, (_, _, raw, label), short in csv_rows(path, SNAPSHOT_COLUMNS):
+        if short is not None:
+            raise short
+        try:
+            float(raw)
+        except ValueError:
+            raise RowIngestError(row, f"non-numeric value {raw!r}") from None
+        if label not in SNAPSHOT_LABELS:
+            raise RowIngestError(row, f"snapshot label {label!r} is not one "
+                                      f"of {SNAPSHOT_LABELS}")
+
+
+def _snapshot_columns(path: str | Path
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    # Per data row: user id, group (2 * feature code + snapshot code) and
+    # value, with feature names in order of first appearance. Raises
+    # ValueError on a short row, an unparsable value or a bad label.
+    feature_codes: dict[str, int] = {}
+    users, groups, values = ([np.empty(0, dtype=str)], [np.empty(0, dtype=np.int64)],
+                             [np.empty(0)])
+    for block in csv_blocks(path, SNAPSHOT_COLUMNS):
+        user, feature, raw, label = block.T
+        is_t1 = label == "t1"
+        if not (is_t1 | (label == "t0")).all():
+            raise ValueError("snapshot label is not one of t0, t1")
+        values.append(raw.astype(float))  # float() per cell
+        users.append(user.astype(str))
+        names, first, inverse = np.unique(feature.astype(str), return_index=True,
+                                          return_inverse=True)
+        for name in names[np.argsort(first)].tolist():
+            feature_codes.setdefault(name, len(feature_codes))
+        codes = np.array([feature_codes[name] for name in names.tolist()])
+        groups.append(2 * codes[inverse] + is_t1)
+    return (np.concatenate(users), np.concatenate(groups),
+            np.concatenate(values), list(feature_codes))
 
 
 def load_snapshots(path: str | Path) -> dict[str, FeatureSnapshotPair]:
     """Read snapshot CSV rows (user_id, feature_id, value, snapshot in {t0,t1})
     into per-feature snapshot pairs, in order of first appearance.
 
-    Each pair keeps the users present in both snapshots of its feature;
-    users present in only one are dropped. A label other than t0/t1, a
-    non-numeric or non-finite value or a short row raises RowIngestError
-    with the 1-based data row; a repeated (user, feature, snapshot) raises
-    IntegrityError.
+    The file streams through `ingest.csv_blocks`, so it follows that
+    reader's dialect; values parse with Python's float(). Each pair keeps
+    the users present in both snapshots of its feature; users present in
+    only one are dropped. A header without one of the four columns raises
+    SchemaError. A short row, a non-numeric value or a label other than
+    t0/t1 raises RowIngestError with the first such 1-based data row; then
+    a non-finite value does the same; a repeated (user, feature, snapshot)
+    raises IntegrityError.
     """
-    label_codes = {label: k for k, label in enumerate(SNAPSHOT_LABELS)}
-    user_codes: dict[str, int] = {}
-    feature_codes: dict[str, int] = {}
-    # Per row: user code, group (2 * feature code + snapshot code), value.
-    users, groups, values = array("q"), array("q"), array("d")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(ln for ln in fh if not ln.startswith("#"))
-        header = next(reader, [])
-        for column in SNAPSHOT_COLUMNS:
-            if column not in header:
-                raise ValueError(f"snapshot file is missing column {column!r}")
-        pick = itemgetter(*(header.index(column) for column in SNAPSHOT_COLUMNS))
-        last_feature, offset = None, 0
-        for row in filter(None, reader):
-            try:
-                user, feature, raw, label = pick(row)
-                value = float(raw)
-                snapshot = label_codes[label]
-            except (IndexError, ValueError, KeyError):
-                raise _bad_snapshot_row(len(values) + 1, row, pick,
-                                        len(header)) from None
-            if feature != last_feature:
-                offset = 2 * feature_codes.setdefault(feature, len(feature_codes))
-                last_feature = feature
-            groups.append(offset + snapshot)
-            values.append(value)
-            users.append(user_codes.setdefault(user, len(user_codes)))
-    if not values:
+    try:
+        users, groups, values, features = _snapshot_columns(path)
+    except ValueError as exc:
+        _raise_first_bad_row(path)
+        raise IntegrityError(f"{path}: a block failed to parse ({exc}) but "
+                             f"no row did") from exc
+    if not values.size:
         return {}
-    non_finite = np.flatnonzero(~np.isfinite(np.frombuffer(values, dtype=float)))
+    non_finite = np.flatnonzero(~np.isfinite(values))
     if non_finite.size:
         row = int(non_finite[0])
-        raise RowIngestError(row + 1, f"non-finite value {values[row]}")
+        raise RowIngestError(row + 1, f"non-finite value {float(values[row])}")
 
-    ids = np.array(list(user_codes), dtype=str)
-    by_id = np.argsort(ids, kind="stable")
-    rank = np.empty(ids.size, dtype=np.int64)
-    rank[by_id] = np.arange(ids.size)
-    ids = ids[by_id]
+    ids, rank = np.unique(users, return_inverse=True)
     # Sorting on (group, user rank) puts each group's rows together in
     # user-id order, with repeats adjacent.
-    key = np.frombuffer(groups, dtype=np.int64) * ids.size \
-        + rank[np.frombuffer(users, dtype=np.int64)]
+    key = groups * ids.size + rank
     order = np.argsort(key)
     key = key[order]
     repeated = np.flatnonzero(key[1:] == key[:-1])
@@ -534,12 +535,12 @@ def load_snapshots(path: str | Path) -> dict[str, FeatureSnapshotPair]:
         raise IntegrityError(
             f"user {str(ids[user])!r} has more than one "
             f"{SNAPSHOT_LABELS[group % 2]} value for feature "
-            f"{list(feature_codes)[group // 2]!r}")
+            f"{features[group // 2]!r}")
     group, user_rank = np.divmod(key, ids.size)
-    value = np.frombuffer(values, dtype=float)[order]
-    bounds = np.searchsorted(group, np.arange(2 * len(feature_codes) + 1))
+    value = values[order]
+    bounds = np.searchsorted(group, np.arange(2 * len(features) + 1))
     pairs: dict[str, FeatureSnapshotPair] = {}
-    for code, feature in enumerate(feature_codes):
+    for code, feature in enumerate(features):
         t0 = slice(bounds[2 * code], bounds[2 * code + 1])
         t1 = slice(bounds[2 * code + 1], bounds[2 * code + 2])
         common, i0, i1 = np.intersect1d(user_rank[t0], user_rank[t1],

@@ -3,17 +3,25 @@
 The schema is a JSON document naming the arm column, feature columns, and
 metric columns. Missing values are rejected, not imputed: segmentation
 needs totally ordered feature values.
+
+`csv_blocks` is the package's one CSV reader: `ingest` and
+`governance.load_snapshots` stream their files through it in fixed-size
+blocks of columns, and `csv_rows` re-reads a file row by row only to name
+the first bad row.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import IntegrityError, RowIngestError, SchemaError
 from .experiment import ABSOLUTE, LIFT_UNITS, ExperimentDataset, MetricEstimate
@@ -74,96 +82,232 @@ def _parse_number(raw, column: str, row_idx: int) -> float:
     return value
 
 
-def _iter_rows(path: Path):
-    if path.suffix.lower() == ".csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
-            header = reader.fieldnames or []
-            yield header, None
-            for row in reader:
-                yield None, row
-    elif path.suffix.lower() in (".jsonl", ".ndjson", ".json"):
-        with open(path, encoding="utf-8") as fh:
-            first = True
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                if first:
-                    yield list(row.keys()), None
-                    first = False
-                yield None, row
-            if first:
-                yield [], None
-    else:
-        raise SchemaError(f"unsupported input format {path.suffix!r}")
+# -- the CSV reader ----------------------------------------------------------
+
+# Data rows parsed per block. Cells are Python str objects until a loader
+# turns the block into columns, so the block size bounds the reader's
+# transient memory: governing a 14 000-user file with its 56 000-row
+# snapshot file peaks at 49 MB of RSS with blocks of 1024 rows and at
+# 53 MB with blocks of 8192.
+_BLOCK_ROWS = 1024
+
+
+def _records(lines: Iterator[str], max_rows: int,
+             usecols: list[int] | None = None) -> np.ndarray:
+    # One (rows, fields) object array of str. loadtxt stops exactly after
+    # its last row, so the next call on `lines` resumes there. Blank lines
+    # are skipped and not counted as rows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data left
+        return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
+                          dtype=object, usecols=usecols, max_rows=max_rows,
+                          ndmin=2)
+
+
+def _open_csv(fh, columns: Sequence[str]) -> tuple[Iterator[str], int, list[int]]:
+    # Returns the data lines after the header, the header's width and each
+    # requested column's position in it.
+    lines = (line for line in fh if not line.startswith("#"))
+    first = next(lines, "")
+    lines = chain([first], lines)
+    # A blank first line is an empty header; loadtxt would skip it.
+    header = [] if first.strip("\r\n") == "" else _records(lines, 1)[0].tolist()
+    for column in columns:
+        if column not in header:
+            raise SchemaError(f"input is missing declared column {column!r}")
+    return lines, len(header), [header.index(column) for column in columns]
+
+
+def csv_blocks(path: str | Path, columns: Sequence[str]) -> Iterator[np.ndarray]:
+    """Stream a headered CSV file as blocks of at most `_BLOCK_ROWS` data rows.
+
+    Each block is a (rows, len(columns)) object array of str holding the
+    requested columns, in the order given. The dialect: a physical line
+    that starts with `#` is a comment and is dropped, blank lines are
+    skipped, fields are comma-separated with standard double-quote quoting
+    (quoted commas, newlines and doubled quotes), and fields beyond the
+    requested columns are ignored. A header that lacks a requested column
+    raises SchemaError. A row too short to hold every requested column
+    raises ValueError here; `csv_rows` names it.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines, _, positions = _open_csv(fh, columns)
+        while len(block := _records(lines, _BLOCK_ROWS, positions)):
+            yield block
+
+
+def csv_rows(path: str | Path, columns: Sequence[str]
+             ) -> Iterator[tuple[int, list, RowIngestError | None]]:
+    """The rows of `csv_blocks`, one at a time, for finding a bad row.
+
+    Yields (row, cells, short) per data row: the 1-based data row number,
+    the requested cells (None where the row is too short) and, for a short
+    row, the RowIngestError that names it (else None). Loaders read this
+    only after `csv_blocks` failed, to raise the first bad row's error.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines, width, positions = _open_csv(fh, columns)
+        row = 0
+        while len(record := _records(lines, 1)):
+            row += 1
+            fields = record[0]
+            cells = [fields[p] if p < len(fields) else None for p in positions]
+            short = None
+            if max(positions) >= len(fields):
+                short = RowIngestError(row, f"expected {width} fields, "
+                                            f"got {len(fields)}")
+            yield row, cells, short
+
+
+_ABSENT = object()  # a JSONL row's missing key
+
+
+def _jsonl_rows(path: Path, columns: Sequence[str]
+                ) -> Iterator[tuple[int, list, None]]:
+    # The JSONL counterpart of csv_rows: a missing key gives _ABSENT.
+    with open(path, encoding="utf-8") as fh:
+        rows = (json.loads(line) for line in fh if line.strip())
+        first = next(rows, None)
+        header = [] if first is None else list(first.keys())
+        for column in columns:
+            if column not in header:
+                raise SchemaError(f"input is missing declared column {column!r}")
+        for row_idx, row in enumerate(chain([first], rows), 1):
+            yield row_idx, [row[c] if c in row else _ABSENT for c in columns], None
+
+
+def _jsonl_blocks(path: Path, columns: Sequence[str]) -> Iterator[np.ndarray]:
+    # JSONL rows as csv_blocks' object arrays, so one validator reads both.
+    # The user and arm cells become str() of their JSON values.
+    rows = _jsonl_rows(path, columns)
+    while chunk := [cells for _, cells, _ in islice(rows, _BLOCK_ROWS)]:
+        if any(cell is _ABSENT for cells in chunk for cell in cells):
+            raise ValueError("a JSONL row lacks a column")
+        block = np.empty((len(chunk), len(columns)), dtype=object)
+        for j in range(len(columns)):
+            column = (cells[j] for cells in chunk)
+            block[:, j] = np.fromiter(column if j >= 2 else map(str, column),
+                                      dtype=object, count=len(chunk))
+        yield block
+
+
+# Day labels are stored as int64; these floats bound the labels that fit.
+_DAY_RANGE = (-2.0 ** 63, 2.0 ** 63)
+
+
+def _ingest_columns(blocks: Iterator[np.ndarray], n_numbers: int, has_day: bool
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Ids, arms and the (numbers, users) float matrix in file order. Raises
+    # ValueError (TypeError or OverflowError for some JSON values) on a bad
+    # cell or short row; the row-by-row scan then names it. A repeated user
+    # is left to ExperimentDataset, which sorts the ids anyway.
+    ids, arms = [np.empty(0, dtype=str)], [np.empty(0, dtype=str)]
+    numbers = [np.empty((n_numbers, 0))]
+    for block in blocks:
+        ids.append(block[:, 0].astype(str))
+        arms.append(block[:, 1].astype(str))
+        values = block[:, 2:].T.astype(float)  # float() per cell
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite cell")
+        if has_day and not ((values[-1] >= _DAY_RANGE[0])
+                            & (values[-1] < _DAY_RANGE[1])).all():
+            raise ValueError("day label beyond int64")
+        numbers.append(values)
+    return (np.concatenate(ids), np.concatenate(arms),
+            np.concatenate(numbers, axis=1))
+
+
+def _raise_first_bad_row(rows, required: list[str], day_column: str | None) -> None:
+    # Re-applies the per-row checks in file order: a missing JSONL key, a
+    # user already seen in another row, then each number, then a short row.
+    arm_of: dict[str, str] = {}
+    for row_idx, cells, short in rows:
+        for column, cell in zip(required, cells):
+            if cell is _ABSENT:
+                raise RowIngestError(row_idx, f"missing column {column!r}")
+        user_id, arm = str(cells[0]), str(cells[1])
+        if user_id in arm_of:
+            raise IntegrityError(
+                f"user {user_id!r} appears in arms {arm_of[user_id]!r} and {arm!r}"
+            )
+        arm_of[user_id] = arm
+        values = [_parse_number(cell, column, row_idx)
+                  for column, cell in zip(required[2:], cells[2:])]
+        if day_column and not _DAY_RANGE[0] <= values[-1] < _DAY_RANGE[1]:
+            raise RowIngestError(row_idx, f"day value {cells[-1]!r} in column "
+                                          f"{day_column!r} does not fit int64")
+        if short is not None:
+            raise short
 
 
 def ingest(path: str | Path, schema: IngestSchema | Mapping) -> ExperimentDataset:
     """Read and validate one experiment file into an ExperimentDataset.
 
-    Raises SchemaError for missing columns, RowIngestError (with the 1-based
-    data row index) for non-numeric or missing cells, and IntegrityError for
-    a user appearing in more than one arm.
+    A `.csv` file streams through `csv_blocks` (its dialect is described
+    there); a `.jsonl`, `.ndjson` or `.json` file holds one JSON object per
+    line, and the first object's keys are the header. Both become the same
+    columns: numbers parse with Python's float(), day labels truncate to
+    int, and actions are the control followed by the other arms, sorted.
+
+    Raises SchemaError for a missing column in the header, RowIngestError
+    (with the 1-based data row) for a missing, non-numeric or non-finite
+    cell, a short CSV row or a JSONL row without a column, and
+    IntegrityError for a user appearing in more than one row. The error
+    named is that of the first bad row in the file.
     """
     if not isinstance(schema, IngestSchema):
         schema = IngestSchema.from_mapping(schema)
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"input file {path} does not exist")
+    suffix = path.suffix.lower()
+    if suffix == ".csv":
+        blocks, rows = csv_blocks, csv_rows
+    elif suffix in (".jsonl", ".ndjson", ".json"):
+        blocks, rows = _jsonl_blocks, _jsonl_rows
+    else:
+        raise SchemaError(f"unsupported input format {path.suffix!r}")
 
     required = [schema.user_id_column, schema.arm_column,
                 *schema.feature_columns, *schema.metric_columns]
     if schema.day_column:
         required.append(schema.day_column)
+    try:
+        ids, arms, numbers = _ingest_columns(blocks(path, required),
+                                             len(required) - 2,
+                                             bool(schema.day_column))
+    except (ValueError, TypeError, OverflowError) as exc:
+        _raise_first_bad_row(rows(path, required), required, schema.day_column)
+        raise IntegrityError(f"{path}: a block failed to parse ({exc}) but "
+                             f"no row did") from exc
 
-    rows = _iter_rows(path)
-    header, _ = next(rows)
-    for column in required:
-        if column not in header:
-            raise SchemaError(f"input is missing declared column {column!r}")
-
-    arm_of: dict[str, str] = {}
-    features = [[] for _ in schema.feature_columns]
-    outcomes = [[] for _ in schema.metric_columns]
-    days = [] if schema.day_column else None
-    row_idx = 0
-    for _, row in rows:
-        row_idx += 1
-        for column in required:
-            if column not in row:
-                raise RowIngestError(row_idx, f"missing column {column!r}")
-        user_id = str(row[schema.user_id_column])
-        arm = str(row[schema.arm_column])
-        if user_id in arm_of:
-            raise IntegrityError(
-                f"user {user_id!r} appears in arms {arm_of[user_id]!r} and {arm!r}"
-            )
-        arm_of[user_id] = arm
-        for values, c in zip(features, schema.feature_columns):
-            values.append(_parse_number(row[c], c, row_idx))
-        for values, c in zip(outcomes, schema.metric_columns):
-            values.append(_parse_number(row[c], c, row_idx))
-        if days is not None:
-            days.append(int(_parse_number(row[schema.day_column],
-                                          schema.day_column, row_idx)))
-
-    treatments = sorted(set(arm_of.values()) - {schema.control_action})
+    names, arm_index = np.unique(arms, return_inverse=True)
+    treatments = sorted(set(names.tolist()) - {schema.control_action})
     actions = (schema.control_action, *treatments)
-    return ExperimentDataset(
-        experiment_id=schema.experiment_id,
-        user_ids=list(arm_of),
-        arm_codes=[actions.index(arm) for arm in arm_of.values()],
-        feature_matrix=features,
-        outcome_matrix=outcomes,
-        days=days,
-        actions=actions,
-        control_action=schema.control_action,
-        metrics=schema.metric_columns,
-        features=schema.feature_columns,
-        lift_units=schema.lift_units,
-    )
+    arm_codes = np.array([actions.index(name) for name in names.tolist()],
+                         dtype=np.intp)[arm_index]
+    days = numbers[-1].astype(np.int64) if schema.day_column else None  # truncates
+    n_features, n_metrics = len(schema.feature_columns), len(schema.metric_columns)
+    try:
+        return ExperimentDataset(
+            experiment_id=schema.experiment_id,
+            user_ids=ids,
+            arm_codes=arm_codes,
+            feature_matrix=numbers[:n_features],
+            outcome_matrix=numbers[n_features:n_features + n_metrics],
+            days=days,
+            actions=actions,
+            control_action=schema.control_action,
+            metrics=schema.metric_columns,
+            features=schema.feature_columns,
+            lift_units=schema.lift_units,
+        )
+    except IntegrityError:
+        # A repeated user: name its first repeating row and both arms. Ids
+        # that repeat only as numpy strings, which drop trailing NULs
+        # ("u1" and "u1\x00"), keep the dataset's own message.
+        _raise_first_bad_row(rows(path, required), required, schema.day_column)
+        raise
 
 
 # -- stored estimates --------------------------------------------------------

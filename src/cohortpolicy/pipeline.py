@@ -8,7 +8,7 @@ byte-identical artifacts regardless of input row order.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -21,7 +21,8 @@ from .frontier import (FrontierResult, ToleranceConfig, save_frontier,
 from .governance import (CODE_INSUFFICIENT_DATA, CODE_NO_QUALIFYING_POLICY,
                          DEFAULT_THRESHOLDS, REJECT, STAGE_POST_SEARCH,
                          STAGE_PRE_RECOMMENDATION, SIGNIFICANCE_Z,
-                         FeatureSnapshotPair, HookReport, backtest_spans,
+                         MIN_ROBUSTNESS_SLICES, FeatureSnapshotPair,
+                         HookReport, backtest_spans,
                          backtest_verdict, load_snapshots, pre_search_filter,
                          robustness_check, save_reports, stability_verdicts)
 from .ingest import IngestSchema, ingest
@@ -69,6 +70,9 @@ class RunConfig:
             raise ConfigError("tau must be >= 0")
         if self.max_refinements < 0:
             raise ConfigError("max_refinements must be >= 0")
+        if self.robustness_slices < MIN_ROBUSTNESS_SLICES:
+            raise ConfigError(f"robustness_slices must be >= {MIN_ROBUSTNESS_SLICES}, "
+                              f"got {self.robustness_slices}")
         for key in ("binary", "quantile"):
             value = self.thresholds.get(key)
             if value is None or not (0.0 <= value <= 1.0):
@@ -81,29 +85,10 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "RunConfig":
-        scenario = None
-        if "scenario" in data and data["scenario"] is not None:
-            scenario = ScenarioConfig.from_mapping(data["scenario"])
-        return cls(
-            seed=int(data.get("seed", 0)),
-            weight_samples=int(data.get("weight_samples", 1000)),
-            top_k=int(data.get("top_k", 5)),
-            tau=float(data.get("tau", 1.0)),
-            thresholds=dict(data.get("thresholds", DEFAULT_THRESHOLDS)),
-            max_refinements=int(data.get("max_refinements", 3)),
-            primary_metric=data.get("primary_metric"),
-            minimize_metrics=tuple(data.get("minimize_metrics", ())),
-            n_bins=int(data.get("n_bins", 4)),
-            cut_kinds=tuple(data.get("cut_kinds", ("individual", "binary"))),
-            policy_budget=int(data.get("policy_budget", 128)),
-            features=tuple(data["features"]) if data.get("features") else None,
-            backtest_days=int(data.get("backtest_days", 14)),
-            robustness_slices=int(data.get("robustness_slices", 4)),
-            scenario=scenario,
-            dataset_path=data.get("dataset_path"),
-            schema_path=data.get("schema_path"),
-            snapshots_path=data.get("snapshots_path"),
-        )
+        """Build a config from JSON-like data. An absent key takes the
+        field's default; a present one is converted by the field's type."""
+        return cls(**{f.name: _coerce(f.type, data[f.name])
+                      for f in fields(cls) if f.name in data})
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
@@ -118,6 +103,29 @@ class RunConfig:
 
     def to_json(self) -> dict:
         return asdict(self)
+
+
+# The JSON conversion for each RunConfig field type (annotations are
+# strings under `from __future__ import annotations`). Every field's type
+# must be listed, so a new field cannot be passed through unconverted.
+_FROM_JSON = {
+    "int": int,
+    "float": float,
+    "str | None": lambda value: value,
+    "tuple[str, ...]": tuple,
+    # features: an empty list means every feature
+    "tuple[str, ...] | None": lambda value: tuple(value) if value else None,
+    "dict[str, float]": dict,
+    "ScenarioConfig | None":
+        lambda value: None if value is None else ScenarioConfig.from_mapping(value),
+}
+
+
+def _coerce(annotation: str, value):
+    # Converts one JSON value to the RunConfig field annotated `annotation`.
+    if annotation not in _FROM_JSON:
+        raise ConfigError(f"no JSON conversion for field type {annotation!r}")
+    return _FROM_JSON[annotation](value)
 
 
 @dataclass

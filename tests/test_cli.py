@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,16 @@ def test_pipeline_malformed_config_exit_one(tmp_path, capsys):
     assert main(["pipeline", "--config", str(bad), "--out", str(out)]) == 1
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_pipeline_too_few_robustness_slices_exit_one(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"scenario": asdict(conflict_scenario(n_users=200)),
+                                  "robustness_slices": 2}))
+    out = tmp_path / "never"
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "robustness_slices must be >= 3, got 2" in capsys.readouterr().err
 
 
 def test_synth_writes_dataset_and_snapshots(tmp_path):

@@ -1,0 +1,450 @@
+"""The block-streamed CSV reader against per-row references.
+
+`reference_ingest` and `reference_load_snapshots` are the per-row loaders
+that `csv_blocks` replaced (csv.DictReader and csv.reader over the
+comment-filtered lines, one Python parse per cell). Two lines differ from
+them, each marked: a snapshot header without a column raises SchemaError
+(it raised ValueError), and a day label beyond int64 raises RowIngestError
+at its row (an OverflowError once every row was read). The block reader
+must give bit-identical columns, or raise the same exception type with the
+same message, on files that split its blocks inside the data.
+"""
+
+import csv
+import importlib
+import io
+import json
+import math
+import tracemalloc
+from array import array
+from operator import itemgetter
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from cohortpolicy.errors import IntegrityError, RowIngestError, SchemaError
+from cohortpolicy.experiment import ExperimentDataset
+from cohortpolicy.governance import (SNAPSHOT_COLUMNS, SNAPSHOT_LABELS,
+                                     FeatureSnapshotPair, load_snapshots)
+from cohortpolicy.ingest import IngestSchema, ingest
+
+ingest_module = importlib.import_module("cohortpolicy.ingest")
+
+SCHEMA = IngestSchema(user_id_column="uid", arm_column="group",
+                      feature_columns=("age",), metric_columns=("spend", "clicks"),
+                      control_action="control", day_column="day")
+HEADER = ["uid", "group", "age", "spend", "clicks", "day", "note"]
+
+
+# -- per-row references -------------------------------------------------------
+
+def _parse_number(raw, column, row_idx):
+    if raw is None or (isinstance(raw, str) and raw.strip() == ""):
+        raise RowIngestError(row_idx, f"missing value in column {column!r}")
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise RowIngestError(row_idx, f"non-numeric value {raw!r} in column {column!r}")
+    if not math.isfinite(value):
+        raise RowIngestError(row_idx, f"non-finite value {raw!r} in column {column!r}")
+    return value
+
+
+def _iter_rows(path):
+    if path.suffix.lower() == ".csv":
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
+            yield reader.fieldnames or [], None
+            for row in reader:
+                yield None, row
+    else:
+        with open(path, encoding="utf-8") as fh:
+            first = True
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                row = json.loads(line)
+                if first:
+                    yield list(row.keys()), None
+                    first = False
+                yield None, row
+            if first:
+                yield [], None
+
+
+def reference_ingest(path, schema):
+    required = [schema.user_id_column, schema.arm_column,
+                *schema.feature_columns, *schema.metric_columns]
+    if schema.day_column:
+        required.append(schema.day_column)
+    rows = _iter_rows(Path(path))
+    header, _ = next(rows)
+    for column in required:
+        if column not in header:
+            raise SchemaError(f"input is missing declared column {column!r}")
+    arm_of = {}
+    features = [[] for _ in schema.feature_columns]
+    outcomes = [[] for _ in schema.metric_columns]
+    days = [] if schema.day_column else None
+    row_idx = 0
+    for _, row in rows:
+        row_idx += 1
+        for column in required:
+            if column not in row:
+                raise RowIngestError(row_idx, f"missing column {column!r}")
+        user_id = str(row[schema.user_id_column])
+        arm = str(row[schema.arm_column])
+        if user_id in arm_of:
+            raise IntegrityError(
+                f"user {user_id!r} appears in arms {arm_of[user_id]!r} and {arm!r}")
+        arm_of[user_id] = arm
+        for values, c in zip(features, schema.feature_columns):
+            values.append(_parse_number(row[c], c, row_idx))
+        for values, c in zip(outcomes, schema.metric_columns):
+            values.append(_parse_number(row[c], c, row_idx))
+        if days is not None:
+            days.append(int(_parse_number(row[schema.day_column],
+                                          schema.day_column, row_idx)))
+            if not -2**63 <= days[-1] < 2**63:  # OverflowError at the end before
+                raise RowIngestError(row_idx, f"day value {row[schema.day_column]!r} "
+                                              f"in column {schema.day_column!r} "
+                                              f"does not fit int64")
+    treatments = sorted(set(arm_of.values()) - {schema.control_action})
+    actions = (schema.control_action, *treatments)
+    return ExperimentDataset(
+        experiment_id=schema.experiment_id, user_ids=list(arm_of),
+        arm_codes=[actions.index(arm) for arm in arm_of.values()],
+        feature_matrix=features, outcome_matrix=outcomes, days=days,
+        actions=actions, control_action=schema.control_action,
+        metrics=schema.metric_columns, features=schema.feature_columns,
+        lift_units=schema.lift_units)
+
+
+def _bad_snapshot_row(row_idx, row, pick, n_columns):
+    try:
+        _, _, raw, label = pick(row)
+    except IndexError:
+        return RowIngestError(row_idx, f"expected {n_columns} fields, got {len(row)}")
+    try:
+        float(raw)
+    except ValueError:
+        return RowIngestError(row_idx, f"non-numeric value {raw!r}")
+    return RowIngestError(row_idx, f"snapshot label {label!r} is not one of "
+                                   f"{SNAPSHOT_LABELS}")
+
+
+def reference_load_snapshots(path):
+    label_codes = {label: k for k, label in enumerate(SNAPSHOT_LABELS)}
+    user_codes, feature_codes = {}, {}
+    users, groups, values = array("q"), array("q"), array("d")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(ln for ln in fh if not ln.startswith("#"))
+        header = next(reader, [])
+        for column in SNAPSHOT_COLUMNS:
+            if column not in header:  # ValueError("snapshot file is ...") before
+                raise SchemaError(f"input is missing declared column {column!r}")
+        pick = itemgetter(*(header.index(column) for column in SNAPSHOT_COLUMNS))
+        last_feature, offset = None, 0
+        for row in filter(None, reader):
+            try:
+                user, feature, raw, label = pick(row)
+                value = float(raw)
+                snapshot = label_codes[label]
+            except (IndexError, ValueError, KeyError):
+                raise _bad_snapshot_row(len(values) + 1, row, pick,
+                                        len(header)) from None
+            if feature != last_feature:
+                offset = 2 * feature_codes.setdefault(feature, len(feature_codes))
+                last_feature = feature
+            groups.append(offset + snapshot)
+            values.append(value)
+            users.append(user_codes.setdefault(user, len(user_codes)))
+    if not values:
+        return {}
+    non_finite = np.flatnonzero(~np.isfinite(np.frombuffer(values, dtype=float)))
+    if non_finite.size:
+        row = int(non_finite[0])
+        raise RowIngestError(row + 1, f"non-finite value {values[row]}")
+    ids = np.array(list(user_codes), dtype=str)
+    by_id = np.argsort(ids, kind="stable")
+    rank = np.empty(ids.size, dtype=np.int64)
+    rank[by_id] = np.arange(ids.size)
+    ids = ids[by_id]
+    key = np.frombuffer(groups, dtype=np.int64) * ids.size \
+        + rank[np.frombuffer(users, dtype=np.int64)]
+    order = np.argsort(key)
+    key = key[order]
+    repeated = np.flatnonzero(key[1:] == key[:-1])
+    if repeated.size:
+        group, user = divmod(int(key[repeated[0]]), ids.size)
+        raise IntegrityError(
+            f"user {str(ids[user])!r} has more than one "
+            f"{SNAPSHOT_LABELS[group % 2]} value for feature "
+            f"{list(feature_codes)[group // 2]!r}")
+    group, user_rank = np.divmod(key, ids.size)
+    value = np.frombuffer(values, dtype=float)[order]
+    bounds = np.searchsorted(group, np.arange(2 * len(feature_codes) + 1))
+    pairs = {}
+    for code, feature in enumerate(feature_codes):
+        t0 = slice(bounds[2 * code], bounds[2 * code + 1])
+        t1 = slice(bounds[2 * code + 1], bounds[2 * code + 2])
+        common, i0, i1 = np.intersect1d(user_rank[t0], user_rank[t1],
+                                        assume_unique=True, return_indices=True)
+        pairs[feature] = FeatureSnapshotPair(
+            feature=feature, user_ids=ids[common],
+            t0=value[t0][i0], t1=value[t1][i1])
+    return pairs
+
+
+# -- generated files ----------------------------------------------------------
+
+_TEXT = st.text(alphabet=st.sampled_from(list('ab,"\n\r#é ')), max_size=5)
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-5, 30).map(str),
+    st.sampled_from(["nan", "inf", "-Infinity", "1_000", "", " 2.5 ", "١٢",
+                     "oops", "-0", "1e400", "0x10"]))
+
+
+@st.composite
+def csv_files(draw, columns, row_values, prose):
+    """CSV text whose records come from `row_values`, with comment lines,
+    blank lines, short rows and extra fields between and within them."""
+    records = []
+    for values in draw(st.lists(row_values, max_size=14)):
+        if draw(st.integers(0, 11)) == 0:
+            records.append(values[:draw(st.integers(0, len(values) - 1))])
+        else:
+            records.append(values + draw(st.lists(prose, max_size=2)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=quoting, lineterminator=newline)
+    for k, fields in enumerate([columns, *records]):
+        for _ in range(draw(st.integers(0, 2)) if draw(st.booleans()) else 0):
+            out.write(draw(st.sampled_from(
+                ["# note\n", "#x,y\r\n", "\n", "\r\n", "   \n"] if k else
+                ["# header\n"] * 4 + ["\n"])))
+        writer.writerow(fields)
+    return out.getvalue()
+
+
+def _ingest_values():
+    return st.tuples(
+        st.integers(0, 40).map(lambda u: f"u{u}") | st.sampled_from(['u,1', 'u"2']),
+        st.sampled_from(["control", "t1", "t2", "t 3"]),
+        _NUMBER, _NUMBER, _NUMBER,
+        st.integers(0, 13).map(str) | st.sampled_from(["2.7", "-1.5", "x"]),
+        _TEXT).map(list)
+
+
+def _snapshot_values():
+    return st.tuples(
+        st.integers(0, 6).map(lambda u: f"u{u}"),
+        st.sampled_from(["f1", "f2", "f,3"]),
+        _NUMBER.filter(lambda v: v not in ("", "x")),
+        st.sampled_from(["t0", "t1"] * 12 + ["t2", " t0"]),
+        _TEXT).map(list)
+
+
+def _outcome(load, path):
+    try:
+        return "ok", load(path)
+    except (SchemaError, RowIngestError, IntegrityError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_dataset(got, want):
+    for name in ("actions", "metrics", "features"):
+        assert getattr(got, name) == getattr(want, name)
+    assert got.user_ids.tolist() == want.user_ids.tolist()
+    for name in ("arm_codes", "feature_matrix", "outcome_matrix", "days"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+_HYPOTHESIS = settings(max_examples=150, deadline=None,
+                       suppress_health_check=[HealthCheck.too_slow])
+
+
+def _small_blocks():
+    return mock.patch.object(ingest_module, "_BLOCK_ROWS", 3)
+
+
+@_HYPOTHESIS
+@given(text=csv_files(HEADER, _ingest_values(), _TEXT))
+def test_ingest_matches_per_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("ingest") / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with _small_blocks():
+        got = _outcome(lambda p: ingest(p, SCHEMA), path)
+    want = _outcome(lambda p: reference_ingest(p, SCHEMA), path)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        _assert_same_dataset(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
+_JSON_VALUE = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                        st.floats(allow_nan=False), _NUMBER, st.just([1]))
+
+
+@_HYPOTHESIS
+@given(rows=st.lists(st.dictionaries(st.sampled_from(HEADER[:6]), _JSON_VALUE,
+                                     min_size=5), min_size=1, max_size=10),
+       ids=st.lists(st.integers(0, 12), min_size=10, max_size=10),
+       blank=st.integers(0, 10))
+@example(rows=[{"uid": 1, "group": [1], "age": 1, "spend": 1, "clicks": 1, "day": 1}],
+         ids=[0] * 10, blank=0)
+@example(rows=[{"uid": 1, "group": "t1", "age": 1, "spend": 1, "clicks": 1,
+                "day": 2.0 ** 63}], ids=[0] * 10, blank=0)
+def test_ingest_jsonl_matches_per_row_reference(tmp_path_factory, rows, ids, blank):
+    # Missing keys, nulls, bools, numbers as text, and a repeated user.
+    rows[0] = {key: rows[0].get(key, 1) for key in HEADER[:6]}
+    lines = []
+    for row, uid in zip(rows, ids):
+        if "uid" in row:
+            row["uid"] = f"u{uid}"
+        lines.append(json.dumps(row))
+    lines.insert(blank % (len(lines) + 1), "   ")
+    path = tmp_path_factory.mktemp("ingest") / "data.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _small_blocks():
+        got = _outcome(lambda p: ingest(p, SCHEMA), path)
+    want = _outcome(lambda p: reference_ingest(p, SCHEMA), path)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        _assert_same_dataset(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
+@_HYPOTHESIS
+@given(text=csv_files(["note", "snapshot", "value", "user_id", "feature_id"],
+                      _snapshot_values().map(lambda v: [v[4], v[3], v[2], v[0], v[1]]),
+                      _TEXT))
+def test_load_snapshots_matches_per_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("snapshots") / "snapshots.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with _small_blocks():
+        got = _outcome(load_snapshots, path)
+    want = _outcome(reference_load_snapshots, path)
+    assert got[0] == want[0], (got, want)
+    if got[0] != "ok":
+        assert got[1] == want[1]
+        return
+    assert list(got[1]) == list(want[1])
+    for feature, pair in got[1].items():
+        other = want[1][feature]
+        assert pair.user_ids.tolist() == other.user_ids.tolist()
+        assert pair.t0.tobytes() == other.t0.tobytes()
+        assert pair.t1.tobytes() == other.t1.tobytes()
+
+
+def test_errors_in_later_blocks_name_the_first_bad_row(tmp_path):
+    # A repeated user and a bad label several blocks into the file.
+    rows = [f"u{i},control,{i},1.0,2.0,{i % 14},x" for i in range(20)]
+    path = tmp_path / "data.csv"
+    for tail in (["u3,t1,1,1,1,1,x"], ["u3,t1,1,1,1,1,x", "u30,t1,oops,1,1,1,x"]):
+        path.write_text("\n".join([",".join(HEADER), *rows, *tail]) + "\n")
+        with _small_blocks():
+            with pytest.raises(IntegrityError,
+                               match="user 'u3' appears in arms 'control' and 't1'"):
+                ingest(path, SCHEMA)
+    snapshots = tmp_path / "snapshots.csv"
+    snapshots.write_text("\n".join(["user_id,feature_id,value,snapshot",
+                                    *(f"u{i},f1,{i},t0" for i in range(10)),
+                                    "u1,f1,1,t9", "u2,f1,nan,t1"]) + "\n")
+    with _small_blocks():
+        with pytest.raises(RowIngestError, match="row 11: snapshot label 't9'"):
+            load_snapshots(snapshots)
+
+
+def test_short_row_without_arm_is_rejected(tmp_path):
+    # Lacking only a text column, the row used to load with the arm "None".
+    path = tmp_path / "data.csv"
+    path.write_text("uid,age,spend,clicks,day,group\nu1,1,2,3,4,control\n"
+                    "u2,1,2,3,4\n")
+    with pytest.raises(RowIngestError, match="row 2: expected 6 fields, got 5"):
+        ingest(path, SCHEMA)
+
+
+def test_ids_equal_as_numpy_strings_are_repeats(tmp_path):
+    # numpy strings drop trailing NULs, so "u1" and "u1\x00" are one id in
+    # the sorted columns, though Python sees two users.
+    path = tmp_path / "data.csv"
+    path.write_text(",".join(HEADER) + "\nu1,control,1,2,3,4,x\n"
+                    "u1\x00,t1,1,2,3,4,x\n", encoding="utf-8")
+    want = _outcome(lambda p: reference_ingest(p, SCHEMA), path)
+    assert want == (IntegrityError, "user 'u1' appears more than once")
+    assert _outcome(lambda p: ingest(p, SCHEMA), path) == want
+    snapshots = tmp_path / "snapshots.csv"
+    snapshots.write_text("user_id,feature_id,value,snapshot\nu1,f1,1,t0\n"
+                         "u1\x00,f1,2,t0\nu1,f1,3,t1\n", encoding="utf-8")
+    with pytest.raises(IntegrityError, match="user 'u1' has more than one t0 "
+                                             "value for feature 'f1'"):
+        load_snapshots(snapshots)
+
+
+def test_block_failure_without_a_bad_row_is_not_an_input_error(tmp_path):
+    # Should the row checks ever miss what failed a block, the loader says
+    # so rather than pass on the block's own message.
+    path = tmp_path / "data.csv"
+    path.write_text(",".join(HEADER) + "\nu1,control,oops,2,3,4,x\n")
+    with mock.patch.object(ingest_module, "_raise_first_bad_row", lambda *args: None):
+        with pytest.raises(IntegrityError, match="a block failed to parse .* but "
+                                                 "no row did"):
+            ingest(path, SCHEMA)
+
+
+# -- memory -------------------------------------------------------------------
+
+STREAM_ROWS = 50_000
+# Traced peaks in MB, fixed before the block reader existed. At 50 000 rows
+# the per-row loaders peaked at 24.7 MB (ingest) and 7.3 MB (snapshots); a
+# parse that holds the whole file as Python str objects needs well over
+# 20 MB for either file. The bounds leave room for the output columns and
+# their sorts, not for the file.
+INGEST_PEAK_MB = 16.0
+SNAPSHOT_PEAK_MB = 12.0
+
+
+def _traced_peak_mb(load) -> float:
+    tracemalloc.start()
+    try:
+        load()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_loaders_stream_large_files(tmp_path):
+    rng = np.random.default_rng(5)
+    ids = [f"user{i:06d}" for i in range(STREAM_ROWS)]
+    numbers = rng.random((3, STREAM_ROWS)).tolist()
+    data = tmp_path / "experiment.csv"
+    with open(data, "w", encoding="utf-8") as fh:
+        fh.write(",".join(HEADER) + "\n")
+        for i, uid in enumerate(ids):
+            fh.write(f"{uid},{'control' if i % 2 else 't1'},{numbers[0][i]!r},"
+                     f"{numbers[1][i]!r},{numbers[2][i]!r},{i % 14},\n")
+    snapshots = tmp_path / "snapshots.csv"
+    values = rng.random(STREAM_ROWS).tolist()
+    quarter = STREAM_ROWS // 4
+    with open(snapshots, "w", encoding="utf-8") as fh:
+        fh.write("user_id,feature_id,value,snapshot\n")
+        for k in range(STREAM_ROWS):
+            block, i = divmod(k, quarter)
+            fh.write(f"{ids[i]},f{block // 2},{values[k]!r},t{block % 2}\n")
+
+    assert ingest(data, SCHEMA).n_users == STREAM_ROWS
+    assert _traced_peak_mb(lambda: ingest(data, SCHEMA)) < INGEST_PEAK_MB
+    assert load_snapshots(snapshots)["f1"].user_ids.size == quarter
+    assert _traced_peak_mb(lambda: load_snapshots(snapshots)) < SNAPSHOT_PEAK_MB

@@ -1,8 +1,9 @@
 import json
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
+import cohortpolicy.pipeline as pipeline_module
 from cohortpolicy.errors import ConfigError
 from cohortpolicy.governance import CODE_INSUFFICIENT_DATA, SIGNIFICANCE_Z
 from cohortpolicy.pipeline import (RunConfig, govern_pipeline,
@@ -239,6 +240,29 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(scenario=conflict_scenario(),
                   thresholds={"binary": 2.0, "quantile": 0.45})
+
+
+def test_run_config_rejects_fewer_than_three_robustness_slices():
+    # The robustness check needs three slices; two used to fail mid-run.
+    with pytest.raises(ConfigError, match="robustness_slices must be >= 3, got 2"):
+        RunConfig(scenario=conflict_scenario(), robustness_slices=2)
+    assert RunConfig(scenario=conflict_scenario(), robustness_slices=3)
+
+
+def test_run_config_from_mapping_takes_dataclass_defaults():
+    scenario = asdict(conflict_scenario(n_users=100))
+    loaded = RunConfig.from_mapping({"scenario": scenario})
+    default = RunConfig(scenario=ScenarioConfig.from_mapping(scenario))
+    for f in fields(RunConfig):
+        assert getattr(loaded, f.name) == getattr(default, f.name), f.name
+
+
+def test_run_config_from_mapping_converts_every_field_type():
+    # A field whose type has no JSON conversion would reach RunConfig raw.
+    for f in fields(RunConfig):
+        assert f.type in pipeline_module._FROM_JSON, f.name
+    with pytest.raises(ConfigError, match="no JSON conversion for field type 'bool'"):
+        pipeline_module._coerce("bool", True)
 
 
 def test_run_config_round_trip(tmp_path):
