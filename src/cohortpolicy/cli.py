@@ -23,9 +23,9 @@ from .governance import (load_snapshots, pre_search_filter, save_reports,
                          stability_verdicts)
 from .ingest import IngestSchema, ingest
 from .pipeline import RunConfig, govern_pipeline, write_run_artifacts
-from .search import (FORMAT_VERSION, PolicyCandidate, collect_candidates,
-                     evaluate_policies, enumerate_policies, load_policy_table,
-                     sample_weights, save_policy_table)
+from .search import (FORMAT_VERSION, PolicyCandidate, PolicyTable,
+                     collect_candidates, evaluate_policies, enumerate_policies,
+                     load_policy_table, sample_weights, save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import (BenchmarkConfig, ScenarioConfig, build_benchmark,
                     generate_experiment, generate_snapshots, write_benchmark)
@@ -159,7 +159,8 @@ def cmd_search(args) -> int:
                                     metrics=ds.metrics,
                                     minimize=tuple(args.minimize or ()))
     out = _out_dir(args, "search")
-    save_policy_table(out / "policy_table.csv", evaluated, ds.metrics)
+    save_policy_table(out / "policy_table.csv",
+                      PolicyTable.from_candidates(evaluated, ds.metrics))
     _write_json(out / "candidates.json", {
         "format_version": FORMAT_VERSION,
         "policy_ids": candidates.policy_ids,

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import UnmatchedInstructionError
 from .experiment import MetricEstimate
 from .frontier import weak_pareto_mask_2d
-from .search import FORMAT_VERSION
+from .search import FORMAT_VERSION, PolicyTable
 
 MAXIMIZE_BOTH = "maximize_both"
 MAXIMIZE_WITH_CONSTRAINT = "maximize_with_constraint"
@@ -168,61 +168,78 @@ def spearman_corr(ranked: Sequence[str], gt: GroundTruth) -> float:
 # -- ground-truth oracle -----------------------------------------------------------
 
 
-PolicyTable = Mapping[str, Mapping[str, MetricEstimate]]
+Estimates = Mapping[str, Mapping[str, MetricEstimate]]
 
 
-def _require_metric(table: PolicyTable, metric: str | None, kind: str) -> str:
-    if not metric:
-        raise ValueError(f"{kind} requires a metric id")
-    for policy_id, estimates in table.items():
-        if metric not in estimates:
+def _columns(table: Estimates, metrics: Sequence[str | None], kind: str
+             ) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The ascending policy ids and the (policies, len(metrics)) mean and
+    std_err columns of `metrics`. Every policy must carry each metric; the
+    first one that does not (in the table's order) is named.
+    """
+    for metric in metrics:
+        if not metric:
+            raise ValueError(f"{kind} requires a metric id")
+        if isinstance(table, PolicyTable):
+            lacking = None if metric in table.metrics else table.ids[0]
+        else:
+            lacking = next((pid for pid, estimates in table.items()
+                            if metric not in estimates), None)
+        if lacking is not None:
             raise ValueError(
-                f"policy {policy_id!r} has no estimate for metric {metric!r}")
-    return metric
+                f"policy {lacking!r} has no estimate for metric {metric!r}")
+    if isinstance(table, PolicyTable):
+        cols = [table.metrics.index(metric) for metric in metrics]
+        return table.ids, table.mean[:, cols], table.std_err[:, cols]
+    ids = sorted(table)
+    shape = (len(ids), len(metrics))
+    mean = np.array([[table[pid][m].mean for m in metrics] for pid in ids],
+                    dtype=float).reshape(shape)
+    std_err = np.array([[table[pid][m].std_err for m in metrics] for pid in ids],
+                       dtype=float).reshape(shape)
+    return ids, mean, std_err
 
 
-def _z(est: MetricEstimate) -> float:
-    return est.mean / max(est.std_err, SIGMA_FLOOR)
+def _z(mean: np.ndarray, std_err: np.ndarray) -> np.ndarray:
+    return mean / np.maximum(std_err, SIGMA_FLOOR)
 
 
-def _top_by(ids: Sequence[str], score: Mapping[str, float], n: int = GT_SIZE) -> list[str]:
-    return sorted(ids, key=lambda pid: (-score[pid], pid))[:n]
+def _top_by(ids: Sequence[str], score: np.ndarray,
+            eligible: np.ndarray | None = None, n: int = GT_SIZE) -> list[str]:
+    # The first n ids by descending score, ties by ascending id (rows are
+    # in id order); eligible rows all rank before ineligible ones.
+    keys = (np.arange(score.size), -score)
+    if eligible is not None:
+        keys += (~eligible,)
+    return [ids[i] for i in np.lexsort(keys)[:n].tolist()]
 
 
-def _tradeoff_spread(ids: Sequence[str], table: PolicyTable, primary: str,
-                     secondary: str) -> list[str]:
-    x = np.array([table[pid][primary].mean for pid in ids])
-    y = np.array([table[pid][secondary].mean for pid in ids])
-    pareto = [ids[i] for i in np.flatnonzero(weak_pareto_mask_2d(x, y))]
-    means = {pid: (table[pid][primary].mean, table[pid][secondary].mean)
-             for pid in pareto}
+def _tradeoff_spread(ids: Sequence[str], x: np.ndarray, y: np.ndarray) -> list[str]:
+    pareto = np.flatnonzero(weak_pareto_mask_2d(x, y))
     if len(pareto) <= GT_SIZE:
-        seeds = sorted(pareto, key=lambda pid: (-means[pid][0], pid))
-        return seeds
-    lo = [min(means[p][i] for p in pareto) for i in (0, 1)]
-    hi = [max(means[p][i] for p in pareto) for i in (0, 1)]
-    span = [max(hi[i] - lo[i], SIGMA_FLOOR) for i in (0, 1)]
-
-    def norm(pid):
-        return tuple((means[pid][i] - lo[i]) / span[i] for i in (0, 1))
-
-    extreme_primary = min(pareto, key=lambda pid: (-means[pid][0], pid))
-    extreme_secondary = min(pareto, key=lambda pid: (-means[pid][1], pid))
+        return [ids[i] for i in pareto[np.lexsort((pareto, -x[pareto]))]]
+    # Positions into the Pareto set, which is in id order, stand for ids.
+    xs, ys = x[pareto].tolist(), y[pareto].tolist()
+    lo = (min(xs), min(ys))
+    span = (max(max(xs) - lo[0], SIGMA_FLOOR), max(max(ys) - lo[1], SIGMA_FLOOR))
+    points = [((a - lo[0]) / span[0], (b - lo[1]) / span[1]) for a, b in zip(xs, ys)]
+    extreme_primary = min(range(len(xs)), key=lambda j: (-xs[j], j))
+    extreme_secondary = min(range(len(ys)), key=lambda j: (-ys[j], j))
     chosen = [extreme_primary]
     if extreme_secondary != extreme_primary:
         chosen.append(extreme_secondary)
-    remaining = [pid for pid in pareto if pid not in chosen]
+    remaining = [j for j in range(len(xs)) if j not in chosen]
     while len(chosen) < GT_SIZE and remaining:
         best = min(
             remaining,
-            key=lambda pid: (-min(math.dist(norm(pid), norm(c)) for c in chosen), pid),
+            key=lambda j: (-min(math.dist(points[j], points[c]) for c in chosen), j),
         )
         chosen.append(best)
         remaining.remove(best)
-    return chosen
+    return [ids[pareto[j]] for j in chosen]
 
 
-def ground_truth_oracle(instruction: InstructionSpec, table: PolicyTable) -> GroundTruth:
+def ground_truth_oracle(instruction: InstructionSpec, table: Estimates) -> GroundTruth:
     """Deterministic top-5 for one instruction, from policy means and
     uncertainties alone. Ties always break by ascending policy id.
 
@@ -236,51 +253,48 @@ def ground_truth_oracle(instruction: InstructionSpec, table: PolicyTable) -> Gro
       in normalized mean space).
     - efficiency_optimization: equal-weight mean of per-metric z-scores;
       every policy must carry every metric any policy has.
+
+    `table` is a PolicyTable or any {policy_id: {metric: MetricEstimate}}
+    mapping; either way the scores and rankings are array passes over its
+    id-sorted columns.
     """
-    ids = sorted(table)
     kind = instruction.kind
-    if not ids:
+    if not table:
         return GroundTruth(experiment_id=instruction.experiment_id, top5=[],
                            instruction=instruction)
-    primary = _require_metric(table, instruction.primary_metric, kind)
-
-    if kind == SINGLE_METRIC:
-        score = {pid: table[pid][primary].mean for pid in ids}
-        top = _top_by(ids, score)
-    elif kind == MAXIMIZE_WITH_CONSTRAINT:
-        secondary = _require_metric(table, instruction.secondary_metric, kind)
-        eligible = [pid for pid in ids
-                    if table[pid][secondary].mean
-                    + CONSTRAINT_Z * table[pid][secondary].std_err >= 0]
-        score = {pid: table[pid][primary].mean for pid in eligible}
-        top = _top_by(eligible, score)
-    elif kind == MAXIMIZE_BOTH:
-        secondary = _require_metric(table, instruction.secondary_metric, kind)
-        score = {pid: _z(table[pid][primary]) + _z(table[pid][secondary])
-                 for pid in ids}
-        eligible = [pid for pid in ids
-                    if table[pid][primary].mean >= 0 and table[pid][secondary].mean >= 0]
-        top = _top_by(eligible, score)
-        if len(top) < GT_SIZE:
-            taken = set(top)
-            rest = [pid for pid in ids if pid not in taken]
-            top += _top_by(rest, score, GT_SIZE - len(top))
-    elif kind == TRADEOFF_ANALYSIS:
-        secondary = _require_metric(table, instruction.secondary_metric, kind)
-        top = _tradeoff_spread(ids, table, primary, secondary)
+    primary = instruction.primary_metric
+    if kind in _TWO_METRIC_KINDS:
+        ids, mean, std_err = _columns(
+            table, (primary, instruction.secondary_metric), kind)
     elif kind == EFFICIENCY_OPTIMIZATION:
         # Every policy must carry every scored metric; the first policy's
         # order fixes the summation order.
-        metrics = tuple(dict.fromkeys(m for pid in ids for m in table[pid]))
-        for metric in metrics:
-            _require_metric(table, metric, kind)
-        score = {pid: sum(_z(table[pid][m]) for m in metrics) / len(metrics)
-                 for pid in ids}
-        top = _top_by(ids, score)
+        _columns(table, (primary,), kind)
+        metrics = (table.metrics if isinstance(table, PolicyTable) else
+                   tuple(dict.fromkeys(m for pid in sorted(table) for m in table[pid])))
+        ids, mean, std_err = _columns(table, metrics, kind)
+    else:
+        ids, mean, std_err = _columns(table, (primary,), kind)
+
+    if kind == SINGLE_METRIC:
+        top = _top_by(ids, mean[:, 0])
+    elif kind == MAXIMIZE_WITH_CONSTRAINT:
+        eligible = mean[:, 1] + CONSTRAINT_Z * std_err[:, 1] >= 0
+        top = _top_by(ids, mean[:, 0], eligible, min(GT_SIZE, int(eligible.sum())))
+    elif kind == MAXIMIZE_BOTH:
+        z = _z(mean, std_err)
+        top = _top_by(ids, z[:, 0] + z[:, 1], (mean[:, 0] >= 0) & (mean[:, 1] >= 0))
+    elif kind == TRADEOFF_ANALYSIS:
+        top = _tradeoff_spread(ids, mean[:, 0], mean[:, 1])
+    elif kind == EFFICIENCY_OPTIMIZATION:
+        # Summed left to right from 0, as Python's sum() does.
+        total = np.zeros(len(ids))
+        for column in _z(mean, std_err).T:
+            total = total + column
+        top = _top_by(ids, total / mean.shape[1])
     else:  # pragma: no cover - guarded by InstructionSpec
         raise ValueError(f"unknown instruction kind {kind!r}")
-
-    return GroundTruth(experiment_id=instruction.experiment_id, top5=list(top),
+    return GroundTruth(experiment_id=instruction.experiment_id, top5=top,
                        instruction=instruction)
 
 

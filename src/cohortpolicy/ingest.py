@@ -4,10 +4,10 @@ The schema is a JSON document naming the arm column, feature columns, and
 metric columns. Missing values are rejected, not imputed: segmentation
 needs totally ordered feature values.
 
-`csv_blocks` is the package's one CSV reader: `ingest` and
-`governance.load_snapshots` stream their files through it in fixed-size
-blocks of columns, and `csv_rows` re-reads a file row by row only to name
-the first bad row.
+`csv_blocks` is the package's one CSV reader: `ingest`,
+`governance.load_snapshots` and `search.load_policy_table` stream their
+files through it in fixed-size blocks of columns, and `csv_rows` re-reads
+a file row by row only to name the first bad row.
 """
 
 from __future__ import annotations
@@ -77,6 +77,9 @@ def _parse_number(raw, column: str, row_idx: int) -> float:
         value = float(raw)
     except (TypeError, ValueError):
         raise RowIngestError(row_idx, f"non-numeric value {raw!r} in column {column!r}")
+    except OverflowError:  # a JSON integer beyond the float range
+        raise RowIngestError(row_idx, f"value {raw!r} in column {column!r} "
+                                      f"does not fit a float")
     if not math.isfinite(value):
         raise RowIngestError(row_idx, f"non-finite value {raw!r} in column {column!r}")
     return value
@@ -104,8 +107,8 @@ def _records(lines: Iterator[str], max_rows: int,
                           ndmin=2)
 
 
-def _open_csv(fh, columns: Sequence[str]) -> tuple[Iterator[str], int, list[int]]:
-    # Returns the data lines after the header, the header's width and each
+def _open_csv(fh, columns: Sequence[str]) -> tuple[Iterator[str], list[str], list[int]]:
+    # Returns the data lines after the header, the header's fields and each
     # requested column's position in it.
     lines = (line for line in fh if not line.startswith("#"))
     first = next(lines, "")
@@ -115,7 +118,13 @@ def _open_csv(fh, columns: Sequence[str]) -> tuple[Iterator[str], int, list[int]
     for column in columns:
         if column not in header:
             raise SchemaError(f"input is missing declared column {column!r}")
-    return lines, len(header), [header.index(column) for column in columns]
+    return lines, header, [header.index(column) for column in columns]
+
+
+def csv_header(path: str | Path) -> list[str]:
+    """The header fields of a CSV file in `csv_blocks`' dialect."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return _open_csv(fh, ())[1]
 
 
 def csv_blocks(path: str | Path, columns: Sequence[str]) -> Iterator[np.ndarray]:
@@ -146,7 +155,7 @@ def csv_rows(path: str | Path, columns: Sequence[str]
     only after `csv_blocks` failed, to raise the first bad row's error.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        lines, width, positions = _open_csv(fh, columns)
+        lines, header, positions = _open_csv(fh, columns)
         row = 0
         while len(record := _records(lines, 1)):
             row += 1
@@ -154,7 +163,7 @@ def csv_rows(path: str | Path, columns: Sequence[str]
             cells = [fields[p] if p < len(fields) else None for p in positions]
             short = None
             if max(positions) >= len(fields):
-                short = RowIngestError(row, f"expected {width} fields, "
+                short = RowIngestError(row, f"expected {len(header)} fields, "
                                             f"got {len(fields)}")
             yield row, cells, short
 

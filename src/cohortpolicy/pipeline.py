@@ -26,8 +26,8 @@ from .governance import (CODE_INSUFFICIENT_DATA, CODE_NO_QUALIFYING_POLICY,
                          backtest_verdict, load_snapshots, pre_search_filter,
                          robustness_check, save_reports, stability_verdicts)
 from .ingest import IngestSchema, ingest
-from .search import (FORMAT_VERSION, PolicyCandidate, collect_candidates,
-                     evaluate_policies, evaluate_policy_days,
+from .search import (FORMAT_VERSION, PolicyCandidate, PolicyTable,
+                     collect_candidates, evaluate_policies, evaluate_policy_days,
                      enumerate_policies, sample_weights, save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import ScenarioConfig, generate_experiment, generate_snapshots
@@ -320,7 +320,8 @@ def write_run_artifacts(result: PipelineResult, config: RunConfig,
 
     artifacts: dict[str, str] = {}
     if result.policies:
-        save_policy_table(out / "policy_table.csv", result.policies, metrics)
+        save_policy_table(out / "policy_table.csv",
+                          PolicyTable.from_candidates(result.policies, metrics))
         artifacts["policy_table"] = "policy_table.csv"
     if result.frontier is not None:
         save_frontier(out / "frontier.json", result.frontier)

@@ -5,23 +5,27 @@ Per-metric policy lift is the segment-size-weighted sum of the slot effects
 of its treated slots; policy standard errors compose slot standard errors as
 independent size-weighted variances (segments are disjoint user sets). Each
 cut's effects come from one `experiment.slot_effects` table, and every policy
-on the cut is composed from that table's arrays.
+on the cut is composed from that table's arrays. `build_policy_table` keeps
+the composed arrays as one columnar `PolicyTable`; `evaluate_policies` and
+its pinned and per-day variants wrap them into `PolicyCandidate`s.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EstimationError
+from .errors import ConfigError, EstimationError, IntegrityError
 from .experiment import (ExperimentDataset, MetricEstimate, SlotEffects,
                          cell_moments, effects_from_moments, pool_moments,
                          slot_effects)
+from .ingest import _parse_number, csv_blocks, csv_header, csv_rows
 from .segmentation import CutSpec, cut_slot_codes
 
 FORMAT_VERSION = 1
@@ -95,13 +99,44 @@ def global_policies(ds: ExperimentDataset,
 
 
 def _sample_assignments(n_actions: int, slots: int, budget: int,
-                        control_index: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
-    # All-control is forced in; the rest are unique uniform draws.
-    control = tuple([control_index] * slots)
-    chosen = {control}
-    while len(chosen) < budget:
-        chosen.add(tuple(int(a) for a in rng.integers(0, n_actions, size=slots)))
-    return sorted(chosen)
+                        control_index: int, rng: np.random.Generator) -> np.ndarray:
+    # All-control is forced in; the rest are unique uniform draws of one
+    # row each, made `need` rows per call: the stream is the same, and the
+    # draws stop where one row at a time would, since only the last row of
+    # a call can fill the budget.
+    chosen = {(control_index,) * slots}
+    while (need := budget - len(chosen)) > 0:
+        chosen.update(map(tuple, rng.integers(0, n_actions,
+                                              size=(need, slots)).tolist()))
+    return np.array(sorted(chosen), dtype=np.intp)
+
+
+def _cut_assignments(cuts: Sequence[CutSpec], n_actions: int, budget: int,
+                     control_index: int, seed: int
+                     ) -> list[tuple[CutSpec | None, np.ndarray]]:
+    """Each cut with the (policies, slots) matrix of its candidate
+    policies' action indices, rows in ascending order: the full action
+    cross-product when it fits the per-cut budget, otherwise a seeded
+    uniform sample without replacement that always holds the all-control
+    row. One generator seeded with `seed` serves every sampled cut, in cut
+    order. An empty cut list gives the single-slot global policies.
+    """
+    if budget < 1:
+        raise ConfigError(f"policy budget must be >= 1, got {budget}")
+    if n_actions < 1:
+        raise ConfigError("no actions to assign")
+    if not cuts:
+        return [(None, np.arange(n_actions, dtype=np.intp)[:, None])]
+    rng = np.random.default_rng(seed)
+    out = []
+    for cut in cuts:
+        slots = cut.slot_count
+        if n_actions ** slots <= budget:
+            arms = np.indices((n_actions,) * slots).reshape(slots, -1).T
+        else:
+            arms = _sample_assignments(n_actions, slots, budget, control_index, rng)
+        out.append((cut, arms))
+    return out
 
 
 def enumerate_policies(ds: ExperimentDataset, cuts: Sequence[CutSpec],
@@ -113,28 +148,14 @@ def enumerate_policies(ds: ExperimentDataset, cuts: Sequence[CutSpec],
 
     An empty cut list yields the global single-slot policies, one per action.
     """
-    if budget < 1:
-        raise ConfigError(f"policy budget must be >= 1, got {budget}")
     action_list = tuple(actions) if actions is not None else ds.actions
-    if not action_list:
-        raise ConfigError("no actions to assign")
-    if not cuts:
-        return global_policies(ds, action_list)
-
     control_index = (action_list.index(ds.control_action)
                      if ds.control_action in action_list else 0)
-    rng = np.random.default_rng(seed)
     policies: list[PolicyCandidate] = []
-    for cut in cuts:
-        slots = cut.slot_count
-        total = len(action_list) ** slots
-        if total <= budget:
-            combos = list(itertools.product(range(len(action_list)), repeat=slots))
-        else:
-            combos = _sample_assignments(len(action_list), slots, budget,
-                                         control_index, rng)
-        for combo in combos:
-            assignment = tuple(action_list[i] for i in combo)
+    for cut, arms in _cut_assignments(cuts, len(action_list), budget,
+                                      control_index, seed):
+        for row in arms.tolist():
+            assignment = tuple(action_list[i] for i in row)
             policies.append(PolicyCandidate(
                 policy_id=make_policy_id(cut, assignment),
                 cut=cut, assignment=assignment))
@@ -150,26 +171,36 @@ def _cut_effects(ds: ExperimentDataset, cut: CutSpec | None,
     return slot_effects(ds, cut_slot_codes(ds, cut), n_slots, rows)
 
 
+@dataclass(frozen=True, slots=True)
+class Composition:
+    """Composed estimates of P policies on one cut.
+
+    `mean` and `std_err` are (P, metrics) arrays, `n_treated` and
+    `n_control` (P,) arrays counting the users of each policy's treated
+    slots and their controls, and `unsupported` holds each policy's first
+    unsupported slot, or -1 where every slot is supported. Effects with
+    leading axes (one table per range of days) put those axes first.
+    """
+
+    mean: np.ndarray
+    std_err: np.ndarray
+    n_treated: np.ndarray
+    n_control: np.ndarray
+    unsupported: np.ndarray
+
+
 def _compose(ds: ExperimentDataset, effects: SlotEffects,
-             policies: Sequence[PolicyCandidate]
-             ) -> list[PolicyCandidate | EstimationError]:
-    """Each policy on the cut that `effects` describes, with its estimates
-    filled, or the EstimationError naming its first unsupported slot.
+             arms: np.ndarray) -> Composition:
+    """The policies whose (P, slots) arm codes, indices into `ds.actions`,
+    are `arms`, on the cut that `effects` describes.
 
     A policy's lift is the size-weighted sum, in slot order, of the effects
     of its treated, non-empty slots; its variance is the sum of the squared
-    size-weighted standard errors. The P x S matrix of arm codes is composed
-    one slot at a time across all P policies. Effects with leading axes
-    (one table per range of days) compose every table at once; the result
-    lists each table's P policies in turn.
+    size-weighted standard errors. The arm codes are composed one slot at a
+    time across all P policies. A non-empty slot whose action lacks treated
+    or control users makes the policy unsupported.
     """
-    arm_of = {action: k for k, action in enumerate(ds.actions)}
-    try:
-        arms = np.array([[arm_of[a] for a in p.assignment] for p in policies],
-                        dtype=np.intp).reshape(len(policies), -1)
-    except KeyError as exc:
-        raise ValueError(f"unknown action {exc.args[0]!r}") from None
-    control = arm_of[ds.control_action]
+    control = ds.actions.index(ds.control_action)
     sizes = effects.counts.sum(axis=-1)
     weights = sizes / np.maximum(sizes.sum(axis=-1, keepdims=True), 1)
     terms = weights[..., None, None] * effects.mean
@@ -181,24 +212,43 @@ def _compose(ds: ExperimentDataset, effects: SlotEffects,
                        ).reshape(weighted.shape)
     # The control arm's column and every empty slot hold zero effect and
     # zero error, and sums run in slot order.
-    mean = np.zeros((*sizes.shape[:-1], len(policies), len(ds.metrics)))
+    mean = np.zeros((*sizes.shape[:-1], len(arms), len(ds.metrics)))
     var = np.zeros_like(mean)
     for slot in range(arms.shape[1]):
         mean += terms[..., slot, arms[:, slot], :]
         var += squares[..., slot, arms[:, slot], :]
     slots = np.arange(arms.shape[1])
     treated = arms != control
-    n_treated = (effects.counts[..., slots, arms] * treated).sum(axis=-1)
-    n_control = (effects.counts[..., None, :, control] * treated).sum(axis=-1)
     lacking = ~effects.supported[..., slots, arms] & (sizes[..., None, :] > 0)
-    unsupported = np.where(lacking.any(axis=-1), lacking.argmax(axis=-1), -1)
+    return Composition(
+        mean=mean, std_err=np.sqrt(var),
+        n_treated=(effects.counts[..., slots, arms] * treated).sum(axis=-1),
+        n_control=(effects.counts[..., None, :, control] * treated).sum(axis=-1),
+        unsupported=np.where(lacking.any(axis=-1), lacking.argmax(axis=-1), -1))
 
+
+def _evaluate(ds: ExperimentDataset, effects: SlotEffects,
+              policies: Sequence[PolicyCandidate]
+              ) -> list[PolicyCandidate | EstimationError]:
+    """Each policy on the cut that `effects` describes, with its estimates
+    filled from `_compose`, or the EstimationError naming its first
+    unsupported slot. Effects with leading axes list each table's policies
+    in turn.
+    """
+    arm_of = {action: k for k, action in enumerate(ds.actions)}
+    try:
+        arms = np.array([[arm_of[a] for a in p.assignment] for p in policies],
+                        dtype=np.intp).reshape(len(policies), -1)
+    except KeyError as exc:
+        raise ValueError(f"unknown action {exc.args[0]!r}") from None
+    composed = _compose(ds, effects, arms)
+    n_metrics = len(ds.metrics)
     out: list[PolicyCandidate | EstimationError] = []
     for policy, means, errors, n_t, n_c, slot in zip(
-            itertools.cycle(policies), mean.reshape(-1, len(ds.metrics)).tolist(),
-            np.sqrt(var).reshape(-1, len(ds.metrics)).tolist(),
-            n_treated.ravel().tolist(), n_control.ravel().tolist(),
-            unsupported.ravel().tolist()):
+            itertools.cycle(policies), composed.mean.reshape(-1, n_metrics).tolist(),
+            composed.std_err.reshape(-1, n_metrics).tolist(),
+            composed.n_treated.ravel().tolist(), composed.n_control.ravel().tolist(),
+            composed.unsupported.ravel().tolist()):
         if slot >= 0:
             out.append(EstimationError(
                 f"policy {policy.policy_id!r} slot {slot}: no treated/control "
@@ -231,8 +281,8 @@ def evaluate_policies(ds: ExperimentDataset, policies: Sequence[PolicyCandidate]
         by_cut.setdefault(policy.cut, []).append(index)
     results: list = [None] * len(policies)
     for cut, indices in by_cut.items():
-        composed = _compose(ds, _cut_effects(ds, cut),
-                            [policies[i] for i in indices])
+        composed = _evaluate(ds, _cut_effects(ds, cut),
+                             [policies[i] for i in indices])
         for index, result in zip(indices, composed):
             results[index] = result
     if not skip_unsupported:
@@ -256,7 +306,7 @@ def evaluate_policy_pinned(ds: ExperimentDataset, policy: PolicyCandidate,
     temporal slice or a backtest day is evaluated against the cohorts of
     the window it belongs to rather than re-deriving its own quantiles.
     """
-    [result] = _compose(ds, _cut_effects(ds, policy.cut, rows), [policy])
+    [result] = _evaluate(ds, _cut_effects(ds, policy.cut, rows), [policy])
     if isinstance(result, EstimationError):
         raise result
     return result
@@ -281,7 +331,39 @@ def evaluate_policy_days(ds: ExperimentDataset, policy: PolicyCandidate,
     moments = cell_moments(ds, codes, (n_days, n_slots))
     effects = effects_from_moments(pool_moments(moments, lo, hi),
                                    ds.actions.index(ds.control_action))
-    return _compose(ds, effects, [policy])
+    return _evaluate(ds, effects, [policy])
+
+
+def build_policy_table(ds: ExperimentDataset, cuts: Sequence[CutSpec],
+                       budget: int = 128, seed: int = 0) -> PolicyTable:
+    """Every policy that `enumerate_policies(ds, cuts, budget=budget,
+    seed=seed)` gives, evaluated as `evaluate_policies(...,
+    skip_unsupported=True)` would, as one columnar table.
+
+    Each cut's arm-code matrix is composed from its slot-effect table
+    without building a candidate object per policy.
+    """
+    control_index = ds.actions.index(ds.control_action)
+    ids: list[str] = []
+    features: list[str] = []
+    cut_names: list[str] = []
+    actions: list[str] = []
+    means, errors = [], []
+    for cut, arms in _cut_assignments(cuts, len(ds.actions), budget,
+                                      control_index, seed):
+        composed = _compose(ds, _cut_effects(ds, cut), arms)
+        kept = composed.unsupported < 0
+        means.append(composed.mean[kept])
+        errors.append(composed.std_err[kept])
+        assignments = [tuple(ds.actions[i] for i in row)
+                       for row in arms[kept].tolist()]
+        ids += [make_policy_id(cut, a) for a in assignments]
+        actions += ["-".join(a) for a in assignments]
+        features += [cut.feature if cut is not None else ""] * len(assignments)
+        cut_names += [cut.short_descriptor if cut is not None else "global"
+                      ] * len(assignments)
+    return PolicyTable(ds.metrics, ids, features, cut_names, actions,
+                       np.concatenate(means), np.concatenate(errors))
 
 
 # -- random-weight search ------------------------------------------------------
@@ -400,48 +482,140 @@ def collect_candidates(policies: Sequence[PolicyCandidate],
 # -- policy table persistence ---------------------------------------------------
 
 
-def save_policy_table(path: str | Path, policies: Sequence[PolicyCandidate],
-                      metrics: Sequence[str]) -> None:
+class PolicyTable(Mapping):
+    """Evaluated policies of one experiment as columns, sorted by policy id.
+
+    `ids`, `feature`, `cut` and `actions` are lists of str with one entry
+    per policy: `feature` is "" and `cut` is "global" for a whole-population
+    policy, and `actions` joins the per-slot actions with "-". `mean` and
+    `std_err` are (policies, metrics) float arrays whose columns follow
+    `metrics`. The constructor takes the columns in any order and sorts
+    them by id (a repeated id keeps its last row); it rejects a non-finite
+    mean or a negative or non-finite std_err.
+
+    As a read-only Mapping the table is {policy_id: {metric:
+    MetricEstimate}}, each row built on access with zero user counts, as
+    for estimates loaded from a file. The id index is built on the first
+    lookup: writing a table or ranking its columns needs none.
+    """
+
+    def __init__(self, metrics: Sequence[str], ids: Sequence[str],
+                 feature: Sequence[str], cut: Sequence[str],
+                 actions: Sequence[str], mean, std_err):
+        self.metrics = tuple(metrics)
+        shape = (len(ids), len(self.metrics))
+        mean = np.asarray(mean, dtype=float).reshape(shape)
+        std_err = np.asarray(std_err, dtype=float).reshape(shape)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        # The sort is stable, so the last of a run of equal ids is the last
+        # one given.
+        order = [i for i, j in zip(order, order[1:] + [None])
+                 if j is None or ids[i] != ids[j]]
+        self.ids = [ids[i] for i in order]
+        self.feature = [feature[i] for i in order]
+        self.cut = [cut[i] for i in order]
+        self.actions = [actions[i] for i in order]
+        self.mean = mean[order]
+        self.std_err = std_err[order]
+        bad = ~(np.isfinite(self.mean) & np.isfinite(self.std_err)
+                & (self.std_err >= 0.0))
+        if bad.any():
+            row, col = (int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(
+                f"policy {self.ids[row]!r} metric {self.metrics[col]!r}: mean "
+                f"must be finite and std_err finite and >= 0, got "
+                f"{float(self.mean[row, col])!r} and "
+                f"{float(self.std_err[row, col])!r}")
+        self._row: dict[str, int] | None = None
+
+    @classmethod
+    def from_candidates(cls, policies: Sequence[PolicyCandidate],
+                        metrics: Sequence[str]) -> "PolicyTable":
+        """The estimates of `metrics` of evaluated candidates."""
+        return cls(metrics, [p.policy_id for p in policies],
+                   [p.cut.feature if p.cut is not None else "" for p in policies],
+                   [p.cut.short_descriptor if p.cut is not None else "global"
+                    for p in policies],
+                   ["-".join(p.assignment) for p in policies],
+                   [[p.estimates[m].mean for m in metrics] for p in policies],
+                   [[p.estimates[m].std_err for m in metrics] for p in policies])
+
+    def _rows(self) -> dict[str, int]:
+        if self._row is None:
+            self._row = {pid: row for row, pid in enumerate(self.ids)}
+        return self._row
+
+    def __getitem__(self, policy_id: str) -> dict[str, MetricEstimate]:
+        row = self._rows()[policy_id]
+        return {metric: MetricEstimate(mean=mu, std_err=se)
+                for metric, mu, se in zip(self.metrics, self.mean[row].tolist(),
+                                          self.std_err[row].tolist())}
+
+    def __contains__(self, policy_id) -> bool:
+        return policy_id in self._rows()
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+_KEY_COLUMNS = ("policy_id", "feature", "cut", "actions")
+
+
+def _value_columns(metrics: Sequence[str]) -> list[str]:
+    return [f"{metric}_{part}" for metric in metrics for part in ("mean", "std_err")]
+
+
+def save_policy_table(path: str | Path, table: PolicyTable) -> None:
     """Write the policy table CSV: id, cut descriptor, per-slot actions, and
-    per-metric mean/std_err columns."""
-    path = Path(path)
-    header = ["policy_id", "feature", "cut", "actions"]
-    for metric in metrics:
-        header += [f"{metric}_mean", f"{metric}_std_err"]
+    per-metric mean/std_err columns, one row per policy in id order.
+
+    Evaluated candidates are written through `PolicyTable.from_candidates`.
+    csv.writer writes each float with `repr`.
+    """
+    numbers = np.stack([table.mean, table.std_err], axis=-1).reshape(
+        len(table), 2 * len(table.metrics)).T.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# format_version: {FORMAT_VERSION}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for policy in sorted(policies, key=lambda p: p.policy_id):
-            cut = policy.cut
-            row = [policy.policy_id,
-                   cut.feature if cut is not None else "",
-                   cut.short_descriptor if cut is not None else "global",
-                   "-".join(policy.assignment)]
-            for metric in metrics:
-                est = policy.estimates[metric]
-                row += [repr(est.mean), repr(est.std_err)]
-            writer.writerow(row)
+        writer.writerow([*_KEY_COLUMNS, *_value_columns(table.metrics)])
+        writer.writerows(zip(table.ids, table.feature, table.cut, table.actions,
+                             *numbers))
 
 
-def load_policy_table(path: str | Path) -> tuple[dict[str, dict[str, MetricEstimate]], list[str]]:
-    """Read a policy table CSV into {policy_id: {metric: MetricEstimate}} and
-    the metric id list."""
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader)
-    metric_cols = [(i, name[: -len("_mean")]) for i, name in enumerate(header)
-                   if name.endswith("_mean")]
-    err_col = {name: header.index(f"{name}_std_err") for _, name in metric_cols}
-    table: dict[str, dict[str, MetricEstimate]] = {}
-    for row in reader:
-        if not row:
-            continue
-        policy_id = row[0]
-        table[policy_id] = {
-            name: MetricEstimate(mean=float(row[i]), std_err=float(row[err_col[name]]))
-            for i, name in metric_cols
-        }
-    return table, [name for _, name in metric_cols]
+def load_policy_table(path: str | Path) -> tuple[PolicyTable, list[str]]:
+    """Read a policy table CSV into a PolicyTable and its metric id list.
+
+    The file streams through `ingest.csv_blocks` (its dialect is described
+    there); every metric with a `<metric>_mean` column needs a
+    `<metric>_std_err` column. A short row or a missing, non-numeric or
+    non-finite number raises RowIngestError naming its 1-based data row.
+    """
+    metrics = list(dict.fromkeys(name[:-len("_mean")] for name in csv_header(path)
+                                 if name.endswith("_mean")))
+    columns = [*_KEY_COLUMNS, *_value_columns(metrics)]
+    keys = [np.empty((0, len(_KEY_COLUMNS)), dtype=object)]
+    numbers = [np.empty((0, len(columns) - len(_KEY_COLUMNS)))]
+    try:
+        for block in csv_blocks(path, columns):
+            values = block[:, len(_KEY_COLUMNS):].astype(float)  # float() per cell
+            if not np.isfinite(values).all():
+                raise ValueError("non-finite cell")
+            keys.append(block[:, :len(_KEY_COLUMNS)])
+            numbers.append(values)
+    except ValueError as exc:
+        for row, cells, short in csv_rows(path, columns):
+            if short is not None:
+                raise short
+            for column, cell in zip(columns[len(_KEY_COLUMNS):],
+                                    cells[len(_KEY_COLUMNS):]):
+                _parse_number(cell, column, row)
+        raise IntegrityError(f"{path}: a block failed to parse ({exc}) but "
+                             f"no row did") from exc
+    key = np.concatenate(keys)
+    values = np.concatenate(numbers)
+    table = PolicyTable(metrics, *(key[:, j].tolist() for j in range(len(_KEY_COLUMNS))),
+                        values[:, 0::2], values[:, 1::2])
+    return table, metrics

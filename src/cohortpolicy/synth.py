@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .evaluation import KINDS, GroundTruth, InstructionSpec, ground_truth_oracle
-from .experiment import ExperimentDataset, MetricEstimate
+from .experiment import ExperimentDataset
 from .governance import FeatureSnapshotPair
-from .search import enumerate_policies, evaluate_policies
+from .search import PolicyTable, build_policy_table
 from .segmentation import (CutEnumerationConfig, enumerate_cuts, interior_cutpoints,
                            quantile, slot_codes)
 
@@ -343,15 +343,12 @@ class BenchmarkConfig:
 
 @dataclass
 class BenchmarkBundle:
-    """Instructions, their oracle ground truths, and per-experiment policy
-    tables ({policy_id: {metric: MetricEstimate}}) plus the evaluated
-    candidates they came from."""
+    """Instructions, their oracle ground truths, and one columnar policy
+    table per experiment (a Mapping {policy_id: {metric: MetricEstimate}})."""
 
     instructions: list[InstructionSpec]
     ground_truths: list[GroundTruth]
-    policy_tables: dict[str, dict[str, dict[str, MetricEstimate]]]
-    policies: dict[str, list]
-    metric_names: tuple[str, ...]
+    policy_tables: dict[str, PolicyTable]
 
 
 def _random_effects(rng: np.random.Generator, cfg: BenchmarkConfig
@@ -391,9 +388,7 @@ def build_benchmark(cfg: BenchmarkConfig) -> BenchmarkBundle:
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.n_experiments)
     instructions: list[InstructionSpec] = []
     ground_truths: list[GroundTruth] = []
-    tables: dict[str, dict[str, dict[str, MetricEstimate]]] = {}
-    evaluated_by_experiment: dict[str, list] = {}
-    metric_names: tuple[str, ...] = ()
+    tables: dict[str, PolicyTable] = {}
     idx = 0
     for e in range(cfg.n_experiments):
         exp_seed = int(seeds[e])
@@ -407,13 +402,9 @@ def build_benchmark(cfg: BenchmarkConfig) -> BenchmarkBundle:
         ds, _ = generate_experiment(scenario)
         cuts = enumerate_cuts(ds, CutEnumerationConfig(
             features=ds.features, n_bins=cfg.n_bins))
-        policies = enumerate_policies(ds, cuts, budget=cfg.policy_budget,
-                                      seed=exp_seed)
-        evaluated = evaluate_policies(ds, policies, skip_unsupported=True)
-        table = {p.policy_id: dict(p.estimates) for p in evaluated}
+        table = build_policy_table(ds, cuts, budget=cfg.policy_budget,
+                                   seed=exp_seed)
         tables[scenario.experiment_id] = table
-        evaluated_by_experiment[scenario.experiment_id] = evaluated
-        metric_names = ds.metrics
 
         primary, secondary = (("m1", "m2") if e % 2 == 0 else ("m2", "m1"))
         for kind in KINDS:
@@ -429,9 +420,7 @@ def build_benchmark(cfg: BenchmarkConfig) -> BenchmarkBundle:
             ground_truths.append(gt)
             idx += 1
     return BenchmarkBundle(instructions=instructions, ground_truths=ground_truths,
-                           policy_tables=tables,
-                           policies=evaluated_by_experiment,
-                           metric_names=metric_names)
+                           policy_tables=tables)
 
 
 def write_benchmark(bundle: BenchmarkBundle, out_dir: str | Path) -> dict[str, str]:
@@ -446,9 +435,9 @@ def write_benchmark(bundle: BenchmarkBundle, out_dir: str | Path) -> dict[str, s
     save_ground_truths(out / "ground_truth.json", bundle.ground_truths)
     tables_dir = out / "policy_tables"
     tables_dir.mkdir(exist_ok=True)
-    for experiment_id in sorted(bundle.policies):
+    for experiment_id in sorted(bundle.policy_tables):
         save_policy_table(tables_dir / f"{experiment_id}.csv",
-                          bundle.policies[experiment_id], bundle.metric_names)
+                          bundle.policy_tables[experiment_id])
     return {"instructions": "instructions.jsonl",
             "ground_truth": "ground_truth.json",
             "policy_tables": "policy_tables"}

@@ -248,6 +248,18 @@ def test_minimize_unknown_metric_fails(tmp_path, capsys):
     assert "'m9'" in capsys.readouterr().err
 
 
+def test_filter_short_row_exits_one_naming_the_row(tmp_path, capsys):
+    table = tmp_path / "pt.csv"
+    table.write_text("policy_id,feature,cut,actions,m1_mean,m1_std_err,"
+                     "m2_mean,m2_std_err\n"
+                     "p1,f1,ind2,a0-a1,0.5,0.1,0.2,0.1\n"
+                     "p2,c\n")
+    assert main(["filter", "--policy-table", str(table),
+                 "--out", str(tmp_path / "filter")]) == 1
+    assert capsys.readouterr().err == (
+        "error: RowIngestError: row 2: expected 8 fields, got 2\n")
+
+
 @pytest.mark.parametrize("seed", [0, 39])
 def test_small_pipeline_run_writes_verdict(tmp_path, seed):
     # Seed 0's first candidate has too few usable backtest days, seed 39's

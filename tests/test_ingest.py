@@ -74,6 +74,16 @@ def test_non_finite_rejected(tmp_path):
         ingest(path, SCHEMA)
 
 
+def test_jsonl_integer_beyond_float_range_names_row_and_column(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"uid": "u1", "group": "t1", "age": 30, "spend": 1.0}\n'
+                    '{"uid": "u2", "group": "control", "age": 1' + "0" * 400
+                    + ', "spend": 2.0}\n')
+    with pytest.raises(RowIngestError, match=r"^row 2: value 10+ in column "
+                                             r"'age' does not fit a float$"):
+        ingest(path, SCHEMA)
+
+
 def test_user_in_two_arms_rejected(tmp_path):
     path = write_csv(tmp_path / "d.csv",
                      ["u1,t1,30,1.0", "u1,control,30,1.0"])

@@ -1,0 +1,378 @@
+"""The columnar policy table against the per-policy code it replaced.
+
+`reference_save_policy_table` is the csv.writer body that wrote one row per
+candidate, `reference_ground_truth_oracle` the oracle that ranked a
+{policy_id: {metric: MetricEstimate}} dict with Python sorts, and
+`reference_sample_assignments` the sampler that drew one row per call. The
+columnar writer, oracle and sampler must give the same bytes, rankings and
+rows.
+"""
+
+import csv
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cohortpolicy.errors import EstimationError, RowIngestError
+from cohortpolicy.evaluation import (KINDS, SINGLE_METRIC, InstructionSpec,
+                                     ground_truth_oracle)
+from cohortpolicy.experiment import ExperimentDataset, MetricEstimate
+from cohortpolicy.frontier import weak_pareto_mask_2d
+from cohortpolicy.search import (FORMAT_VERSION, PolicyCandidate, PolicyTable,
+                                 _sample_assignments, build_policy_table,
+                                 enumerate_policies, evaluate_policies,
+                                 evaluate_policy_pinned, load_policy_table,
+                                 make_policy_id, save_policy_table)
+from cohortpolicy.segmentation import CutSpec
+
+
+# -- references -----------------------------------------------------------------
+
+
+def reference_save_policy_table(path, policies, metrics):
+    header = ["policy_id", "feature", "cut", "actions"]
+    for metric in metrics:
+        header += [f"{metric}_mean", f"{metric}_std_err"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# format_version: {FORMAT_VERSION}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for policy in sorted(policies, key=lambda p: p.policy_id):
+            cut = policy.cut
+            row = [policy.policy_id,
+                   cut.feature if cut is not None else "",
+                   cut.short_descriptor if cut is not None else "global",
+                   "-".join(policy.assignment)]
+            for metric in metrics:
+                est = policy.estimates[metric]
+                row += [repr(est.mean), repr(est.std_err)]
+            writer.writerow(row)
+
+
+GT_SIZE, SIGMA_FLOOR, CONSTRAINT_Z = 5, 1e-9, 1.96
+
+
+def _require_metric(table, metric, kind):
+    if not metric:
+        raise ValueError(f"{kind} requires a metric id")
+    for policy_id, estimates in table.items():
+        if metric not in estimates:
+            raise ValueError(
+                f"policy {policy_id!r} has no estimate for metric {metric!r}")
+    return metric
+
+
+def _z(est):
+    return est.mean / max(est.std_err, SIGMA_FLOOR)
+
+
+def _top_by(ids, score, n=GT_SIZE):
+    return sorted(ids, key=lambda pid: (-score[pid], pid))[:n]
+
+
+def _tradeoff_spread(ids, table, primary, secondary):
+    x = np.array([table[pid][primary].mean for pid in ids])
+    y = np.array([table[pid][secondary].mean for pid in ids])
+    pareto = [ids[i] for i in np.flatnonzero(weak_pareto_mask_2d(x, y))]
+    means = {pid: (table[pid][primary].mean, table[pid][secondary].mean)
+             for pid in pareto}
+    if len(pareto) <= GT_SIZE:
+        return sorted(pareto, key=lambda pid: (-means[pid][0], pid))
+    lo = [min(means[p][i] for p in pareto) for i in (0, 1)]
+    hi = [max(means[p][i] for p in pareto) for i in (0, 1)]
+    span = [max(hi[i] - lo[i], SIGMA_FLOOR) for i in (0, 1)]
+
+    def norm(pid):
+        return tuple((means[pid][i] - lo[i]) / span[i] for i in (0, 1))
+
+    extreme_primary = min(pareto, key=lambda pid: (-means[pid][0], pid))
+    extreme_secondary = min(pareto, key=lambda pid: (-means[pid][1], pid))
+    chosen = [extreme_primary]
+    if extreme_secondary != extreme_primary:
+        chosen.append(extreme_secondary)
+    remaining = [pid for pid in pareto if pid not in chosen]
+    while len(chosen) < GT_SIZE and remaining:
+        best = min(remaining, key=lambda pid: (
+            -min(math.dist(norm(pid), norm(c)) for c in chosen), pid))
+        chosen.append(best)
+        remaining.remove(best)
+    return chosen
+
+
+def reference_ground_truth_oracle(instruction, table):
+    ids = sorted(table)
+    kind = instruction.kind
+    if not ids:
+        return []
+    primary = _require_metric(table, instruction.primary_metric, kind)
+    if kind == "single_metric":
+        return _top_by(ids, {pid: table[pid][primary].mean for pid in ids})
+    secondary = None
+    if kind != "efficiency_optimization":
+        secondary = _require_metric(table, instruction.secondary_metric, kind)
+    if kind == "maximize_with_constraint":
+        eligible = [pid for pid in ids
+                    if table[pid][secondary].mean
+                    + CONSTRAINT_Z * table[pid][secondary].std_err >= 0]
+        return _top_by(eligible, {pid: table[pid][primary].mean for pid in eligible})
+    if kind == "maximize_both":
+        score = {pid: _z(table[pid][primary]) + _z(table[pid][secondary])
+                 for pid in ids}
+        eligible = [pid for pid in ids
+                    if table[pid][primary].mean >= 0 and table[pid][secondary].mean >= 0]
+        top = _top_by(eligible, score)
+        if len(top) < GT_SIZE:
+            rest = [pid for pid in ids if pid not in set(top)]
+            top += _top_by(rest, score, GT_SIZE - len(top))
+        return top
+    if kind == "tradeoff_analysis":
+        return _tradeoff_spread(ids, table, primary, secondary)
+    metrics = tuple(dict.fromkeys(m for pid in ids for m in table[pid]))
+    for metric in metrics:
+        _require_metric(table, metric, kind)
+    score = {pid: sum(_z(table[pid][m]) for m in metrics) / len(metrics)
+             for pid in ids}
+    return _top_by(ids, score)
+
+
+def reference_sample_assignments(n_actions, slots, budget, control_index, rng):
+    control = tuple([control_index] * slots)
+    chosen = {control}
+    while len(chosen) < budget:
+        chosen.add(tuple(int(a) for a in rng.integers(0, n_actions, size=slots)))
+    return sorted(chosen)
+
+
+def bits(values):
+    """The IEEE bytes of floats, so that 0.0 and -0.0 differ."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
+# -- writer ---------------------------------------------------------------------
+
+# Names are not validated at ingest, so any text reaches the writer.
+NAME = st.text(st.sampled_from(['a', 'b', ',', '"', '\n', '\r', ' ', '-', '.',
+                                '#', "'", '\t', 'é']), min_size=1, max_size=5)
+
+
+@st.composite
+def candidate_tables(draw, names=NAME):
+    metrics = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    actions = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    cuts = [None, *(CutSpec(feature=f, kind="individual", n_bins=2)
+                    for f in draw(st.lists(names, min_size=1, max_size=2, unique=True)))]
+    value = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 1e-300])
+    policies = {}
+    for cut in cuts:
+        slots = cut.slot_count if cut is not None else 1
+        for _ in range(draw(st.integers(0, 3))):
+            assignment = tuple(draw(st.lists(st.sampled_from(actions),
+                                             min_size=slots, max_size=slots)))
+            pid = make_policy_id(cut, assignment)
+            policies[pid] = PolicyCandidate(pid, cut, assignment, {
+                m: MetricEstimate(mean=draw(value), std_err=abs(draw(value)))
+                for m in metrics})
+    return list(policies.values()), metrics
+
+
+@settings(max_examples=150, deadline=None)
+@given(candidate_tables())
+@example(([PolicyCandidate("f,1.ind2. a-\"b\n", CutSpec("f,1", "individual", 2),
+                           (' a', '"b\n'), {"m 1": MetricEstimate(-0.0, 0.5)})],
+          ["m 1"]))
+def test_writer_matches_csv_writer(tmp_path_factory, case):
+    policies, metrics = case
+    folder = tmp_path_factory.mktemp("writer")
+    reference_save_policy_table(folder / "want.csv", policies, metrics)
+    save_policy_table(folder / "table.csv",
+                      PolicyTable.from_candidates(policies, metrics))
+    assert (folder / "table.csv").read_bytes() == (folder / "want.csv").read_bytes()
+
+
+# No '#' (a physical line starting with it is a comment) and no lone '\r'
+# (a line break to the reader, written unquoted by csv.writer).
+ROUND_TRIP_NAME = st.text(st.sampled_from(['a', 'b', ',', '"', '\n', ' ', '-',
+                                           '.', "'", '\t', 'é']), min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(candidate_tables(ROUND_TRIP_NAME))
+def test_policy_table_round_trip_is_bit_exact(tmp_path_factory, case):
+    policies, metrics = case
+    table = PolicyTable.from_candidates(policies, metrics)
+    path = tmp_path_factory.mktemp("round_trip") / "table.csv"
+    save_policy_table(path, table)
+    loaded, loaded_metrics = load_policy_table(path)
+    assert loaded_metrics == metrics
+    for column in ("ids", "feature", "cut", "actions"):
+        assert getattr(loaded, column) == getattr(table, column)
+    assert bits(loaded.mean.ravel().tolist()) == bits(table.mean.ravel().tolist())
+    assert bits(loaded.std_err.ravel().tolist()) == bits(table.std_err.ravel().tolist())
+    assert loaded == table
+
+
+def test_load_names_a_short_row(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("policy_id,feature,cut,actions,m1_mean,m1_std_err\n"
+                    "p1,f1,ind2,a0-a1,0.5,0.1\n"
+                    "p2,c\n")
+    with pytest.raises(RowIngestError, match=r"^row 2: expected 6 fields, got 2$"):
+        load_policy_table(path)
+
+
+@pytest.mark.parametrize("cell,message", [
+    ("", "row 1: missing value in column 'm1_std_err'"),
+    ("x", "row 1: non-numeric value 'x' in column 'm1_std_err'"),
+    ("inf", "row 1: non-finite value 'inf' in column 'm1_std_err'"),
+])
+def test_load_names_a_bad_number(tmp_path, cell, message):
+    path = tmp_path / "table.csv"
+    path.write_text("policy_id,feature,cut,actions,m1_mean,m1_std_err\n"
+                    f"p1,f1,ind2,a0-a1,0.5,{cell}\n")
+    with pytest.raises(RowIngestError, match=f"^{message}$"):
+        load_policy_table(path)
+
+
+def test_table_rejects_a_negative_std_err():
+    with pytest.raises(ValueError, match="policy 'p1' metric 'm1'"):
+        PolicyTable(("m1",), ["p1"], [""], ["global"], ["a1"], [[0.5]], [[-0.1]])
+
+
+def test_table_sorts_by_id_and_keeps_a_repeated_ids_last_row():
+    table = PolicyTable(("m1",), ["b", "a", "b"], ["", "", ""], ["global"] * 3,
+                        ["x", "y", "z"], [[1.0], [2.0], [3.0]], [[0.0]] * 3)
+    assert table.ids == ["a", "b"]
+    assert table.actions == ["y", "z"]
+    assert table["b"] == {"m1": MetricEstimate(mean=3.0, std_err=0.0)}
+    assert list(table) == ["a", "b"] and len(table) == 2
+    assert "a" in table and "c" not in table
+    with pytest.raises(KeyError):
+        table["c"]
+
+
+# -- enumeration and composition ---------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 9), st.integers(1, 40),
+       st.integers(0, 3), st.integers(0, 2 ** 32))
+def test_sampler_draws_the_same_stream(n_actions, slots, budget, control, seed):
+    # The block draws give the rows, and leave the generator where, the
+    # one-row-per-call loop does.
+    budget = min(budget, n_actions ** slots)
+    control = min(control, n_actions - 1)
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = reference_sample_assignments(n_actions, slots, budget, control, want_rng)
+    got = _sample_assignments(n_actions, slots, budget, control, got_rng)
+    assert [tuple(row) for row in got.tolist()] == want
+    assert got_rng.integers(0, 2 ** 62) == want_rng.integers(0, 2 ** 62)
+
+
+@st.composite
+def small_datasets(draw):
+    n = draw(st.integers(2, 30))
+    # Few distinct feature values: ties and bins emptied by ties.
+    features = [draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+                for _ in range(2)]
+    # Arms drawn freely: arms of one user, or of none, leave slots without
+    # support.
+    arms = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=n, max_size=n))
+    # Small integer outcomes tie means, and equal means give 0.0 and -0.0.
+    outcomes = [draw(st.lists(st.integers(-2, 2).map(float), min_size=n, max_size=n)),
+                draw(st.lists(st.floats(-3, 3, allow_nan=False), min_size=n,
+                              max_size=n))]
+    ds = ExperimentDataset(experiment_id="e", user_ids=[f"u{i:03d}" for i in range(n)],
+                           arm_codes=arms, feature_matrix=features,
+                           outcome_matrix=outcomes, actions=("c", "t1", "t2"),
+                           control_action="c", metrics=("m1", "m2"),
+                           features=("f1", "f2"))
+    cuts = []
+    for feature in draw(st.lists(st.sampled_from(["f1", "f2"]), max_size=3)):
+        n_bins = draw(st.integers(2, 6))
+        if draw(st.booleans()):
+            cuts.append(CutSpec(feature, "individual", n_bins))
+        else:
+            cuts.append(CutSpec(feature, "binary", n_bins,
+                                draw(st.integers(1, n_bins - 1))))
+    return ds, cuts, draw(st.integers(1, 30)), draw(st.integers(0, 99))
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_datasets())
+def test_table_composer_is_bit_equal_to_pinned_evaluation(case):
+    ds, cuts, budget, seed = case
+    table = build_policy_table(ds, cuts, budget=budget, seed=seed)
+    policies = enumerate_policies(ds, cuts, budget=budget, seed=seed)
+    everyone = np.ones(ds.n_users, dtype=bool)
+    supported = []
+    for policy in policies:
+        try:
+            want = evaluate_policy_pinned(ds, policy, everyone)
+        except EstimationError:
+            assert policy.policy_id not in table
+            continue
+        supported.append(want)
+        row = table.ids.index(policy.policy_id)
+        cut = policy.cut
+        assert table.feature[row] == (cut.feature if cut is not None else "")
+        assert table.cut[row] == (cut.short_descriptor if cut is not None else "global")
+        assert table.actions[row] == "-".join(policy.assignment)
+        for m, metric in enumerate(ds.metrics):
+            assert bits([table.mean[row, m]]) == bits([want.estimates[metric].mean])
+            assert bits([table.std_err[row, m]]) == bits([want.estimates[metric].std_err])
+    # A cut listed twice repeats its ids; the table holds each id once.
+    assert table.ids == sorted({p.policy_id for p in supported})
+    assert table == PolicyTable.from_candidates(
+        evaluate_policies(ds, policies, skip_unsupported=True), ds.metrics)
+
+
+# -- oracle -----------------------------------------------------------------------
+
+
+@st.composite
+def oracle_cases(draw):
+    n_metrics = draw(st.sampled_from([2, 3]))
+    metrics = [f"m{i + 1}" for i in range(n_metrics)]
+    ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), max_size=14,
+                        unique=True))
+    # Few distinct values: tied scores, 0.0 against -0.0, zero errors.
+    mean = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -0.25, 1e-10])
+    std_err = st.sampled_from([0.0, 1e-12, 0.5, 1.0, 2.0])
+    table = PolicyTable(metrics, ids, [""] * len(ids), ["global"] * len(ids),
+                        ["a"] * len(ids),
+                        [[draw(mean) for _ in metrics] for _ in ids],
+                        [[draw(std_err) for _ in metrics] for _ in ids])
+    primary, secondary = draw(st.permutations(metrics))[:2]
+    return table, primary, secondary
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_cases())
+def test_oracle_on_table_equals_oracle_on_its_dict(case):
+    table, primary, secondary = case
+    # Insertion order must not matter to the dict oracle.
+    materialized = {pid: dict(table[pid]) for pid in reversed(table.ids)}
+    for kind in KINDS:
+        spec = InstructionSpec(kind=kind, primary_metric=primary,
+                               secondary_metric=None if kind == SINGLE_METRIC
+                               else secondary)
+        got = ground_truth_oracle(spec, table).top5
+        assert got == ground_truth_oracle(spec, materialized).top5, kind
+        assert got == reference_ground_truth_oracle(spec, materialized), kind
+
+
+def test_oracle_names_the_policy_lacking_a_metric():
+    table = PolicyTable(("m1",), ["b", "a"], ["", ""], ["global"] * 2, ["x", "y"],
+                        [[1.0], [2.0]], [[0.1], [0.1]])
+    spec = InstructionSpec(kind="tradeoff_analysis", primary_metric="m1",
+                           secondary_metric="m2")
+    for source in (table, {pid: table[pid] for pid in ("b", "a")}):
+        with pytest.raises(ValueError) as got:
+            ground_truth_oracle(spec, source)
+        with pytest.raises(ValueError) as want:
+            reference_ground_truth_oracle(spec, source)
+        assert str(got.value) == str(want.value)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cohortpolicy.errors import ConfigError, EstimationError
 from cohortpolicy.experiment import ExperimentDataset, compute_ate
-from cohortpolicy.search import (PolicyCandidate, WeightVector,
+from cohortpolicy.search import (PolicyCandidate, PolicyTable, WeightVector,
                                  collect_candidates, enumerate_policies,
                                  evaluate_policies, evaluate_policy,
                                  evaluate_policy_days, evaluate_policy_pinned,
@@ -570,7 +570,7 @@ def test_policy_table_round_trip(tmp_path, rng):
     cuts = enumerate_cuts(ds, {"features": ["f1"], "N": 4})
     policies = evaluate_policies(ds, enumerate_policies(ds, cuts, budget=16))
     path = tmp_path / "table.csv"
-    save_policy_table(path, policies, ds.metrics)
+    save_policy_table(path, PolicyTable.from_candidates(policies, ds.metrics))
     table, metrics = load_policy_table(path)
     assert metrics == list(ds.metrics)
     assert set(table) == {p.policy_id for p in policies}
