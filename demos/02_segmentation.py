@@ -44,7 +44,7 @@ for i, segment in enumerate(individual_split(tied, "f1", 4), start=1):
 print()
 print("enumerate_cuts is the deterministic cut-family catalog:")
 ds2, _ = generate_experiment(ScenarioConfig(seed=7, n_users=100, n_features=2))
-cuts = enumerate_cuts(ds2, {"features": ["f1", "f2"], "N": 4,
+cuts = enumerate_cuts(ds2, {"features": ["f1", "f2"], "n_bins": 4,
                             "kinds": ["individual", "binary"]})
 for cut in cuts:
     print(f"  {cut.describe():20} ({cut.slot_count} slots)")

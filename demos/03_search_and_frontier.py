@@ -17,7 +17,7 @@ print(f"conflict experiment: {ds.n_users} users, metrics {ds.metrics}")
 print("a1 helps m1 for active users but hurts m2 for inactive users;")
 print("a2 is the mirror image, so global treatments are zero-sum.\n")
 
-cuts = enumerate_cuts(ds, {"features": ["f1"], "N": 4})
+cuts = enumerate_cuts(ds, {"features": ["f1"], "n_bins": 4})
 policies = evaluate_policies(
     ds, enumerate_policies(ds, cuts, budget=128, seed=7))
 print(f"{len(policies)} candidate policies over {len(cuts)} cut families")

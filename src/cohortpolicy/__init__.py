@@ -23,8 +23,7 @@ from .ingest import IngestSchema, ingest, load_stored_estimates, parse_lift_text
 from .pipeline import PipelineResult, RunConfig, govern_pipeline, write_run_artifacts
 from .search import (CandidateSet, PolicyCandidate, WeightVector,
                      collect_candidates, enumerate_policies, evaluate_policies,
-                     evaluate_policy, global_policies, sample_weights,
-                     scalarized_score)
+                     global_policies, sample_weights, scalarized_score)
 from .segmentation import (CutEnumerationConfig, CutSpec, Segment, binary_split,
                            enumerate_cuts, individual_split, quantile)
 from .synth import (BenchmarkConfig, DriftSpec, PlantedEffect, ScenarioConfig,
@@ -42,8 +41,7 @@ __all__ = [
     "CutEnumerationConfig", "CutSpec", "Segment", "binary_split",
     "enumerate_cuts", "individual_split", "quantile",
     "CandidateSet", "PolicyCandidate", "WeightVector", "collect_candidates",
-    "enumerate_policies", "evaluate_policies", "evaluate_policy",
-    "global_policies", "sample_weights", "scalarized_score",
+    "enumerate_policies", "evaluate_policies", "global_policies", "sample_weights", "scalarized_score",
     "FrontierResult", "ToleranceConfig", "strict_pareto_oracle",
     "tolerance_dominates", "tolerance_filter",
     "FeatureSnapshotPair", "HookReport", "StabilityVerdict",

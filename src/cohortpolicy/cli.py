@@ -1,7 +1,8 @@
 """Command-line surface: ingest, synth, search, filter, govern, pipeline,
 eval, report.
 
-Exit codes: 0 success, 2 terminal governance rejection, 1 error. All output
+Exit codes: 0 success, 2 terminal governance rejection, 1 error (a usage
+error included). Each command takes only the flags it reads. All output
 files are schema-versioned and timestamp-free, so reruns with the same
 config and seed are byte-identical.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from .evaluation import (evaluate_selector, load_ground_truths, load_rankings,
 from .frontier import (ToleranceConfig, save_frontier, save_frontier_coords,
                        tolerance_filter)
 from .governance import (load_snapshots, pre_search_filter, save_reports,
-                         stability_verdicts)
+                         save_snapshots, stability_verdicts)
 from .ingest import IngestSchema, ingest
 from .pipeline import RunConfig, govern_pipeline, write_run_artifacts
 from .search import (FORMAT_VERSION, PolicyCandidate, PolicyTable,
@@ -28,7 +30,7 @@ from .search import (FORMAT_VERSION, PolicyCandidate, PolicyTable,
                      load_policy_table, sample_weights, save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import (BenchmarkConfig, ScenarioConfig, build_benchmark,
-                    generate_experiment, generate_snapshots, write_benchmark)
+                    drift_snapshots, generate_experiment, write_benchmark)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -43,6 +45,10 @@ def _fail(message: str) -> int:
 def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _with_seed(cfg, seed: int | None):
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def _out_dir(args, default_prefix: str) -> Path:
@@ -85,19 +91,17 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args, "synth")
     if args.benchmark:
-        cfg = BenchmarkConfig.from_mapping(_load_json(args.benchmark))
-        if args.seed is not None:
-            cfg = BenchmarkConfig.from_mapping({**vars(cfg), "seed": args.seed})
+        cfg = _with_seed(BenchmarkConfig.from_mapping(_load_json(args.benchmark)),
+                         args.seed)
+        out = _out_dir(args, "synth")
         bundle = build_benchmark(cfg)
         write_benchmark(bundle, out)
         print(f"benchmark with {len(bundle.instructions)} instructions in {out}")
         return EXIT_OK
-    data = _load_json(args.scenario)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    cfg = ScenarioConfig.from_mapping(data)
+    cfg = _with_seed(ScenarioConfig.from_mapping(_load_json(args.scenario)),
+                     args.seed)
+    out = _out_dir(args, "synth")
     ds, truth = generate_experiment(cfg)
     header = ["user_id", "arm", *ds.features, *ds.metrics]
     # `.tolist()` gives Python scalars, whose repr is the plain number.
@@ -124,12 +128,7 @@ def cmd_synth(args) -> int:
     _write_json(out / "planted_truth.json",
                 {"format_version": FORMAT_VERSION, **truth})
     if cfg.drift_specs:
-        from .governance import save_snapshots
-        pairs = {}
-        for i, drift in enumerate(cfg.drift_specs):
-            pairs[drift.feature] = generate_snapshots(ds, drift,
-                                                      seed=cfg.seed + 1000 + i)
-        save_snapshots(out / "snapshots.csv", pairs)
+        save_snapshots(out / "snapshots.csv", drift_snapshots(cfg, ds))
     print(f"synthetic experiment {ds.experiment_id!r} in {out}")
     return EXIT_OK
 
@@ -137,10 +136,7 @@ def cmd_synth(args) -> int:
 def _load_dataset(args):
     if args.scenario:
         cfg = ScenarioConfig.from_mapping(_load_json(args.scenario))
-        if args.seed is not None:
-            cfg = ScenarioConfig.from_mapping(
-                {**_load_json(args.scenario), "seed": args.seed})
-        ds, _ = generate_experiment(cfg)
+        ds, _ = generate_experiment(_with_seed(cfg, args.seed))
         return ds
     schema = IngestSchema.from_json(args.schema)
     return ingest(args.data, schema)
@@ -180,15 +176,8 @@ def cmd_filter(args) -> int:
     policies = [PolicyCandidate(policy_id=pid, cut=None, assignment=("a0",),
                                 estimates=dict(est))
                 for pid, est in table.items()]
-    minimize = tuple(args.minimize or ())
-    for metric in minimize:
-        if metric not in metrics:
-            raise ValueError(f"metric {metric!r} to minimize is not one of "
-                             f"the metrics {metrics}")
-    directions = {m: ("minimize" if m in minimize else "maximize")
-                  for m in metrics}
     result = tolerance_filter(
-        policies, ToleranceConfig(tau=args.tau, directions=directions),
+        policies, ToleranceConfig(tau=args.tau, minimize=tuple(args.minimize or ())),
         metrics=metrics)
     out = _out_dir(args, "filter")
     save_frontier(out / "frontier.json", result)
@@ -218,11 +207,7 @@ def cmd_govern(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config = RunConfig.from_json(args.config)
-    if args.seed is not None:
-        data = _load_json(args.config)
-        data["seed"] = args.seed
-        config = RunConfig.from_mapping(data)
+    config = _with_seed(RunConfig.from_json(args.config), args.seed)
     result = govern_pipeline(config)
     out = _out_dir(args, "run")
     write_run_artifacts(result, config, out)
@@ -275,32 +260,41 @@ def cmd_report(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, so exit 2 means only a
+    governance rejection."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cohortpolicy",
         description="Cohort-policy discovery, governance, and evaluation for "
                     "randomized experiments.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="run config JSON (pipeline)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    common.add_argument("--out", help="output directory")
+    out = _Parser(add_help=False)
+    out.add_argument("--out", help="output directory")
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None,
+                      help="override the config seed")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common],
+    p = sub.add_parser("ingest", parents=[out],
                        help="validate an experiment file")
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("synth", parents=[common],
+    p = sub.add_parser("synth", parents=[out, seed],
                        help="generate a synthetic experiment or benchmark")
     p.add_argument("--scenario", help="scenario config JSON")
     p.add_argument("--benchmark", help="benchmark config JSON")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("search", parents=[common],
+    p = sub.add_parser("search", parents=[out, seed],
                        help="enumerate, evaluate, and collect candidates")
     p.add_argument("--data")
     p.add_argument("--schema")
@@ -313,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="metric to minimize (repeatable)")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("filter", parents=[common],
+    p = sub.add_parser("filter", parents=[out],
                        help="tolerance-based Pareto filter on a policy table")
     p.add_argument("--policy-table", required=True, dest="policy_table")
     p.add_argument("--candidates", help="candidates.json to restrict to")
@@ -322,25 +316,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="metric to minimize (repeatable)")
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("govern", parents=[common],
+    p = sub.add_parser("govern", parents=[out],
                        help="feature-stability verdicts and pre-search filter")
     p.add_argument("--snapshots", required=True)
     p.add_argument("--thresholds", help="thresholds JSON override")
     p.set_defaults(func=cmd_govern)
 
-    p = sub.add_parser("pipeline", parents=[common],
+    p = sub.add_parser("pipeline", parents=[out, seed],
                        help="full governed run from a run config")
+    p.add_argument("--config", required=True, help="run config JSON")
     p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[out],
                        help="score selector rankings against ground truths")
-    p.add_argument("--instructions", help="instructions JSONL (for reference)")
     p.add_argument("--rankings", required=True)
     p.add_argument("--ground-truth", required=True, dest="ground_truth")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="summarize a run directory")
+    p = sub.add_parser("report", help="summarize a run directory")
     p.add_argument("--run", required=True)
     p.set_defaults(func=cmd_report)
     return parser
@@ -349,10 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "pipeline" and not args.config:
-        return _fail("pipeline needs --config")
-    if args.command == "synth" and not (args.scenario or args.benchmark):
-        return _fail("synth needs --scenario or --benchmark")
+    if args.command == "synth" and bool(args.scenario) == bool(args.benchmark):
+        return _fail("synth needs exactly one of --scenario or --benchmark")
     if args.command == "search" and not (args.scenario or (args.data and args.schema)):
         return _fail("search needs --scenario or --data with --schema")
     try:

@@ -1,0 +1,69 @@
+"""One reader for every JSON config: a dataclass built from a mapping by its
+fields' resolved types. Nothing is dropped or coerced silently: an unknown
+key, a missing required key or a wrong type raises ConfigError naming the
+key's path (e.g. `scenario.planted_effects[0].note`).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import types
+import typing
+from collections.abc import Mapping
+
+from .errors import ConfigError
+
+
+def from_mapping(cls, data, path: str = ""):
+    """Build the dataclass `cls` from JSON-like `data`; an absent key takes
+    the field's default. Field types: int (not a bool or a float), float (an
+    int is converted), str, `X | None`, `dict[str, T]`, `tuple[T, ...]` (a
+    list or a tuple) and nested dataclasses."""
+    _expect(isinstance(data, Mapping), "an object", data, path or cls.__name__)
+    hints = typing.get_type_hints(cls)
+    known = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"unknown key {_join(path, key)!r}")
+    for name, f in known.items():
+        if name not in data and f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing required key {_join(path, name)!r}")
+    return cls(**{name: _convert(hints[name], value, _join(path, name))
+                  for name, value in data.items()})
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _convert(tp, value, path: str):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 \
+            and type(None) in args:
+        [tp] = [a for a in args if a is not type(None)]
+        return None if value is None else _convert(tp, value, path)
+    if origin is tuple and args[1:] == (Ellipsis,):
+        _expect(isinstance(value, (list, tuple)), "a list", value, path)
+        return tuple(_convert(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is dict and args[0] is str:
+        _expect(isinstance(value, Mapping) and all(isinstance(k, str) for k in value),
+                "an object", value, path)
+        return {k: _convert(args[1], v, _join(path, k)) for k, v in value.items()}
+    if dataclasses.is_dataclass(tp):
+        return from_mapping(tp, value, path)
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is int:
+        _expect(numeric and isinstance(value, int), "an int", value, path)
+        return value
+    if tp is float:
+        _expect(numeric, "a number", value, path)
+        return float(value)
+    if tp is str:
+        _expect(isinstance(value, str), "a string", value, path)
+        return value
+    raise ConfigError(f"{path}: no JSON conversion for field type {tp!r}")
+
+
+def _expect(ok: bool, what: str, value, path: str) -> None:
+    if not ok:
+        raise ConfigError(f"{path}: expected {what}, got {value!r}")

@@ -20,16 +20,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from .segmentation import Segment
 
 ABSOLUTE = "absolute"
-RELATIVE_PERCENT = "relative_percent"
-LIFT_UNITS = (ABSOLUTE, RELATIVE_PERCENT)
+LIFT_UNITS = (ABSOLUTE,)
 
 
 @dataclass(frozen=True, slots=True)
 class MetricEstimate:
     """A lift estimate: mean difference vs control plus its standard error.
 
-    `mean` is in the dataset's declared lift units (absolute metric units
-    or relative fraction); no unit conversion ever happens downstream.
+    `mean` is in the dataset's declared lift units (absolute metric
+    units); no unit conversion ever happens downstream.
     Counts are 0 for estimates loaded from a stored-estimate file.
     """
 
@@ -64,7 +63,8 @@ class ExperimentDataset:
     and `metrics`, and `days` each user's integer day label (or None). The
     constructor sorts every column by user id, so estimates do not depend
     on input row order, and rejects duplicate ids, unknown arm codes,
-    non-finite values and columns of the wrong length.
+    action names holding `-`, non-finite values and columns of the wrong
+    length.
     """
 
     experiment_id: str
@@ -88,7 +88,12 @@ class ExperimentDataset:
                 f"control action {self.control_action!r} not in actions {self.actions}"
             )
         if self.lift_units not in LIFT_UNITS:
-            raise ValueError(f"lift_units must be one of {LIFT_UNITS}")
+            raise ValueError(f"lift_units {self.lift_units!r} is not supported: "
+                             f"only {ABSOLUTE!r} differences are computed")
+        for action in self.actions:
+            if "-" in action:
+                raise IntegrityError(f"action {action!r} contains '-', which "
+                                     f"joins actions in policy ids")
         ids = np.asarray(self.user_ids, dtype=str)
         n = len(ids)
         columns = {

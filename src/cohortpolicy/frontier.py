@@ -17,40 +17,24 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .search import FORMAT_VERSION, PolicyCandidate
-
-MAXIMIZE = "maximize"
-MINIMIZE = "minimize"
+from .search import FORMAT_VERSION, PolicyCandidate, check_minimize
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Tolerance multiplier plus a per-metric optimization direction.
-
-    `directions` may be None (every metric maximized); minimize-direction
-    metrics are sign-flipped before the maximize-case dominance test.
-    """
+    """Tolerance multiplier plus the metrics to minimize; every other metric
+    is maximized. Minimized metrics are sign-flipped before the
+    maximize-case dominance test."""
 
     tau: float
-    directions: Mapping[str, str] | None = None
+    minimize: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.tau < 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if self.directions is not None:
-            for metric, direction in self.directions.items():
-                if direction not in (MAXIMIZE, MINIMIZE):
-                    raise ValueError(
-                        f"direction for {metric!r} must be maximize|minimize, "
-                        f"got {direction!r}")
 
     def sign(self, metric: str) -> float:
-        if self.directions is None:
-            return 1.0
-        direction = self.directions.get(metric)
-        if direction is None:
-            raise ValueError(f"no direction declared for metric {metric!r}")
-        return -1.0 if direction == MINIMIZE else 1.0
+        return -1.0 if metric in self.minimize else 1.0
 
 
 @dataclass
@@ -102,8 +86,12 @@ def tolerance_filter(candidates: Sequence[PolicyCandidate], cfg: ToleranceConfig
 
     `dominated_by` records the first dominator in ascending id order, for
     deterministic audit logs. An empty candidate list yields an empty result.
+    Every metric in `cfg.minimize` must be one of the metrics (by default
+    the first candidate's).
     """
     ordered = sorted(candidates, key=lambda p: p.policy_id)
+    first = tuple(ordered[0].estimates) if ordered else ()
+    check_minimize(cfg.minimize, first if metrics is None else metrics)
     admitted: list[str] = []
     dominated_by: dict[str, str] = {}
     for p in ordered:
@@ -198,14 +186,17 @@ def save_frontier_coords(path: str | Path, policies: Sequence[PolicyCandidate],
                          result: FrontierResult,
                          metric_pair: tuple[str, str]) -> None:
     """Two-metric coordinate file (policy_id, mu_1, mu_2, admitted) for
-    external frontier plots."""
+    external frontier plots, one row per policy the filter judged (admitted
+    or dominated)."""
     admitted = set(result.admitted)
+    judged = admitted | set(result.dominated_by)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# format_version: {FORMAT_VERSION}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["policy_id", f"{metric_pair[0]}_mean",
                          f"{metric_pair[1]}_mean", "admitted"])
-        for policy in sorted(policies, key=lambda p: p.policy_id):
+        for policy in sorted((p for p in policies if p.policy_id in judged),
+                             key=lambda p: p.policy_id):
             writer.writerow([
                 policy.policy_id,
                 repr(policy.estimates[metric_pair[0]].mean),

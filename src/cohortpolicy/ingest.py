@@ -46,7 +46,8 @@ class IngestSchema:
         if not self.metric_columns:
             raise SchemaError("schema declares no metric columns")
         if self.lift_units not in LIFT_UNITS:
-            raise SchemaError(f"lift_units must be one of {LIFT_UNITS}")
+            raise SchemaError(f"lift_units {self.lift_units!r} is not supported: "
+                              f"only {ABSOLUTE!r} differences are computed")
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "IngestSchema":
@@ -261,8 +262,8 @@ def ingest(path: str | Path, schema: IngestSchema | Mapping) -> ExperimentDatase
     Raises SchemaError for a missing column in the header, RowIngestError
     (with the 1-based data row) for a missing, non-numeric or non-finite
     cell, a short CSV row or a JSONL row without a column, and
-    IntegrityError for a user appearing in more than one row. The error
-    named is that of the first bad row in the file.
+    IntegrityError for a user appearing in more than one row or an arm name
+    holding "-". The error named is that of the first bad row in the file.
     """
     if not isinstance(schema, IngestSchema):
         schema = IngestSchema.from_mapping(schema)
@@ -314,7 +315,8 @@ def ingest(path: str | Path, schema: IngestSchema | Mapping) -> ExperimentDatase
     except IntegrityError:
         # A repeated user: name its first repeating row and both arms. Ids
         # that repeat only as numpy strings, which drop trailing NULs
-        # ("u1" and "u1\x00"), keep the dataset's own message.
+        # ("u1" and "u1\x00"), and an action name holding "-" keep the
+        # dataset's own message.
         _raise_first_bad_row(rows(path, required), required, schema.day_column)
         raise
 

@@ -8,12 +8,13 @@ byte-identical artifacts regardless of input row order.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import from_mapping as read_config
 from .errors import ConfigError, EstimationError, InsufficientDataError
 from .experiment import ExperimentDataset
 from .frontier import (FrontierResult, ToleranceConfig, save_frontier,
@@ -30,7 +31,7 @@ from .search import (FORMAT_VERSION, PolicyCandidate, PolicyTable,
                      collect_candidates, evaluate_policies, evaluate_policy_days,
                      enumerate_policies, sample_weights, save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
-from .synth import ScenarioConfig, generate_experiment, generate_snapshots
+from .synth import ScenarioConfig, drift_snapshots, generate_experiment
 
 
 @dataclass
@@ -39,6 +40,9 @@ class RunConfig:
 
     Defaults: 1000 weight samples, top-5 per weight, tau = 1.0, shift
     thresholds 15% (binary) / 45% (quantile), refinement budget 3.
+    `backtest_days` splits only a dataset without day labels into that many
+    days; a dataset with day labels is sliced and backtested over all of its
+    days.
     """
 
     seed: int = 0
@@ -85,10 +89,7 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "RunConfig":
-        """Build a config from JSON-like data. An absent key takes the
-        field's default; a present one is converted by the field's type."""
-        return cls(**{f.name: _coerce(f.type, data[f.name])
-                      for f in fields(cls) if f.name in data})
+        return read_config(cls, data)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
@@ -97,35 +98,10 @@ class RunConfig:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"malformed run config: {exc}") from exc
-        if not isinstance(data, Mapping):
-            raise ConfigError("run config must be a JSON object")
         return cls.from_mapping(data)
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-# The JSON conversion for each RunConfig field type (annotations are
-# strings under `from __future__ import annotations`). Every field's type
-# must be listed, so a new field cannot be passed through unconverted.
-_FROM_JSON = {
-    "int": int,
-    "float": float,
-    "str | None": lambda value: value,
-    "tuple[str, ...]": tuple,
-    # features: an empty list means every feature
-    "tuple[str, ...] | None": lambda value: tuple(value) if value else None,
-    "dict[str, float]": dict,
-    "ScenarioConfig | None":
-        lambda value: None if value is None else ScenarioConfig.from_mapping(value),
-}
-
-
-def _coerce(annotation: str, value):
-    # Converts one JSON value to the RunConfig field annotated `annotation`.
-    if annotation not in _FROM_JSON:
-        raise ConfigError(f"no JSON conversion for field type {annotation!r}")
-    return _FROM_JSON[annotation](value)
 
 
 @dataclass
@@ -150,11 +126,7 @@ def _load_inputs(config: RunConfig
                  ) -> tuple[ExperimentDataset, dict[str, FeatureSnapshotPair]]:
     if config.scenario is not None:
         ds, _ = generate_experiment(config.scenario)
-        snapshots = {}
-        for i, drift in enumerate(config.scenario.drift_specs):
-            snapshots[drift.feature] = generate_snapshots(
-                ds, drift, seed=config.scenario.seed + 1000 + i)
-        return ds, snapshots
+        return ds, drift_snapshots(config.scenario, ds)
     ds = ingest(config.dataset_path, IngestSchema.from_json(config.schema_path))
     if not config.snapshots_path:
         raise ConfigError("file-based runs need a snapshots path for the "
@@ -205,7 +177,8 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
     if primary not in ds.metrics:
         raise ConfigError(f"primary metric {primary!r} not in dataset metrics")
     eligible = config.features or ds.features
-    sign = -1.0 if primary in config.minimize_metrics else 1.0
+    tolerance = ToleranceConfig(tau=config.tau, minimize=config.minimize_metrics)
+    sign = tolerance.sign(primary)
 
     verdicts = stability_verdicts(eligible, snapshots, config.thresholds)
     pre_report, admitted_features = pre_search_filter(verdicts, config.thresholds)
@@ -222,9 +195,6 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
         skip_unsupported=True)
     by_id = {p.policy_id: p for p in evaluated}
     weights = sample_weights(len(ds.metrics), config.weight_samples, config.seed)
-    directions = {m: ("minimize" if m in config.minimize_metrics else "maximize")
-                  for m in ds.metrics}
-    tolerance = ToleranceConfig(tau=config.tau, directions=directions)
     # Each candidate is validated on these day ranges: the robustness
     # slices, then the backtest's days and cumulative prefixes.
     day, day_labels = ds.day_codes(config.backtest_days)
@@ -327,12 +297,7 @@ def write_run_artifacts(result: PipelineResult, config: RunConfig,
         save_frontier(out / "frontier.json", result.frontier)
         artifacts["frontier"] = "frontier.json"
         if len(metrics) >= 2 and result.policies:
-            by_id = {p.policy_id: p for p in result.policies}
-            frontier_policies = [by_id[pid] for pid in
-                                 sorted(set(result.frontier.admitted)
-                                        | set(result.frontier.dominated_by))
-                                 if pid in by_id]
-            save_frontier_coords(out / "frontier_coords.csv", frontier_policies,
+            save_frontier_coords(out / "frontier_coords.csv", result.policies,
                                  result.frontier, (metrics[0], metrics[1]))
             artifacts["frontier_coords"] = "frontier_coords.csv"
     save_reports(out / "hook_reports.jsonl", result.reports)

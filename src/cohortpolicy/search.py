@@ -292,11 +292,6 @@ def evaluate_policies(ds: ExperimentDataset, policies: Sequence[PolicyCandidate]
     return [r for r in results if isinstance(r, PolicyCandidate)]
 
 
-def evaluate_policy(ds: ExperimentDataset, policy: PolicyCandidate) -> PolicyCandidate:
-    """Fill per-metric estimates for one policy (see evaluate_policies)."""
-    return evaluate_policies(ds, [policy])[0]
-
-
 def evaluate_policy_pinned(ds: ExperimentDataset, policy: PolicyCandidate,
                            rows: np.ndarray) -> PolicyCandidate:
     """This policy on `rows` of `ds` (a mask or index array), with cohort
@@ -414,6 +409,14 @@ def scalarized_score(policy: PolicyCandidate, weights: WeightVector,
     return total
 
 
+def check_minimize(minimize: Sequence[str], metrics: Sequence[str]) -> None:
+    """Raise ValueError unless every metric in `minimize` is one of `metrics`."""
+    for metric in minimize:
+        if metric not in metrics:
+            raise ValueError(f"metric {metric!r} to minimize is not one of "
+                             f"the metrics {list(metrics)}")
+
+
 # Weights are scored this many at a time. A governed run can reach its
 # peak RSS in Top-K, where every (weights x policies) temporary adds to it;
 # blocks this small keep each one to tens of kilobytes.
@@ -437,10 +440,7 @@ def collect_candidates(policies: Sequence[PolicyCandidate],
     if not policies:
         raise ValueError("no policies to search")
     metric_order = tuple(metrics) if metrics is not None else tuple(policies[0].estimates)
-    for metric in minimize:
-        if metric not in metric_order:
-            raise ValueError(f"metric {metric!r} to minimize is not one of "
-                             f"the metrics {list(metric_order)}")
+    check_minimize(minimize, metric_order)
     for w in weights:
         if len(w.weights) != len(metric_order):
             raise ValueError(f"weight vector has {len(w.weights)} entries for "

@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import from_mapping as read_config
 from .errors import ConfigError
 from .experiment import ExperimentDataset
 
@@ -77,13 +78,6 @@ class Segment:
     def describe(self) -> str:
         return f"{self.feature} in ({_bound_str(self.lower)}, {_bound_str(self.upper)}]"
 
-    def to_json(self) -> dict:
-        return {
-            "feature": self.feature,
-            "lower": _bound_str(self.lower),
-            "upper": _bound_str(self.upper),
-        }
-
 
 def _bound_str(value: float) -> str | float:
     if value == NEG_INF:
@@ -91,14 +85,6 @@ def _bound_str(value: float) -> str | float:
     if value == POS_INF:
         return "+inf"
     return value
-
-
-def bound_from_json(value) -> float:
-    if value == "-inf":
-        return NEG_INF
-    if value == "+inf":
-        return POS_INF
-    return float(value)
 
 
 def quantile(values: Sequence[float] | np.ndarray, p: float) -> float:
@@ -220,11 +206,7 @@ class CutEnumerationConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "CutEnumerationConfig":
-        return cls(
-            features=tuple(data["features"]),
-            n_bins=int(data.get("N", data.get("n_bins", 4))),
-            kinds=tuple(data.get("kinds", (INDIVIDUAL, BINARY))),
-        )
+        return read_config(cls, data)
 
 
 def enumerate_cuts(ds: ExperimentDataset, config: CutEnumerationConfig | Mapping) -> list[CutSpec]:

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import from_mapping as read_config
 from .errors import ConfigError
 from .evaluation import KINDS, GroundTruth, InstructionSpec, ground_truth_oracle
 from .experiment import ExperimentDataset
@@ -94,12 +95,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_mapping(cls, data) -> "ScenarioConfig":
-        effects = tuple(PlantedEffect(**e) for e in data.get("planted_effects", ()))
-        drifts = tuple(DriftSpec(**d) for d in data.get("drift_specs", ()))
-        known = {"seed", "n_users", "n_features", "n_metrics", "n_actions",
-                 "noise_sd", "n_days", "experiment_id"}
-        kwargs = {k: v for k, v in data.items() if k in known}
-        return cls(planted_effects=effects, drift_specs=drifts, **kwargs)
+        return read_config(cls, data)
 
 
 def _check_contradictions(effects: Sequence[PlantedEffect]) -> None:
@@ -274,6 +270,14 @@ def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int,
                                t0=t0, t1=t1)
 
 
+def drift_snapshots(cfg: ScenarioConfig, ds: ExperimentDataset
+                    ) -> dict[str, FeatureSnapshotPair]:
+    """The snapshot pair of each of `cfg`'s drift specs on `ds`, keyed by
+    feature; spec i is seeded with `cfg.seed + 1000 + i`."""
+    return {drift.feature: generate_snapshots(ds, drift, seed=cfg.seed + 1000 + i)
+            for i, drift in enumerate(cfg.drift_specs)}
+
+
 # -- canonical scenarios ---------------------------------------------------------
 
 
@@ -337,8 +341,7 @@ class BenchmarkConfig:
 
     @classmethod
     def from_mapping(cls, data) -> "BenchmarkConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return read_config(cls, data)
 
 
 @dataclass

@@ -72,8 +72,74 @@ def test_pipeline_byte_identical_across_runs(tmp_path):
 
 def test_threads_option_rejected(tmp_path):
     config = conflict_run_config(tmp_path)
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["pipeline", "--config", str(config), "--threads", "2"])
+    assert exc.value.code == 1
+
+
+SMALL_SCENARIO = {"seed": 1, "n_users": 200,
+                  "planted_effects": [{"feature": "f1", "q_lo": 0.5, "q_hi": 1.0,
+                                       "action": "a1", "metric": "m1",
+                                       "lift": 2.0}]}
+
+
+# (command, file flag, file contents, key path the error names)
+BAD_INPUTS = [
+    ("pipeline", "--config", {"scenario": SMALL_SCENARIO, "top_kk": 1}, "'top_kk'"),
+    ("pipeline", "--config", {"scenario": SMALL_SCENARIO, "minimize_metrics": "m1"},
+     "minimize_metrics: expected a list"),
+    ("pipeline", "--config", {"scenario": SMALL_SCENARIO, "seed": 1.9},
+     "seed: expected an int"),
+    ("pipeline", "--config",
+     {"scenario": {**SMALL_SCENARIO, "planted_effects": [
+         {**SMALL_SCENARIO["planted_effects"][0], "note": "x"}]}},
+     "'scenario.planted_effects[0].note'"),
+    ("synth", "--scenario", {"n_user": 600}, "'n_user'"),
+    ("synth", "--scenario", {"n_users": "600"}, "n_users: expected an int"),
+    ("synth", "--benchmark", {"n_users": "800"}, "n_users: expected an int"),
+    ("search", "--cuts", {"n_bins": 2}, "missing required key 'features'"),
+]
+
+
+@pytest.mark.parametrize("command,flag,contents,key", BAD_INPUTS)
+def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, command, flag,
+                                             contents, key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(contents))
+    argv = [command, flag, str(path), "--out", str(tmp_path / "out")]
+    if command == "search":
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(SMALL_SCENARIO))
+        argv += ["--scenario", str(scenario)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError:") and key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--run", "r", "--seed", "5"],
+    ["eval", "--rankings", "r", "--ground-truth", "g", "--instructions", "i"],
+    ["ingest", "--data", "d", "--schema", "s", "--seed", "5"],
+    ["govern", "--snapshots", "s", "--config", "c"],
+    ["pipeline"],
+])
+def test_flag_a_command_does_not_read_exits_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_synth_scenario_and_benchmark_together_exit_one(tmp_path, capsys):
+    scenario, bench = tmp_path / "scenario.json", tmp_path / "bench.json"
+    scenario.write_text(json.dumps(SMALL_SCENARIO))
+    bench.write_text(json.dumps({"n_experiments": 1, "n_users": 200}))
+    out = tmp_path / "out"
+    assert main(["synth", "--scenario", str(scenario), "--benchmark", str(bench),
+                 "--out", str(out)]) == 1
+    assert "exactly one of --scenario or --benchmark" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _shuffle_data_rows(path, rnd):

@@ -70,8 +70,7 @@ def test_missing_estimate_errors():
 
 
 def test_minimize_direction_flips_sign():
-    cfg = ToleranceConfig(tau=0.0, directions={"m1": "maximize",
-                                               "m2": "minimize"})
+    cfg = ToleranceConfig(tau=0.0, minimize=("m2",))
     better = make_policy("better", [1.0, 0.5], [0.0, 0.0])
     worse = make_policy("worse", [1.0, 2.0], [0.0, 0.0])
     assert tolerance_dominates(better, worse, cfg)
@@ -81,8 +80,12 @@ def test_minimize_direction_flips_sign():
 def test_tolerance_config_validation():
     with pytest.raises(ValueError):
         ToleranceConfig(tau=-0.5)
-    with pytest.raises(ValueError):
-        ToleranceConfig(tau=1.0, directions={"m1": "sideways"})
+    p = make_policy("p", [1.0, 1.0], [0.1, 0.1])
+    with pytest.raises(ValueError, match="'m3' to minimize is not one of"):
+        tolerance_filter([p], ToleranceConfig(tau=1.0, minimize=("m3",)),
+                         metrics=["m1", "m2"])
+    with pytest.raises(ValueError, match="'m3' to minimize is not one of"):
+        tolerance_filter([p], ToleranceConfig(tau=1.0, minimize=("m3",)))
 
 
 # -- tolerance filter ---------------------------------------------------------------
@@ -240,9 +243,11 @@ def test_frontier_serialization(tmp_path):
     assert data["dominated_by"] == {"b": "a"}
     assert "format_version" in data
 
-    save_frontier_coords(tmp_path / "coords.csv", policies, result,
+    # A policy the filter never judged gets no row.
+    unjudged = make_policy("c", [9.0, 9.0], [0.1, 0.1])
+    save_frontier_coords(tmp_path / "coords.csv", [unjudged, *policies], result,
                          ("m1", "m2"))
     lines = (tmp_path / "coords.csv").read_text().splitlines()
     assert lines[0].startswith("# format_version")
     assert lines[1] == "policy_id,m1_mean,m2_mean,admitted"
-    assert lines[2].startswith("a,1.0,1.0,1")
+    assert lines[2:] == ["a,1.0,1.0,1", "b,0.5,0.5,0"]

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cohortpolicy.errors import IntegrityError, RowIngestError, SchemaError
+from cohortpolicy.experiment import ExperimentDataset
 from cohortpolicy.ingest import (IngestSchema, ingest, load_stored_estimates,
                                  parse_lift_text)
 
@@ -89,6 +90,31 @@ def test_user_in_two_arms_rejected(tmp_path):
                      ["u1,t1,30,1.0", "u1,control,30,1.0"])
     with pytest.raises(IntegrityError, match="u1"):
         ingest(path, SCHEMA)
+
+
+def test_action_name_holding_dash_rejected(tmp_path):
+    # Policy ids join actions with "-": with actions c, x and x-x the
+    # assignments (x-x, x) and (x, x-x) of one cut would share an id.
+    ds = dict(experiment_id="e", user_ids=["u1", "u2", "u3"],
+              arm_codes=[0, 1, 2], feature_matrix=[[1.0, 2.0, 3.0]],
+              outcome_matrix=[[0.0, 0.0, 0.0]], actions=("c", "x", "x-x"),
+              control_action="c", metrics=("m1",), features=("f1",))
+    with pytest.raises(IntegrityError, match="action 'x-x' contains '-'"):
+        ExperimentDataset(**ds)
+    path = write_csv(tmp_path / "d.csv", ["u1,c,1,0", "u2,x,2,0", "u3,x-x,3,0"])
+    with pytest.raises(IntegrityError, match="action 'x-x' contains '-'"):
+        ingest(path, {**SCHEMA, "control": "c"})
+
+
+def test_relative_percent_lift_units_rejected():
+    # The estimators return absolute differences only.
+    with pytest.raises(SchemaError, match="only 'absolute' differences"):
+        IngestSchema.from_mapping({**SCHEMA, "lift_units": "relative_percent"})
+    with pytest.raises(ValueError, match="only 'absolute' differences"):
+        ExperimentDataset(experiment_id="e", user_ids=["u1"], arm_codes=[0],
+                          feature_matrix=[[1.0]], outcome_matrix=[[0.0]],
+                          actions=("c",), control_action="c", metrics=("m1",),
+                          features=("f1",), lift_units="relative_percent")
 
 
 def test_schema_missing_key():

@@ -1,15 +1,17 @@
 import json
-from dataclasses import asdict, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import pytest
 
-import cohortpolicy.pipeline as pipeline_module
+from cohortpolicy.config import from_mapping as read_config
 from cohortpolicy.errors import ConfigError
 from cohortpolicy.governance import CODE_INSUFFICIENT_DATA, SIGNIFICANCE_Z
 from cohortpolicy.pipeline import (RunConfig, govern_pipeline,
                                    write_run_artifacts)
 from cohortpolicy.search import evaluate_policies, global_policies
-from cohortpolicy.synth import (DriftSpec, ScenarioConfig, conflict_scenario,
+from cohortpolicy.segmentation import CutEnumerationConfig
+from cohortpolicy.synth import (BenchmarkConfig, DriftSpec, ScenarioConfig,
+                                conflict_scenario,
                                 drifted_scenario, generate_daily_slices,
                                 generate_experiment, generate_snapshots,
                                 PlantedEffect, stitch_days)
@@ -257,12 +259,50 @@ def test_run_config_from_mapping_takes_dataclass_defaults():
         assert getattr(loaded, f.name) == getattr(default, f.name), f.name
 
 
+def _away_from_defaults(value):
+    for f in fields(value):
+        if f.default is not MISSING:
+            assert getattr(value, f.name) != f.default, f.name
+        elif f.default_factory is not MISSING:
+            assert getattr(value, f.name) != f.default_factory(), f.name
+    return value
+
+
 def test_run_config_from_mapping_converts_every_field_type():
-    # A field whose type has no JSON conversion would reach RunConfig raw.
-    for f in fields(RunConfig):
-        assert f.type in pipeline_module._FROM_JSON, f.name
-    with pytest.raises(ConfigError, match="no JSON conversion for field type 'bool'"):
-        pipeline_module._coerce("bool", True)
+    # Every config class survives asdict -> JSON -> from_mapping with every
+    # field set away from its default.
+    scenario = ScenarioConfig(
+        seed=3, n_users=50, n_features=3, n_metrics=3, n_actions=3,
+        planted_effects=(PlantedEffect("f2", 0.25, 0.75, "a3", "m3", 1.5),),
+        drift_specs=(DriftSpec("f3", 0.2),), noise_sd=0.5, n_days=5,
+        experiment_id="x")
+    values = [
+        scenario,
+        BenchmarkConfig(seed=4, n_experiments=2, n_users=300, n_features=4,
+                        n_metrics=3, n_actions=3, noise_sd=0.25, n_bins=5,
+                        policy_budget=7),
+        CutEnumerationConfig(features=("f2", "f1"), n_bins=3, kinds=("binary",)),
+        RunConfig(
+            seed=3, weight_samples=17, top_k=2, tau=0.5,
+            thresholds={"binary": 0.1, "quantile": 0.4}, max_refinements=1,
+            primary_metric="m2", minimize_metrics=("m1",), n_bins=3,
+            cut_kinds=("binary",), policy_budget=9, features=("f2",),
+            backtest_days=10, robustness_slices=3, scenario=scenario,
+            dataset_path="data.csv", schema_path="schema.json",
+            snapshots_path="snapshots.csv"),
+    ]
+    for value in map(_away_from_defaults, values):
+        data = json.loads(json.dumps(asdict(value)))
+        assert type(value).from_mapping(data) == value
+        # Python tuples are read as JSON lists are.
+        assert type(value).from_mapping(asdict(value)) == value
+
+    @dataclass
+    class Flagged:
+        on: bool = False
+
+    with pytest.raises(ConfigError, match="on: no JSON conversion for field type"):
+        read_config(Flagged, {"on": True})
 
 
 def test_run_config_round_trip(tmp_path):

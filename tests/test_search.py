@@ -12,8 +12,7 @@ from cohortpolicy.errors import ConfigError, EstimationError
 from cohortpolicy.experiment import ExperimentDataset, compute_ate
 from cohortpolicy.search import (PolicyCandidate, PolicyTable, WeightVector,
                                  collect_candidates, enumerate_policies,
-                                 evaluate_policies, evaluate_policy,
-                                 evaluate_policy_days, evaluate_policy_pinned,
+                                 evaluate_policies, evaluate_policy_days, evaluate_policy_pinned,
                                  global_policies,
                                  load_policy_table, make_policy_id,
                                  sample_weights, save_policy_table,
@@ -64,7 +63,7 @@ def test_budget_below_one_errors():
 
 def test_enumeration_deterministic():
     ds = two_arm_dataset()
-    cuts = enumerate_cuts(ds, {"features": ["f1"], "N": 4})
+    cuts = enumerate_cuts(ds, {"features": ["f1"], "n_bins": 4})
     a = enumerate_policies(ds, cuts, budget=10, seed=42)
     b = enumerate_policies(ds, cuts, budget=10, seed=42)
     assert [p.policy_id for p in a] == [p.policy_id for p in b]
@@ -78,7 +77,7 @@ def test_all_control_policy_zero_lift():
     cut = CutSpec(feature="f1", kind="binary", n_bins=4, threshold_index=2)
     policy = next(p for p in enumerate_policies(ds, [cut], budget=64)
                   if p.assignment == ("a0", "a0"))
-    result = evaluate_policy(ds, policy)
+    result = evaluate_policies(ds, [policy])[0]
     assert result.estimates["m1"].mean == 0.0
     assert result.estimates["m1"].std_err == 0.0
 
@@ -88,7 +87,7 @@ def test_single_segment_policy_equals_ate(rng):
     ds = two_arm_dataset(outcome=list(outcomes))
     policy = global_policies(ds)[1]
     assert policy.assignment == ("a1",)
-    result = evaluate_policy(ds, policy)
+    result = evaluate_policies(ds, [policy])[0]
     assert result.estimates["m1"] == compute_ate(ds, "a1", "m1")
 
 
@@ -103,7 +102,7 @@ def test_equal_halves_cancel():
     cut = CutSpec(feature="f1", kind="binary", n_bins=2, threshold_index=1)
     policy = next(p for p in enumerate_policies(ds, [cut], budget=64)
                   if p.assignment == ("a1", "a1"))
-    result = evaluate_policy(ds, policy)
+    result = evaluate_policies(ds, [policy])[0]
     assert result.estimates["m1"].mean == pytest.approx(0.0, abs=1e-12)
 
 
@@ -113,7 +112,7 @@ def test_policy_std_err_composes_segment_variances(rng):
     cut = CutSpec(feature="f1", kind="binary", n_bins=2, threshold_index=1)
     policy = next(p for p in enumerate_policies(ds, [cut], budget=64)
                   if p.assignment == ("a1", "a1"))
-    result = evaluate_policy(ds, policy)
+    result = evaluate_policies(ds, [policy])[0]
 
     from cohortpolicy.experiment import segment_hte
     from cohortpolicy.segmentation import binary_split
@@ -133,24 +132,24 @@ def test_unsupported_segment_errors():
     policy = next(p for p in enumerate_policies(ds, [cut], budget=64)
                   if p.assignment == ("a0", "a1"))
     with pytest.raises(EstimationError, match="slot 1"):
-        evaluate_policy(ds, policy)
+        evaluate_policies(ds, [policy])[0]
 
 
 def test_evaluate_policies_batch_matches_single(rng):
     outcomes = rng.normal(size=16)
     ds = two_arm_dataset(outcome=list(outcomes))
-    cuts = enumerate_cuts(ds, {"features": ["f1"], "N": 4})
+    cuts = enumerate_cuts(ds, {"features": ["f1"], "n_bins": 4})
     policies = enumerate_policies(ds, cuts, budget=16, seed=1)
     batch = evaluate_policies(ds, policies)
     for policy, from_batch in zip(policies, batch):
-        assert evaluate_policy(ds, policy).estimates == from_batch.estimates
+        assert evaluate_policies(ds, [policy])[0].estimates == from_batch.estimates
 
 
 def test_evaluate_policies_invariant_to_row_order(rng):
     outcomes = rng.normal(size=16)
     ds = two_arm_dataset(outcome=list(outcomes))
     permuted = shuffled(ds, rng.permutation(ds.n_users))
-    cuts = enumerate_cuts(ds, {"features": ["f1"], "N": 4})
+    cuts = enumerate_cuts(ds, {"features": ["f1"], "n_bins": 4})
     policies = enumerate_policies(ds, cuts, budget=16, seed=1)
     first = [p.estimates for p in evaluate_policies(ds, policies)]
     assert first == [p.estimates for p in evaluate_policies(ds, policies)]
@@ -179,7 +178,7 @@ def test_evaluate_policies_keeps_input_order_and_skips_unsupported(rng):
     assert [p.policy_id for p in kept] == [policies[i].policy_id
                                            for i in (0, 3, 4, 6)]
     for policy in kept:
-        assert policy.estimates == evaluate_policy(ds, policy).estimates
+        assert policy.estimates == evaluate_policies(ds, [policy])[0].estimates
     with pytest.raises(EstimationError,
                        match=r"f1\.ind4\.a0-a0-a1-a0' slot 2: no treated/control "
                              r"support for action 'a1'"):
@@ -298,7 +297,7 @@ def test_estimators_match_per_user_loop(case):
                 evaluate_policies(ds, [policy])
         else:
             _assert_matches(batch[policy.policy_id], expected)
-            _assert_matches(evaluate_policy(ds, policy), expected)
+            _assert_matches(evaluate_policies(ds, [policy])[0], expected)
             assert (evaluate_policy_pinned(ds, policy, everyone).estimates
                     == batch[policy.policy_id].estimates)
         pinned = oracle_policy(ds, policy, rows)
@@ -567,7 +566,7 @@ def test_collect_candidates_matches_per_weight_loop(case):
 def test_policy_table_round_trip(tmp_path, rng):
     outcomes = rng.normal(size=16)
     ds = two_arm_dataset(outcome=list(outcomes))
-    cuts = enumerate_cuts(ds, {"features": ["f1"], "N": 4})
+    cuts = enumerate_cuts(ds, {"features": ["f1"], "n_bins": 4})
     policies = evaluate_policies(ds, enumerate_policies(ds, cuts, budget=16))
     path = tmp_path / "table.csv"
     save_policy_table(path, PolicyTable.from_candidates(policies, ds.metrics))

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from cohortpolicy.segmentation import (CutSpec, Segment,
-                                       binary_split, bound_from_json,
+from cohortpolicy.segmentation import (CutSpec, binary_split,
                                        cut_slot_codes, enumerate_cuts,
                                        individual_split, interior_cutpoints,
                                        quantile, slot_codes)
@@ -166,7 +165,7 @@ def test_partition_property(values, n):
 
 def test_enumerate_cuts_counts_and_order(eight_user_dataset):
     cuts = enumerate_cuts(eight_user_dataset,
-                          {"features": ["f1"], "N": 4,
+                          {"features": ["f1"], "n_bins": 4,
                            "kinds": ["individual", "binary"]})
     assert len(cuts) == 1 + 3
     assert cuts[0].kind == "individual"
@@ -180,7 +179,7 @@ def test_enumerate_cuts_empty_features(eight_user_dataset):
 def test_enumerate_cuts_binary_only_two_features():
     from cohortpolicy.synth import ScenarioConfig, generate_experiment
     ds, _ = generate_experiment(ScenarioConfig(seed=1, n_users=8, n_features=2))
-    cuts = enumerate_cuts(ds, {"features": ["f1", "f2"], "N": 2,
+    cuts = enumerate_cuts(ds, {"features": ["f1", "f2"], "n_bins": 2,
                                "kinds": ["binary"]})
     assert len(cuts) == 2  # (N-1) per feature
     assert [c.feature for c in cuts] == ["f1", "f2"]
@@ -191,15 +190,6 @@ def test_cutspec_validation():
         CutSpec(feature="f1", kind="binary", n_bins=4, threshold_index=4)
     with pytest.raises(ValueError):
         CutSpec(feature="f1", kind="weird", n_bins=4)
-
-
-def test_segment_serialization_sentinels():
-    segment = Segment(feature="f1", lower=NEG_INF, upper=2.0, size=1)
-    data = segment.to_json()
-    assert data["lower"] == "-inf"
-    assert bound_from_json(data["lower"]) == NEG_INF
-    assert bound_from_json("+inf") == float("inf")
-    assert bound_from_json(data["upper"]) == 2.0
 
 
 def test_bucket_index_fixed_cuts():
