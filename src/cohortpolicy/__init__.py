@@ -15,8 +15,8 @@ from .evaluation import (GroundTruth, InstructionSpec, SelectorRanking,
 from .experiment import ExperimentDataset, MetricEstimate, compute_ate, segment_hte
 from .frontier import (FrontierResult, ToleranceConfig, strict_pareto_oracle,
                        tolerance_dominates, tolerance_filter)
-from .governance import (FeatureSnapshotPair, HookReport, StabilityVerdict,
-                         classify_stability, pre_search_filter,
+from .governance import (FeatureSnapshotPair, HookReport, StabilityThresholds,
+                         StabilityVerdict, classify_stability, pre_search_filter,
                          robustness_check, run_backtest, shift_ratio,
                          stability_verdicts)
 from .ingest import IngestSchema, ingest, load_stored_estimates, parse_lift_text
@@ -44,7 +44,7 @@ __all__ = [
     "enumerate_policies", "evaluate_policies", "global_policies", "sample_weights", "scalarized_score",
     "FrontierResult", "ToleranceConfig", "strict_pareto_oracle",
     "tolerance_dominates", "tolerance_filter",
-    "FeatureSnapshotPair", "HookReport", "StabilityVerdict",
+    "FeatureSnapshotPair", "HookReport", "StabilityThresholds", "StabilityVerdict",
     "classify_stability", "pre_search_filter", "robustness_check",
     "run_backtest", "shift_ratio", "stability_verdicts",
     "GroundTruth", "InstructionSpec", "SelectorRanking", "evaluate_selector",

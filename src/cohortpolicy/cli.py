@@ -16,13 +16,14 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .config import from_mapping as read_config
 from .errors import CohortPolicyError
 from .evaluation import (evaluate_selector, load_ground_truths, load_rankings,
                          save_report)
 from .frontier import (ToleranceConfig, save_frontier, save_frontier_coords,
                        tolerance_filter)
-from .governance import (load_snapshots, pre_search_filter, save_reports,
-                         save_snapshots, stability_verdicts)
+from .governance import (StabilityThresholds, load_snapshots, pre_search_filter,
+                         save_reports, save_snapshots, stability_verdicts)
 from .ingest import IngestSchema, ingest
 from .pipeline import RunConfig, govern_pipeline, write_run_artifacts
 from .search import (FORMAT_VERSION, PolicyCandidate, PolicyTable,
@@ -191,9 +192,10 @@ def cmd_filter(args) -> int:
 
 def cmd_govern(args) -> int:
     pairs = load_snapshots(args.snapshots)
-    thresholds = _load_json(args.thresholds) if args.thresholds else None
+    thresholds = (read_config(StabilityThresholds, _load_json(args.thresholds))
+                  if args.thresholds else StabilityThresholds())
     verdicts = stability_verdicts(sorted(pairs), pairs, thresholds)
-    report, admitted = pre_search_filter(verdicts, thresholds)
+    report, admitted = pre_search_filter(verdicts)
     out = _out_dir(args, "govern")
     _write_json(out / "stability_verdicts.json", {
         "format_version": FORMAT_VERSION,

@@ -16,20 +16,29 @@ from .errors import ConfigError
 
 def from_mapping(cls, data, path: str = ""):
     """Build the dataclass `cls` from JSON-like `data`; an absent key takes
-    the field's default. Field types: int (not a bool or a float), float (an
+    the field's default. A field's key is its name, or the name given to
+    `json_key`. Field types: int (not a bool or a float), float (an
     int is converted), str, `X | None`, `dict[str, T]`, `tuple[T, ...]` (a
     list or a tuple) and nested dataclasses."""
     _expect(isinstance(data, Mapping), "an object", data, path or cls.__name__)
     hints = typing.get_type_hints(cls)
-    known = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    known = {f.metadata.get("key", f.name): f
+             for f in dataclasses.fields(cls) if f.init}
     for key in data:
         if key not in known:
             raise ConfigError(f"unknown key {_join(path, key)!r}")
-    for name, f in known.items():
-        if name not in data and f.default is f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"missing required key {_join(path, name)!r}")
-    return cls(**{name: _convert(hints[name], value, _join(path, name))
-                  for name, value in data.items()})
+    for key, f in known.items():
+        if key not in data and f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing required key {_join(path, key)!r}")
+    return cls(**{known[key].name: _convert(hints[known[key].name], value,
+                                            _join(path, key))
+                  for key, value in data.items()})
+
+
+def json_key(name: str, **kwargs) -> dataclasses.Field:
+    """A dataclass field that `from_mapping` reads from the key `name`;
+    `kwargs` go to `dataclasses.field`."""
+    return dataclasses.field(metadata={"key": name}, **kwargs)
 
 
 def _join(path: str, key: str) -> str:

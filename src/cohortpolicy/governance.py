@@ -1,9 +1,10 @@
 """Deterministic lifecycle governance hooks.
 
 Validation checks around the search stages: pre-search feature-stability
-filtering on user-cohort shift ratios, post-search statistical robustness
-over temporal slices, and a backtest that replays a policy's lift over
-daily slices. Hooks only emit verdicts; they never mutate estimates.
+filtering on user-cohort shift ratios, post-search selection of the
+candidate to validate, statistical robustness over temporal slices, and a
+backtest that replays a policy's lift over daily slices. Every hook report
+is built here; hooks only emit verdicts, they never mutate estimates.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -47,16 +48,26 @@ STATUS_UNSTABLE = "unstable"
 QUANTILE_CUT = "quantile"
 BINARY_CUT = "binary"
 
-# Admission thresholds for the pre-search filter: a feature enters the
-# search space if its binary-cut shift is <= 15% or its quantile-cut shift
-# is <= 45%.
-DEFAULT_THRESHOLDS: Mapping[str, float] = {"binary": 0.15, "quantile": 0.45}
-
 SIGNIFICANCE_Z = 1.96
 SIGN_CONSISTENCY_SHARE = 2.0 / 3.0
 BACKTEST_ENVELOPE_Z = 2.0
 BACKTEST_BURN_IN_DAYS = 7
 MIN_ROBUSTNESS_SLICES = 3
+
+
+@dataclass(frozen=True)
+class StabilityThresholds:
+    """Admission thresholds for the pre-search filter: a feature enters the
+    search space if its binary-cut shift is <= `binary` or its quantile-cut
+    shift is <= `quantile`. Each must lie in [0, 1]."""
+
+    binary: float = 0.15
+    quantile: float = 0.45
+
+    def __post_init__(self):
+        for key, value in asdict(self).items():
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"threshold {key!r} must be in [0, 1], got {value}")
 
 
 @dataclass(eq=False)
@@ -94,16 +105,10 @@ class StabilityVerdict:
     shift_quantile: float | None
     shift_binary: float | None
     status: str
-    threshold_basis: dict[str, float]
+    threshold_basis: StabilityThresholds
 
     def to_json(self) -> dict:
-        return {
-            "feature": self.feature,
-            "shift_quantile": self.shift_quantile,
-            "shift_binary": self.shift_binary,
-            "status": self.status,
-            "threshold_basis": dict(sorted(self.threshold_basis.items())),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -126,14 +131,7 @@ class HookReport:
         return self.verdict == REJECT
 
     def to_json(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "stage": self.stage,
-            "verdict": self.verdict,
-            "reason_codes": list(self.reason_codes),
-            "entities": list(self.entities),
-            "narrative": self.narrative,
-        }
+        return {"format_version": FORMAT_VERSION, **asdict(self)}
 
 
 # -- feature stability ---------------------------------------------------------
@@ -170,7 +168,7 @@ def shift_ratio(pair: FeatureSnapshotPair, cut: str = QUANTILE_CUT,
 
 def classify_stability(feature: str, shift_quantile: float | None = None,
                        shift_binary: float | None = None,
-                       thresholds: Mapping[str, float] | None = None,
+                       thresholds: StabilityThresholds = StabilityThresholds(),
                        benchmark: bool = False) -> StabilityVerdict:
     """Status from the available shift measures.
 
@@ -178,14 +176,11 @@ def classify_stability(feature: str, shift_quantile: float | None = None,
     either cut basis suffices for stability. `benchmark` marks the baseline
     feature set used to anchor natural drift.
     """
-    thresholds = dict(thresholds or DEFAULT_THRESHOLDS)
     if shift_quantile is None and shift_binary is None:
         raise ValueError(f"feature {feature!r} has no shift measure")
-    passes = []
-    if shift_quantile is not None:
-        passes.append(shift_quantile <= thresholds["quantile"])
-    if shift_binary is not None:
-        passes.append(shift_binary <= thresholds["binary"])
+    passes = [shift <= limit for shift, limit in
+              ((shift_quantile, thresholds.quantile), (shift_binary, thresholds.binary))
+              if shift is not None]
     if not any(passes):
         status = STATUS_UNSTABLE
     elif benchmark:
@@ -199,7 +194,7 @@ def classify_stability(feature: str, shift_quantile: float | None = None,
 
 def stability_verdicts(features: Sequence[str],
                        snapshots: Mapping[str, FeatureSnapshotPair],
-                       thresholds: Mapping[str, float] | None = None
+                       thresholds: StabilityThresholds = StabilityThresholds()
                        ) -> list[StabilityVerdict]:
     """One verdict per feature, from its quantile and binary shift ratios."""
     verdicts = []
@@ -215,25 +210,20 @@ def stability_verdicts(features: Sequence[str],
     return verdicts
 
 
-def pre_search_filter(verdicts: Sequence[StabilityVerdict],
-                      thresholds: Mapping[str, float] | None = None
+def pre_search_filter(verdicts: Sequence[StabilityVerdict]
                       ) -> tuple[HookReport, list[str]]:
-    """Admit features whose binary shift is within the binary threshold or
-    whose quantile shift is within the quantile threshold.
+    """Admit the features whose verdict is not unstable (see
+    `classify_stability`).
 
     The hook rejects only when a non-empty verdict list admits nothing;
     pruning with survivors is a pass and the pipeline proceeds on the
     admitted subset.
     """
-    thresholds = dict(thresholds or DEFAULT_THRESHOLDS)
     admitted: list[str] = []
     rejected: list[str] = []
     for verdict in verdicts:
-        ok = ((verdict.shift_binary is not None
-               and verdict.shift_binary <= thresholds["binary"])
-              or (verdict.shift_quantile is not None
-                  and verdict.shift_quantile <= thresholds["quantile"]))
-        (admitted if ok else rejected).append(verdict.feature)
+        (rejected if verdict.status == STATUS_UNSTABLE else admitted).append(
+            verdict.feature)
     if verdicts and not admitted:
         report = HookReport(
             stage=STAGE_PRE_SEARCH, verdict=REJECT,
@@ -248,6 +238,44 @@ def pre_search_filter(verdicts: Sequence[StabilityVerdict],
             narrative=(f"{len(admitted)} features admitted, "
                        f"{len(rejected)} filtered out"))
     return report, admitted
+
+
+# -- post-search selection ---------------------------------------------------------
+
+
+def _qualifies(policy: PolicyCandidate, primary: str, sign: float,
+               metrics: Sequence[str]) -> bool:
+    # `sign` orients the primary metric so that its better direction is +.
+    est = policy.estimates[primary]
+    mean = sign * est.mean
+    if mean < SIGNIFICANCE_Z * est.std_err or mean <= 0:
+        return False
+    return not any(abs(e.mean) > SIGNIFICANCE_Z * e.std_err for e in
+                   (policy.estimates[m] for m in metrics if m != primary))
+
+
+def select_candidate(admitted: Sequence[PolicyCandidate], primary: str,
+                     metrics: Sequence[str], minimize: Sequence[str]
+                     ) -> tuple[PolicyCandidate | None, HookReport | None]:
+    """The admitted frontier policy to validate, or else a
+    NO_QUALIFYING_POLICY rejection.
+
+    A policy qualifies when its `primary` lift clears 1.96 standard errors
+    in its better direction (lower if in `minimize`) while every other
+    metric stays within 1.96 standard errors of zero. The best primary mean
+    wins, ties going to the larger policy id.
+    """
+    sign = -1.0 if primary in minimize else 1.0
+    qualifying = [p for p in admitted if _qualifies(p, primary, sign, metrics)]
+    if qualifying:
+        return max(qualifying, key=lambda p: (sign * p.estimates[primary].mean,
+                                              p.policy_id)), None
+    return None, HookReport(
+        stage=STAGE_POST_SEARCH, verdict=REJECT,
+        reason_codes=[CODE_NO_QUALIFYING_POLICY],
+        entities=[p.policy_id for p in admitted] or ["<frontier>"],
+        narrative=(f"no frontier policy lifts {primary} at {SIGNIFICANCE_Z} "
+                   f"sigma while staying neutral elsewhere"))
 
 
 # -- policy robustness -----------------------------------------------------------
@@ -266,17 +294,17 @@ def _pooled(series: Sequence[MetricEstimate]) -> MetricEstimate:
 
 def robustness_check(policy: PolicyCandidate,
                      slices: Sequence[Mapping[str, MetricEstimate]],
-                     target_metrics: Sequence[str],
-                     min_slices: int = MIN_ROBUSTNESS_SLICES) -> HookReport:
+                     target_metrics: Sequence[str]) -> HookReport:
     """Temporal-slice robustness for the metrics the policy is meant to move.
 
     Pass iff, per target metric, the slice-level lift keeps the pooled sign
     in at least 2/3 of slices and the pooled lift clears 1.96 standard
-    errors. Rejections carry SIGN_FLIP / NOT_SIGNIFICANT codes.
+    errors. Rejections carry SIGN_FLIP / NOT_SIGNIFICANT codes. Fewer than
+    3 slices raise InsufficientDataError.
     """
-    if len(slices) < min_slices:
+    if len(slices) < MIN_ROBUSTNESS_SLICES:
         raise InsufficientDataError(
-            f"robustness check needs >= {min_slices} temporal slices, "
+            f"robustness check needs >= {MIN_ROBUSTNESS_SLICES} temporal slices, "
             f"got {len(slices)}")
     codes: list[str] = []
     notes: list[str] = []
@@ -332,16 +360,18 @@ class BacktestSeries:
                 writer.writerow(row)
 
 
-def backtest_spans(n_days: int) -> tuple[np.ndarray, np.ndarray]:
-    """The day ranges [lo, hi) a backtest over `n_days` days reads: each
-    day, then each prefix of days."""
+def validation_spans(n_days: int, n_slices: int) -> tuple[np.ndarray, np.ndarray]:
+    """The day ranges [lo, hi) a candidate is judged on over `n_days` days:
+    `n_slices` contiguous robustness slices, then each day, then each prefix
+    of days (the backtest's ranges)."""
+    bounds = np.linspace(0, n_days, n_slices + 1).astype(int)
     k = np.arange(n_days)
-    return np.concatenate([k, np.zeros_like(k)]), np.concatenate([k + 1, k + 1])
+    return (np.concatenate([bounds[:-1], k, np.zeros_like(k)]),
+            np.concatenate([bounds[1:], k + 1, k + 1]))
 
 
 def run_backtest(policy: PolicyCandidate, window: ExperimentDataset,
-                 target_metrics: Sequence[str], n_days: int | None = None,
-                 min_days: int = BACKTEST_BURN_IN_DAYS
+                 target_metrics: Sequence[str], n_days: int | None = None
                  ) -> tuple[BacktestSeries, HookReport]:
     """Replay the policy's lift day by day and check temporal persistence.
 
@@ -350,35 +380,31 @@ def run_backtest(policy: PolicyCandidate, window: ExperimentDataset,
     per-policy table of (day, slot, arm) cell moments
     (`evaluate_policy_days`): a day reads its own cells, a cumulative
     prefix pools the cells of its days. See `backtest_verdict` for the
-    pass rule. Fewer than `min_days` days raise InsufficientDataError.
+    pass rule and the 7-day minimum.
     """
     day, labels = window.day_codes(n_days)
-    if len(labels) < min_days:
-        raise InsufficientDataError(
-            f"backtest needs >= {min_days} daily slices, got {len(labels)}")
-    lo, hi = backtest_spans(len(labels))
+    lo, hi = validation_spans(len(labels), 0)
     return backtest_verdict(
         policy, window, day, labels,
         evaluate_policy_days(window, policy, day, len(labels), lo, hi),
-        target_metrics, min_days)
+        target_metrics)
 
 
 def backtest_verdict(policy: PolicyCandidate, window: ExperimentDataset,
                      day: np.ndarray, labels: Sequence[int],
                      estimates: Sequence[PolicyCandidate | EstimationError],
-                     target_metrics: Sequence[str],
-                     min_days: int = BACKTEST_BURN_IN_DAYS
+                     target_metrics: Sequence[str]
                      ) -> tuple[BacktestSeries, HookReport]:
     """The backtest series and report from the policy's estimates on the
-    `backtest_spans` of `window`'s days (`day`, `labels` as
-    `window.day_codes` returns them).
+    backtest ranges of `validation_spans` over `window`'s days (`day`,
+    `labels` as `window.day_codes` returns them).
 
     The reference is the policy's own (search-time) full-window estimate.
-    Pass iff, from day `min_days` on, each cumulative estimate stays within
-    2 standard errors of the reference (SE of the difference) and its sign
+    Pass iff, from day 7 on, each cumulative estimate stays within 2
+    standard errors of the reference (SE of the difference) and its sign
     never flips against the reference. Days that are empty or lack arm
-    support are skipped with a warning code; fewer than `min_days` usable
-    days raise InsufficientDataError.
+    support are skipped with a warning code; fewer than 7 usable days raise
+    InsufficientDataError.
     """
     for metric in target_metrics:
         if metric not in policy.estimates:
@@ -409,14 +435,14 @@ def backtest_verdict(policy: PolicyCandidate, window: ExperimentDataset,
 
     series = BacktestSeries(days=days, daily=daily_series,
                             cumulative=cumulative_series)
-    if len(cumulative_series) < min_days:
+    if len(cumulative_series) < BACKTEST_BURN_IN_DAYS:
         raise InsufficientDataError(
-            f"backtest needs >= {min_days} usable daily slices, "
+            f"backtest needs >= {BACKTEST_BURN_IN_DAYS} usable daily slices, "
             f"got {len(cumulative_series)}")
 
     for metric in target_metrics:
         reference = policy.estimates[metric]
-        for day_idx in range(min_days - 1, len(cumulative_series)):
+        for day_idx in range(BACKTEST_BURN_IN_DAYS - 1, len(cumulative_series)):
             cum = cumulative_series[day_idx][metric]
             band = BACKTEST_ENVELOPE_Z * math.sqrt(
                 cum.std_err ** 2 + reference.std_err ** 2)
@@ -427,7 +453,7 @@ def backtest_verdict(policy: PolicyCandidate, window: ExperimentDataset,
                     f"{day_idx + 1} leaves the {BACKTEST_ENVELOPE_Z}-SE band "
                     f"around {reference.mean:.4g}")
                 break
-        for day_idx in range(min_days - 1, len(cumulative_series)):
+        for day_idx in range(BACKTEST_BURN_IN_DAYS - 1, len(cumulative_series)):
             cum = cumulative_series[day_idx][metric]
             if cum.mean * reference.mean < 0:
                 codes.append(CODE_SIGN_FLIP)
@@ -448,6 +474,50 @@ def backtest_verdict(policy: PolicyCandidate, window: ExperimentDataset,
                             narrative=(f"cumulative lift consistent over "
                                        f"{len(cumulative_series)} days"))
     return series, report
+
+
+# -- the validation stage ----------------------------------------------------------
+
+
+def _insufficient_data(policy: PolicyCandidate, stage: str,
+                       narrative: str) -> HookReport:
+    return HookReport(stage=stage, verdict=REJECT,
+                      reason_codes=[CODE_INSUFFICIENT_DATA],
+                      entities=[policy.policy_id], narrative=narrative)
+
+
+def validate_candidate(ds: ExperimentDataset, candidate: PolicyCandidate,
+                       target_metrics: Sequence[str], n_days: int | None,
+                       n_slices: int
+                       ) -> tuple[BacktestSeries | None, list[HookReport]]:
+    """The robustness check over `n_slices` temporal slices, then the
+    backtest over the days of `ds.day_codes(n_days)`, from one
+    `evaluate_policy_days` pass over the `validation_spans`.
+
+    A slice without arm support, or a backtest with too few usable days, is
+    an INSUFFICIENT_DATA rejection. Returns the backtest series, None unless
+    every hook passed, and the reports in trail order.
+    """
+    day, labels = ds.day_codes(n_days)
+    lo, hi = validation_spans(len(labels), n_slices)
+    spans = evaluate_policy_days(ds, candidate, day, len(labels), lo, hi)
+    slices = spans[:n_slices]
+    shortfall = next((s for s in slices if isinstance(s, EstimationError)), None)
+    if shortfall is not None:
+        return None, [_insufficient_data(candidate, STAGE_POST_SEARCH,
+                                         f"robustness slice: {shortfall}")]
+    robustness = robustness_check(candidate, [s.estimates for s in slices],
+                                  target_metrics)
+    if robustness.rejected:
+        return None, [robustness]
+    try:
+        series, backtest = backtest_verdict(candidate, ds, day, labels,
+                                            spans[n_slices:], target_metrics)
+    except InsufficientDataError as exc:
+        return None, [robustness, _insufficient_data(
+            candidate, STAGE_PRE_RECOMMENDATION,
+            f"policy {candidate.policy_id!r}: {exc}")]
+    return (None if backtest.rejected else series), [robustness, backtest]
 
 
 # -- snapshot and report persistence ----------------------------------------------
@@ -581,8 +651,6 @@ def load_reports(path: str | Path) -> list[HookReport]:
             if not line:
                 continue
             data = json.loads(line)
-            reports.append(HookReport(stage=data["stage"], verdict=data["verdict"],
-                                      reason_codes=list(data["reason_codes"]),
-                                      entities=list(data["entities"]),
-                                      narrative=data["narrative"]))
+            data.pop("format_version", None)
+            reports.append(HookReport(**data))
     return reports

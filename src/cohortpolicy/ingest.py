@@ -23,21 +23,23 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import IntegrityError, RowIngestError, SchemaError
+from .config import from_mapping as read_config, json_key
+from .errors import ConfigError, IntegrityError, RowIngestError, SchemaError
 from .experiment import ABSOLUTE, LIFT_UNITS, ExperimentDataset, MetricEstimate
 
 
 @dataclass(frozen=True)
 class IngestSchema:
-    """Column mapping for one experiment file."""
+    """Column mapping for one experiment file, read from the schema.json
+    keys named by `json_key`."""
 
-    arm_column: str
-    feature_columns: tuple[str, ...]
-    metric_columns: tuple[str, ...]
-    user_id_column: str = "user_id"
-    control_action: str = "control"
+    arm_column: str = json_key("arm")
+    feature_columns: tuple[str, ...] = json_key("features")
+    metric_columns: tuple[str, ...] = json_key("metrics")
+    user_id_column: str = json_key("user_id", default="user_id")
+    control_action: str = json_key("control", default="control")
     lift_units: str = ABSOLUTE
-    day_column: str | None = None
+    day_column: str | None = json_key("day", default=None)
     experiment_id: str = "experiment"
 
     def __post_init__(self):
@@ -51,19 +53,15 @@ class IngestSchema:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "IngestSchema":
+        """The schema from its JSON mapping; `format_version`, which `synth`
+        writes, is skipped. An unknown or missing key or a wrong type raises
+        SchemaError naming the key."""
+        if isinstance(data, Mapping):
+            data = {k: v for k, v in data.items() if k != "format_version"}
         try:
-            return cls(
-                arm_column=data["arm"],
-                feature_columns=tuple(data["features"]),
-                metric_columns=tuple(data["metrics"]),
-                user_id_column=data.get("user_id", "user_id"),
-                control_action=data.get("control", "control"),
-                lift_units=data.get("lift_units", ABSOLUTE),
-                day_column=data.get("day"),
-                experiment_id=data.get("experiment_id", "experiment"),
-            )
-        except KeyError as exc:
-            raise SchemaError(f"schema is missing required key {exc.args[0]!r}") from exc
+            return read_config(cls, data)
+        except ConfigError as exc:
+            raise SchemaError(str(exc)) from exc
 
     @classmethod
     def from_json(cls, path: str | Path) -> "IngestSchema":

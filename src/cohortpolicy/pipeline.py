@@ -8,28 +8,23 @@ byte-identical artifacts regardless of input row order.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Mapping
 
 from .config import from_mapping as read_config
-from .errors import ConfigError, EstimationError, InsufficientDataError
+from .errors import ConfigError
 from .experiment import ExperimentDataset
 from .frontier import (FrontierResult, ToleranceConfig, save_frontier,
                        save_frontier_coords, tolerance_filter)
-from .governance import (CODE_INSUFFICIENT_DATA, CODE_NO_QUALIFYING_POLICY,
-                         DEFAULT_THRESHOLDS, REJECT, STAGE_POST_SEARCH,
-                         STAGE_PRE_RECOMMENDATION, SIGNIFICANCE_Z,
-                         MIN_ROBUSTNESS_SLICES, FeatureSnapshotPair,
-                         HookReport, backtest_spans,
-                         backtest_verdict, load_snapshots, pre_search_filter,
-                         robustness_check, save_reports, stability_verdicts)
+from .governance import (MIN_ROBUSTNESS_SLICES, FeatureSnapshotPair, HookReport,
+                         StabilityThresholds, load_snapshots, pre_search_filter,
+                         save_reports, select_candidate, stability_verdicts,
+                         validate_candidate)
 from .ingest import IngestSchema, ingest
 from .search import (FORMAT_VERSION, PolicyCandidate, PolicyTable,
-                     collect_candidates, evaluate_policies, evaluate_policy_days,
-                     enumerate_policies, sample_weights, save_policy_table)
+                     collect_candidates, evaluate_policies, enumerate_policies,
+                     sample_weights, save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import ScenarioConfig, drift_snapshots, generate_experiment
 
@@ -42,15 +37,15 @@ class RunConfig:
     thresholds 15% (binary) / 45% (quantile), refinement budget 3.
     `backtest_days` splits only a dataset without day labels into that many
     days; a dataset with day labels is sliced and backtested over all of its
-    days.
+    days. The input is exactly one of `scenario` and `dataset_path`; a
+    dataset path needs a schema path and a snapshots path.
     """
 
     seed: int = 0
     weight_samples: int = 1000
     top_k: int = 5
     tau: float = 1.0
-    thresholds: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_THRESHOLDS))
+    thresholds: StabilityThresholds = StabilityThresholds()
     max_refinements: int = 3
     primary_metric: str | None = None
     minimize_metrics: tuple[str, ...] = ()
@@ -77,14 +72,14 @@ class RunConfig:
         if self.robustness_slices < MIN_ROBUSTNESS_SLICES:
             raise ConfigError(f"robustness_slices must be >= {MIN_ROBUSTNESS_SLICES}, "
                               f"got {self.robustness_slices}")
-        for key in ("binary", "quantile"):
-            value = self.thresholds.get(key)
-            if value is None or not (0.0 <= value <= 1.0):
-                raise ConfigError(f"threshold {key!r} must be in [0, 1], got {value}")
-        if self.scenario is None and not self.dataset_path:
-            raise ConfigError("run config needs either a scenario or a dataset path")
+        if (self.scenario is None) == (not self.dataset_path):
+            raise ConfigError("run config needs exactly one of a scenario and "
+                              "a dataset path")
         if self.dataset_path and not self.schema_path:
             raise ConfigError("a dataset path needs a schema path")
+        if self.dataset_path and not self.snapshots_path:
+            raise ConfigError("a dataset path needs a snapshots path for the "
+                              "pre-search stability filter")
         self.features = tuple(self.features) if self.features else None
 
     @classmethod
@@ -128,49 +123,22 @@ def _load_inputs(config: RunConfig
         ds, _ = generate_experiment(config.scenario)
         return ds, drift_snapshots(config.scenario, ds)
     ds = ingest(config.dataset_path, IngestSchema.from_json(config.schema_path))
-    if not config.snapshots_path:
-        raise ConfigError("file-based runs need a snapshots path for the "
-                          "pre-search stability filter")
     return ds, load_snapshots(config.snapshots_path)
-
-
-def _qualifies(policy: PolicyCandidate, primary: str, sign: float,
-               metrics: Sequence[str]) -> bool:
-    # `sign` orients the primary metric so that its better direction is +.
-    est = policy.estimates[primary]
-    mean = sign * est.mean
-    if mean < SIGNIFICANCE_Z * est.std_err or mean <= 0:
-        return False
-    for metric in metrics:
-        if metric == primary:
-            continue
-        other = policy.estimates[metric]
-        if abs(other.mean) > SIGNIFICANCE_Z * other.std_err:
-            return False
-    return True
-
-
-def _insufficient_data(policy: PolicyCandidate, stage: str,
-                       narrative: str) -> HookReport:
-    return HookReport(stage=stage, verdict=REJECT,
-                      reason_codes=[CODE_INSUFFICIENT_DATA],
-                      entities=[policy.policy_id], narrative=narrative)
 
 
 def govern_pipeline(config: RunConfig) -> PipelineResult:
     """Run the full governed search and return the hook-report trail plus
     either a recommended policy or a terminal rejection.
 
-    A policy-level rejection removes the offending policy and re-runs Top-K,
-    the tolerance filter and the hooks over the remaining evaluated
-    policies, up to `max_refinements` extra iterations; a rejection nothing
-    can be removed for (empty search space, no qualifying policy) is
-    terminal. A candidate whose robustness slices or backtest days lack the
-    data to judge it (an unsupported slice, too few usable days) is
-    rejected with INSUFFICIENT_DATA. A candidate's robustness slices and
-    backtest come from one table of its (day, slot, arm) moments.
-    Everything before Top-K is independent of the removed policies and runs
-    once; its pre-search report opens every iteration's trail.
+    Every verdict comes from `governance`: the pre-search filter, the
+    choice of candidate (`select_candidate`) and its robustness slices and
+    backtest (`validate_candidate`). A policy-level rejection removes the
+    offending policy and re-runs Top-K, the tolerance filter and the hooks
+    over the remaining evaluated policies, up to `max_refinements` extra
+    iterations; a rejection nothing can be removed for (empty search space,
+    no qualifying policy) is terminal. Everything before Top-K is
+    independent of the removed policies and runs once; its pre-search
+    report opens every iteration's trail.
     """
     ds, snapshots = _load_inputs(config)
     primary = config.primary_metric or ds.metrics[0]
@@ -178,10 +146,9 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
         raise ConfigError(f"primary metric {primary!r} not in dataset metrics")
     eligible = config.features or ds.features
     tolerance = ToleranceConfig(tau=config.tau, minimize=config.minimize_metrics)
-    sign = tolerance.sign(primary)
 
-    verdicts = stability_verdicts(eligible, snapshots, config.thresholds)
-    pre_report, admitted_features = pre_search_filter(verdicts, config.thresholds)
+    pre_report, admitted_features = pre_search_filter(
+        stability_verdicts(eligible, snapshots, config.thresholds))
     if not admitted_features:
         return PipelineResult(status="rejected", recommendation=None,
                               reports=[pre_report], iterations=1, policies=[],
@@ -195,14 +162,6 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
         skip_unsupported=True)
     by_id = {p.policy_id: p for p in evaluated}
     weights = sample_weights(len(ds.metrics), config.weight_samples, config.seed)
-    # Each candidate is validated on these day ranges: the robustness
-    # slices, then the backtest's days and cumulative prefixes.
-    day, day_labels = ds.day_codes(config.backtest_days)
-    slice_bounds = np.linspace(0, len(day_labels),
-                               config.robustness_slices + 1).astype(int)
-    backtest_lo, backtest_hi = backtest_spans(len(day_labels))
-    span_lo = np.concatenate([slice_bounds[:-1], backtest_lo])
-    span_hi = np.concatenate([slice_bounds[1:], backtest_hi])
 
     reports: list[HookReport] = []
     excluded_policies: set[str] = set()
@@ -215,56 +174,22 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
                                            minimize=config.minimize_metrics)
         candidates = [by_id[pid] for pid in candidate_set.policy_ids]
         frontier = tolerance_filter(candidates, tolerance, metrics=ds.metrics)
-
-        qualifying = [by_id[pid] for pid in frontier.admitted
-                      if _qualifies(by_id[pid], primary, sign, ds.metrics)]
-        if not qualifying:
-            reports.append(HookReport(
-                stage=STAGE_POST_SEARCH, verdict=REJECT,
-                reason_codes=[CODE_NO_QUALIFYING_POLICY],
-                entities=list(frontier.admitted) or ["<frontier>"],
-                narrative=(f"no frontier policy lifts {primary} at "
-                           f"{SIGNIFICANCE_Z} sigma while staying neutral "
-                           f"elsewhere")))
+        candidate, rejection = select_candidate(
+            [by_id[pid] for pid in frontier.admitted], primary, ds.metrics,
+            config.minimize_metrics)
+        if candidate is None:
+            reports.append(rejection)
             return PipelineResult(status="rejected", recommendation=None,
                                   reports=reports, iterations=iterations,
                                   policies=policies, frontier=frontier,
                                   dataset=ds)
-        candidate = max(qualifying,
-                        key=lambda p: (sign * p.estimates[primary].mean, p.policy_id))
-
-        spans = evaluate_policy_days(ds, candidate, day, len(day_labels),
-                                     span_lo, span_hi)
-        slices = spans[:config.robustness_slices]
-        shortfall = next((s for s in slices if isinstance(s, EstimationError)),
-                         None)
-        if shortfall is not None:
-            reports.append(_insufficient_data(candidate, STAGE_POST_SEARCH,
-                                              f"robustness slice: {shortfall}"))
+        series, verdicts = validate_candidate(ds, candidate, [primary],
+                                              config.backtest_days,
+                                              config.robustness_slices)
+        reports += verdicts
+        if series is None:
             excluded_policies.add(candidate.policy_id)
             continue
-        robustness_report = robustness_check(
-            candidate, [s.estimates for s in slices], target_metrics=[primary])
-        reports.append(robustness_report)
-        if robustness_report.rejected:
-            excluded_policies.add(candidate.policy_id)
-            continue
-
-        try:
-            series, backtest_report = backtest_verdict(
-                candidate, ds, day, day_labels,
-                spans[config.robustness_slices:], target_metrics=[primary])
-        except InsufficientDataError as exc:
-            reports.append(_insufficient_data(
-                candidate, STAGE_PRE_RECOMMENDATION,
-                f"policy {candidate.policy_id!r}: {exc}"))
-            excluded_policies.add(candidate.policy_id)
-            continue
-        reports.append(backtest_report)
-        if backtest_report.rejected:
-            excluded_policies.add(candidate.policy_id)
-            continue
-
         return PipelineResult(status="recommended", recommendation=candidate,
                               reports=reports, iterations=iterations,
                               policies=policies, frontier=frontier,

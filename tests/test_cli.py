@@ -278,6 +278,31 @@ def test_ingest_search_filter_govern_round_trip(tmp_path):
     assert verdicts["admitted"] == ["f1"]
 
 
+@pytest.mark.parametrize("thresholds,code,message", [
+    ({"binery": 0.2, "quantile": 0.4}, 1, "ConfigError: unknown key 'binery'"),
+    ({"binary": 1.5}, 1, "ConfigError: threshold 'binary' must be in [0, 1]"),
+    ({"binary": "0.2"}, 1, "ConfigError: binary: expected a number"),
+    ({"binary": 0.2}, 0, ""),
+])
+def test_govern_thresholds_file_is_checked(tmp_path, capsys, thresholds, code,
+                                           message):
+    # A misspelt key used to end in a KeyError traceback.
+    snapshots = tmp_path / "snapshots.csv"
+    snapshots.write_text("user_id,feature_id,value,snapshot\n" + "".join(
+        f"u{i},f1,{i},{label}\n" for i in range(8) for label in ("t0", "t1")))
+    path = tmp_path / "thresholds.json"
+    path.write_text(json.dumps(thresholds))
+    out = tmp_path / "out"
+    assert main(["govern", "--snapshots", str(snapshots), "--thresholds",
+                 str(path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    if code == 0:
+        # An absent key takes its default.
+        [verdict] = json.loads((out / "stability_verdicts.json").read_text())["verdicts"]
+        assert verdict["threshold_basis"] == {"binary": 0.2, "quantile": 0.45}
+
+
 def test_search_minimize_ranks_lower_mean_first(tmp_path):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({

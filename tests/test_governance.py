@@ -9,19 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohortpolicy.errors import (InsufficientDataError, IntegrityError,
+from cohortpolicy.errors import (ConfigError, EstimationError,
+                                 InsufficientDataError, IntegrityError,
                                  RowIngestError)
 from cohortpolicy.experiment import MetricEstimate
 from cohortpolicy.governance import (BINARY_CUT, QUANTILE_CUT,
                                      FeatureSnapshotPair, HookReport,
-                                     classify_stability, load_reports,
+                                     StabilityThresholds, classify_stability, load_reports,
                                      load_snapshots, pre_search_filter,
                                      robustness_check, run_backtest,
-                                     save_reports, save_snapshots, shift_ratio)
-from cohortpolicy.search import evaluate_policies, global_policies
+                                     save_reports, save_snapshots,
+                                     select_candidate, shift_ratio,
+                                     validate_candidate)
+from cohortpolicy.search import (enumerate_policies, evaluate_policies,
+                                 evaluate_policy_pinned, global_policies)
+from cohortpolicy.segmentation import CutEnumerationConfig, enumerate_cuts
 from cohortpolicy.synth import (DriftSpec, PlantedEffect, ScenarioConfig,
-                                generate_daily_slices, generate_experiment,
-                                generate_snapshots, stitch_days)
+                                conflict_scenario, generate_daily_slices,
+                                generate_experiment, generate_snapshots,
+                                stitch_days)
 
 from conftest import make_policy
 
@@ -196,10 +202,10 @@ def test_classify_needs_a_measure():
 # -- pre-search filter -----------------------------------------------------------------
 
 
-def fixture_verdicts():
+def fixture_verdicts(thresholds=StabilityThresholds()):
     rows = [("s", 0.06, 0.02), ("f2", 0.16, 0.04), ("f3", 0.30, 0.12),
             ("f4", 0.50, 0.20), ("f5", None, 0.30)]
-    return [classify_stability(name, q, b) for name, q, b in rows]
+    return [classify_stability(name, q, b, thresholds) for name, q, b in rows]
 
 
 def test_pre_search_filter_thresholds():
@@ -227,11 +233,20 @@ def test_pre_search_filter_all_unstable_rejects():
 
 
 def test_pre_search_filter_monotone_in_thresholds():
-    verdicts = fixture_verdicts()
-    _, baseline = pre_search_filter(verdicts)
+    # The filter admits by verdict status, so relaxing the thresholds means
+    # re-classifying.
+    _, baseline = pre_search_filter(fixture_verdicts())
     _, relaxed = pre_search_filter(
-        verdicts, {"binary": 0.35, "quantile": 0.60})
+        fixture_verdicts(StabilityThresholds(binary=0.35, quantile=0.60)))
     assert set(baseline) <= set(relaxed)
+    assert relaxed == ["s", "f2", "f3", "f4", "f5"]
+
+
+@pytest.mark.parametrize("binary,quantile", [(-0.1, 0.45), (0.15, 1.5),
+                                             (float("nan"), 0.45)])
+def test_stability_thresholds_range_checked(binary, quantile):
+    with pytest.raises(ConfigError, match="must be in \\[0, 1\\]"):
+        StabilityThresholds(binary=binary, quantile=quantile)
 
 
 # -- robustness --------------------------------------------------------------------
@@ -342,6 +357,116 @@ def test_backtest_skips_empty_slice_with_warning():
     assert not report.rejected
     assert len(series.days) == 8
 
+
+
+# -- the post-search stages: selection and validation ------------------------------------
+
+
+def brute_force_selection(policies, primary, metrics, minimized):
+    # The 1.96-sigma rule written out: the primary lift is significant in its
+    # better direction, every other metric is within 1.96 SE of zero, and the
+    # best lift wins, ties going to the larger id.
+    best, best_lift = None, None
+    for policy in policies:
+        est = policy.estimates[primary]
+        lift = -est.mean if minimized else est.mean
+        if lift <= 0 or lift < 1.96 * est.std_err:
+            continue
+        if any(abs(policy.estimates[m].mean) > 1.96 * policy.estimates[m].std_err
+               for m in metrics if m != primary):
+            continue
+        if best is None or (lift, policy.policy_id) > (best_lift, best.policy_id):
+            best, best_lift = policy, lift
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from([-3.0, -1.0, 0.0, 0.5, 1.0, 3.0]),
+                               st.sampled_from([0.0, 0.25, 1.0]),
+                               st.sampled_from([-1.0, 0.0, 0.3, 2.0]),
+                               st.sampled_from([0.0, 0.5, 1.0])),
+                     max_size=8),
+       primary=st.sampled_from(["m1", "m2"]), minimized=st.booleans())
+def test_select_candidate_matches_brute_force(rows, primary, minimized):
+    policies = [make_policy(f"p{i}", [m1, m2], [s1, s2])
+                for i, (m1, s1, m2, s2) in enumerate(rows)]
+    metrics = ("m1", "m2")
+    chosen, report = select_candidate(policies, primary, metrics,
+                                      (primary,) if minimized else ())
+    expected = brute_force_selection(policies, primary, metrics, minimized)
+    if expected is not None:
+        assert report is None and chosen is expected
+    else:
+        assert chosen is None and report.rejected
+        assert report.stage == "post_search"
+        assert report.reason_codes == ["NO_QUALIFYING_POLICY"]
+        assert report.entities == ([p.policy_id for p in policies] or ["<frontier>"])
+
+
+def insufficient(policy, stage, narrative):
+    return HookReport(stage=stage, verdict="reject",
+                      reason_codes=["INSUFFICIENT_DATA"],
+                      entities=[policy.policy_id], narrative=narrative)
+
+
+def hooks_reference(ds, policy, n_days, n_slices):
+    """The validation stage from the public hooks: robustness_check over
+    slices evaluated one by one with evaluate_policy_pinned, then
+    run_backtest on the same window."""
+    day, labels = ds.day_codes(n_days)
+    bounds = np.linspace(0, len(labels), n_slices + 1).astype(int)
+    slices = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        try:
+            rows = (day >= lo) & (day < hi)
+            slices.append(evaluate_policy_pinned(ds, policy, rows).estimates)
+        except EstimationError as exc:
+            return None, [insufficient(policy, "post_search",
+                                       f"robustness slice: {exc}")]
+    robustness = robustness_check(policy, slices, ["m1"])
+    if robustness.rejected:
+        return None, [robustness]
+    try:
+        series, backtest = run_backtest(policy, ds, ["m1"], n_days)
+    except InsufficientDataError as exc:
+        return None, [robustness, insufficient(
+            policy, "pre_recommendation", f"policy {policy.policy_id!r}: {exc}")]
+    return (None if backtest.rejected else series), [robustness, backtest]
+
+
+def test_validate_candidate_matches_public_hooks():
+    # 300-user conflict scenarios with only the m1 effect, as observed and
+    # with the effect decaying to zero over 14 days of 300 users each. Seeds 5
+    # and 6 hold policies with a robustness slice that lacks arm support.
+    outcomes = set()
+    for seed in range(5, 8):
+        scenario = replace(conflict_scenario(seed=seed, n_users=300),
+                           planted_effects=(PlantedEffect("f1", 0.5, 1.0, "a1",
+                                                          "m1", 2.0),))
+        decayed = stitch_days(generate_daily_slices(
+            scenario, 14, lift_schedule=np.linspace(1.0, 0.0, 14)))
+        for ds in (generate_experiment(scenario)[0], decayed):
+            cuts = enumerate_cuts(ds, CutEnumerationConfig(features=ds.features))
+            policies = evaluate_policies(
+                ds, enumerate_policies(ds, cuts, seed=seed), skip_unsupported=True)
+            for policy in policies[::2]:
+                series, reports = validate_candidate(ds, policy, ["m1"], 14, 4)
+                expected_series, expected = hooks_reference(ds, policy, 14, 4)
+                assert [r.to_json() for r in reports] == \
+                    [r.to_json() for r in expected]
+                if expected_series is None:
+                    assert series is None
+                else:
+                    assert (series.days, series.daily, series.cumulative) == \
+                        (expected_series.days, expected_series.daily,
+                         expected_series.cumulative)
+                outcomes.add((reports[-1].stage, reports[-1].verdict,
+                              *reports[-1].reason_codes))
+    assert {("post_search", "reject", "INSUFFICIENT_DATA"),
+            ("post_search", "reject", "NOT_SIGNIFICANT"),
+            ("pre_recommendation", "reject", "INSUFFICIENT_DATA"),
+            ("pre_recommendation", "reject", "BACKTEST_DIVERGED"),
+            ("pre_recommendation", "pass")} <= outcomes
 
 
 # -- report and snapshot round trips ----------------------------------------------------

@@ -122,6 +122,19 @@ def test_schema_missing_key():
         IngestSchema.from_mapping({"arm": "group", "features": ["age"]})
 
 
+def test_schema_unknown_key_or_wrong_type_named(tmp_path):
+    # A misspelt "day" key used to ingest silently without day labels.
+    path = write_csv(tmp_path / "d.csv", ["u1,t1,30,1.0,0", "u2,control,40,2.0,1"],
+                     header="uid,group,age,spend,day")
+    with pytest.raises(SchemaError, match="unknown key 'days'"):
+        ingest(path, {**SCHEMA, "days": "day"})
+    with pytest.raises(SchemaError, match="features: expected a list"):
+        IngestSchema.from_mapping({**SCHEMA, "features": "age"})
+    # The format_version key that synth writes is part of the schema file.
+    ds = ingest(path, {**SCHEMA, "day": "day", "format_version": 1})
+    assert ds.days.tolist() == [0, 1]
+
+
 @pytest.mark.parametrize("text,mean,std_err", [
     ("-0.049% ± 0.043", -0.00049, 0.00043),
     ("+0.282% ± 0.074", 0.00282, 0.00074),

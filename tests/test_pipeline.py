@@ -5,7 +5,8 @@ import pytest
 
 from cohortpolicy.config import from_mapping as read_config
 from cohortpolicy.errors import ConfigError
-from cohortpolicy.governance import CODE_INSUFFICIENT_DATA, SIGNIFICANCE_Z
+from cohortpolicy.governance import (CODE_INSUFFICIENT_DATA, SIGNIFICANCE_Z,
+                                     StabilityThresholds)
 from cohortpolicy.pipeline import (RunConfig, govern_pipeline,
                                    write_run_artifacts)
 from cohortpolicy.search import evaluate_policies, global_policies
@@ -239,9 +240,42 @@ def test_run_config_validation():
         RunConfig(seed=1)  # no scenario and no dataset
     with pytest.raises(ConfigError):
         RunConfig(scenario=conflict_scenario(), tau=-1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="threshold 'binary' must be in"):
         RunConfig(scenario=conflict_scenario(),
-                  thresholds={"binary": 2.0, "quantile": 0.45})
+                  thresholds=StabilityThresholds(binary=2.0))
+    scenario = asdict(conflict_scenario(n_users=100))
+    with pytest.raises(ConfigError, match="threshold 'quantile' must be in"):
+        RunConfig.from_mapping({"scenario": scenario,
+                                "thresholds": {"quantile": -0.5}})
+    with pytest.raises(ConfigError, match="unknown key 'thresholds.binery'"):
+        RunConfig.from_mapping({"scenario": scenario,
+                                "thresholds": {"binery": 0.2}})
+    # An absent threshold key takes its default.
+    loaded = RunConfig.from_mapping({"scenario": scenario,
+                                     "thresholds": {"binary": 0.2}})
+    assert loaded.thresholds == StabilityThresholds(binary=0.2, quantile=0.45)
+
+
+FILES = dict(dataset_path="data.csv", schema_path="schema.json",
+             snapshots_path="snapshots.csv")
+
+
+def test_run_config_takes_exactly_one_input_source():
+    # A scenario used to win silently over a dataset path.
+    with pytest.raises(ConfigError, match="exactly one of a scenario and a dataset"):
+        RunConfig(scenario=conflict_scenario(n_users=100), **FILES)
+    assert RunConfig(**FILES).scenario is None
+
+
+@pytest.mark.parametrize("missing,message", [
+    ("schema_path", "needs a schema path"),
+    ("snapshots_path", "needs a snapshots path"),
+])
+def test_run_config_file_input_needs_schema_and_snapshots(missing, message):
+    # A missing snapshots path used to surface only after the whole dataset
+    # was ingested.
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**{**FILES, missing: None})
 
 
 def test_run_config_rejects_fewer_than_three_robustness_slices():
@@ -282,20 +316,26 @@ def test_run_config_from_mapping_converts_every_field_type():
                         n_metrics=3, n_actions=3, noise_sd=0.25, n_bins=5,
                         policy_budget=7),
         CutEnumerationConfig(features=("f2", "f1"), n_bins=3, kinds=("binary",)),
+        StabilityThresholds(binary=0.1, quantile=0.4),
+    ]
+    # A run config reads either a scenario or files: one scenario config and
+    # one file config set every field away from its default between them.
+    run_configs = [
         RunConfig(
             seed=3, weight_samples=17, top_k=2, tau=0.5,
-            thresholds={"binary": 0.1, "quantile": 0.4}, max_refinements=1,
-            primary_metric="m2", minimize_metrics=("m1",), n_bins=3,
-            cut_kinds=("binary",), policy_budget=9, features=("f2",),
-            backtest_days=10, robustness_slices=3, scenario=scenario,
-            dataset_path="data.csv", schema_path="schema.json",
-            snapshots_path="snapshots.csv"),
+            thresholds=StabilityThresholds(binary=0.1, quantile=0.4),
+            max_refinements=1, primary_metric="m2", minimize_metrics=("m1",),
+            n_bins=3, cut_kinds=("binary",), policy_budget=9, features=("f2",),
+            backtest_days=10, robustness_slices=3, scenario=scenario),
+        RunConfig(**FILES),
     ]
-    for value in map(_away_from_defaults, values):
+    for f in fields(RunConfig):
+        assert any(getattr(c, f.name) != f.default for c in run_configs), f.name
+    for value in [*map(_away_from_defaults, values), *run_configs]:
         data = json.loads(json.dumps(asdict(value)))
-        assert type(value).from_mapping(data) == value
+        assert read_config(type(value), data) == value
         # Python tuples are read as JSON lists are.
-        assert type(value).from_mapping(asdict(value)) == value
+        assert read_config(type(value), asdict(value)) == value
 
     @dataclass
     class Flagged:
@@ -314,16 +354,17 @@ def test_run_config_round_trip(tmp_path):
     assert loaded.scenario == config.scenario
     assert loaded.thresholds == config.thresholds
 
-    # Every field set away from its default survives the JSON round trip.
+    # Every field set away from its default survives the JSON round trip,
+    # in a scenario config and in a file config.
     full = RunConfig(
         seed=3, weight_samples=17, top_k=2, tau=0.5,
-        thresholds={"binary": 0.1, "quantile": 0.4}, max_refinements=1,
-        primary_metric="m2", minimize_metrics=("m1",), n_bins=3,
-        cut_kinds=("binary",), policy_budget=9, features=("f2",),
+        thresholds=StabilityThresholds(binary=0.1, quantile=0.4),
+        max_refinements=1, primary_metric="m2", minimize_metrics=("m1",),
+        n_bins=3, cut_kinds=("binary",), policy_budget=9, features=("f2",),
         backtest_days=10, robustness_slices=3,
-        scenario=replace(conflict_scenario(n_users=100), noise_sd=0.5, n_days=7),
-        dataset_path="data.csv", schema_path="schema.json",
-        snapshots_path="snapshots.csv")
-    data = full.to_json()
-    assert set(data) == {f.name for f in fields(RunConfig)}
-    assert RunConfig.from_mapping(json.loads(json.dumps(data))) == full
+        scenario=replace(conflict_scenario(n_users=100), noise_sd=0.5, n_days=7))
+    for config in (full, replace(full, scenario=None, **FILES)):
+        data = config.to_json()
+        assert set(data) == {f.name for f in fields(RunConfig)}
+        assert data["thresholds"] == {"binary": 0.1, "quantile": 0.4}
+        assert RunConfig.from_mapping(json.loads(json.dumps(data))) == config
