@@ -147,7 +147,8 @@ class ExperimentDataset:
 
     @cached_property
     def _sorted_feature_matrix(self) -> np.ndarray:
-        return np.sort(self.feature_matrix, axis=1, kind="stable")
+        from .segmentation import sort_values  # segmentation imports this module
+        return sort_values(self.feature_matrix)
 
     def _feature_row(self, feature: str) -> int:
         if feature not in self.features:

@@ -24,7 +24,7 @@ from .errors import (ConfigError, EstimationError, InsufficientDataError,
 from .experiment import ExperimentDataset, MetricEstimate
 from .ingest import csv_blocks, csv_rows
 from .search import FORMAT_VERSION, PolicyCandidate, evaluate_policy_days
-from .segmentation import interior_cutpoints, slot_codes
+from .segmentation import slot_codes, sort_values, sorted_boundaries
 
 STAGE_PRE_SEARCH = "pre_search"
 STAGE_POST_SEARCH = "post_search"
@@ -95,6 +95,15 @@ class FeatureSnapshotPair:
         if not (self.user_ids[1:] > self.user_ids[:-1]).all():
             raise ValueError(f"feature {self.feature!r}: user_ids must be "
                              f"sorted and unique")
+        self._t0_bounds: dict[int, list[float]] = {}
+
+    def _t0_boundaries(self, n_bins: int) -> list[float]:
+        # `sorted_boundaries` of t0, kept per bin count so that both cut
+        # bases of `shift_ratio` share one sort; the n sorted values are not
+        # kept, as the pair outlives the stability filter.
+        if n_bins not in self._t0_bounds:
+            self._t0_bounds[n_bins] = sorted_boundaries(sort_values(self.t0), n_bins)
+        return self._t0_bounds[n_bins]
 
 
 @dataclass
@@ -154,11 +163,11 @@ def shift_ratio(pair: FeatureSnapshotPair, cut: str = QUANTILE_CUT,
     if not np.isfinite(pair.t0).all():
         raise ValueError(f"feature {pair.feature!r}: t0 values must be finite")
     if cut == QUANTILE_CUT:
-        cuts = interior_cutpoints(pair.t0, n_bins)
+        cuts = pair._t0_boundaries(n_bins)[:-1]
     elif cut == BINARY_CUT:
         # The nearest-rank p25 and p75 are the first and third quartile
         # boundaries.
-        p25, _, p75 = interior_cutpoints(pair.t0, 4)
+        p25, _, p75, _ = pair._t0_boundaries(4)
         cuts = [p25, p75]
     else:
         raise ValueError(f"unknown cut basis {cut!r}")

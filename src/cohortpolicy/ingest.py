@@ -106,10 +106,45 @@ def _records(lines: Iterator[str], max_rows: int,
                           ndmin=2)
 
 
+def _ends_quoted(line: str, quoted: bool) -> bool:
+    # Whether a physical line that starts inside a quoted field or not
+    # (`quoted`) ends inside one. As loadtxt reads a field: a quote opens it
+    # only as its first character, "" inside it is a quote, and after its
+    # closing quote any quote is text up to the next comma.
+    i = 0
+    while True:
+        if quoted:
+            i = line.find('"', i)
+            if i < 0:
+                return True
+            if line.startswith('"', i + 1):
+                i += 2
+                continue
+            quoted = False
+        elif line.startswith('"', i):
+            quoted, i = True, i + 1
+            continue
+        i = line.find(",", i) + 1
+        if i == 0:
+            return False
+
+
+def _data_lines(fh) -> Iterator[str]:
+    # The physical lines of `fh` minus comments: lines that start with `#`
+    # outside a quoted field. Only a line holding a quote can open or close
+    # one, so the others are not scanned.
+    quoted = False
+    for line in fh:
+        if quoted or not line.startswith("#"):
+            yield line
+            if quoted or '"' in line:
+                quoted = _ends_quoted(line, quoted)
+
+
 def _open_csv(fh, columns: Sequence[str]) -> tuple[Iterator[str], list[str], list[int]]:
     # Returns the data lines after the header, the header's fields and each
     # requested column's position in it.
-    lines = (line for line in fh if not line.startswith("#"))
+    lines = _data_lines(fh)
     first = next(lines, "")
     lines = chain([first], lines)
     # A blank first line is an empty header; loadtxt would skip it.
@@ -131,12 +166,13 @@ def csv_blocks(path: str | Path, columns: Sequence[str]) -> Iterator[np.ndarray]
 
     Each block is a (rows, len(columns)) object array of str holding the
     requested columns, in the order given. The dialect: a physical line
-    that starts with `#` is a comment and is dropped, blank lines are
-    skipped, fields are comma-separated with standard double-quote quoting
-    (quoted commas, newlines and doubled quotes), and fields beyond the
-    requested columns are ignored. A header that lacks a requested column
-    raises SchemaError. A row too short to hold every requested column
-    raises ValueError here; `csv_rows` names it.
+    that starts with `#` outside a quoted field is a comment and is
+    dropped, blank lines are skipped, fields are comma-separated with
+    standard double-quote quoting (quoted commas, newlines and doubled
+    quotes), and fields beyond the requested columns are ignored. A header
+    that lacks a requested column raises SchemaError. A row too short to
+    hold every requested column raises ValueError here; `csv_rows` names
+    it.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         lines, _, positions = _open_csv(fh, columns)

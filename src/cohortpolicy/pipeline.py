@@ -38,7 +38,8 @@ class RunConfig:
     `backtest_days` splits only a dataset without day labels into that many
     days; a dataset with day labels is sliced and backtested over all of its
     days. The input is exactly one of `scenario` and `dataset_path`; a
-    dataset path needs a schema path and a snapshots path.
+    dataset path needs a schema path and a snapshots path, and a scenario
+    takes neither.
     """
 
     seed: int = 0
@@ -75,6 +76,10 @@ class RunConfig:
         if (self.scenario is None) == (not self.dataset_path):
             raise ConfigError("run config needs exactly one of a scenario and "
                               "a dataset path")
+        for name in ("schema_path", "snapshots_path"):
+            if self.scenario is not None and getattr(self, name):
+                raise ConfigError(f"{name} is read only with a dataset path, "
+                                  f"not with a scenario")
         if self.dataset_path and not self.schema_path:
             raise ConfigError("a dataset path needs a schema path")
         if self.dataset_path and not self.snapshots_path:

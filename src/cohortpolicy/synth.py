@@ -19,8 +19,8 @@ from .evaluation import KINDS, GroundTruth, InstructionSpec, ground_truth_oracle
 from .experiment import ExperimentDataset
 from .governance import FeatureSnapshotPair
 from .search import PolicyTable, build_policy_table
-from .segmentation import (CutEnumerationConfig, enumerate_cuts, interior_cutpoints,
-                           quantile, slot_codes)
+from .segmentation import (CutEnumerationConfig, enumerate_cuts, slot_codes,
+                           sort_values, sorted_boundaries, sorted_quantile)
 
 NEG_INF = float("-inf")
 
@@ -111,10 +111,26 @@ def _check_contradictions(effects: Sequence[PlantedEffect]) -> None:
                     f"{a.metric}): ({a.q_lo}, {a.q_hi}) vs ({b.q_lo}, {b.q_hi})")
 
 
-def _effect_mask(values: np.ndarray, q_lo: float, q_hi: float) -> np.ndarray:
-    lower = NEG_INF if q_lo == 0.0 else quantile(values, q_lo)
-    upper = quantile(values, q_hi)
+def _effect_mask(values: np.ndarray, sorted_values: np.ndarray, q_lo: float,
+                 q_hi: float) -> np.ndarray:
+    # The users whose value lies in (Q(q_lo), Q(q_hi)], Q being `quantile`.
+    lower = NEG_INF if q_lo == 0.0 else sorted_quantile(sorted_values, q_lo)
+    upper = sorted_quantile(sorted_values, q_hi)
     return (values > lower) & (values <= upper)
+
+
+def _user_ids(n: int) -> np.ndarray:
+    # "u" and i zero-padded to max(5, len(str(n))) digits for i < n, as one
+    # <U array written as its UCS-4 code points, one digit column at a time.
+    width = max(5, len(str(n)))
+    codes = np.empty((n, width + 1), dtype=np.uint32)
+    codes[:, 0] = ord("u")
+    rest = np.arange(n)
+    for column in range(width, 0, -1):
+        codes[:, column] = rest % 10
+        rest //= 10
+    codes[:, 1:] += ord("0")
+    return codes.view(f"<U{width + 1}").reshape(n)
 
 
 def _balanced_codes(n_labels: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -134,13 +150,13 @@ def generate_experiment(cfg: ScenarioConfig,
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_users
-    width = max(5, len(str(n)))
     features, actions, metrics = cfg.feature_names, cfg.action_names, cfg.metric_names
     feature_matrix = np.array([rng.random(n) for _ in features])
     arm_codes = _balanced_codes(len(actions), n, rng)
     days = _balanced_codes(cfg.n_days, n, rng) if cfg.n_days > 0 else None
 
     outcome_matrix = np.zeros((len(metrics), n))
+    sorted_rows: dict[int, np.ndarray] = {}
     truth_effects = []
     for effect in cfg.planted_effects:
         for kind, name, names in (("feature", effect.feature, features),
@@ -149,7 +165,10 @@ def generate_experiment(cfg: ScenarioConfig,
             if name not in names:
                 raise ConfigError(f"planted effect references unknown {kind} "
                                   f"{name!r}")
-        in_range = _effect_mask(feature_matrix[features.index(effect.feature)],
+        row = features.index(effect.feature)
+        if row not in sorted_rows:
+            sorted_rows[row] = sort_values(feature_matrix[row])
+        in_range = _effect_mask(feature_matrix[row], sorted_rows[row],
                                 effect.q_lo, effect.q_hi)
         mask = in_range & (arm_codes == actions.index(effect.action))
         outcome_matrix[metrics.index(effect.metric), mask] += effect.lift * lift_scale
@@ -165,7 +184,7 @@ def generate_experiment(cfg: ScenarioConfig,
 
     dataset = ExperimentDataset(
         experiment_id=cfg.experiment_id,
-        user_ids=[f"u{i:0{width}d}" for i in range(n)],
+        user_ids=_user_ids(n),
         arm_codes=arm_codes,
         feature_matrix=feature_matrix,
         outcome_matrix=outcome_matrix,
@@ -239,7 +258,7 @@ def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int,
     rng = np.random.default_rng(seed)
     values = ds.feature_values(drift.feature)
     n = ds.n_users
-    cuts = interior_cutpoints(values, n_bins)
+    cuts = sorted_boundaries(ds.sorted_feature_values(drift.feature), n_bins)[:-1]
     buckets = slot_codes(values, cuts)
     n_buckets = len(cuts) + 1
     span = float(values.max() - values.min()) or 1.0

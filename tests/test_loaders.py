@@ -2,8 +2,10 @@
 
 `reference_ingest` and `reference_load_snapshots` are the per-row loaders
 that `csv_blocks` replaced (csv.DictReader and csv.reader over the
-comment-filtered lines, one Python parse per cell). Two lines differ from
-them, each marked: a snapshot header without a column raises SchemaError
+comment-filtered lines, one Python parse per cell). A comment is a line
+that starts with '#' where csv.reader would start a record, not one inside
+a quoted field (`_without_comments`). Two lines differ from them, each
+marked: a snapshot header without a column raises SchemaError
 (it raised ValueError), and a day label beyond int64 raises RowIngestError
 at its row (an OverflowError once every row was read). The block reader
 must give bit-identical columns, or raise the same exception type with the
@@ -54,10 +56,29 @@ def _parse_number(raw, column, row_idx):
     return value
 
 
+def _without_comments(fh):
+    """The physical lines of `fh` minus its comment lines: those that start
+    with '#' where csv.reader would start a record. (The loaders used to drop
+    every line starting with '#', inside a quoted field too.)"""
+    kept, at_record_start = [], [True]
+
+    def feed():
+        for line in fh:
+            if at_record_start[0] and line.startswith("#"):
+                continue
+            at_record_start[0] = False
+            kept.append(line)
+            yield line
+
+    for _ in csv.reader(feed()):
+        at_record_start[0] = True
+    return kept
+
+
 def _iter_rows(path):
     if path.suffix.lower() == ".csv":
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
+            reader = csv.DictReader(_without_comments(fh))
             yield reader.fieldnames or [], None
             for row in reader:
                 yield None, row
@@ -143,7 +164,7 @@ def reference_load_snapshots(path):
     user_codes, feature_codes = {}, {}
     users, groups, values = array("q"), array("q"), array("d")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(ln for ln in fh if not ln.startswith("#"))
+        reader = csv.reader(_without_comments(fh))
         header = next(reader, [])
         for column in SNAPSHOT_COLUMNS:
             if column not in header:  # ValueError("snapshot file is ...") before
@@ -365,6 +386,19 @@ def test_errors_in_later_blocks_name_the_first_bad_row(tmp_path):
     with _small_blocks():
         with pytest.raises(RowIngestError, match="row 11: snapshot label 't9'"):
             load_snapshots(snapshots)
+
+
+def test_lines_starting_with_hash_inside_quoted_fields_are_data(tmp_path):
+    # They used to be dropped as comments. A quote inside an unquoted field
+    # is text and opens nothing, so the comment after it is still one.
+    path = tmp_path / "data.csv"
+    path.write_text(",".join(HEADER) + '\n# note\n'
+                    '"u\n#1",control,1,2,3,4,"x\r\n#y"\n'
+                    'u2,t1,1,2,3,4,a"b\n# comment\n'
+                    '"u3",t1,1,2,3,4,"c""\r#d"""\n#\n', newline="")
+    ds = ingest(path, SCHEMA)
+    assert ds.user_ids.tolist() == ["u\n#1", "u2", "u3"]
+    _assert_same_dataset(ds, reference_ingest(path, SCHEMA))
 
 
 def test_short_row_without_arm_is_rejected(tmp_path):

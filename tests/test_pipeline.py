@@ -278,6 +278,16 @@ def test_run_config_file_input_needs_schema_and_snapshots(missing, message):
         RunConfig(**{**FILES, missing: None})
 
 
+@pytest.mark.parametrize("name", ["schema_path", "snapshots_path"])
+def test_run_config_scenario_takes_no_input_file(name):
+    # A scenario used to build with a file path that the run never read.
+    with pytest.raises(ConfigError, match=f"^{name} is read only with a dataset path"):
+        RunConfig(scenario=conflict_scenario(n_users=100), **{name: FILES[name]})
+    with pytest.raises(ConfigError, match=f"^{name} is read only"):
+        RunConfig.from_mapping({"scenario": asdict(conflict_scenario(n_users=100)),
+                                name: FILES[name]})
+
+
 def test_run_config_rejects_fewer_than_three_robustness_slices():
     # The robustness check needs three slices; two used to fail mid-run.
     with pytest.raises(ConfigError, match="robustness_slices must be >= 3, got 2"):

@@ -1,17 +1,23 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import numpy as np
 
+from cohortpolicy.experiment import ExperimentDataset
+from cohortpolicy.governance import (BINARY_CUT, QUANTILE_CUT, FeatureSnapshotPair,
+                                     shift_ratio)
 from cohortpolicy.segmentation import (CutSpec, binary_split,
                                        cut_slot_codes, enumerate_cuts,
                                        individual_split, interior_cutpoints,
-                                       quantile, slot_codes)
+                                       materialize, quantile, slot_codes,
+                                       sort_values)
 
-from conftest import build_dataset
+from conftest import build_dataset, shuffled
 
 NEG_INF = float("-inf")
 
@@ -202,3 +208,104 @@ def test_bucket_index_fixed_cuts():
 def test_interior_cutpoints(eight_user_dataset):
     values = eight_user_dataset.feature_values("f1")
     assert interior_cutpoints(values, 4) == [2, 4, 6]
+
+
+# -- the sort helper ------------------------------------------------------------
+# Every float-column sort goes through `sort_values`, numpy's default sort
+# made bit-equal to kind="stable". The references below sort with
+# kind="stable", as the code did before; bits are compared, so -0.0 and 0.0
+# differ.
+
+# Few distinct values, so ties are common and -0.0 sits beside 0.0.
+VALUE = st.sampled_from([-1.0, -0.0, 0.0, 0.0, -0.0, 0.5, 1.0, 2.5])
+COLUMN = hnp.arrays(np.float64, st.integers(1, 2000), elements=VALUE)
+
+
+def bits_of(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def stable_sorted(values):
+    return np.sort(np.asarray(values, dtype=float), kind="stable")
+
+
+def stable_cutpoints(values, n_bins):
+    ordered = stable_sorted(values)
+    n = ordered.size
+    return [float(ordered[-((-i * n) // n_bins) - 1]) for i in range(1, n_bins)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(COLUMN, st.lists(st.sampled_from([np.nan, -np.nan]), max_size=3))
+def test_sort_values_equals_the_stable_sort_bit_for_bit(column, nans):
+    column = np.concatenate([nans, column])  # both sorts put NaNs last
+    assert bits_of(sort_values(column)) == bits_of(stable_sorted(column))
+    matrix = np.stack([column, column[::-1]])
+    assert bits_of(sort_values(matrix)) == bits_of(
+        np.sort(matrix, axis=1, kind="stable"))
+
+
+def test_default_sort_alone_changes_signed_zeros_and_nans():
+    # The cases the helper exists for: numpy's default sort may return -0.0
+    # and 0.0 as zeros of one sign, and NaNs with one bit pattern.
+    column = np.random.default_rng(3).choice([-1.0, -0.0, 0.0, 1.0], 2000)
+    nans = np.array([np.nan, 1.0, -np.nan, 0.5] * 10)
+    for values in (column, nans):
+        assert bits_of(np.sort(values)) != bits_of(stable_sorted(values))
+        assert bits_of(sort_values(values)) == bits_of(stable_sorted(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(COLUMN, st.floats(0.0, 1.0), st.integers(1, 9))
+def test_quantile_and_cutpoints_equal_the_stable_sort(column, p, n_bins):
+    want = NEG_INF if p == 0.0 else float(
+        stable_sorted(column)[min(math.ceil(p * column.size), column.size) - 1])
+    assert bits_of([quantile(column, p)]) == bits_of([want])
+    assert bits_of(interior_cutpoints(column, n_bins)) == bits_of(
+        stable_cutpoints(column, n_bins))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), COLUMN)
+def test_cutpoints_do_not_depend_on_row_order(data, column):
+    order = data.draw(st.permutations(range(column.size)))
+    n_bins = data.draw(st.integers(1, 9))
+    # As values: the stable sort keeps zeros in input order, so a zero
+    # cutpoint's sign may follow the row order.
+    assert interior_cutpoints(column[order], n_bins) == interior_cutpoints(column, n_bins)
+    # A dataset sorts its rows by user id first, so its cuts agree bit for bit.
+    ds = ExperimentDataset(
+        experiment_id="x", user_ids=[f"u{i:04d}" for i in range(column.size)],
+        arm_codes=np.zeros(column.size, dtype=int), feature_matrix=[column],
+        outcome_matrix=[np.zeros(column.size)], actions=("a0",),
+        control_action="a0", metrics=("m1",), features=("f1",))
+    cut = CutSpec(feature="f1", kind="individual", n_bins=n_bins)
+    assert [bits_of([s.upper]) for s in materialize(ds, cut)] == \
+        [bits_of([s.upper]) for s in materialize(shuffled(ds, order), cut)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(COLUMN, COLUMN)
+def test_sorted_feature_values_and_shift_ratio_equal_the_stable_sort(f1, f2):
+    n = min(f1.size, f2.size)
+    matrix = np.stack([f1[:n], f2[:n]])
+    ds = ExperimentDataset(
+        experiment_id="x", user_ids=[f"u{i:04d}" for i in range(n)],
+        arm_codes=np.zeros(n, dtype=int), feature_matrix=matrix,
+        outcome_matrix=[np.zeros(n)], actions=("a0",), control_action="a0",
+        metrics=("m1",), features=("f1", "f2"))
+    for row, feature in enumerate(ds.features):
+        assert bits_of(ds.sorted_feature_values(feature)) == bits_of(
+            stable_sorted(matrix[row]))
+    if n < 2:
+        return
+    pair = FeatureSnapshotPair(feature="f1", user_ids=ds.user_ids,
+                               t0=matrix[0], t1=matrix[1])
+    want = {}
+    for cut, cuts in ((QUANTILE_CUT, stable_cutpoints(matrix[0], 4)),
+                      (BINARY_CUT, stable_cutpoints(matrix[0], 4)[::2])):
+        moved = slot_codes(matrix[0], cuts) != slot_codes(matrix[1], cuts)
+        want[cut] = np.count_nonzero(moved) / n
+    with mock.patch.object(np, "sort", wraps=np.sort) as sort:
+        assert {cut: shift_ratio(pair, cut) for cut in want} == want
+    assert sort.call_count == 1  # t0 is sorted once, for both cut bases

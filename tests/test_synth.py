@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,14 +7,17 @@ import pytest
 from cohortpolicy.cli import main
 from cohortpolicy.errors import ConfigError
 from cohortpolicy.experiment import ExperimentDataset, compute_ate, segment_hte
-from cohortpolicy.governance import load_snapshots, save_snapshots, shift_ratio
-from cohortpolicy.segmentation import (binary_split, individual_split,
-                                       interior_cutpoints, slot_codes)
+from cohortpolicy.governance import (load_snapshots, save_snapshots, shift_ratio,
+                                     stability_verdicts)
+from cohortpolicy.segmentation import (CutEnumerationConfig, binary_split,
+                                       cut_slot_codes, enumerate_cuts,
+                                       individual_split, interior_cutpoints,
+                                       slot_codes)
 from cohortpolicy.synth import (BenchmarkConfig, DriftSpec, PlantedEffect,
                                 ScenarioConfig, build_benchmark,
-                                conflict_scenario, generate_daily_slices,
-                                generate_experiment, generate_snapshots,
-                                stitch_days)
+                                conflict_scenario, drift_snapshots,
+                                generate_daily_slices, generate_experiment,
+                                generate_snapshots, stitch_days)
 
 from conftest import columns_of
 
@@ -183,6 +187,45 @@ def test_synth_snapshots_survive_load_save_round_trip(tmp_path):
     save_snapshots(tmp_path / "again.csv", load_snapshots(out / "snapshots.csv"))
     assert (tmp_path / "again.csv").read_bytes() == \
         (out / "snapshots.csv").read_bytes()
+
+
+# -- user ids and sorts ---------------------------------------------------------
+
+
+def fstring_ids(n):
+    """The per-user f-strings the generator used to build its ids from."""
+    width = max(5, len(str(n)))
+    return np.array([f"u{i:0{width}d}" for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [1, 99_999, 100_000, 100_001])
+def test_user_ids_match_fstring_ids_at_width_boundaries(n):
+    ds, _ = generate_experiment(ScenarioConfig(seed=5, n_users=n, n_features=1,
+                                               n_metrics=1, n_actions=1))
+    want = fstring_ids(n)
+    assert ds.user_ids.dtype == want.dtype == np.dtype(f"<U{max(5, len(str(n))) + 1}")
+    assert ds.user_ids.tolist() == want.tolist()
+
+
+def test_daily_slice_ids_keep_their_day_prefix():
+    cfg = ScenarioConfig(seed=34, n_users=12, n_metrics=1, n_actions=1)
+    for day, ds in enumerate(generate_daily_slices(cfg, n_days=3)):
+        assert ds.user_ids.dtype == np.dtype("<U11")
+        assert ds.user_ids.tolist() == [f"d{day:03d}.{uid}" for uid in fstring_ids(12)]
+
+
+def test_conflict_run_inputs_sort_each_column_once():
+    # The effects sort f1 once, the dataset each feature once, and each
+    # snapshot pair its t0 once for both cut bases.
+    cfg = conflict_scenario(n_users=2000)
+    with mock.patch.object(np, "sort", wraps=np.sort) as sort:
+        ds, _ = generate_experiment(cfg)
+        pairs = drift_snapshots(cfg, ds)
+        stability_verdicts(sorted(pairs), pairs)
+        for cut in enumerate_cuts(ds, CutEnumerationConfig(features=ds.features)):
+            cut_slot_codes(ds, cut)
+    assert sort.call_count == 4
+    assert all(call.kwargs.get("kind") is None for call in sort.call_args_list)
 
 
 # -- daily slices ------------------------------------------------------------------
