@@ -383,13 +383,9 @@ def sample_weights(n_metrics: int, n_samples: int, seed: int) -> list[WeightVect
     normalized = draws / totals[:, None]
     # Exact sum-to-1 after float division is not guaranteed; renormalize the
     # largest coordinate to absorb the residual.
-    out = []
-    for row in normalized:
-        residual = 1.0 - row.sum()
-        row = row.copy()
-        row[int(np.argmax(row))] += residual
-        out.append(WeightVector(tuple(float(w) for w in row)))
-    return out
+    residuals = 1.0 - normalized.sum(axis=1)
+    normalized[np.arange(n_samples), normalized.argmax(axis=1)] += residuals
+    return [WeightVector(tuple(row)) for row in normalized.tolist()]
 
 
 def scalarized_score(policy: PolicyCandidate, weights: WeightVector,

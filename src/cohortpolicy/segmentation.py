@@ -150,10 +150,16 @@ def slot_codes(values: Sequence[float] | np.ndarray,
 
     Slots are (-inf, c1], (c1, c2], ..., (c_{B-1}, +inf): a value's slot is
     the number of cutpoints strictly below it, so out-of-range values fall
-    into the end slots and tied cutpoints leave their slot empty.
+    into the end slots and tied cutpoints leave their slot empty. A NaN
+    value lands in the last slot. The codes equal
+    `np.searchsorted(cutpoints, values, side="left")` for ascending,
+    non-NaN cutpoints, made with one comparison pass per cutpoint.
     """
-    return np.searchsorted(np.asarray(cutpoints, dtype=float),
-                           np.asarray(values, dtype=float), side="left")
+    arr = np.asarray(values, dtype=float)
+    codes = np.full(arr.shape, len(cutpoints), dtype=np.intp)
+    for cut in cutpoints:
+        codes -= arr <= cut
+    return codes
 
 
 def _slot_uppers(ds: ExperimentDataset, cut: CutSpec) -> list[float]:

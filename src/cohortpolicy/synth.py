@@ -247,6 +247,52 @@ def stitch_days(slices: Sequence[ExperimentDataset],
         days=np.concatenate([ds.days for ds in slices]) if labelled else None)
 
 
+def _mover_draws(rng: np.random.Generator, n: int, k: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    # What n rounds of `rng.integers(0, k)` (no draw when k == 1), then
+    # `rng.random()`, return: read from one block of the PCG64 stream.
+    # random() is a 64-bit draw >> 11 scaled by 2**-53. The integer is
+    # Lemire's method on a 32-bit word: PCG64 hands out a 64-bit draw's
+    # low half and keeps the high half for the next 32-bit request (it may
+    # already hold one on entry). A word that Lemire rejects, with chance
+    # (2**32 mod k) / 2**32, needs one more word, so the generator is
+    # rewound to that round and draws it itself.
+    bitgen = rng.bit_generator
+    if k <= 1:
+        return np.zeros(n, dtype=np.int64), (bitgen.random_raw(n) >> 11) * 2.0**-53
+    picks = np.empty(n, dtype=np.int64)
+    uniforms = np.empty(n)
+    threshold = 2**32 % k
+    start = 0
+    while start < n:
+        state = bitgen.state
+        fresh = (np.arange(n - start) + state["has_uint32"]) % 2 == 0
+        pos = np.cumsum(1 + fresh) - 1 - fresh  # 64-bit draws before each round
+        raw = bitgen.random_raw(int(pos[-1] + 1 + fresh[-1]))
+        # A round without a fresh draw takes the previous round's high half.
+        source = raw[np.maximum(pos - 2 * ~fresh, 0)]
+        words = np.where(fresh, source & 0xFFFFFFFF, source >> 32)
+        if state["has_uint32"]:
+            words[0] = state["uinteger"]
+        scaled = words * np.uint64(k)
+        rejected = np.flatnonzero((scaled & 0xFFFFFFFF) < threshold)
+        done = int(rejected[0]) if rejected.size else n - start
+        picks[start:start + done] = scaled[:done] >> 32
+        uniforms[start:start + done] = (raw[pos[:done] + fresh[:done]] >> 11) * 2.0**-53
+        start += done
+        if start == n:
+            break
+        # The rejected word is spent, buffered or not, so the round's next
+        # word is the low half of its first fresh draw: advance() leaves the
+        # generator there with an empty buffer.
+        bitgen.state = state
+        bitgen.advance(int(pos[done]))
+        picks[start] = rng.integers(0, k)
+        uniforms[start] = rng.random()
+        start += 1
+    return picks, uniforms
+
+
 def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int,
                        n_bins: int = 4) -> FeatureSnapshotPair:
     """Snapshot pair whose measured quantile shift ratio matches the target.
@@ -254,37 +300,44 @@ def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int,
     Exactly round(target * n) users get their t1 value re-drawn inside a
     different t0 quantile bucket; everyone else keeps their t0 value. Buckets
     are fixed from t0 cutpoints, so the measured ratio is moved/n.
+
+    The draws: `rng.choice(n, round(target * n), replace=False)` picks the
+    movers; then, for each mover in row order, `rng.integers(0, k)` picks the
+    target among the k reachable buckets other than its own (no draw when
+    k == 1) and `rng.random()` places the value in it. All movers are drawn
+    and placed in one array pass over that stream.
     """
     rng = np.random.default_rng(seed)
     values = ds.feature_values(drift.feature)
     n = ds.n_users
-    cuts = sorted_boundaries(ds.sorted_feature_values(drift.feature), n_bins)[:-1]
+    cuts = np.array(sorted_boundaries(ds.sorted_feature_values(drift.feature),
+                                      n_bins)[:-1])
     buckets = slot_codes(values, cuts)
-    n_buckets = len(cuts) + 1
     span = float(values.max() - values.min()) or 1.0
     # Buckets emptied by tied cutpoints cannot receive a value; skip them.
-    reachable = [b for b in range(n_buckets)
-                 if b == 0 or b == n_buckets - 1 or cuts[b] > cuts[b - 1]]
+    open_buckets = np.ones(cuts.size + 1, dtype=bool)
+    open_buckets[1:-1] = cuts[1:] > cuts[:-1]
+    reachable = np.flatnonzero(open_buckets)
 
     t0 = np.array(values, dtype=float)
     t1 = t0.copy()
     n_move = round(drift.target_shift_ratio * n)
-    movers = rng.choice(n, size=n_move, replace=False)
-    for row in sorted(int(i) for i in movers):
-        current = buckets[row]
-        choices = [b for b in reachable if b != current]
-        target = int(choices[rng.integers(0, len(choices))])
-        lower = cuts[target - 1] if target > 0 else None
-        upper = cuts[target] if target < len(cuts) else None
-        if lower is None:
-            new_value = upper - span * float(rng.random())
-        elif upper is None:
-            new_value = lower + span * (float(rng.random()) + 1e-9)
-        else:
-            new_value = lower + (upper - lower) * float(rng.random())
-            if new_value <= lower:
-                new_value = upper
-        t1[row] = new_value
+    rows = rng.choice(n, size=n_move, replace=False)
+    rows.sort()
+    if rows.size and reachable.size < 2:
+        raise ConfigError(f"feature {drift.feature!r}: drift needs at least two "
+                          f"buckets to move users between, got n_bins={n_bins}")
+    picks, uniforms = _mover_draws(rng, rows.size, reachable.size - 1)
+    # A pick indexes the reachable buckets with the mover's own left out.
+    picks += picks >= np.searchsorted(reachable, buckets[rows])
+    target = reachable[picks]
+    below, above = target == 0, target == cuts.size
+    inner = ~(below | above)
+    lower, upper = cuts[target[inner] - 1], cuts[target[inner]]
+    inside = lower + (upper - lower) * uniforms[inner]
+    t1[rows[inner]] = np.where(inside <= lower, upper, inside)
+    t1[rows[below]] = cuts[target[below]] - span * uniforms[below]
+    t1[rows[above]] = cuts[target[above] - 1] + span * (uniforms[above] + 1e-9)
     return FeatureSnapshotPair(feature=drift.feature, user_ids=ds.user_ids,
                                t0=t0, t1=t1)
 

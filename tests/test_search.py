@@ -371,6 +371,37 @@ def test_weights_deterministic():
     assert sample_weights(3, 100, seed=7) == sample_weights(3, 100, seed=7)
 
 
+def row_loop_weights(n_metrics, n_samples, seed):
+    """The weights renormalized one row at a time, as sample_weights did
+    before it worked on the whole matrix."""
+    if n_metrics == 1:
+        return [WeightVector((1.0,)) for _ in range(n_samples)]
+    rng = np.random.default_rng(seed)
+    draws = -np.log1p(-rng.random((n_samples, n_metrics)))
+    totals = draws.sum(axis=1)
+    totals[totals == 0.0] = 1.0
+    out = []
+    for row in draws / totals[:, None]:
+        residual = 1.0 - row.sum()
+        row = row.copy()
+        row[int(np.argmax(row))] += residual
+        out.append(WeightVector(tuple(float(w) for w in row)))
+    return out
+
+
+# n_metrics 9 and up cross numpy's 8-lane pairwise row sum.
+@pytest.mark.parametrize("n_metrics", range(1, 13))
+@pytest.mark.parametrize("n_samples", [1, 2, 9, 1000, 1499])
+def test_weights_match_row_loop_bit_for_bit(n_metrics, n_samples):
+    seed = 100 * n_metrics + n_samples
+    got = sample_weights(n_metrics, n_samples, seed)
+    want = row_loop_weights(n_metrics, n_samples, seed)
+    assert len(got) == n_samples
+    assert np.array([w.weights for w in got]).tobytes() == \
+        np.array([w.weights for w in want]).tobytes()
+    assert all(type(x) is float for w in got for x in w.weights)
+
+
 def test_weights_uniform_on_simplex():
     weights = sample_weights(2, 10000, seed=13)
     first = np.array([w.weights[0] for w in weights])

@@ -203,6 +203,31 @@ def test_bucket_index_fixed_cuts():
     # ties go low, (lower, upper]; values beyond either end stay in range
     assert slot_codes([0.5, 1.0, 1.5, 99.0, -99.0], cuts).tolist() == [0, 0, 1, 3, 0]
     assert slot_codes([1.0, 1.5], [1.0, 1.0]).tolist() == [0, 2]  # tied cuts
+    # NaN lands in the last slot; no cutpoints give one slot
+    assert slot_codes([math.nan, -math.inf, math.inf, -0.0], [-0.0, 0.0, 1.0]
+                      ).tolist() == [3, 0, 3, 0]
+    assert slot_codes([math.nan, 5.0], []).tolist() == [0, 0]
+
+
+# Values may be anything a float column holds; cutpoints are ascending and
+# drawn from a few values so that ties are common.
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, 1e-300])
+ANY_FLOAT = st.one_of(SPECIAL_FLOATS, st.floats(allow_nan=True, allow_infinity=True))
+CUT_FLOAT = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1.0, 2.0]),
+                      st.floats(allow_nan=False, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(ANY_FLOAT, max_size=40),
+       cuts=st.lists(CUT_FLOAT, max_size=8).map(sorted),
+       as_list=st.booleans())
+def test_slot_codes_match_searchsorted(values, cuts, as_list):
+    want = np.searchsorted(np.asarray(cuts, dtype=float),
+                           np.asarray(values, dtype=float), side="left")
+    got = slot_codes(values if as_list else np.array(values, dtype=float),
+                     cuts if as_list else np.array(cuts, dtype=float))
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_interior_cutpoints(eight_user_dataset):

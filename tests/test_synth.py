@@ -1,8 +1,12 @@
+import cProfile
 import json
+import pstats
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cohortpolicy.cli import main
 from cohortpolicy.errors import ConfigError
@@ -11,8 +15,7 @@ from cohortpolicy.governance import (load_snapshots, save_snapshots, shift_ratio
                                      stability_verdicts)
 from cohortpolicy.segmentation import (CutEnumerationConfig, binary_split,
                                        cut_slot_codes, enumerate_cuts,
-                                       individual_split, interior_cutpoints,
-                                       slot_codes)
+                                       individual_split, interior_cutpoints)
 from cohortpolicy.synth import (BenchmarkConfig, DriftSpec, PlantedEffect,
                                 ScenarioConfig, build_benchmark,
                                 conflict_scenario, drift_snapshots,
@@ -115,13 +118,14 @@ def test_snapshot_deterministic():
 
 def dict_snapshots(ds, drift, seed, n_bins=4):
     """Snapshot values per user id, drawn user by user into dicts: the
-    layout generate_snapshots used before it returned aligned arrays."""
+    layout and the per-mover loop generate_snapshots used before it
+    returned aligned arrays drawn in one pass."""
     rng = np.random.default_rng(seed)
     values = ds.feature_values(drift.feature)
     user_ids = ds.user_ids.tolist()
     n = len(user_ids)
     cuts = interior_cutpoints(values, n_bins)
-    buckets = slot_codes(values, cuts)
+    buckets = np.searchsorted(cuts, values, side="left")
     n_buckets = len(cuts) + 1
     span = float(values.max() - values.min()) or 1.0
     reachable = [b for b in range(n_buckets)
@@ -146,10 +150,10 @@ def dict_snapshots(ds, drift, seed, n_bins=4):
     return t0, t1
 
 
-def tied_dataset(n=300):
+def tied_dataset(n=300, seed=3):
     # 70% of users share the value 1.0, which ties all three quartile
     # cutpoints and leaves the two middle buckets unreachable.
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(seed)
     f1 = np.where(rng.random(n) < 0.7, 1.0, rng.random(n) * 5)
     return ExperimentDataset(
         experiment_id="tied", user_ids=[f"t{i:03d}" for i in range(n)],
@@ -158,20 +162,147 @@ def tied_dataset(n=300):
         features=("f1",))
 
 
-@pytest.mark.parametrize("target", [0.0, 0.05, 0.3, 0.9])
-@pytest.mark.parametrize("seed", [0, 5, 77])
-@pytest.mark.parametrize("tied", [False, True])
-def test_snapshots_match_dict_algorithm(target, seed, tied):
-    if tied:
-        ds = tied_dataset()
-        assert len(set(interior_cutpoints(ds.feature_values("f1"), 4))) == 1
-    else:
-        ds, _ = generate_experiment(ScenarioConfig(seed=23, n_users=400))
-    pair = generate_snapshots(ds, DriftSpec("f1", target), seed=seed)
-    t0, t1 = dict_snapshots(ds, DriftSpec("f1", target), seed=seed)
+def assert_matches_dict_snapshots(ds, drift, seed, n_bins=4):
+    pair = generate_snapshots(ds, drift, seed=seed, n_bins=n_bins)
+    t0, t1 = dict_snapshots(ds, drift, seed=seed, n_bins=n_bins)
     assert pair.user_ids.tolist() == sorted(t0)
     assert pair.t0.tobytes() == np.array([t0[u] for u in sorted(t0)]).tobytes()
     assert pair.t1.tobytes() == np.array([t1[u] for u in sorted(t1)]).tobytes()
+
+
+def test_tied_dataset_ties_every_quartile_cutpoint():
+    assert len(set(interior_cutpoints(tied_dataset().feature_values("f1"), 4))) == 1
+
+
+# n_bins 2 leaves one other bucket to move to (k = 1, no integer draw),
+# 3 leaves two, and 4-8 leave three or more unless ties empty them.
+@pytest.mark.parametrize("target", [0.0, 0.05, 0.3, 0.9])
+@pytest.mark.parametrize("seed", [0, 5, 77])
+@pytest.mark.parametrize("tied", [False, True])
+@settings(max_examples=8, deadline=None)
+@given(n_users=st.integers(2, 5000), n_bins=st.integers(2, 8),
+       data_seed=st.integers(0, 999))
+@example(n_users=400, n_bins=4, data_seed=23)
+@example(n_users=300, n_bins=4, data_seed=3)
+@example(n_users=400, n_bins=2, data_seed=23)
+@example(n_users=400, n_bins=3, data_seed=23)
+@example(n_users=5000, n_bins=8, data_seed=23)
+def test_snapshots_match_dict_algorithm(target, seed, tied, n_users, n_bins, data_seed):
+    if tied:
+        ds = tied_dataset(n_users, data_seed)
+    else:
+        ds, _ = generate_experiment(ScenarioConfig(
+            seed=data_seed, n_users=n_users, n_features=1, n_metrics=1, n_actions=1))
+    assert_matches_dict_snapshots(ds, DriftSpec("f1", target), seed, n_bins)
+
+
+def test_one_bucket_drift_moves_nobody_or_fails():
+    ds, _ = generate_experiment(ScenarioConfig(seed=23, n_users=50))
+    still = generate_snapshots(ds, DriftSpec("f1", 0.0), seed=1, n_bins=1)
+    assert still.t1.tobytes() == still.t0.tobytes()
+    with pytest.raises(ConfigError, match="n_bins=1"):
+        generate_snapshots(ds, DriftSpec("f1", 0.3), seed=1, n_bins=1)
+
+
+MASK64 = 2**64 - 1
+
+
+def pcg64_state_before(output):
+    """A PCG64 state word whose next 64-bit draw is `output`. PCG64 steps
+    its 128-bit state, then outputs the xor of the new state's high and low
+    words rotated right by the top 6 bits of the high word; so pick the high
+    word, solve for the low one, and step back once."""
+    high = 0x9E3779B97F4A7C15
+    rot = high >> 58
+    xor = ((output << rot) | (output >> (64 - rot))) & MASK64
+    bitgen = np.random.PCG64(0)
+    state = bitgen.state
+    state["state"]["state"] = (high << 64) | (high ^ xor)
+    bitgen.state = state
+    bitgen.advance(-1)
+    return bitgen.state["state"]["state"], state["state"]["inc"]
+
+
+class SteeredGenerator(np.random.Generator):
+    """PCG64 generator whose state is replaced right after `choice` picks
+    the movers: 64-bit draw `position` of what follows is `value`, and the
+    32-bit buffer is set. Counts its `integers` calls."""
+
+    def __init__(self, seed, has_uint32, uinteger, draw):
+        super().__init__(np.random.PCG64(seed))
+        self.steer = (has_uint32, uinteger, draw)
+        self.integer_calls = 0
+
+    def choice(self, *args, **kwargs):
+        movers = super().choice(*args, **kwargs)
+        has_uint32, uinteger, draw = self.steer
+        bitgen = self.bit_generator
+        if draw is not None:
+            position, value = draw
+            state = bitgen.state
+            state["state"]["state"], state["state"]["inc"] = pcg64_state_before(value)
+            bitgen.state = state
+            bitgen.advance(-position)
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+        bitgen.state = state
+        return movers
+
+    def integers(self, *args, **kwargs):
+        self.integer_calls += 1
+        return super().integers(*args, **kwargs)
+
+
+def test_steered_generator_draws_the_value_asked_for():
+    state, inc = pcg64_state_before(0x12345678 << 32)
+    bitgen = np.random.PCG64(0)
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    assert int(bitgen.random_raw()) == 0x12345678 << 32
+
+
+HIGH_HALF_ONLY = 0x12345678 << 32
+
+# With 4 open buckets a mover picks among k = 3, and Lemire's method rejects
+# a 32-bit word w iff (3w mod 2**32) < 2**32 mod 3 = 1, that is iff w == 0.
+# Round i takes a buffered high half or the low half of a fresh 64-bit draw,
+# then one 64-bit draw for its uniform.
+@pytest.mark.parametrize("has_uint32,uinteger,draw,replays", [
+    (1, 0x89ABCDEF, None, 0),        # a high half is buffered on entry
+    (1, 0, None, 1),                 # ... and it is rejected
+    (1, 7, (1, HIGH_HALF_ONLY), 1),  # round 1's fresh low half is rejected
+    (0, 0, (0, HIGH_HALF_ONLY), 1),  # the same at round 0
+    (0, 0, (3, 0), 1),               # round 2's low half is rejected, and so
+                                     # is its replacement, the high half
+    (0, 0, (1, 0), 0),               # round 0's uniform is 0.0
+])
+def test_snapshots_replay_buffered_and_rejected_words(has_uint32, uinteger,
+                                                      draw, replays):
+    ds, _ = generate_experiment(ScenarioConfig(seed=23, n_users=400))
+    generators = []
+
+    def default_rng(seed):
+        generators.append(SteeredGenerator(seed, has_uint32, uinteger, draw))
+        return generators[-1]
+
+    with mock.patch.object(np.random, "default_rng", default_rng):
+        assert_matches_dict_snapshots(ds, DriftSpec("f1", 0.3), seed=5)
+    # generate_snapshots draws a round through `integers` only to replay a
+    # rejected word.
+    assert generators[0].integer_calls == replays
+
+
+def test_drift_snapshots_python_calls_do_not_grow_with_users():
+    # The movers are drawn and placed as arrays: 100 times the users may not
+    # double the Python calls.
+    calls = {}
+    for n_users in (400, 40_000):
+        cfg = conflict_scenario(seed=3, n_users=n_users)
+        ds, _ = generate_experiment(cfg)
+        profile = cProfile.Profile()
+        profile.runcall(drift_snapshots, cfg, ds)
+        calls[n_users] = pstats.Stats(profile).total_calls
+    assert calls[40_000] <= 2 * calls[400], calls
 
 
 def test_synth_snapshots_survive_load_save_round_trip(tmp_path):
