@@ -10,8 +10,9 @@ import tempfile
 from pathlib import Path
 
 from cohortpolicy import (IngestSchema, PlantedEffect, ScenarioConfig,
-                          compute_ate, generate_experiment, ingest,
-                          parse_lift_text, segment_hte)
+                          compute_ate, generate_experiment, parse_lift_text,
+                          segment_hte)
+from cohortpolicy.ingest import ingest
 from cohortpolicy.segmentation import binary_split
 
 print("=" * 70)

@@ -26,8 +26,7 @@ from .governance import (StabilityThresholds, load_snapshots, pre_search_filter,
                          save_reports, save_snapshots, stability_verdicts)
 from .ingest import IngestSchema, ingest
 from .pipeline import RunConfig, govern_pipeline, write_run_artifacts
-from .search import (FORMAT_VERSION, PolicyCandidate, PolicyTable,
-                     collect_candidates, evaluate_policies, enumerate_policies,
+from .search import (FORMAT_VERSION, build_policy_table, collect_candidates,
                      load_policy_table, sample_weights, save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import (BenchmarkConfig, ScenarioConfig, build_benchmark,
@@ -148,23 +147,20 @@ def cmd_search(args) -> int:
     seed = args.seed if args.seed is not None else 0
     cuts_cfg = CutEnumerationConfig.from_mapping(_load_json(args.cuts)) \
         if args.cuts else CutEnumerationConfig(features=ds.features)
-    cuts = enumerate_cuts(ds, cuts_cfg)
-    policies = enumerate_policies(ds, cuts, budget=args.budget, seed=seed)
-    evaluated = evaluate_policies(ds, policies, skip_unsupported=True)
+    table = build_policy_table(ds, enumerate_cuts(ds, cuts_cfg), args.budget, seed)
     weights = sample_weights(len(ds.metrics), args.weights, seed)
-    candidates = collect_candidates(evaluated, weights, args.top_k,
+    candidates = collect_candidates(table, weights, args.top_k,
                                     metrics=ds.metrics,
                                     minimize=tuple(args.minimize or ()))
     out = _out_dir(args, "search")
-    save_policy_table(out / "policy_table.csv",
-                      PolicyTable.from_candidates(evaluated, ds.metrics))
+    save_policy_table(out / "policy_table.csv", table)
     _write_json(out / "candidates.json", {
         "format_version": FORMAT_VERSION,
         "policy_ids": candidates.policy_ids,
         "provenance": {pid: [[w, r] for w, r in pairs]
                        for pid, pairs in sorted(candidates.provenance.items())},
     })
-    print(f"{len(evaluated)} policies evaluated, "
+    print(f"{len(table)} policies evaluated, "
           f"{len(candidates.policy_ids)} candidates in {out}")
     return EXIT_OK
 
@@ -173,19 +169,16 @@ def cmd_filter(args) -> int:
     table, metrics = load_policy_table(args.policy_table)
     if args.candidates:
         keep = set(_load_json(args.candidates)["policy_ids"])
-        table = {pid: est for pid, est in table.items() if pid in keep}
-    policies = [PolicyCandidate(policy_id=pid, cut=None, assignment=("a0",),
-                                estimates=dict(est))
-                for pid, est in table.items()]
+        table = table.take([pid for pid in table.ids if pid in keep])
     result = tolerance_filter(
-        policies, ToleranceConfig(tau=args.tau, minimize=tuple(args.minimize or ())),
+        table, ToleranceConfig(tau=args.tau, minimize=tuple(args.minimize or ())),
         metrics=metrics)
     out = _out_dir(args, "filter")
     save_frontier(out / "frontier.json", result)
     if len(metrics) >= 2:
-        save_frontier_coords(out / "frontier_coords.csv", policies, result,
+        save_frontier_coords(out / "frontier_coords.csv", table, result,
                              (metrics[0], metrics[1]))
-    print(f"{len(result.admitted)} of {len(policies)} policies admitted "
+    print(f"{len(result.admitted)} of {len(table)} policies admitted "
           f"at tau={args.tau} in {out}")
     return EXIT_OK
 

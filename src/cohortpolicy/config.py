@@ -41,6 +41,13 @@ def json_key(name: str, **kwargs) -> dataclasses.Field:
     return dataclasses.field(metadata={"key": name}, **kwargs)
 
 
+def reject_repeats(name: str, values) -> None:
+    """Raise ConfigError naming the first entry that `values` repeats."""
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"{name} lists {repeated!r} more than once")
+
+
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 

@@ -20,7 +20,9 @@ import numpy as np
 from .errors import UnmatchedInstructionError
 from .experiment import MetricEstimate
 from .frontier import weak_pareto_mask_2d
-from .search import FORMAT_VERSION, PolicyTable
+from .search import FORMAT_VERSION, PolicyTable, policy_columns
+
+Estimates = Mapping[str, Mapping[str, MetricEstimate]]
 
 MAXIMIZE_BOTH = "maximize_both"
 MAXIMIZE_WITH_CONSTRAINT = "maximize_with_constraint"
@@ -168,38 +170,6 @@ def spearman_corr(ranked: Sequence[str], gt: GroundTruth) -> float:
 # -- ground-truth oracle -----------------------------------------------------------
 
 
-Estimates = Mapping[str, Mapping[str, MetricEstimate]]
-
-
-def _columns(table: Estimates, metrics: Sequence[str | None], kind: str
-             ) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The ascending policy ids and the (policies, len(metrics)) mean and
-    std_err columns of `metrics`. Every policy must carry each metric; the
-    first one that does not (in the table's order) is named.
-    """
-    for metric in metrics:
-        if not metric:
-            raise ValueError(f"{kind} requires a metric id")
-        if isinstance(table, PolicyTable):
-            lacking = None if metric in table.metrics else table.ids[0]
-        else:
-            lacking = next((pid for pid, estimates in table.items()
-                            if metric not in estimates), None)
-        if lacking is not None:
-            raise ValueError(
-                f"policy {lacking!r} has no estimate for metric {metric!r}")
-    if isinstance(table, PolicyTable):
-        cols = [table.metrics.index(metric) for metric in metrics]
-        return table.ids, table.mean[:, cols], table.std_err[:, cols]
-    ids = sorted(table)
-    shape = (len(ids), len(metrics))
-    mean = np.array([[table[pid][m].mean for m in metrics] for pid in ids],
-                    dtype=float).reshape(shape)
-    std_err = np.array([[table[pid][m].std_err for m in metrics] for pid in ids],
-                       dtype=float).reshape(shape)
-    return ids, mean, std_err
-
-
 def _z(mean: np.ndarray, std_err: np.ndarray) -> np.ndarray:
     return mean / np.maximum(std_err, SIGMA_FLOOR)
 
@@ -263,18 +233,17 @@ def ground_truth_oracle(instruction: InstructionSpec, table: Estimates) -> Groun
         return GroundTruth(experiment_id=instruction.experiment_id, top5=[],
                            instruction=instruction)
     primary = instruction.primary_metric
-    if kind in _TWO_METRIC_KINDS:
-        ids, mean, std_err = _columns(
-            table, (primary, instruction.secondary_metric), kind)
-    elif kind == EFFICIENCY_OPTIMIZATION:
+    named = ((primary, instruction.secondary_metric) if kind in _TWO_METRIC_KINDS
+             else (primary,))
+    if not all(named):
+        raise ValueError(f"{kind} requires a metric id")
+    if kind == EFFICIENCY_OPTIMIZATION:
         # Every policy must carry every scored metric; the first policy's
         # order fixes the summation order.
-        _columns(table, (primary,), kind)
-        metrics = (table.metrics if isinstance(table, PolicyTable) else
-                   tuple(dict.fromkeys(m for pid in sorted(table) for m in table[pid])))
-        ids, mean, std_err = _columns(table, metrics, kind)
-    else:
-        ids, mean, std_err = _columns(table, (primary,), kind)
+        policy_columns(table, named)
+        named = (table.metrics if isinstance(table, PolicyTable) else
+                 tuple(dict.fromkeys(m for pid in sorted(table) for m in table[pid])))
+    ids, _, mean, std_err = policy_columns(table, named)
 
     if kind == SINGLE_METRIC:
         top = _top_by(ids, mean[:, 0])

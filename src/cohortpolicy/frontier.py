@@ -13,11 +13,12 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .search import FORMAT_VERSION, PolicyCandidate, check_minimize
+from .search import (FORMAT_VERSION, Policies, PolicyCandidate, check_minimize,
+                     policy_columns)
 
 
 @dataclass(frozen=True)
@@ -54,25 +55,22 @@ class FrontierResult:
         }
 
 
-def _oriented(policy: PolicyCandidate, metric: str, cfg: ToleranceConfig) -> tuple[float, float]:
-    if metric not in policy.estimates:
-        raise ValueError(
-            f"policy {policy.policy_id!r} has no estimate for metric {metric!r}")
-    est = policy.estimates[metric]
-    return cfg.sign(metric) * est.mean, est.std_err
-
-
 def tolerance_dominates(q: PolicyCandidate, p: PolicyCandidate,
                         cfg: ToleranceConfig,
                         metrics: Sequence[str] | None = None) -> bool:
     """True iff q is at least as good as p within p's tolerance band on every
-    metric, and strictly better than p beyond the band on some metric."""
+    metric, and strictly better than p beyond the band on some metric (the
+    test `tolerance_filter` makes on every pair at once)."""
     metric_order = tuple(metrics) if metrics is not None else tuple(p.estimates)
     beyond = False
     for metric in metric_order:
-        mu_q, _ = _oriented(q, metric, cfg)
-        mu_p, sigma_p = _oriented(p, metric, cfg)
-        eps = cfg.tau * sigma_p
+        for policy in (q, p):
+            if metric not in policy.estimates:
+                raise ValueError(f"policy {policy.policy_id!r} has no estimate "
+                                 f"for metric {metric!r}")
+        mu_q = cfg.sign(metric) * q.estimates[metric].mean
+        mu_p = cfg.sign(metric) * p.estimates[metric].mean
+        eps = cfg.tau * p.estimates[metric].std_err
         if mu_q < mu_p - eps:
             return False
         if mu_q > mu_p + eps:
@@ -80,32 +78,40 @@ def tolerance_dominates(q: PolicyCandidate, p: PolicyCandidate,
     return beyond
 
 
-def tolerance_filter(candidates: Sequence[PolicyCandidate], cfg: ToleranceConfig,
+# Candidates judged this many at a time: each block's (candidates x block x
+# metrics) comparisons stay small however large the table.
+_JUDGED_BLOCK = 256
+
+
+def tolerance_filter(candidates: Policies, cfg: ToleranceConfig,
                      metrics: Sequence[str] | None = None) -> FrontierResult:
-    """Reject every candidate that some other candidate tolerance-dominates.
+    """Reject every candidate that some other candidate tolerance-dominates,
+    testing all pairs at once on the columns of `search.policy_columns`.
 
     `dominated_by` records the first dominator in ascending id order, for
-    deterministic audit logs. An empty candidate list yields an empty result.
-    Every metric in `cfg.minimize` must be one of the metrics (by default
-    the first candidate's).
+    deterministic audit logs. No candidates yield an empty result. Every
+    metric in `cfg.minimize` must be one of the metrics (by default the
+    table's, or the first candidate's).
     """
-    ordered = sorted(candidates, key=lambda p: p.policy_id)
-    first = tuple(ordered[0].estimates) if ordered else ()
-    check_minimize(cfg.minimize, first if metrics is None else metrics)
-    admitted: list[str] = []
-    dominated_by: dict[str, str] = {}
-    for p in ordered:
-        dominator = None
-        for q in ordered:
-            if q.policy_id != p.policy_id and tolerance_dominates(q, p, cfg, metrics):
-                dominator = q.policy_id
-                break
-        if dominator is None:
-            admitted.append(p.policy_id)
-        else:
-            dominated_by[p.policy_id] = dominator
-    return FrontierResult(admitted=admitted, dominated_by=dominated_by,
-                          tau_used=cfg.tau)
+    ids, metric_order, mean, std_err = policy_columns(candidates, metrics)
+    check_minimize(cfg.minimize, metric_order)
+    mu = mean * np.array([cfg.sign(metric) for metric in metric_order])
+    eps = cfg.tau * std_err
+    # floor[p] and ceiling[p] bound p's tolerance band; q dominates p when
+    # it is nowhere below the floor and somewhere above the ceiling.
+    floor, ceiling = mu - eps, mu + eps
+    dominator = np.full(len(ids), -1)
+    for start in range(0, len(ids), _JUDGED_BLOCK):
+        judged = slice(start, start + _JUDGED_BLOCK)
+        dominates = (~(mu[:, None, :] < floor[None, judged, :]).any(axis=2)
+                     & (mu[:, None, :] > ceiling[None, judged, :]).any(axis=2))
+        column = np.arange(dominates.shape[1])
+        dominates[start + column, column] = False  # no candidate beats itself
+        dominator[judged] = np.where(dominates.any(axis=0), dominates.argmax(axis=0), -1)
+    return FrontierResult(
+        admitted=[pid for pid, d in zip(ids, dominator.tolist()) if d < 0],
+        dominated_by={pid: ids[d] for pid, d in zip(ids, dominator.tolist()) if d >= 0},
+        tau_used=cfg.tau)
 
 
 def weak_pareto_mask_2d(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -162,15 +168,11 @@ def weak_pareto_ids(means: Mapping[str, Sequence[float]]) -> set[str]:
     return out
 
 
-def strict_pareto_oracle(policies: Iterable[PolicyCandidate],
+def strict_pareto_oracle(policies: Policies,
                          metrics: Sequence[str] | None = None) -> set[str]:
     """Weak-Pareto-optimal policy ids by exhaustive pairwise comparison."""
-    policies = list(policies)
-    if not policies:
-        return set()
-    metric_order = tuple(metrics) if metrics is not None else tuple(policies[0].estimates)
-    means = {p.policy_id: p.mean_vector(metric_order) for p in policies}
-    return weak_pareto_ids(means)
+    ids, _, mean, _ = policy_columns(policies, metrics)
+    return weak_pareto_ids(dict(zip(ids, map(tuple, mean.tolist()))))
 
 
 # -- serialization --------------------------------------------------------------
@@ -182,24 +184,19 @@ def save_frontier(path: str | Path, result: FrontierResult) -> None:
         fh.write("\n")
 
 
-def save_frontier_coords(path: str | Path, policies: Sequence[PolicyCandidate],
+def save_frontier_coords(path: str | Path, policies: Policies,
                          result: FrontierResult,
                          metric_pair: tuple[str, str]) -> None:
     """Two-metric coordinate file (policy_id, mu_1, mu_2, admitted) for
     external frontier plots, one row per policy the filter judged (admitted
-    or dominated)."""
+    or dominated), in id order, written from the policies' columns."""
     admitted = set(result.admitted)
     judged = admitted | set(result.dominated_by)
+    ids, _, mean, _ = policy_columns(policies, metric_pair)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# format_version: {FORMAT_VERSION}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["policy_id", f"{metric_pair[0]}_mean",
                          f"{metric_pair[1]}_mean", "admitted"])
-        for policy in sorted((p for p in policies if p.policy_id in judged),
-                             key=lambda p: p.policy_id):
-            writer.writerow([
-                policy.policy_id,
-                repr(policy.estimates[metric_pair[0]].mean),
-                repr(policy.estimates[metric_pair[1]].mean),
-                int(policy.policy_id in admitted),
-            ])
+        writer.writerows([pid, repr(x), repr(y), int(pid in admitted)]
+                         for pid, (x, y) in zip(ids, mean.tolist()) if pid in judged)

@@ -23,7 +23,8 @@ from .errors import (ConfigError, EstimationError, InsufficientDataError,
                      IntegrityError, RowIngestError)
 from .experiment import ExperimentDataset, MetricEstimate
 from .ingest import csv_blocks, csv_rows
-from .search import FORMAT_VERSION, PolicyCandidate, evaluate_policy_days
+from .search import (FORMAT_VERSION, Estimates, Policies, PolicyCandidate,
+                     evaluate_policy_days, policy_columns)
 from .segmentation import slot_codes, sort_values, sorted_boundaries
 
 STAGE_PRE_SEARCH = "pre_search"
@@ -75,7 +76,8 @@ class FeatureSnapshotPair:
     """One feature's values at two snapshot times, as aligned columns.
 
     `user_ids` holds the users present in both snapshots, sorted and
-    unique; `t0` and `t1` hold their values, aligned with `user_ids`.
+    unique; `t0` and `t1` hold their finite values, aligned with
+    `user_ids`.
     """
 
     feature: str
@@ -95,6 +97,10 @@ class FeatureSnapshotPair:
         if not (self.user_ids[1:] > self.user_ids[:-1]).all():
             raise ValueError(f"feature {self.feature!r}: user_ids must be "
                              f"sorted and unique")
+        for label, values in (("t0", self.t0), ("t1", self.t1)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"feature {self.feature!r}: {label} values must "
+                                 f"be finite")
         self._t0_bounds: dict[int, list[float]] = {}
 
     def _t0_boundaries(self, n_bins: int) -> list[float]:
@@ -160,8 +166,6 @@ def shift_ratio(pair: FeatureSnapshotPair, cut: str = QUANTILE_CUT,
         raise InsufficientDataError(
             f"feature {pair.feature!r}: need >= 2 users present in both "
             f"snapshots, got {n}")
-    if not np.isfinite(pair.t0).all():
-        raise ValueError(f"feature {pair.feature!r}: t0 values must be finite")
     if cut == QUANTILE_CUT:
         cuts = pair._t0_boundaries(n_bins)[:-1]
     elif cut == BINARY_CUT:
@@ -252,37 +256,31 @@ def pre_search_filter(verdicts: Sequence[StabilityVerdict]
 # -- post-search selection ---------------------------------------------------------
 
 
-def _qualifies(policy: PolicyCandidate, primary: str, sign: float,
-               metrics: Sequence[str]) -> bool:
-    # `sign` orients the primary metric so that its better direction is +.
-    est = policy.estimates[primary]
-    mean = sign * est.mean
-    if mean < SIGNIFICANCE_Z * est.std_err or mean <= 0:
-        return False
-    return not any(abs(e.mean) > SIGNIFICANCE_Z * e.std_err for e in
-                   (policy.estimates[m] for m in metrics if m != primary))
-
-
-def select_candidate(admitted: Sequence[PolicyCandidate], primary: str,
-                     metrics: Sequence[str], minimize: Sequence[str]
-                     ) -> tuple[PolicyCandidate | None, HookReport | None]:
-    """The admitted frontier policy to validate, or else a
-    NO_QUALIFYING_POLICY rejection.
+def select_candidate(admitted: Policies, primary: str, metrics: Sequence[str],
+                     minimize: Sequence[str]) -> tuple[str | None, HookReport | None]:
+    """The id of the admitted frontier policy to validate, or else a
+    NO_QUALIFYING_POLICY rejection naming the admitted ids in ascending
+    order.
 
     A policy qualifies when its `primary` lift clears 1.96 standard errors
     in its better direction (lower if in `minimize`) while every other
     metric stays within 1.96 standard errors of zero. The best primary mean
     wins, ties going to the larger policy id.
     """
-    sign = -1.0 if primary in minimize else 1.0
-    qualifying = [p for p in admitted if _qualifies(p, primary, sign, metrics)]
-    if qualifying:
-        return max(qualifying, key=lambda p: (sign * p.estimates[primary].mean,
-                                              p.policy_id)), None
+    ids, _, mean, std_err = policy_columns(
+        admitted, (primary, *(m for m in metrics if m != primary)))
+    # The primary lift, oriented so that its better direction is +.
+    lift = (-1.0 if primary in minimize else 1.0) * mean[:, 0]
+    qualifies = (~(lift < SIGNIFICANCE_Z * std_err[:, 0]) & ~(lift <= 0)
+                 & ~(np.abs(mean[:, 1:]) > SIGNIFICANCE_Z * std_err[:, 1:]).any(axis=1))
+    rows = np.flatnonzero(qualifies)
+    if rows.size:
+        # Rows are in id order: the last of the best lifts has the larger id.
+        return ids[rows[np.lexsort((rows, lift[rows]))[-1]]], None
     return None, HookReport(
         stage=STAGE_POST_SEARCH, verdict=REJECT,
         reason_codes=[CODE_NO_QUALIFYING_POLICY],
-        entities=[p.policy_id for p in admitted] or ["<frontier>"],
+        entities=ids or ["<frontier>"],
         narrative=(f"no frontier policy lifts {primary} at {SIGNIFICANCE_Z} "
                    f"sigma while staying neutral elsewhere"))
 
@@ -401,7 +399,7 @@ def run_backtest(policy: PolicyCandidate, window: ExperimentDataset,
 
 def backtest_verdict(policy: PolicyCandidate, window: ExperimentDataset,
                      day: np.ndarray, labels: Sequence[int],
-                     estimates: Sequence[PolicyCandidate | EstimationError],
+                     estimates: Sequence[Estimates | EstimationError],
                      target_metrics: Sequence[str]
                      ) -> tuple[BacktestSeries, HookReport]:
     """The backtest series and report from the policy's estimates on the
@@ -439,8 +437,8 @@ def backtest_verdict(policy: PolicyCandidate, window: ExperimentDataset,
             notes.append(f"slice {name} lacks arm support, skipped")
             continue
         days.append(name)
-        daily_series.append(today.estimates)
-        cumulative_series.append(prefix.estimates)
+        daily_series.append(today)
+        cumulative_series.append(prefix)
 
     series = BacktestSeries(days=days, daily=daily_series,
                             cumulative=cumulative_series)
@@ -515,8 +513,7 @@ def validate_candidate(ds: ExperimentDataset, candidate: PolicyCandidate,
     if shortfall is not None:
         return None, [_insufficient_data(candidate, STAGE_POST_SEARCH,
                                          f"robustness slice: {shortfall}")]
-    robustness = robustness_check(candidate, [s.estimates for s in slices],
-                                  target_metrics)
+    robustness = robustness_check(candidate, slices, target_metrics)
     if robustness.rejected:
         return None, [robustness]
     try:

@@ -1,8 +1,9 @@
 """End-to-end governed run: stability filter -> search -> frontier ->
 robustness -> backtest, with a bounded refinement loop.
 
-Every stage is seeded and deterministic, so identical run configs produce
-byte-identical artifacts regardless of input row order.
+The search reads one `PolicyTable` (see `search`); refinement masks the
+rows it excludes. Every stage is seeded and deterministic, so identical run
+configs produce byte-identical artifacts regardless of input row order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .config import from_mapping as read_config
+import numpy as np
+
+from .config import from_mapping as read_config, reject_repeats
 from .errors import ConfigError
 from .experiment import ExperimentDataset
 from .frontier import (FrontierResult, ToleranceConfig, save_frontier,
@@ -23,7 +26,7 @@ from .governance import (MIN_ROBUSTNESS_SLICES, FeatureSnapshotPair, HookReport,
                          validate_candidate)
 from .ingest import IngestSchema, ingest
 from .search import (FORMAT_VERSION, PolicyCandidate, PolicyTable,
-                     collect_candidates, evaluate_policies, enumerate_policies,
+                     build_policy_table, collect_candidates, evaluate_policies,
                      sample_weights, save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import ScenarioConfig, drift_snapshots, generate_experiment
@@ -39,7 +42,7 @@ class RunConfig:
     days; a dataset with day labels is sliced and backtested over all of its
     days. The input is exactly one of `scenario` and `dataset_path`; a
     dataset path needs a schema path and a snapshots path, and a scenario
-    takes neither.
+    takes neither. `features` and `cut_kinds` list each entry once.
     """
 
     seed: int = 0
@@ -85,6 +88,8 @@ class RunConfig:
         if self.dataset_path and not self.snapshots_path:
             raise ConfigError("a dataset path needs a snapshots path for the "
                               "pre-search stability filter")
+        reject_repeats("features", self.features or ())
+        reject_repeats("cut_kinds", self.cut_kinds)
         self.features = tuple(self.features) if self.features else None
 
     @classmethod
@@ -106,16 +111,20 @@ class RunConfig:
 
 @dataclass
 class PipelineResult:
-    """Outcome of a governed run: recommendation or terminal rejection."""
+    """Outcome of a governed run: recommendation or terminal rejection.
+    `policies` is the run's policy table (None if no feature was admitted);
+    `excluded` masks the rows that refinement kept out of the last search.
+    """
 
     status: str  # "recommended" | "rejected"
     recommendation: PolicyCandidate | None
     reports: list[HookReport]
     iterations: int
-    policies: list[PolicyCandidate]
+    policies: PolicyTable | None
     frontier: FrontierResult | None
     dataset: ExperimentDataset | None = None
     backtest_series: object | None = None
+    excluded: np.ndarray | None = None
 
     @property
     def recommended(self) -> bool:
@@ -139,11 +148,12 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
     choice of candidate (`select_candidate`) and its robustness slices and
     backtest (`validate_candidate`). A policy-level rejection removes the
     offending policy and re-runs Top-K, the tolerance filter and the hooks
-    over the remaining evaluated policies, up to `max_refinements` extra
-    iterations; a rejection nothing can be removed for (empty search space,
-    no qualifying policy) is terminal. Everything before Top-K is
+    over the remaining rows of the policy table, up to `max_refinements`
+    extra iterations; a rejection nothing can be removed for (empty search
+    space, no qualifying policy) is terminal. Everything before Top-K is
     independent of the removed policies and runs once; its pre-search
-    report opens every iteration's trail.
+    report opens every iteration's trail. The chosen policy is evaluated
+    again on its own, to the same estimates plus its user counts.
     """
     ds, snapshots = _load_inputs(config)
     primary = config.primary_metric or ds.metrics[0]
@@ -156,53 +166,46 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
         stability_verdicts(eligible, snapshots, config.thresholds))
     if not admitted_features:
         return PipelineResult(status="rejected", recommendation=None,
-                              reports=[pre_report], iterations=1, policies=[],
+                              reports=[pre_report], iterations=1, policies=None,
                               frontier=None, dataset=ds)
     cuts = enumerate_cuts(ds, CutEnumerationConfig(
         features=tuple(admitted_features), n_bins=config.n_bins,
         kinds=config.cut_kinds))
-    evaluated = evaluate_policies(
-        ds, enumerate_policies(ds, cuts, budget=config.policy_budget,
-                               seed=config.seed),
-        skip_unsupported=True)
-    by_id = {p.policy_id: p for p in evaluated}
+    table = build_policy_table(ds, cuts, config.policy_budget, config.seed)
     weights = sample_weights(len(ds.metrics), config.weight_samples, config.seed)
 
     reports: list[HookReport] = []
-    excluded_policies: set[str] = set()
+    excluded = np.zeros(len(table), dtype=bool)
+    series = None
     for iteration in range(config.max_refinements + 1):
-        iterations = iteration + 1
+        if iteration:
+            # The previous iteration's candidate failed validation.
+            excluded[table.row(picked)] = True
         reports.append(pre_report)
-        policies = [p for p in evaluated if p.policy_id not in excluded_policies]
-        candidate_set = collect_candidates(policies, weights, config.top_k,
-                                           metrics=ds.metrics,
+        candidate_set = collect_candidates(table.take(~excluded), weights,
+                                           config.top_k, metrics=ds.metrics,
                                            minimize=config.minimize_metrics)
-        candidates = [by_id[pid] for pid in candidate_set.policy_ids]
-        frontier = tolerance_filter(candidates, tolerance, metrics=ds.metrics)
-        candidate, rejection = select_candidate(
-            [by_id[pid] for pid in frontier.admitted], primary, ds.metrics,
-            config.minimize_metrics)
-        if candidate is None:
+        frontier = tolerance_filter(table.take(candidate_set.policy_ids),
+                                    tolerance, metrics=ds.metrics)
+        picked, rejection = select_candidate(table.take(frontier.admitted),
+                                             primary, ds.metrics,
+                                             config.minimize_metrics)
+        if picked is None:
             reports.append(rejection)
-            return PipelineResult(status="rejected", recommendation=None,
-                                  reports=reports, iterations=iterations,
-                                  policies=policies, frontier=frontier,
-                                  dataset=ds)
+            break
+        [candidate] = evaluate_policies(ds, [table.candidate(picked, cuts)])
         series, verdicts = validate_candidate(ds, candidate, [primary],
                                               config.backtest_days,
                                               config.robustness_slices)
         reports += verdicts
-        if series is None:
-            excluded_policies.add(candidate.policy_id)
-            continue
-        return PipelineResult(status="recommended", recommendation=candidate,
-                              reports=reports, iterations=iterations,
-                              policies=policies, frontier=frontier,
-                              dataset=ds, backtest_series=series)
-
-    return PipelineResult(status="rejected", recommendation=None,
-                          reports=reports, iterations=iterations,
-                          policies=policies, frontier=frontier, dataset=ds)
+        if series is not None:
+            break
+    recommended = series is not None
+    return PipelineResult(status="recommended" if recommended else "rejected",
+                          recommendation=candidate if recommended else None,
+                          reports=reports, iterations=iteration + 1,
+                          policies=table, frontier=frontier, dataset=ds,
+                          backtest_series=series, excluded=excluded)
 
 
 def write_run_artifacts(result: PipelineResult, config: RunConfig,
@@ -219,15 +222,17 @@ def write_run_artifacts(result: PipelineResult, config: RunConfig,
     metrics = list(ds.metrics) if ds is not None else []
 
     artifacts: dict[str, str] = {}
-    if result.policies:
-        save_policy_table(out / "policy_table.csv",
-                          PolicyTable.from_candidates(result.policies, metrics))
+    # The table as the last iteration searched it.
+    policies = (result.policies.take(~result.excluded)
+                if result.policies is not None else None)
+    if policies:
+        save_policy_table(out / "policy_table.csv", policies)
         artifacts["policy_table"] = "policy_table.csv"
     if result.frontier is not None:
         save_frontier(out / "frontier.json", result.frontier)
         artifacts["frontier"] = "frontier.json"
-        if len(metrics) >= 2 and result.policies:
-            save_frontier_coords(out / "frontier_coords.csv", result.policies,
+        if len(metrics) >= 2 and policies:
+            save_frontier_coords(out / "frontier_coords.csv", policies,
                                  result.frontier, (metrics[0], metrics[1]))
             artifacts["frontier_coords"] = "frontier_coords.csv"
     save_reports(out / "hook_reports.jsonl", result.reports)

@@ -6,8 +6,10 @@ of its treated slots; policy standard errors compose slot standard errors as
 independent size-weighted variances (segments are disjoint user sets). Each
 cut's effects come from one `experiment.slot_effects` table, and every policy
 on the cut is composed from that table's arrays. `build_policy_table` keeps
-the composed arrays as one columnar `PolicyTable`; `evaluate_policies` and
-its pinned and per-day variants wrap them into `PolicyCandidate`s.
+the composed arrays as one columnar `PolicyTable`, which the governed run
+and the `search` command search: Top-K, the tolerance filter and the
+post-search selection read its id-sorted columns through `policy_columns`.
+`evaluate_policies` wraps composed estimates into `PolicyCandidate`s.
 """
 
 from __future__ import annotations
@@ -53,24 +55,6 @@ class PolicyCandidate:
                 f"cut has {slots}"
             )
 
-    def mean_vector(self, metrics: Sequence[str]) -> tuple[float, ...]:
-        return tuple(self.estimates[m].mean for m in metrics)
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """A point on the metric simplex: non-negative weights summing to 1."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.weights:
-            raise ValueError("weight vector must be non-empty")
-        if any(w < 0 for w in self.weights):
-            raise ValueError(f"weights must be non-negative, got {self.weights}")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
-
 
 @dataclass
 class CandidateSet:
@@ -93,10 +77,7 @@ def make_policy_id(cut: CutSpec | None, assignment: Sequence[str]) -> str:
 def global_policies(ds: ExperimentDataset,
                     actions: Sequence[str] | None = None) -> list[PolicyCandidate]:
     """One single-slot whole-population policy per action."""
-    actions = tuple(actions) if actions is not None else ds.actions
-    return [PolicyCandidate(policy_id=make_policy_id(None, (a,)),
-                            cut=None, assignment=(a,))
-            for a in actions]
+    return enumerate_policies(ds, [], actions)
 
 
 def _sample_assignments(n_actions: int, slots: int, budget: int,
@@ -228,13 +209,15 @@ def _compose(ds: ExperimentDataset, effects: SlotEffects,
         unsupported=np.where(lacking.any(axis=-1), lacking.argmax(axis=-1), -1))
 
 
-def _evaluate(ds: ExperimentDataset, effects: SlotEffects,
-              policies: Sequence[PolicyCandidate]
-              ) -> list[PolicyCandidate | EstimationError]:
-    """Each policy on the cut that `effects` describes, with its estimates
-    filled from `_compose`, or the EstimationError naming its first
-    unsupported slot. Effects with leading axes list each table's policies
-    in turn.
+Estimates = dict[str, MetricEstimate]
+
+
+def _estimates(ds: ExperimentDataset, effects: SlotEffects,
+               policies: Sequence[PolicyCandidate]
+               ) -> list[Estimates | EstimationError]:
+    """Each policy's estimates on the cut that `effects` describes, from
+    `_compose`, or the EstimationError naming its first unsupported slot.
+    Effects with leading axes list each table's policies in turn.
     """
     arm_of = {action: k for k, action in enumerate(ds.actions)}
     try:
@@ -244,7 +227,7 @@ def _evaluate(ds: ExperimentDataset, effects: SlotEffects,
         raise ValueError(f"unknown action {exc.args[0]!r}") from None
     composed = _compose(ds, effects, arms)
     n_metrics = len(ds.metrics)
-    out: list[PolicyCandidate | EstimationError] = []
+    out: list[Estimates | EstimationError] = []
     for policy, means, errors, n_t, n_c, slot in zip(
             itertools.cycle(policies), composed.mean.reshape(-1, n_metrics).tolist(),
             composed.std_err.reshape(-1, n_metrics).tolist(),
@@ -255,17 +238,22 @@ def _evaluate(ds: ExperimentDataset, effects: SlotEffects,
                 f"policy {policy.policy_id!r} slot {slot}: no treated/control "
                 f"support for action {policy.assignment[slot]!r}"))
         else:
-            out.append(PolicyCandidate(
-                policy_id=policy.policy_id, cut=policy.cut,
-                assignment=policy.assignment, estimates={
-                    metric: MetricEstimate(mean=mu, std_err=se, n_treated=n_t,
-                                           n_control=n_c)
-                    for metric, mu, se in zip(ds.metrics, means, errors)}))
+            out.append({metric: MetricEstimate(mean=mu, std_err=se, n_treated=n_t,
+                                               n_control=n_c)
+                        for metric, mu, se in zip(ds.metrics, means, errors)})
     return out
 
 
-def evaluate_policies(ds: ExperimentDataset, policies: Sequence[PolicyCandidate],
-                      skip_unsupported: bool = False) -> list[PolicyCandidate]:
+def _evaluated(policy: PolicyCandidate, estimates: Estimates | EstimationError
+               ) -> PolicyCandidate:
+    if isinstance(estimates, EstimationError):
+        raise estimates
+    return PolicyCandidate(policy_id=policy.policy_id, cut=policy.cut,
+                           assignment=policy.assignment, estimates=estimates)
+
+
+def evaluate_policies(ds: ExperimentDataset, policies: Sequence[PolicyCandidate]
+                      ) -> list[PolicyCandidate]:
     """Fill per-metric estimates for each policy (returns new candidates, in
     input order).
 
@@ -274,23 +262,19 @@ def evaluate_policies(ds: ExperimentDataset, policies: Sequence[PolicyCandidate]
     Control-assigned slots contribute zero lift by definition; empty slots
     carry zero weight. A non-empty slot whose assigned action lacks treated
     or control users makes the policy unsupported: the first unsupported
-    policy raises EstimationError naming the slot, or with
-    `skip_unsupported` every unsupported policy is dropped from the result.
+    policy raises EstimationError naming the slot. `build_policy_table`
+    keeps only the supported policies instead.
     """
     by_cut: dict[CutSpec | None, list[int]] = {}
     for index, policy in enumerate(policies):
         by_cut.setdefault(policy.cut, []).append(index)
     results: list = [None] * len(policies)
     for cut, indices in by_cut.items():
-        composed = _evaluate(ds, _cut_effects(ds, cut),
-                             [policies[i] for i in indices])
+        composed = _estimates(ds, _cut_effects(ds, cut),
+                              [policies[i] for i in indices])
         for index, result in zip(indices, composed):
             results[index] = result
-    if not skip_unsupported:
-        for result in results:
-            if isinstance(result, EstimationError):
-                raise result
-    return [r for r in results if isinstance(r, PolicyCandidate)]
+    return [_evaluated(policy, result) for policy, result in zip(policies, results)]
 
 
 def evaluate_policy_pinned(ds: ExperimentDataset, policy: PolicyCandidate,
@@ -302,39 +286,39 @@ def evaluate_policy_pinned(ds: ExperimentDataset, policy: PolicyCandidate,
     temporal slice or a backtest day is evaluated against the cohorts of
     the window it belongs to rather than re-deriving its own quantiles.
     """
-    [result] = _evaluate(ds, _cut_effects(ds, policy.cut, rows), [policy])
-    if isinstance(result, EstimationError):
-        raise result
-    return result
+    [result] = _estimates(ds, _cut_effects(ds, policy.cut, rows), [policy])
+    return _evaluated(policy, result)
 
 
 def evaluate_policy_days(ds: ExperimentDataset, policy: PolicyCandidate,
                          day: np.ndarray, n_days: int, lo: np.ndarray,
-                         hi: np.ndarray) -> list[PolicyCandidate | EstimationError]:
-    """This policy on the users of each day range [lo[i], hi[i]), with
-    cohort bounds fixed from all of `ds`; `day` holds every user's day code
-    in range(n_days).
+                         hi: np.ndarray) -> list[Estimates | EstimationError]:
+    """This policy's estimates on the users of each day range [lo[i],
+    hi[i]), with cohort bounds fixed from all of `ds`; `day` holds every
+    user's day code in range(n_days).
 
     One moment pass over (day, slot, arm) cells serves every range, and
     every range is composed at once. A one-day range reads that day's cells
     and equals `evaluate_policy_pinned` on the day's rows exactly; a longer
     range pools its days' moments (`pool_moments`) and agrees with it to
     rounding. A range without arm support yields the EstimationError that
-    `evaluate_policy_pinned` would raise.
+    `evaluate_policy_pinned` would raise. No candidate object is built per
+    range.
     """
     n_slots = policy.cut.slot_count if policy.cut is not None else 1
     codes = day * n_slots + cut_slot_codes(ds, policy.cut)
     moments = cell_moments(ds, codes, (n_days, n_slots))
     effects = effects_from_moments(pool_moments(moments, lo, hi),
                                    ds.actions.index(ds.control_action))
-    return _evaluate(ds, effects, [policy])
+    return _estimates(ds, effects, [policy])
 
 
 def build_policy_table(ds: ExperimentDataset, cuts: Sequence[CutSpec],
                        budget: int = 128, seed: int = 0) -> PolicyTable:
-    """Every policy that `enumerate_policies(ds, cuts, budget=budget,
-    seed=seed)` gives, evaluated as `evaluate_policies(...,
-    skip_unsupported=True)` would, as one columnar table.
+    """Every supported policy that `enumerate_policies(ds, cuts,
+    budget=budget, seed=seed)` gives, with the estimates that
+    `evaluate_policies` would fill, as one columnar table; a policy without
+    arm support in some non-empty slot is left out.
 
     Each cut's arm-code matrix is composed from its slot-effect table
     without building a candidate object per policy.
@@ -365,17 +349,16 @@ def build_policy_table(ds: ExperimentDataset, cuts: Sequence[CutSpec],
 # -- random-weight search ------------------------------------------------------
 
 
-def sample_weights(n_metrics: int, n_samples: int, seed: int) -> list[WeightVector]:
-    """Uniform simplex samples via normalized unit-rate exponentials.
+def sample_weights(n_metrics: int, n_samples: int, seed: int) -> np.ndarray:
+    """Uniform simplex samples via normalized unit-rate exponentials, as an
+    (n_samples, n_metrics) matrix whose rows are non-negative and sum to 1.
 
-    Identical seed gives an identical sequence.
+    Identical seed gives an identical matrix.
     """
     if n_metrics < 1:
         raise ValueError(f"n_metrics must be >= 1, got {n_metrics}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if n_metrics == 1:
-        return [WeightVector((1.0,)) for _ in range(n_samples)]
     rng = np.random.default_rng(seed)
     draws = -np.log1p(-rng.random((n_samples, n_metrics)))
     totals = draws.sum(axis=1)
@@ -385,24 +368,24 @@ def sample_weights(n_metrics: int, n_samples: int, seed: int) -> list[WeightVect
     # largest coordinate to absorb the residual.
     residuals = 1.0 - normalized.sum(axis=1)
     normalized[np.arange(n_samples), normalized.argmax(axis=1)] += residuals
-    return [WeightVector(tuple(row)) for row in normalized.tolist()]
+    return normalized
 
 
-def scalarized_score(policy: PolicyCandidate, weights: WeightVector,
+def scalarized_score(policy: PolicyCandidate, weights: Sequence[float],
                      metrics: Sequence[str] | None = None) -> float:
-    """Weighted sum of per-metric mean lifts, weights aligned with `metrics`
-    (default: the policy's estimate insertion order)."""
+    """Weighted sum of per-metric mean lifts, weights (one row of a weight
+    matrix) aligned with `metrics` (default: the policy's estimate
+    insertion order)."""
     metric_order = tuple(metrics) if metrics is not None else tuple(policy.estimates)
-    if len(metric_order) != len(weights.weights):
-        raise ValueError(
-            f"weight vector has {len(weights.weights)} entries for "
-            f"{len(metric_order)} metrics")
+    if len(metric_order) != len(weights):
+        raise ValueError(f"weight vector has {len(weights)} entries for "
+                         f"{len(metric_order)} metrics")
     total = 0.0
-    for w, metric in zip(weights.weights, metric_order):
+    for w, metric in zip(weights, metric_order):
         if metric not in policy.estimates:
             raise ValueError(
                 f"policy {policy.policy_id!r} has no estimate for metric {metric!r}")
-        total += w * policy.estimates[metric].mean
+        total += float(w) * policy.estimates[metric].mean
     return total
 
 
@@ -420,39 +403,39 @@ def check_minimize(minimize: Sequence[str], metrics: Sequence[str]) -> None:
 _WEIGHT_BLOCK = 16
 
 
-def collect_candidates(policies: Sequence[PolicyCandidate],
-                       weights: Sequence[WeightVector], top_k: int,
+def _check_weights(weights: np.ndarray, n_metrics: int) -> None:
+    if weights.ndim != 2 or weights.shape[1] != n_metrics or not n_metrics:
+        raise ValueError(f"weights must be a (samples, {n_metrics}) matrix, one "
+                         f"column per metric, got shape {weights.shape}")
+    bad = (weights < 0).any(axis=1) | (np.abs(weights.sum(axis=1) - 1.0) > 1e-9)
+    if bad.any():
+        row = int(bad.argmax())
+        raise ValueError(f"weight row {row} must be non-negative and sum to 1, "
+                         f"got {weights[row].tolist()}")
+
+
+def collect_candidates(policies: Policies, weights: np.ndarray, top_k: int,
                        metrics: Sequence[str] | None = None,
                        minimize: Sequence[str] = ()) -> CandidateSet:
-    """Union of Top-K policies per weight vector (Step 1 of frontier search).
+    """Union of Top-K policies per weight (Step 1 of frontier search).
 
-    Scores are weighted sums of means oriented so that higher is better:
-    the means of metrics in `minimize`, each of which must be one of the
-    metrics, enter negated. Ties in score break by ascending policy_id, so
-    the result is independent of input ordering and scheduling. Provenance
-    records every (weight index, 1-based rank) that admitted each policy.
+    `weights` is a (samples, metrics) matrix, as `sample_weights` gives:
+    each row non-negative and summing to 1 within 1e-9. Scores are weighted
+    sums of means oriented so that higher is better: the means of metrics
+    in `minimize`, each of which must be one of the metrics, enter negated.
+    Ties in score break by ascending policy_id, so the result is
+    independent of input ordering and scheduling. Provenance records every
+    (weight index, 1-based rank) that admitted each policy.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     if not policies:
         raise ValueError("no policies to search")
-    metric_order = tuple(metrics) if metrics is not None else tuple(policies[0].estimates)
+    ids, metric_order, mu, _ = policy_columns(policies, metrics)
     check_minimize(minimize, metric_order)
-    for w in weights:
-        if len(w.weights) != len(metric_order):
-            raise ValueError(f"weight vector has {len(w.weights)} entries for "
-                             f"{len(metric_order)} metrics")
-    try:
-        mu = np.array([[p.estimates[m].mean for m in metric_order] for p in policies])
-    except KeyError as exc:
-        raise ValueError(f"a policy is missing an estimate for metric "
-                         f"{exc.args[0]!r}") from exc
-    mu[:, [metric in minimize for metric in metric_order]] *= -1.0
-    ids = [p.policy_id for p in policies]
-    id_rank = np.empty(len(ids), dtype=np.intp)
-    id_rank[np.argsort(np.array(ids, dtype=object), kind="stable")] = np.arange(len(ids))
-    w_matrix = np.array([w.weights for w in weights],
-                        dtype=float).reshape(len(weights), len(metric_order))
+    w_matrix = np.asarray(weights, dtype=float)
+    _check_weights(w_matrix, len(metric_order))
+    mu = mu * np.array([-1.0 if metric in minimize else 1.0 for metric in metric_order])
     k = min(top_k, len(ids))
 
     provenance: dict[str, list[tuple[int, int]]] = {}
@@ -463,10 +446,10 @@ def collect_candidates(policies: Sequence[PolicyCandidate],
         scores = np.matmul(mu, block[:, :, None])[..., 0]
         # Every score at least each weight's k-th largest survives, ties
         # included; one sort orders them by weight, descending score and
-        # ascending id.
+        # ascending id (rows are in id order).
         kth = np.partition(scores, -k, axis=1)[:, -k]
         weight, row = np.nonzero(scores >= kth[:, None])
-        order = np.lexsort((id_rank[row], -scores[weight, row], weight))
+        order = np.lexsort((row, -scores[weight, row], weight))
         weight, row = weight[order], row[order]
         rank = np.arange(weight.size) - np.searchsorted(weight, weight)
         keep = rank < k
@@ -476,7 +459,7 @@ def collect_candidates(policies: Sequence[PolicyCandidate],
     return CandidateSet(policy_ids=sorted(provenance), provenance=provenance)
 
 
-# -- policy table persistence ---------------------------------------------------
+# -- policy table -------------------------------------------------------------------
 
 
 class PolicyTable(Mapping):
@@ -525,25 +508,36 @@ class PolicyTable(Mapping):
                 f"{float(self.std_err[row, col])!r}")
         self._row: dict[str, int] | None = None
 
-    @classmethod
-    def from_candidates(cls, policies: Sequence[PolicyCandidate],
-                        metrics: Sequence[str]) -> "PolicyTable":
-        """The estimates of `metrics` of evaluated candidates."""
-        return cls(metrics, [p.policy_id for p in policies],
-                   [p.cut.feature if p.cut is not None else "" for p in policies],
-                   [p.cut.short_descriptor if p.cut is not None else "global"
-                    for p in policies],
-                   ["-".join(p.assignment) for p in policies],
-                   [[p.estimates[m].mean for m in metrics] for p in policies],
-                   [[p.estimates[m].std_err for m in metrics] for p in policies])
-
     def _rows(self) -> dict[str, int]:
         if self._row is None:
             self._row = {pid: row for row, pid in enumerate(self.ids)}
         return self._row
 
+    def row(self, policy_id: str) -> int:
+        """The row that holds `policy_id`; KeyError if none does."""
+        return self._rows()[policy_id]
+
+    def candidate(self, policy_id: str, cuts: Sequence[CutSpec]) -> PolicyCandidate:
+        """The unevaluated policy of one row. Its id is `make_policy_id`'s
+        cut description (found among `cuts`, or "global"), "." and the
+        actions, whose names hold no "-"."""
+        actions = self.actions[self.row(policy_id)]
+        cut_of = {"global": None, **{cut.describe(): cut for cut in cuts}}
+        return PolicyCandidate(policy_id=policy_id,
+                               cut=cut_of[policy_id[:-len(actions) - 1]],
+                               assignment=tuple(actions.split("-")))
+
+    def take(self, rows: np.ndarray | Sequence[str]) -> "PolicyTable":
+        """The table of the rows that a boolean row mask selects, or of the
+        policy ids given."""
+        picks = (np.flatnonzero(rows).tolist() if isinstance(rows, np.ndarray)
+                 else [self.row(pid) for pid in rows])
+        columns = (self.ids, self.feature, self.cut, self.actions)
+        return PolicyTable(self.metrics, *([c[i] for i in picks] for c in columns),
+                           self.mean[picks], self.std_err[picks])
+
     def __getitem__(self, policy_id: str) -> dict[str, MetricEstimate]:
-        row = self._rows()[policy_id]
+        row = self.row(policy_id)
         return {metric: MetricEstimate(mean=mu, std_err=se)
                 for metric, mu, se in zip(self.metrics, self.mean[row].tolist(),
                                           self.std_err[row].tolist())}
@@ -556,6 +550,45 @@ class PolicyTable(Mapping):
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+# What the Top-K search, the tolerance filter and the selection read.
+Policies = (PolicyTable | Mapping[str, Mapping[str, MetricEstimate]]
+            | Sequence[PolicyCandidate])
+
+
+def policy_columns(policies: Policies, metrics: Sequence[str] | None = None
+                   ) -> tuple[list[str], tuple[str, ...], np.ndarray, np.ndarray]:
+    """The ascending policy ids, the metric order, and the (policies,
+    metrics) mean and std_err columns (new arrays) of a PolicyTable, a
+    {policy_id: {metric: MetricEstimate}} mapping or a list of evaluated
+    candidates, which enters as the mapping {policy_id: estimates}.
+
+    `metrics` defaults to a table's metrics, or else to the first policy's
+    estimate order. Every policy must carry each metric; the first that
+    does not (in the mapping's order) is named in a ValueError.
+    """
+    if not isinstance(policies, Mapping):
+        policies = {p.policy_id: p.estimates for p in policies}
+    table = policies if isinstance(policies, PolicyTable) else None
+    if metrics is None and table is not None:
+        metrics = table.metrics
+    metrics = tuple(next(iter(policies.values()), ()) if metrics is None else metrics)
+    if table is not None and set(metrics) <= set(table.metrics):
+        cols = [table.metrics.index(metric) for metric in metrics]
+        return list(table.ids), metrics, table.mean[:, cols], table.std_err[:, cols]
+    for metric in metrics:
+        lacking = next((pid for pid, estimates in policies.items()
+                        if metric not in estimates), None)
+        if lacking is not None:
+            raise ValueError(f"policy {lacking!r} has no estimate for metric "
+                             f"{metric!r}")
+    ids = sorted(policies)
+    rows = [[policies[pid][metric] for metric in metrics] for pid in ids]
+    mean, std_err = (np.array([[getattr(e, part) for e in row] for row in rows],
+                              dtype=float).reshape(len(ids), len(metrics))
+                     for part in ("mean", "std_err"))
+    return ids, metrics, mean, std_err
 
 
 _KEY_COLUMNS = ("policy_id", "feature", "cut", "actions")
@@ -580,7 +613,6 @@ def save_policy_table(path: str | Path, table: PolicyTable) -> None:
     """Write the policy table CSV: id, cut descriptor, per-slot actions, and
     per-metric mean/std_err columns, one row per policy in id order.
 
-    Evaluated candidates are written through `PolicyTable.from_candidates`.
     csv.writer writes each float with `repr`, and a row it would write
     unreadably (see `_unreadable`) with every text cell quoted. Only a
     table holding a carriage return or an id starting with `#` has its rows

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import from_mapping as read_config
+from .config import from_mapping as read_config, reject_repeats
 from .errors import ConfigError
 from .experiment import ExperimentDataset
 
@@ -226,7 +226,8 @@ def interior_cutpoints(values: Sequence[float] | np.ndarray, n_bins: int) -> lis
 
 @dataclass(frozen=True)
 class CutEnumerationConfig:
-    """Which cut families to enumerate: features, bin count, kinds."""
+    """Which cut families to enumerate: features, bin count, kinds, each
+    feature and kind listed once."""
 
     features: tuple[str, ...]
     n_bins: int = 4
@@ -238,6 +239,8 @@ class CutEnumerationConfig:
         for kind in self.kinds:
             if kind not in (INDIVIDUAL, BINARY):
                 raise ConfigError(f"unknown cut kind {kind!r}")
+        reject_repeats("features", self.features)
+        reject_repeats("kinds", self.kinds)
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "CutEnumerationConfig":

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cohortpolicy.experiment import ExperimentDataset, MetricEstimate
-from cohortpolicy.search import PolicyCandidate
+from cohortpolicy.search import PolicyCandidate, PolicyTable
 
 
 def build_dataset(feature_values, arms, outcomes, *, feature="f1", metric="m1",
@@ -51,6 +51,17 @@ def make_policy(policy_id, means, std_errs=None, metrics=None):
     }
     return PolicyCandidate(policy_id=policy_id, cut=None,
                            assignment=("a0",), estimates=estimates)
+
+
+def table_of(policies, metrics):
+    """The PolicyTable of evaluated candidates' `metrics` estimates."""
+    return PolicyTable(metrics, [p.policy_id for p in policies],
+                       [p.cut.feature if p.cut is not None else "" for p in policies],
+                       [p.cut.short_descriptor if p.cut is not None else "global"
+                        for p in policies],
+                       ["-".join(p.assignment) for p in policies],
+                       [[p.estimates[m].mean for m in metrics] for p in policies],
+                       [[p.estimates[m].std_err for m in metrics] for p in policies])
 
 
 @pytest.fixture

@@ -1,14 +1,18 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cohortpolicy import frontier
 from cohortpolicy.frontier import (ToleranceConfig, save_frontier,
                                    save_frontier_coords, strict_pareto_oracle,
                                    tolerance_dominates, tolerance_filter,
                                    weak_pareto_ids, weak_pareto_mask_2d)
+
+from cohortpolicy.search import PolicyTable
 
 from conftest import make_policy
 
@@ -162,6 +166,59 @@ def test_zero_tau_equivalence_property(seed, n, k):
                 for i in range(n)]
     result = tolerance_filter(policies, ToleranceConfig(tau=0.0))
     assert set(result.admitted) == strict_pareto_oracle(policies)
+
+
+def pairwise_filter(policies, cfg, metrics):
+    """The filter one pair at a time, as it once ran: each candidate in id
+    order against every other in id order, with `tolerance_dominates`."""
+    ordered = sorted(policies, key=lambda p: p.policy_id)
+    admitted, dominated_by = [], {}
+    for p in ordered:
+        q = next((q for q in ordered if q.policy_id != p.policy_id
+                  and tolerance_dominates(q, p, cfg, metrics)), None)
+        if q is None:
+            admitted.append(p.policy_id)
+        else:
+            dominated_by[p.policy_id] = q.policy_id
+    return admitted, dominated_by
+
+
+@st.composite
+def filter_cases(draw):
+    metrics = tuple(f"m{i + 1}" for i in range(draw(st.integers(1, 3))))
+    # Integer means and errors put values exactly on a band's edge.
+    mean = st.one_of(st.integers(-2, 2).map(float), st.just(-0.0),
+                     st.floats(-5, 5, allow_nan=False))
+    error = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 2))
+    ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), max_size=12,
+                        unique=True))
+    policies = [make_policy(pid, draw(st.lists(mean, min_size=len(metrics),
+                                               max_size=len(metrics))),
+                            draw(st.lists(error, min_size=len(metrics),
+                                          max_size=len(metrics))))
+                for pid in ids]
+    cfg = ToleranceConfig(tau=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+                          minimize=tuple(draw(st.lists(st.sampled_from(metrics),
+                                                       unique=True))))
+    return policies, cfg, metrics, draw(st.sampled_from([1, 3, 256]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(filter_cases())
+def test_filter_matches_pairwise_predicate(case):
+    # Every block size gives the pairwise result, from a candidate list and
+    # from a policy table alike.
+    policies, cfg, metrics, block = case
+    table = PolicyTable(metrics, [p.policy_id for p in policies],
+                        [""] * len(policies), ["global"] * len(policies),
+                        ["a0"] * len(policies),
+                        [[p.estimates[m].mean for m in metrics] for p in policies],
+                        [[p.estimates[m].std_err for m in metrics] for p in policies])
+    want = pairwise_filter(policies, cfg, metrics)
+    with mock.patch.object(frontier, "_JUDGED_BLOCK", block):
+        for source in (policies, table):
+            got = tolerance_filter(source, cfg, metrics=metrics)
+            assert (got.admitted, got.dominated_by) == want
 
 
 def test_near_frontier_admission():

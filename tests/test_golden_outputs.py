@@ -1,0 +1,175 @@
+"""Golden outputs: the sha256 of every file that `cohortpolicy pipeline`,
+`search` and `filter` write for a fixed set of inputs.
+
+The digests pin the bytes of the run directories and command outputs, so a
+refactor that claims to keep them byte-identical is checked here. A changed
+digest means changed output: that is a deliberate format or behaviour
+change, which needs its own CHANGES.md entry saying what changed and why,
+together with the new digests.
+"""
+
+import hashlib
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from cohortpolicy.cli import main
+from cohortpolicy.pipeline import RunConfig
+from cohortpolicy.synth import (DriftSpec, PlantedEffect, ScenarioConfig,
+                                conflict_scenario)
+
+
+def one_effect_scenario(seed, n_users=300):
+    # As in test_pipeline: the conflict scenario with only its m1 effect.
+    return replace(conflict_scenario(seed=seed, n_users=n_users),
+                   planted_effects=(PlantedEffect("f1", 0.5, 1.0, "a1", "m1", 2.0),))
+
+
+RUNS = {
+    # Recommended after one iteration.
+    "recommended_first": RunConfig(seed=7, primary_metric="m1",
+                                   scenario=conflict_scenario(seed=7)),
+    # Recommended after three refinements (four iterations).
+    "recommended_fourth": RunConfig(seed=8, scenario=one_effect_scenario(8)),
+    # Rejected when its refinement budget runs out (three iterations).
+    "refinements_exhausted": RunConfig(seed=8, max_refinements=2,
+                                       scenario=one_effect_scenario(8)),
+    # Ends NO_QUALIFYING_POLICY.
+    "no_qualifying_policy": RunConfig(
+        seed=4, weight_samples=100, primary_metric="m1",
+        scenario=ScenarioConfig(seed=4, n_users=1500, n_features=1, n_metrics=2,
+                                n_actions=1, noise_sd=1.0, n_days=14,
+                                drift_specs=(DriftSpec("f1", 0.02),))),
+    # Every feature unstable: rejected before the search.
+    "pre_search_rejection": RunConfig(
+        seed=3, weight_samples=50,
+        scenario=ScenarioConfig(seed=3, n_users=1200, n_features=2, n_metrics=2,
+                                n_actions=1, noise_sd=1.0, n_days=14,
+                                drift_specs=(DriftSpec("f1", 0.5),
+                                             DriftSpec("f2", 0.6)))),
+}
+
+EXPECTED = {
+    'no_qualifying_policy': (2, {
+        'frontier.json':
+            '36918a5067d22f9a7582b4d23e6938e4fc513cb862e90e2ae27936453d12a21c',
+        'frontier_coords.csv':
+            'f619574205dcaef9b713d9953ab5eaaa260e49567557d98f3bd3125d159c67c9',
+        'hook_reports.jsonl':
+            '2853a955fcf1cc8bffbd3494f7521dc50850accfdeb607802a382309610b885f',
+        'manifest.json':
+            'd744281b196ae204cb23c177d7230713feb7bb11c6095b6b73825044e033a0fc',
+        'policy_table.csv':
+            'ce9522f4eb4c522009dc76c8d5afed22c85dad3c1d93fdef20310b8af39ac2a9',
+        'recommendation.json':
+            '3d9a9eb37bbce3da506ddbe83f7400e0e04b382e0c1b5ae0b7a90df039f81039',
+    }),
+    'pre_search_rejection': (2, {
+        'hook_reports.jsonl':
+            'b6e9dcd8cb1fb46d3a6217631aa079289555bf71657396ca89d5aedfe1061388',
+        'manifest.json':
+            '9dc1387ea93e29d16aa0255e9a899d0060456abd869d5482d8950651231de3ee',
+        'recommendation.json':
+            '3d9a9eb37bbce3da506ddbe83f7400e0e04b382e0c1b5ae0b7a90df039f81039',
+    }),
+    'recommended_first': (0, {
+        'backtest.csv':
+            '544da3d98f3a0b0c56f584274342ac220218d36e4a61eaa0702aac723f4f4368',
+        'frontier.json':
+            '1ee790bd2af014c18646ff9c09a8139ef7bdcf4f0d2694819bab82e33deeef5d',
+        'frontier_coords.csv':
+            'd5b8ebd000af0f7a535857c55c5d0e9950161851ca791fad50554886185d92b3',
+        'hook_reports.jsonl':
+            'c5bb8709ca3d54b274d4f8449960f87f1b17f15c1c307ff2f070d4a3ee86c45c',
+        'manifest.json':
+            '2f18179bd1cc6586e687b744ada346b770408b01af485a133e6b9c90f76d4100',
+        'policy_table.csv':
+            'b3a9c8cc342105678f94a4f6d514c5ef918e9035eab03786bdb5c4e212adac77',
+        'recommendation.json':
+            '2b17fdf0effb89483f9051acef1d4f5cca5ee6065e4ac7a2815e2537430649ef',
+    }),
+    'recommended_fourth': (0, {
+        'backtest.csv':
+            '0206d7fda7fb1dcd6d9a570f9137d43d37d7d8e2a2bbc848ace6c8f6a505ea58',
+        'frontier.json':
+            '40bcdb510c8a4e2be728a2f4a33cdb6140ea040bdc4c7ae85c3aa49372f22cfa',
+        'frontier_coords.csv':
+            '574679fc72d1c78d525e5e031d5f63cb586b0a8b74df319a75ff30f3a90d0f8b',
+        'hook_reports.jsonl':
+            '1ecf35e1606f68bec724933be352c3315971e081aea48667c33edce219f7e5f5',
+        'manifest.json':
+            '42b55ece55049deeeaba53d8e93cee1e12b54379df688f5e69388ff1cc12690c',
+        'policy_table.csv':
+            '505ae2d95eae838e97c3b528904265f670886eadd0bb4f1b41cda9a10e2c1b80',
+        'recommendation.json':
+            '69d368fc97fa9fd4ff4f4ba276bf9ccae65771d0df96b7b10058b0282f7db1b3',
+    }),
+    'refinements_exhausted': (2, {
+        'frontier.json':
+            '9b07279ba545cb9fcf0262e29309881bb55e04c4f82bb0292d282564557f7731',
+        'frontier_coords.csv':
+            'f8b5cef548317c336234d6b9ee82ce48270e246e13508fe989d1695f5982e253',
+        'hook_reports.jsonl':
+            '2cd71b0f7236a85a9e772d4df39aac69ee8115469434255b671c20ddfb6f8029',
+        'manifest.json':
+            'ed5213f3182866a58ee6db456fd2efeb9f8992129bea72fe8974eab98e1d7a5c',
+        'policy_table.csv':
+            'c637cc02f5541e92c2095cd122192576bc823c40d0abfb53b3661a6203f77085',
+        'recommendation.json':
+            'b17a53f0b2451e61c7e6150ace8572191ad3494d28a311ca001f8eaa959a11ac',
+    }),
+    'search': {
+        'candidates.json':
+            '8528f4096781b64be88b8be24e4a89a74596d9f022cfdceb35ec787dda9860e7',
+        'policy_table.csv':
+            'e2af21a2b77c655d6745c9bffbc3d6851acb402b53b74e16fc584e9fa654a278',
+    },
+    'filter_candidates': {
+        'frontier.json':
+            '3db60b16b881f621b3a6303e09c191ed85a38c84abeed2330a0b00ac5a27d256',
+        'frontier_coords.csv':
+            'd3fdb4187affbe0a5aa3dff87e485459be15cd7f1389653aab70891654dc98ff',
+    },
+    'filter_all': {
+        'frontier.json':
+            '2205defc2b55747828d0be4cce93c24b80c54fc4a9ea3efc5814defdf7c1e9da',
+        'frontier_coords.csv':
+            'cb1aa39c07f2769377ad87d61fa01056049d920859c41ffeecd940006eca70f2',
+    },
+}
+
+
+def digests(directory: Path) -> dict[str, str]:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(directory.iterdir()) if path.is_file()}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_pipeline_run_directory_is_unchanged(tmp_path, name):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(RUNS[name].to_json()))
+    out = tmp_path / "run"
+    code = main(["pipeline", "--config", str(config), "--out", str(out)])
+    assert (code, digests(out)) == EXPECTED[name]
+
+
+def test_search_and_filter_outputs_are_unchanged(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(
+        RunConfig(scenario=conflict_scenario(seed=5, n_users=1600)).to_json()["scenario"]))
+    search = tmp_path / "search"
+    assert main(["search", "--scenario", str(scenario), "--seed", "3",
+                 "--weights", "200", "--top-k", "4", "--minimize", "m2",
+                 "--out", str(search)]) == 0
+    assert digests(search) == EXPECTED["search"]
+    table = str(search / "policy_table.csv")
+    restricted = tmp_path / "filter_candidates"
+    assert main(["filter", "--policy-table", table, "--candidates",
+                 str(search / "candidates.json"), "--minimize", "m2",
+                 "--tau", "0.5", "--out", str(restricted)]) == 0
+    assert digests(restricted) == EXPECTED["filter_candidates"]
+    whole = tmp_path / "filter_all"
+    assert main(["filter", "--policy-table", table, "--out", str(whole)]) == 0
+    assert digests(whole) == EXPECTED["filter_all"]

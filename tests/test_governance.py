@@ -21,8 +21,9 @@ from cohortpolicy.governance import (BINARY_CUT, QUANTILE_CUT,
                                      save_reports, save_snapshots,
                                      select_candidate, shift_ratio,
                                      validate_candidate)
-from cohortpolicy.search import (enumerate_policies, evaluate_policies,
-                                 evaluate_policy_pinned, global_policies)
+from cohortpolicy.search import (build_policy_table, enumerate_policies,
+                                 evaluate_policies, evaluate_policy_pinned,
+                                 global_policies)
 from cohortpolicy.segmentation import CutEnumerationConfig, enumerate_cuts
 from cohortpolicy.synth import (DriftSpec, PlantedEffect, ScenarioConfig,
                                 conflict_scenario, generate_daily_slices,
@@ -53,6 +54,17 @@ def test_identical_snapshots_no_shift():
     pair = snapshot_pair(range(20))
     assert shift_ratio(pair, QUANTILE_CUT) == 0.0
     assert shift_ratio(pair, BINARY_CUT) == 0.0
+
+
+@pytest.mark.parametrize("t0,t1,label", [
+    ([0.1, 0.2, 0.3, 0.4], [0.1, np.nan, 0.3, np.inf], "t1"),
+    ([0.1, -np.inf, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4], "t0"),
+])
+def test_snapshot_pair_rejects_non_finite_values(t0, t1, label):
+    # A NaN t1 once counted as a move into the top bucket and an infinite
+    # one as a move to an end bucket: shift_ratio gave 0.25 on both bases.
+    with pytest.raises(ValueError, match=f"'f1': {label} values must be finite"):
+        snapshot_pair(t0, t1)
 
 
 def test_one_of_four_crossing_binary():
@@ -395,12 +407,13 @@ def test_select_candidate_matches_brute_force(rows, primary, minimized):
                                       (primary,) if minimized else ())
     expected = brute_force_selection(policies, primary, metrics, minimized)
     if expected is not None:
-        assert report is None and chosen is expected
+        assert report is None and chosen == expected.policy_id
     else:
         assert chosen is None and report.rejected
         assert report.stage == "post_search"
         assert report.reason_codes == ["NO_QUALIFYING_POLICY"]
-        assert report.entities == ([p.policy_id for p in policies] or ["<frontier>"])
+        assert report.entities == (sorted(p.policy_id for p in policies)
+                                   or ["<frontier>"])
 
 
 def insufficient(policy, stage, narrative):
@@ -447,8 +460,10 @@ def test_validate_candidate_matches_public_hooks():
             scenario, 14, lift_schedule=np.linspace(1.0, 0.0, 14)))
         for ds in (generate_experiment(scenario)[0], decayed):
             cuts = enumerate_cuts(ds, CutEnumerationConfig(features=ds.features))
+            table = build_policy_table(ds, cuts, seed=seed)
             policies = evaluate_policies(
-                ds, enumerate_policies(ds, cuts, seed=seed), skip_unsupported=True)
+                ds, [p for p in enumerate_policies(ds, cuts, seed=seed)
+                     if p.policy_id in table])
             for policy in policies[::2]:
                 series, reports = validate_candidate(ds, policy, ["m1"], 14, 4)
                 expected_series, expected = hooks_reference(ds, policy, 14, 4)

@@ -164,3 +164,16 @@ def test_stored_estimates_numeric_and_text(tmp_path):
     assert table["p1"]["m1"].mean == 0.5
     assert table["p1"]["m2"].mean == pytest.approx(-0.00049)
     assert table["p1"]["m2"].std_err == pytest.approx(0.00043)
+
+
+def test_package_ingest_attribute_is_the_module():
+    # The package no longer rebinds `ingest` to the function, so the
+    # submodule is reachable by attribute and by `import ... as`.
+    import sys
+
+    import cohortpolicy
+    import cohortpolicy.ingest as module
+
+    assert module is sys.modules["cohortpolicy.ingest"]
+    assert cohortpolicy.ingest is module
+    assert callable(module.csv_blocks) and module.ingest is ingest

@@ -13,7 +13,6 @@ same message, on files that split its blocks inside the data.
 """
 
 import csv
-import importlib
 import io
 import json
 import math
@@ -32,9 +31,9 @@ from cohortpolicy.errors import IntegrityError, RowIngestError, SchemaError
 from cohortpolicy.experiment import ExperimentDataset
 from cohortpolicy.governance import (SNAPSHOT_COLUMNS, SNAPSHOT_LABELS,
                                      FeatureSnapshotPair, load_snapshots)
+import cohortpolicy.ingest as ingest_module
 from cohortpolicy.ingest import IngestSchema, ingest
 
-ingest_module = importlib.import_module("cohortpolicy.ingest")
 
 SCHEMA = IngestSchema(user_id_column="uid", arm_column="group",
                       feature_columns=("age",), metric_columns=("spend", "clicks"),

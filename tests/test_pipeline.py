@@ -9,7 +9,7 @@ from cohortpolicy.governance import (CODE_INSUFFICIENT_DATA, SIGNIFICANCE_Z,
                                      StabilityThresholds)
 from cohortpolicy.pipeline import (RunConfig, govern_pipeline,
                                    write_run_artifacts)
-from cohortpolicy.search import evaluate_policies, global_policies
+from cohortpolicy.search import PolicyCandidate, evaluate_policies, global_policies
 from cohortpolicy.segmentation import CutEnumerationConfig
 from cohortpolicy.synth import (BenchmarkConfig, DriftSpec, ScenarioConfig,
                                 conflict_scenario,
@@ -63,8 +63,7 @@ def test_unstable_feature_filtered_out():
     assert result.recommendation.cut.feature == "f1"
     pre = result.reports[0]
     assert pre.entities == ["f2"]  # the drifting decoy is pruned
-    assert all(p.cut is None or p.cut.feature == "f1"
-               for p in result.policies)
+    assert set(result.policies.feature) <= {"", "f1"}
 
 
 def test_all_features_unstable_terminal_rejection():
@@ -78,7 +77,7 @@ def test_all_features_unstable_terminal_rejection():
     assert len(result.reports) == 1
     assert result.reports[0].stage == "pre_search"
     assert result.reports[0].rejected
-    assert result.policies == []  # zero search work performed
+    assert result.policies is None  # zero search work performed
 
 
 def test_null_scenario_no_qualifying_policy():
@@ -192,6 +191,63 @@ def test_small_runs_end_in_a_verdict():
     assert shortfalls > 0
 
 
+def test_governed_run_builds_a_candidate_only_for_its_pick(monkeypatch):
+    # The search, the filter and the selection read one policy table; each
+    # iteration builds its pick and the pick's evaluated copy, and the
+    # validation spans are plain estimates. (One candidate per enumerated
+    # policy, evaluated policy and validation span made 464 here.)
+    built = []
+    original = PolicyCandidate.__post_init__
+
+    def counting(self):
+        built.append(self.policy_id)
+        original(self)
+
+    monkeypatch.setattr(PolicyCandidate, "__post_init__", counting)
+    result = govern_pipeline(RunConfig(
+        scenario=conflict_scenario(seed=1, n_users=4000)))
+    assert result.recommended
+    assert 0 < len(built) <= 2 * result.iterations
+
+
+def test_whole_population_policy_recommended_without_cuts():
+    # With no cut kinds the table holds one global policy per action; the
+    # pick's id "global.a1" names no cut.
+    scenario = ScenarioConfig(
+        seed=2, n_users=3000, n_features=1, n_metrics=2, n_actions=1,
+        noise_sd=1.0, n_days=14,
+        planted_effects=(PlantedEffect("f1", 0.0, 1.0, "a1", "m1", 1.0),),
+        drift_specs=(DriftSpec("f1", 0.02),))
+    result = govern_pipeline(RunConfig(seed=2, scenario=scenario, cut_kinds=(),
+                                       primary_metric="m1"))
+    assert result.policies.ids == ["global.a0", "global.a1"]
+    assert result.recommended
+    policy = result.recommendation
+    assert (policy.policy_id, policy.cut, policy.assignment) == \
+        ("global.a1", None, ("a1",))
+    assert policy.estimates["m1"].n_treated > 0
+
+
+@pytest.mark.parametrize("field,value,named", [
+    ("features", ("f1", "f1", "f2"), "features lists 'f1' more than once"),
+    ("cut_kinds", ("binary", "individual", "binary"),
+     "cut_kinds lists 'binary' more than once"),
+])
+def test_repeated_feature_or_cut_kind_rejected(field, value, named):
+    # A repeated feature enumerated its cuts twice: 324 policies for 216
+    # ids, with repeated (weight, id) pairs taking Top-K slots.
+    scenario = conflict_scenario(seed=1, n_users=4000)
+    with pytest.raises(ConfigError, match=named):
+        RunConfig(scenario=scenario, **{field: value})
+    with pytest.raises(ConfigError, match=named):
+        RunConfig.from_mapping({"scenario": asdict(scenario), field: list(value)})
+    key = "kinds" if field == "cut_kinds" else field
+    with pytest.raises(ConfigError, match=named.replace(field, key)):
+        CutEnumerationConfig(**{"features": ("f1",), key: value})
+    with pytest.raises(ConfigError, match=named.replace(field, key)):
+        CutEnumerationConfig.from_mapping({"features": ["f1"], key: list(value)})
+
+
 def test_rejected_entities_absent_from_recommendation():
     result = govern_pipeline(small_conflict_config())
     rejected = {e for r in result.reports if r.rejected for e in r.entities}
@@ -212,8 +268,10 @@ def test_pipeline_deterministic_across_runs():
     assert a.recommendation.policy_id == b.recommendation.policy_id
     assert a.recommendation.estimates == b.recommendation.estimates
     assert [r.to_json() for r in a.reports] == [r.to_json() for r in b.reports]
-    assert [(p.policy_id, p.estimates) for p in a.policies] == \
-        [(p.policy_id, p.estimates) for p in b.policies]
+    assert a.policies.ids == b.policies.ids
+    assert a.policies.mean.tobytes() == b.policies.mean.tobytes()
+    assert a.policies.std_err.tobytes() == b.policies.std_err.tobytes()
+    assert a.excluded.tolist() == b.excluded.tolist()
     assert a.backtest_series == b.backtest_series
 
 

@@ -26,10 +26,12 @@ from cohortpolicy.experiment import ExperimentDataset, MetricEstimate
 from cohortpolicy.frontier import weak_pareto_mask_2d
 from cohortpolicy.search import (FORMAT_VERSION, PolicyCandidate, PolicyTable,
                                  _sample_assignments, build_policy_table,
-                                 enumerate_policies, evaluate_policies,
-                                 evaluate_policy_pinned, load_policy_table,
-                                 make_policy_id, save_policy_table)
+                                 enumerate_policies, evaluate_policy_pinned,
+                                 load_policy_table, make_policy_id,
+                                 save_policy_table)
 from cohortpolicy.segmentation import CutSpec
+
+from conftest import build_dataset, table_of
 
 
 # -- references -----------------------------------------------------------------
@@ -203,8 +205,7 @@ def test_writer_matches_csv_writer(tmp_path_factory, case):
     policies, metrics = case
     folder = tmp_path_factory.mktemp("writer")
     reference_save_policy_table(folder / "want.csv", policies, metrics)
-    save_policy_table(folder / "table.csv",
-                      PolicyTable.from_candidates(policies, metrics))
+    save_policy_table(folder / "table.csv", table_of(policies, metrics))
     assert (folder / "table.csv").read_bytes() == (folder / "want.csv").read_bytes()
 
 
@@ -218,7 +219,7 @@ def test_writer_matches_csv_writer(tmp_path_factory, case):
           ["m\r"]))
 def test_policy_table_round_trip_is_bit_exact(tmp_path_factory, case):
     policies, metrics = case
-    table = PolicyTable.from_candidates(policies, metrics)
+    table = table_of(policies, metrics)
     path = tmp_path_factory.mktemp("round_trip") / "table.csv"
     save_policy_table(path, table)
     loaded, loaded_metrics = load_policy_table(path)
@@ -341,8 +342,7 @@ def test_table_composer_is_bit_equal_to_pinned_evaluation(case):
             assert bits([table.std_err[row, m]]) == bits([want.estimates[metric].std_err])
     # A cut listed twice repeats its ids; the table holds each id once.
     assert table.ids == sorted({p.policy_id for p in supported})
-    assert table == PolicyTable.from_candidates(
-        evaluate_policies(ds, policies, skip_unsupported=True), ds.metrics)
+    assert table == table_of(supported, ds.metrics)
 
 
 # -- oracle -----------------------------------------------------------------------
@@ -378,6 +378,41 @@ def test_oracle_on_table_equals_oracle_on_its_dict(case):
         got = ground_truth_oracle(spec, table).top5
         assert got == ground_truth_oracle(spec, materialized).top5, kind
         assert got == reference_ground_truth_oracle(spec, materialized), kind
+
+
+def test_take_selects_rows_by_mask_or_id():
+    table = PolicyTable(("m1", "m2"), ["b", "a", "c"], ["f", "f", ""],
+                        ["ind2", "ind2", "global"], ["x-y", "y-x", "x"],
+                        [[1.0, -1.0], [2.0, -2.0], [3.0, -3.0]],
+                        [[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]])
+    assert [table.row(pid) for pid in ("a", "b", "c")] == [0, 1, 2]
+    for sub in (table.take(np.array([True, False, True])), table.take(["c", "a"])):
+        assert (sub.metrics, sub.ids, sub.feature, sub.cut, sub.actions) == \
+            (("m1", "m2"), ["a", "c"], ["f", ""], ["ind2", "global"], ["y-x", "x"])
+        assert sub.mean.tolist() == [[2.0, -2.0], [3.0, -3.0]]
+        assert sub.std_err.tolist() == [[0.2, 0.0], [0.3, 0.0]]
+    empty = table.take(np.zeros(3, dtype=bool))
+    assert len(empty) == 0 and empty.mean.shape == (0, 2)
+    with pytest.raises(KeyError):
+        table.take(["d"])
+
+
+def test_candidate_recovers_cut_and_assignment_from_a_row():
+    # Names holding "." make the id's split point depend on the actions
+    # column, not on the dots.
+    ds = build_dataset([1, 2, 3, 4, 5, 6, 7, 8], ["x.y", "c.0", "z", "c.0"] * 2,
+                       [0.5, 0.1, 0.9, 0.3, 0.2, 0.8, 0.4, 0.6],
+                       feature="f.1", control="c.0")
+    cuts = [CutSpec("f.1", "individual", 2), CutSpec("f.1", "binary", 4, 1)]
+    for listed in (cuts, []):
+        table = build_policy_table(ds, listed)
+        policies = {p.policy_id: p for p in enumerate_policies(ds, listed)}
+        assert table.ids and set(table.ids) <= set(policies)
+        for pid in table.ids:
+            got = table.candidate(pid, listed)
+            want = policies[pid]
+            assert (got.policy_id, got.cut, got.assignment, got.estimates) == \
+                (want.policy_id, want.cut, want.assignment, {})
 
 
 def test_oracle_names_the_policy_lacking_a_metric():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cohortpolicy.errors import ConfigError, EstimationError
 from cohortpolicy.experiment import ExperimentDataset, compute_ate
-from cohortpolicy.search import (PolicyCandidate, PolicyTable, WeightVector,
+from cohortpolicy.search import (PolicyCandidate, build_policy_table,
                                  collect_candidates, enumerate_policies,
                                  evaluate_policies, evaluate_policy_days, evaluate_policy_pinned,
                                  global_policies,
@@ -174,11 +174,12 @@ def test_evaluate_policies_keeps_input_order_and_skips_unsupported(rng):
                     (None, ("a1",)),
                     (individual, ("a1", "a0", "a0", "a1")),   # slot 3
                     (binary, ("a0", "a0"))]]
-    kept = evaluate_policies(ds, policies, skip_unsupported=True)
-    assert [p.policy_id for p in kept] == [policies[i].policy_id
-                                           for i in (0, 3, 4, 6)]
-    for policy in kept:
-        assert policy.estimates == evaluate_policies(ds, [policy])[0].estimates
+    for i, slot in ((1, 2), (2, 1), (5, 3)):
+        with pytest.raises(EstimationError, match=f"slot {slot}: no treated"):
+            evaluate_policies(ds, [policies[i]])
+    supported = [policies[i] for i in (0, 3, 4, 6)]
+    for policy, evaluated in zip(supported, evaluate_policies(ds, supported)):
+        assert evaluated.estimates == evaluate_policies(ds, [policy])[0].estimates
     with pytest.raises(EstimationError,
                        match=r"f1\.ind4\.a0-a0-a1-a0' slot 2: no treated/control "
                              r"support for action 'a1'"):
@@ -287,8 +288,9 @@ def test_estimators_match_per_user_loop(case):
     policies = enumerate_policies(ds, [cut] if cut is not None else [], budget=81)
     everyone = np.ones(ds.n_users, dtype=bool)
     want = {p.policy_id: oracle_policy(ds, p, everyone) for p in policies}
+    table = build_policy_table(ds, [cut] if cut is not None else [], budget=81)
     batch = {p.policy_id: p for p in
-             evaluate_policies(ds, policies, skip_unsupported=True)}
+             evaluate_policies(ds, [p for p in policies if p.policy_id in table])}
     assert set(batch) == {pid for pid, w in want.items() if isinstance(w, dict)}
     for policy in policies:
         expected = want[policy.policy_id]
@@ -346,12 +348,12 @@ def test_day_ranges_match_pinned_evaluation(case):
                 assert isinstance(result, EstimationError)
                 assert str(result) == str(exc)
                 continue
-            assert isinstance(result, PolicyCandidate)
+            assert isinstance(result, dict)
             if b - a == 1:
-                assert result.estimates == want.estimates
+                assert result == want.estimates
                 continue
             for metric, est in want.estimates.items():
-                other = result.estimates[metric]
+                other = result[metric]
                 assert (other.n_treated, other.n_control) == (est.n_treated,
                                                               est.n_control)
                 tol = 1e-12 * max(abs(est.mean), est.std_err, scale)
@@ -363,19 +365,19 @@ def test_day_ranges_match_pinned_evaluation(case):
 
 
 def test_weights_single_metric():
-    for w in sample_weights(1, 5, seed=3):
-        assert w.weights == (1.0,)
+    assert sample_weights(1, 5, seed=3).tolist() == [[1.0]] * 5
 
 
 def test_weights_deterministic():
-    assert sample_weights(3, 100, seed=7) == sample_weights(3, 100, seed=7)
+    assert sample_weights(3, 100, seed=7).tobytes() == \
+        sample_weights(3, 100, seed=7).tobytes()
 
 
 def row_loop_weights(n_metrics, n_samples, seed):
     """The weights renormalized one row at a time, as sample_weights did
     before it worked on the whole matrix."""
     if n_metrics == 1:
-        return [WeightVector((1.0,)) for _ in range(n_samples)]
+        return [(1.0,)] * n_samples
     rng = np.random.default_rng(seed)
     draws = -np.log1p(-rng.random((n_samples, n_metrics)))
     totals = draws.sum(axis=1)
@@ -385,7 +387,7 @@ def row_loop_weights(n_metrics, n_samples, seed):
         residual = 1.0 - row.sum()
         row = row.copy()
         row[int(np.argmax(row))] += residual
-        out.append(WeightVector(tuple(float(w) for w in row)))
+        out.append(tuple(float(w) for w in row))
     return out
 
 
@@ -396,27 +398,32 @@ def test_weights_match_row_loop_bit_for_bit(n_metrics, n_samples):
     seed = 100 * n_metrics + n_samples
     got = sample_weights(n_metrics, n_samples, seed)
     want = row_loop_weights(n_metrics, n_samples, seed)
-    assert len(got) == n_samples
-    assert np.array([w.weights for w in got]).tobytes() == \
-        np.array([w.weights for w in want]).tobytes()
-    assert all(type(x) is float for w in got for x in w.weights)
+    assert got.shape == (n_samples, n_metrics) and got.dtype == np.float64
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_weights_uniform_on_simplex():
     weights = sample_weights(2, 10000, seed=13)
-    first = np.array([w.weights[0] for w in weights])
-    assert abs(first.mean() - 0.5) < 0.02
+    assert abs(weights[:, 0].mean() - 0.5) < 0.02
 
 
 def test_weights_validate():
     weights = sample_weights(4, 50, seed=1)
-    for w in weights:
-        assert all(x >= 0 for x in w.weights)
-        assert abs(sum(w.weights) - 1.0) <= 1e-9
-    with pytest.raises(ValueError):
-        WeightVector((0.5, 0.6))
-    with pytest.raises(ValueError):
-        WeightVector((-0.1, 1.1))
+    for w in weights.tolist():
+        assert all(x >= 0 for x in w)
+        assert abs(sum(w) - 1.0) <= 1e-9
+    # collect_candidates checks the matrix it is given.
+    policies = [make_policy("a", [1.0, 0.0])]
+    for bad, message in (([[0.5, 0.6]], "row 0 must be non-negative and sum to 1"),
+                         ([[-0.1, 1.1]], "row 0 must be non-negative"),
+                         ([[1.0, 0.0], [0.5, 0.5 + 2e-9]], "row 1 must"),
+                         ([[1.0]], "one column per metric"),
+                         ([1.0, 0.0], "one column per metric"),
+                         (np.ones((1, 0)), "one column per metric")):
+        with pytest.raises(ValueError, match=message):
+            collect_candidates(policies, bad, top_k=1)
+    with pytest.raises(ValueError, match="one column per metric"):
+        collect_candidates([make_policy("a", [])], np.ones((1, 0)), top_k=1)
 
 
 # -- scalarized score ---------------------------------------------------------------
@@ -424,12 +431,12 @@ def test_weights_validate():
 
 def test_score_one_hot_projection():
     policy = make_policy("p", [1.0, 2.0])
-    assert scalarized_score(policy, WeightVector((0.0, 1.0))) == 2.0
+    assert scalarized_score(policy, (0.0, 1.0)) == 2.0
 
 
 def test_score_even_mix():
     policy = make_policy("p", [1.0, 2.0])
-    assert scalarized_score(policy, WeightVector((0.5, 0.5))) == 1.5
+    assert scalarized_score(policy, (0.5, 0.5)) == 1.5
 
 
 def test_score_zero_everywhere():
@@ -441,15 +448,15 @@ def test_score_zero_everywhere():
 def test_score_missing_estimate_errors():
     policy = make_policy("p", [1.0])
     with pytest.raises(ValueError):
-        scalarized_score(policy, WeightVector((0.5, 0.5)), metrics=["m1", "m2"])
+        scalarized_score(policy, (0.5, 0.5), metrics=["m1", "m2"])
 
 
 @settings(max_examples=40)
 @given(st.floats(0, 1))
 def test_score_linear_in_weights(alpha):
     policy = make_policy("p", [0.3, -1.7])
-    w1, w2 = WeightVector((1.0, 0.0)), WeightVector((0.0, 1.0))
-    mixed = WeightVector((alpha, 1.0 - alpha))
+    w1, w2 = (1.0, 0.0), (0.0, 1.0)
+    mixed = (alpha, 1.0 - alpha)
     expected = (alpha * scalarized_score(policy, w1)
                 + (1 - alpha) * scalarized_score(policy, w2))
     assert scalarized_score(policy, mixed) == pytest.approx(expected, abs=1e-12)
@@ -500,7 +507,7 @@ def test_collection_invariant_to_input_order():
 def test_minimized_metric_ranks_lower_mean_first():
     policies = [make_policy("a", [-1.0, 0.0]), make_policy("b", [-0.5, 0.0]),
                 make_policy("c", [0.5, 0.0])]
-    weights = [WeightVector((1.0, 0.0))]
+    weights = np.array([[1.0, 0.0]])
     result = collect_candidates(policies, weights, top_k=2, minimize=("m1",))
     assert result.provenance == {"a": [(0, 1)], "b": [(0, 2)]}
     assert collect_candidates(policies, weights, top_k=1).policy_ids == ["c"]
@@ -509,7 +516,7 @@ def test_minimized_metric_ranks_lower_mean_first():
 def test_provenance_records_ranks():
     policies = [make_policy("a", [2.0]), make_policy("b", [1.0]),
                 make_policy("c", [0.0])]
-    weights = [WeightVector((1.0,))]
+    weights = np.array([[1.0]])
     result = collect_candidates(policies, weights, top_k=2)
     assert result.provenance == {"a": [(0, 1)], "b": [(0, 2)]}
 
@@ -530,7 +537,7 @@ def test_rank_one_policies_weakly_pareto_optimal():
 def test_unknown_minimized_metric_rejected():
     policies = [make_policy("a", [1.0, 0.0])]
     with pytest.raises(ValueError, match="'m9'"):
-        collect_candidates(policies, [WeightVector((0.5, 0.5))], top_k=1,
+        collect_candidates(policies, np.array([[0.5, 0.5]]), top_k=1,
                            minimize=("m9",))
 
 
@@ -543,7 +550,7 @@ def per_weight_candidates(policies, weights, top_k, metrics, minimize):
     id_order = np.argsort(np.array(ids, dtype=object), kind="stable")
     provenance = {}
     for w_idx, w in enumerate(weights):
-        scores = mu @ np.asarray(w.weights)
+        scores = mu @ np.asarray(w)
         ranked = id_order[np.argsort(-scores[id_order], kind="stable")]
         for rank, row in enumerate(ranked[:top_k], start=1):
             provenance.setdefault(ids[row], []).append((w_idx, rank))
@@ -570,9 +577,9 @@ def top_k_cases(draw):
         # Weights on a grid tie distinct integer policies exactly.
         grid = st.lists(st.integers(0, 3), min_size=n_metrics,
                         max_size=n_metrics).filter(any)
-        weights = [WeightVector(tuple(x / sum(row) for x in row))
-                   for row in draw(st.lists(grid, min_size=n_weights,
-                                            max_size=n_weights))]
+        weights = np.array([[x / sum(row) for x in row]
+                            for row in draw(st.lists(grid, min_size=n_weights,
+                                                     max_size=n_weights))])
     top_k = draw(st.integers(1, len(ids) + 2))
     minimize = tuple(draw(st.lists(st.sampled_from(metrics), unique=True)))
     return policies, weights, top_k, metrics, minimize
@@ -600,7 +607,7 @@ def test_policy_table_round_trip(tmp_path, rng):
     cuts = enumerate_cuts(ds, {"features": ["f1"], "n_bins": 4})
     policies = evaluate_policies(ds, enumerate_policies(ds, cuts, budget=16))
     path = tmp_path / "table.csv"
-    save_policy_table(path, PolicyTable.from_candidates(policies, ds.metrics))
+    save_policy_table(path, build_policy_table(ds, cuts, budget=16))
     table, metrics = load_policy_table(path)
     assert metrics == list(ds.metrics)
     assert set(table) == {p.policy_id for p in policies}
