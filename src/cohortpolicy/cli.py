@@ -10,24 +10,23 @@ config and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .config import from_mapping as read_config
-from .errors import CohortPolicyError
+from .errors import CohortPolicyError, ConfigError
 from .evaluation import (evaluate_selector, load_ground_truths, load_rankings,
                          save_report)
 from .frontier import (ToleranceConfig, save_frontier, save_frontier_coords,
                        tolerance_filter)
 from .governance import (StabilityThresholds, load_snapshots, pre_search_filter,
                          save_reports, save_snapshots, stability_verdicts)
-from .ingest import IngestSchema, ingest
+from .ingest import IngestSchema, ingest, read_json, write_csv, write_json
 from .pipeline import RunConfig, govern_pipeline, write_run_artifacts
-from .search import (FORMAT_VERSION, build_policy_table, collect_candidates,
-                     load_policy_table, sample_weights, save_policy_table)
+from .search import (build_policy_table, collect_candidates, load_policy_table,
+                     sample_weights, save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import (BenchmarkConfig, ScenarioConfig, build_benchmark,
                     drift_snapshots, generate_experiment, write_benchmark)
@@ -40,11 +39,6 @@ EXIT_REJECTED = 2
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_ERROR
-
-
-def _load_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _with_seed(cfg, seed: int | None):
@@ -61,12 +55,6 @@ def _out_dir(args, default_prefix: str) -> Path:
     return out
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -75,7 +63,6 @@ def cmd_ingest(args) -> int:
     ds = ingest(args.data, schema)
     out = _out_dir(args, "ingest")
     summary = {
-        "format_version": FORMAT_VERSION,
         "experiment_id": ds.experiment_id,
         "n_users": ds.n_users,
         "actions": list(ds.actions),
@@ -85,48 +72,42 @@ def cmd_ingest(args) -> int:
         "lift_units": ds.lift_units,
         "arm_sizes": {a: int(ds.arm_mask(a).sum()) for a in ds.actions},
     }
-    _write_json(out / "dataset_summary.json", summary)
+    write_json(out / "dataset_summary.json", summary)
     print(f"ingested {ds.n_users} users into {out / 'dataset_summary.json'}")
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
     if args.benchmark:
-        cfg = _with_seed(BenchmarkConfig.from_mapping(_load_json(args.benchmark)),
+        cfg = _with_seed(BenchmarkConfig.from_mapping(read_json(args.benchmark)),
                          args.seed)
         out = _out_dir(args, "synth")
         bundle = build_benchmark(cfg)
         write_benchmark(bundle, out)
         print(f"benchmark with {len(bundle.instructions)} instructions in {out}")
         return EXIT_OK
-    cfg = _with_seed(ScenarioConfig.from_mapping(_load_json(args.scenario)),
+    cfg = _with_seed(ScenarioConfig.from_mapping(read_json(args.scenario)),
                      args.seed)
     out = _out_dir(args, "synth")
     ds, truth = generate_experiment(cfg)
     header = ["user_id", "arm", *ds.features, *ds.metrics]
-    # `.tolist()` gives Python scalars, whose repr is the plain number.
+    # `.tolist()` gives Python scalars, which are written as plain numbers.
     columns = [ds.user_ids.tolist(), [ds.actions[c] for c in ds.arm_codes.tolist()],
-               *([repr(v) for v in row] for row in ds.feature_matrix.tolist()),
-               *([repr(v) for v in row] for row in ds.outcome_matrix.tolist())]
+               *ds.feature_matrix.tolist(), *ds.outcome_matrix.tolist()]
     include_day = ds.days is not None
     if include_day:
         header.append("day")
-        columns.append([str(d) for d in ds.days.tolist()])
-    with open(out / "dataset.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"# format_version: {FORMAT_VERSION}\n")
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(cells) + "\n" for cells in zip(*columns))
+        columns.append(ds.days.tolist())
+    write_csv(out / "dataset.csv", header, columns)
     schema = {
-        "format_version": FORMAT_VERSION,
         "user_id": "user_id", "arm": "arm", "control": ds.control_action,
         "features": list(ds.features), "metrics": list(ds.metrics),
         "lift_units": ds.lift_units, "experiment_id": ds.experiment_id,
     }
     if include_day:
         schema["day"] = "day"
-    _write_json(out / "schema.json", schema)
-    _write_json(out / "planted_truth.json",
-                {"format_version": FORMAT_VERSION, **truth})
+    write_json(out / "schema.json", schema)
+    write_json(out / "planted_truth.json", truth)
     if cfg.drift_specs:
         save_snapshots(out / "snapshots.csv", drift_snapshots(cfg, ds))
     print(f"synthetic experiment {ds.experiment_id!r} in {out}")
@@ -135,7 +116,7 @@ def cmd_synth(args) -> int:
 
 def _load_dataset(args):
     if args.scenario:
-        cfg = ScenarioConfig.from_mapping(_load_json(args.scenario))
+        cfg = ScenarioConfig.from_mapping(read_json(args.scenario))
         ds, _ = generate_experiment(_with_seed(cfg, args.seed))
         return ds
     schema = IngestSchema.from_json(args.schema)
@@ -145,7 +126,7 @@ def _load_dataset(args):
 def cmd_search(args) -> int:
     ds = _load_dataset(args)
     seed = args.seed if args.seed is not None else 0
-    cuts_cfg = CutEnumerationConfig.from_mapping(_load_json(args.cuts)) \
+    cuts_cfg = CutEnumerationConfig.from_mapping(read_json(args.cuts)) \
         if args.cuts else CutEnumerationConfig(features=ds.features)
     table = build_policy_table(ds, enumerate_cuts(ds, cuts_cfg), args.budget, seed)
     weights = sample_weights(len(ds.metrics), args.weights, seed)
@@ -154,8 +135,7 @@ def cmd_search(args) -> int:
                                     minimize=tuple(args.minimize or ()))
     out = _out_dir(args, "search")
     save_policy_table(out / "policy_table.csv", table)
-    _write_json(out / "candidates.json", {
-        "format_version": FORMAT_VERSION,
+    write_json(out / "candidates.json", {
         "policy_ids": candidates.policy_ids,
         "provenance": {pid: [[w, r] for w, r in pairs]
                        for pid, pairs in sorted(candidates.provenance.items())},
@@ -168,8 +148,12 @@ def cmd_search(args) -> int:
 def cmd_filter(args) -> int:
     table, metrics = load_policy_table(args.policy_table)
     if args.candidates:
-        keep = set(_load_json(args.candidates)["policy_ids"])
-        table = table.take([pid for pid in table.ids if pid in keep])
+        keep = read_json(args.candidates)["policy_ids"]
+        unknown = [pid for pid in keep if pid not in table]
+        if unknown:
+            raise ConfigError(f"{args.candidates}: policy {unknown[0]!r} is not "
+                              f"in {args.policy_table}")
+        table = table.take(keep)
     result = tolerance_filter(
         table, ToleranceConfig(tau=args.tau, minimize=tuple(args.minimize or ())),
         metrics=metrics)
@@ -185,13 +169,12 @@ def cmd_filter(args) -> int:
 
 def cmd_govern(args) -> int:
     pairs = load_snapshots(args.snapshots)
-    thresholds = (read_config(StabilityThresholds, _load_json(args.thresholds))
+    thresholds = (read_config(StabilityThresholds, read_json(args.thresholds))
                   if args.thresholds else StabilityThresholds())
     verdicts = stability_verdicts(sorted(pairs), pairs, thresholds)
     report, admitted = pre_search_filter(verdicts)
     out = _out_dir(args, "govern")
-    _write_json(out / "stability_verdicts.json", {
-        "format_version": FORMAT_VERSION,
+    write_json(out / "stability_verdicts.json", {
         "verdicts": [v.to_json() for v in verdicts],
         "admitted": admitted,
     })
@@ -232,7 +215,7 @@ def cmd_report(args) -> int:
     manifest_path = run / "manifest.json"
     if not manifest_path.exists():
         return _fail(f"no manifest.json under {run}")
-    manifest = _load_json(manifest_path)
+    manifest = read_json(manifest_path)
     print(f"run status: {manifest['status']} "
           f"(iterations: {manifest['iterations']})")
     print(f"seed: {manifest['config'].get('seed')}, "
@@ -243,7 +226,7 @@ def cmd_report(args) -> int:
         print(f"  {name}: {filename}")
     rec_path = run / "recommendation.json"
     if rec_path.exists():
-        rec = _load_json(rec_path)
+        rec = read_json(rec_path)
         policy = rec.get("policy")
         if policy:
             print(f"recommended policy: {policy['policy_id']}")

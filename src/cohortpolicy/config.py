@@ -7,6 +7,7 @@ key's path (e.g. `scenario.planted_effects[0].note`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import types
 import typing
 from collections.abc import Mapping
@@ -18,12 +19,10 @@ def from_mapping(cls, data, path: str = ""):
     """Build the dataclass `cls` from JSON-like `data`; an absent key takes
     the field's default. A field's key is its name, or the name given to
     `json_key`. Field types: int (not a bool or a float), float (an
-    int is converted), str, `X | None`, `dict[str, T]`, `tuple[T, ...]` (a
-    list or a tuple) and nested dataclasses."""
+    int is converted), str, `X | None`, `dict[str, T]`, `list[T]` and
+    `tuple[T, ...]` (each from a list or a tuple) and nested dataclasses."""
     _expect(isinstance(data, Mapping), "an object", data, path or cls.__name__)
-    hints = typing.get_type_hints(cls)
-    known = {f.metadata.get("key", f.name): f
-             for f in dataclasses.fields(cls) if f.init}
+    hints, known = _fields(cls)
     for key in data:
         if key not in known:
             raise ConfigError(f"unknown key {_join(path, key)!r}")
@@ -33,6 +32,16 @@ def from_mapping(cls, data, path: str = ""):
     return cls(**{known[key].name: _convert(hints[known[key].name], value,
                                             _join(path, key))
                   for key, value in data.items()})
+
+
+@functools.cache
+def _fields(cls) -> tuple[dict, dict]:
+    # The resolved field types, and the init fields by key. Resolving the
+    # types evaluates each annotation's text: about 80 us per call, which
+    # a typed JSONL file would pay on every line.
+    known = {f.metadata.get("key", f.name): f
+             for f in dataclasses.fields(cls) if f.init}
+    return typing.get_type_hints(cls), known
 
 
 def json_key(name: str, **kwargs) -> dataclasses.Field:
@@ -58,9 +67,9 @@ def _convert(tp, value, path: str):
             and type(None) in args:
         [tp] = [a for a in args if a is not type(None)]
         return None if value is None else _convert(tp, value, path)
-    if origin is tuple and args[1:] == (Ellipsis,):
+    if origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
         _expect(isinstance(value, (list, tuple)), "a list", value, path)
-        return tuple(_convert(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+        return origin(_convert(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     if origin is dict and args[0] is str:
         _expect(isinstance(value, Mapping) and all(isinstance(k, str) for k in value),
                 "an object", value, path)

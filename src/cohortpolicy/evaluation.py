@@ -9,18 +9,20 @@ accuracy, Top-1 in ground truth).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import from_mapping as read_config
 from .errors import UnmatchedInstructionError
 from .experiment import MetricEstimate
 from .frontier import weak_pareto_mask_2d
-from .search import FORMAT_VERSION, PolicyTable, policy_columns
+from .ingest import (VERSION_LINE, read_json, read_jsonl, write_csv, write_json,
+                     write_jsonl)
+from .search import PolicyTable, policy_columns
 
 Estimates = Mapping[str, Mapping[str, MetricEstimate]]
 
@@ -321,96 +323,60 @@ def evaluate_selector(rankings: Sequence[SelectorRanking],
 
 
 def save_instructions(path: str | Path, instructions: Sequence[InstructionSpec]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for idx, instruction in enumerate(instructions):
-            record = {"format_version": FORMAT_VERSION, "instruction_idx": idx}
-            record.update(instruction.to_json())
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, ({"instruction_idx": idx, **instruction.to_json()}
+                       for idx, instruction in enumerate(instructions)))
+
+
+@dataclass
+class _IndexedInstruction(InstructionSpec):
+    """One instructions.jsonl record: an instruction and its index."""
+
+    instruction_idx: int = field(kw_only=True)
 
 
 def load_instructions(path: str | Path) -> list[InstructionSpec]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            out.append(InstructionSpec(
-                kind=data["kind"], primary_metric=data["primary_metric"],
-                secondary_metric=data.get("secondary_metric"),
-                experiment_id=data.get("experiment_id", "")))
-    return out
+    return [InstructionSpec(r.kind, r.primary_metric, r.secondary_metric,
+                            r.experiment_id)
+            for r in read_jsonl(path, _IndexedInstruction)]
 
 
 def save_ground_truths(path: str | Path, gts: Sequence[GroundTruth]) -> None:
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "ground_truths": [
-            {"experiment_id": gt.experiment_id,
-             "instruction_idx": gt.instruction_idx,
-             "top5": list(gt.top5)}
-            for gt in gts
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"ground_truths": [
+        {"experiment_id": gt.experiment_id,
+         "instruction_idx": gt.instruction_idx,
+         "top5": list(gt.top5)}
+        for gt in gts
+    ]})
+
+
+@dataclass
+class _GroundTruthFile:
+    """The ground_truth.json object."""
+
+    ground_truths: list[GroundTruth]
 
 
 def load_ground_truths(path: str | Path) -> list[GroundTruth]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    records = payload["ground_truths"] if isinstance(payload, Mapping) else payload
-    return [GroundTruth(experiment_id=r["experiment_id"], top5=list(r["top5"]),
-                        instruction_idx=int(r["instruction_idx"]))
-            for r in records]
+    return read_config(_GroundTruthFile, read_json(path)).ground_truths
 
 
 def save_rankings(path: str | Path, rankings: Sequence[SelectorRanking]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ranking in rankings:
-            fh.write(json.dumps({
-                "format_version": FORMAT_VERSION,
-                "selector_name": ranking.selector_name,
-                "experiment_id": ranking.experiment_id,
-                "instruction_idx": ranking.instruction_idx,
-                "ranked": list(ranking.ranked),
-            }, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, map(asdict, rankings))
 
 
 def load_rankings(path: str | Path) -> list[SelectorRanking]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            out.append(SelectorRanking(
-                selector_name=data["selector_name"],
-                experiment_id=data["experiment_id"],
-                instruction_idx=int(data["instruction_idx"]),
-                ranked=list(data["ranked"])))
-    return out
+    return read_jsonl(path, SelectorRanking)
 
 
 def save_report(csv_path: str | Path, text_path: str | Path,
                 report: Mapping[str, Mapping[str, float]]) -> None:
     """Write the selector report as CSV and aligned text."""
-    import csv as _csv
-
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# format_version: {FORMAT_VERSION}\n")
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["selector", *REPORT_COLUMNS])
-        for name, row in report.items():
-            writer.writerow([name, *(f"{row[c]:.6f}" for c in REPORT_COLUMNS)])
+    write_csv(csv_path, ["selector", *REPORT_COLUMNS],
+              [list(report), *([f"{row[c]:.6f}" for row in report.values()]
+                               for c in REPORT_COLUMNS)])
     widths = [max(len(c), 9) for c in REPORT_COLUMNS]
     name_width = max([len("selector")] + [len(n) for n in report])
-    lines = [f"# format_version: {FORMAT_VERSION}",
+    lines = [VERSION_LINE,
              "  ".join(["selector".ljust(name_width)]
                        + [c.rjust(w) for c, w in zip(REPORT_COLUMNS, widths)])]
     for name, row in report.items():

@@ -9,16 +9,14 @@ dominance is not symmetric in (p, q).
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .search import (FORMAT_VERSION, Policies, PolicyCandidate, check_minimize,
-                     policy_columns)
+from .ingest import write_csv, write_json
+from .search import Policies, PolicyCandidate, check_minimize, policy_columns
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,6 @@ class FrontierResult:
 
     def to_json(self) -> dict:
         return {
-            "format_version": FORMAT_VERSION,
             "tau": self.tau_used,
             "admitted": list(self.admitted),
             "dominated_by": dict(sorted(self.dominated_by.items())),
@@ -179,9 +176,7 @@ def strict_pareto_oracle(policies: Policies,
 
 
 def save_frontier(path: str | Path, result: FrontierResult) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, result.to_json())
 
 
 def save_frontier_coords(path: str | Path, policies: Policies,
@@ -193,10 +188,8 @@ def save_frontier_coords(path: str | Path, policies: Policies,
     admitted = set(result.admitted)
     judged = admitted | set(result.dominated_by)
     ids, _, mean, _ = policy_columns(policies, metric_pair)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# format_version: {FORMAT_VERSION}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["policy_id", f"{metric_pair[0]}_mean",
-                         f"{metric_pair[1]}_mean", "admitted"])
-        writer.writerows([pid, repr(x), repr(y), int(pid in admitted)]
-                         for pid, (x, y) in zip(ids, mean.tolist()) if pid in judged)
+    rows = [row for row, pid in enumerate(ids) if pid in judged]
+    ids = [ids[row] for row in rows]
+    write_csv(path, ["policy_id", f"{metric_pair[0]}_mean",
+                     f"{metric_pair[1]}_mean", "admitted"],
+              [ids, *mean[rows].T.tolist(), [int(pid in admitted) for pid in ids]])

@@ -9,11 +9,8 @@ is built here; hooks only emit verdicts, they never mutate estimates.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -22,9 +19,9 @@ import numpy as np
 from .errors import (ConfigError, EstimationError, InsufficientDataError,
                      IntegrityError, RowIngestError)
 from .experiment import ExperimentDataset, MetricEstimate
-from .ingest import csv_blocks, csv_rows
-from .search import (FORMAT_VERSION, Estimates, Policies, PolicyCandidate,
-                     evaluate_policy_days, policy_columns)
+from .ingest import csv_blocks, csv_rows, read_jsonl, write_csv, write_jsonl
+from .search import (Estimates, Policies, PolicyCandidate, evaluate_policy_days,
+                     policy_columns)
 from .segmentation import slot_codes, sort_values, sorted_boundaries
 
 STAGE_PRE_SEARCH = "pre_search"
@@ -146,7 +143,7 @@ class HookReport:
         return self.verdict == REJECT
 
     def to_json(self) -> dict:
-        return {"format_version": FORMAT_VERSION, **asdict(self)}
+        return asdict(self)
 
 
 # -- feature stability ---------------------------------------------------------
@@ -351,20 +348,15 @@ class BacktestSeries:
     cumulative: list[dict[str, MetricEstimate]]
 
     def save_csv(self, path: str | Path, metrics: Sequence[str]) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# format_version: {FORMAT_VERSION}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            header = ["day"]
-            for metric in metrics:
-                header += [f"{metric}_daily_mean", f"{metric}_daily_std_err",
-                           f"{metric}_cum_mean", f"{metric}_cum_std_err"]
-            writer.writerow(header)
-            for day, d_est, c_est in zip(self.days, self.daily, self.cumulative):
-                row = [day]
-                for metric in metrics:
-                    row += [repr(d_est[metric].mean), repr(d_est[metric].std_err),
-                            repr(c_est[metric].mean), repr(c_est[metric].std_err)]
-                writer.writerow(row)
+        """Write the series through `ingest.write_csv`: the day, then each
+        metric's daily and cumulative mean and std_err."""
+        header, columns = ["day"], [self.days]
+        for metric in metrics:
+            for name, series in (("daily", self.daily), ("cum", self.cumulative)):
+                header += [f"{metric}_{name}_mean", f"{metric}_{name}_std_err"]
+                columns += [[est[metric].mean for est in series],
+                            [est[metric].std_err for est in series]]
+        write_csv(path, header, columns)
 
 
 def validation_spans(n_days: int, n_slices: int) -> tuple[np.ndarray, np.ndarray]:
@@ -629,34 +621,24 @@ def load_snapshots(path: str | Path) -> dict[str, FeatureSnapshotPair]:
 
 def save_snapshots(path: str | Path,
                    pairs: Mapping[str, FeatureSnapshotPair]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# format_version: {FORMAT_VERSION}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SNAPSHOT_COLUMNS)
-        for feature in sorted(pairs):
-            pair = pairs[feature]
-            user_ids = pair.user_ids.tolist()
-            for label, values in zip(SNAPSHOT_LABELS, (pair.t0, pair.t1)):
-                writer.writerows(zip(user_ids, repeat(feature),
-                                     map(repr, values.tolist()), repeat(label)))
+    """Write snapshot rows through `ingest.write_csv`, feature by feature in
+    name order: each user's t0 value, then each user's t1 value."""
+    columns: list[list] = [[], [], [], []]
+    for feature in sorted(pairs):
+        pair = pairs[feature]
+        for label, values in zip(SNAPSHOT_LABELS, (pair.t0, pair.t1)):
+            columns[0] += pair.user_ids.tolist()
+            columns[1] += [feature] * len(values)
+            columns[2] += values.tolist()
+            columns[3] += [label] * len(values)
+    write_csv(path, SNAPSHOT_COLUMNS, columns)
 
 
 def save_reports(path: str | Path, reports: Sequence[HookReport]) -> None:
     """Write the hook-report trail as JSONL, one report per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for report in reports:
-            fh.write(json.dumps(report.to_json(), sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, (report.to_json() for report in reports))
 
 
 def load_reports(path: str | Path) -> list[HookReport]:
-    reports = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            data.pop("format_version", None)
-            reports.append(HookReport(**data))
-    return reports
+    """The hook reports of a JSONL trail, read by `ingest.read_jsonl`."""
+    return read_jsonl(path, HookReport)

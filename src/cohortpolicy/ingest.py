@@ -1,17 +1,27 @@
-"""Dataset ingestion: headered CSV or JSONL, validated against a schema.
+"""The package's file layer: dataset ingestion and the on-disk format of
+every artifact.
 
-The schema is a JSON document naming the arm column, feature columns, and
+`ingest` reads a headered CSV or JSONL experiment file, validated against
+a schema: a JSON document naming the arm column, feature columns, and
 metric columns. Missing values are rejected, not imputed: segmentation
 needs totally ordered feature values.
 
-`csv_blocks` is the package's one CSV reader: `ingest`,
-`governance.load_snapshots` and `search.load_policy_table` stream their
-files through it in fixed-size blocks of columns, and `csv_rows` re-reads
-a file row by row only to name the first bad row.
+Every other module reads and writes its files here. `csv_blocks` is the
+one CSV reader: `ingest`, `governance.load_snapshots` and
+`search.load_policy_table` stream their files through it in fixed-size
+blocks of columns, and `csv_rows` re-reads a file row by row only to name
+the first bad row. `write_csv` is the one CSV writer: it starts the file
+with the `format_version` comment line and quotes any row that
+`csv_blocks` would otherwise not read back cell for cell. `write_json`
+and `write_jsonl` add `format_version` to every object they write;
+`read_json` and `read_jsonl` drop it and name the file (and line) of
+malformed JSON, and `read_jsonl` builds each line's typed record with
+`config.from_mapping`.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import re
@@ -19,13 +29,17 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .config import from_mapping as read_config, json_key
 from .errors import ConfigError, IntegrityError, RowIngestError, SchemaError
 from .experiment import ABSOLUTE, LIFT_UNITS, ExperimentDataset, MetricEstimate
+
+FORMAT_VERSION = 1
+# The first line of every CSV artifact and of the selector report text.
+VERSION_LINE = f"# format_version: {FORMAT_VERSION}"
 
 
 @dataclass(frozen=True)
@@ -53,11 +67,8 @@ class IngestSchema:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "IngestSchema":
-        """The schema from its JSON mapping; `format_version`, which `synth`
-        writes, is skipped. An unknown or missing key or a wrong type raises
-        SchemaError naming the key."""
-        if isinstance(data, Mapping):
-            data = {k: v for k, v in data.items() if k != "format_version"}
+        """The schema from its JSON mapping. An unknown or missing key or a
+        wrong type raises SchemaError naming the key."""
         try:
             return read_config(cls, data)
         except ConfigError as exc:
@@ -65,8 +76,8 @@ class IngestSchema:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "IngestSchema":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_mapping(json.load(fh))
+        """The schema from a JSON file, read by `read_json`."""
+        return cls.from_mapping(read_json(path))
 
 
 def _parse_number(raw, column: str, row_idx: int) -> float:
@@ -82,6 +93,112 @@ def _parse_number(raw, column: str, row_idx: int) -> float:
     if not math.isfinite(value):
         raise RowIngestError(row_idx, f"non-finite value {raw!r} in column {column!r}")
     return value
+
+
+# -- JSON and JSONL ----------------------------------------------------------
+
+
+def write_json(path: str | Path, payload: Mapping) -> None:
+    """Write `payload` plus its `format_version` as indented JSON with
+    sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"format_version": FORMAT_VERSION, **payload}, fh,
+                  indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
+    """Write one JSON object with sorted keys per line: each record plus its
+    `format_version`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps({"format_version": FORMAT_VERSION, **record},
+                                 sort_keys=True) + "\n" for record in records)
+
+
+def _parse_json(text: str):
+    # A JSON value without its `format_version` key.
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed JSON: {exc}") from None
+    if isinstance(value, dict):
+        value.pop("format_version", None)
+    return value
+
+
+def read_json(path: str | Path):
+    """The JSON value of a file without its `format_version` key. Malformed
+    JSON raises ConfigError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return _parse_json(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def read_jsonl(path: str | Path, record_type) -> list:
+    """One `record_type` dataclass per non-blank line of a JSONL file,
+    built by `config.from_mapping` from the line's object without its
+    `format_version` key. Malformed JSON, or a record that `record_type`
+    rejects with ConfigError or ValueError, raises ConfigError naming the
+    file and the 1-based line."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for line, text in enumerate(fh, 1):
+            if not text.strip():
+                continue
+            try:
+                records.append(read_config(record_type, _parse_json(text)))
+            except (ConfigError, ValueError) as exc:
+                raise ConfigError(f"{path}, line {line}: {exc}") from exc
+    return records
+
+
+# -- the CSV writer ----------------------------------------------------------
+
+
+def _unreadable(row: Sequence) -> bool:
+    # Whether csv.writer writes a row that `csv_blocks` cannot read back.
+    # It quotes only a text cell holding a comma, a quote or a newline; the
+    # reader ends a line at a bare carriage return, and drops a line that
+    # starts with `#` as a comment.
+    bare = [isinstance(cell, str) and not any(c in cell for c in ',"\n')
+            for cell in row]
+    return (bare[0] and row[0].startswith("#")) or any(
+        is_bare and "\r" in cell for is_bare, cell in zip(bare, row))
+
+
+def _is_text(column: Sequence) -> bool:
+    return len(column) > 0 and isinstance(column[0], str)
+
+
+def write_csv(path: str | Path, header: Sequence[str],
+              columns: Sequence[Sequence]) -> None:
+    """Write a CSV file that `csv_blocks` reads back cell for cell: the
+    `format_version` comment line, the header, then one row per entry of
+    the equal-length `columns`.
+
+    A column holds text (str) or numbers; csv.writer writes a float with
+    `repr` and an int with `str`. A row that csv.writer would write
+    unreadably (see `_unreadable`) is written with every text cell quoted.
+    Rows are checked one by one only when a text column holds a carriage
+    return or the first column a cell that starts with `#`.
+    """
+    first = [header[0], *columns[0]] if _is_text(columns[0]) else header[:1]
+    suspect = "\n#" in "\n" + "\n".join(first) or any(
+        "\r" in "".join(column) for column in (header, *filter(_is_text, columns)))
+    rows = zip(*columns)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(VERSION_LINE + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        if not suspect:
+            writer.writerow(header)
+            writer.writerows(rows)
+            return
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+        for row in chain([header], rows):
+            (quoted if _unreadable(row) else writer).writerow(row)
 
 
 # -- the CSV reader ----------------------------------------------------------
@@ -388,8 +505,7 @@ def load_stored_estimates(path: str | Path) -> dict[str, dict[str, MetricEstimat
     "estimate" text field in "mean ± std_err" form. Returns a policy table:
     {policy_id: {metric_id: MetricEstimate}}.
     """
-    with open(path, encoding="utf-8") as fh:
-        entries = json.load(fh)
+    entries = read_json(path)
     if isinstance(entries, Mapping):
         entries = entries.get("estimates", [])
     table: dict[str, dict[str, MetricEstimate]] = {}

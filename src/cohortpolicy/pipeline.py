@@ -8,7 +8,6 @@ configs produce byte-identical artifacts regardless of input row order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping
@@ -24,10 +23,10 @@ from .governance import (MIN_ROBUSTNESS_SLICES, FeatureSnapshotPair, HookReport,
                          StabilityThresholds, load_snapshots, pre_search_filter,
                          save_reports, select_candidate, stability_verdicts,
                          validate_candidate)
-from .ingest import IngestSchema, ingest
-from .search import (FORMAT_VERSION, PolicyCandidate, PolicyTable,
-                     build_policy_table, collect_candidates, evaluate_policies,
-                     sample_weights, save_policy_table)
+from .ingest import IngestSchema, ingest, read_json, write_json
+from .search import (PolicyCandidate, PolicyTable, build_policy_table,
+                     collect_candidates, evaluate_policies, sample_weights,
+                     save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import ScenarioConfig, drift_snapshots, generate_experiment
 
@@ -98,12 +97,8 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"malformed run config: {exc}") from exc
-        return cls.from_mapping(data)
+        """The run config of a JSON file, read by `ingest.read_json`."""
+        return cls.from_mapping(read_json(path))
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -239,7 +234,6 @@ def write_run_artifacts(result: PipelineResult, config: RunConfig,
     artifacts["hook_reports"] = "hook_reports.jsonl"
 
     recommendation: dict = {
-        "format_version": FORMAT_VERSION,
         "status": result.status,
         "iterations": result.iterations,
         "policy": None,
@@ -253,9 +247,7 @@ def write_run_artifacts(result: PipelineResult, config: RunConfig,
             "assignment": list(policy.assignment),
             "estimates": {m: policy.estimates[m].to_json() for m in metrics},
         }
-    with open(out / "recommendation.json", "w", encoding="utf-8") as fh:
-        json.dump(recommendation, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "recommendation.json", recommendation)
     artifacts["recommendation"] = "recommendation.json"
 
     if result.backtest_series is not None:
@@ -263,14 +255,11 @@ def write_run_artifacts(result: PipelineResult, config: RunConfig,
         artifacts["backtest"] = "backtest.csv"
 
     manifest = {
-        "format_version": FORMAT_VERSION,
         "status": result.status,
         "iterations": result.iterations,
         "config": config.to_json(),
         "artifacts": dict(sorted(artifacts.items())),
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
     artifacts["manifest"] = "manifest.json"
     return artifacts

@@ -14,9 +14,7 @@ post-search selection read its id-sorted columns through `policy_columns`.
 
 from __future__ import annotations
 
-import csv
 import itertools
-from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,10 +26,9 @@ from .errors import ConfigError, EstimationError, IntegrityError
 from .experiment import (ExperimentDataset, MetricEstimate, SlotEffects,
                          cell_moments, effects_from_moments, pool_moments,
                          slot_effects)
-from .ingest import _parse_number, csv_blocks, csv_header, csv_rows
+from .ingest import FORMAT_VERSION  # noqa: F401 (re-exported)
+from .ingest import _parse_number, csv_blocks, csv_header, csv_rows, write_csv
 from .segmentation import CutSpec, cut_slot_codes
-
-FORMAT_VERSION = 1
 
 
 @dataclass
@@ -598,45 +595,14 @@ def _value_columns(metrics: Sequence[str]) -> list[str]:
     return [f"{metric}_{part}" for metric in metrics for part in ("mean", "std_err")]
 
 
-def _unreadable(row: Sequence) -> bool:
-    # Whether csv.writer writes a row that `csv_blocks` cannot read back.
-    # It quotes only a text cell holding a comma, a quote or a newline; the
-    # reader ends a line at a bare carriage return, and drops a line that
-    # starts with `#` as a comment.
-    bare = [isinstance(cell, str) and not any(c in cell for c in ',"\n')
-            for cell in row]
-    return (bare[0] and row[0].startswith("#")) or any(
-        is_bare and "\r" in cell for is_bare, cell in zip(bare, row))
-
-
 def save_policy_table(path: str | Path, table: PolicyTable) -> None:
-    """Write the policy table CSV: id, cut descriptor, per-slot actions, and
-    per-metric mean/std_err columns, one row per policy in id order.
-
-    csv.writer writes each float with `repr`, and a row it would write
-    unreadably (see `_unreadable`) with every text cell quoted. Only a
-    table holding a carriage return or an id starting with `#` has its rows
-    checked one by one.
-    """
-    header = [*_KEY_COLUMNS, *_value_columns(table.metrics)]
+    """Write the policy table CSV through `ingest.write_csv`: id, cut
+    descriptor, per-slot actions, and per-metric mean/std_err columns, one
+    row per policy in id order."""
     numbers = np.stack([table.mean, table.std_err], axis=-1).reshape(
         len(table), 2 * len(table.metrics)).T.tolist()
-    rows = zip(table.ids, table.feature, table.cut, table.actions, *numbers)
-    ids = table.ids
-    first_hash = bisect_left(ids, "#")  # ids are sorted
-    suspect = (first_hash < len(ids) and ids[first_hash].startswith("#")) or any(
-        "\r" in "".join(column)
-        for column in (header, ids, table.feature, table.cut, table.actions))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# format_version: {FORMAT_VERSION}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        if not suspect:
-            writer.writerow(header)
-            writer.writerows(rows)
-            return
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
-        for row in itertools.chain([header], rows):
-            (quoted if _unreadable(row) else writer).writerow(row)
+    write_csv(path, [*_KEY_COLUMNS, *_value_columns(table.metrics)],
+              [table.ids, table.feature, table.cut, table.actions, *numbers])
 
 
 def load_policy_table(path: str | Path) -> tuple[PolicyTable, list[str]]:

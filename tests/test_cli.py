@@ -492,3 +492,69 @@ def test_every_output_file_schema_versioned(tmp_path):
 def test_missing_required_combo_exit_one(capsys):
     assert main(["synth"]) == 1
     assert main(["search"]) == 1
+
+def test_filter_rejects_an_unknown_candidate(tmp_path, capsys):
+    # A candidates file from another search used to filter a silent subset.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SMALL_SCENARIO))
+    search = tmp_path / "search"
+    assert main(["search", "--scenario", str(scenario), "--weights", "20",
+                 "--out", str(search)]) == 0
+    known = json.loads((search / "candidates.json").read_text())["policy_ids"][0]
+    candidates = tmp_path / "candidates.json"
+    candidates.write_text(json.dumps({"policy_ids": [known, "no.such.policy",
+                                                     "other.policy"]}))
+    out = tmp_path / "filter"
+    capsys.readouterr()
+    assert main(["filter", "--policy-table", str(search / "policy_table.csv"),
+                 "--candidates", str(candidates), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError:") and "'no.such.policy'" in err
+    assert "other.policy" not in err and not out.exists()
+
+
+def eval_inputs(tmp_path, ranking, truth):
+    rankings = tmp_path / "rankings.jsonl"
+    rankings.write_text("\n" + json.dumps({"selector_name": "s", "experiment_id": "e",
+                                           "instruction_idx": 0, "ranked": ["a"]})
+                        + "\n" + json.dumps(ranking) + "\n")
+    ground_truth = tmp_path / "ground_truth.json"
+    ground_truth.write_text(json.dumps({"ground_truths": [truth]}))
+    return ["eval", "--rankings", str(rankings), "--ground-truth", str(ground_truth),
+            "--out", str(tmp_path / "out")]
+
+
+def test_eval_ranking_without_ranked_names_file_line_and_key(tmp_path, capsys):
+    argv = eval_inputs(tmp_path, {"selector_name": "s", "experiment_id": "e",
+                                  "instruction_idx": 1},
+                       {"experiment_id": "e", "instruction_idx": 0, "top5": ["a"]})
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError:") and "Traceback" not in err
+    assert f"{tmp_path / 'rankings.jsonl'}, line 3:" in err
+    assert "missing required key 'ranked'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_ground_truth_top5_must_be_a_list(tmp_path, capsys):
+    # A string used to be scored as the ids of its characters.
+    argv = eval_inputs(tmp_path, {"selector_name": "s", "experiment_id": "e",
+                                  "instruction_idx": 1, "ranked": ["a"]},
+                       {"experiment_id": "e", "instruction_idx": 0, "top5": "abc"})
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError:")
+    assert "ground_truths[0].top5: expected a list, got 'abc'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--schema", "--scenario", "--config"])
+def test_malformed_json_input_names_its_path(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{ not json")
+    argv = {"--schema": ["ingest", "--data", str(tmp_path / "d.csv")],
+            "--scenario": ["synth"], "--config": ["pipeline"]}[flag]
+    assert main([*argv, flag, str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: {bad}: malformed JSON: Expecting ")
+    assert not (tmp_path / "out").exists()

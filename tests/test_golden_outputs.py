@@ -1,5 +1,6 @@
 """Golden outputs: the sha256 of every file that `cohortpolicy pipeline`,
-`search` and `filter` write for a fixed set of inputs.
+`search`, `filter`, `synth`, `eval`, `govern` and `ingest` write for a
+fixed set of inputs.
 
 The digests pin the bytes of the run directories and command outputs, so a
 refactor that claims to keep them byte-identical is checked here. A changed
@@ -138,12 +139,50 @@ EXPECTED = {
         'frontier_coords.csv':
             'cb1aa39c07f2769377ad87d61fa01056049d920859c41ffeecd940006eca70f2',
     },
+    'synth_scenario': {
+        'dataset.csv':
+            'aed7be5550017455551206e7de60cf6fd043a56683a8889173406f4efb0380f7',
+        'planted_truth.json':
+            'bde26d34c2cbab05ee28772fae73e83e339946202fd9a1317750e713c08e0f85',
+        'schema.json':
+            '35d09c09d14e282d2f1a534238ba40b2ac3ea1abc407e3437f687ae356949dc7',
+        'snapshots.csv':
+            '2b997edb1802f58061265d99d5ae6dd2d366a374a5712de12c2fa0e86219f523',
+    },
+    'govern': {
+        'hook_reports.jsonl':
+            '769ca396d036647d7a46e38a00d6bc031c087f83d01a33239abdb477e0647c29',
+        'stability_verdicts.json':
+            'ed01ea6577e28ee19a5e62eb9b7509694d2ae78e4a34fe76b603f0f0fdcb4602',
+    },
+    'ingest': {
+        'dataset_summary.json':
+            'c5da575460a4128eda9b51282f71674bc92fb0a89996c2dca7dfac951e713c34',
+    },
+    'synth_benchmark': {
+        'ground_truth.json':
+            '88715e5493bd24108888ebfd0f60f4ce664ef58ec992df7d195d0fe609dbad41',
+        'instructions.jsonl':
+            '9438d11d076323f7499e74d6917441f0258f76e9b078d80f2b6a479c92d65126',
+        'policy_tables/exp000.csv':
+            '95a836f4d8cf5880134f7885a5fe0b09d4ee22369956bcf06174e52f4c0fa4eb',
+        'policy_tables/exp001.csv':
+            '0dc2ae9d577dbf547d030859f1a51535d2432f3a578162ba573535e8bb7ad0f8',
+    },
+    'eval': {
+        'report.csv':
+            '47d22352d1b32093aa9cc717ff0ecf738276aa459366821ad3a7036daabd65b6',
+        'report.txt':
+            '656ede36cc854be573f524c94a6d663dd63fe1a6006dde3f081338d0dce6ecb7',
+    },
 }
 
 
 def digests(directory: Path) -> dict[str, str]:
-    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(directory.iterdir()) if path.is_file()}
+    """The sha256 of every file under `directory`, keyed by relative path."""
+    return {path.relative_to(directory).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -173,3 +212,43 @@ def test_search_and_filter_outputs_are_unchanged(tmp_path):
     whole = tmp_path / "filter_all"
     assert main(["filter", "--policy-table", table, "--out", str(whole)]) == 0
     assert digests(whole) == EXPECTED["filter_all"]
+
+
+def test_synth_govern_and_ingest_outputs_are_unchanged(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(
+        RunConfig(scenario=conflict_scenario(seed=7)).to_json()["scenario"]))
+    synth = tmp_path / "synth"
+    assert main(["synth", "--scenario", str(scenario), "--out", str(synth)]) == 0
+    assert digests(synth) == EXPECTED["synth_scenario"]
+    govern = tmp_path / "govern"
+    assert main(["govern", "--snapshots", str(synth / "snapshots.csv"),
+                 "--out", str(govern)]) == 0
+    assert digests(govern) == EXPECTED["govern"]
+    ingested = tmp_path / "ingest"
+    assert main(["ingest", "--data", str(synth / "dataset.csv"),
+                 "--schema", str(synth / "schema.json"),
+                 "--out", str(ingested)]) == 0
+    assert digests(ingested) == EXPECTED["ingest"]
+
+
+def test_benchmark_and_eval_outputs_are_unchanged(tmp_path):
+    config = tmp_path / "benchmark.json"
+    config.write_text(json.dumps({"seed": 2, "n_experiments": 2, "n_users": 400,
+                                  "policy_budget": 30}))
+    bench = tmp_path / "bench"
+    assert main(["synth", "--benchmark", str(config), "--out", str(bench)]) == 0
+    assert digests(bench) == EXPECTED["synth_benchmark"]
+    # Two selectors: one that ranks each ground truth as given and one that
+    # ranks it reversed behind a policy outside it.
+    truths = json.loads((bench / "ground_truth.json").read_text())["ground_truths"]
+    rankings = tmp_path / "rankings.jsonl"
+    rankings.write_text("".join(
+        json.dumps({"selector_name": name, "experiment_id": gt["experiment_id"],
+                    "instruction_idx": gt["instruction_idx"], "ranked": ranked}) + "\n"
+        for name, order in (("as_given", list), ("reversed", lambda ids: ["x", *ids[::-1]]))
+        for gt in truths for ranked in [order(gt["top5"])]))
+    scored = tmp_path / "eval"
+    assert main(["eval", "--rankings", str(rankings), "--ground-truth",
+                 str(bench / "ground_truth.json"), "--out", str(scored)]) == 0
+    assert digests(scored) == EXPECTED["eval"]

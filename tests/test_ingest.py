@@ -130,8 +130,11 @@ def test_schema_unknown_key_or_wrong_type_named(tmp_path):
         ingest(path, {**SCHEMA, "days": "day"})
     with pytest.raises(SchemaError, match="features: expected a list"):
         IngestSchema.from_mapping({**SCHEMA, "features": "age"})
-    # The format_version key that synth writes is part of the schema file.
-    ds = ingest(path, {**SCHEMA, "day": "day", "format_version": 1})
+    # The format_version key that synth writes is part of the schema file,
+    # and the file reader drops it.
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({**SCHEMA, "day": "day", "format_version": 1}))
+    ds = ingest(path, IngestSchema.from_json(schema))
     assert ds.days.tolist() == [0, 1]
 
 
