@@ -25,8 +25,9 @@ from .governance import (StabilityThresholds, load_snapshots, pre_search_filter,
                          save_reports, save_snapshots, stability_verdicts)
 from .ingest import IngestSchema, ingest, read_json, write_csv, write_json
 from .pipeline import RunConfig, govern_pipeline, write_run_artifacts
-from .search import (build_policy_table, collect_candidates, load_policy_table,
-                     sample_weights, save_policy_table)
+from .search import (build_policy_table, collect_candidates, load_candidates,
+                     load_policy_table, sample_weights, save_candidates,
+                     save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import (BenchmarkConfig, ScenarioConfig, build_benchmark,
                     drift_snapshots, generate_experiment, write_benchmark)
@@ -135,11 +136,7 @@ def cmd_search(args) -> int:
                                     minimize=tuple(args.minimize or ()))
     out = _out_dir(args, "search")
     save_policy_table(out / "policy_table.csv", table)
-    write_json(out / "candidates.json", {
-        "policy_ids": candidates.policy_ids,
-        "provenance": {pid: [[w, r] for w, r in pairs]
-                       for pid, pairs in sorted(candidates.provenance.items())},
-    })
+    save_candidates(out / "candidates.json", candidates)
     print(f"{len(table)} policies evaluated, "
           f"{len(candidates.policy_ids)} candidates in {out}")
     return EXIT_OK
@@ -148,7 +145,7 @@ def cmd_search(args) -> int:
 def cmd_filter(args) -> int:
     table, metrics = load_policy_table(args.policy_table)
     if args.candidates:
-        keep = read_json(args.candidates)["policy_ids"]
+        keep = load_candidates(args.candidates).policy_ids
         unknown = [pid for pid in keep if pid not in table]
         if unknown:
             raise ConfigError(f"{args.candidates}: policy {unknown[0]!r} is not "

@@ -19,8 +19,9 @@ def from_mapping(cls, data, path: str = ""):
     """Build the dataclass `cls` from JSON-like `data`; an absent key takes
     the field's default. A field's key is its name, or the name given to
     `json_key`. Field types: int (not a bool or a float), float (an
-    int is converted), str, `X | None`, `dict[str, T]`, `list[T]` and
-    `tuple[T, ...]` (each from a list or a tuple) and nested dataclasses."""
+    int is converted), str, `X | None`, `dict[str, T]`, `list[T]`,
+    `tuple[T, ...]` and `tuple[T1, T2, ...]` of fixed length (each from a
+    list or a tuple) and nested dataclasses."""
     _expect(isinstance(data, Mapping), "an object", data, path or cls.__name__)
     hints, known = _fields(cls)
     for key in data:
@@ -70,6 +71,11 @@ def _convert(tp, value, path: str):
     if origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
         _expect(isinstance(value, (list, tuple)), "a list", value, path)
         return origin(_convert(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is tuple:
+        _expect(isinstance(value, (list, tuple)) and len(value) == len(args),
+                f"a list of {len(args)}", value, path)
+        return tuple(_convert(item, v, f"{path}[{i}]")
+                     for i, (item, v) in enumerate(zip(args, value)))
     if origin is dict and args[0] is str:
         _expect(isinstance(value, Mapping) and all(isinstance(k, str) for k in value),
                 "an object", value, path)

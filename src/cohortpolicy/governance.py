@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -45,6 +46,8 @@ STATUS_UNSTABLE = "unstable"
 
 QUANTILE_CUT = "quantile"
 BINARY_CUT = "binary"
+# The quantile cut basis: the t0 quartiles, i.e. four equal buckets.
+QUARTILES = 4
 
 SIGNIFICANCE_Z = 1.96
 SIGN_CONSISTENCY_SHARE = 2.0 / 3.0
@@ -98,15 +101,13 @@ class FeatureSnapshotPair:
             if not np.isfinite(values).all():
                 raise ValueError(f"feature {self.feature!r}: {label} values must "
                                  f"be finite")
-        self._t0_bounds: dict[int, list[float]] = {}
 
-    def _t0_boundaries(self, n_bins: int) -> list[float]:
-        # `sorted_boundaries` of t0, kept per bin count so that both cut
-        # bases of `shift_ratio` share one sort; the n sorted values are not
-        # kept, as the pair outlives the stability filter.
-        if n_bins not in self._t0_bounds:
-            self._t0_bounds[n_bins] = sorted_boundaries(sort_values(self.t0), n_bins)
-        return self._t0_bounds[n_bins]
+    @cached_property
+    def t0_quartiles(self) -> list[float]:
+        """The nearest-rank p25, p50, p75 and maximum of t0, which both cut
+        bases of `shift_ratio` read; the n sorted values are not kept, as
+        the pair outlives the stability filter."""
+        return sorted_boundaries(sort_values(self.t0), QUARTILES)
 
 
 @dataclass
@@ -149,11 +150,10 @@ class HookReport:
 # -- feature stability ---------------------------------------------------------
 
 
-def shift_ratio(pair: FeatureSnapshotPair, cut: str = QUANTILE_CUT,
-                n_bins: int = 4) -> float:
+def shift_ratio(pair: FeatureSnapshotPair, cut: str = QUANTILE_CUT) -> float:
     """Fraction of users whose cohort bucket changed between snapshots.
 
-    Buckets come from the t0 distribution (quantile cuts: `n_bins` equal
+    Buckets come from the t0 distribution (quantile cuts: its four quartile
     buckets; binary cuts: p25/p75 thresholds, i.e. three buckets) and t1
     values are re-bucketed against those fixed t0 cutpoints, so the ratio
     measures user migration rather than distribution reshaping.
@@ -163,12 +163,10 @@ def shift_ratio(pair: FeatureSnapshotPair, cut: str = QUANTILE_CUT,
         raise InsufficientDataError(
             f"feature {pair.feature!r}: need >= 2 users present in both "
             f"snapshots, got {n}")
+    p25, p50, p75, _ = pair.t0_quartiles
     if cut == QUANTILE_CUT:
-        cuts = pair._t0_boundaries(n_bins)[:-1]
+        cuts = [p25, p50, p75]
     elif cut == BINARY_CUT:
-        # The nearest-rank p25 and p75 are the first and third quartile
-        # boundaries.
-        p25, _, p75, _ = pair._t0_boundaries(4)
         cuts = [p25, p75]
     else:
         raise ValueError(f"unknown cut basis {cut!r}")

@@ -15,8 +15,8 @@ with the `format_version` comment line and quotes any row that
 `csv_blocks` would otherwise not read back cell for cell. `write_json`
 and `write_jsonl` add `format_version` to every object they write;
 `read_json` and `read_jsonl` drop it and name the file (and line) of
-malformed JSON, and `read_jsonl` builds each line's typed record with
-`config.from_mapping`.
+malformed JSON, and each builds its typed records (`read_json` when
+given a record type) with `config.from_mapping`.
 """
 
 from __future__ import annotations
@@ -126,13 +126,15 @@ def _parse_json(text: str):
     return value
 
 
-def read_json(path: str | Path):
-    """The JSON value of a file without its `format_version` key. Malformed
-    JSON raises ConfigError naming the file."""
+def read_json(path: str | Path, record_type=None):
+    """The JSON value of a file without its `format_version` key, or the
+    `record_type` dataclass that `config.from_mapping` builds from it.
+    Malformed JSON or a rejected record raises ConfigError naming the file."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return _parse_json(text)
+        value = _parse_json(text)
+        return value if record_type is None else read_config(record_type, value)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -323,15 +325,27 @@ def csv_rows(path: str | Path, columns: Sequence[str]
 _ABSENT = object()  # a JSONL row's missing key
 
 
+def _jsonl_object(row: int, line: str) -> dict:
+    # A JSONL line's object; RowIngestError names a line without one.
+    try:
+        value = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise RowIngestError(row, f"malformed JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise RowIngestError(row, f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _jsonl_rows(path: Path, columns: Sequence[str]
                 ) -> Iterator[tuple[int, list, None]]:
-    # The JSONL counterpart of csv_rows: a missing key gives _ABSENT.
+    # The JSONL counterpart of csv_rows: a missing key gives _ABSENT, and a
+    # line without an object raises when it is reached, after earlier rows.
     with open(path, encoding="utf-8") as fh:
-        rows = (json.loads(line) for line in fh if line.strip())
-        first = next(rows, None)
-        header = [] if first is None else list(first.keys())
+        lines = enumerate((line for line in fh if line.strip()), 1)
+        rows = (_jsonl_object(row_idx, line) for row_idx, line in lines)
+        first = next(rows, {})
         for column in columns:
-            if column not in header:
+            if column not in first:
                 raise SchemaError(f"input is missing declared column {column!r}")
         for row_idx, row in enumerate(chain([first], rows), 1):
             yield row_idx, [row[c] if c in row else _ABSENT for c in columns], None
@@ -360,8 +374,9 @@ def _ingest_columns(blocks: Iterator[np.ndarray], n_numbers: int, has_day: bool
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Ids, arms and the (numbers, users) float matrix in file order. Raises
     # ValueError (TypeError or OverflowError for some JSON values) on a bad
-    # cell or short row; the row-by-row scan then names it. A repeated user
-    # is left to ExperimentDataset, which sorts the ids anyway.
+    # cell or short row, RowIngestError on a JSONL line without an object;
+    # the row-by-row scan then names the first bad row. A repeated user is
+    # left to ExperimentDataset, which sorts the ids anyway.
     ids, arms = [np.empty(0, dtype=str)], [np.empty(0, dtype=str)]
     numbers = [np.empty((n_numbers, 0))]
     for block in blocks:
@@ -412,9 +427,10 @@ def ingest(path: str | Path, schema: IngestSchema | Mapping) -> ExperimentDatase
 
     Raises SchemaError for a missing column in the header, RowIngestError
     (with the 1-based data row) for a missing, non-numeric or non-finite
-    cell, a short CSV row or a JSONL row without a column, and
-    IntegrityError for a user appearing in more than one row or an arm name
-    holding "-". The error named is that of the first bad row in the file.
+    cell, a short CSV row, or a JSONL line that is malformed, holds no
+    object or lacks a column, and IntegrityError for a user appearing in
+    more than one row or an arm name holding "-". The error named is that
+    of the first bad row in the file.
     """
     if not isinstance(schema, IngestSchema):
         schema = IngestSchema.from_mapping(schema)
@@ -437,7 +453,7 @@ def ingest(path: str | Path, schema: IngestSchema | Mapping) -> ExperimentDatase
         ids, arms, numbers = _ingest_columns(blocks(path, required),
                                              len(required) - 2,
                                              bool(schema.day_column))
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError, OverflowError, RowIngestError) as exc:
         _raise_first_bad_row(rows(path, required), required, schema.day_column)
         raise IntegrityError(f"{path}: a block failed to parse ({exc}) but "
                              f"no row did") from exc

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -27,7 +27,8 @@ from .experiment import (ExperimentDataset, MetricEstimate, SlotEffects,
                          cell_moments, effects_from_moments, pool_moments,
                          slot_effects)
 from .ingest import FORMAT_VERSION  # noqa: F401 (re-exported)
-from .ingest import _parse_number, csv_blocks, csv_header, csv_rows, write_csv
+from .ingest import (_parse_number, csv_blocks, csv_header, csv_rows, read_json,
+                     write_csv, write_json)
 from .segmentation import CutSpec, cut_slot_codes
 
 
@@ -58,11 +59,12 @@ class CandidateSet:
     """Union of per-weight Top-K selections, with admission provenance.
 
     `policy_ids` is sorted ascending; `provenance` maps each admitted id to
-    the (weight index, rank) pairs that admitted it.
+    the (weight index, rank) pairs that admitted it (none for a set read
+    from a file that lists only ids).
     """
 
     policy_ids: list[str]
-    provenance: dict[str, list[tuple[int, int]]]
+    provenance: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
 
 
 def make_policy_id(cut: CutSpec | None, assignment: Sequence[str]) -> str:
@@ -639,3 +641,16 @@ def load_policy_table(path: str | Path) -> tuple[PolicyTable, list[str]]:
     table = PolicyTable(metrics, *(key[:, j].tolist() for j in range(len(_KEY_COLUMNS))),
                         values[:, 0::2], values[:, 1::2])
     return table, metrics
+
+
+def save_candidates(path: str | Path, candidates: CandidateSet) -> None:
+    """Write a candidates JSON file: `policy_ids` and, by id, the
+    [weight index, rank] pairs of `provenance`."""
+    write_json(path, asdict(candidates))
+
+
+def load_candidates(path: str | Path) -> CandidateSet:
+    """Read a candidates JSON file, whose `provenance` may be left out. A
+    missing `policy_ids`, an unknown key or a wrong type raises ConfigError
+    naming the file and the key."""
+    return read_json(path, CandidateSet)

@@ -17,7 +17,7 @@ from .config import from_mapping as read_config
 from .errors import ConfigError
 from .evaluation import KINDS, GroundTruth, InstructionSpec, ground_truth_oracle
 from .experiment import ExperimentDataset
-from .governance import FeatureSnapshotPair
+from .governance import QUARTILES, FeatureSnapshotPair
 from .search import PolicyTable, build_policy_table
 from .segmentation import (CutEnumerationConfig, enumerate_cuts, slot_codes,
                            sort_values, sorted_boundaries, sorted_quantile)
@@ -247,87 +247,39 @@ def stitch_days(slices: Sequence[ExperimentDataset],
         days=np.concatenate([ds.days for ds in slices]) if labelled else None)
 
 
-def _mover_draws(rng: np.random.Generator, n: int, k: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    # What n rounds of `rng.integers(0, k)` (no draw when k == 1), then
-    # `rng.random()`, return: read from one block of the PCG64 stream.
-    # random() is a 64-bit draw >> 11 scaled by 2**-53. The integer is
-    # Lemire's method on a 32-bit word: PCG64 hands out a 64-bit draw's
-    # low half and keeps the high half for the next 32-bit request (it may
-    # already hold one on entry). A word that Lemire rejects, with chance
-    # (2**32 mod k) / 2**32, needs one more word, so the generator is
-    # rewound to that round and draws it itself.
-    bitgen = rng.bit_generator
-    if k <= 1:
-        return np.zeros(n, dtype=np.int64), (bitgen.random_raw(n) >> 11) * 2.0**-53
-    picks = np.empty(n, dtype=np.int64)
-    uniforms = np.empty(n)
-    threshold = 2**32 % k
-    start = 0
-    while start < n:
-        state = bitgen.state
-        fresh = (np.arange(n - start) + state["has_uint32"]) % 2 == 0
-        pos = np.cumsum(1 + fresh) - 1 - fresh  # 64-bit draws before each round
-        raw = bitgen.random_raw(int(pos[-1] + 1 + fresh[-1]))
-        # A round without a fresh draw takes the previous round's high half.
-        source = raw[np.maximum(pos - 2 * ~fresh, 0)]
-        words = np.where(fresh, source & 0xFFFFFFFF, source >> 32)
-        if state["has_uint32"]:
-            words[0] = state["uinteger"]
-        scaled = words * np.uint64(k)
-        rejected = np.flatnonzero((scaled & 0xFFFFFFFF) < threshold)
-        done = int(rejected[0]) if rejected.size else n - start
-        picks[start:start + done] = scaled[:done] >> 32
-        uniforms[start:start + done] = (raw[pos[:done] + fresh[:done]] >> 11) * 2.0**-53
-        start += done
-        if start == n:
-            break
-        # The rejected word is spent, buffered or not, so the round's next
-        # word is the low half of its first fresh draw: advance() leaves the
-        # generator there with an empty buffer.
-        bitgen.state = state
-        bitgen.advance(int(pos[done]))
-        picks[start] = rng.integers(0, k)
-        uniforms[start] = rng.random()
-        start += 1
-    return picks, uniforms
-
-
-def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int,
-                       n_bins: int = 4) -> FeatureSnapshotPair:
+def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int
+                       ) -> FeatureSnapshotPair:
     """Snapshot pair whose measured quantile shift ratio matches the target.
 
     Exactly round(target * n) users get their t1 value re-drawn inside a
-    different t0 quantile bucket; everyone else keeps their t0 value. Buckets
-    are fixed from t0 cutpoints, so the measured ratio is moved/n.
+    different t0 quartile bucket; everyone else keeps their t0 value.
+    Buckets are fixed from the t0 quartiles that `shift_ratio` measures
+    with, so the measured ratio is exactly moved/n.
 
     The draws: `rng.choice(n, round(target * n), replace=False)` picks the
-    movers; then, for each mover in row order, `rng.integers(0, k)` picks the
-    target among the k reachable buckets other than its own (no draw when
-    k == 1) and `rng.random()` places the value in it. All movers are drawn
-    and placed in one array pass over that stream.
+    movers; then one `rng.integers(0, k, size=movers)` picks each mover's
+    target among the k reachable buckets other than its own, and one
+    `rng.random(movers)` places each value in its target bucket.
     """
     rng = np.random.default_rng(seed)
     values = ds.feature_values(drift.feature)
     n = ds.n_users
     cuts = np.array(sorted_boundaries(ds.sorted_feature_values(drift.feature),
-                                      n_bins)[:-1])
+                                      QUARTILES)[:-1])
     buckets = slot_codes(values, cuts)
     span = float(values.max() - values.min()) or 1.0
     # Buckets emptied by tied cutpoints cannot receive a value; skip them.
+    # Both end buckets are always open, so every mover has k >= 1 targets.
     open_buckets = np.ones(cuts.size + 1, dtype=bool)
     open_buckets[1:-1] = cuts[1:] > cuts[:-1]
     reachable = np.flatnonzero(open_buckets)
 
     t0 = np.array(values, dtype=float)
     t1 = t0.copy()
-    n_move = round(drift.target_shift_ratio * n)
-    rows = rng.choice(n, size=n_move, replace=False)
+    rows = rng.choice(n, size=round(drift.target_shift_ratio * n), replace=False)
     rows.sort()
-    if rows.size and reachable.size < 2:
-        raise ConfigError(f"feature {drift.feature!r}: drift needs at least two "
-                          f"buckets to move users between, got n_bins={n_bins}")
-    picks, uniforms = _mover_draws(rng, rows.size, reachable.size - 1)
+    picks = rng.integers(0, reachable.size - 1, size=rows.size)
+    uniforms = rng.random(rows.size)
     # A pick indexes the reachable buckets with the mover's own left out.
     picks += picks >= np.searchsorted(reachable, buckets[rows])
     target = reachable[picks]

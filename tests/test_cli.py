@@ -11,7 +11,8 @@ from cohortpolicy.cli import main
 from cohortpolicy.evaluation import (SelectorRanking, load_ground_truths,
                                      save_rankings)
 from cohortpolicy.ingest import IngestSchema, ingest
-from cohortpolicy.search import load_policy_table
+from cohortpolicy.search import (CandidateSet, load_candidates, load_policy_table,
+                               save_candidates)
 from cohortpolicy.synth import (BenchmarkConfig, ScenarioConfig, build_benchmark,
                                 conflict_scenario, generate_experiment,
                                 write_benchmark)
@@ -511,6 +512,36 @@ def test_filter_rejects_an_unknown_candidate(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError:") and "'no.such.policy'" in err
     assert "other.policy" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"ids": ["x"]}, "unknown key 'ids'"),
+    ({}, "missing required key 'policy_ids'"),
+    ({"policy_ids": "x"}, "policy_ids: expected a list, got 'x'"),
+    ({"policy_ids": ["x"], "provenance": {"x": [[0]]}},
+     "provenance.x[0]: expected a list of 2, got [0]"),
+], ids=["other_key", "no_ids", "ids_not_a_list", "short_provenance_pair"])
+def test_filter_bad_candidates_file_exits_one_naming_file_and_key(
+        tmp_path, capsys, payload, message):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SMALL_SCENARIO))
+    search = tmp_path / "search"
+    assert main(["search", "--scenario", str(scenario), "--weights", "20",
+                 "--out", str(search)]) == 0
+    candidates = tmp_path / "candidates.json"
+    candidates.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["filter", "--policy-table", str(search / "policy_table.csv"),
+                 "--candidates", str(candidates),
+                 "--out", str(tmp_path / "filter")]) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {candidates}: {message}\n"
+
+
+def test_candidates_file_round_trip(tmp_path):
+    candidates = CandidateSet(policy_ids=["a", "b"],
+                              provenance={"b": [(0, 1), (2, 0)], "a": [(1, 0)]})
+    save_candidates(tmp_path / "c.json", candidates)
+    assert load_candidates(tmp_path / "c.json") == candidates
 
 
 def eval_inputs(tmp_path, ranking, truth):

@@ -19,7 +19,7 @@ import pytest
 from cohortpolicy.cli import main
 from cohortpolicy.pipeline import RunConfig
 from cohortpolicy.synth import (DriftSpec, PlantedEffect, ScenarioConfig,
-                                conflict_scenario)
+                                conflict_scenario, drifted_scenario)
 
 
 def one_effect_scenario(seed, n_users=300):
@@ -147,13 +147,29 @@ EXPECTED = {
         'schema.json':
             '35d09c09d14e282d2f1a534238ba40b2ac3ea1abc407e3437f687ae356949dc7',
         'snapshots.csv':
-            '2b997edb1802f58061265d99d5ae6dd2d366a374a5712de12c2fa0e86219f523',
+            'b20dff4654b26445d2c64bbd07498d3cba38425e47beccdf18e32aca0cf5f948',
     },
     'govern': {
         'hook_reports.jsonl':
             '769ca396d036647d7a46e38a00d6bc031c087f83d01a33239abdb477e0647c29',
         'stability_verdicts.json':
-            'ed01ea6577e28ee19a5e62eb9b7509694d2ae78e4a34fe76b603f0f0fdcb4602',
+            'e3ab17ba8f11d7b1d60a6a644246502cf656d97f8488b3d2835c6747bc121824',
+    },
+    'synth_drifted': {
+        'dataset.csv':
+            '7d97776ca179327070b3e79cbec4577b1a04c2a5bf09f1ddd38f6cd11bf4f4fa',
+        'planted_truth.json':
+            '3a0771946168ea536a3357baec82fceb18be908a12c1a72ebe2e9cf057a6c23f',
+        'schema.json':
+            '472b3ae0a078dcc571e58c3b9570840db035b0cd27b34fca38de653e01460279',
+        'snapshots.csv':
+            '54b330c08891f0489b790f9f53c42ba5912f8cd982f7dbd77cb431dd386c8ae2',
+    },
+    'govern_drifted': {
+        'hook_reports.jsonl':
+            '369eabc6efd629ad197bd9bfe14b3c1a3742d412c8cb773251cd0cc4f0194073',
+        'stability_verdicts.json':
+            'b7c16d90375823020a37e85ed8fec8fef638b680ef6efcdf23d8991e18feb4b2',
     },
     'ingest': {
         'dataset_summary.json':
@@ -230,6 +246,24 @@ def test_synth_govern_and_ingest_outputs_are_unchanged(tmp_path):
                  "--schema", str(synth / "schema.json"),
                  "--out", str(ingested)]) == 0
     assert digests(ingested) == EXPECTED["ingest"]
+
+
+def test_drifted_synth_and_govern_outputs_are_unchanged(tmp_path):
+    # The one pinned scenario with an unstable feature: f2 drifts by half.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(
+        RunConfig(scenario=drifted_scenario()).to_json()["scenario"]))
+    synth = tmp_path / "synth"
+    assert main(["synth", "--scenario", str(scenario), "--out", str(synth)]) == 0
+    assert digests(synth) == EXPECTED["synth_drifted"]
+    govern = tmp_path / "govern"
+    assert main(["govern", "--snapshots", str(synth / "snapshots.csv"),
+                 "--out", str(govern)]) == 0
+    verdicts = json.loads((govern / "stability_verdicts.json").read_text())
+    assert [(v["feature"], v["status"], v["shift_quantile"])
+            for v in verdicts["verdicts"]] == [("f1", "stable", 0.04),
+                                               ("f2", "unstable", 0.5)]
+    assert digests(govern) == EXPECTED["govern_drifted"]
 
 
 def test_benchmark_and_eval_outputs_are_unchanged(tmp_path):

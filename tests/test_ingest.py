@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cohortpolicy.cli import main
 from cohortpolicy.errors import IntegrityError, RowIngestError, SchemaError
 from cohortpolicy.experiment import ExperimentDataset
 from cohortpolicy.ingest import (IngestSchema, ingest, load_stored_estimates,
@@ -82,6 +83,39 @@ def test_jsonl_integer_beyond_float_range_names_row_and_column(tmp_path):
                     + ', "spend": 2.0}\n')
     with pytest.raises(RowIngestError, match=r"^row 2: value 10+ in column "
                                              r"'age' does not fit a float$"):
+        ingest(path, SCHEMA)
+
+
+@pytest.mark.parametrize("lines,message", [
+    (['{"uid": "u1", "group": "t1", "age": 30, "spend": 1.0}',
+      '{"uid": "u2", "group": "control", "age": 40, "spend": 2.0}',
+      '{"uid": "u3" "group": "t1"}'],
+     "row 3: malformed JSON: Expecting ',' delimiter: line 1 column 14 (char 13)"),
+    (['["u1", "t1", 30, 1.0]'], "row 1: expected a JSON object, got list"),
+    (['{"uid": "u1", "group": "t1", "age": 30, "spend": 1.0}',
+      '["u2", "control", 40, 2.0]'], "row 2: expected a JSON object, got list"),
+], ids=["malformed_third_line", "first_line_list", "later_line_list"])
+def test_jsonl_line_without_an_object_exits_one_naming_the_row(tmp_path, capsys,
+                                                               lines, message):
+    data = tmp_path / "d.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(SCHEMA))
+    assert main(["ingest", "--data", str(data), "--schema", str(schema),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: RowIngestError: {message}\n"
+
+
+def test_jsonl_first_bad_row_wins(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"uid": "u1", "group": "t1", "age": 30, "spend": 1.0}\n'
+                    '{"uid": "u2", "group": "control", "age": "x", "spend": 2.0}\n'
+                    '[1]\n{"uid": "u3",\n')
+    with pytest.raises(RowIngestError, match="^row 2: non-numeric value 'x'"):
+        ingest(path, SCHEMA)
+    path.write_text('{"uid": "u1", "group": "t1", "age": 30, "spend": 1.0}\n'
+                    '[1]\n{"uid": "u3"}\n')
+    with pytest.raises(RowIngestError, match="^row 2: expected a JSON object"):
         ingest(path, SCHEMA)
 
 

@@ -116,15 +116,15 @@ def test_snapshot_deterministic():
     assert a.t1.tobytes() == b.t1.tobytes()
 
 
-def dict_snapshots(ds, drift, seed, n_bins=4):
-    """Snapshot values per user id, drawn user by user into dicts: the
+def dict_snapshots(ds, drift, seed):
+    """Snapshot values per user id, placed user by user into dicts: the
     layout and the per-mover loop generate_snapshots used before it
-    returned aligned arrays drawn in one pass."""
+    returned aligned arrays, fed the same bulk draws."""
     rng = np.random.default_rng(seed)
     values = ds.feature_values(drift.feature)
     user_ids = ds.user_ids.tolist()
     n = len(user_ids)
-    cuts = interior_cutpoints(values, n_bins)
+    cuts = interior_cutpoints(values, 4)
     buckets = np.searchsorted(cuts, values, side="left")
     n_buckets = len(cuts) + 1
     span = float(values.max() - values.min()) or 1.0
@@ -133,17 +133,20 @@ def dict_snapshots(ds, drift, seed, n_bins=4):
     t0 = {uid: float(v) for uid, v in zip(user_ids, values)}
     t1 = dict(t0)
     movers = rng.choice(n, size=round(drift.target_shift_ratio * n), replace=False)
-    for row in sorted(int(i) for i in movers):
+    movers = sorted(int(i) for i in movers)
+    picks = rng.integers(0, len(reachable) - 1, size=len(movers))
+    uniforms = rng.random(len(movers))
+    for row, pick, u in zip(movers, picks.tolist(), uniforms.tolist()):
         choices = [b for b in reachable if b != buckets[row]]
-        target = int(choices[rng.integers(0, len(choices))])
+        target = int(choices[pick])
         lower = cuts[target - 1] if target > 0 else None
         upper = cuts[target] if target < len(cuts) else None
         if lower is None:
-            new_value = upper - span * float(rng.random())
+            new_value = upper - span * u
         elif upper is None:
-            new_value = lower + span * (float(rng.random()) + 1e-9)
+            new_value = lower + span * (u + 1e-9)
         else:
-            new_value = lower + (upper - lower) * float(rng.random())
+            new_value = lower + (upper - lower) * u
             if new_value <= lower:
                 new_value = upper
         t1[user_ids[row]] = float(new_value)
@@ -162,134 +165,72 @@ def tied_dataset(n=300, seed=3):
         features=("f1",))
 
 
-def assert_matches_dict_snapshots(ds, drift, seed, n_bins=4):
-    pair = generate_snapshots(ds, drift, seed=seed, n_bins=n_bins)
-    t0, t1 = dict_snapshots(ds, drift, seed=seed, n_bins=n_bins)
-    assert pair.user_ids.tolist() == sorted(t0)
-    assert pair.t0.tobytes() == np.array([t0[u] for u in sorted(t0)]).tobytes()
-    assert pair.t1.tobytes() == np.array([t1[u] for u in sorted(t1)]).tobytes()
+def one_feature_dataset(n_users, data_seed, tied):
+    if tied:
+        return tied_dataset(n_users, data_seed)
+    ds, _ = generate_experiment(ScenarioConfig(
+        seed=data_seed, n_users=n_users, n_features=1, n_metrics=1, n_actions=1))
+    return ds
 
 
 def test_tied_dataset_ties_every_quartile_cutpoint():
     assert len(set(interior_cutpoints(tied_dataset().feature_values("f1"), 4))) == 1
 
 
-# n_bins 2 leaves one other bucket to move to (k = 1, no integer draw),
-# 3 leaves two, and 4-8 leave three or more unless ties empty them.
+# Untied data leaves each mover three other buckets to move to; the tied
+# data leaves only the other end bucket (k = 1).
 @pytest.mark.parametrize("target", [0.0, 0.05, 0.3, 0.9])
 @pytest.mark.parametrize("seed", [0, 5, 77])
 @pytest.mark.parametrize("tied", [False, True])
 @settings(max_examples=8, deadline=None)
-@given(n_users=st.integers(2, 5000), n_bins=st.integers(2, 8),
+@given(n_users=st.integers(2, 5000), data_seed=st.integers(0, 999))
+@example(n_users=400, data_seed=23)
+@example(n_users=300, data_seed=3)
+@example(n_users=5000, data_seed=23)
+def test_snapshots_match_dict_algorithm(target, seed, tied, n_users, data_seed):
+    ds = one_feature_dataset(n_users, data_seed, tied)
+    drift = DriftSpec("f1", target)
+    pair = generate_snapshots(ds, drift, seed=seed)
+    t0, t1 = dict_snapshots(ds, drift, seed=seed)
+    assert pair.user_ids.tolist() == sorted(t0)
+    assert pair.t0.tobytes() == np.array([t0[u] for u in sorted(t0)]).tobytes()
+    assert pair.t1.tobytes() == np.array([t1[u] for u in sorted(t1)]).tobytes()
+
+
+def stable_quartile_buckets(t0, values):
+    # Each value's bucket against t0's nearest-rank p25, p50 and p75, read
+    # from a stable sort: (-inf, p25], (p25, p50], (p50, p75], (p75, inf).
+    ordered = np.sort(t0, kind="stable")
+    n = ordered.size
+    cuts = [ordered[-((-i * n) // 4) - 1] for i in (1, 2, 3)]
+    return np.searchsorted(cuts, values, side="left")
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_users=st.integers(2, 3000), tied=st.booleans(),
+       target=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
        data_seed=st.integers(0, 999))
-@example(n_users=400, n_bins=4, data_seed=23)
-@example(n_users=300, n_bins=4, data_seed=3)
-@example(n_users=400, n_bins=2, data_seed=23)
-@example(n_users=400, n_bins=3, data_seed=23)
-@example(n_users=5000, n_bins=8, data_seed=23)
-def test_snapshots_match_dict_algorithm(target, seed, tied, n_users, n_bins, data_seed):
-    if tied:
-        ds = tied_dataset(n_users, data_seed)
-    else:
-        ds, _ = generate_experiment(ScenarioConfig(
-            seed=data_seed, n_users=n_users, n_features=1, n_metrics=1, n_actions=1))
-    assert_matches_dict_snapshots(ds, DriftSpec("f1", target), seed, n_bins)
-
-
-def test_one_bucket_drift_moves_nobody_or_fails():
-    ds, _ = generate_experiment(ScenarioConfig(seed=23, n_users=50))
-    still = generate_snapshots(ds, DriftSpec("f1", 0.0), seed=1, n_bins=1)
-    assert still.t1.tobytes() == still.t0.tobytes()
-    with pytest.raises(ConfigError, match="n_bins=1"):
-        generate_snapshots(ds, DriftSpec("f1", 0.3), seed=1, n_bins=1)
-
-
-MASK64 = 2**64 - 1
-
-
-def pcg64_state_before(output):
-    """A PCG64 state word whose next 64-bit draw is `output`. PCG64 steps
-    its 128-bit state, then outputs the xor of the new state's high and low
-    words rotated right by the top 6 bits of the high word; so pick the high
-    word, solve for the low one, and step back once."""
-    high = 0x9E3779B97F4A7C15
-    rot = high >> 58
-    xor = ((output << rot) | (output >> (64 - rot))) & MASK64
-    bitgen = np.random.PCG64(0)
-    state = bitgen.state
-    state["state"]["state"] = (high << 64) | (high ^ xor)
-    bitgen.state = state
-    bitgen.advance(-1)
-    return bitgen.state["state"]["state"], state["state"]["inc"]
-
-
-class SteeredGenerator(np.random.Generator):
-    """PCG64 generator whose state is replaced right after `choice` picks
-    the movers: 64-bit draw `position` of what follows is `value`, and the
-    32-bit buffer is set. Counts its `integers` calls."""
-
-    def __init__(self, seed, has_uint32, uinteger, draw):
-        super().__init__(np.random.PCG64(seed))
-        self.steer = (has_uint32, uinteger, draw)
-        self.integer_calls = 0
-
-    def choice(self, *args, **kwargs):
-        movers = super().choice(*args, **kwargs)
-        has_uint32, uinteger, draw = self.steer
-        bitgen = self.bit_generator
-        if draw is not None:
-            position, value = draw
-            state = bitgen.state
-            state["state"]["state"], state["state"]["inc"] = pcg64_state_before(value)
-            bitgen.state = state
-            bitgen.advance(-position)
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = has_uint32, uinteger
-        bitgen.state = state
-        return movers
-
-    def integers(self, *args, **kwargs):
-        self.integer_calls += 1
-        return super().integers(*args, **kwargs)
-
-
-def test_steered_generator_draws_the_value_asked_for():
-    state, inc = pcg64_state_before(0x12345678 << 32)
-    bitgen = np.random.PCG64(0)
-    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                    "has_uint32": 0, "uinteger": 0}
-    assert int(bitgen.random_raw()) == 0x12345678 << 32
-
-
-HIGH_HALF_ONLY = 0x12345678 << 32
-
-# With 4 open buckets a mover picks among k = 3, and Lemire's method rejects
-# a 32-bit word w iff (3w mod 2**32) < 2**32 mod 3 = 1, that is iff w == 0.
-# Round i takes a buffered high half or the low half of a fresh 64-bit draw,
-# then one 64-bit draw for its uniform.
-@pytest.mark.parametrize("has_uint32,uinteger,draw,replays", [
-    (1, 0x89ABCDEF, None, 0),        # a high half is buffered on entry
-    (1, 0, None, 1),                 # ... and it is rejected
-    (1, 7, (1, HIGH_HALF_ONLY), 1),  # round 1's fresh low half is rejected
-    (0, 0, (0, HIGH_HALF_ONLY), 1),  # the same at round 0
-    (0, 0, (3, 0), 1),               # round 2's low half is rejected, and so
-                                     # is its replacement, the high half
-    (0, 0, (1, 0), 0),               # round 0's uniform is 0.0
-])
-def test_snapshots_replay_buffered_and_rejected_words(has_uint32, uinteger,
-                                                      draw, replays):
-    ds, _ = generate_experiment(ScenarioConfig(seed=23, n_users=400))
-    generators = []
-
-    def default_rng(seed):
-        generators.append(SteeredGenerator(seed, has_uint32, uinteger, draw))
-        return generators[-1]
-
-    with mock.patch.object(np.random, "default_rng", default_rng):
-        assert_matches_dict_snapshots(ds, DriftSpec("f1", 0.3), seed=5)
-    # generate_snapshots draws a round through `integers` only to replay a
-    # rejected word.
-    assert generators[0].integer_calls == replays
+@example(n_users=300, tied=True, target=0.9, seed=5, data_seed=3)
+@example(n_users=2, tied=False, target=1.0, seed=0, data_seed=0)
+def test_snapshot_drift_contract(n_users, tied, target, seed, data_seed):
+    ds = one_feature_dataset(n_users, data_seed, tied)
+    pair = generate_snapshots(ds, DriftSpec("f1", target), seed=seed)
+    n_move = round(target * n_users)
+    assert shift_ratio(pair, "quantile") == n_move / n_users
+    # Non-movers keep their t0 value bit for bit; t0 is the dataset's column.
+    assert pair.t0.tobytes() == ds.feature_values("f1").tobytes()
+    moved = pair.t0.view(np.uint64) != pair.t1.view(np.uint64)
+    assert np.count_nonzero(moved) == n_move
+    # Each mover lands in another t0 quartile bucket, which therefore holds
+    # t0 values or is an end bucket.
+    before = stable_quartile_buckets(pair.t0, pair.t0[moved])
+    after = stable_quartile_buckets(pair.t0, pair.t1[moved])
+    assert (before != after).all()
+    reachable = set(stable_quartile_buckets(pair.t0, pair.t0).tolist()) | {0, 3}
+    assert set(after.tolist()) <= reachable
+    again = generate_snapshots(ds, DriftSpec("f1", target), seed=seed)
+    assert again.user_ids.tobytes() == pair.user_ids.tobytes()
+    assert again.t1.tobytes() == pair.t1.tobytes()
 
 
 def test_drift_snapshots_python_calls_do_not_grow_with_users():
