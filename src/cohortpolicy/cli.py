@@ -15,7 +15,6 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import from_mapping as read_config
 from .errors import CohortPolicyError, ConfigError
 from .evaluation import (evaluate_selector, load_ground_truths, load_rankings,
                          save_report)
@@ -80,15 +79,13 @@ def cmd_ingest(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.benchmark:
-        cfg = _with_seed(BenchmarkConfig.from_mapping(read_json(args.benchmark)),
-                         args.seed)
+        cfg = _with_seed(read_json(args.benchmark, BenchmarkConfig), args.seed)
         out = _out_dir(args, "synth")
         bundle = build_benchmark(cfg)
         write_benchmark(bundle, out)
         print(f"benchmark with {len(bundle.instructions)} instructions in {out}")
         return EXIT_OK
-    cfg = _with_seed(ScenarioConfig.from_mapping(read_json(args.scenario)),
-                     args.seed)
+    cfg = _with_seed(read_json(args.scenario, ScenarioConfig), args.seed)
     out = _out_dir(args, "synth")
     ds, truth = generate_experiment(cfg)
     header = ["user_id", "arm", *ds.features, *ds.metrics]
@@ -117,7 +114,7 @@ def cmd_synth(args) -> int:
 
 def _load_dataset(args):
     if args.scenario:
-        cfg = ScenarioConfig.from_mapping(read_json(args.scenario))
+        cfg = read_json(args.scenario, ScenarioConfig)
         ds, _ = generate_experiment(_with_seed(cfg, args.seed))
         return ds
     schema = IngestSchema.from_json(args.schema)
@@ -127,7 +124,7 @@ def _load_dataset(args):
 def cmd_search(args) -> int:
     ds = _load_dataset(args)
     seed = args.seed if args.seed is not None else 0
-    cuts_cfg = CutEnumerationConfig.from_mapping(read_json(args.cuts)) \
+    cuts_cfg = read_json(args.cuts, CutEnumerationConfig) \
         if args.cuts else CutEnumerationConfig(features=ds.features)
     table = build_policy_table(ds, enumerate_cuts(ds, cuts_cfg), args.budget, seed)
     weights = sample_weights(len(ds.metrics), args.weights, seed)
@@ -166,7 +163,7 @@ def cmd_filter(args) -> int:
 
 def cmd_govern(args) -> int:
     pairs = load_snapshots(args.snapshots)
-    thresholds = (read_config(StabilityThresholds, read_json(args.thresholds))
+    thresholds = (read_json(args.thresholds, StabilityThresholds)
                   if args.thresholds else StabilityThresholds())
     verdicts = stability_verdicts(sorted(pairs), pairs, thresholds)
     report, admitted = pre_search_filter(verdicts)

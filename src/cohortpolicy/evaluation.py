@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import from_mapping as read_config
 from .errors import UnmatchedInstructionError
 from .experiment import MetricEstimate
 from .frontier import weak_pareto_mask_2d
@@ -357,7 +356,7 @@ class _GroundTruthFile:
 
 
 def load_ground_truths(path: str | Path) -> list[GroundTruth]:
-    return read_config(_GroundTruthFile, read_json(path)).ground_truths
+    return read_json(path, _GroundTruthFile).ground_truths
 
 
 def save_rankings(path: str | Path, rankings: Sequence[SelectorRanking]) -> None:

@@ -11,8 +11,10 @@ one CSV reader: `ingest`, `governance.load_snapshots` and
 `search.load_policy_table` stream their files through it in fixed-size
 blocks of columns, and `csv_rows` re-reads a file row by row only to name
 the first bad row. `write_csv` is the one CSV writer: it starts the file
-with the `format_version` comment line and quotes any row that
-`csv_blocks` would otherwise not read back cell for cell. `write_json`
+with the `format_version` comment line, formats cells as `csv.writer`
+would (without using it), a column at a time, writes the joined rows in
+blocks, and quotes any row that `csv_blocks` would otherwise not read back
+cell for cell. `write_json`
 and `write_jsonl` add `format_version` to every object they write;
 `read_json` and `read_jsonl` drop it and name the file (and line) of
 malformed JSON, and each builds its typed records (`read_json` when
@@ -21,7 +23,6 @@ given a record type) with `config.from_mapping`.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
@@ -161,10 +162,10 @@ def read_jsonl(path: str | Path, record_type) -> list:
 
 
 def _unreadable(row: Sequence) -> bool:
-    # Whether csv.writer writes a row that `csv_blocks` cannot read back.
-    # It quotes only a text cell holding a comma, a quote or a newline; the
-    # reader ends a line at a bare carriage return, and drops a line that
-    # starts with `#` as a comment.
+    # Whether a row written with minimal quoting cannot be read back by
+    # `csv_blocks`. Only a text cell holding a comma, a quote or a newline
+    # is quoted; the reader ends a line at a bare carriage return, and drops
+    # a line that starts with `#` as a comment.
     bare = [isinstance(cell, str) and not any(c in cell for c in ',"\n')
             for cell in row]
     return (bare[0] and row[0].startswith("#")) or any(
@@ -175,32 +176,83 @@ def _is_text(column: Sequence) -> bool:
     return len(column) > 0 and isinstance(column[0], str)
 
 
+# A text cell holding one of these is quoted.
+_SPECIAL = re.compile('[,"\n]')
+
+
+def _cell(value, quote_text: bool = False) -> str:
+    # One cell as csv.writer writes it: a float by `repr`, a str quoted
+    # where it holds a comma, a quote or a newline (every str, with
+    # `quote_text`), anything else by `str`.
+    if isinstance(value, str):
+        if quote_text or _SPECIAL.search(value):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+    return float.__repr__(value) if isinstance(value, float) else str(value)
+
+
+def _column_cells(column: Sequence) -> list[str]:
+    # The cells of one block of a column, unquoted text formatted in bulk.
+    try:
+        return list(map(float.__repr__, column))
+    except TypeError:
+        pass
+    try:
+        if not _SPECIAL.search("".join(column)):  # text, none of it quoted
+            return list(column)
+    except TypeError:
+        pass
+    return list(map(_cell, column))
+
+
+def _line(cells: Sequence[str]) -> str:
+    # csv.writer quotes a row made of one empty cell, which would otherwise
+    # be a blank line.
+    return '""' if len(cells) == 1 and cells[0] == "" else ",".join(cells)
+
+
+def _row_line(row: Sequence) -> str:
+    # One row checked on its own: every text cell quoted if it is unreadable.
+    quote_text = _unreadable(row)
+    return _line([_cell(value, quote_text) for value in row]) + "\n"
+
+
+# Rows formatted and written per block: the text of one block is held at a
+# time, however many rows the file has.
+_WRITE_ROWS = 4096
+
+
 def write_csv(path: str | Path, header: Sequence[str],
               columns: Sequence[Sequence]) -> None:
     """Write a CSV file that `csv_blocks` reads back cell for cell: the
     `format_version` comment line, the header, then one row per entry of
     the equal-length `columns`.
 
-    A column holds text (str) or numbers; csv.writer writes a float with
-    `repr` and an int with `str`. A row that csv.writer would write
-    unreadably (see `_unreadable`) is written with every text cell quoted.
-    Rows are checked one by one only when a text column holds a carriage
-    return or the first column a cell that starts with `#`.
+    A column holds text (str) or numbers. Cells are written as csv.writer
+    (with "\\n" line ends) writes them: a float by `repr`, an int by `str`,
+    and a text cell holding a comma, a quote or a newline quoted, its
+    quotes doubled. A row that this would write unreadably (see
+    `_unreadable`) is written with every text cell quoted instead, as
+    csv.writer's QUOTE_NONNUMERIC mode does. Rows are checked one by one
+    only when a text column holds a carriage return or the first column a
+    cell that starts with `#`; otherwise rows are formatted column by
+    column and written in blocks of `_WRITE_ROWS`.
     """
     first = [header[0], *columns[0]] if _is_text(columns[0]) else header[:1]
     suspect = "\n#" in "\n" + "\n".join(first) or any(
         "\r" in "".join(column) for column in (header, *filter(_is_text, columns)))
-    rows = zip(*columns)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(VERSION_LINE + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        if not suspect:
-            writer.writerow(header)
-            writer.writerows(rows)
+        if suspect:
+            fh.writelines(map(_row_line, chain([header], zip(*columns))))
             return
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
-        for row in chain([header], rows):
-            (quoted if _unreadable(row) else writer).writerow(row)
+        fh.write(_line([_cell(name) for name in header]) + "\n")
+        for start in range(0, len(columns[0]), _WRITE_ROWS):
+            block = [_column_cells(column[start:start + _WRITE_ROWS])
+                     for column in columns]
+            fh.write("".join(_line(cells) + "\n" for cells in zip(*block))
+                     if len(block) == 1 else
+                     "\n".join(map(",".join, zip(*block))) + "\n")
 
 
 # -- the CSV reader ----------------------------------------------------------

@@ -98,7 +98,7 @@ class RunConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
         """The run config of a JSON file, read by `ingest.read_json`."""
-        return cls.from_mapping(read_json(path))
+        return read_json(path, cls)
 
     def to_json(self) -> dict:
         return asdict(self)

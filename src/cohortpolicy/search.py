@@ -3,9 +3,12 @@
 A policy maps each segment slot of one cut to an action (control allowed).
 Per-metric policy lift is the segment-size-weighted sum of the slot effects
 of its treated slots; policy standard errors compose slot standard errors as
-independent size-weighted variances (segments are disjoint user sets). Each
-cut's effects come from one `experiment.slot_effects` table, and every policy
-on the cut is composed from that table's arrays. `build_policy_table` keeps
+independent size-weighted variances (segments are disjoint user sets). Every
+cut's effects come from `cut_effects`: one (slot, arm) moments pass per
+feature and bin count on its N-bin grid, read as it is by the individual cut
+and pooled into the two slots of each binary cut. Every policy on a cut is
+composed from its cut's effect arrays, and the binary cuts of a feature,
+which share one arm matrix, in one call. `build_policy_table` keeps
 the composed arrays as one columnar `PolicyTable`, which the governed run
 and the `search` command search: Top-K, the tolerance filter and the
 post-search selection read its id-sorted columns through `policy_columns`.
@@ -23,13 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, EstimationError, IntegrityError
-from .experiment import (ExperimentDataset, MetricEstimate, SlotEffects,
-                         cell_moments, effects_from_moments, pool_moments,
-                         slot_effects)
+from .experiment import (CellMoments, ExperimentDataset, MetricEstimate,
+                         SlotEffects, cell_moments, effects_from_moments,
+                         pool_moments)
 from .ingest import FORMAT_VERSION  # noqa: F401 (re-exported)
 from .ingest import (_parse_number, csv_blocks, csv_header, csv_rows, read_json,
                      write_csv, write_json)
-from .segmentation import CutSpec, cut_slot_codes
+from .segmentation import BINARY, INDIVIDUAL, CutSpec, cut_slot_codes
 
 
 @dataclass
@@ -146,10 +149,91 @@ def enumerate_policies(ds: ExperimentDataset, cuts: Sequence[CutSpec],
 # -- evaluation ---------------------------------------------------------------
 
 
-def _cut_effects(ds: ExperimentDataset, cut: CutSpec | None,
-                 rows: np.ndarray | None = None) -> SlotEffects:
-    n_slots = cut.slot_count if cut is not None else 1
-    return slot_effects(ds, cut_slot_codes(ds, cut), n_slots, rows)
+def _pool_slots(moments: CellMoments, thresholds: Sequence[int]) -> CellMoments:
+    # The moments of the binary cuts at `thresholds` on a grid of N slots,
+    # the last cell axis of `moments`: a (cut, ..., 2, arm) table whose
+    # slots pool the grid's slots [0, i0) and [i0, N).
+    n, k = moments.counts.shape[-2], len(thresholds)
+    lo = np.array([0] * k + list(thresholds))
+    hi = np.array(list(thresholds) + [n] * k)
+    pooled = pool_moments(CellMoments(counts=np.moveaxis(moments.counts, -2, 0),
+                                      sums=np.moveaxis(moments.sums, -3, 0),
+                                      m2=np.moveaxis(moments.m2, -3, 0)), lo, hi)
+
+    def by_cut(a: np.ndarray, slot_axis: int) -> np.ndarray:
+        return np.moveaxis(a.reshape(2, k, *a.shape[1:]), 0, slot_axis)
+
+    return CellMoments(counts=by_cut(pooled.counts, -2), sums=by_cut(pooled.sums, -3),
+                       m2=by_cut(pooled.m2, -3))
+
+
+def cut_effects(ds: ExperimentDataset, cuts: Sequence[CutSpec | None],
+                rows: np.ndarray | None = None,
+                days: tuple[np.ndarray, int, np.ndarray, np.ndarray] | None = None
+                ) -> list[tuple[list[int], SlotEffects]]:
+    """The slot effects of every cut in `cuts` (None for the whole
+    population) over `rows` of `ds` (a mask or index array), or, with
+    `days` = (day, n_days, lo, hi), on the users of each day range [lo[i],
+    hi[i]) as `evaluate_policy_days` describes.
+
+    Returns groups of positions in `cuts`, each with one SlotEffects whose
+    leading axis runs over the group's positions (and, with `days`, a range
+    axis next). The binary cuts of one feature and bin count form one group;
+    every other cut forms its own.
+
+    One (slot, arm) `cell_moments` pass per feature and bin count, on its
+    N-bin grid, serves every cut on that grid during the call. An individual
+    cut reads the pass as it is, and the whole population gets its own
+    single-slot pass. A binary cut at threshold i0 puts in its upper slot
+    the users whose N-bin code is at least i0 (the codes `cut_slot_codes`
+    gives it, ties included), so its two slots pool the grid's slots [0, i0)
+    and [i0, N) with `pool_moments`: counts are exact, and means and
+    standard errors agree with a pass over the cut's own codes to rounding.
+    With `days`, day ranges are pooled before slots, so a one-day range
+    equals `rows` set to that day's users exactly.
+    """
+    control = ds.actions.index(ds.control_action)
+    passes: dict[CutSpec | None, CellMoments] = {}
+
+    def grid_moments(grid: CutSpec | None) -> CellMoments:
+        if grid not in passes:
+            n_slots = grid.slot_count if grid is not None else 1
+            if days is None:
+                passes[grid] = cell_moments(ds, cut_slot_codes(ds, grid), (n_slots,),
+                                            rows)
+            else:
+                # No per-user array outlives its use in the sum.
+                day, n_days, lo, hi = days
+                codes = day * n_slots
+                codes += cut_slot_codes(ds, grid)
+                passes[grid] = pool_moments(
+                    cell_moments(ds, codes, (n_days, n_slots)), lo, hi)
+        return passes[grid]
+
+    groups: dict[object, list[int]] = {}
+    for position, cut in enumerate(cuts):
+        key = ((cut.feature, cut.n_bins) if cut is not None and cut.kind == BINARY
+               else position)
+        groups.setdefault(key, []).append(position)
+    out = []
+    for key, positions in groups.items():
+        cut = cuts[positions[0]]
+        if isinstance(key, tuple):
+            fine = grid_moments(CutSpec(cut.feature, INDIVIDUAL, cut.n_bins))
+            moments = _pool_slots(fine, [cuts[p].threshold_index for p in positions])
+        else:
+            fine = grid_moments(cut)
+            moments = CellMoments(counts=fine.counts[None], sums=fine.sums[None],
+                                  m2=fine.m2[None])
+        out.append((positions, effects_from_moments(moments, control)))
+    return out
+
+
+def _take(effects: SlotEffects, index) -> SlotEffects:
+    # The tables at `index` of the leading axis.
+    return SlotEffects(counts=effects.counts[index], mean=effects.mean[index],
+                       std_err=effects.std_err[index],
+                       supported=effects.supported[index])
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,12 +269,7 @@ def _compose(ds: ExperimentDataset, effects: SlotEffects,
     sizes = effects.counts.sum(axis=-1)
     weights = sizes / np.maximum(sizes.sum(axis=-1, keepdims=True), 1)
     terms = weights[..., None, None] * effects.mean
-    weighted = weights[..., None, None] * effects.std_err
-    # Squared with libm pow (Python's float `**`), not numpy's x * x, which
-    # rounds differently on about 0.1% of inputs: written std_err columns
-    # stay byte-identical to those of earlier versions.
-    squares = np.array([x ** 2 for x in weighted.ravel().tolist()]
-                       ).reshape(weighted.shape)
+    squares = np.square(weights[..., None, None] * effects.std_err)
     # The control arm's column and every empty slot hold zero effect and
     # zero error, and sums run in slot order.
     mean = np.zeros((*sizes.shape[:-1], len(arms), len(ds.metrics)))
@@ -256,8 +335,8 @@ def evaluate_policies(ds: ExperimentDataset, policies: Sequence[PolicyCandidate]
     """Fill per-metric estimates for each policy (returns new candidates, in
     input order).
 
-    Each cut's slot-effect table comes from one `slot_effects` pass, and
-    every policy on the cut is composed from that table.
+    The cuts' slot-effect tables come from one `cut_effects` call, and
+    every policy on a cut is composed from its cut's table.
     Control-assigned slots contribute zero lift by definition; empty slots
     carry zero weight. A non-empty slot whose assigned action lacks treated
     or control users makes the policy unsupported: the first unsupported
@@ -267,12 +346,15 @@ def evaluate_policies(ds: ExperimentDataset, policies: Sequence[PolicyCandidate]
     by_cut: dict[CutSpec | None, list[int]] = {}
     for index, policy in enumerate(policies):
         by_cut.setdefault(policy.cut, []).append(index)
+    cuts = list(by_cut)
     results: list = [None] * len(policies)
-    for cut, indices in by_cut.items():
-        composed = _estimates(ds, _cut_effects(ds, cut),
-                              [policies[i] for i in indices])
-        for index, result in zip(indices, composed):
-            results[index] = result
+    for positions, effects in cut_effects(ds, cuts):
+        for j, position in enumerate(positions):
+            indices = by_cut[cuts[position]]
+            composed = _estimates(ds, _take(effects, j),
+                                  [policies[i] for i in indices])
+            for index, result in zip(indices, composed):
+                results[index] = result
     return [_evaluated(policy, result) for policy, result in zip(policies, results)]
 
 
@@ -285,7 +367,8 @@ def evaluate_policy_pinned(ds: ExperimentDataset, policy: PolicyCandidate,
     temporal slice or a backtest day is evaluated against the cohorts of
     the window it belongs to rather than re-deriving its own quantiles.
     """
-    [result] = _estimates(ds, _cut_effects(ds, policy.cut, rows), [policy])
+    [(_, effects)] = cut_effects(ds, [policy.cut], rows)
+    [result] = _estimates(ds, effects, [policy])
     return _evaluated(policy, result)
 
 
@@ -296,19 +379,15 @@ def evaluate_policy_days(ds: ExperimentDataset, policy: PolicyCandidate,
     hi[i]), with cohort bounds fixed from all of `ds`; `day` holds every
     user's day code in range(n_days).
 
-    One moment pass over (day, slot, arm) cells serves every range, and
-    every range is composed at once. A one-day range reads that day's cells
-    and equals `evaluate_policy_pinned` on the day's rows exactly; a longer
-    range pools its days' moments (`pool_moments`) and agrees with it to
-    rounding. A range without arm support yields the EstimationError that
-    `evaluate_policy_pinned` would raise. No candidate object is built per
-    range.
+    One moment pass over (day, slot, arm) cells serves every range
+    (`cut_effects`), and every range is composed at once. A one-day range
+    reads that day's cells and equals `evaluate_policy_pinned` on the day's
+    rows exactly; a longer range pools its days' moments (`pool_moments`)
+    and agrees with it to rounding. A range without arm support yields the
+    EstimationError that `evaluate_policy_pinned` would raise. No candidate
+    object is built per range.
     """
-    n_slots = policy.cut.slot_count if policy.cut is not None else 1
-    codes = day * n_slots + cut_slot_codes(ds, policy.cut)
-    moments = cell_moments(ds, codes, (n_days, n_slots))
-    effects = effects_from_moments(pool_moments(moments, lo, hi),
-                                   ds.actions.index(ds.control_action))
+    [(_, effects)] = cut_effects(ds, [policy.cut], days=(day, n_days, lo, hi))
     return _estimates(ds, effects, [policy])
 
 
@@ -319,28 +398,39 @@ def build_policy_table(ds: ExperimentDataset, cuts: Sequence[CutSpec],
     `evaluate_policies` would fill, as one columnar table; a policy without
     arm support in some non-empty slot is left out.
 
-    Each cut's arm-code matrix is composed from its slot-effect table
-    without building a candidate object per policy.
+    The slot effects come from one `cut_effects` call. The arm-code
+    matrices of a group of cuts that share one are composed in one
+    `_compose` call (the binary cuts of a feature, when each gets the full
+    action cross-product), without building a candidate object per policy.
     """
     control_index = ds.actions.index(ds.control_action)
+    assigned = _cut_assignments(cuts, len(ds.actions), budget, control_index, seed)
+    listed = [cut for cut, _ in assigned]
     ids: list[str] = []
     features: list[str] = []
     cut_names: list[str] = []
     actions: list[str] = []
     means, errors = [], []
-    for cut, arms in _cut_assignments(cuts, len(ds.actions), budget,
-                                      control_index, seed):
-        composed = _compose(ds, _cut_effects(ds, cut), arms)
-        kept = composed.unsupported < 0
-        means.append(composed.mean[kept])
-        errors.append(composed.std_err[kept])
-        assignments = [tuple(ds.actions[i] for i in row)
-                       for row in arms[kept].tolist()]
-        ids += [make_policy_id(cut, a) for a in assignments]
-        actions += ["-".join(a) for a in assignments]
-        features += [cut.feature if cut is not None else ""] * len(assignments)
-        cut_names += [cut.short_descriptor if cut is not None else "global"
-                      ] * len(assignments)
+    for positions, effects in cut_effects(ds, listed):
+        sharing: dict[bytes, list[int]] = {}
+        for j, position in enumerate(positions):
+            sharing.setdefault(assigned[position][1].tobytes(), []).append(j)
+        for group in sharing.values():
+            arms = assigned[positions[group[0]]][1]
+            composed = _compose(ds, _take(effects, group), arms)
+            kept = composed.unsupported < 0
+            means.append(composed.mean[kept])
+            errors.append(composed.std_err[kept])
+            joined = list(map("-".join, np.array(ds.actions, dtype=object)[arms].tolist()))
+            for j, keep in zip(group, kept):
+                cut = listed[positions[j]]
+                rows = np.flatnonzero(keep).tolist()
+                prefix = f"{cut.describe()}." if cut is not None else "global."
+                ids += [prefix + joined[row] for row in rows]
+                actions += [joined[row] for row in rows]
+                features += [cut.feature if cut is not None else ""] * len(rows)
+                cut_names += [cut.short_descriptor if cut is not None else "global"
+                              ] * len(rows)
     return PolicyTable(ds.metrics, ids, features, cut_names, actions,
                        np.concatenate(means), np.concatenate(errors))
 
@@ -652,5 +742,12 @@ def save_candidates(path: str | Path, candidates: CandidateSet) -> None:
 def load_candidates(path: str | Path) -> CandidateSet:
     """Read a candidates JSON file, whose `provenance` may be left out. A
     missing `policy_ids`, an unknown key or a wrong type raises ConfigError
-    naming the file and the key."""
-    return read_json(path, CandidateSet)
+    naming the file and the key, and provenance for an id that
+    `policy_ids` does not list one naming the file and the id."""
+    candidates = read_json(path, CandidateSet)
+    listed = set(candidates.policy_ids)
+    unlisted = next((pid for pid in candidates.provenance if pid not in listed), None)
+    if unlisted is not None:
+        raise ConfigError(f"{path}: provenance for policy {unlisted!r}, which "
+                          f"policy_ids does not list")
+    return candidates

@@ -118,6 +118,40 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, command, flag,
     assert "Traceback" not in err
 
 
+# Every config file is read with its record type by `ingest.read_json`, so
+# an error names the file as well as the key.
+CONFIG_FILES = [
+    ("synth", "--scenario", {"n_user": 5}, "unknown key 'n_user'"),
+    ("synth", "--benchmark", {"n_experiment": 5}, "unknown key 'n_experiment'"),
+    ("search", "--cuts", {"n_bins": 2}, "missing required key 'features'"),
+    ("search", "--scenario", {"n_user": 5}, "unknown key 'n_user'"),
+    ("govern", "--thresholds", {"binary": 1.5},
+     "threshold 'binary' must be in [0, 1], got 1.5"),
+    ("pipeline", "--config", {"top_kk": 5}, "unknown key 'top_kk'"),
+]
+
+
+@pytest.mark.parametrize("command,flag,contents,message", CONFIG_FILES,
+                         ids=[f"{c}{f}" for c, f, *_ in CONFIG_FILES])
+def test_config_error_names_its_file(tmp_path, capsys, command, flag, contents,
+                                     message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(contents))
+    argv = [command, flag, str(path), "--out", str(tmp_path / "out")]
+    if flag == "--cuts":
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(SMALL_SCENARIO))
+        argv += ["--scenario", str(scenario)]
+    if command == "govern":
+        snapshots = tmp_path / "snapshots.csv"
+        snapshots.write_text("user_id,feature_id,value,snapshot\n" + "".join(
+            f"u{i},f1,{i},{label}\n" for i in range(8) for label in ("t0", "t1")))
+        argv += ["--snapshots", str(snapshots)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["report", "--run", "r", "--seed", "5"],
     ["eval", "--rankings", "r", "--ground-truth", "g", "--instructions", "i"],
@@ -297,7 +331,9 @@ def test_govern_thresholds_file_is_checked(tmp_path, capsys, thresholds, code,
     assert main(["govern", "--snapshots", str(snapshots), "--thresholds",
                  str(path), "--out", str(out)]) == code
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    # The error names the thresholds file before its message.
+    assert message.replace("ConfigError: ", f"ConfigError: {path}: ") in err
+    assert "Traceback" not in err
     if code == 0:
         # An absent key takes its default.
         [verdict] = json.loads((out / "stability_verdicts.json").read_text())["verdicts"]
@@ -520,7 +556,10 @@ def test_filter_rejects_an_unknown_candidate(tmp_path, capsys):
     ({"policy_ids": "x"}, "policy_ids: expected a list, got 'x'"),
     ({"policy_ids": ["x"], "provenance": {"x": [[0]]}},
      "provenance.x[0]: expected a list of 2, got [0]"),
-], ids=["other_key", "no_ids", "ids_not_a_list", "short_provenance_pair"])
+    ({"policy_ids": ["a"], "provenance": {"b": [[0, 1]]}},
+     "provenance for policy 'b', which policy_ids does not list"),
+], ids=["other_key", "no_ids", "ids_not_a_list", "short_provenance_pair",
+        "unlisted_provenance"])
 def test_filter_bad_candidates_file_exits_one_naming_file_and_key(
         tmp_path, capsys, payload, message):
     scenario = tmp_path / "scenario.json"

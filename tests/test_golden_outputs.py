@@ -57,13 +57,13 @@ EXPECTED = {
         'frontier.json':
             '36918a5067d22f9a7582b4d23e6938e4fc513cb862e90e2ae27936453d12a21c',
         'frontier_coords.csv':
-            'f619574205dcaef9b713d9953ab5eaaa260e49567557d98f3bd3125d159c67c9',
+            '5e34fc083ca8ab39714aebf2814461992e684aaf7af47f758a6c58fa48f1e6d1',
         'hook_reports.jsonl':
             '2853a955fcf1cc8bffbd3494f7521dc50850accfdeb607802a382309610b885f',
         'manifest.json':
             'd744281b196ae204cb23c177d7230713feb7bb11c6095b6b73825044e033a0fc',
         'policy_table.csv':
-            'ce9522f4eb4c522009dc76c8d5afed22c85dad3c1d93fdef20310b8af39ac2a9',
+            '1a6a546e2f13eb477212b2f088819a7eb7e76f1a262d6df78384de9f229fb6f0',
         'recommendation.json':
             '3d9a9eb37bbce3da506ddbe83f7400e0e04b382e0c1b5ae0b7a90df039f81039',
     }),
@@ -77,47 +77,47 @@ EXPECTED = {
     }),
     'recommended_first': (0, {
         'backtest.csv':
-            '544da3d98f3a0b0c56f584274342ac220218d36e4a61eaa0702aac723f4f4368',
+            'f1c53c92a9d21d015c486ecb0047e0267bd8e43479d662e1c43b159cb083c707',
         'frontier.json':
             '1ee790bd2af014c18646ff9c09a8139ef7bdcf4f0d2694819bab82e33deeef5d',
         'frontier_coords.csv':
-            'd5b8ebd000af0f7a535857c55c5d0e9950161851ca791fad50554886185d92b3',
+            '3615654cb2c5fbc0583349e47155c1eca675c4394ba155a54629ae5454cfd4e0',
         'hook_reports.jsonl':
             'c5bb8709ca3d54b274d4f8449960f87f1b17f15c1c307ff2f070d4a3ee86c45c',
         'manifest.json':
             '2f18179bd1cc6586e687b744ada346b770408b01af485a133e6b9c90f76d4100',
         'policy_table.csv':
-            'b3a9c8cc342105678f94a4f6d514c5ef918e9035eab03786bdb5c4e212adac77',
+            '7b774b5e1a38412909ce90dec904aea4ed0d006b62cb11e49fe1abe8ab3ff694',
         'recommendation.json':
-            '2b17fdf0effb89483f9051acef1d4f5cca5ee6065e4ac7a2815e2537430649ef',
+            'f3a5688550aceea2ee224a16aa8212fcf7a61460172a4d67cfce1cab5e8386a2',
     }),
     'recommended_fourth': (0, {
         'backtest.csv':
-            '0206d7fda7fb1dcd6d9a570f9137d43d37d7d8e2a2bbc848ace6c8f6a505ea58',
+            '0901d80fbfd4e213e1d521771a3a5384b7a30857d6447d90da6f66845da151c1',
         'frontier.json':
             '40bcdb510c8a4e2be728a2f4a33cdb6140ea040bdc4c7ae85c3aa49372f22cfa',
         'frontier_coords.csv':
-            '574679fc72d1c78d525e5e031d5f63cb586b0a8b74df319a75ff30f3a90d0f8b',
+            '62423d4584df386fb22c2ba6f3ad7de903fc794810fe75b43e0b60b2a64b9f91',
         'hook_reports.jsonl':
             '1ecf35e1606f68bec724933be352c3315971e081aea48667c33edce219f7e5f5',
         'manifest.json':
             '42b55ece55049deeeaba53d8e93cee1e12b54379df688f5e69388ff1cc12690c',
         'policy_table.csv':
-            '505ae2d95eae838e97c3b528904265f670886eadd0bb4f1b41cda9a10e2c1b80',
+            'ad0bca3d7c85da1b09afd937807989223bce8745bc2e4d1b41e492faebeaabd4',
         'recommendation.json':
-            '69d368fc97fa9fd4ff4f4ba276bf9ccae65771d0df96b7b10058b0282f7db1b3',
+            'ce673e636955ee13c3b168f18b22c5bd80f5406ef8f5730f58e9561059a9cfee',
     }),
     'refinements_exhausted': (2, {
         'frontier.json':
             '9b07279ba545cb9fcf0262e29309881bb55e04c4f82bb0292d282564557f7731',
         'frontier_coords.csv':
-            'f8b5cef548317c336234d6b9ee82ce48270e246e13508fe989d1695f5982e253',
+            'f513f48dea53d324bcc716b06bb9b0e8afdee54c261d408d6ba9a665aaf95129',
         'hook_reports.jsonl':
             '2cd71b0f7236a85a9e772d4df39aac69ee8115469434255b671c20ddfb6f8029',
         'manifest.json':
             'ed5213f3182866a58ee6db456fd2efeb9f8992129bea72fe8974eab98e1d7a5c',
         'policy_table.csv':
-            'c637cc02f5541e92c2095cd122192576bc823c40d0abfb53b3661a6203f77085',
+            '3aabf36ccfb63285f8b03b893fa5f283f50f4d3928f7f66c7009e992d668cf57',
         'recommendation.json':
             'b17a53f0b2451e61c7e6150ace8572191ad3494d28a311ca001f8eaa959a11ac',
     }),
@@ -125,19 +125,19 @@ EXPECTED = {
         'candidates.json':
             '8528f4096781b64be88b8be24e4a89a74596d9f022cfdceb35ec787dda9860e7',
         'policy_table.csv':
-            'e2af21a2b77c655d6745c9bffbc3d6851acb402b53b74e16fc584e9fa654a278',
+            'db3c0e04ff00a29fe8bc34cc35ec80daec9406163e41f628cdd5eb7e19cf7d9f',
     },
     'filter_candidates': {
         'frontier.json':
             '3db60b16b881f621b3a6303e09c191ed85a38c84abeed2330a0b00ac5a27d256',
         'frontier_coords.csv':
-            'd3fdb4187affbe0a5aa3dff87e485459be15cd7f1389653aab70891654dc98ff',
+            '7e8c03a112e3b5bf40ed587e136f26c0db691d79cdee5e763587fc62cb53671e',
     },
     'filter_all': {
         'frontier.json':
             '2205defc2b55747828d0be4cce93c24b80c54fc4a9ea3efc5814defdf7c1e9da',
         'frontier_coords.csv':
-            'cb1aa39c07f2769377ad87d61fa01056049d920859c41ffeecd940006eca70f2',
+            '882bc8c6b6a92e31e8c8a249c8e79c88856424b943acb78d1dd5cb6de8afbcd7',
     },
     'synth_scenario': {
         'dataset.csv':
@@ -181,9 +181,9 @@ EXPECTED = {
         'instructions.jsonl':
             '9438d11d076323f7499e74d6917441f0258f76e9b078d80f2b6a479c92d65126',
         'policy_tables/exp000.csv':
-            '95a836f4d8cf5880134f7885a5fe0b09d4ee22369956bcf06174e52f4c0fa4eb',
+            'db99a914c5133b97b684808af47ffa7386cf1b9e7f1fe8b429b2160e22e8ea8d',
         'policy_tables/exp001.csv':
-            '0dc2ae9d577dbf547d030859f1a51535d2432f3a578162ba573535e8bb7ad0f8',
+            'a912da7898b53bb29f3124b2ffd821864a10d3ebab07a4491800b51696518989',
     },
     'eval': {
         'report.csv':

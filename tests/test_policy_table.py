@@ -19,17 +19,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cohortpolicy import ingest, search
 from cohortpolicy.errors import EstimationError, RowIngestError
 from cohortpolicy.evaluation import (KINDS, SINGLE_METRIC, InstructionSpec,
                                      ground_truth_oracle)
-from cohortpolicy.experiment import ExperimentDataset, MetricEstimate
+from cohortpolicy.experiment import (ExperimentDataset, MetricEstimate,
+                                     cell_moments, effects_from_moments)
 from cohortpolicy.frontier import weak_pareto_mask_2d
+from cohortpolicy.ingest import write_csv
 from cohortpolicy.search import (FORMAT_VERSION, PolicyCandidate, PolicyTable,
                                  _sample_assignments, build_policy_table,
-                                 enumerate_policies, evaluate_policy_pinned,
-                                 load_policy_table, make_policy_id,
-                                 save_policy_table)
-from cohortpolicy.segmentation import CutSpec
+                                 cut_effects, enumerate_policies,
+                                 evaluate_policy_pinned, load_policy_table,
+                                 make_policy_id, save_policy_table)
+from cohortpolicy.segmentation import CutSpec, cut_slot_codes, enumerate_cuts
 
 from conftest import build_dataset, table_of
 
@@ -209,6 +212,68 @@ def test_writer_matches_csv_writer(tmp_path_factory, case):
     assert (folder / "table.csv").read_bytes() == (folder / "want.csv").read_bytes()
 
 
+def reference_write_csv(path, header, columns):
+    """The csv.writer body that `write_csv` replaced."""
+    def is_text(column):
+        return len(column) > 0 and isinstance(column[0], str)
+
+    def unreadable(row):
+        bare = [isinstance(cell, str) and not any(c in cell for c in ',"\n')
+                for cell in row]
+        return (bare[0] and row[0].startswith("#")) or any(
+            is_bare and "\r" in cell for is_bare, cell in zip(bare, row))
+
+    first = [header[0], *columns[0]] if is_text(columns[0]) else header[:1]
+    suspect = "\n#" in "\n" + "\n".join(first) or any(
+        "\r" in "".join(column) for column in (header, *filter(is_text, columns)))
+    rows = zip(*columns)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# format_version: {FORMAT_VERSION}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        if not suspect:
+            writer.writerow(header)
+            writer.writerows(rows)
+            return
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+        for row in [header, *rows]:
+            (quoted if unreadable(row) else writer).writerow(row)
+
+
+TEXT = st.text(st.sampled_from(['a', ',', '"', '\n', '\r', ' ', '#', 'é']), max_size=4)
+FLOAT = st.floats() | st.sampled_from([0.0, -0.0, 1e-300, 0.1])
+INT = st.integers(-10 ** 20, 10 ** 20)
+COLUMN_CELLS = {"text": TEXT, "float": FLOAT, "int": INT, "mixed": FLOAT | INT}
+
+
+@st.composite
+def csv_files(draw):
+    n_rows = draw(st.integers(0, 7))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS)), min_size=1,
+                          max_size=4))
+    header = draw(st.lists(TEXT, min_size=len(kinds), max_size=len(kinds)))
+    columns = [draw(st.lists(COLUMN_CELLS[kind], min_size=n_rows, max_size=n_rows))
+               for kind in kinds]
+    return header, columns, draw(st.sampled_from([1, 2, 3, 4096]))
+
+
+# Int, float, mixed and text columns, and names holding '\r' or a leading
+# '#', each written in blocks of a few rows as well as in one.
+@settings(max_examples=300, deadline=None)
+@given(csv_files())
+@example((["#a", "b\rc", "n"], [["#x", "y\r", ""], [0.5, -0.0, 1], [1, 2, 3]], 2))
+@example(([""], [["", "a", ""]], 4096))
+def test_write_csv_matches_csv_writer(tmp_path_factory, case):
+    header, columns, block_rows = case
+    folder = tmp_path_factory.mktemp("write_csv")
+    reference_write_csv(folder / "want.csv", header, columns)
+    default, ingest._WRITE_ROWS = ingest._WRITE_ROWS, block_rows
+    try:
+        write_csv(folder / "got.csv", header, columns)
+    finally:
+        ingest._WRITE_ROWS = default
+    assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
+
+
 # Names hold '#' and a lone '\r' too: an id starting with '#' and a cell
 # whose only special character is '\r' are quoted by the writer, and a line
 # starting with '#' inside a quoted cell is not a comment to the reader.
@@ -343,6 +408,105 @@ def test_table_composer_is_bit_equal_to_pinned_evaluation(case):
     # A cut listed twice repeats its ids; the table holds each id once.
     assert table.ids == sorted({p.policy_id for p in supported})
     assert table == table_of(supported, ds.metrics)
+
+
+# -- one moments pass per feature -------------------------------------------------
+
+
+def direct_effects(ds, cut):
+    """The reference: one `cell_moments` pass over the cut's own slot codes."""
+    n_slots = cut.slot_count if cut is not None else 1
+    return effects_from_moments(cell_moments(ds, cut_slot_codes(ds, cut), (n_slots,)),
+                                ds.actions.index(ds.control_action))
+
+
+@st.composite
+def listed_cuts(draw):
+    ds, _, _, _ = draw(small_datasets())
+    cut = st.builds(lambda feature, n_bins, i0, binary: (
+        CutSpec(feature, "binary", n_bins, min(i0, n_bins - 1)) if binary
+        else CutSpec(feature, "individual", n_bins)),
+        st.sampled_from(["f1", "f2"]), st.integers(2, 6), st.integers(1, 5),
+        st.booleans())
+    cuts = draw(st.lists(cut | st.none(), min_size=1, max_size=8))
+    # Some cuts listed twice.
+    return ds, cuts + draw(st.lists(st.sampled_from(cuts), max_size=2))
+
+
+# Pooled binary-cut means and standard errors agree with the direct pass to
+# this bound, relative to the larger of the value and the largest outcome
+# magnitude (a lift or error of about zero is compared at the outcome scale).
+# The worst seen over 3000 examples is 3.0e-16.
+POOLED_REL = 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(listed_cuts())
+def test_pooled_binary_cut_effects_match_a_direct_pass(case):
+    # Small integer features tie and empty slots, small samples give
+    # single-user cells, and some cuts are listed twice.
+    ds, cuts = case
+    scale = max(float(np.abs(ds.outcome_matrix).max(initial=0.0)), 1e-300)
+    seen = []
+    for positions, effects in cut_effects(ds, cuts):
+        grids = {(cuts[p].feature, cuts[p].n_bins) if cuts[p] is not None else None
+                 for p in positions}
+        assert len(positions) == 1 or (
+            len(grids) == 1 and all(cuts[p].kind == "binary" for p in positions))
+        assert effects.counts.shape[0] == len(positions)
+        for j, position in enumerate(positions):
+            seen.append(position)
+            cut = cuts[position]
+            want = direct_effects(ds, cut)
+            assert effects.counts[j].tolist() == want.counts.tolist()
+            assert effects.supported[j].tolist() == want.supported.tolist()
+            for got, expected in ((effects.mean[j], want.mean),
+                                  (effects.std_err[j], want.std_err)):
+                if cut is None or cut.kind == "individual":
+                    assert bits(got.ravel().tolist()) == bits(expected.ravel().tolist())
+                else:
+                    bound = POOLED_REL * np.maximum(np.abs(expected), scale)
+                    assert (np.abs(got - expected) <= bound).all()
+    assert sorted(seen) == list(range(len(cuts)))
+
+
+def test_one_moments_pass_per_feature_grid(monkeypatch):
+    # Two features' individual and binary cuts at 4 bins, plus f1's binary
+    # cuts at 3 bins: three grids, three passes.
+    passes = []
+
+    def counted(*args, **kwargs):
+        passes.append(args[2])
+        return cell_moments(*args, **kwargs)
+
+    rng = np.random.default_rng(3)
+    ds = ExperimentDataset(experiment_id="e", user_ids=[f"u{i}" for i in range(60)],
+                           arm_codes=rng.integers(0, 3, 60),
+                           feature_matrix=rng.integers(0, 9, (2, 60)),
+                           outcome_matrix=rng.normal(size=(1, 60)),
+                           actions=("c", "t1", "t2"), control_action="c",
+                           metrics=("m1",), features=("f1", "f2"))
+    cuts = [*enumerate_cuts(ds, {"features": ["f1", "f2"], "n_bins": 4}),
+            CutSpec("f1", "binary", 3, 1), CutSpec("f1", "binary", 3, 2)]
+    monkeypatch.setattr(search, "cell_moments", counted)
+    groups = cut_effects(ds, cuts)
+    assert passes == [(4,), (4,), (3,)]
+    assert [positions for positions, _ in groups] == [[0], [1, 2, 3], [4], [5, 6, 7],
+                                                      [8, 9]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3).map(float) | st.sampled_from([0.0, -0.0])
+                | st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40),
+       st.integers(2, 9))
+def test_binary_codes_are_the_fine_codes_from_the_threshold_up(values, n_bins):
+    # Ties included: the users of a binary cut's upper slot are those whose
+    # N-bin code is at least its threshold index.
+    ds = build_dataset(values, ["c"] * len(values), [0.0] * len(values), control="c")
+    fine = cut_slot_codes(ds, CutSpec("f1", "individual", n_bins))
+    for i0 in range(1, n_bins):
+        binary = cut_slot_codes(ds, CutSpec("f1", "binary", n_bins, i0))
+        assert (fine >= i0).astype(binary.dtype).tolist() == binary.tolist()
 
 
 # -- oracle -----------------------------------------------------------------------
