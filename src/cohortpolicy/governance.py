@@ -106,7 +106,7 @@ class FeatureSnapshotPair:
     def t0_quartiles(self) -> list[float]:
         """The nearest-rank p25, p50, p75 and maximum of t0, which both cut
         bases of `shift_ratio` read; the n sorted values are not kept, as
-        the pair outlives the stability filter."""
+        these four are all that either basis needs."""
         return sorted_boundaries(sort_values(self.t0), QUARTILES)
 
 
@@ -538,29 +538,58 @@ def _raise_first_bad_row(path: str | Path) -> None:
                                       f"of {SNAPSHOT_LABELS}")
 
 
-def _snapshot_columns(path: str | Path
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    # Per data row: user id, group (2 * feature code + snapshot code) and
-    # value, with feature names in order of first appearance. Raises
-    # ValueError on a short row, an unparsable value or a bad label.
-    feature_codes: dict[str, int] = {}
-    users, groups, values = ([np.empty(0, dtype=str)], [np.empty(0, dtype=np.int64)],
-                             [np.empty(0)])
+def _snapshot_blocks(path: str | Path
+                     ) -> tuple[dict[str, tuple[list, list, list, list]],
+                                tuple[int, float] | None]:
+    # Per feature, in order of first appearance: its t0 user and value
+    # arrays and its t1 user and value arrays, one of each per block that
+    # holds such rows. Also the first non-finite value's 1-based data row
+    # and value, or None. Raises ValueError on a short row, an unparsable
+    # value or a bad label.
+    features: dict[str, tuple[list, list, list, list]] = {}
+    non_finite, rows = None, 0
     for block in csv_blocks(path, SNAPSHOT_COLUMNS):
         user, feature, raw, label = block.T
         is_t1 = label == "t1"
         if not (is_t1 | (label == "t0")).all():
             raise ValueError("snapshot label is not one of t0, t1")
-        values.append(raw.astype(float))  # float() per cell
-        users.append(user.astype(str))
+        values = raw.astype(float)  # float() per cell
+        if non_finite is None and not np.isfinite(values).all():
+            row = int(np.flatnonzero(~np.isfinite(values))[0])
+            non_finite = (rows + row + 1, float(values[row]))
+        rows += len(block)
+        users = user.astype(str)
         names, first, inverse = np.unique(feature.astype(str), return_index=True,
                                           return_inverse=True)
         for name in names[np.argsort(first)].tolist():
-            feature_codes.setdefault(name, len(feature_codes))
-        codes = np.array([feature_codes[name] for name in names.tolist()])
-        groups.append(2 * codes[inverse] + is_t1)
-    return (np.concatenate(users), np.concatenate(groups),
-            np.concatenate(values), list(feature_codes))
+            features.setdefault(name, ([], [], [], []))
+        # Rows of one (feature, label) group, each group in file order.
+        group = 2 * inverse + is_t1
+        order = np.argsort(group, kind="stable")
+        for part in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+            code, t1 = divmod(int(group[part[0]]), 2)
+            lists = features[str(names[code])]
+            lists[2 * t1].append(users[part])
+            lists[2 * t1 + 1].append(values[part])
+    return features, non_finite
+
+
+def _by_user(feature: str, label: str, users: list[np.ndarray],
+             values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    # One (feature, label) group's users in id order with their values. The
+    # blocks are emptied once joined, so each row is held once.
+    ids = np.concatenate([np.empty(0, dtype=str), *users])
+    value = np.concatenate([np.empty(0), *values])
+    users.clear()
+    values.clear()
+    if not (ids[1:] > ids[:-1]).all():
+        order = np.argsort(ids, kind="stable")
+        ids, value = ids[order], value[order]
+        repeated = np.flatnonzero(ids[1:] == ids[:-1])
+        if repeated.size:
+            raise IntegrityError(f"user {str(ids[repeated[0]])!r} has more than "
+                                 f"one {label} value for feature {feature!r}")
+    return ids, value
 
 
 def load_snapshots(path: str | Path) -> dict[str, FeatureSnapshotPair]:
@@ -568,7 +597,12 @@ def load_snapshots(path: str | Path) -> dict[str, FeatureSnapshotPair]:
     into per-feature snapshot pairs, in order of first appearance.
 
     The file streams through `ingest.csv_blocks`, so it follows that
-    reader's dialect; values parse with Python's float(). Each pair keeps
+    reader's dialect; values parse with Python's float(). Each block's rows
+    are split by (feature, label) as they arrive, and each feature is then
+    paired on its own: a group's users are sorted only when they are not
+    already in strictly increasing id order, and t0 and t1 are matched
+    directly when they hold the same users. So the file's columns are held
+    once, and a sorted, aligned file is never re-sorted. Each pair keeps
     the users present in both snapshots of its feature; users present in
     only one are dropped. A header without one of the four columns raises
     SchemaError. A short row, a non-numeric value or a label other than
@@ -577,43 +611,25 @@ def load_snapshots(path: str | Path) -> dict[str, FeatureSnapshotPair]:
     raises IntegrityError.
     """
     try:
-        users, groups, values, features = _snapshot_columns(path)
+        features, non_finite = _snapshot_blocks(path)
     except ValueError as exc:
         _raise_first_bad_row(path)
         raise IntegrityError(f"{path}: a block failed to parse ({exc}) but "
                              f"no row did") from exc
-    if not values.size:
-        return {}
-    non_finite = np.flatnonzero(~np.isfinite(values))
-    if non_finite.size:
-        row = int(non_finite[0])
-        raise RowIngestError(row + 1, f"non-finite value {float(values[row])}")
-
-    ids, rank = np.unique(users, return_inverse=True)
-    # Sorting on (group, user rank) puts each group's rows together in
-    # user-id order, with repeats adjacent.
-    key = groups * ids.size + rank
-    order = np.argsort(key)
-    key = key[order]
-    repeated = np.flatnonzero(key[1:] == key[:-1])
-    if repeated.size:
-        group, user = divmod(int(key[repeated[0]]), ids.size)
-        raise IntegrityError(
-            f"user {str(ids[user])!r} has more than one "
-            f"{SNAPSHOT_LABELS[group % 2]} value for feature "
-            f"{features[group // 2]!r}")
-    group, user_rank = np.divmod(key, ids.size)
-    value = values[order]
-    bounds = np.searchsorted(group, np.arange(2 * len(features) + 1))
+    if non_finite is not None:
+        row, value = non_finite
+        raise RowIngestError(row, f"non-finite value {value}")
     pairs: dict[str, FeatureSnapshotPair] = {}
-    for code, feature in enumerate(features):
-        t0 = slice(bounds[2 * code], bounds[2 * code + 1])
-        t1 = slice(bounds[2 * code + 1], bounds[2 * code + 2])
-        common, i0, i1 = np.intersect1d(user_rank[t0], user_rank[t1],
-                                        assume_unique=True, return_indices=True)
-        pairs[feature] = FeatureSnapshotPair(
-            feature=feature, user_ids=ids[common],
-            t0=value[t0][i0], t1=value[t1][i1])
+    for feature in list(features):
+        t0_users, t0_values, t1_users, t1_values = features.pop(feature)
+        ids, t0 = _by_user(feature, "t0", t0_users, t0_values)
+        t1_ids, t1 = _by_user(feature, "t1", t1_users, t1_values)
+        if not np.array_equal(ids, t1_ids):
+            ids, i0, i1 = np.intersect1d(ids, t1_ids, assume_unique=True,
+                                         return_indices=True)
+            t0, t1 = t0[i0], t1[i1]
+        pairs[feature] = FeatureSnapshotPair(feature=feature, user_ids=ids,
+                                             t0=t0, t1=t1)
     return pairs
 
 

@@ -157,8 +157,9 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
     eligible = config.features or ds.features
     tolerance = ToleranceConfig(tau=config.tau, minimize=config.minimize_metrics)
 
-    pre_report, admitted_features = pre_search_filter(
-        stability_verdicts(eligible, snapshots, config.thresholds))
+    verdicts = stability_verdicts(eligible, snapshots, config.thresholds)
+    del snapshots  # nothing after the stability filter reads the pairs
+    pre_report, admitted_features = pre_search_filter(verdicts)
     if not admitted_features:
         return PipelineResult(status="rejected", recommendation=None,
                               reports=[pre_report], iterations=1, policies=None,

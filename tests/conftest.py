@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,17 @@ def columns_of(ds):
     """Every per-user column of `ds` as plain lists, for equality checks."""
     return (ds.user_ids.tolist(), ds.arm_codes.tolist(), ds.feature_matrix.tolist(),
             ds.outcome_matrix.tolist(), None if ds.days is None else ds.days.tolist())
+
+
+def traced_peak_mb(load) -> float:
+    """The traced peak of Python and numpy allocations, in MB, while
+    `load()` runs."""
+    tracemalloc.start()
+    try:
+        load()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def make_policy(policy_id, means, std_errs=None, metrics=None):

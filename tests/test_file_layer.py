@@ -15,6 +15,8 @@ from cohortpolicy.governance import HookReport
 from cohortpolicy.ingest import (FORMAT_VERSION, VERSION_LINE, csv_blocks, read_json,
                                  read_jsonl, write_csv, write_json, write_jsonl)
 
+from conftest import make_policy, table_of
+
 
 @dataclass
 class Record:
@@ -82,6 +84,22 @@ def test_write_csv_starts_with_the_version_line_and_reads_back(tmp_path):
                                     'd,1e-300,3', '']
     assert [row for block in csv_blocks(path, ["id", "x", "n"]) for row in block.tolist()] == \
         [["#a", "0.5", "1"], ["b\rc", "-0.0", "2"], ["d", "1e-300", "3"]]
+
+
+def test_load_policy_table_drops_a_byte_order_mark(tmp_path):
+    # With the mark, the version line no longer started with '#' and was
+    # read as the header.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    search.save_policy_table(plain, table_of(
+        [make_policy("a", [0.5, -1.0], [0.1, 0.2]), make_policy("b", [1.5, 2.0])],
+        ["m1", "m2"]))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    (got, got_metrics), (want, want_metrics) = (search.load_policy_table(marked),
+                                                search.load_policy_table(plain))
+    assert got_metrics == want_metrics == ["m1", "m2"]
+    assert got.ids == want.ids == ["a", "b"]
+    assert got.mean.tobytes() == want.mean.tobytes()
+    assert got.std_err.tobytes() == want.std_err.tobytes()
 
 
 def test_search_re_exports_the_format_version():

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-import tracemalloc
 from array import array
 from operator import itemgetter
 from pathlib import Path
@@ -33,6 +32,8 @@ from cohortpolicy.governance import (SNAPSHOT_COLUMNS, SNAPSHOT_LABELS,
                                      FeatureSnapshotPair, load_snapshots)
 import cohortpolicy.ingest as ingest_module
 from cohortpolicy.ingest import IngestSchema, ingest
+
+from conftest import traced_peak_mb
 
 
 SCHEMA = IngestSchema(user_id_column="uid", arm_column="group",
@@ -289,6 +290,17 @@ def _assert_same_dataset(got, want):
         assert a.tobytes() == b.tobytes()
 
 
+def _assert_same_pairs(got, want):
+    # The same pair per feature; features come in order of first
+    # appearance, so a shuffled file may list them in another order.
+    assert got.keys() == want.keys()
+    for feature, pair in got.items():
+        other = want[feature]
+        assert pair.user_ids.tolist() == other.user_ids.tolist()
+        assert pair.t0.tobytes() == other.t0.tobytes()
+        assert pair.t1.tobytes() == other.t1.tobytes()
+
+
 _HYPOTHESIS = settings(max_examples=150, deadline=None,
                        suppress_health_check=[HealthCheck.too_slow])
 
@@ -426,6 +438,83 @@ def test_ids_equal_as_numpy_strings_are_repeats(tmp_path):
         load_snapshots(snapshots)
 
 
+def _snapshot_rows(users, feature, label, start):
+    return [f"{user},{feature},{start + k}.5,{label}" for k, user in enumerate(users)]
+
+
+_TEN = [f"u{i}" for i in range(10)]  # in id order
+
+SNAPSHOT_FILES = {
+    # Both snapshots hold the same users in id order: paired without a sort.
+    "aligned": [*_snapshot_rows(_TEN, "f1", "t0", 0),
+                *_snapshot_rows(_TEN, "f1", "t1", 10),
+                *_snapshot_rows(_TEN, "f2", "t0", 20),
+                *_snapshot_rows(_TEN, "f2", "t1", 30)],
+    # Sorted, but u4 has no t1 value, so the users are intersected.
+    "missing_at_t1": [*_snapshot_rows(_TEN, "f1", "t0", 0),
+                      *_snapshot_rows(_TEN[:4] + _TEN[5:], "f1", "t1", 10),
+                      *_snapshot_rows(_TEN, "f2", "t0", 20),
+                      *_snapshot_rows(_TEN, "f2", "t1", 30)],
+    # In numeric order u10 follows u9; in id order it precedes u2.
+    "numeric_order": [*_snapshot_rows([f"u{i}" for i in range(8, 12)], "f1", "t0", 0),
+                      *_snapshot_rows([f"u{i}" for i in range(1, 12)], "f1", "t1", 10)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SNAPSHOT_FILES))
+def test_snapshot_pairs_do_not_depend_on_row_order(tmp_path, name):
+    rows = SNAPSHOT_FILES[name]
+    path, shuffled = tmp_path / "snapshots.csv", tmp_path / "shuffled.csv"
+    header = "user_id,feature_id,value,snapshot"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    order = np.random.default_rng(len(rows)).permutation(len(rows))
+    shuffled.write_text("\n".join([header, *(rows[k] for k in order)]) + "\n")
+    with _small_blocks():
+        pairs = load_snapshots(path)
+        _assert_same_pairs(load_snapshots(shuffled), pairs)
+    want = reference_load_snapshots(path)
+    assert list(pairs) == list(want)
+    _assert_same_pairs(pairs, want)
+    assert all(pair.user_ids.size for pair in pairs.values())
+
+
+def test_repeat_inside_a_sorted_snapshot_is_rejected(tmp_path):
+    # All other neighbours are in increasing order, so only a strict order
+    # check sends this snapshot to the repeat search.
+    rows = _snapshot_rows(["u0", "u1", "u1", "u2"], "f1", "t0", 0) \
+        + _snapshot_rows(["u0", "u1", "u2"], "f1", "t1", 10)
+    header = "user_id,feature_id,value,snapshot"
+    order = np.random.default_rng(3).permutation(len(rows))
+    for text in ([header, *rows], [header, *(rows[k] for k in order)]):
+        path = tmp_path / "snapshots.csv"
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(IntegrityError, match="user 'u1' has more than one t0 "
+                                                 "value for feature 'f1'"):
+            load_snapshots(path)
+
+
+def test_ingest_drops_a_byte_order_mark(tmp_path):
+    # Spreadsheets save CSV as UTF-8 with a byte-order mark, which used to
+    # stick to the first column's name.
+    text = "\n".join([",".join(HEADER), "u1,control,1,2,3,4,x", "u2,t1,5,6,7,8,y"]) + "\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfuid,")
+    _assert_same_dataset(ingest(marked, SCHEMA), ingest(plain, SCHEMA))
+
+
+def test_load_snapshots_drops_a_byte_order_mark(tmp_path):
+    text = "\n".join(["user_id,feature_id,value,snapshot",
+                      *_snapshot_rows(_TEN, "f1", "t0", 0),
+                      *_snapshot_rows(_TEN, "f1", "t1", 10)]) + "\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfuser_id,")
+    _assert_same_pairs(load_snapshots(marked), load_snapshots(plain))
+
+
 def test_block_failure_without_a_bad_row_is_not_an_input_error(tmp_path):
     # Should the row checks ever miss what failed a block, the loader says
     # so rather than pass on the block's own message.
@@ -440,22 +529,16 @@ def test_block_failure_without_a_bad_row_is_not_an_input_error(tmp_path):
 # -- memory -------------------------------------------------------------------
 
 STREAM_ROWS = 50_000
-# Traced peaks in MB, fixed before the block reader existed. At 50 000 rows
-# the per-row loaders peaked at 24.7 MB (ingest) and 7.3 MB (snapshots); a
-# parse that holds the whole file as Python str objects needs well over
-# 20 MB for either file. The bounds leave room for the output columns and
-# their sorts, not for the file.
+# Traced peaks in MB. At 50 000 rows the per-row loaders peaked at 24.7 MB
+# (ingest) and 7.3 MB (snapshots); a parse that holds the whole file as
+# Python str objects needs well over 20 MB for either file. The ingest
+# bound leaves room for the output columns and their sorts, not for the
+# file. The snapshot loader holds each column once, split by (feature,
+# snapshot) as it streams, and sorts one snapshot at a time: 3.0 MB on
+# the feature-ordered file below and 3.2 MB on its row-shuffled copy,
+# where a whole-file sort of every row's id and group peaked at 8.6 MB.
 INGEST_PEAK_MB = 16.0
-SNAPSHOT_PEAK_MB = 12.0
-
-
-def _traced_peak_mb(load) -> float:
-    tracemalloc.start()
-    try:
-        load()
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
+SNAPSHOT_PEAK_MB = 5.0
 
 
 def test_loaders_stream_large_files(tmp_path):
@@ -468,16 +551,50 @@ def test_loaders_stream_large_files(tmp_path):
         for i, uid in enumerate(ids):
             fh.write(f"{uid},{'control' if i % 2 else 't1'},{numbers[0][i]!r},"
                      f"{numbers[1][i]!r},{numbers[2][i]!r},{i % 14},\n")
-    snapshots = tmp_path / "snapshots.csv"
     values = rng.random(STREAM_ROWS).tolist()
     quarter = STREAM_ROWS // 4
-    with open(snapshots, "w", encoding="utf-8") as fh:
-        fh.write("user_id,feature_id,value,snapshot\n")
-        for k in range(STREAM_ROWS):
-            block, i = divmod(k, quarter)
-            fh.write(f"{ids[i]},f{block // 2},{values[k]!r},t{block % 2}\n")
+    rows = []
+    for k in range(STREAM_ROWS):
+        block, i = divmod(k, quarter)
+        rows.append(f"{ids[i]},f{block // 2},{values[k]!r},t{block % 2}\n")
+    snapshots = tmp_path / "snapshots.csv"
+    shuffled = tmp_path / "shuffled.csv"
+    for path, order in ((snapshots, range(STREAM_ROWS)),
+                        (shuffled, rng.permutation(STREAM_ROWS))):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("user_id,feature_id,value,snapshot\n")
+            fh.writelines(rows[k] for k in order)
 
     assert ingest(data, SCHEMA).n_users == STREAM_ROWS
-    assert _traced_peak_mb(lambda: ingest(data, SCHEMA)) < INGEST_PEAK_MB
+    assert traced_peak_mb(lambda: ingest(data, SCHEMA)) < INGEST_PEAK_MB
     assert load_snapshots(snapshots)["f1"].user_ids.size == quarter
-    assert _traced_peak_mb(lambda: load_snapshots(snapshots)) < SNAPSHOT_PEAK_MB
+    assert traced_peak_mb(lambda: load_snapshots(snapshots)) < SNAPSHOT_PEAK_MB
+    _assert_same_pairs(load_snapshots(shuffled), load_snapshots(snapshots))
+    assert traced_peak_mb(lambda: load_snapshots(shuffled)) < SNAPSHOT_PEAK_MB
+
+
+# A snapshot file shaped like a 14 000-user governed run's: 2 features, t0
+# then t1 in id order, 3% of users redrawn at t1. Its 56 000 rows peaked at
+# 7.1 MB when the loader sorted every row's id and group as one array, and
+# at 2.4 MB once each snapshot is held once and paired without a sort.
+DECAY_USERS = 14_000
+DECAY_PEAK_MB = 3.5
+
+
+def test_sorted_snapshot_file_loads_under_its_memory_bound(tmp_path):
+    rng = np.random.default_rng(14)
+    ids = [f"u{i:05d}" for i in range(DECAY_USERS)]
+    path = tmp_path / "snapshots.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("user_id,feature_id,value,snapshot\n")
+        for feature in ("f1", "f2"):
+            t0 = rng.random(DECAY_USERS)
+            t1 = t0.copy()
+            movers = rng.choice(DECAY_USERS, size=420, replace=False)
+            t1[movers] = rng.random(movers.size)
+            for label, values in (("t0", t0), ("t1", t1)):
+                fh.writelines(f"{uid},{feature},{value!r},{label}\n"
+                              for uid, value in zip(ids, values.tolist()))
+    pairs = load_snapshots(path)
+    assert [pair.user_ids.size for pair in pairs.values()] == [DECAY_USERS] * 2
+    assert traced_peak_mb(lambda: load_snapshots(path)) <= DECAY_PEAK_MB

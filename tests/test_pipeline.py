@@ -1,8 +1,10 @@
 import json
+import weakref
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import pytest
 
+import cohortpolicy.pipeline as pipeline
 from cohortpolicy.config import from_mapping as read_config
 from cohortpolicy.errors import ConfigError
 from cohortpolicy.governance import (CODE_INSUFFICIENT_DATA, SIGNIFICANCE_Z,
@@ -42,6 +44,29 @@ def test_conflict_scenario_recommends_neutral_cohort_policy():
     assert abs(m2.mean) <= SIGNIFICANCE_Z * m2.std_err
     assert policy.cut is not None and policy.cut.feature == "f1"
     assert set(policy.assignment) != {"a0"}
+
+
+def test_snapshot_pairs_are_released_after_the_stability_filter(monkeypatch):
+    # Only the stability filter reads the pairs, so none of them may live
+    # on through the search.
+    refs, searched = [], []
+    stability_verdicts = pipeline.stability_verdicts
+    build_policy_table = pipeline.build_policy_table
+
+    def verdicts(features, snapshots, thresholds):
+        refs.extend(weakref.ref(pair) for pair in snapshots.values())
+        return stability_verdicts(features, snapshots, thresholds)
+
+    def build(*args):
+        searched.append([ref() for ref in refs])
+        return build_policy_table(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "stability_verdicts", verdicts)
+        patch.setattr(pipeline, "build_policy_table", build)
+        assert govern_pipeline(small_conflict_config()).recommended
+    assert len(refs) == 2
+    assert searched == [[None, None]]
 
 
 def test_conflict_global_policies_fail_joint_condition():
