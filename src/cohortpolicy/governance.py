@@ -40,7 +40,6 @@ CODE_EMPTY_SLICE = "EMPTY_SLICE_SKIPPED"
 CODE_NO_QUALIFYING_POLICY = "NO_QUALIFYING_POLICY"
 CODE_INSUFFICIENT_DATA = "INSUFFICIENT_DATA"
 
-STATUS_BENCHMARK = "benchmark"
 STATUS_STABLE = "stable"
 STATUS_UNSTABLE = "unstable"
 
@@ -176,25 +175,19 @@ def shift_ratio(pair: FeatureSnapshotPair, cut: str = QUANTILE_CUT) -> float:
 
 def classify_stability(feature: str, shift_quantile: float | None = None,
                        shift_binary: float | None = None,
-                       thresholds: StabilityThresholds = StabilityThresholds(),
-                       benchmark: bool = False) -> StabilityVerdict:
+                       thresholds: StabilityThresholds = StabilityThresholds()
+                       ) -> StabilityVerdict:
     """Status from the available shift measures.
 
     Unstable iff every available measure exceeds its threshold; passing on
-    either cut basis suffices for stability. `benchmark` marks the baseline
-    feature set used to anchor natural drift.
+    either cut basis suffices for stability.
     """
     if shift_quantile is None and shift_binary is None:
         raise ValueError(f"feature {feature!r} has no shift measure")
     passes = [shift <= limit for shift, limit in
               ((shift_quantile, thresholds.quantile), (shift_binary, thresholds.binary))
               if shift is not None]
-    if not any(passes):
-        status = STATUS_UNSTABLE
-    elif benchmark:
-        status = STATUS_BENCHMARK
-    else:
-        status = STATUS_STABLE
+    status = STATUS_STABLE if any(passes) else STATUS_UNSTABLE
     return StabilityVerdict(feature=feature, shift_quantile=shift_quantile,
                             shift_binary=shift_binary, status=status,
                             threshold_basis=thresholds)

@@ -1,8 +1,8 @@
 """End-to-end governed run: stability filter -> search -> frontier ->
 robustness -> backtest, with a bounded refinement loop.
 
-The search reads one `PolicyTable` (see `search`); refinement masks the
-rows it excludes. Every stage is seeded and deterministic, so identical run
+The search reads one `PolicyTable` (see `search`); refinement takes the
+rows it keeps. Every stage is seeded and deterministic, so identical run
 configs produce byte-identical artifacts regardless of input row order.
 """
 
@@ -25,8 +25,7 @@ from .governance import (MIN_ROBUSTNESS_SLICES, FeatureSnapshotPair, HookReport,
                          validate_candidate)
 from .ingest import IngestSchema, ingest, read_json, write_json
 from .search import (PolicyCandidate, PolicyTable, build_policy_table,
-                     collect_candidates, evaluate_policies, sample_weights,
-                     save_policy_table)
+                     collect_candidates, sample_weights, save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import ScenarioConfig, drift_snapshots, generate_experiment
 
@@ -72,6 +71,8 @@ class RunConfig:
             raise ConfigError("tau must be >= 0")
         if self.max_refinements < 0:
             raise ConfigError("max_refinements must be >= 0")
+        if self.backtest_days < 1:
+            raise ConfigError("backtest_days must be >= 1")
         if self.robustness_slices < MIN_ROBUSTNESS_SLICES:
             raise ConfigError(f"robustness_slices must be >= {MIN_ROBUSTNESS_SLICES}, "
                               f"got {self.robustness_slices}")
@@ -107,8 +108,8 @@ class RunConfig:
 @dataclass
 class PipelineResult:
     """Outcome of a governed run: recommendation or terminal rejection.
-    `policies` is the run's policy table (None if no feature was admitted);
-    `excluded` masks the rows that refinement kept out of the last search.
+    `policies` is the policy table that the last iteration searched (None
+    if no feature was admitted), and the recommendation is one of its rows.
     """
 
     status: str  # "recommended" | "rejected"
@@ -119,7 +120,6 @@ class PipelineResult:
     frontier: FrontierResult | None
     dataset: ExperimentDataset | None = None
     backtest_series: object | None = None
-    excluded: np.ndarray | None = None
 
     @property
     def recommended(self) -> bool:
@@ -147,8 +147,8 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
     extra iterations; a rejection nothing can be removed for (empty search
     space, no qualifying policy) is terminal. Everything before Top-K is
     independent of the removed policies and runs once; its pre-search
-    report opens every iteration's trail. The chosen policy is evaluated
-    again on its own, to the same estimates plus its user counts.
+    report opens every iteration's trail. The chosen policy is its table
+    row (`PolicyTable.candidate`), estimates and user counts included.
     """
     ds, snapshots = _load_inputs(config)
     primary = config.primary_metric or ds.metrics[0]
@@ -171,14 +171,13 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
     weights = sample_weights(len(ds.metrics), config.weight_samples, config.seed)
 
     reports: list[HookReport] = []
-    excluded = np.zeros(len(table), dtype=bool)
     series = None
     for iteration in range(config.max_refinements + 1):
         if iteration:
             # The previous iteration's candidate failed validation.
-            excluded[table.row(picked)] = True
+            table = table.take(np.arange(len(table)) != table.row(picked))
         reports.append(pre_report)
-        candidate_set = collect_candidates(table.take(~excluded), weights,
+        candidate_set = collect_candidates(table, weights,
                                            config.top_k, metrics=ds.metrics,
                                            minimize=config.minimize_metrics)
         frontier = tolerance_filter(table.take(candidate_set.policy_ids),
@@ -189,7 +188,7 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
         if picked is None:
             reports.append(rejection)
             break
-        [candidate] = evaluate_policies(ds, [table.candidate(picked, cuts)])
+        candidate = table.candidate(picked, cuts)
         series, verdicts = validate_candidate(ds, candidate, [primary],
                                               config.backtest_days,
                                               config.robustness_slices)
@@ -201,7 +200,7 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
                           recommendation=candidate if recommended else None,
                           reports=reports, iterations=iteration + 1,
                           policies=table, frontier=frontier, dataset=ds,
-                          backtest_series=series, excluded=excluded)
+                          backtest_series=series)
 
 
 def write_run_artifacts(result: PipelineResult, config: RunConfig,
@@ -218,9 +217,7 @@ def write_run_artifacts(result: PipelineResult, config: RunConfig,
     metrics = list(ds.metrics) if ds is not None else []
 
     artifacts: dict[str, str] = {}
-    # The table as the last iteration searched it.
-    policies = (result.policies.take(~result.excluded)
-                if result.policies is not None else None)
+    policies = result.policies
     if policies:
         save_policy_table(out / "policy_table.csv", policies)
         artifacts["policy_table"] = "policy_table.csv"

@@ -76,10 +76,9 @@ def make_policy_id(cut: CutSpec | None, assignment: Sequence[str]) -> str:
     return f"{cut.describe()}.{'-'.join(assignment)}"
 
 
-def global_policies(ds: ExperimentDataset,
-                    actions: Sequence[str] | None = None) -> list[PolicyCandidate]:
+def global_policies(ds: ExperimentDataset) -> list[PolicyCandidate]:
     """One single-slot whole-population policy per action."""
-    return enumerate_policies(ds, [], actions)
+    return enumerate_policies(ds, [])
 
 
 def _sample_assignments(n_actions: int, slots: int, budget: int,
@@ -123,23 +122,21 @@ def _cut_assignments(cuts: Sequence[CutSpec], n_actions: int, budget: int,
     return out
 
 
-def enumerate_policies(ds: ExperimentDataset, cuts: Sequence[CutSpec],
-                       actions: Sequence[str] | None = None,
+def enumerate_policies(ds: ExperimentDataset, cuts: Sequence[CutSpec], *,
                        budget: int = 128, seed: int = 0) -> list[PolicyCandidate]:
-    """Candidate policies for each cut: the full action cross-product when it
-    fits the per-cut budget, otherwise a seeded uniform sample without
-    replacement with the all-control reference always present.
+    """Candidate policies for each cut over the dataset's actions: the full
+    action cross-product when it fits the per-cut budget, otherwise a seeded
+    uniform sample without replacement with the all-control reference
+    always present.
 
     An empty cut list yields the global single-slot policies, one per action.
     """
-    action_list = tuple(actions) if actions is not None else ds.actions
-    control_index = (action_list.index(ds.control_action)
-                     if ds.control_action in action_list else 0)
+    control_index = ds.actions.index(ds.control_action)
     policies: list[PolicyCandidate] = []
-    for cut, arms in _cut_assignments(cuts, len(action_list), budget,
+    for cut, arms in _cut_assignments(cuts, len(ds.actions), budget,
                                       control_index, seed):
         for row in arms.tolist():
-            assignment = tuple(action_list[i] for i in row)
+            assignment = tuple(ds.actions[i] for i in row)
             policies.append(PolicyCandidate(
                 policy_id=make_policy_id(cut, assignment),
                 cut=cut, assignment=assignment))
@@ -394,9 +391,9 @@ def evaluate_policy_days(ds: ExperimentDataset, policy: PolicyCandidate,
 def build_policy_table(ds: ExperimentDataset, cuts: Sequence[CutSpec],
                        budget: int = 128, seed: int = 0) -> PolicyTable:
     """Every supported policy that `enumerate_policies(ds, cuts,
-    budget=budget, seed=seed)` gives, with the estimates that
-    `evaluate_policies` would fill, as one columnar table; a policy without
-    arm support in some non-empty slot is left out.
+    budget=budget, seed=seed)` gives, with the estimates and user counts
+    that `evaluate_policies` would fill, as one columnar table; a policy
+    without arm support in some non-empty slot is left out.
 
     The slot effects come from one `cut_effects` call. The arm-code
     matrices of a group of cuts that share one are composed in one
@@ -410,7 +407,7 @@ def build_policy_table(ds: ExperimentDataset, cuts: Sequence[CutSpec],
     features: list[str] = []
     cut_names: list[str] = []
     actions: list[str] = []
-    means, errors = [], []
+    means, errors, treated, controls = [], [], [], []
     for positions, effects in cut_effects(ds, listed):
         sharing: dict[bytes, list[int]] = {}
         for j, position in enumerate(positions):
@@ -421,6 +418,8 @@ def build_policy_table(ds: ExperimentDataset, cuts: Sequence[CutSpec],
             kept = composed.unsupported < 0
             means.append(composed.mean[kept])
             errors.append(composed.std_err[kept])
+            treated.append(composed.n_treated[kept])
+            controls.append(composed.n_control[kept])
             joined = list(map("-".join, np.array(ds.actions, dtype=object)[arms].tolist()))
             for j, keep in zip(group, kept):
                 cut = listed[positions[j]]
@@ -432,7 +431,7 @@ def build_policy_table(ds: ExperimentDataset, cuts: Sequence[CutSpec],
                 cut_names += [cut.short_descriptor if cut is not None else "global"
                               ] * len(rows)
     return PolicyTable(ds.metrics, ids, features, cut_names, actions,
-                       np.concatenate(means), np.concatenate(errors))
+                       *map(np.concatenate, (means, errors, treated, controls)))
 
 
 # -- random-weight search ------------------------------------------------------
@@ -558,19 +557,21 @@ class PolicyTable(Mapping):
     per policy: `feature` is "" and `cut` is "global" for a whole-population
     policy, and `actions` joins the per-slot actions with "-". `mean` and
     `std_err` are (policies, metrics) float arrays whose columns follow
-    `metrics`. The constructor takes the columns in any order and sorts
-    them by id (a repeated id keeps its last row); it rejects a non-finite
-    mean or a negative or non-finite std_err.
+    `metrics`, and `n_treated` and `n_control` (policies,) int arrays of
+    each policy's treated users and their controls (a scalar fills the
+    column; 0, the default, is what a table read from a file holds). The constructor takes the columns in
+    any order and sorts them by id (a repeated id keeps its last row); it
+    rejects a non-finite mean or a negative or non-finite std_err.
 
     As a read-only Mapping the table is {policy_id: {metric:
-    MetricEstimate}}, each row built on access with zero user counts, as
-    for estimates loaded from a file. The id index is built on the first
-    lookup: writing a table or ranking its columns needs none.
+    MetricEstimate}}, each row built on access. The id index is built on
+    the first lookup: writing a table or ranking its columns needs none.
     """
 
     def __init__(self, metrics: Sequence[str], ids: Sequence[str],
                  feature: Sequence[str], cut: Sequence[str],
-                 actions: Sequence[str], mean, std_err):
+                 actions: Sequence[str], mean, std_err, n_treated=0,
+                 n_control=0):
         self.metrics = tuple(metrics)
         shape = (len(ids), len(self.metrics))
         mean = np.asarray(mean, dtype=float).reshape(shape)
@@ -586,6 +587,9 @@ class PolicyTable(Mapping):
         self.actions = [actions[i] for i in order]
         self.mean = mean[order]
         self.std_err = std_err[order]
+        self.n_treated, self.n_control = (
+            np.broadcast_to(np.asarray(n, dtype=np.int64), len(ids))[order]
+            for n in (n_treated, n_control))
         bad = ~(np.isfinite(self.mean) & np.isfinite(self.std_err)
                 & (self.std_err >= 0.0))
         if bad.any():
@@ -607,14 +611,16 @@ class PolicyTable(Mapping):
         return self._rows()[policy_id]
 
     def candidate(self, policy_id: str, cuts: Sequence[CutSpec]) -> PolicyCandidate:
-        """The unevaluated policy of one row. Its id is `make_policy_id`'s
-        cut description (found among `cuts`, or "global"), "." and the
-        actions, whose names hold no "-"."""
-        actions = self.actions[self.row(policy_id)]
-        cut_of = {"global": None, **{cut.describe(): cut for cut in cuts}}
+        """The evaluated policy of one row: the cut among `cuts` that the
+        row's feature and cut columns name (None for "global"), the row's
+        actions split at "-", which no action name holds, and its estimates."""
+        row = self.row(policy_id)
+        cut_of = {("", "global"): None,
+                  **{(cut.feature, cut.short_descriptor): cut for cut in cuts}}
         return PolicyCandidate(policy_id=policy_id,
-                               cut=cut_of[policy_id[:-len(actions) - 1]],
-                               assignment=tuple(actions.split("-")))
+                               cut=cut_of[self.feature[row], self.cut[row]],
+                               assignment=tuple(self.actions[row].split("-")),
+                               estimates=self[policy_id])
 
     def take(self, rows: np.ndarray | Sequence[str]) -> "PolicyTable":
         """The table of the rows that a boolean row mask selects, or of the
@@ -623,11 +629,14 @@ class PolicyTable(Mapping):
                  else [self.row(pid) for pid in rows])
         columns = (self.ids, self.feature, self.cut, self.actions)
         return PolicyTable(self.metrics, *([c[i] for i in picks] for c in columns),
-                           self.mean[picks], self.std_err[picks])
+                           *(a[picks] for a in (self.mean, self.std_err,
+                                                self.n_treated, self.n_control)))
 
     def __getitem__(self, policy_id: str) -> dict[str, MetricEstimate]:
         row = self.row(policy_id)
-        return {metric: MetricEstimate(mean=mu, std_err=se)
+        n_t, n_c = int(self.n_treated[row]), int(self.n_control[row])
+        return {metric: MetricEstimate(mean=mu, std_err=se, n_treated=n_t,
+                                       n_control=n_c)
                 for metric, mu, se in zip(self.metrics, self.mean[row].tolist(),
                                           self.std_err[row].tolist())}
 

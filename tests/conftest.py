@@ -67,14 +67,17 @@ def make_policy(policy_id, means, std_errs=None, metrics=None):
 
 
 def table_of(policies, metrics):
-    """The PolicyTable of evaluated candidates' `metrics` estimates."""
+    """The PolicyTable of evaluated candidates' `metrics` estimates, with
+    the user counts of the first metric's."""
     return PolicyTable(metrics, [p.policy_id for p in policies],
                        [p.cut.feature if p.cut is not None else "" for p in policies],
                        [p.cut.short_descriptor if p.cut is not None else "global"
                         for p in policies],
                        ["-".join(p.assignment) for p in policies],
                        [[p.estimates[m].mean for m in metrics] for p in policies],
-                       [[p.estimates[m].std_err for m in metrics] for p in policies])
+                       [[p.estimates[m].std_err for m in metrics] for p in policies],
+                       [p.estimates[metrics[0]].n_treated for p in policies],
+                       [p.estimates[metrics[0]].n_control for p in policies])
 
 
 @pytest.fixture

@@ -201,11 +201,6 @@ def test_classify_stability(quantile, binary, status):
     assert verdict.status == status
 
 
-def test_classify_benchmark_flag():
-    verdict = classify_stability("baseline", 0.06, 0.02, benchmark=True)
-    assert verdict.status == "benchmark"
-
-
 def test_classify_needs_a_measure():
     with pytest.raises(ValueError):
         classify_stability("f")

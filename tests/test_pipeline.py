@@ -5,6 +5,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 import pytest
 
 import cohortpolicy.pipeline as pipeline
+import cohortpolicy.search as search
 from cohortpolicy.config import from_mapping as read_config
 from cohortpolicy.errors import ConfigError
 from cohortpolicy.governance import (CODE_INSUFFICIENT_DATA, SIGNIFICANCE_Z,
@@ -218,9 +219,9 @@ def test_small_runs_end_in_a_verdict():
 
 def test_governed_run_builds_a_candidate_only_for_its_pick(monkeypatch):
     # The search, the filter and the selection read one policy table; each
-    # iteration builds its pick and the pick's evaluated copy, and the
-    # validation spans are plain estimates. (One candidate per enumerated
-    # policy, evaluated policy and validation span made 464 here.)
+    # iteration builds its pick from its table row, and the validation
+    # spans are plain estimates. (One candidate per enumerated policy,
+    # evaluated policy and validation span made 464 here.)
     built = []
     original = PolicyCandidate.__post_init__
 
@@ -232,7 +233,29 @@ def test_governed_run_builds_a_candidate_only_for_its_pick(monkeypatch):
     result = govern_pipeline(RunConfig(
         scenario=conflict_scenario(seed=1, n_users=4000)))
     assert result.recommended
-    assert 0 < len(built) <= 2 * result.iterations
+    assert len(built) == result.iterations
+    assert built[-1] == result.recommendation.policy_id
+
+
+@pytest.mark.parametrize("max_refinements,status,iterations", [
+    (3, "recommended", 4), (2, "rejected", 3)])
+def test_governed_run_makes_one_effects_pass_per_pick(monkeypatch, max_refinements,
+                                                      status, iterations):
+    # One pass builds the table; each iteration's pick is its table row and
+    # takes one (day, slot, arm) pass for its slices and backtest. The pick
+    # used to be evaluated again, one more pass per iteration.
+    calls = []
+    cut_effects = search.cut_effects
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("days") is not None)
+        return cut_effects(*args, **kwargs)
+
+    monkeypatch.setattr(search, "cut_effects", counting)
+    result = govern_pipeline(RunConfig(seed=8, max_refinements=max_refinements,
+                                       scenario=one_effect_scenario(8)))
+    assert (result.status, result.iterations) == (status, iterations)
+    assert calls == [False] + [True] * iterations
 
 
 def test_whole_population_policy_recommended_without_cuts():
@@ -296,7 +319,6 @@ def test_pipeline_deterministic_across_runs():
     assert a.policies.ids == b.policies.ids
     assert a.policies.mean.tobytes() == b.policies.mean.tobytes()
     assert a.policies.std_err.tobytes() == b.policies.std_err.tobytes()
-    assert a.excluded.tolist() == b.excluded.tolist()
     assert a.backtest_series == b.backtest_series
 
 
@@ -369,6 +391,15 @@ def test_run_config_scenario_takes_no_input_file(name):
     with pytest.raises(ConfigError, match=f"^{name} is read only"):
         RunConfig.from_mapping({"scenario": asdict(conflict_scenario(n_users=100)),
                                 name: FILES[name]})
+
+
+@pytest.mark.parametrize("days", [0, -3])
+def test_run_config_rejects_fewer_than_one_backtest_day(days):
+    # On a dataset without day labels this used to fail only after the
+    # whole search, with a bare ValueError from the day split.
+    with pytest.raises(ConfigError, match="backtest_days must be >= 1"):
+        RunConfig(scenario=conflict_scenario(), backtest_days=days)
+    assert RunConfig(scenario=conflict_scenario(), backtest_days=1)
 
 
 def test_run_config_rejects_fewer_than_three_robustness_slices():

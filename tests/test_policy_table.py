@@ -29,10 +29,12 @@ from cohortpolicy.frontier import weak_pareto_mask_2d
 from cohortpolicy.ingest import write_csv
 from cohortpolicy.search import (FORMAT_VERSION, PolicyCandidate, PolicyTable,
                                  _sample_assignments, build_policy_table,
-                                 cut_effects, enumerate_policies,
+                                 cut_effects, enumerate_policies, evaluate_policies,
                                  evaluate_policy_pinned, load_policy_table,
                                  make_policy_id, save_policy_table)
-from cohortpolicy.segmentation import CutSpec, cut_slot_codes, enumerate_cuts
+from cohortpolicy.segmentation import (CutEnumerationConfig, CutSpec, cut_slot_codes,
+                                       enumerate_cuts)
+from cohortpolicy.synth import conflict_scenario, generate_experiment
 
 from conftest import build_dataset, table_of
 
@@ -548,13 +550,15 @@ def test_take_selects_rows_by_mask_or_id():
     table = PolicyTable(("m1", "m2"), ["b", "a", "c"], ["f", "f", ""],
                         ["ind2", "ind2", "global"], ["x-y", "y-x", "x"],
                         [[1.0, -1.0], [2.0, -2.0], [3.0, -3.0]],
-                        [[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]])
+                        [[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]], [10, 20, 30], [1, 2, 3])
     assert [table.row(pid) for pid in ("a", "b", "c")] == [0, 1, 2]
     for sub in (table.take(np.array([True, False, True])), table.take(["c", "a"])):
         assert (sub.metrics, sub.ids, sub.feature, sub.cut, sub.actions) == \
             (("m1", "m2"), ["a", "c"], ["f", ""], ["ind2", "global"], ["y-x", "x"])
         assert sub.mean.tolist() == [[2.0, -2.0], [3.0, -3.0]]
         assert sub.std_err.tolist() == [[0.2, 0.0], [0.3, 0.0]]
+        assert (sub.n_treated.tolist(), sub.n_control.tolist()) == ([20, 30], [2, 3])
+        assert sub["c"]["m2"] == MetricEstimate(-3.0, 0.0, n_treated=30, n_control=3)
     empty = table.take(np.zeros(3, dtype=bool))
     assert len(empty) == 0 and empty.mean.shape == (0, 2)
     with pytest.raises(KeyError):
@@ -562,8 +566,9 @@ def test_take_selects_rows_by_mask_or_id():
 
 
 def test_candidate_recovers_cut_and_assignment_from_a_row():
-    # Names holding "." make the id's split point depend on the actions
-    # column, not on the dots.
+    # The candidate of a row is its evaluated policy. Names holding "."
+    # would put an id's split point among the dots; the cut comes from the
+    # feature and cut columns instead.
     ds = build_dataset([1, 2, 3, 4, 5, 6, 7, 8], ["x.y", "c.0", "z", "c.0"] * 2,
                        [0.5, 0.1, 0.9, 0.3, 0.2, 0.8, 0.4, 0.6],
                        feature="f.1", control="c.0")
@@ -573,10 +578,33 @@ def test_candidate_recovers_cut_and_assignment_from_a_row():
         policies = {p.policy_id: p for p in enumerate_policies(ds, listed)}
         assert table.ids and set(table.ids) <= set(policies)
         for pid in table.ids:
-            got = table.candidate(pid, listed)
-            want = policies[pid]
-            assert (got.policy_id, got.cut, got.assignment, got.estimates) == \
-                (want.policy_id, want.cut, want.assignment, {})
+            [want] = evaluate_policies(ds, [policies[pid]])
+            assert table.candidate(pid, listed) == want
+    # A row's cut must be among the cuts given.
+    table = build_policy_table(ds, cuts)
+    with pytest.raises(KeyError):
+        table.candidate(table.ids[table.cut.index("ind2")], cuts[1:])
+
+
+# A 4-bin conflict dataset, whose cuts take every assignment, and an 8-bin
+# one, whose individual cuts sample 128 of the 3**8 assignments.
+@pytest.mark.parametrize("seed,n_users,n_bins", [(3, 4000, 4), (4, 3000, 8)])
+def test_table_rows_equal_evaluated_estimates_bit_for_bit(seed, n_users, n_bins):
+    ds, _ = generate_experiment(conflict_scenario(seed=seed, n_users=n_users))
+    cuts = enumerate_cuts(ds, CutEnumerationConfig(features=ds.features, n_bins=n_bins))
+    table = build_policy_table(ds, cuts, 128, seed)
+    policies = [p for p in enumerate_policies(ds, cuts, budget=128, seed=seed)
+                if p.policy_id in table]
+    assert len(policies) == len(table) and table.n_treated.any()
+    for want in evaluate_policies(ds, policies):
+        row = table.row(want.policy_id)
+        for m, metric in enumerate(ds.metrics):
+            est = want.estimates[metric]
+            assert bits([table.mean[row, m], table.std_err[row, m]]) == \
+                bits([est.mean, est.std_err])
+            assert (table.n_treated[row], table.n_control[row]) == \
+                (est.n_treated, est.n_control)
+        assert table[want.policy_id] == want.estimates
 
 
 def test_oracle_names_the_policy_lacking_a_metric():
