@@ -541,27 +541,34 @@ def _snapshot_blocks(path: str | Path
     # value or a bad label.
     features: dict[str, tuple[list, list, list, list]] = {}
     non_finite, rows = None, 0
-    for block in csv_blocks(path, SNAPSHOT_COLUMNS):
-        user, feature, raw, label = block.T
+    for text, numbers in csv_blocks(path, ("user_id", "feature_id", "snapshot"),
+                                    ("value",)):
+        user, feature, label = text
+        values = numbers[:, 0]
         is_t1 = label == "t1"
         if not (is_t1 | (label == "t0")).all():
             raise ValueError("snapshot label is not one of t0, t1")
-        values = raw.astype(float)  # float() per cell
         if non_finite is None and not np.isfinite(values).all():
             row = int(np.flatnonzero(~np.isfinite(values))[0])
             non_finite = (rows + row + 1, float(values[row]))
-        rows += len(block)
-        users = user.astype(str)
-        names, first, inverse = np.unique(feature.astype(str), return_index=True,
-                                          return_inverse=True)
-        for name in names[np.argsort(first)].tolist():
+        rows += len(values)
+        users = user.astype(str, copy=False)
+        if (feature == feature[0]).all():
+            # One feature, as an exported file's blocks hold: no unique.
+            names = appearance = feature[:1].astype(str).tolist()
+            group = is_t1.astype(np.intp)
+        else:
+            unique, first, group = np.unique(feature.astype(str), return_index=True,
+                                             return_inverse=True)
+            names, appearance = unique.tolist(), unique[np.argsort(first)].tolist()
+            group = 2 * group + is_t1
+        for name in appearance:
             features.setdefault(name, ([], [], [], []))
         # Rows of one (feature, label) group, each group in file order.
-        group = 2 * inverse + is_t1
         order = np.argsort(group, kind="stable")
         for part in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
             code, t1 = divmod(int(group[part[0]]), 2)
-            lists = features[str(names[code])]
+            lists = features[names[code]]
             lists[2 * t1].append(users[part])
             lists[2 * t1 + 1].append(values[part])
     return features, non_finite
@@ -590,8 +597,10 @@ def load_snapshots(path: str | Path) -> dict[str, FeatureSnapshotPair]:
     into per-feature snapshot pairs, in order of first appearance.
 
     The file streams through `ingest.csv_blocks`, so it follows that
-    reader's dialect; values parse with Python's float(). Each block's rows
-    are split by (feature, label) as they arrive, and each feature is then
+    reader's dialect, and values parse as Python's float() parses them.
+    Each block's rows are split by (feature, label) as they arrive; a block
+    of one feature, as an exported file's blocks are, is split by label
+    alone. Each feature is then
     paired on its own: a group's users are sorted only when they are not
     already in strictly increasing id order, and t0 and t1 are matched
     directly when they hold the same users. So the file's columns are held

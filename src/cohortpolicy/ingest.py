@@ -9,11 +9,12 @@ needs totally ordered feature values.
 Every other module reads and writes its files here. `csv_blocks` is the
 one CSV reader: `ingest`, `governance.load_snapshots` and
 `search.load_policy_table` stream their files through it in fixed-size
-blocks of columns, and `csv_rows` re-reads a file row by row only to name
-the first bad row. `write_csv` is the one CSV writer: it starts the file
-with the `format_version` comment line, formats cells as `csv.writer`
-would (without using it), a column at a time, writes the joined rows in
-blocks, and quotes any row that `csv_blocks` would otherwise not read back
+blocks of text and float64 columns, and `csv_rows` re-reads a file row by
+row only to name the first bad row. `write_csv` is the one CSV writer: it
+starts the file with the `format_version` comment line, formats cells as
+`csv.writer` would (without using it), a column at a time, writes the
+joined rows in blocks, and quotes any row that `csv_blocks` would
+otherwise not read back
 cell for cell. `write_json`
 and `write_jsonl` add `format_version` to every object they write;
 `read_json` and `read_jsonl` drop it and name the file (and line) of
@@ -257,24 +258,35 @@ def write_csv(path: str | Path, header: Sequence[str],
 
 # -- the CSV reader ----------------------------------------------------------
 
-# Data rows parsed per block. Cells are Python str objects until a loader
-# turns the block into columns, so the block size bounds the reader's
-# transient memory: governing a 14 000-user file with its 56 000-row
-# snapshot file peaks at 44 MB of RSS with blocks of 1024 rows and at
-# 49 MB with blocks of 8192 (2-core x86-64 host, Python 3.11, numpy 2.4).
+# Physical lines read per chunk, so at most this many data rows per block.
+# The block size bounds the reader's transient memory: ten governed runs of
+# a 14 000-user file with its 56 000-row snapshot file, in one process, peak
+# at 42.6 MB of RSS with chunks of 1024 lines and at 47.2 MB with chunks of
+# 8192 (2-core x86-64 host, Python 3.11, numpy 2.4).
 _BLOCK_ROWS = 1024
 
+_CSV = {"delimiter": ",", "quotechar": '"', "comments": None}
+# From a chunk holding one of these on, the file is parsed as text: numpy's
+# number parser skips \x1c-\x1f as whitespace where float() rejects them,
+# and its str fields drop trailing NULs where a text cell keeps them.
+_TEXT_ONLY = "\x00\x1c\x1d\x1e\x1f"
+# The width a typed parse first gives its str fields; a field that fills
+# its width is parsed again at the chunk's longest line, up to the widest
+# width. A str field costs its width in every row, so from a chunk with
+# longer lines on, the file is parsed as text.
+_FIELD_WIDTH = 16
+_MAX_FIELD_WIDTH = 256
 
-def _records(lines: Iterator[str], max_rows: int,
+
+def _records(lines: Iterable[str], max_rows: int | None,
              usecols: list[int] | None = None) -> np.ndarray:
     # One (rows, fields) object array of str. loadtxt stops exactly after
     # its last row, so the next call on `lines` resumes there. Blank lines
     # are skipped and not counted as rows.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no data left
-        return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
-                          dtype=object, usecols=usecols, max_rows=max_rows,
-                          ndmin=2)
+        return np.loadtxt(lines, dtype=object, usecols=usecols,
+                          max_rows=max_rows, ndmin=2, **_CSV)
 
 
 def _ends_quoted(line: str, quoted: bool) -> bool:
@@ -314,7 +326,7 @@ def _data_lines(fh) -> Iterator[str]:
 
 def _open_csv(fh, columns: Sequence[str]) -> tuple[Iterator[str], list[str], list[int]]:
     # Returns the data lines after the header, the header's fields and each
-    # requested column's position in it.
+    # requested column's position in it. `fh` is left just after the header.
     lines = _data_lines(fh)
     first = next(lines, "")
     lines = chain([first], lines)
@@ -323,6 +335,8 @@ def _open_csv(fh, columns: Sequence[str]) -> tuple[Iterator[str], list[str], lis
     for column in columns:
         if column not in header:
             raise SchemaError(f"input is missing declared column {column!r}")
+        if header.count(column) > 1:
+            raise SchemaError(f"input names column {column!r} more than once")
     return lines, header, [header.index(column) for column in columns]
 
 
@@ -332,24 +346,92 @@ def csv_header(path: str | Path) -> list[str]:
         return _open_csv(fh, ())[1]
 
 
-def csv_blocks(path: str | Path, columns: Sequence[str]) -> Iterator[np.ndarray]:
+def _plain(text: str) -> bool:
+    # Whether a chunk can skip the comment filter and parse typed: it holds
+    # no quote, no line that starts with `#` and none of `_TEXT_ONLY`.
+    # One-character searches are quick, so `#` is looked for first.
+    return not ('"' in text or any(c in text for c in _TEXT_ONLY) or (
+        "#" in text and (text.startswith("#") or "\n#" in text or "\r#" in text)))
+
+
+def _split(cells: np.ndarray, n_text: int) -> tuple[list[np.ndarray], np.ndarray]:
+    # A text parse's block: its text columns, and its numbers through float().
+    return list(cells[:, :n_text].T), cells[:, n_text:].astype(float)
+
+
+def _typed_block(chunk: list[str], positions: list[int], widths: list[int]
+                 ) -> tuple[list[np.ndarray], np.ndarray] | None:
+    # The text columns, each a str array at its own width, and the float64
+    # numbers of a plain chunk's rows. `widths` holds the str fields' widths
+    # and is widened in place when a field fills its width (it may have been
+    # cut). A number that numpy's parser rejects sends the chunk to a text
+    # parse; a field that fills its width in a line too long for the widest
+    # field gives None.
+    n_text = len(widths)
+    while True:
+        dtype = np.dtype([*((f"t{j}", f"U{w}") for j, w in enumerate(widths)),
+                          ("numbers", float, (len(positions) - n_text,))])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # only blank lines
+                block = np.loadtxt(chunk, dtype=dtype, usecols=positions,
+                                   ndmin=1, **_CSV)
+        except ValueError:
+            return _split(_records(chunk, None, positions), n_text)
+        lengths = [int(np.char.str_len(block[f"t{j}"]).max(initial=0))
+                   for j in range(n_text)]
+        if all(n < w for n, w in zip(lengths, widths)):
+            return ([block[f"t{j}"].astype(f"U{max(n, 1)}")
+                     for j, n in enumerate(lengths)], block["numbers"].copy())
+        longest = max(map(len, chunk)) + 1  # wider than any field
+        if longest > _MAX_FIELD_WIDTH:
+            return None
+        widths[:] = [longest if n == w else w for n, w in zip(lengths, widths)]
+
+
+def csv_blocks(path: str | Path, text_columns: Sequence[str],
+               number_columns: Sequence[str] = ()
+               ) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
     """Stream a headered CSV file as blocks of at most `_BLOCK_ROWS` data rows.
 
-    Each block is a (rows, len(columns)) object array of str holding the
-    requested columns, in the order given. The dialect: the file is UTF-8,
-    and a byte-order mark before its first line (as spreadsheets write) is
-    dropped; a physical line that starts with `#` outside a quoted field
-    is a comment and is dropped, blank lines are skipped, fields are
-    comma-separated with standard double-quote quoting (quoted commas,
-    newlines and doubled quotes), and fields beyond the requested columns
-    are ignored. A header that lacks a requested column raises
-    SchemaError. A row too short to hold every requested column raises
-    ValueError here; `csv_rows` names it.
+    Each block is a pair: a list with one str array per text column (its
+    cells as str objects, or numpy str at the column's width) and a (rows,
+    len(number_columns)) float64 array, each in the order given. The
+    dialect: the file is UTF-8, and a byte-order mark before its first line
+    (as spreadsheets write) is dropped; a physical line that starts with `#`
+    outside a quoted field is a comment and is dropped, blank lines are
+    skipped, fields are comma-separated with standard double-quote quoting
+    (quoted commas, newlines and doubled quotes), and fields beyond the
+    requested columns are ignored. A header that lacks a requested column,
+    or names one more than once, raises SchemaError.
+
+    The file is read in chunks of `_BLOCK_ROWS` physical lines. A chunk
+    without a quote or a comment line is parsed by numpy in one typed pass:
+    numbers in C, text as numpy str. A number that parser rejects (`1_0`,
+    `١`) sends the chunk to a text parse whose numbers go through float(),
+    which gives the same value wherever both parse. From the first chunk
+    that holds a quote or a comment line, or text cells that would need a
+    str field wider than `_MAX_FIELD_WIDTH`, the rest of the file goes
+    through the comment filter, and its numbers through float().
+    A row too short to hold every
+    requested column, or a number that float() rejects, raises ValueError
+    here; `csv_rows` names its row.
     """
+    n_text = len(text_columns)
+    widths = [_FIELD_WIDTH] * n_text
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        lines, _, positions = _open_csv(fh, columns)
-        while len(block := _records(lines, _BLOCK_ROWS, positions)):
-            yield block
+        _, _, positions = _open_csv(fh, [*text_columns, *number_columns])
+        while chunk := list(islice(fh, _BLOCK_ROWS)):
+            if not _plain("".join(chunk)) or (
+                    block := _typed_block(chunk, positions, widths)) is None:
+                break
+            if len(block[1]):
+                yield block
+        else:
+            return
+        lines = _data_lines(chain(chunk, fh))
+        while len(cells := _records(lines, _BLOCK_ROWS, positions)):
+            yield _split(cells, n_text)
 
 
 def csv_rows(path: str | Path, columns: Sequence[str]
@@ -357,9 +439,10 @@ def csv_rows(path: str | Path, columns: Sequence[str]
     """The rows of `csv_blocks`, one at a time, for finding a bad row.
 
     Yields (row, cells, short) per data row: the 1-based data row number,
-    the requested cells (None where the row is too short) and, for a short
-    row, the RowIngestError that names it (else None). Loaders read this
-    only after `csv_blocks` failed, to raise the first bad row's error.
+    the requested cells as text (None where the row is too short) and, for
+    a short row, the RowIngestError that names it (else None). Loaders
+    read this only after `csv_blocks` failed, to raise the first bad row's
+    error.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         lines, header, positions = _open_csv(fh, columns)
@@ -404,26 +487,31 @@ def _jsonl_rows(path: Path, columns: Sequence[str]
             yield row_idx, [row[c] if c in row else _ABSENT for c in columns], None
 
 
-def _jsonl_blocks(path: Path, columns: Sequence[str]) -> Iterator[np.ndarray]:
-    # JSONL rows as csv_blocks' object arrays, so one validator reads both.
-    # The user and arm cells become str() of their JSON values.
-    rows = _jsonl_rows(path, columns)
+def _jsonl_blocks(path: Path, text_columns: Sequence[str],
+                  number_columns: Sequence[str]
+                  ) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+    # JSONL rows as csv_blocks' blocks, so one validator reads both. The
+    # text cells become str() of their JSON values and the numbers go
+    # through float().
+    n_text = len(text_columns)
+    rows = _jsonl_rows(path, [*text_columns, *number_columns])
     while chunk := [cells for _, cells, _ in islice(rows, _BLOCK_ROWS)]:
         if any(cell is _ABSENT for cells in chunk for cell in cells):
             raise ValueError("a JSONL row lacks a column")
-        block = np.empty((len(chunk), len(columns)), dtype=object)
-        for j in range(len(columns)):
+        block = np.empty((len(chunk), n_text + len(number_columns)), dtype=object)
+        for j in range(block.shape[1]):
             column = (cells[j] for cells in chunk)
-            block[:, j] = np.fromiter(column if j >= 2 else map(str, column),
+            block[:, j] = np.fromiter(column if j >= n_text else map(str, column),
                                       dtype=object, count=len(chunk))
-        yield block
+        yield _split(block, n_text)
 
 
 # Day labels are stored as int64; these floats bound the labels that fit.
 _DAY_RANGE = (-2.0 ** 63, 2.0 ** 63)
 
 
-def _ingest_columns(blocks: Iterator[np.ndarray], n_numbers: int, has_day: bool
+def _ingest_columns(blocks: Iterator[tuple[list[np.ndarray], np.ndarray]],
+                    n_numbers: int, has_day: bool
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Ids, arms and the (numbers, users) float matrix in file order. Raises
     # ValueError (TypeError or OverflowError for some JSON values) on a bad
@@ -432,10 +520,10 @@ def _ingest_columns(blocks: Iterator[np.ndarray], n_numbers: int, has_day: bool
     # left to ExperimentDataset, which sorts the ids anyway.
     ids, arms = [np.empty(0, dtype=str)], [np.empty(0, dtype=str)]
     numbers = [np.empty((n_numbers, 0))]
-    for block in blocks:
-        ids.append(block[:, 0].astype(str))
-        arms.append(block[:, 1].astype(str))
-        values = block[:, 2:].T.astype(float)  # float() per cell
+    for (user, arm), values in blocks:
+        ids.append(user.astype(str, copy=False))
+        arms.append(arm.astype(str, copy=False))
+        values = values.T
         if not np.isfinite(values).all():
             raise ValueError("non-finite cell")
         if has_day and not ((values[-1] >= _DAY_RANGE[0])
@@ -475,8 +563,9 @@ def ingest(path: str | Path, schema: IngestSchema | Mapping) -> ExperimentDatase
     A `.csv` file streams through `csv_blocks` (its dialect is described
     there); a `.jsonl`, `.ndjson` or `.json` file holds one JSON object per
     line, and the first object's keys are the header. Both become the same
-    columns: numbers parse with Python's float(), day labels truncate to
-    int, and actions are the control followed by the other arms, sorted.
+    columns: numbers parse as Python's float() parses them, day labels
+    truncate to int, and actions are the control followed by the other
+    arms, sorted.
 
     Raises SchemaError for a missing column in the header, RowIngestError
     (with the 1-based data row) for a missing, non-numeric or non-finite
@@ -503,7 +592,7 @@ def ingest(path: str | Path, schema: IngestSchema | Mapping) -> ExperimentDatase
     if schema.day_column:
         required.append(schema.day_column)
     try:
-        ids, arms, numbers = _ingest_columns(blocks(path, required),
+        ids, arms, numbers = _ingest_columns(blocks(path, required[:2], required[2:]),
                                              len(required) - 2,
                                              bool(schema.day_column))
     except (ValueError, TypeError, OverflowError, RowIngestError) as exc:

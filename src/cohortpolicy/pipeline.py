@@ -25,7 +25,7 @@ from .governance import (MIN_ROBUSTNESS_SLICES, FeatureSnapshotPair, HookReport,
                          validate_candidate)
 from .ingest import IngestSchema, ingest, read_json, write_json
 from .search import (PolicyCandidate, PolicyTable, build_policy_table,
-                     collect_candidates, sample_weights, save_policy_table)
+                     rank_policies, sample_weights, save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import ScenarioConfig, drift_snapshots, generate_experiment
 
@@ -142,13 +142,17 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
     Every verdict comes from `governance`: the pre-search filter, the
     choice of candidate (`select_candidate`) and its robustness slices and
     backtest (`validate_candidate`). A policy-level rejection removes the
-    offending policy and re-runs Top-K, the tolerance filter and the hooks
-    over the remaining rows of the policy table, up to `max_refinements`
-    extra iterations; a rejection nothing can be removed for (empty search
-    space, no qualifying policy) is terminal. Everything before Top-K is
-    independent of the removed policies and runs once; its pre-search
-    report opens every iteration's trail. The chosen policy is its table
-    row (`PolicyTable.candidate`), estimates and user counts included.
+    offending policy and runs Top-K, the tolerance filter and the hooks
+    again over the remaining rows of the policy table, up to
+    `max_refinements` extra iterations; a rejection nothing can be removed
+    for (empty search space, no qualifying policy) is terminal. Everything
+    before Top-K is independent of the removed policies and runs once; its
+    pre-search report opens every iteration's trail. The table is scored
+    once (`rank_policies`, `top_k + max_refinements` deep), and each
+    iteration takes its Top-K from that ranking without the removed
+    policies, which equals Top-K on the remaining rows. The chosen policy
+    is its table row (`PolicyTable.candidate`), estimates and user counts
+    included.
     """
     ds, snapshots = _load_inputs(config)
     primary = config.primary_metric or ds.metrics[0]
@@ -169,18 +173,20 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
         kinds=config.cut_kinds))
     table = build_policy_table(ds, cuts, config.policy_budget, config.seed)
     weights = sample_weights(len(ds.metrics), config.weight_samples, config.seed)
+    # Deep enough for the Top-K of every iteration.
+    ranking = rank_policies(table, weights, config.top_k + config.max_refinements,
+                            metrics=ds.metrics, minimize=config.minimize_metrics)
 
     reports: list[HookReport] = []
+    excluded: list[str] = []
     series = None
     for iteration in range(config.max_refinements + 1):
         if iteration:
             # The previous iteration's candidate failed validation.
+            excluded.append(picked)
             table = table.take(np.arange(len(table)) != table.row(picked))
         reports.append(pre_report)
-        candidate_set = collect_candidates(table, weights,
-                                           config.top_k, metrics=ds.metrics,
-                                           minimize=config.minimize_metrics)
-        frontier = tolerance_filter(table.take(candidate_set.policy_ids),
+        frontier = tolerance_filter(table.take(ranking.top_k_ids(config.top_k, excluded)),
                                     tolerance, metrics=ds.metrics)
         picked, rejection = select_candidate(table.take(frontier.admitted),
                                              primary, ds.metrics,

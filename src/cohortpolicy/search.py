@@ -502,21 +502,95 @@ def _check_weights(weights: np.ndarray, n_metrics: int) -> None:
                          f"got {weights[row].tolist()}")
 
 
-def collect_candidates(policies: Policies, weights: np.ndarray, top_k: int,
-                       metrics: Sequence[str] | None = None,
-                       minimize: Sequence[str] = ()) -> CandidateSet:
-    """Union of Top-K policies per weight (Step 1 of frontier search).
+@dataclass(frozen=True)
+class PolicyRanking:
+    """Each weight's best policies, scored once: `rows` is a (weights,
+    depth) matrix whose row w lists the table rows (indices into the
+    ascending `ids`) of weight w's `depth` best policies in descending
+    score, ties by ascending id. Built by `rank_policies`."""
+
+    ids: list[str]
+    rows: np.ndarray
+
+    def _admitted(self, top_k: int, excluded: Sequence[str]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (weight, row, 1-based rank) of every admission, by weight and rank.
+        if top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {top_k}")
+        depth = self.rows.shape[1]
+        if len(excluded) > depth - top_k and depth < len(self.ids):
+            raise ValueError(f"a ranking {depth} deep gives the top {top_k} "
+                             f"after at most {depth - top_k} exclusions, not "
+                             f"{len(excluded)}")
+        kept = np.ones(len(self.ids), dtype=bool)
+        kept[[self.ids.index(pid) for pid in excluded]] = False
+        if not kept.any():
+            raise ValueError("no policies to search")
+        kept = kept[self.rows]
+        rank = np.cumsum(kept, axis=1)
+        weight, position = np.nonzero(kept & (rank <= top_k))
+        return weight, self.rows[weight, position], rank[weight, position]
+
+    def top_k_ids(self, top_k: int, excluded: Sequence[str] = ()) -> list[str]:
+        """The ascending policy ids of `top_k(top_k, excluded)`."""
+        _, row, _ = self._admitted(top_k, excluded)
+        # Only the ids, for the governed loop: `top_k`'s provenance is a
+        # tuple per admission (5000 at 1000 weights), and reading it instead
+        # raised decay-ingest-14k's peak RSS by 0.57 MB in paired runs. Not
+        # np.unique: on integers, its first call imports numpy.ma (over 1 MB).
+        return [self.ids[r] for r in sorted(set(row.tolist()))]
+
+    def top_k(self, top_k: int, excluded: Sequence[str] = ()) -> CandidateSet:
+        """The CandidateSet that `collect_candidates` gives on the ranked
+        policies without `excluded`. Removing r policies promotes only
+        policies already among each weight's best `top_k + r`, so this is
+        exact while `len(excluded) <= depth - top_k`, or when the ranking
+        holds every policy."""
+        weight, row, rank = self._admitted(top_k, excluded)
+        # Provenance by policy, each policy's pairs in weight order and the
+        # policies in order of first admission.
+        order = np.argsort(row, kind="stable")
+        row = row[order]
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        bounds = np.append(starts, row.size).tolist()
+        pairs = list(zip(weight[order].tolist(), rank[order].tolist()))
+        provenance = {self.ids[row[bounds[g]]]: pairs[bounds[g]:bounds[g + 1]]
+                      for g in np.argsort(order[starts], kind="stable").tolist()}
+        return CandidateSet(policy_ids=sorted(provenance), provenance=provenance)
+
+
+def _scores(mu: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # The (weights, policies) scores. A stack of matrix-vector products
+    # rounds every score as `mu @ w` does for one weight; a matrix product
+    # rounds some differently. The means are made row-major first: with
+    # OpenBLAS 0.3.31 on x86-64, a column-major product, as a table's column
+    # slice gives, rounds the last (rows mod 4) rows apart from the rest, so
+    # two policies with equal means could score apart by how many rows the
+    # table holds. That a row-major product rounds each row alike whatever
+    # rows are beside it is measured on that BLAS, not promised by numpy;
+    # `test_a_score_does_not_depend_on_the_rows_beside_it` guards it, and
+    # the single ranking of a governed run is exact only while it holds.
+    return np.matmul(np.ascontiguousarray(mu), weights[:, :, None])[..., 0]
+
+
+def rank_policies(policies: Policies, weights: np.ndarray, depth: int,
+                  metrics: Sequence[str] | None = None,
+                  minimize: Sequence[str] = ()) -> PolicyRanking:
+    """Score every policy against every weight once and keep each weight's
+    `depth` best (all of them, if fewer), for `PolicyRanking.top_k`.
 
     `weights` is a (samples, metrics) matrix, as `sample_weights` gives:
     each row non-negative and summing to 1 within 1e-9. Scores are weighted
     sums of means oriented so that higher is better: the means of metrics
     in `minimize`, each of which must be one of the metrics, enter negated.
-    Ties in score break by ascending policy_id, so the result is
-    independent of input ordering and scheduling. Provenance records every
-    (weight index, 1-based rank) that admitted each policy.
+    Ties in score break by ascending policy_id, so the ranking is
+    independent of input ordering and scheduling. A policy's score is the
+    same whatever other rows the table holds, on the BLAS that `_scores`
+    names (a one-row table rounds otherwise, but ranks its one row first
+    for every weight).
     """
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     if not policies:
         raise ValueError("no policies to search")
     ids, metric_order, mu, _ = policy_columns(policies, metrics)
@@ -524,27 +598,37 @@ def collect_candidates(policies: Policies, weights: np.ndarray, top_k: int,
     w_matrix = np.asarray(weights, dtype=float)
     _check_weights(w_matrix, len(metric_order))
     mu = mu * np.array([-1.0 if metric in minimize else 1.0 for metric in metric_order])
-    k = min(top_k, len(ids))
+    depth = min(depth, len(ids))
 
-    provenance: dict[str, list[tuple[int, int]]] = {}
+    rows = np.empty((len(w_matrix), depth), dtype=np.intp)
     for start in range(0, len(w_matrix), _WEIGHT_BLOCK):
-        # A stack of matrix-vector products rounds every score as `mu @ w`
-        # does for one weight; a matrix product rounds some differently.
         block = w_matrix[start:start + _WEIGHT_BLOCK]
-        scores = np.matmul(mu, block[:, :, None])[..., 0]
-        # Every score at least each weight's k-th largest survives, ties
+        scores = _scores(mu, block)
+        # Every score at least each weight's depth-th largest survives, ties
         # included; one sort orders them by weight, descending score and
         # ascending id (rows are in id order).
-        kth = np.partition(scores, -k, axis=1)[:, -k]
+        kth = np.partition(scores, -depth, axis=1)[:, -depth]
         weight, row = np.nonzero(scores >= kth[:, None])
         order = np.lexsort((row, -scores[weight, row], weight))
         weight, row = weight[order], row[order]
         rank = np.arange(weight.size) - np.searchsorted(weight, weight)
-        keep = rank < k
-        for w_idx, r, rank_ in zip((weight[keep] + start).tolist(),
-                                   row[keep].tolist(), (rank[keep] + 1).tolist()):
-            provenance.setdefault(ids[r], []).append((w_idx, rank_))
-    return CandidateSet(policy_ids=sorted(provenance), provenance=provenance)
+        keep = rank < depth
+        rows[start + weight[keep], rank[keep]] = row[keep]
+    return PolicyRanking(ids=ids, rows=rows)
+
+
+def collect_candidates(policies: Policies, weights: np.ndarray, top_k: int,
+                       metrics: Sequence[str] | None = None,
+                       minimize: Sequence[str] = ()) -> CandidateSet:
+    """Union of Top-K policies per weight (Step 1 of frontier search).
+
+    The weights, the scores and the tie rule are `rank_policies`'; this is
+    its ranking `top_k` deep, read by `PolicyRanking.top_k`. Provenance
+    records every (weight index, 1-based rank) that admitted each policy.
+    """
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    return rank_policies(policies, weights, top_k, metrics, minimize).top_k(top_k)
 
 
 # -- policy table -------------------------------------------------------------------
@@ -716,29 +800,27 @@ def load_policy_table(path: str | Path) -> tuple[PolicyTable, list[str]]:
     """
     metrics = list(dict.fromkeys(name[:-len("_mean")] for name in csv_header(path)
                                  if name.endswith("_mean")))
-    columns = [*_KEY_COLUMNS, *_value_columns(metrics)]
-    keys = [np.empty((0, len(_KEY_COLUMNS)), dtype=object)]
-    numbers = [np.empty((0, len(columns) - len(_KEY_COLUMNS)))]
+    values = _value_columns(metrics)
+    keys: list[list[np.ndarray]] = []
+    numbers = [np.empty((0, len(values)))]
     try:
-        for block in csv_blocks(path, columns):
-            values = block[:, len(_KEY_COLUMNS):].astype(float)  # float() per cell
-            if not np.isfinite(values).all():
+        for text, block in csv_blocks(path, _KEY_COLUMNS, values):
+            if not np.isfinite(block).all():
                 raise ValueError("non-finite cell")
-            keys.append(block[:, :len(_KEY_COLUMNS)])
-            numbers.append(values)
+            keys.append(text)
+            numbers.append(block)
     except ValueError as exc:
-        for row, cells, short in csv_rows(path, columns):
+        for row, cells, short in csv_rows(path, [*_KEY_COLUMNS, *values]):
             if short is not None:
                 raise short
-            for column, cell in zip(columns[len(_KEY_COLUMNS):],
-                                    cells[len(_KEY_COLUMNS):]):
+            for column, cell in zip(values, cells[len(_KEY_COLUMNS):]):
                 _parse_number(cell, column, row)
         raise IntegrityError(f"{path}: a block failed to parse ({exc}) but "
                              f"no row did") from exc
-    key = np.concatenate(keys)
-    values = np.concatenate(numbers)
-    table = PolicyTable(metrics, *(key[:, j].tolist() for j in range(len(_KEY_COLUMNS))),
-                        values[:, 0::2], values[:, 1::2])
+    number = np.concatenate(numbers)
+    table = PolicyTable(metrics, *([cell for block in keys for cell in block[j].tolist()]
+                                   for j in range(len(_KEY_COLUMNS))),
+                        number[:, 0::2], number[:, 1::2])
     return table, metrics
 
 

@@ -30,7 +30,8 @@ NUMBER = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 1e-
 def read_back(path: Path) -> list[list[str]]:
     """The header and every data row of `path`, as `csv_blocks` reads them."""
     header = csv_header(path)
-    rows = [row for block in csv_blocks(path, header) for row in block.tolist()]
+    rows = [list(row) for text, _ in csv_blocks(path, header)
+            for row in zip(*(column.tolist() for column in text))]
     return [header, *rows]
 
 

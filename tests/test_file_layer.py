@@ -82,8 +82,12 @@ def test_write_csv_starts_with_the_version_line_and_reads_back(tmp_path):
     assert text.startswith(VERSION_LINE + "\n")
     assert text.split("\n")[1:] == ['id,x,n', '"#a",0.5,1', '"b\rc",-0.0,2',
                                     'd,1e-300,3', '']
-    assert [row for block in csv_blocks(path, ["id", "x", "n"]) for row in block.tolist()] == \
+    assert [list(row) for text, _ in csv_blocks(path, ["id", "x", "n"])
+            for row in zip(*(column.tolist() for column in text))] == \
         [["#a", "0.5", "1"], ["b\rc", "-0.0", "2"], ["d", "1e-300", "3"]]
+    [([ids], numbers)] = csv_blocks(path, ["id"], ["x", "n"])
+    assert ids.tolist() == ["#a", "b\rc", "d"]
+    assert numbers.tolist() == [[0.5, 1.0], [-0.0, 2.0], [1e-300, 3.0]]
 
 
 def test_load_policy_table_drops_a_byte_order_mark(tmp_path):

@@ -121,6 +121,34 @@ EXPECTED = {
         'recommendation.json':
             'b17a53f0b2451e61c7e6150ace8572191ad3494d28a311ca001f8eaa959a11ac',
     }),
+    # `recommended_fourth` from its synthesized files: every file but the
+    # manifest, which names the input files, equals the scenario run's.
+    'recommended_fourth_files': (0, {
+        'backtest.csv':
+            '0901d80fbfd4e213e1d521771a3a5384b7a30857d6447d90da6f66845da151c1',
+        'frontier.json':
+            '40bcdb510c8a4e2be728a2f4a33cdb6140ea040bdc4c7ae85c3aa49372f22cfa',
+        'frontier_coords.csv':
+            '62423d4584df386fb22c2ba6f3ad7de903fc794810fe75b43e0b60b2a64b9f91',
+        'hook_reports.jsonl':
+            '1ecf35e1606f68bec724933be352c3315971e081aea48667c33edce219f7e5f5',
+        'manifest.json':
+            '17d514def406da995527ab1bb3177abddc0afbcc83ea0ceec42bc6f5c4313fd7',
+        'policy_table.csv':
+            'ad0bca3d7c85da1b09afd937807989223bce8745bc2e4d1b41e492faebeaabd4',
+        'recommendation.json':
+            'ce673e636955ee13c3b168f18b22c5bd80f5406ef8f5730f58e9561059a9cfee',
+    }),
+    'synth_recommended_fourth': {
+        'dataset.csv':
+            '7453231ae9f9c0c2ba8e412e2f44de59c1b36724b7bde7e581bd1b09f85e398c',
+        'planted_truth.json':
+            'b0a5a4337e62591a5cfd9a109246dc5763224a0e3d1229487be3175da8721c69',
+        'schema.json':
+            '35d09c09d14e282d2f1a534238ba40b2ac3ea1abc407e3437f687ae356949dc7',
+        'snapshots.csv':
+            '60f8e4d242bda94a7be94b47d9cce3ac4e1fa2e057f4513213815379024681ec',
+    },
     'search': {
         'candidates.json':
             '8528f4096781b64be88b8be24e4a89a74596d9f022cfdceb35ec787dda9860e7',
@@ -228,6 +256,22 @@ def test_search_and_filter_outputs_are_unchanged(tmp_path):
     whole = tmp_path / "filter_all"
     assert main(["filter", "--policy-table", table, "--out", str(whole)]) == 0
     assert digests(whole) == EXPECTED["filter_all"]
+
+
+def test_pipeline_on_synthesized_files_is_unchanged(tmp_path, monkeypatch):
+    # `recommended_fourth` read back from the files `synth` writes: ingest,
+    # load_snapshots and three refinements. Paths are relative, so the
+    # manifest does not name the temporary directory.
+    monkeypatch.chdir(tmp_path)
+    Path("scenario.json").write_text(json.dumps(
+        RUNS["recommended_fourth"].to_json()["scenario"]))
+    assert main(["synth", "--scenario", "scenario.json", "--out", "synth"]) == 0
+    assert digests(Path("synth")) == EXPECTED["synth_recommended_fourth"]
+    Path("config.json").write_text(json.dumps(RunConfig(
+        seed=8, dataset_path="synth/dataset.csv", schema_path="synth/schema.json",
+        snapshots_path="synth/snapshots.csv").to_json()))
+    code = main(["pipeline", "--config", "config.json", "--out", "run"])
+    assert (code, digests(Path("run"))) == EXPECTED["recommended_fourth_files"]
 
 
 def test_synth_govern_and_ingest_outputs_are_unchanged(tmp_path):

@@ -1,6 +1,8 @@
+import importlib
 import json
 import weakref
 from dataclasses import MISSING, asdict, dataclass, fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -320,6 +322,33 @@ def test_pipeline_deterministic_across_runs():
     assert a.policies.mean.tobytes() == b.policies.mean.tobytes()
     assert a.policies.std_err.tobytes() == b.policies.std_err.tobytes()
     assert a.backtest_series == b.backtest_series
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_twin_policies_tie_after_every_exclusion(tmp_path, monkeypatch):
+    # The decay benchmark's input at seed 8108: f2 = f1 ** 2, so every f1
+    # policy has an f2 twin with equal means. Four iterations shrink the
+    # table from 216 to 213 rows. Scored from column-major means, the last
+    # (rows mod 4) rows round apart from the rest, and f2.ind4.a2-a2-a2-a2,
+    # the last row, would score 1 ulp above its twin and enter the
+    # frontier; the twins must tie, and the id tie-break keeps f1.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    workloads.decay_inputs(8108, tmp_path)
+    config = RunConfig(**{**json.loads((tmp_path / "run_config.json").read_text()),
+                          "max_refinements": 3})
+    result = govern_pipeline(config)
+    assert result.iterations == 4 and len(result.policies) == 213
+    candidates = sorted([*result.frontier.admitted, *result.frontier.dominated_by])
+    assert "f1.ind4.a2-a2-a2-a2" in candidates
+    assert "f2.ind4.a2-a2-a2-a2" not in candidates
+    # The one ranking equals Top-K on the table the last iteration searched.
+    weights = search.sample_weights(2, config.weight_samples, config.seed)
+    assert candidates == search.collect_candidates(result.policies, weights,
+                                                   config.top_k).policy_ids
+    assert len(candidates) == 27
 
 
 def test_run_artifacts_written(tmp_path):

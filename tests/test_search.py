@@ -5,21 +5,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohortpolicy.errors import ConfigError, EstimationError
 from cohortpolicy.experiment import ExperimentDataset, compute_ate
-from cohortpolicy.search import (PolicyCandidate, build_policy_table,
+from cohortpolicy.search import (PolicyCandidate, _scores, build_policy_table,
                                  collect_candidates, enumerate_policies,
                                  evaluate_policies, evaluate_policy_days, evaluate_policy_pinned,
                                  global_policies,
-                                 load_policy_table, make_policy_id,
+                                 load_policy_table, make_policy_id, rank_policies,
                                  sample_weights, save_policy_table,
                                  scalarized_score)
 from cohortpolicy.segmentation import CutSpec, enumerate_cuts
 
-from conftest import build_dataset, make_policy, shuffled
+from conftest import build_dataset, make_policy, shuffled, table_of
 
 
 def two_arm_dataset(n=16, outcome=None):
@@ -596,6 +596,86 @@ def test_collect_candidates_matches_per_weight_loop(case):
     assert got.policy_ids == ids
     assert got.provenance == provenance
     assert list(got.provenance) == list(provenance)
+
+
+def _twin_table_case():
+    # Twin policies with equal means, as f1 and a monotone copy of it give,
+    # in a table of 6 rows: a column-major matrix-vector product rounds the
+    # last (rows mod 4) rows apart from the rest, and each exclusion moves
+    # that remainder.
+    means = np.random.default_rng(0).normal(size=(3, 2))
+    policies = [make_policy(f"{twin}{k:02d}", means[k]) for twin in "ab" for k in range(3)]
+    return policies, sample_weights(2, 64, 0), 5, ("m1", "m2"), (), [(True, 0)] * 4, True
+
+
+@st.composite
+def refinement_cases(draw):
+    # Up to four exclusions, each a candidate of the previous Top-K as a
+    # refinement's rejected pick is, or any remaining policy; the table may
+    # hold fewer policies than top_k plus the exclusions. The policies come
+    # as a list or, as the governed run holds them, a PolicyTable.
+    policies, weights, top_k, metrics, minimize = draw(top_k_cases())
+    picks = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 99)), max_size=4))
+    return policies, weights, top_k, metrics, minimize, picks, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(refinement_cases())
+@example(case=_twin_table_case())
+def test_one_ranking_equals_top_k_on_the_shrunken_table(case):
+    policies, weights, top_k, metrics, minimize, picks, as_table = case
+    table = table_of(policies, metrics) if as_table else policies
+    ranking = rank_policies(table, weights, top_k + len(picks), metrics=metrics,
+                            minimize=minimize)
+    excluded = []
+    for from_candidates, index in [(True, 0), *picks]:
+        want = collect_candidates(table, weights, top_k, metrics=metrics,
+                                  minimize=minimize)
+        got = ranking.top_k(top_k, excluded)
+        assert got.policy_ids == want.policy_ids
+        assert got.provenance == want.provenance
+        assert list(got.provenance) == list(want.provenance)
+        assert ranking.top_k_ids(top_k, excluded) == want.policy_ids
+        pool = want.policy_ids if from_candidates else [p.policy_id for p in policies
+                                                        if p.policy_id not in excluded]
+        excluded.append(pool[index % len(pool)])
+        if len(excluded) == len(policies):
+            with pytest.raises(ValueError, match="no policies to search"):
+                ranking.top_k(top_k, excluded)
+            return
+        table = ([p for p in table if p.policy_id != excluded[-1]] if not as_table
+                 else table.take(np.arange(len(table)) != table.row(excluded[-1])))
+
+
+def test_ranking_refuses_more_exclusions_than_its_depth():
+    policies = [make_policy(pid, [float(k)]) for k, pid in enumerate("abcdef")]
+    ranking = rank_policies(policies, np.ones((3, 1)), depth=3)
+    assert ranking.rows.shape == (3, 3)
+    assert ranking.top_k_ids(2, ["f"]) == ["d", "e"]
+    with pytest.raises(ValueError, match="after at most 1 exclusions, not 2"):
+        ranking.top_k(2, ["f", "e"])
+    # A ranking that holds every policy takes any number.
+    full = rank_policies(policies, np.ones((3, 1)), depth=10)
+    assert full.top_k_ids(2, ["f", "e", "d", "c"]) == ["a", "b"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 60), n_metrics=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_a_score_does_not_depend_on_the_rows_beside_it(n, n_metrics, seed, data):
+    # Scores of the rows a shrunken table keeps equal their scores in the
+    # full table, bit for bit, so one ranking serves every refinement. (A
+    # one-row table rounds otherwise, but ranks its only row first.)
+    rng = np.random.default_rng(seed)
+    mu = rng.normal(size=(n, n_metrics)) * 10.0 ** rng.integers(-3, 4, size=n_metrics)
+    weights = sample_weights(n_metrics, 40, seed)
+    keep = np.sort(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n,
+                                      unique=True)))
+    full = _scores(mu, weights)
+    # Column-major means, as a table's columns are read, score as row-major.
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        assert _scores(layout(mu[keep]), weights).tobytes() == full[:, keep].tobytes()
+    assert _scores(mu, weights[:1]).tobytes() == (mu @ weights[0]).tobytes()
 
 
 # -- table persistence ----------------------------------------------------------------
