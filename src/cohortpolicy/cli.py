@@ -25,8 +25,8 @@ from .governance import (StabilityThresholds, load_snapshots, pre_search_filter,
 from .ingest import IngestSchema, ingest, read_json, write_csv, write_json
 from .pipeline import RunConfig, govern_pipeline, write_run_artifacts
 from .search import (build_policy_table, collect_candidates, load_candidates,
-                     load_policy_table, sample_weights, save_candidates,
-                     save_policy_table)
+                     load_policy_table, moments_cube, sample_weights,
+                     save_candidates, save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import (BenchmarkConfig, ScenarioConfig, build_benchmark,
                     drift_snapshots, generate_experiment, write_benchmark)
@@ -126,7 +126,8 @@ def cmd_search(args) -> int:
     seed = args.seed if args.seed is not None else 0
     cuts_cfg = read_json(args.cuts, CutEnumerationConfig) \
         if args.cuts else CutEnumerationConfig(features=ds.features)
-    table = build_policy_table(ds, enumerate_cuts(ds, cuts_cfg), args.budget, seed)
+    cuts = enumerate_cuts(ds, cuts_cfg)
+    table = build_policy_table(moments_cube(ds, cuts), cuts, args.budget, seed)
     weights = sample_weights(len(ds.metrics), args.weights, seed)
     candidates = collect_candidates(table, weights, args.top_k,
                                     metrics=ds.metrics,

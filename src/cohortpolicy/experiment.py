@@ -241,27 +241,19 @@ class CellMoments:
 
 
 def cell_moments(ds: ExperimentDataset, codes: np.ndarray,
-                 shape: tuple[int, ...], rows: np.ndarray | None = None
-                 ) -> CellMoments:
+                 shape: tuple[int, ...]) -> CellMoments:
     """Count, outcome sum and centred sum of squares of every (cell, arm)
-    group, over `rows` of `ds`.
+    group of the users of `ds`.
 
     `codes` holds every user's cell as a flat index into `shape`. One
     bincount pass per metric fills the sums, and one more the squared
     deviations from each group's mean.
     """
-    arms, outcomes = ds.arm_codes, ds.outcome_matrix
-    if rows is not None and np.asarray(rows).dtype == bool:
-        # compress runs several times faster than indexing by a mask.
-        codes, arms = codes.compress(rows), arms.compress(rows)
-        outcomes = outcomes.compress(rows, axis=1)
-    elif rows is not None:
-        codes, arms, outcomes = codes[rows], arms[rows], outcomes[:, rows]
     n_arms = len(ds.actions)
-    cell = codes * n_arms + arms
+    cell = codes * n_arms + ds.arm_codes
     count = np.bincount(cell, minlength=math.prod(shape) * n_arms)
     sums, m2s = [], []
-    for y in outcomes:
+    for y in ds.outcome_matrix:
         total = np.bincount(cell, weights=y, minlength=count.size)
         # Squared deviations from the group mean, in one temporary.
         dev = (total / np.maximum(count, 1))[cell]
@@ -322,35 +314,25 @@ def effects_from_moments(moments: CellMoments, control: int) -> SlotEffects:
         supported=treated | is_control)
 
 
-def slot_effects(ds: ExperimentDataset, codes: np.ndarray, n_slots: int,
-                 rows: np.ndarray | None = None) -> SlotEffects:
-    """Effect of every arm vs control in every slot, over `rows` of `ds`.
-
-    `codes` holds every user's slot. The effects come from the count, mean
-    and centred sum of squares of every (slot, arm) cell (`cell_moments`,
-    then `effects_from_moments`).
-    """
-    return effects_from_moments(cell_moments(ds, codes, (n_slots,), rows),
-                                ds.actions.index(ds.control_action))
-
-
-def _lift(ds: ExperimentDataset, rows: np.ndarray | None, action: str,
+def _lift(ds: ExperimentDataset, rows: np.ndarray, action: str,
           metric: str, where: str) -> MetricEstimate:
-    # The effect of `action` over `rows`, read from a single-slot table.
+    # The effect of `action` on the users that the mask `rows` selects:
+    # cell 1 of a two-cell table whose cell 0 holds the other users.
     if action not in ds.actions:
         raise ValueError(f"unknown action {action!r}")
     if metric not in ds.metrics:
         raise ValueError(f"unknown metric {metric!r}")
     arm, control = ds.actions.index(action), ds.actions.index(ds.control_action)
-    effects = slot_effects(ds, np.zeros(ds.n_users, dtype=np.intp), 1, rows)
-    if not effects.supported[0, arm]:
+    effects = effects_from_moments(cell_moments(ds, rows.astype(np.intp), (2,)),
+                                   control)
+    if not effects.supported[1, arm]:
         raise EstimationError(
             f"{action!r} lacks treated or control users in {where}")
     m = ds.metrics.index(metric)
-    return MetricEstimate(mean=float(effects.mean[0, arm, m]),
-                          std_err=float(effects.std_err[0, arm, m]),
-                          n_treated=int(effects.counts[0, arm]),
-                          n_control=int(effects.counts[0, control]))
+    return MetricEstimate(mean=float(effects.mean[1, arm, m]),
+                          std_err=float(effects.std_err[1, arm, m]),
+                          n_treated=int(effects.counts[1, arm]),
+                          n_control=int(effects.counts[1, control]))
 
 
 def compute_ate(ds: ExperimentDataset, action: str, metric: str) -> MetricEstimate:
@@ -359,7 +341,8 @@ def compute_ate(ds: ExperimentDataset, action: str, metric: str) -> MetricEstima
     Mean outcome over the treated arm minus mean outcome over the control
     arm; standard error is the two-sample unpooled sqrt(s_t^2/n_t + s_c^2/n_c).
     """
-    return _lift(ds, None, action, metric, f"experiment {ds.experiment_id!r}")
+    return _lift(ds, np.ones(ds.n_users, dtype=bool), action, metric,
+                 f"experiment {ds.experiment_id!r}")
 
 
 def segment_hte(ds: ExperimentDataset, segment: "Segment", action: str,

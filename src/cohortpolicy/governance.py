@@ -21,8 +21,8 @@ from .errors import (ConfigError, EstimationError, InsufficientDataError,
                      IntegrityError, RowIngestError)
 from .experiment import ExperimentDataset, MetricEstimate
 from .ingest import csv_blocks, csv_rows, read_jsonl, write_csv, write_jsonl
-from .search import (Estimates, Policies, PolicyCandidate, evaluate_policy_days,
-                     policy_columns)
+from .search import (Estimates, MomentsCube, Policies, PolicyCandidate,
+                     compose_estimates, cut_effects, moments_cube, policy_columns)
 from .segmentation import slot_codes, sort_values, sorted_boundaries
 
 STAGE_PRE_SEARCH = "pre_search"
@@ -360,34 +360,36 @@ def validation_spans(n_days: int, n_slices: int) -> tuple[np.ndarray, np.ndarray
             np.concatenate([bounds[1:], k + 1, k + 1]))
 
 
+def _span_estimates(cube: MomentsCube, policy: PolicyCandidate, n_slices: int
+                    ) -> list[Estimates | EstimationError]:
+    # The policy's estimates on the `validation_spans` of the cube's days.
+    [(_, effects)] = cut_effects(cube, [policy.cut],
+                                 *validation_spans(len(cube.days), n_slices))
+    return compose_estimates(cube, effects, [policy])
+
+
 def run_backtest(policy: PolicyCandidate, window: ExperimentDataset,
                  target_metrics: Sequence[str], n_days: int | None = None
                  ) -> tuple[BacktestSeries, HookReport]:
     """Replay the policy's lift day by day and check temporal persistence.
 
     Days are `window.day_codes(n_days)`. Cohort boundaries are pinned from
-    the whole window, and every daily and cumulative estimate comes from one
-    per-policy table of (day, slot, arm) cell moments
-    (`evaluate_policy_days`): a day reads its own cells, a cumulative
-    prefix pools the cells of its days. See `backtest_verdict` for the
-    pass rule and the 7-day minimum.
+    the whole window: every daily and cumulative estimate is read from one
+    `moments_cube` of the window's days on the policy's grid, where a day
+    reads its own cells and a cumulative prefix pools the cells of its
+    days. See `backtest_verdict` for the pass rule and the 7-day minimum.
     """
-    day, labels = window.day_codes(n_days)
-    lo, hi = validation_spans(len(labels), 0)
-    return backtest_verdict(
-        policy, window, day, labels,
-        evaluate_policy_days(window, policy, day, len(labels), lo, hi),
-        target_metrics)
+    cube = moments_cube(window, [policy.cut], window.day_codes(n_days))
+    return backtest_verdict(policy, cube, _span_estimates(cube, policy, 0),
+                            target_metrics)
 
 
-def backtest_verdict(policy: PolicyCandidate, window: ExperimentDataset,
-                     day: np.ndarray, labels: Sequence[int],
+def backtest_verdict(policy: PolicyCandidate, cube: MomentsCube,
                      estimates: Sequence[Estimates | EstimationError],
                      target_metrics: Sequence[str]
                      ) -> tuple[BacktestSeries, HookReport]:
     """The backtest series and report from the policy's estimates on the
-    backtest ranges of `validation_spans` over `window`'s days (`day`,
-    `labels` as `window.day_codes` returns them).
+    backtest ranges of `validation_spans` over the days of `cube`.
 
     The reference is the policy's own (search-time) full-window estimate.
     Pass iff, from day 7 on, each cumulative estimate stays within 2
@@ -400,16 +402,12 @@ def backtest_verdict(policy: PolicyCandidate, window: ExperimentDataset,
         if metric not in policy.estimates:
             raise ValueError(
                 f"policy {policy.policy_id!r} has no estimate for {metric!r}")
-    n_days = len(labels)
-    users = np.bincount(day, minlength=n_days)
+    n_days = len(cube.days)
+    users = next(iter(cube.grids.values())).counts.sum(axis=(1, 2))
 
-    days: list[str] = []
-    daily_series: list[dict[str, MetricEstimate]] = []
-    cumulative_series: list[dict[str, MetricEstimate]] = []
-    codes: list[str] = []
-    notes: list[str] = []
-    for k, label in enumerate(labels):
-        name = f"{window.experiment_id}#day{label}"
+    days, daily_series, cumulative_series, codes, notes = [], [], [], [], []
+    for k, label in enumerate(cube.days):
+        name = f"{cube.experiment_id}#day{label}"
         today, prefix = estimates[k], estimates[n_days + k]
         if not users[k]:
             codes.append(CODE_EMPTY_SLICE)
@@ -476,21 +474,20 @@ def _insufficient_data(policy: PolicyCandidate, stage: str,
                       entities=[policy.policy_id], narrative=narrative)
 
 
-def validate_candidate(ds: ExperimentDataset, candidate: PolicyCandidate,
-                       target_metrics: Sequence[str], n_days: int | None,
-                       n_slices: int
+def validate_candidate(cube: MomentsCube, candidate: PolicyCandidate,
+                       target_metrics: Sequence[str], n_slices: int
                        ) -> tuple[BacktestSeries | None, list[HookReport]]:
     """The robustness check over `n_slices` temporal slices, then the
-    backtest over the days of `ds.day_codes(n_days)`, from one
-    `evaluate_policy_days` pass over the `validation_spans`.
+    backtest over the days of `cube`: one `cut_effects` read of the
+    candidate's cut on the `validation_spans`, with no pass over the users.
+    A candidate read from the same cube over every day (its table row)
+    equals the last cumulative prefix bit for bit.
 
     A slice without arm support, or a backtest with too few usable days, is
     an INSUFFICIENT_DATA rejection. Returns the backtest series, None unless
     every hook passed, and the reports in trail order.
     """
-    day, labels = ds.day_codes(n_days)
-    lo, hi = validation_spans(len(labels), n_slices)
-    spans = evaluate_policy_days(ds, candidate, day, len(labels), lo, hi)
+    spans = _span_estimates(cube, candidate, n_slices)
     slices = spans[:n_slices]
     shortfall = next((s for s in slices if isinstance(s, EstimationError)), None)
     if shortfall is not None:
@@ -500,8 +497,8 @@ def validate_candidate(ds: ExperimentDataset, candidate: PolicyCandidate,
     if robustness.rejected:
         return None, [robustness]
     try:
-        series, backtest = backtest_verdict(candidate, ds, day, labels,
-                                            spans[n_slices:], target_metrics)
+        series, backtest = backtest_verdict(candidate, cube, spans[n_slices:],
+                                            target_metrics)
     except InsufficientDataError as exc:
         return None, [robustness, _insufficient_data(
             candidate, STAGE_PRE_RECOMMENDATION,

@@ -25,7 +25,8 @@ from .governance import (MIN_ROBUSTNESS_SLICES, FeatureSnapshotPair, HookReport,
                          validate_candidate)
 from .ingest import IngestSchema, ingest, read_json, write_json
 from .search import (PolicyCandidate, PolicyTable, build_policy_table,
-                     rank_policies, sample_weights, save_policy_table)
+                     moments_cube, rank_policies, sample_weights,
+                     save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import ScenarioConfig, drift_snapshots, generate_experiment
 
@@ -118,7 +119,7 @@ class PipelineResult:
     iterations: int
     policies: PolicyTable | None
     frontier: FrontierResult | None
-    dataset: ExperimentDataset | None = None
+    metrics: tuple[str, ...] = ()
     backtest_series: object | None = None
 
     @property
@@ -147,7 +148,11 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
     `max_refinements` extra iterations; a rejection nothing can be removed
     for (empty search space, no qualifying policy) is terminal. Everything
     before Top-K is independent of the removed policies and runs once; its
-    pre-search report opens every iteration's trail. The table is scored
+    pre-search report opens every iteration's trail. The users are read
+    once, into a `moments_cube` of the admitted features' grids over the
+    days of `ds.day_codes(backtest_days)`, and then released: the table
+    reads every day of the cube, and each pick's validation its day
+    ranges. The table is scored
     once (`rank_policies`, `top_k + max_refinements` deep), and each
     iteration takes its Top-K from that ranking without the removed
     policies, which equals Top-K on the remaining rows. The chosen policy
@@ -167,15 +172,18 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
     if not admitted_features:
         return PipelineResult(status="rejected", recommendation=None,
                               reports=[pre_report], iterations=1, policies=None,
-                              frontier=None, dataset=ds)
+                              frontier=None, metrics=ds.metrics)
     cuts = enumerate_cuts(ds, CutEnumerationConfig(
         features=tuple(admitted_features), n_bins=config.n_bins,
         kinds=config.cut_kinds))
-    table = build_policy_table(ds, cuts, config.policy_budget, config.seed)
-    weights = sample_weights(len(ds.metrics), config.weight_samples, config.seed)
+    cube = moments_cube(ds, cuts, ds.day_codes(config.backtest_days))
+    del ds  # nothing after the cube reads the users
+    metrics = cube.metrics
+    table = build_policy_table(cube, cuts, config.policy_budget, config.seed)
+    weights = sample_weights(len(metrics), config.weight_samples, config.seed)
     # Deep enough for the Top-K of every iteration.
     ranking = rank_policies(table, weights, config.top_k + config.max_refinements,
-                            metrics=ds.metrics, minimize=config.minimize_metrics)
+                            metrics=metrics, minimize=config.minimize_metrics)
 
     reports: list[HookReport] = []
     excluded: list[str] = []
@@ -187,16 +195,15 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
             table = table.take(np.arange(len(table)) != table.row(picked))
         reports.append(pre_report)
         frontier = tolerance_filter(table.take(ranking.top_k_ids(config.top_k, excluded)),
-                                    tolerance, metrics=ds.metrics)
+                                    tolerance, metrics=metrics)
         picked, rejection = select_candidate(table.take(frontier.admitted),
-                                             primary, ds.metrics,
+                                             primary, metrics,
                                              config.minimize_metrics)
         if picked is None:
             reports.append(rejection)
             break
         candidate = table.candidate(picked, cuts)
-        series, verdicts = validate_candidate(ds, candidate, [primary],
-                                              config.backtest_days,
+        series, verdicts = validate_candidate(cube, candidate, [primary],
                                               config.robustness_slices)
         reports += verdicts
         if series is not None:
@@ -205,7 +212,7 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
     return PipelineResult(status="recommended" if recommended else "rejected",
                           recommendation=candidate if recommended else None,
                           reports=reports, iterations=iteration + 1,
-                          policies=table, frontier=frontier, dataset=ds,
+                          policies=table, frontier=frontier, metrics=metrics,
                           backtest_series=series)
 
 
@@ -219,8 +226,7 @@ def write_run_artifacts(result: PipelineResult, config: RunConfig,
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ds = result.dataset
-    metrics = list(ds.metrics) if ds is not None else []
+    metrics = list(result.metrics)
 
     artifacts: dict[str, str] = {}
     policies = result.policies

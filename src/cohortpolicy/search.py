@@ -3,16 +3,18 @@
 A policy maps each segment slot of one cut to an action (control allowed).
 Per-metric policy lift is the segment-size-weighted sum of the slot effects
 of its treated slots; policy standard errors compose slot standard errors as
-independent size-weighted variances (segments are disjoint user sets). Every
-cut's effects come from `cut_effects`: one (slot, arm) moments pass per
-feature and bin count on its N-bin grid, read as it is by the individual cut
-and pooled into the two slots of each binary cut. Every policy on a cut is
-composed from its cut's effect arrays, and the binary cuts of a feature,
-which share one arm matrix, in one call. `build_policy_table` keeps
-the composed arrays as one columnar `PolicyTable`, which the governed run
-and the `search` command search: Top-K, the tolerance filter and the
-post-search selection read its id-sorted columns through `policy_columns`.
-`evaluate_policies` wraps composed estimates into `PolicyCandidate`s.
+independent size-weighted variances (segments are disjoint user sets).
+Every estimate is read from one `MomentsCube` (one (day, slot, arm) moments
+pass per feature and bin count on its N-bin grid) by `cut_effects`, which
+pools a range of days, then the two slots of each binary cut: the policy
+table reads every day, the validation hooks the pick's slices and days.
+Every policy on a cut is composed from its cut's effect arrays, and the
+binary cuts of a feature, which share one arm matrix, in one call.
+`build_policy_table` keeps the composed arrays as one columnar
+`PolicyTable`, which the governed run and the `search` command search:
+Top-K, the tolerance filter and the post-search selection read its
+id-sorted columns through `policy_columns`. `evaluate_policies` wraps
+composed estimates into `PolicyCandidate`s.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EstimationError, IntegrityError
+from .errors import ConfigError, EstimationError, IntegrityError, RowIngestError
 from .experiment import (CellMoments, ExperimentDataset, MetricEstimate,
                          SlotEffects, cell_moments, effects_from_moments,
                          pool_moments)
@@ -102,7 +104,8 @@ def _cut_assignments(cuts: Sequence[CutSpec], n_actions: int, budget: int,
     cross-product when it fits the per-cut budget, otherwise a seeded
     uniform sample without replacement that always holds the all-control
     row. One generator seeded with `seed` serves every sampled cut, in cut
-    order. An empty cut list gives the single-slot global policies.
+    order. A cut listed again is listed once, with the rows of each of its
+    samples. An empty cut list gives the single-slot global policies.
     """
     if budget < 1:
         raise ConfigError(f"policy budget must be >= 1, got {budget}")
@@ -111,15 +114,16 @@ def _cut_assignments(cuts: Sequence[CutSpec], n_actions: int, budget: int,
     if not cuts:
         return [(None, np.arange(n_actions, dtype=np.intp)[:, None])]
     rng = np.random.default_rng(seed)
-    out = []
+    out: dict[CutSpec, np.ndarray] = {}
     for cut in cuts:
         slots = cut.slot_count
         if n_actions ** slots <= budget:
             arms = np.indices((n_actions,) * slots).reshape(slots, -1).T
         else:
             arms = _sample_assignments(n_actions, slots, budget, control_index, rng)
-        out.append((cut, arms))
-    return out
+        out[cut] = (arms if cut not in out
+                    else np.unique(np.concatenate([out[cut], arms]), axis=0))
+    return list(out.items())
 
 
 def enumerate_policies(ds: ExperimentDataset, cuts: Sequence[CutSpec], *,
@@ -164,49 +168,69 @@ def _pool_slots(moments: CellMoments, thresholds: Sequence[int]) -> CellMoments:
                        m2=by_cut(pooled.m2, -3))
 
 
-def cut_effects(ds: ExperimentDataset, cuts: Sequence[CutSpec | None],
-                rows: np.ndarray | None = None,
-                days: tuple[np.ndarray, int, np.ndarray, np.ndarray] | None = None
+def _grid(cut: CutSpec | None) -> CutSpec | None:
+    # The grid a cut reads: its feature's N-bin individual cut; None for all.
+    return None if cut is None else CutSpec(cut.feature, INDIVIDUAL, cut.n_bins)
+
+
+@dataclass(frozen=True, eq=False)
+class MomentsCube:
+    """All that the policy table and the validation hooks read of an
+    experiment's users: `grids` maps each grid (a feature's N-bin
+    individual cut, or None for the whole population) to the CellMoments
+    of its (day, slot) cells. `days` holds the day labels and `control`
+    indexes the control arm in `actions`."""
+
+    experiment_id: str
+    actions: tuple[str, ...]
+    control: int
+    metrics: tuple[str, ...]
+    days: list[int]
+    grids: dict[CutSpec | None, CellMoments]
+
+
+def moments_cube(ds: ExperimentDataset, cuts: Sequence[CutSpec | None],
+                 days: tuple[np.ndarray, list[int]] | None = None) -> MomentsCube:
+    """One `cell_moments` pass over (day, slot) x arm cells per grid that
+    `cuts` read; an empty cut list, whose policies are the global ones,
+    reads the whole population. `days` is every user's day code and the day
+    labels, as `ds.day_codes` returns them; by default all users are on
+    one day, labelled 0.
+    """
+    day, labels = days or (0, [0])
+    grids: dict[CutSpec | None, CellMoments] = {}
+    for grid in dict.fromkeys(map(_grid, cuts or [None])):
+        n_slots = grid.slot_count if grid is not None else 1
+        # No per-user array outlives its use in the sum.
+        codes = cut_slot_codes(ds, grid)
+        codes += day * n_slots
+        grids[grid] = cell_moments(ds, codes, (len(labels), n_slots))
+    return MomentsCube(experiment_id=ds.experiment_id, actions=ds.actions,
+                       control=ds.actions.index(ds.control_action),
+                       metrics=ds.metrics, days=list(labels), grids=grids)
+
+
+def cut_effects(cube: MomentsCube, cuts: Sequence[CutSpec | None],
+                lo: Sequence[int] | None = None, hi: Sequence[int] | None = None
                 ) -> list[tuple[list[int], SlotEffects]]:
     """The slot effects of every cut in `cuts` (None for the whole
-    population) over `rows` of `ds` (a mask or index array), or, with
-    `days` = (day, n_days, lo, hi), on the users of each day range [lo[i],
-    hi[i]) as `evaluate_policy_days` describes.
+    population) on the users of each day range [lo[i], hi[i]) of `cube`
+    (by default, of all its days).
 
     Returns groups of positions in `cuts`, each with one SlotEffects whose
-    leading axis runs over the group's positions (and, with `days`, a range
-    axis next). The binary cuts of one feature and bin count form one group;
-    every other cut forms its own.
-
-    One (slot, arm) `cell_moments` pass per feature and bin count, on its
-    N-bin grid, serves every cut on that grid during the call. An individual
-    cut reads the pass as it is, and the whole population gets its own
-    single-slot pass. A binary cut at threshold i0 puts in its upper slot
-    the users whose N-bin code is at least i0 (the codes `cut_slot_codes`
-    gives it, ties included), so its two slots pool the grid's slots [0, i0)
-    and [i0, N) with `pool_moments`: counts are exact, and means and
+    two leading axes run over the group's positions and the ranges. The
+    binary cuts of one feature and bin count form one group; every other
+    cut forms its own. A range pools its days' cells (`pool_moments`); a
+    one-day range reads that day's cells exactly. An individual cut reads
+    its grid's slots as they are. A binary cut at threshold i0 puts in its
+    upper slot the users whose N-bin code is at least i0 (the codes
+    `cut_slot_codes` gives it, ties included), so its two slots pool the
+    grid's slots [0, i0) and [i0, N): counts are exact, and means and
     standard errors agree with a pass over the cut's own codes to rounding.
-    With `days`, day ranges are pooled before slots, so a one-day range
-    equals `rows` set to that day's users exactly.
     """
-    control = ds.actions.index(ds.control_action)
-    passes: dict[CutSpec | None, CellMoments] = {}
-
-    def grid_moments(grid: CutSpec | None) -> CellMoments:
-        if grid not in passes:
-            n_slots = grid.slot_count if grid is not None else 1
-            if days is None:
-                passes[grid] = cell_moments(ds, cut_slot_codes(ds, grid), (n_slots,),
-                                            rows)
-            else:
-                # No per-user array outlives its use in the sum.
-                day, n_days, lo, hi = days
-                codes = day * n_slots
-                codes += cut_slot_codes(ds, grid)
-                passes[grid] = pool_moments(
-                    cell_moments(ds, codes, (n_days, n_slots)), lo, hi)
-        return passes[grid]
-
+    if lo is None:
+        lo, hi = [0], [len(cube.days)]
+    pooled = {grid: pool_moments(cells, lo, hi) for grid, cells in cube.grids.items()}
     groups: dict[object, list[int]] = {}
     for position, cut in enumerate(cuts):
         key = ((cut.feature, cut.n_bins) if cut is not None and cut.kind == BINARY
@@ -214,15 +238,13 @@ def cut_effects(ds: ExperimentDataset, cuts: Sequence[CutSpec | None],
         groups.setdefault(key, []).append(position)
     out = []
     for key, positions in groups.items():
-        cut = cuts[positions[0]]
+        fine = pooled[_grid(cuts[positions[0]])]
         if isinstance(key, tuple):
-            fine = grid_moments(CutSpec(cut.feature, INDIVIDUAL, cut.n_bins))
             moments = _pool_slots(fine, [cuts[p].threshold_index for p in positions])
         else:
-            fine = grid_moments(cut)
             moments = CellMoments(counts=fine.counts[None], sums=fine.sums[None],
                                   m2=fine.m2[None])
-        out.append((positions, effects_from_moments(moments, control)))
+        out.append((positions, effects_from_moments(moments, cube.control)))
     return out
 
 
@@ -251,9 +273,9 @@ class Composition:
     unsupported: np.ndarray
 
 
-def _compose(ds: ExperimentDataset, effects: SlotEffects,
+def _compose(cube: MomentsCube, effects: SlotEffects,
              arms: np.ndarray) -> Composition:
-    """The policies whose (P, slots) arm codes, indices into `ds.actions`,
+    """The policies whose (P, slots) arm codes, indices into `cube.actions`,
     are `arms`, on the cut that `effects` describes.
 
     A policy's lift is the size-weighted sum, in slot order, of the effects
@@ -262,14 +284,14 @@ def _compose(ds: ExperimentDataset, effects: SlotEffects,
     time across all P policies. A non-empty slot whose action lacks treated
     or control users makes the policy unsupported.
     """
-    control = ds.actions.index(ds.control_action)
+    control = cube.control
     sizes = effects.counts.sum(axis=-1)
     weights = sizes / np.maximum(sizes.sum(axis=-1, keepdims=True), 1)
     terms = weights[..., None, None] * effects.mean
     squares = np.square(weights[..., None, None] * effects.std_err)
     # The control arm's column and every empty slot hold zero effect and
     # zero error, and sums run in slot order.
-    mean = np.zeros((*sizes.shape[:-1], len(arms), len(ds.metrics)))
+    mean = np.zeros((*sizes.shape[:-1], len(arms), len(cube.metrics)))
     var = np.zeros_like(mean)
     for slot in range(arms.shape[1]):
         mean += terms[..., slot, arms[:, slot], :]
@@ -287,21 +309,20 @@ def _compose(ds: ExperimentDataset, effects: SlotEffects,
 Estimates = dict[str, MetricEstimate]
 
 
-def _estimates(ds: ExperimentDataset, effects: SlotEffects,
-               policies: Sequence[PolicyCandidate]
-               ) -> list[Estimates | EstimationError]:
-    """Each policy's estimates on the cut that `effects` describes, from
-    `_compose`, or the EstimationError naming its first unsupported slot.
-    Effects with leading axes list each table's policies in turn.
-    """
-    arm_of = {action: k for k, action in enumerate(ds.actions)}
+def compose_estimates(cube: MomentsCube, effects: SlotEffects,
+                      policies: Sequence[PolicyCandidate]
+                      ) -> list[Estimates | EstimationError]:
+    """Each policy's estimates on the cut that `effects` (`cut_effects` of
+    `cube`) describes, or the EstimationError naming its first unsupported
+    slot. Effects with leading axes list each table's policies in turn."""
+    arm_of = {action: k for k, action in enumerate(cube.actions)}
     try:
         arms = np.array([[arm_of[a] for a in p.assignment] for p in policies],
                         dtype=np.intp).reshape(len(policies), -1)
     except KeyError as exc:
         raise ValueError(f"unknown action {exc.args[0]!r}") from None
-    composed = _compose(ds, effects, arms)
-    n_metrics = len(ds.metrics)
+    composed = _compose(cube, effects, arms)
+    n_metrics = len(cube.metrics)
     out: list[Estimates | EstimationError] = []
     for policy, means, errors, n_t, n_c, slot in zip(
             itertools.cycle(policies), composed.mean.reshape(-1, n_metrics).tolist(),
@@ -315,7 +336,7 @@ def _estimates(ds: ExperimentDataset, effects: SlotEffects,
         else:
             out.append({metric: MetricEstimate(mean=mu, std_err=se, n_treated=n_t,
                                                n_control=n_c)
-                        for metric, mu, se in zip(ds.metrics, means, errors)})
+                        for metric, mu, se in zip(cube.metrics, means, errors)})
     return out
 
 
@@ -332,24 +353,25 @@ def evaluate_policies(ds: ExperimentDataset, policies: Sequence[PolicyCandidate]
     """Fill per-metric estimates for each policy (returns new candidates, in
     input order).
 
-    The cuts' slot-effect tables come from one `cut_effects` call, and
-    every policy on a cut is composed from its cut's table.
-    Control-assigned slots contribute zero lift by definition; empty slots
-    carry zero weight. A non-empty slot whose assigned action lacks treated
-    or control users makes the policy unsupported: the first unsupported
-    policy raises EstimationError naming the slot. `build_policy_table`
-    keeps only the supported policies instead.
+    The cuts' slot-effect tables come from one `cut_effects` read of a
+    one-day `moments_cube`, and every policy on a cut is composed from its
+    cut's table. Control-assigned slots contribute zero lift by definition;
+    empty slots carry zero weight. A non-empty slot whose assigned action
+    lacks treated or control users makes the policy unsupported: the first
+    unsupported policy raises EstimationError naming the slot.
+    `build_policy_table` keeps only the supported policies instead.
     """
     by_cut: dict[CutSpec | None, list[int]] = {}
     for index, policy in enumerate(policies):
         by_cut.setdefault(policy.cut, []).append(index)
     cuts = list(by_cut)
+    cube = moments_cube(ds, cuts)
     results: list = [None] * len(policies)
-    for positions, effects in cut_effects(ds, cuts):
+    for positions, effects in cut_effects(cube, cuts):
         for j, position in enumerate(positions):
             indices = by_cut[cuts[position]]
-            composed = _estimates(ds, _take(effects, j),
-                                  [policies[i] for i in indices])
+            composed = compose_estimates(cube, _take(effects, j),
+                                         [policies[i] for i in indices])
             for index, result in zip(indices, composed):
                 results[index] = result
     return [_evaluated(policy, result) for policy, result in zip(policies, results)]
@@ -358,69 +380,52 @@ def evaluate_policies(ds: ExperimentDataset, policies: Sequence[PolicyCandidate]
 def evaluate_policy_pinned(ds: ExperimentDataset, policy: PolicyCandidate,
                            rows: np.ndarray) -> PolicyCandidate:
     """This policy on `rows` of `ds` (a mask or index array), with cohort
-    bounds fixed from all of `ds`.
+    bounds fixed from all of `ds`: a `moments_cube` whose day 1 holds the
+    rows and day 0 the other users, read on day 1 alone.
 
     Slot weights and arm counts come from the selected rows only, so a
     temporal slice or a backtest day is evaluated against the cohorts of
     the window it belongs to rather than re-deriving its own quantiles.
     """
-    [(_, effects)] = cut_effects(ds, [policy.cut], rows)
-    [result] = _estimates(ds, effects, [policy])
+    day = np.zeros(ds.n_users, dtype=np.intp)
+    day[rows] = 1
+    cube = moments_cube(ds, [policy.cut], (day, [0, 1]))
+    [(_, effects)] = cut_effects(cube, [policy.cut], [1], [2])
+    [result] = compose_estimates(cube, effects, [policy])
     return _evaluated(policy, result)
 
 
-def evaluate_policy_days(ds: ExperimentDataset, policy: PolicyCandidate,
-                         day: np.ndarray, n_days: int, lo: np.ndarray,
-                         hi: np.ndarray) -> list[Estimates | EstimationError]:
-    """This policy's estimates on the users of each day range [lo[i],
-    hi[i]), with cohort bounds fixed from all of `ds`; `day` holds every
-    user's day code in range(n_days).
-
-    One moment pass over (day, slot, arm) cells serves every range
-    (`cut_effects`), and every range is composed at once. A one-day range
-    reads that day's cells and equals `evaluate_policy_pinned` on the day's
-    rows exactly; a longer range pools its days' moments (`pool_moments`)
-    and agrees with it to rounding. A range without arm support yields the
-    EstimationError that `evaluate_policy_pinned` would raise. No candidate
-    object is built per range.
-    """
-    [(_, effects)] = cut_effects(ds, [policy.cut], days=(day, n_days, lo, hi))
-    return _estimates(ds, effects, [policy])
-
-
-def build_policy_table(ds: ExperimentDataset, cuts: Sequence[CutSpec],
+def build_policy_table(cube: MomentsCube, cuts: Sequence[CutSpec],
                        budget: int = 128, seed: int = 0) -> PolicyTable:
     """Every supported policy that `enumerate_policies(ds, cuts,
     budget=budget, seed=seed)` gives, with the estimates and user counts
-    that `evaluate_policies` would fill, as one columnar table; a policy
-    without arm support in some non-empty slot is left out.
+    that `evaluate_policies` would fill, as one columnar table, read from
+    every day of `cube` (which holds the grids of `cuts`); a policy without
+    arm support in some non-empty slot is left out.
 
     The slot effects come from one `cut_effects` call. The arm-code
     matrices of a group of cuts that share one are composed in one
     `_compose` call (the binary cuts of a feature, when each gets the full
     action cross-product), without building a candidate object per policy.
     """
-    control_index = ds.actions.index(ds.control_action)
-    assigned = _cut_assignments(cuts, len(ds.actions), budget, control_index, seed)
+    assigned = _cut_assignments(cuts, len(cube.actions), budget, cube.control, seed)
     listed = [cut for cut, _ in assigned]
-    ids: list[str] = []
-    features: list[str] = []
-    cut_names: list[str] = []
-    actions: list[str] = []
+    ids, features, cut_names, actions = [], [], [], []
     means, errors, treated, controls = [], [], [], []
-    for positions, effects in cut_effects(ds, listed):
+    for positions, effects in cut_effects(cube, listed):
         sharing: dict[bytes, list[int]] = {}
         for j, position in enumerate(positions):
             sharing.setdefault(assigned[position][1].tobytes(), []).append(j)
         for group in sharing.values():
             arms = assigned[positions[group[0]]][1]
-            composed = _compose(ds, _take(effects, group), arms)
+            composed = _compose(cube, _take(effects, (group, 0)), arms)
             kept = composed.unsupported < 0
             means.append(composed.mean[kept])
             errors.append(composed.std_err[kept])
             treated.append(composed.n_treated[kept])
             controls.append(composed.n_control[kept])
-            joined = list(map("-".join, np.array(ds.actions, dtype=object)[arms].tolist()))
+            joined = list(map("-".join,
+                              np.array(cube.actions, dtype=object)[arms].tolist()))
             for j, keep in zip(group, kept):
                 cut = listed[positions[j]]
                 rows = np.flatnonzero(keep).tolist()
@@ -430,7 +435,7 @@ def build_policy_table(ds: ExperimentDataset, cuts: Sequence[CutSpec],
                 features += [cut.feature if cut is not None else ""] * len(rows)
                 cut_names += [cut.short_descriptor if cut is not None else "global"
                               ] * len(rows)
-    return PolicyTable(ds.metrics, ids, features, cut_names, actions,
+    return PolicyTable(cube.metrics, ids, features, cut_names, actions,
                        *map(np.concatenate, (means, errors, treated, controls)))
 
 
@@ -560,17 +565,14 @@ class PolicyRanking:
 
 
 def _scores(mu: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # The (weights, policies) scores. A stack of matrix-vector products
-    # rounds every score as `mu @ w` does for one weight; a matrix product
-    # rounds some differently. The means are made row-major first: with
-    # OpenBLAS 0.3.31 on x86-64, a column-major product, as a table's column
-    # slice gives, rounds the last (rows mod 4) rows apart from the rest, so
-    # two policies with equal means could score apart by how many rows the
-    # table holds. That a row-major product rounds each row alike whatever
-    # rows are beside it is measured on that BLAS, not promised by numpy;
-    # `test_a_score_does_not_depend_on_the_rows_beside_it` guards it, and
-    # the single ranking of a governed run is exact only while it holds.
-    return np.matmul(np.ascontiguousarray(mu), weights[:, :, None])[..., 0]
+    # The (weights, policies) scores, each the ordered multiply-add
+    # w0*mu0 + w1*mu1 + ... of its own row's means in metric order:
+    # elementwise IEEE arithmetic, so a score depends on its weight and its
+    # row alone, whatever other rows the table holds.
+    scores = weights[:, :1] * mu[:, 0]
+    for m in range(1, mu.shape[1]):
+        scores += weights[:, m, None] * mu[:, m]
+    return scores
 
 
 def rank_policies(policies: Policies, weights: np.ndarray, depth: int,
@@ -585,9 +587,7 @@ def rank_policies(policies: Policies, weights: np.ndarray, depth: int,
     in `minimize`, each of which must be one of the metrics, enter negated.
     Ties in score break by ascending policy_id, so the ranking is
     independent of input ordering and scheduling. A policy's score is the
-    same whatever other rows the table holds, on the BLAS that `_scores`
-    names (a one-row table rounds otherwise, but ranks its one row first
-    for every weight).
+    same whatever other rows the table holds (`_scores`).
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -643,9 +643,10 @@ class PolicyTable(Mapping):
     `std_err` are (policies, metrics) float arrays whose columns follow
     `metrics`, and `n_treated` and `n_control` (policies,) int arrays of
     each policy's treated users and their controls (a scalar fills the
-    column; 0, the default, is what a table read from a file holds). The constructor takes the columns in
-    any order and sorts them by id (a repeated id keeps its last row); it
-    rejects a non-finite mean or a negative or non-finite std_err.
+    column; 0, the default, is what a table read from a file holds). The
+    constructor takes the columns in any order and sorts them by id; it
+    rejects a repeated id, a non-finite mean and a negative or non-finite
+    std_err.
 
     As a read-only Mapping the table is {policy_id: {metric:
     MetricEstimate}}, each row built on access. The id index is built on
@@ -660,11 +661,10 @@ class PolicyTable(Mapping):
         shape = (len(ids), len(self.metrics))
         mean = np.asarray(mean, dtype=float).reshape(shape)
         std_err = np.asarray(std_err, dtype=float).reshape(shape)
+        repeat = _first_repeat(ids)
+        if repeat is not None:
+            raise ValueError(f"policy {ids[repeat]!r} is listed more than once")
         order = sorted(range(len(ids)), key=ids.__getitem__)
-        # The sort is stable, so the last of a run of equal ids is the last
-        # one given.
-        order = [i for i, j in zip(order, order[1:] + [None])
-                 if j is None or ids[i] != ids[j]]
         self.ids = [ids[i] for i in order]
         self.feature = [feature[i] for i in order]
         self.cut = [cut[i] for i in order]
@@ -734,6 +734,14 @@ class PolicyTable(Mapping):
         return len(self.ids)
 
 
+def _first_repeat(ids: Sequence[str]) -> int | None:
+    # The position of the first id that an earlier one equals, or None.
+    if len(set(ids)) == len(ids):
+        return None
+    seen: set[str] = set()
+    return next(i for i, pid in enumerate(ids) if pid in seen or seen.add(pid))
+
+
 # What the Top-K search, the tolerance filter and the selection read.
 Policies = (PolicyTable | Mapping[str, Mapping[str, MetricEstimate]]
             | Sequence[PolicyCandidate])
@@ -796,7 +804,8 @@ def load_policy_table(path: str | Path) -> tuple[PolicyTable, list[str]]:
     The file streams through `ingest.csv_blocks` (its dialect is described
     there); every metric with a `<metric>_mean` column needs a
     `<metric>_std_err` column. A short row or a missing, non-numeric or
-    non-finite number raises RowIngestError naming its 1-based data row.
+    non-finite number raises RowIngestError naming its 1-based data row,
+    and so does a policy id that an earlier row holds.
     """
     metrics = list(dict.fromkeys(name[:-len("_mean")] for name in csv_header(path)
                                  if name.endswith("_mean")))
@@ -818,10 +827,13 @@ def load_policy_table(path: str | Path) -> tuple[PolicyTable, list[str]]:
         raise IntegrityError(f"{path}: a block failed to parse ({exc}) but "
                              f"no row did") from exc
     number = np.concatenate(numbers)
-    table = PolicyTable(metrics, *([cell for block in keys for cell in block[j].tolist()]
-                                   for j in range(len(_KEY_COLUMNS))),
-                        number[:, 0::2], number[:, 1::2])
-    return table, metrics
+    ids, *text = ([cell for block in keys for cell in block[j].tolist()]
+                  for j in range(len(_KEY_COLUMNS)))
+    repeat = _first_repeat(ids)
+    if repeat is not None:
+        raise RowIngestError(repeat + 1, f"policy {ids[repeat]!r} is listed "
+                                         f"more than once")
+    return PolicyTable(metrics, ids, *text, number[:, 0::2], number[:, 1::2]), metrics
 
 
 def save_candidates(path: str | Path, candidates: CandidateSet) -> None:

@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .evaluation import KINDS, GroundTruth, InstructionSpec, ground_truth_oracle
 from .experiment import ExperimentDataset
 from .governance import QUARTILES, FeatureSnapshotPair
-from .search import PolicyTable, build_policy_table
+from .search import PolicyTable, build_policy_table, moments_cube
 from .segmentation import (CutEnumerationConfig, enumerate_cuts, slot_codes,
                            sort_values, sorted_boundaries, sorted_quantile)
 
@@ -429,8 +429,8 @@ def build_benchmark(cfg: BenchmarkConfig) -> BenchmarkBundle:
         ds, _ = generate_experiment(scenario)
         cuts = enumerate_cuts(ds, CutEnumerationConfig(
             features=ds.features, n_bins=cfg.n_bins))
-        table = build_policy_table(ds, cuts, budget=cfg.policy_budget,
-                                   seed=exp_seed)
+        table = build_policy_table(moments_cube(ds, cuts), cuts,
+                                   budget=cfg.policy_budget, seed=exp_seed)
         tables[scenario.experiment_id] = table
 
         primary, secondary = (("m1", "m2") if e % 2 == 0 else ("m2", "m1"))

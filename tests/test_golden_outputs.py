@@ -57,13 +57,13 @@ EXPECTED = {
         'frontier.json':
             '36918a5067d22f9a7582b4d23e6938e4fc513cb862e90e2ae27936453d12a21c',
         'frontier_coords.csv':
-            '5e34fc083ca8ab39714aebf2814461992e684aaf7af47f758a6c58fa48f1e6d1',
+            'd3dbab592db0b6971146366ae7725df5aa302d0f546dea7f027c8fff8a43df78',
         'hook_reports.jsonl':
             '2853a955fcf1cc8bffbd3494f7521dc50850accfdeb607802a382309610b885f',
         'manifest.json':
             'd744281b196ae204cb23c177d7230713feb7bb11c6095b6b73825044e033a0fc',
         'policy_table.csv':
-            '1a6a546e2f13eb477212b2f088819a7eb7e76f1a262d6df78384de9f229fb6f0',
+            '9e6862ac81f3918ce575b2bd3e4a2b23c87ff31ac7a76506a855a023f526b782',
         'recommendation.json':
             '3d9a9eb37bbce3da506ddbe83f7400e0e04b382e0c1b5ae0b7a90df039f81039',
     }),
@@ -81,15 +81,15 @@ EXPECTED = {
         'frontier.json':
             '1ee790bd2af014c18646ff9c09a8139ef7bdcf4f0d2694819bab82e33deeef5d',
         'frontier_coords.csv':
-            '3615654cb2c5fbc0583349e47155c1eca675c4394ba155a54629ae5454cfd4e0',
+            'cdff42768c998ba42b3d7ce465ae6d0950977d714f300ba4aed97fb82cb2e503',
         'hook_reports.jsonl':
             'c5bb8709ca3d54b274d4f8449960f87f1b17f15c1c307ff2f070d4a3ee86c45c',
         'manifest.json':
             '2f18179bd1cc6586e687b744ada346b770408b01af485a133e6b9c90f76d4100',
         'policy_table.csv':
-            '7b774b5e1a38412909ce90dec904aea4ed0d006b62cb11e49fe1abe8ab3ff694',
+            'a9ef02d609aba72c5aea99ad6cb8f0a358dec11ac655920a6b2e0ed8910f61d8',
         'recommendation.json':
-            'f3a5688550aceea2ee224a16aa8212fcf7a61460172a4d67cfce1cab5e8386a2',
+            '1fa863acf805bffa6afbab127a867527270fcbc66d28deafdc6a529fc4adc7b2',
     }),
     'recommended_fourth': (0, {
         'backtest.csv':
@@ -97,27 +97,27 @@ EXPECTED = {
         'frontier.json':
             '40bcdb510c8a4e2be728a2f4a33cdb6140ea040bdc4c7ae85c3aa49372f22cfa',
         'frontier_coords.csv':
-            '62423d4584df386fb22c2ba6f3ad7de903fc794810fe75b43e0b60b2a64b9f91',
+            '61d9cbe5c79a4b73154676313191d21f223393f536b6ef0afbc74cb83a505c3e',
         'hook_reports.jsonl':
             '1ecf35e1606f68bec724933be352c3315971e081aea48667c33edce219f7e5f5',
         'manifest.json':
             '42b55ece55049deeeaba53d8e93cee1e12b54379df688f5e69388ff1cc12690c',
         'policy_table.csv':
-            'ad0bca3d7c85da1b09afd937807989223bce8745bc2e4d1b41e492faebeaabd4',
+            'e7625d673f4dc8ea9e738f60c3521238718bad98542b3fad25d83b96b854f913',
         'recommendation.json':
-            'ce673e636955ee13c3b168f18b22c5bd80f5406ef8f5730f58e9561059a9cfee',
+            '46d1987ab919eb0c69b778aad4737c24d2a1d165346ac20ad41b895a38c0979f',
     }),
     'refinements_exhausted': (2, {
         'frontier.json':
             '9b07279ba545cb9fcf0262e29309881bb55e04c4f82bb0292d282564557f7731',
         'frontier_coords.csv':
-            'f513f48dea53d324bcc716b06bb9b0e8afdee54c261d408d6ba9a665aaf95129',
+            '058f099d43fe8bd9c90109f11a3a7ea4fcfd0be0beeffc03e86b65f1e65e8e63',
         'hook_reports.jsonl':
             '2cd71b0f7236a85a9e772d4df39aac69ee8115469434255b671c20ddfb6f8029',
         'manifest.json':
             'ed5213f3182866a58ee6db456fd2efeb9f8992129bea72fe8974eab98e1d7a5c',
         'policy_table.csv':
-            '3aabf36ccfb63285f8b03b893fa5f283f50f4d3928f7f66c7009e992d668cf57',
+            '42476f6db80c2484ad48708d951c4a41bd67013ffe3368df748cd3f55625a30b',
         'recommendation.json':
             'b17a53f0b2451e61c7e6150ace8572191ad3494d28a311ca001f8eaa959a11ac',
     }),
@@ -129,15 +129,15 @@ EXPECTED = {
         'frontier.json':
             '40bcdb510c8a4e2be728a2f4a33cdb6140ea040bdc4c7ae85c3aa49372f22cfa',
         'frontier_coords.csv':
-            '62423d4584df386fb22c2ba6f3ad7de903fc794810fe75b43e0b60b2a64b9f91',
+            '61d9cbe5c79a4b73154676313191d21f223393f536b6ef0afbc74cb83a505c3e',
         'hook_reports.jsonl':
             '1ecf35e1606f68bec724933be352c3315971e081aea48667c33edce219f7e5f5',
         'manifest.json':
             '17d514def406da995527ab1bb3177abddc0afbcc83ea0ceec42bc6f5c4313fd7',
         'policy_table.csv':
-            'ad0bca3d7c85da1b09afd937807989223bce8745bc2e4d1b41e492faebeaabd4',
+            'e7625d673f4dc8ea9e738f60c3521238718bad98542b3fad25d83b96b854f913',
         'recommendation.json':
-            'ce673e636955ee13c3b168f18b22c5bd80f5406ef8f5730f58e9561059a9cfee',
+            '46d1987ab919eb0c69b778aad4737c24d2a1d165346ac20ad41b895a38c0979f',
     }),
     'synth_recommended_fourth': {
         'dataset.csv':

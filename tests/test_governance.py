@@ -23,7 +23,7 @@ from cohortpolicy.governance import (BINARY_CUT, QUANTILE_CUT,
                                      validate_candidate)
 from cohortpolicy.search import (build_policy_table, enumerate_policies,
                                  evaluate_policies, evaluate_policy_pinned,
-                                 global_policies)
+                                 global_policies, moments_cube)
 from cohortpolicy.segmentation import CutEnumerationConfig, enumerate_cuts
 from cohortpolicy.synth import (DriftSpec, PlantedEffect, ScenarioConfig,
                                 conflict_scenario, generate_daily_slices,
@@ -455,12 +455,14 @@ def test_validate_candidate_matches_public_hooks():
             scenario, 14, lift_schedule=np.linspace(1.0, 0.0, 14)))
         for ds in (generate_experiment(scenario)[0], decayed):
             cuts = enumerate_cuts(ds, CutEnumerationConfig(features=ds.features))
-            table = build_policy_table(ds, cuts, seed=seed)
+            table = build_policy_table(moments_cube(ds, cuts), cuts, seed=seed)
+            # The governed run's cube: every grid, over 14 days.
+            cube = moments_cube(ds, cuts, ds.day_codes(14))
             policies = evaluate_policies(
                 ds, [p for p in enumerate_policies(ds, cuts, seed=seed)
                      if p.policy_id in table])
             for policy in policies[::2]:
-                series, reports = validate_candidate(ds, policy, ["m1"], 14, 4)
+                series, reports = validate_candidate(cube, policy, ["m1"], 4)
                 expected_series, expected = hooks_reference(ds, policy, 14, 4)
                 assert [r.to_json() for r in reports] == \
                     [r.to_json() for r in expected]

@@ -611,16 +611,22 @@ def test_typed_blocks_equal_the_text_parse(tmp_path_factory, file, block_rows):
     first_bad = next((row for row, cells, short in csv_rows(path, KEYS + VALUES)
                       if short is not None or not all(
                           _finite(cell) for cell in cells[len(KEYS):])), None)
+    # Then the first row whose policy id an earlier row holds, and then
+    # every row's std_err.
+    ids = [row[0] for row in want[1]] if first_bad is None else []
+    repeat = next((row for row, pid in enumerate(ids, 1) if pid in ids[:row - 1]),
+                  None)
     with mock.patch.object(ingest_module, "_BLOCK_ROWS", rows):
-        # Of a run of equal ids the table keeps the last row, and checks
-        # only the rows it keeps.
-        if first_bad is None and any(row[-1] < 0 for row in
-                                     {row[0]: row for row in want[1]}.values()):
+        if first_bad is None and repeat is not None:
+            with pytest.raises(RowIngestError, match="is listed more than once") as raised:
+                load_policy_table(path)
+            assert raised.value.row == repeat
+        elif first_bad is None and any(row[-1] < 0 for row in want[1]):
             with pytest.raises(ValueError, match="std_err finite and >= 0"):
                 load_policy_table(path)
         elif first_bad is None:
             table, _ = load_policy_table(path)
-            assert len(table) == len({row[0] for row in want[1]})
+            assert len(table) == len(want[1])
         else:
             with pytest.raises(RowIngestError) as raised:
                 load_policy_table(path)

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import cohortpolicy.experiment as experiment
 import cohortpolicy.pipeline as pipeline
 import cohortpolicy.search as search
 from cohortpolicy.config import from_mapping as read_config
 from cohortpolicy.errors import ConfigError
+from cohortpolicy.experiment import ExperimentDataset
 from cohortpolicy.governance import (CODE_INSUFFICIENT_DATA, SIGNIFICANCE_Z,
                                      StabilityThresholds)
 from cohortpolicy.pipeline import (RunConfig, govern_pipeline,
@@ -241,23 +243,65 @@ def test_governed_run_builds_a_candidate_only_for_its_pick(monkeypatch):
 
 @pytest.mark.parametrize("max_refinements,status,iterations", [
     (3, "recommended", 4), (2, "rejected", 3)])
-def test_governed_run_makes_one_effects_pass_per_pick(monkeypatch, max_refinements,
-                                                      status, iterations):
-    # One pass builds the table; each iteration's pick is its table row and
-    # takes one (day, slot, arm) pass for its slices and backtest. The pick
-    # used to be evaluated again, one more pass per iteration.
-    calls = []
-    cut_effects = search.cut_effects
+def test_governed_run_makes_one_moments_pass_per_grid(monkeypatch, max_refinements,
+                                                       status, iterations):
+    # The users are read once, one (day, slot, arm) pass per grid: f1's and
+    # f2's 4-bin grids over 14 days. The table and every pick's slices and
+    # backtest read that cube, so the count does not grow with the
+    # iterations; each pick used to take one more pass of its own.
+    shapes = []
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("days") is not None)
-        return cut_effects(*args, **kwargs)
+    def counting(original):
+        def counted(ds, codes, shape):
+            shapes.append(shape)
+            return original(ds, codes, shape)
+        return counted
 
-    monkeypatch.setattr(search, "cut_effects", counting)
+    monkeypatch.setattr(search, "cell_moments", counting(search.cell_moments))
+    monkeypatch.setattr(experiment, "cell_moments", counting(experiment.cell_moments))
     result = govern_pipeline(RunConfig(seed=8, max_refinements=max_refinements,
                                        scenario=one_effect_scenario(8)))
     assert (result.status, result.iterations) == (status, iterations)
-    assert calls == [False] + [True] * iterations
+    assert shapes == [(14, 4), (14, 4)]
+
+
+def test_dataset_is_released_once_the_cube_is_built(monkeypatch):
+    # Nothing after the moments cube reads the users: the dataset is gone
+    # before the table is built, and the result keeps only its metrics.
+    refs, searched = [], []
+    load_inputs, build_policy_table = pipeline._load_inputs, pipeline.build_policy_table
+
+    def load(config):
+        ds, snapshots = load_inputs(config)
+        refs.append(weakref.ref(ds))
+        return ds, snapshots
+
+    def build(*args):
+        searched.append(refs[0]())
+        return build_policy_table(*args)
+
+    monkeypatch.setattr(pipeline, "_load_inputs", load)
+    monkeypatch.setattr(pipeline, "build_policy_table", build)
+    result = govern_pipeline(small_conflict_config())
+    assert result.recommended and searched == [None]
+    assert result.metrics == ("m1", "m2")
+    assert not any(isinstance(value, ExperimentDataset)
+                   for value in vars(result).values())
+
+
+@pytest.mark.parametrize("config", [
+    small_conflict_config(),
+    RunConfig(seed=7, primary_metric="m1", scenario=conflict_scenario(seed=7)),
+    RunConfig(seed=8, scenario=one_effect_scenario(8))])
+def test_recommended_row_equals_the_last_cumulative_prefix(config):
+    # The table reads every day of the cube and the backtest's last prefix
+    # pools every day of the same cube, so the pick's estimates and that
+    # prefix agree bit for bit, user counts included.
+    result = govern_pipeline(config)
+    assert result.recommended
+    last = result.backtest_series.cumulative[-1]
+    assert last == result.recommendation.estimates
+    assert last == result.policies[result.recommendation.policy_id]
 
 
 def test_whole_population_policy_recommended_without_cuts():
@@ -308,8 +352,16 @@ def test_governance_does_not_mutate_estimates():
     config = small_conflict_config()
     result = govern_pipeline(config)
     ds, _ = generate_experiment(config.scenario)
-    fresh = evaluate_policies(ds, [result.recommendation])[0]
-    assert fresh.estimates == result.recommendation.estimates
+    # Read afresh from a cube of the run's days, the pick's estimates are
+    # unchanged bit for bit; a one-day evaluation agrees to rounding.
+    policy = result.recommendation
+    cube = search.moments_cube(ds, [policy.cut], ds.day_codes(config.backtest_days))
+    [(_, effects)] = search.cut_effects(cube, [policy.cut])
+    assert search.compose_estimates(cube, effects, [policy]) == [policy.estimates]
+    fresh = evaluate_policies(ds, [policy])[0]
+    for metric, est in fresh.estimates.items():
+        assert est.mean == pytest.approx(policy.estimates[metric].mean, rel=1e-12)
+        assert est.std_err == pytest.approx(policy.estimates[metric].std_err, rel=1e-12)
 
 
 def test_pipeline_deterministic_across_runs():

@@ -31,7 +31,7 @@ from cohortpolicy.search import (FORMAT_VERSION, PolicyCandidate, PolicyTable,
                                  _sample_assignments, build_policy_table,
                                  cut_effects, enumerate_policies, evaluate_policies,
                                  evaluate_policy_pinned, load_policy_table,
-                                 make_policy_id, save_policy_table)
+                                 make_policy_id, moments_cube, save_policy_table)
 from cohortpolicy.segmentation import (CutEnumerationConfig, CutSpec, cut_slot_codes,
                                        enumerate_cuts)
 from cohortpolicy.synth import conflict_scenario, generate_experiment
@@ -320,21 +320,37 @@ def test_load_names_a_bad_number(tmp_path, cell, message):
         load_policy_table(path)
 
 
+def test_load_names_the_row_that_repeats_an_id(tmp_path):
+    # This file used to load as one policy at 2.0 +- 0.5, its first row's
+    # negative std_err never checked.
+    path = tmp_path / "table.csv"
+    path.write_text("policy_id,feature,cut,actions,m1_mean,m1_std_err\n"
+                    "q,f,c,a,0.0,0.1\np,f,c,a,1.0,-1.0\np,f,c,a,2.0,0.5\n")
+    with pytest.raises(RowIngestError,
+                       match="^row 3: policy 'p' is listed more than once$"):
+        load_policy_table(path)
+
+
 def test_table_rejects_a_negative_std_err():
     with pytest.raises(ValueError, match="policy 'p1' metric 'm1'"):
         PolicyTable(("m1",), ["p1"], [""], ["global"], ["a1"], [[0.5]], [[-0.1]])
 
 
-def test_table_sorts_by_id_and_keeps_a_repeated_ids_last_row():
-    table = PolicyTable(("m1",), ["b", "a", "b"], ["", "", ""], ["global"] * 3,
+def test_table_sorts_by_id_and_rejects_a_repeated_id():
+    table = PolicyTable(("m1",), ["b", "a", "c"], ["", "", ""], ["global"] * 3,
                         ["x", "y", "z"], [[1.0], [2.0], [3.0]], [[0.0]] * 3)
-    assert table.ids == ["a", "b"]
-    assert table.actions == ["y", "z"]
-    assert table["b"] == {"m1": MetricEstimate(mean=3.0, std_err=0.0)}
-    assert list(table) == ["a", "b"] and len(table) == 2
-    assert "a" in table and "c" not in table
+    assert table.ids == ["a", "b", "c"]
+    assert table.actions == ["y", "x", "z"]
+    assert table["b"] == {"m1": MetricEstimate(mean=1.0, std_err=0.0)}
+    assert list(table) == ["a", "b", "c"] and len(table) == 3
+    assert "a" in table and "d" not in table
     with pytest.raises(KeyError):
-        table["c"]
+        table["d"]
+    # A repeated id is an error, whichever of its rows holds what: the
+    # table used to keep the last row and never checked the others.
+    with pytest.raises(ValueError, match="policy 'b' is listed more than once"):
+        PolicyTable(("m1",), ["b", "a", "b"], ["", "", ""], ["global"] * 3,
+                    ["x", "y", "z"], [[1.0], [2.0], [3.0]], [[-1.0], [0.0], [0.0]])
 
 
 # -- enumeration and composition ---------------------------------------------------
@@ -388,7 +404,7 @@ def small_datasets(draw):
 @given(small_datasets())
 def test_table_composer_is_bit_equal_to_pinned_evaluation(case):
     ds, cuts, budget, seed = case
-    table = build_policy_table(ds, cuts, budget=budget, seed=seed)
+    table = build_policy_table(moments_cube(ds, cuts), cuts, budget=budget, seed=seed)
     policies = enumerate_policies(ds, cuts, budget=budget, seed=seed)
     everyone = np.ones(ds.n_users, dtype=bool)
     supported = []
@@ -450,12 +466,14 @@ def test_pooled_binary_cut_effects_match_a_direct_pass(case):
     ds, cuts = case
     scale = max(float(np.abs(ds.outcome_matrix).max(initial=0.0)), 1e-300)
     seen = []
-    for positions, effects in cut_effects(ds, cuts):
+    for positions, effects in cut_effects(moments_cube(ds, cuts), cuts):
         grids = {(cuts[p].feature, cuts[p].n_bins) if cuts[p] is not None else None
                  for p in positions}
         assert len(positions) == 1 or (
             len(grids) == 1 and all(cuts[p].kind == "binary" for p in positions))
-        assert effects.counts.shape[0] == len(positions)
+        # One range, every day of a one-day cube.
+        assert effects.counts.shape[:2] == (len(positions), 1)
+        effects = search._take(effects, (slice(None), 0))
         for j, position in enumerate(positions):
             seen.append(position)
             cut = cuts[position]
@@ -491,8 +509,8 @@ def test_one_moments_pass_per_feature_grid(monkeypatch):
     cuts = [*enumerate_cuts(ds, {"features": ["f1", "f2"], "n_bins": 4}),
             CutSpec("f1", "binary", 3, 1), CutSpec("f1", "binary", 3, 2)]
     monkeypatch.setattr(search, "cell_moments", counted)
-    groups = cut_effects(ds, cuts)
-    assert passes == [(4,), (4,), (3,)]
+    groups = cut_effects(moments_cube(ds, cuts), cuts)
+    assert passes == [(1, 4), (1, 4), (1, 3)]
     assert [positions for positions, _ in groups] == [[0], [1, 2, 3], [4], [5, 6, 7],
                                                       [8, 9]]
 
@@ -574,14 +592,14 @@ def test_candidate_recovers_cut_and_assignment_from_a_row():
                        feature="f.1", control="c.0")
     cuts = [CutSpec("f.1", "individual", 2), CutSpec("f.1", "binary", 4, 1)]
     for listed in (cuts, []):
-        table = build_policy_table(ds, listed)
+        table = build_policy_table(moments_cube(ds, listed), listed)
         policies = {p.policy_id: p for p in enumerate_policies(ds, listed)}
         assert table.ids and set(table.ids) <= set(policies)
         for pid in table.ids:
             [want] = evaluate_policies(ds, [policies[pid]])
             assert table.candidate(pid, listed) == want
     # A row's cut must be among the cuts given.
-    table = build_policy_table(ds, cuts)
+    table = build_policy_table(moments_cube(ds, cuts), cuts)
     with pytest.raises(KeyError):
         table.candidate(table.ids[table.cut.index("ind2")], cuts[1:])
 
@@ -592,7 +610,7 @@ def test_candidate_recovers_cut_and_assignment_from_a_row():
 def test_table_rows_equal_evaluated_estimates_bit_for_bit(seed, n_users, n_bins):
     ds, _ = generate_experiment(conflict_scenario(seed=seed, n_users=n_users))
     cuts = enumerate_cuts(ds, CutEnumerationConfig(features=ds.features, n_bins=n_bins))
-    table = build_policy_table(ds, cuts, 128, seed)
+    table = build_policy_table(moments_cube(ds, cuts), cuts, 128, seed)
     policies = [p for p in enumerate_policies(ds, cuts, budget=128, seed=seed)
                 if p.policy_id in table]
     assert len(policies) == len(table) and table.n_treated.any()

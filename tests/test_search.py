@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from cohortpolicy.errors import ConfigError, EstimationError
 from cohortpolicy.experiment import ExperimentDataset, compute_ate
 from cohortpolicy.search import (PolicyCandidate, _scores, build_policy_table,
-                                 collect_candidates, enumerate_policies,
-                                 evaluate_policies, evaluate_policy_days, evaluate_policy_pinned,
-                                 global_policies,
-                                 load_policy_table, make_policy_id, rank_policies,
+                                 collect_candidates, compose_estimates, cut_effects,
+                                 enumerate_policies, evaluate_policies,
+                                 evaluate_policy_pinned, global_policies,
+                                 load_policy_table, make_policy_id, moments_cube,
+                                 rank_policies,
                                  sample_weights, save_policy_table,
                                  scalarized_score)
 from cohortpolicy.segmentation import CutSpec, enumerate_cuts
@@ -288,7 +289,8 @@ def test_estimators_match_per_user_loop(case):
     policies = enumerate_policies(ds, [cut] if cut is not None else [], budget=81)
     everyone = np.ones(ds.n_users, dtype=bool)
     want = {p.policy_id: oracle_policy(ds, p, everyone) for p in policies}
-    table = build_policy_table(ds, [cut] if cut is not None else [], budget=81)
+    cuts = [cut] if cut is not None else []
+    table = build_policy_table(moments_cube(ds, cuts), cuts, budget=81)
     batch = {p.policy_id: p for p in
              evaluate_policies(ds, [p for p in policies if p.policy_id in table])}
     assert set(batch) == {pid for pid, w in want.items() if isinstance(w, dict)}
@@ -328,18 +330,23 @@ def day_ranges(draw):
                           max_size=4))
     lo = np.array([*k, *np.zeros_like(k), *(min(a, b) for a, b in extra)], dtype=int)
     hi = np.array([*(k + 1), *(k + 1), *(max(a, b) for a, b in extra)], dtype=int)
-    return ds, cut, day, n_days, lo, hi
+    return ds, cut, day, labels, lo, hi
 
 
 @settings(max_examples=60, deadline=None)
 @given(day_ranges())
 def test_day_ranges_match_pinned_evaluation(case):
-    ds, cut, day, n_days, lo, hi = case
-    # Pooled ranges agree to rounding, relative to the estimate's size or to
-    # the outcome scale where the estimate is about zero.
+    # Day ranges read from one (day, slot, arm) cube equal, per range, the
+    # pinned evaluation of the range's users: exactly for one day, and to
+    # rounding, relative to the estimate's size or to the outcome scale
+    # where the estimate is about zero, for pooled days.
+    ds, cut, day, labels, lo, hi = case
     scale = max(float(np.abs(ds.outcome_matrix).max(initial=0.0)), 1e-300)
-    for policy in enumerate_policies(ds, [cut] if cut is not None else [], budget=12):
-        got = evaluate_policy_days(ds, policy, day, n_days, lo, hi)
+    cuts = [cut] if cut is not None else []
+    cube = moments_cube(ds, cuts, (day, labels))
+    for policy in enumerate_policies(ds, cuts, budget=12):
+        [(_, effects)] = cut_effects(cube, [policy.cut], lo, hi)
+        got = compose_estimates(cube, effects, [policy])
         assert len(got) == len(lo)
         for result, a, b in zip(got, lo.tolist(), hi.tolist()):
             try:
@@ -543,14 +550,17 @@ def test_unknown_minimized_metric_rejected():
 
 def per_weight_candidates(policies, weights, top_k, metrics, minimize):
     """Top-K one weight at a time, as collect_candidates once did: sort by
-    id, then stably by descending score."""
+    id, then stably by descending score. A score is the ordered
+    multiply-add w0*mu0 + w1*mu1 + ... of the policy's means."""
     mu = np.array([[p.estimates[m].mean for m in metrics] for p in policies])
     mu[:, [metric in minimize for metric in metrics]] *= -1.0
     ids = [p.policy_id for p in policies]
     id_order = np.argsort(np.array(ids, dtype=object), kind="stable")
     provenance = {}
     for w_idx, w in enumerate(weights):
-        scores = mu @ np.asarray(w)
+        scores = w[0] * mu[:, 0]
+        for weight, column in zip(w[1:], mu.T[1:]):
+            scores = scores + weight * column
         ranked = id_order[np.argsort(-scores[id_order], kind="stable")]
         for rank, row in enumerate(ranked[:top_k], start=1):
             provenance.setdefault(ids[row], []).append((w_idx, rank))
@@ -663,19 +673,26 @@ def test_ranking_refuses_more_exclusions_than_its_depth():
 @given(n=st.integers(2, 60), n_metrics=st.integers(1, 3),
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_a_score_does_not_depend_on_the_rows_beside_it(n, n_metrics, seed, data):
-    # Scores of the rows a shrunken table keeps equal their scores in the
-    # full table, bit for bit, so one ranking serves every refinement. (A
-    # one-row table rounds otherwise, but ranks its only row first.)
+    # Scores of the rows a shrunken table keeps, one row included, equal
+    # their scores in the full table, bit for bit, so one ranking serves
+    # every refinement.
     rng = np.random.default_rng(seed)
     mu = rng.normal(size=(n, n_metrics)) * 10.0 ** rng.integers(-3, 4, size=n_metrics)
     weights = sample_weights(n_metrics, 40, seed)
-    keep = np.sort(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n,
+    keep = np.sort(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
                                       unique=True)))
     full = _scores(mu, weights)
     # Column-major means, as a table's columns are read, score as row-major.
     for layout in (np.ascontiguousarray, np.asfortranarray):
         assert _scores(layout(mu[keep]), weights).tobytes() == full[:, keep].tobytes()
-    assert _scores(mu, weights[:1]).tobytes() == (mu @ weights[0]).tobytes()
+    # Each score is the ordered multiply-add w0*mu0 + w1*mu1 + ... of its
+    # row, in Python floats.
+    for w, row in zip(weights[:3].tolist(), full[:3].tolist()):
+        for means, score in zip(mu.tolist(), row):
+            want = w[0] * means[0]
+            for weight, mean in zip(w[1:], means[1:]):
+                want += weight * mean
+            assert score.hex() == want.hex()
 
 
 # -- table persistence ----------------------------------------------------------------
@@ -687,7 +704,7 @@ def test_policy_table_round_trip(tmp_path, rng):
     cuts = enumerate_cuts(ds, {"features": ["f1"], "n_bins": 4})
     policies = evaluate_policies(ds, enumerate_policies(ds, cuts, budget=16))
     path = tmp_path / "table.csv"
-    save_policy_table(path, build_policy_table(ds, cuts, budget=16))
+    save_policy_table(path, build_policy_table(moments_cube(ds, cuts), cuts, budget=16))
     table, metrics = load_policy_table(path)
     assert metrics == list(ds.metrics)
     assert set(table) == {p.policy_id for p in policies}
