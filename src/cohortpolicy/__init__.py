@@ -19,11 +19,11 @@ from .governance import (FeatureSnapshotPair, HookReport, StabilityThresholds,
                          StabilityVerdict, classify_stability, pre_search_filter,
                          robustness_check, run_backtest, shift_ratio,
                          stability_verdicts)
-from .ingest import IngestSchema, load_stored_estimates, parse_lift_text
+from .ingest import IngestSchema, parse_lift_text
 from .pipeline import PipelineResult, RunConfig, govern_pipeline, write_run_artifacts
 from .search import (CandidateSet, PolicyCandidate, collect_candidates,
                      enumerate_policies, evaluate_policies, global_policies,
-                     sample_weights, scalarized_score)
+                     sample_weights)
 from .segmentation import (CutEnumerationConfig, CutSpec, Segment, binary_split,
                            enumerate_cuts, individual_split, quantile)
 from .synth import (BenchmarkConfig, DriftSpec, PlantedEffect, ScenarioConfig,
@@ -37,12 +37,11 @@ __all__ = [
     "InsufficientDataError", "IntegrityError", "RowIngestError", "SchemaError",
     "UnmatchedInstructionError",
     "ExperimentDataset", "MetricEstimate", "compute_ate", "segment_hte",
-    "IngestSchema", "load_stored_estimates", "parse_lift_text",
+    "IngestSchema", "parse_lift_text",
     "CutEnumerationConfig", "CutSpec", "Segment", "binary_split",
     "enumerate_cuts", "individual_split", "quantile",
     "CandidateSet", "PolicyCandidate", "collect_candidates",
     "enumerate_policies", "evaluate_policies", "global_policies", "sample_weights",
-    "scalarized_score",
     "FrontierResult", "ToleranceConfig", "strict_pareto_oracle",
     "tolerance_dominates", "tolerance_filter",
     "FeatureSnapshotPair", "HookReport", "StabilityThresholds", "StabilityVerdict",

@@ -1,7 +1,7 @@
 """Randomized-experiment data model and treatment-effect estimators.
 
 The dataset is immutable after construction: its per-user columns are
-stored sorted by user_id so every estimate is independent of input row
+held sorted by user_id so every estimate is independent of input row
 order, and all estimators are pure functions of the dataset.
 """
 
@@ -29,7 +29,8 @@ class MetricEstimate:
 
     `mean` is in the dataset's declared lift units (absolute metric
     units); no unit conversion ever happens downstream.
-    Counts are 0 for estimates loaded from a stored-estimate file.
+    Counts are 0 where none are known, as for a lift parsed from reported
+    text (`ingest.parse_lift_text`) or a policy table read from a file.
     """
 
     mean: float
@@ -61,10 +62,12 @@ class ExperimentDataset:
     index into `actions` (which lists every arm, the control included),
     `feature_matrix` and `outcome_matrix` one row per name in `features`
     and `metrics`, and `days` each user's integer day label (or None). The
-    constructor sorts every column by user id, so estimates do not depend
-    on input row order, and rejects duplicate ids, unknown arm codes,
-    action names holding `-`, non-finite values and columns of the wrong
-    length.
+    columns are held in user-id order, so estimates do not depend on input
+    row order. Columns whose ids arrive strictly increasing are adopted as
+    read-only views, not copied: the caller must not change those arrays
+    afterwards. Other columns are sorted by id (stably) into new arrays.
+    The constructor rejects duplicate ids, unknown arm codes, action names
+    holding `-`, non-finite values and columns of the wrong length.
     """
 
     experiment_id: str
@@ -109,17 +112,21 @@ class ExperimentDataset:
             if column.shape != shape:
                 raise IntegrityError(
                     f"column {name} has shape {column.shape}, expected {shape}")
-        order = np.argsort(ids, kind="stable")
-        self.user_ids = ids[order]
-        for name, (column, _) in columns.items():
-            setattr(self, name, column[..., order])
-        for column in (self.user_ids, *(getattr(self, name) for name in columns)):
+        # Strictly increasing ids are in id order and repeat none.
+        if not (ids[1:] > ids[:-1]).all():
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+            columns = {name: (column[..., order], shape)
+                       for name, (column, shape) in columns.items()}
+            repeated = np.flatnonzero(ids[1:] == ids[:-1])
+            if repeated.size:
+                raise IntegrityError(
+                    f"user {str(ids[repeated[0]])!r} appears more than once")
+        held = {name: column for name, (column, _) in columns.items()}
+        for name, column in {"user_ids": ids, **held}.items():
+            column = column.view()
             column.flags.writeable = False
-
-        repeated = np.flatnonzero(self.user_ids[1:] == self.user_ids[:-1])
-        if repeated.size:
-            raise IntegrityError(
-                f"user {str(self.user_ids[repeated[0]])!r} appears more than once")
+            setattr(self, name, column)
         unknown = np.flatnonzero((self.arm_codes < 0)
                                  | (self.arm_codes >= len(self.actions)))
         if unknown.size:
@@ -189,8 +196,7 @@ class ExperimentDataset:
         randomized experiment, where users are exchangeable).
         """
         if self.days is not None and self.n_users:
-            days, codes = np.unique(self.days, return_inverse=True)
-            return codes, [int(d) for d in days]
+            return _label_codes(self.days)
         if n_days is None or n_days < 1:
             raise ValueError("dataset has no day labels; pass n_days >= 1")
         bounds = np.linspace(0, self.n_users, n_days + 1).astype(int)
@@ -201,6 +207,23 @@ class ExperimentDataset:
         codes, days = self.day_codes(n_days)
         return [self.subset(codes == k, f"{self.experiment_id}#day{d}")
                 for k, d in enumerate(days)]
+
+
+# Day labels spanning at most this many values per user are coded densely.
+_DENSE_SPAN = 2
+
+
+def _label_codes(days: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    # `np.unique(days, return_inverse=True)` as (codes, labels). Labels in
+    # a dense span are numbered from one bincount over it, without a sort.
+    lo, hi = int(days.min()), int(days.max())
+    if hi - lo >= _DENSE_SPAN * days.size:
+        labels, codes = np.unique(days, return_inverse=True)
+        return codes, labels.tolist()
+    offsets = days - lo
+    present = np.bincount(offsets, minlength=hi - lo + 1) > 0
+    rank = np.cumsum(present) - 1
+    return rank[offsets], (np.flatnonzero(present) + lo).tolist()
 
 
 # -- estimators --------------------------------------------------------------
@@ -245,12 +268,15 @@ def cell_moments(ds: ExperimentDataset, codes: np.ndarray,
     """Count, outcome sum and centred sum of squares of every (cell, arm)
     group of the users of `ds`.
 
-    `codes` holds every user's cell as a flat index into `shape`. One
-    bincount pass per metric fills the sums, and one more the squared
-    deviations from each group's mean.
+    `codes` holds every user's cell as a flat index into `shape`, as an
+    intp array that this call consumes: it becomes each user's (cell, arm)
+    code in place. One bincount pass per metric fills the sums, and one
+    more the squared deviations from each group's mean.
     """
     n_arms = len(ds.actions)
-    cell = codes * n_arms + ds.arm_codes
+    cell = codes
+    cell *= n_arms
+    cell += ds.arm_codes
     count = np.bincount(cell, minlength=math.prod(shape) * n_arms)
     sums, m2s = [], []
     for y in ds.outcome_matrix:

@@ -37,6 +37,7 @@ CODE_SIGN_FLIP = "SIGN_FLIP"
 CODE_NOT_SIGNIFICANT = "NOT_SIGNIFICANT"
 CODE_BACKTEST_DIVERGED = "BACKTEST_DIVERGED"
 CODE_EMPTY_SLICE = "EMPTY_SLICE_SKIPPED"
+CODE_NO_TIME_AXIS = "NO_TIME_AXIS"
 CODE_NO_QUALIFYING_POLICY = "NO_QUALIFYING_POLICY"
 CODE_INSUFFICIENT_DATA = "INSUFFICIENT_DATA"
 
@@ -396,7 +397,9 @@ def backtest_verdict(policy: PolicyCandidate, cube: MomentsCube,
     standard errors of the reference (SE of the difference) and its sign
     never flips against the reference. Days that are empty or lack arm
     support are skipped with a warning code; fewer than 7 usable days raise
-    InsufficientDataError.
+    InsufficientDataError. On users without day labels the "days" are
+    chunks of id-sorted users: rows and notes name them chunks, and the
+    report carries the warning code NO_TIME_AXIS.
     """
     for metric in target_metrics:
         if metric not in policy.estimates:
@@ -406,8 +409,13 @@ def backtest_verdict(policy: PolicyCandidate, cube: MomentsCube,
     users = next(iter(cube.grids.values())).counts.sum(axis=(1, 2))
 
     days, daily_series, cumulative_series, codes, notes = [], [], [], [], []
+    unit = "day" if cube.time_axis else "chunk"
+    if not cube.time_axis:
+        codes.append(CODE_NO_TIME_AXIS)
+        notes.append("no day labels: the backtest replays chunks of id-sorted "
+                     "users, not days")
     for k, label in enumerate(cube.days):
-        name = f"{cube.experiment_id}#day{label}"
+        name = f"{cube.experiment_id}#{unit}{label}"
         today, prefix = estimates[k], estimates[n_days + k]
         if not users[k]:
             codes.append(CODE_EMPTY_SLICE)
@@ -425,7 +433,8 @@ def backtest_verdict(policy: PolicyCandidate, cube: MomentsCube,
                             cumulative=cumulative_series)
     if len(cumulative_series) < BACKTEST_BURN_IN_DAYS:
         raise InsufficientDataError(
-            f"backtest needs >= {BACKTEST_BURN_IN_DAYS} usable daily slices, "
+            f"backtest needs >= {BACKTEST_BURN_IN_DAYS} usable "
+            f"{'daily slices' if cube.time_axis else 'chunks'}, "
             f"got {len(cumulative_series)}")
 
     for metric in target_metrics:
@@ -437,7 +446,7 @@ def backtest_verdict(policy: PolicyCandidate, cube: MomentsCube,
             if abs(cum.mean - reference.mean) > band:
                 codes.append(CODE_BACKTEST_DIVERGED)
                 notes.append(
-                    f"{metric}: cumulative lift {cum.mean:.4g} on day "
+                    f"{metric}: cumulative lift {cum.mean:.4g} on {unit} "
                     f"{day_idx + 1} leaves the {BACKTEST_ENVELOPE_Z}-SE band "
                     f"around {reference.mean:.4g}")
                 break
@@ -445,11 +454,11 @@ def backtest_verdict(policy: PolicyCandidate, cube: MomentsCube,
             cum = cumulative_series[day_idx][metric]
             if cum.mean * reference.mean < 0:
                 codes.append(CODE_SIGN_FLIP)
-                notes.append(f"{metric}: cumulative lift flips sign on day "
+                notes.append(f"{metric}: cumulative lift flips sign on {unit} "
                              f"{day_idx + 1}")
                 break
 
-    hard_codes = [c for c in codes if c != CODE_EMPTY_SLICE]
+    hard_codes = [c for c in codes if c not in (CODE_EMPTY_SLICE, CODE_NO_TIME_AXIS)]
     if hard_codes:
         report = HookReport(stage=STAGE_PRE_RECOMMENDATION, verdict=REJECT,
                             reason_codes=sorted(set(codes)),
@@ -460,7 +469,7 @@ def backtest_verdict(policy: PolicyCandidate, cube: MomentsCube,
                             reason_codes=sorted(set(codes)),
                             entities=[policy.policy_id],
                             narrative=(f"cumulative lift consistent over "
-                                       f"{len(cumulative_series)} days"))
+                                       f"{len(cumulative_series)} {unit}s"))
     return series, report
 
 

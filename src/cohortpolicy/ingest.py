@@ -512,12 +512,15 @@ _DAY_RANGE = (-2.0 ** 63, 2.0 ** 63)
 
 def _ingest_columns(blocks: Iterator[tuple[list[np.ndarray], np.ndarray]],
                     n_numbers: int, has_day: bool
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Ids, arms and the (numbers, users) float matrix in file order. Raises
-    # ValueError (TypeError or OverflowError for some JSON values) on a bad
-    # cell or short row, RowIngestError on a JSONL line without an object;
-    # the row-by-row scan then names the first bad row. A repeated user is
-    # left to ExperimentDataset, which sorts the ids anyway.
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    # Ids, arms, the (values, users) float matrix of the features and
+    # metrics, and the int64 day labels (truncated; None without a day
+    # column), in file order. The dataset adopts the matrix's rows, so the
+    # day row is not part of it. Raises ValueError (TypeError or
+    # OverflowError for some JSON values) on a bad cell or short row,
+    # RowIngestError on a JSONL line without an object; the row-by-row scan
+    # then names the first bad row. A repeated user is left to
+    # ExperimentDataset, which checks the ids anyway.
     ids, arms = [np.empty(0, dtype=str)], [np.empty(0, dtype=str)]
     numbers = [np.empty((n_numbers, 0))]
     for (user, arm), values in blocks:
@@ -530,8 +533,11 @@ def _ingest_columns(blocks: Iterator[tuple[list[np.ndarray], np.ndarray]],
                             & (values[-1] < _DAY_RANGE[1])).all():
             raise ValueError("day label beyond int64")
         numbers.append(values)
+    n_values = n_numbers - has_day
+    days = (np.concatenate([block[n_values] for block in numbers]).astype(np.int64)
+            if has_day else None)
     return (np.concatenate(ids), np.concatenate(arms),
-            np.concatenate(numbers, axis=1))
+            np.concatenate([block[:n_values] for block in numbers], axis=1), days)
 
 
 def _raise_first_bad_row(rows, required: list[str], day_column: str | None) -> None:
@@ -592,9 +598,9 @@ def ingest(path: str | Path, schema: IngestSchema | Mapping) -> ExperimentDatase
     if schema.day_column:
         required.append(schema.day_column)
     try:
-        ids, arms, numbers = _ingest_columns(blocks(path, required[:2], required[2:]),
-                                             len(required) - 2,
-                                             bool(schema.day_column))
+        ids, arms, numbers, days = _ingest_columns(
+            blocks(path, required[:2], required[2:]), len(required) - 2,
+            bool(schema.day_column))
     except (ValueError, TypeError, OverflowError, RowIngestError) as exc:
         _raise_first_bad_row(rows(path, required), required, schema.day_column)
         raise IntegrityError(f"{path}: a block failed to parse ({exc}) but "
@@ -605,15 +611,14 @@ def ingest(path: str | Path, schema: IngestSchema | Mapping) -> ExperimentDatase
     actions = (schema.control_action, *treatments)
     arm_codes = np.array([actions.index(name) for name in names.tolist()],
                          dtype=np.intp)[arm_index]
-    days = numbers[-1].astype(np.int64) if schema.day_column else None  # truncates
-    n_features, n_metrics = len(schema.feature_columns), len(schema.metric_columns)
+    n_features = len(schema.feature_columns)
     try:
         return ExperimentDataset(
             experiment_id=schema.experiment_id,
             user_ids=ids,
             arm_codes=arm_codes,
             feature_matrix=numbers[:n_features],
-            outcome_matrix=numbers[n_features:n_features + n_metrics],
+            outcome_matrix=numbers[n_features:],
             days=days,
             actions=actions,
             control_action=schema.control_action,
@@ -630,7 +635,7 @@ def ingest(path: str | Path, schema: IngestSchema | Mapping) -> ExperimentDatase
         raise
 
 
-# -- stored estimates --------------------------------------------------------
+# -- reported lifts ----------------------------------------------------------
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _LIFT_TEXT = re.compile(
@@ -654,26 +659,3 @@ def parse_lift_text(text: str) -> MetricEstimate:
         mean /= 100.0
         std_err /= 100.0
     return MetricEstimate(mean=mean, std_err=abs(std_err))
-
-
-def load_stored_estimates(path: str | Path) -> dict[str, dict[str, MetricEstimate]]:
-    """Load a stored-estimate file: JSON list of per-policy, per-metric lifts.
-
-    Entries carry either numeric {mean, std_err} fields or a single
-    "estimate" text field in "mean ± std_err" form. Returns a policy table:
-    {policy_id: {metric_id: MetricEstimate}}.
-    """
-    entries = read_json(path)
-    if isinstance(entries, Mapping):
-        entries = entries.get("estimates", [])
-    table: dict[str, dict[str, MetricEstimate]] = {}
-    for entry in entries:
-        policy_id = str(entry["policy_id"])
-        metric_id = str(entry["metric_id"])
-        if "estimate" in entry:
-            est = parse_lift_text(entry["estimate"])
-        else:
-            est = MetricEstimate(mean=float(entry["mean"]),
-                                 std_err=float(entry["std_err"]))
-        table.setdefault(policy_id, {})[metric_id] = est
-    return table

@@ -179,7 +179,9 @@ class MomentsCube:
     experiment's users: `grids` maps each grid (a feature's N-bin
     individual cut, or None for the whole population) to the CellMoments
     of its (day, slot) cells. `days` holds the day labels and `control`
-    indexes the control arm in `actions`."""
+    indexes the control arm in `actions`. `time_axis` is False when the
+    users carry no day labels, so that the "days" are chunks of id-sorted
+    users (`ExperimentDataset.day_codes`), not time."""
 
     experiment_id: str
     actions: tuple[str, ...]
@@ -187,6 +189,7 @@ class MomentsCube:
     metrics: tuple[str, ...]
     days: list[int]
     grids: dict[CutSpec | None, CellMoments]
+    time_axis: bool
 
 
 def moments_cube(ds: ExperimentDataset, cuts: Sequence[CutSpec | None],
@@ -201,13 +204,14 @@ def moments_cube(ds: ExperimentDataset, cuts: Sequence[CutSpec | None],
     grids: dict[CutSpec | None, CellMoments] = {}
     for grid in dict.fromkeys(map(_grid, cuts or [None])):
         n_slots = grid.slot_count if grid is not None else 1
-        # No per-user array outlives its use in the sum.
+        # One fresh code array per grid, turned into its cell codes in place.
         codes = cut_slot_codes(ds, grid)
         codes += day * n_slots
         grids[grid] = cell_moments(ds, codes, (len(labels), n_slots))
     return MomentsCube(experiment_id=ds.experiment_id, actions=ds.actions,
                        control=ds.actions.index(ds.control_action),
-                       metrics=ds.metrics, days=list(labels), grids=grids)
+                       metrics=ds.metrics, days=list(labels), grids=grids,
+                       time_axis=ds.days is not None)
 
 
 def cut_effects(cube: MomentsCube, cuts: Sequence[CutSpec | None],
@@ -462,24 +466,6 @@ def sample_weights(n_metrics: int, n_samples: int, seed: int) -> np.ndarray:
     residuals = 1.0 - normalized.sum(axis=1)
     normalized[np.arange(n_samples), normalized.argmax(axis=1)] += residuals
     return normalized
-
-
-def scalarized_score(policy: PolicyCandidate, weights: Sequence[float],
-                     metrics: Sequence[str] | None = None) -> float:
-    """Weighted sum of per-metric mean lifts, weights (one row of a weight
-    matrix) aligned with `metrics` (default: the policy's estimate
-    insertion order)."""
-    metric_order = tuple(metrics) if metrics is not None else tuple(policy.estimates)
-    if len(metric_order) != len(weights):
-        raise ValueError(f"weight vector has {len(weights)} entries for "
-                         f"{len(metric_order)} metrics")
-    total = 0.0
-    for w, metric in zip(weights, metric_order):
-        if metric not in policy.estimates:
-            raise ValueError(
-                f"policy {policy.policy_id!r} has no estimate for metric {metric!r}")
-        total += float(w) * policy.estimates[metric].mean
-    return total
 
 
 def check_minimize(minimize: Sequence[str], metrics: Sequence[str]) -> None:

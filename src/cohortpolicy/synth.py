@@ -151,7 +151,7 @@ def generate_experiment(cfg: ScenarioConfig,
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_users
     features, actions, metrics = cfg.feature_names, cfg.action_names, cfg.metric_names
-    feature_matrix = np.array([rng.random(n) for _ in features])
+    feature_matrix = rng.random((len(features), n))
     arm_codes = _balanced_codes(len(actions), n, rng)
     days = _balanced_codes(cfg.n_days, n, rng) if cfg.n_days > 0 else None
 
@@ -254,7 +254,8 @@ def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int
     Exactly round(target * n) users get their t1 value re-drawn inside a
     different t0 quartile bucket; everyone else keeps their t0 value.
     Buckets are fixed from the t0 quartiles that `shift_ratio` measures
-    with, so the measured ratio is exactly moved/n.
+    with, so the measured ratio is exactly moved/n. The pair's ids and t0
+    are the dataset's own read-only columns; only t1 is a new array.
 
     The draws: `rng.choice(n, round(target * n), replace=False)` picks the
     movers; then one `rng.integers(0, k, size=movers)` picks each mover's
@@ -274,8 +275,7 @@ def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int
     open_buckets[1:-1] = cuts[1:] > cuts[:-1]
     reachable = np.flatnonzero(open_buckets)
 
-    t0 = np.array(values, dtype=float)
-    t1 = t0.copy()
+    t1 = values.copy()
     rows = rng.choice(n, size=round(drift.target_shift_ratio * n), replace=False)
     rows.sort()
     picks = rng.integers(0, reachable.size - 1, size=rows.size)
@@ -291,7 +291,7 @@ def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int
     t1[rows[below]] = cuts[target[below]] - span * uniforms[below]
     t1[rows[above]] = cuts[target[above] - 1] + span * (uniforms[above] + 1e-9)
     return FeatureSnapshotPair(feature=drift.feature, user_ids=ds.user_ids,
-                               t0=t0, t1=t1)
+                               t0=values, t1=t1)
 
 
 def drift_snapshots(cfg: ScenarioConfig, ds: ExperimentDataset

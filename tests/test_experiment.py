@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortpolicy.errors import EstimationError, IntegrityError
 from cohortpolicy.experiment import (ExperimentDataset, MetricEstimate,
@@ -47,15 +49,100 @@ def test_valid_columns_sorted_by_user_id():
 
 @pytest.mark.parametrize("changes, named", [
     ({"user_ids": ["u2", "u1", "u2"]}, "'u2' appears more than once"),
+    ({"user_ids": ["u1", "u1", "u2"]}, "'u1' appears more than once"),
     ({"arm_codes": [0, 2, 0]}, "'u1' assigned to unknown arm"),
     ({"feature_matrix": [[1.0, 2.0, float("nan")]]}, "'u3' has non-finite feature 'f1'"),
     ({"outcome_matrix": [[0.0, float("inf"), 2.0]]}, "'u1' has non-finite outcome 'm1'"),
     ({"days": [0, 1]}, "column days"),
-], ids=["duplicate-id", "unknown-arm", "non-finite-feature", "non-finite-outcome",
+], ids=["duplicate-id", "sorted-duplicate-id", "unknown-arm", "non-finite-feature", "non-finite-outcome",
         "wrong-length"])
 def test_invalid_columns_rejected(changes, named):
     with pytest.raises(IntegrityError, match=named):
         _dataset(**_columns(**changes))
+
+
+_COLUMNS = ("user_ids", "arm_codes", "feature_matrix", "outcome_matrix", "days")
+
+
+@st.composite
+def _sorted_columns(draw):
+    # Columns of 1-8 users with distinct ids, in id order, as the arrays
+    # the constructor holds (intp arms, float matrices, int64 days).
+    ids = np.unique(np.array(draw(st.lists(st.text("uv01", min_size=1, max_size=3),
+                                           min_size=1, max_size=8, unique=True))))
+    n = ids.size
+    values = st.floats(-10, 10, allow_nan=False)
+    return {"user_ids": ids,
+            "arm_codes": np.array(draw(st.lists(st.integers(0, 1), min_size=n,
+                                                max_size=n)), dtype=np.intp),
+            "feature_matrix": np.array([draw(st.lists(values, min_size=n, max_size=n))]),
+            "outcome_matrix": np.array([draw(st.lists(values, min_size=n, max_size=n))]),
+            "days": np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+                             dtype=np.int64)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sorted_columns(), st.data())
+def test_shuffled_rows_build_the_dataset_of_sorted_rows(columns, data):
+    # Id-sorted columns are adopted as read-only views of the caller's
+    # arrays; any other row order is sorted into new arrays. Both hold the
+    # same columns.
+    adopted = _dataset(**columns)
+    order = np.array(data.draw(st.permutations(range(columns["user_ids"].size))),
+                     dtype=np.intp)
+    sorted_copy = _dataset(**{name: column[..., order]
+                              for name, column in columns.items()})
+    for name in _COLUMNS:
+        given_column = columns[name]
+        held, other = getattr(adopted, name), getattr(sorted_copy, name)
+        assert np.shares_memory(held, given_column)
+        assert given_column.flags.writeable
+        assert held.dtype == other.dtype and held.shape == other.shape
+        assert held.tobytes() == other.tobytes()
+        assert not held.flags.writeable and not other.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sorted_columns(), st.data())
+def test_a_repeated_id_is_rejected_in_any_row_order(columns, data):
+    n = columns["user_ids"].size
+    repeat = data.draw(st.integers(0, n - 1))
+    rows = np.sort(np.append(np.arange(n), repeat))
+    if data.draw(st.booleans()):
+        rows = rows[data.draw(st.permutations(range(n + 1)))]
+    with pytest.raises(IntegrityError, match="appears more than once"):
+        _dataset(**{name: column[..., rows] for name, column in columns.items()})
+
+
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.lists(st.integers(-20, 20), min_size=1, max_size=30),
+                 st.lists(st.sampled_from([-7, 0, 3, 40, 41, 1000]), min_size=1,
+                          max_size=30),
+                 st.lists(_INT64, min_size=1, max_size=30),
+                 st.tuples(_INT64, st.lists(st.integers(0, 60), min_size=1,
+                                            max_size=30)).map(
+                     lambda pair: [min(max(pair[0], -2 ** 63 + 60), 2 ** 63 - 61) + d
+                                   for d in pair[1]])))
+def test_day_codes_equal_unique(days):
+    # Negative, sparse, wide-range and near-int64-limit labels: dense
+    # spans are coded from a bincount and wide ones by np.unique, and both
+    # give np.unique's labels and inverse.
+    n = len(days)
+    ds = ExperimentDataset(experiment_id="x", user_ids=[f"u{i:02d}" for i in range(n)],
+                           arm_codes=[0] * n, feature_matrix=[[0.0] * n],
+                           outcome_matrix=[[0.0] * n], days=days,
+                           actions=("control",), control_action="control",
+                           metrics=("m1",), features=("f1",))
+    codes, labels = ds.day_codes()
+    want_labels, want_codes = np.unique(np.array(days, dtype=np.int64),
+                                        return_inverse=True)
+    assert codes.dtype == want_codes.dtype
+    assert codes.tolist() == want_codes.tolist()
+    assert labels == want_labels.tolist()
+    assert all(type(label) is int for label in labels)
 
 
 def test_ate_identical_distributions_is_zero():

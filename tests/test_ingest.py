@@ -5,8 +5,7 @@ import pytest
 from cohortpolicy.cli import main
 from cohortpolicy.errors import IntegrityError, RowIngestError, SchemaError
 from cohortpolicy.experiment import ExperimentDataset
-from cohortpolicy.ingest import (IngestSchema, ingest, load_stored_estimates,
-                                 parse_lift_text)
+from cohortpolicy.ingest import IngestSchema, ingest, parse_lift_text
 
 SCHEMA = {
     "user_id": "uid",
@@ -189,18 +188,6 @@ def test_parse_lift_text(text, mean, std_err):
 def test_parse_lift_text_rejects_garbage():
     with pytest.raises(ValueError):
         parse_lift_text("not a lift")
-
-
-def test_stored_estimates_numeric_and_text(tmp_path):
-    path = tmp_path / "est.json"
-    path.write_text(json.dumps([
-        {"policy_id": "p1", "metric_id": "m1", "mean": 0.5, "std_err": 0.1},
-        {"policy_id": "p1", "metric_id": "m2", "estimate": "-0.049% ± 0.043"},
-    ]))
-    table = load_stored_estimates(path)
-    assert table["p1"]["m1"].mean == 0.5
-    assert table["p1"]["m2"].mean == pytest.approx(-0.00049)
-    assert table["p1"]["m2"].std_err == pytest.approx(0.00043)
 
 
 def test_package_ingest_attribute_is_the_module():

@@ -196,6 +196,22 @@ def test_in_window_decay_exhausts_refinements(tmp_path):
     assert len(rejected_ids) == 2  # a different policy each iteration
 
 
+def test_data_without_day_labels_backtest_chunks_not_days():
+    # Without day labels the backtest's "days" are chunks of id-sorted
+    # users: its rows and its narrative say so, and NO_TIME_AXIS marks the
+    # report without rejecting it. Day-labelled data keep their days.
+    unlabelled = replace(conflict_scenario(seed=7, n_users=8000), n_days=0)
+    for scenario, unit, codes in ((unlabelled, "chunk", ["NO_TIME_AXIS"]),
+                                  (conflict_scenario(seed=7, n_users=8000), "day", [])):
+        result = govern_pipeline(RunConfig(seed=7, scenario=scenario))
+        assert result.recommended
+        backtest = result.reports[-1]
+        assert backtest.stage == "pre_recommendation" and not backtest.rejected
+        assert backtest.reason_codes == codes
+        assert backtest.narrative == f"cumulative lift consistent over 14 {unit}s"
+        assert result.backtest_series.days == [f"conflict#{unit}{k}" for k in range(14)]
+
+
 def one_effect_scenario(seed, n_users=300):
     # The conflict scenario with only its m1 effect planted.
     return replace(conflict_scenario(seed=seed, n_users=n_users),

@@ -15,9 +15,8 @@ from cohortpolicy.search import (PolicyCandidate, _scores, build_policy_table,
                                  enumerate_policies, evaluate_policies,
                                  evaluate_policy_pinned, global_policies,
                                  load_policy_table, make_policy_id, moments_cube,
-                                 rank_policies,
-                                 sample_weights, save_policy_table,
-                                 scalarized_score)
+                                 policy_columns, rank_policies,
+                                 sample_weights, save_policy_table)
 from cohortpolicy.segmentation import CutSpec, enumerate_cuts
 
 from conftest import build_dataset, make_policy, shuffled, table_of
@@ -436,26 +435,34 @@ def test_weights_validate():
 # -- scalarized score ---------------------------------------------------------------
 
 
+def score_of(policy, weights, metrics=None):
+    """One policy's score as `rank_policies` computes it: `_scores` on the
+    policy's row of `policy_columns`, weights aligned with `metrics`
+    (default: the policy's estimate order)."""
+    _, _, mu, _ = policy_columns([policy], metrics)
+    return float(_scores(mu, np.array([weights], dtype=float))[0, 0])
+
+
 def test_score_one_hot_projection():
     policy = make_policy("p", [1.0, 2.0])
-    assert scalarized_score(policy, (0.0, 1.0)) == 2.0
+    assert score_of(policy, (0.0, 1.0)) == 2.0
 
 
 def test_score_even_mix():
     policy = make_policy("p", [1.0, 2.0])
-    assert scalarized_score(policy, (0.5, 0.5)) == 1.5
+    assert score_of(policy, (0.5, 0.5)) == 1.5
 
 
 def test_score_zero_everywhere():
     policy = make_policy("p", [0.0, 0.0, 0.0])
     for w in sample_weights(3, 10, seed=2):
-        assert scalarized_score(policy, w) == 0.0
+        assert score_of(policy, w) == 0.0
 
 
 def test_score_missing_estimate_errors():
     policy = make_policy("p", [1.0])
     with pytest.raises(ValueError):
-        scalarized_score(policy, (0.5, 0.5), metrics=["m1", "m2"])
+        score_of(policy, (0.5, 0.5), metrics=["m1", "m2"])
 
 
 @settings(max_examples=40)
@@ -464,9 +471,9 @@ def test_score_linear_in_weights(alpha):
     policy = make_policy("p", [0.3, -1.7])
     w1, w2 = (1.0, 0.0), (0.0, 1.0)
     mixed = (alpha, 1.0 - alpha)
-    expected = (alpha * scalarized_score(policy, w1)
-                + (1 - alpha) * scalarized_score(policy, w2))
-    assert scalarized_score(policy, mixed) == pytest.approx(expected, abs=1e-12)
+    expected = (alpha * score_of(policy, w1)
+                + (1 - alpha) * score_of(policy, w2))
+    assert score_of(policy, mixed) == pytest.approx(expected, abs=1e-12)
 
 
 # -- candidate collection -------------------------------------------------------------
@@ -488,6 +495,12 @@ def test_dominant_policy_always_wins():
     result = collect_candidates(policies, weights, top_k=1)
     assert result.policy_ids == ["winner"]
     # brute force: the dominant policy maximizes every scalarization
+
+    def scalarized_score(policy, weights):
+        # The weighted sum of the policy's means, in estimate order.
+        return sum(float(w) * estimate.mean
+                   for w, estimate in zip(weights, policy.estimates.values()))
+
     for w in weights:
         scores = {p.policy_id: scalarized_score(p, w) for p in policies}
         assert max(scores, key=scores.get) == "winner"
