@@ -15,6 +15,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .cube import moments_cube
 from .errors import CohortPolicyError, ConfigError
 from .evaluation import (evaluate_selector, load_ground_truths, load_rankings,
                          save_report)
@@ -25,8 +26,8 @@ from .governance import (StabilityThresholds, load_snapshots, pre_search_filter,
 from .ingest import IngestSchema, ingest, read_json, write_csv, write_json
 from .pipeline import RunConfig, govern_pipeline, write_run_artifacts
 from .search import (build_policy_table, collect_candidates, load_candidates,
-                     load_policy_table, moments_cube, sample_weights,
-                     save_candidates, save_policy_table)
+                     load_policy_table, sample_weights, save_candidates,
+                     save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import (BenchmarkConfig, ScenarioConfig, build_benchmark,
                     drift_snapshots, generate_experiment, write_benchmark)

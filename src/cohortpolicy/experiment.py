@@ -203,9 +203,12 @@ class ExperimentDataset:
         return np.repeat(np.arange(n_days), np.diff(bounds)), list(range(n_days))
 
     def daily_slices(self, n_days: int | None = None) -> list["ExperimentDataset"]:
-        """Split into per-day datasets, one per label of `day_codes`."""
+        """Split into per-day datasets, one per label of `day_codes`, named
+        `<id>#day<label>`; without day labels the slices are chunks of
+        id-sorted users, named `<id>#chunk<k>`."""
         codes, days = self.day_codes(n_days)
-        return [self.subset(codes == k, f"{self.experiment_id}#day{d}")
+        unit = "day" if self.days is not None and self.n_users else "chunk"
+        return [self.subset(codes == k, f"{self.experiment_id}#{unit}{d}")
                 for k, d in enumerate(days)]
 
 

@@ -17,12 +17,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .cube import MomentsCube, cut_effects, moments_cube
 from .errors import (ConfigError, EstimationError, InsufficientDataError,
                      IntegrityError, RowIngestError)
 from .experiment import ExperimentDataset, MetricEstimate
 from .ingest import csv_blocks, csv_rows, read_jsonl, write_csv, write_jsonl
-from .search import (Estimates, MomentsCube, Policies, PolicyCandidate,
-                     compose_estimates, cut_effects, moments_cube, policy_columns)
+from .search import Estimates, Policies, PolicyCandidate, compose_estimates, policy_columns
 from .segmentation import slot_codes, sort_values, sorted_boundaries
 
 STAGE_PRE_SEARCH = "pre_search"
@@ -333,16 +333,20 @@ def robustness_check(policy: PolicyCandidate,
 
 @dataclass
 class BacktestSeries:
-    """Per-day and cumulative lift series for one policy."""
+    """Per-day and cumulative lift series for one policy. `time_axis` is
+    False when the "days" are chunks of id-sorted users (data without day
+    labels)."""
 
     days: list[str]
     daily: list[dict[str, MetricEstimate]]
     cumulative: list[dict[str, MetricEstimate]]
+    time_axis: bool = True
 
     def save_csv(self, path: str | Path, metrics: Sequence[str]) -> None:
-        """Write the series through `ingest.write_csv`: the day, then each
-        metric's daily and cumulative mean and std_err."""
-        header, columns = ["day"], [self.days]
+        """Write the series through `ingest.write_csv`: the day (headed
+        `chunk` without a time axis), then each metric's daily and
+        cumulative mean and std_err."""
+        header, columns = ["day" if self.time_axis else "chunk"], [self.days]
         for metric in metrics:
             for name, series in (("daily", self.daily), ("cum", self.cumulative)):
                 header += [f"{metric}_{name}_mean", f"{metric}_{name}_std_err"]
@@ -364,9 +368,8 @@ def validation_spans(n_days: int, n_slices: int) -> tuple[np.ndarray, np.ndarray
 def _span_estimates(cube: MomentsCube, policy: PolicyCandidate, n_slices: int
                     ) -> list[Estimates | EstimationError]:
     # The policy's estimates on the `validation_spans` of the cube's days.
-    [(_, effects)] = cut_effects(cube, [policy.cut],
-                                 *validation_spans(len(cube.days), n_slices))
-    return compose_estimates(cube, effects, [policy])
+    return compose_estimates(cube, cut_effects(
+        cube, [policy.cut], *validation_spans(len(cube.days), n_slices)), [policy])
 
 
 def run_backtest(policy: PolicyCandidate, window: ExperimentDataset,
@@ -430,7 +433,7 @@ def backtest_verdict(policy: PolicyCandidate, cube: MomentsCube,
         cumulative_series.append(prefix)
 
     series = BacktestSeries(days=days, daily=daily_series,
-                            cumulative=cumulative_series)
+                            cumulative=cumulative_series, time_axis=cube.time_axis)
     if len(cumulative_series) < BACKTEST_BURN_IN_DAYS:
         raise InsufficientDataError(
             f"backtest needs >= {BACKTEST_BURN_IN_DAYS} usable "

@@ -15,6 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .config import from_mapping as read_config, reject_repeats
+from .cube import moments_cube
 from .errors import ConfigError
 from .experiment import ExperimentDataset
 from .frontier import (FrontierResult, ToleranceConfig, save_frontier,
@@ -25,8 +26,7 @@ from .governance import (MIN_ROBUSTNESS_SLICES, FeatureSnapshotPair, HookReport,
                          validate_candidate)
 from .ingest import IngestSchema, ingest, read_json, write_json
 from .search import (PolicyCandidate, PolicyTable, build_policy_table,
-                     moments_cube, rank_policies, sample_weights,
-                     save_policy_table)
+                     rank_policies, sample_weights, save_policy_table)
 from .segmentation import CutEnumerationConfig, enumerate_cuts
 from .synth import ScenarioConfig, drift_snapshots, generate_experiment
 

@@ -4,17 +4,15 @@ A policy maps each segment slot of one cut to an action (control allowed).
 Per-metric policy lift is the segment-size-weighted sum of the slot effects
 of its treated slots; policy standard errors compose slot standard errors as
 independent size-weighted variances (segments are disjoint user sets).
-Every estimate is read from one `MomentsCube` (one (day, slot, arm) moments
-pass per feature and bin count on its N-bin grid) by `cut_effects`, which
-pools a range of days, then the two slots of each binary cut: the policy
-table reads every day, the validation hooks the pick's slices and days.
-Every policy on a cut is composed from its cut's effect arrays, and the
-binary cuts of a feature, which share one arm matrix, in one call.
-`build_policy_table` keeps the composed arrays as one columnar
-`PolicyTable`, which the governed run and the `search` command search:
-Top-K, the tolerance filter and the post-search selection read its
-id-sorted columns through `policy_columns`. `evaluate_policies` wraps
-composed estimates into `PolicyCandidate`s.
+Every estimate is read from a `cube.MomentsCube` by `cube.cut_effects`
+and composed by `cube.compose_policies`. `build_policy_table`, the one
+table builder, composes every policy of every cut of one cube in a fixed
+number of array passes, whatever the number of cuts, and keeps the
+composed arrays as one columnar `PolicyTable`. The governed run, the
+`search` command and benchmark synthesis search such tables: Top-K, the
+tolerance filter and the post-search selection read its id-sorted columns
+through `policy_columns`. `evaluate_policies` wraps composed estimates
+into `PolicyCandidate`s.
 """
 
 from __future__ import annotations
@@ -27,14 +25,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .cube import MomentsCube, compose_policies, cut_effects, moments_cube
 from .errors import ConfigError, EstimationError, IntegrityError, RowIngestError
-from .experiment import (CellMoments, ExperimentDataset, MetricEstimate,
-                         SlotEffects, cell_moments, effects_from_moments,
-                         pool_moments)
+from .experiment import ExperimentDataset, MetricEstimate, SlotEffects
 from .ingest import FORMAT_VERSION  # noqa: F401 (re-exported)
 from .ingest import (_parse_number, csv_blocks, csv_header, csv_rows, read_json,
                      write_csv, write_json)
-from .segmentation import BINARY, INDIVIDUAL, CutSpec, cut_slot_codes
+from .segmentation import CutSpec
 
 
 @dataclass
@@ -83,47 +80,58 @@ def global_policies(ds: ExperimentDataset) -> list[PolicyCandidate]:
     return enumerate_policies(ds, [])
 
 
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    # The distinct rows in ascending order, as np.unique(rows, axis=0)
+    # gives them; not np.unique itself, whose first call imports numpy.ma.
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
+
+
 def _sample_assignments(n_actions: int, slots: int, budget: int,
                         control_index: int, rng: np.random.Generator) -> np.ndarray:
     # All-control is forced in; the rest are unique uniform draws of one
     # row each, made `need` rows per call: the stream is the same, and the
     # draws stop where one row at a time would, since only the last row of
     # a call can fill the budget.
-    chosen = {(control_index,) * slots}
-    while (need := budget - len(chosen)) > 0:
-        chosen.update(map(tuple, rng.integers(0, n_actions,
-                                              size=(need, slots)).tolist()))
-    return np.array(sorted(chosen), dtype=np.intp)
+    rows = np.full((1, slots), control_index, dtype=np.intp)
+    while (need := budget - len(rows)) > 0:
+        rows = _unique_rows(np.concatenate(
+            [rows, rng.integers(0, n_actions, size=(need, slots))]))
+    return rows
 
 
 def _cut_assignments(cuts: Sequence[CutSpec], n_actions: int, budget: int,
                      control_index: int, seed: int
-                     ) -> list[tuple[CutSpec | None, np.ndarray]]:
+                     ) -> dict[CutSpec | None, np.ndarray]:
     """Each cut with the (policies, slots) matrix of its candidate
     policies' action indices, rows in ascending order: the full action
-    cross-product when it fits the per-cut budget, otherwise a seeded
-    uniform sample without replacement that always holds the all-control
-    row. One generator seeded with `seed` serves every sampled cut, in cut
-    order. A cut listed again is listed once, with the rows of each of its
-    samples. An empty cut list gives the single-slot global policies.
+    cross-product when it fits the per-cut budget, one array that every
+    cut with as many slots shares, otherwise a seeded uniform sample
+    without replacement that always holds the all-control row. One
+    generator, made when a cut first samples, serves every sampled cut, in
+    cut order. A cut listed again is listed once, with the rows of each of
+    its samples. An empty cut list gives the single-slot global policies.
     """
     if budget < 1:
         raise ConfigError(f"policy budget must be >= 1, got {budget}")
     if n_actions < 1:
         raise ConfigError("no actions to assign")
     if not cuts:
-        return [(None, np.arange(n_actions, dtype=np.intp)[:, None])]
-    rng = np.random.default_rng(seed)
-    out: dict[CutSpec, np.ndarray] = {}
+        return {None: np.arange(n_actions, dtype=np.intp)[:, None]}
+    products: dict[int, np.ndarray] = {}
+    rng = None
+    out: dict[CutSpec | None, np.ndarray] = {}
     for cut in cuts:
         slots = cut.slot_count
         if n_actions ** slots <= budget:
-            arms = np.indices((n_actions,) * slots).reshape(slots, -1).T
+            if slots not in products:
+                products[slots] = np.indices((n_actions,) * slots).reshape(slots, -1).T
+            arms = products[slots]
         else:
+            rng = rng or np.random.default_rng(seed)
             arms = _sample_assignments(n_actions, slots, budget, control_index, rng)
-        out[cut] = (arms if cut not in out
-                    else np.unique(np.concatenate([out[cut], arms]), axis=0))
-    return list(out.items())
+        out[cut] = arms if cut not in out else _unique_rows(np.concatenate([out[cut], arms]))
+    return out
 
 
 def enumerate_policies(ds: ExperimentDataset, cuts: Sequence[CutSpec], *,
@@ -138,7 +146,7 @@ def enumerate_policies(ds: ExperimentDataset, cuts: Sequence[CutSpec], *,
     control_index = ds.actions.index(ds.control_action)
     policies: list[PolicyCandidate] = []
     for cut, arms in _cut_assignments(cuts, len(ds.actions), budget,
-                                      control_index, seed):
+                                      control_index, seed).items():
         for row in arms.tolist():
             assignment = tuple(ds.actions[i] for i in row)
             policies.append(PolicyCandidate(
@@ -150,182 +158,26 @@ def enumerate_policies(ds: ExperimentDataset, cuts: Sequence[CutSpec], *,
 # -- evaluation ---------------------------------------------------------------
 
 
-def _pool_slots(moments: CellMoments, thresholds: Sequence[int]) -> CellMoments:
-    # The moments of the binary cuts at `thresholds` on a grid of N slots,
-    # the last cell axis of `moments`: a (cut, ..., 2, arm) table whose
-    # slots pool the grid's slots [0, i0) and [i0, N).
-    n, k = moments.counts.shape[-2], len(thresholds)
-    lo = np.array([0] * k + list(thresholds))
-    hi = np.array(list(thresholds) + [n] * k)
-    pooled = pool_moments(CellMoments(counts=np.moveaxis(moments.counts, -2, 0),
-                                      sums=np.moveaxis(moments.sums, -3, 0),
-                                      m2=np.moveaxis(moments.m2, -3, 0)), lo, hi)
-
-    def by_cut(a: np.ndarray, slot_axis: int) -> np.ndarray:
-        return np.moveaxis(a.reshape(2, k, *a.shape[1:]), 0, slot_axis)
-
-    return CellMoments(counts=by_cut(pooled.counts, -2), sums=by_cut(pooled.sums, -3),
-                       m2=by_cut(pooled.m2, -3))
-
-
-def _grid(cut: CutSpec | None) -> CutSpec | None:
-    # The grid a cut reads: its feature's N-bin individual cut; None for all.
-    return None if cut is None else CutSpec(cut.feature, INDIVIDUAL, cut.n_bins)
-
-
-@dataclass(frozen=True, eq=False)
-class MomentsCube:
-    """All that the policy table and the validation hooks read of an
-    experiment's users: `grids` maps each grid (a feature's N-bin
-    individual cut, or None for the whole population) to the CellMoments
-    of its (day, slot) cells. `days` holds the day labels and `control`
-    indexes the control arm in `actions`. `time_axis` is False when the
-    users carry no day labels, so that the "days" are chunks of id-sorted
-    users (`ExperimentDataset.day_codes`), not time."""
-
-    experiment_id: str
-    actions: tuple[str, ...]
-    control: int
-    metrics: tuple[str, ...]
-    days: list[int]
-    grids: dict[CutSpec | None, CellMoments]
-    time_axis: bool
-
-
-def moments_cube(ds: ExperimentDataset, cuts: Sequence[CutSpec | None],
-                 days: tuple[np.ndarray, list[int]] | None = None) -> MomentsCube:
-    """One `cell_moments` pass over (day, slot) x arm cells per grid that
-    `cuts` read; an empty cut list, whose policies are the global ones,
-    reads the whole population. `days` is every user's day code and the day
-    labels, as `ds.day_codes` returns them; by default all users are on
-    one day, labelled 0.
-    """
-    day, labels = days or (0, [0])
-    grids: dict[CutSpec | None, CellMoments] = {}
-    for grid in dict.fromkeys(map(_grid, cuts or [None])):
-        n_slots = grid.slot_count if grid is not None else 1
-        # One fresh code array per grid, turned into its cell codes in place.
-        codes = cut_slot_codes(ds, grid)
-        codes += day * n_slots
-        grids[grid] = cell_moments(ds, codes, (len(labels), n_slots))
-    return MomentsCube(experiment_id=ds.experiment_id, actions=ds.actions,
-                       control=ds.actions.index(ds.control_action),
-                       metrics=ds.metrics, days=list(labels), grids=grids,
-                       time_axis=ds.days is not None)
-
-
-def cut_effects(cube: MomentsCube, cuts: Sequence[CutSpec | None],
-                lo: Sequence[int] | None = None, hi: Sequence[int] | None = None
-                ) -> list[tuple[list[int], SlotEffects]]:
-    """The slot effects of every cut in `cuts` (None for the whole
-    population) on the users of each day range [lo[i], hi[i]) of `cube`
-    (by default, of all its days).
-
-    Returns groups of positions in `cuts`, each with one SlotEffects whose
-    two leading axes run over the group's positions and the ranges. The
-    binary cuts of one feature and bin count form one group; every other
-    cut forms its own. A range pools its days' cells (`pool_moments`); a
-    one-day range reads that day's cells exactly. An individual cut reads
-    its grid's slots as they are. A binary cut at threshold i0 puts in its
-    upper slot the users whose N-bin code is at least i0 (the codes
-    `cut_slot_codes` gives it, ties included), so its two slots pool the
-    grid's slots [0, i0) and [i0, N): counts are exact, and means and
-    standard errors agree with a pass over the cut's own codes to rounding.
-    """
-    if lo is None:
-        lo, hi = [0], [len(cube.days)]
-    pooled = {grid: pool_moments(cells, lo, hi) for grid, cells in cube.grids.items()}
-    groups: dict[object, list[int]] = {}
-    for position, cut in enumerate(cuts):
-        key = ((cut.feature, cut.n_bins) if cut is not None and cut.kind == BINARY
-               else position)
-        groups.setdefault(key, []).append(position)
-    out = []
-    for key, positions in groups.items():
-        fine = pooled[_grid(cuts[positions[0]])]
-        if isinstance(key, tuple):
-            moments = _pool_slots(fine, [cuts[p].threshold_index for p in positions])
-        else:
-            moments = CellMoments(counts=fine.counts[None], sums=fine.sums[None],
-                                  m2=fine.m2[None])
-        out.append((positions, effects_from_moments(moments, cube.control)))
-    return out
-
-
-def _take(effects: SlotEffects, index) -> SlotEffects:
-    # The tables at `index` of the leading axis.
-    return SlotEffects(counts=effects.counts[index], mean=effects.mean[index],
-                       std_err=effects.std_err[index],
-                       supported=effects.supported[index])
-
-
-@dataclass(frozen=True, slots=True)
-class Composition:
-    """Composed estimates of P policies on one cut.
-
-    `mean` and `std_err` are (P, metrics) arrays, `n_treated` and
-    `n_control` (P,) arrays counting the users of each policy's treated
-    slots and their controls, and `unsupported` holds each policy's first
-    unsupported slot, or -1 where every slot is supported. Effects with
-    leading axes (one table per range of days) put those axes first.
-    """
-
-    mean: np.ndarray
-    std_err: np.ndarray
-    n_treated: np.ndarray
-    n_control: np.ndarray
-    unsupported: np.ndarray
-
-
-def _compose(cube: MomentsCube, effects: SlotEffects,
-             arms: np.ndarray) -> Composition:
-    """The policies whose (P, slots) arm codes, indices into `cube.actions`,
-    are `arms`, on the cut that `effects` describes.
-
-    A policy's lift is the size-weighted sum, in slot order, of the effects
-    of its treated, non-empty slots; its variance is the sum of the squared
-    size-weighted standard errors. The arm codes are composed one slot at a
-    time across all P policies. A non-empty slot whose action lacks treated
-    or control users makes the policy unsupported.
-    """
-    control = cube.control
-    sizes = effects.counts.sum(axis=-1)
-    weights = sizes / np.maximum(sizes.sum(axis=-1, keepdims=True), 1)
-    terms = weights[..., None, None] * effects.mean
-    squares = np.square(weights[..., None, None] * effects.std_err)
-    # The control arm's column and every empty slot hold zero effect and
-    # zero error, and sums run in slot order.
-    mean = np.zeros((*sizes.shape[:-1], len(arms), len(cube.metrics)))
-    var = np.zeros_like(mean)
-    for slot in range(arms.shape[1]):
-        mean += terms[..., slot, arms[:, slot], :]
-        var += squares[..., slot, arms[:, slot], :]
-    slots = np.arange(arms.shape[1])
-    treated = arms != control
-    lacking = ~effects.supported[..., slots, arms] & (sizes[..., None, :] > 0)
-    return Composition(
-        mean=mean, std_err=np.sqrt(var),
-        n_treated=(effects.counts[..., slots, arms] * treated).sum(axis=-1),
-        n_control=(effects.counts[..., None, :, control] * treated).sum(axis=-1),
-        unsupported=np.where(lacking.any(axis=-1), lacking.argmax(axis=-1), -1))
-
-
 Estimates = dict[str, MetricEstimate]
 
 
 def compose_estimates(cube: MomentsCube, effects: SlotEffects,
-                      policies: Sequence[PolicyCandidate]
+                      policies: Sequence[PolicyCandidate],
+                      rows: np.ndarray | None = None
                       ) -> list[Estimates | EstimationError]:
-    """Each policy's estimates on the cut that `effects` (`cut_effects` of
-    `cube`) describes, or the EstimationError naming its first unsupported
-    slot. Effects with leading axes list each table's policies in turn."""
+    """Each policy's estimates on the tables of `effects` (`cut_effects` of
+    `cube`), or the EstimationError naming its first unsupported slot: on
+    each table in turn, every policy in turn, or, given `rows`, policy p on
+    table `rows[p]`."""
     arm_of = {action: k for k, action in enumerate(cube.actions)}
+    width = effects.counts.shape[-2]
     try:
-        arms = np.array([[arm_of[a] for a in p.assignment] for p in policies],
-                        dtype=np.intp).reshape(len(policies), -1)
+        arms = np.array([[arm_of[a] for a in p.assignment]
+                         + [cube.control] * (width - len(p.assignment))
+                         for p in policies], dtype=np.intp).reshape(-1, width)
     except KeyError as exc:
         raise ValueError(f"unknown action {exc.args[0]!r}") from None
-    composed = _compose(cube, effects, arms)
+    composed = compose_policies(effects, arms, cube.control, rows)
     n_metrics = len(cube.metrics)
     out: list[Estimates | EstimationError] = []
     for policy, means, errors, n_t, n_c, slot in zip(
@@ -358,26 +210,18 @@ def evaluate_policies(ds: ExperimentDataset, policies: Sequence[PolicyCandidate]
     input order).
 
     The cuts' slot-effect tables come from one `cut_effects` read of a
-    one-day `moments_cube`, and every policy on a cut is composed from its
-    cut's table. Control-assigned slots contribute zero lift by definition;
+    one-day `moments_cube`, and each policy is composed from its cut's
+    table. Control-assigned slots contribute zero lift by definition;
     empty slots carry zero weight. A non-empty slot whose assigned action
     lacks treated or control users makes the policy unsupported: the first
     unsupported policy raises EstimationError naming the slot.
     `build_policy_table` keeps only the supported policies instead.
     """
-    by_cut: dict[CutSpec | None, list[int]] = {}
-    for index, policy in enumerate(policies):
-        by_cut.setdefault(policy.cut, []).append(index)
-    cuts = list(by_cut)
-    cube = moments_cube(ds, cuts)
-    results: list = [None] * len(policies)
-    for positions, effects in cut_effects(cube, cuts):
-        for j, position in enumerate(positions):
-            indices = by_cut[cuts[position]]
-            composed = compose_estimates(cube, _take(effects, j),
-                                         [policies[i] for i in indices])
-            for index, result in zip(indices, composed):
-                results[index] = result
+    position = {cut: j for j, cut in enumerate(dict.fromkeys(p.cut for p in policies))}
+    cube = moments_cube(ds, list(position))
+    results = compose_estimates(cube, cut_effects(cube, list(position)), policies,
+                                np.array([position[p.cut] for p in policies],
+                                         dtype=np.intp))
     return [_evaluated(policy, result) for policy, result in zip(policies, results)]
 
 
@@ -394,8 +238,8 @@ def evaluate_policy_pinned(ds: ExperimentDataset, policy: PolicyCandidate,
     day = np.zeros(ds.n_users, dtype=np.intp)
     day[rows] = 1
     cube = moments_cube(ds, [policy.cut], (day, [0, 1]))
-    [(_, effects)] = cut_effects(cube, [policy.cut], [1], [2])
-    [result] = compose_estimates(cube, effects, [policy])
+    [result] = compose_estimates(cube, cut_effects(cube, [policy.cut], [1], [2]),
+                                 [policy])
     return _evaluated(policy, result)
 
 
@@ -407,40 +251,40 @@ def build_policy_table(cube: MomentsCube, cuts: Sequence[CutSpec],
     every day of `cube` (which holds the grids of `cuts`); a policy without
     arm support in some non-empty slot is left out.
 
-    The slot effects come from one `cut_effects` call. The arm-code
-    matrices of a group of cuts that share one are composed in one
-    `_compose` call (the binary cuts of a feature, when each gets the full
-    action cross-product), without building a candidate object per policy.
+    The table takes a fixed number of array passes, whatever the number of
+    cuts: one `cut_effects` read of every cut, and one `compose_policies`
+    call in which each policy reads its own cut's table, its arm codes
+    padded with the control arm to the tables' slots. Each distinct arm
+    matrix's action names are joined once.
     """
     assigned = _cut_assignments(cuts, len(cube.actions), budget, cube.control, seed)
-    listed = [cut for cut, _ in assigned]
-    ids, features, cut_names, actions = [], [], [], []
-    means, errors, treated, controls = [], [], [], []
-    for positions, effects in cut_effects(cube, listed):
-        sharing: dict[bytes, list[int]] = {}
-        for j, position in enumerate(positions):
-            sharing.setdefault(assigned[position][1].tobytes(), []).append(j)
-        for group in sharing.values():
-            arms = assigned[positions[group[0]]][1]
-            composed = _compose(cube, _take(effects, (group, 0)), arms)
-            kept = composed.unsupported < 0
-            means.append(composed.mean[kept])
-            errors.append(composed.std_err[kept])
-            treated.append(composed.n_treated[kept])
-            controls.append(composed.n_control[kept])
-            joined = list(map("-".join,
-                              np.array(cube.actions, dtype=object)[arms].tolist()))
-            for j, keep in zip(group, kept):
-                cut = listed[positions[j]]
-                rows = np.flatnonzero(keep).tolist()
-                prefix = f"{cut.describe()}." if cut is not None else "global."
-                ids += [prefix + joined[row] for row in rows]
-                actions += [joined[row] for row in rows]
-                features += [cut.feature if cut is not None else ""] * len(rows)
-                cut_names += [cut.short_descriptor if cut is not None else "global"
-                              ] * len(rows)
-    return PolicyTable(cube.metrics, ids, features, cut_names, actions,
-                       *map(np.concatenate, (means, errors, treated, controls)))
+    matrices = list(assigned.values())
+    bounds = np.cumsum([0] + [len(arms) for arms in matrices]).tolist()
+    effects = cut_effects(cube, list(assigned))
+    stacked = np.full((bounds[-1], effects.counts.shape[-2]), cube.control,
+                      dtype=np.min_scalar_type(len(cube.actions)))
+    for arms, at in zip(matrices, bounds):
+        stacked[at:at + len(arms), :arms.shape[1]] = arms
+    composed = compose_policies(effects, stacked, cube.control,
+                                np.repeat(np.arange(len(matrices)), np.diff(bounds)))
+    names = np.array(cube.actions, dtype=object)
+    joined = {key: list(map("-".join, names[arms].tolist()))
+              for key, arms in {id(arms): arms for arms in matrices}.items()}
+    columns: list[list[str]] = [[], [], [], []]
+    for cut, arms in assigned.items():
+        actions = joined[id(arms)]
+        prefix, feature, name = ((f"{cut.describe()}.", cut.feature, cut.short_descriptor)
+                                 if cut is not None else ("global.", "", "global"))
+        columns[0] += [prefix + action for action in actions]
+        columns[1] += [feature] * len(actions)
+        columns[2] += [name] * len(actions)
+        columns[3] += actions
+    numbers = [composed.mean, composed.std_err, composed.n_treated, composed.n_control]
+    keep = composed.unsupported < 0
+    if not keep.all():
+        columns = [list(itertools.compress(column, keep)) for column in columns]
+        numbers = [column[keep] for column in numbers]
+    return PolicyTable(cube.metrics, *columns, *numbers)
 
 
 # -- random-weight search ------------------------------------------------------
@@ -655,10 +499,12 @@ class PolicyTable(Mapping):
         self.feature = [feature[i] for i in order]
         self.cut = [cut[i] for i in order]
         self.actions = [actions[i] for i in order]
-        self.mean = mean[order]
-        self.std_err = std_err[order]
+        # One index array for the four columns, not one list conversion each.
+        index = np.array(order, dtype=np.intp)
+        self.mean = mean[index]
+        self.std_err = std_err[index]
         self.n_treated, self.n_control = (
-            np.broadcast_to(np.asarray(n, dtype=np.int64), len(ids))[order]
+            np.broadcast_to(np.asarray(n, dtype=np.int64), len(ids))[index]
             for n in (n_treated, n_control))
         bad = ~(np.isfinite(self.mean) & np.isfinite(self.std_err)
                 & (self.std_err >= 0.0))

@@ -14,11 +14,12 @@ from typing import Sequence
 import numpy as np
 
 from .config import from_mapping as read_config
+from .cube import moments_cube
 from .errors import ConfigError
 from .evaluation import KINDS, GroundTruth, InstructionSpec, ground_truth_oracle
 from .experiment import ExperimentDataset
 from .governance import QUARTILES, FeatureSnapshotPair
-from .search import PolicyTable, build_policy_table, moments_cube
+from .search import PolicyTable, build_policy_table
 from .segmentation import (CutEnumerationConfig, enumerate_cuts, slot_codes,
                            sort_values, sorted_boundaries, sorted_quantile)
 

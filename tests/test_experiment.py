@@ -247,12 +247,16 @@ def test_daily_slices_from_labels():
     slices = ds.daily_slices()
     assert len(slices) == 3
     assert all(s.n_users == 3 for s in slices)
+    assert [s.experiment_id for s in slices] == ["x#day0", "x#day1", "x#day2"]
 
 
 def test_daily_slices_without_labels_chunks():
+    # Id-order chunks are named chunks, not days.
     ds = build_dataset(range(10), ["control"] * 10, [0.0] * 10)
     slices = ds.daily_slices(4)
     assert len(slices) == 4
     assert sum(s.n_users for s in slices) == 10
+    assert [s.experiment_id for s in slices] == [f"{ds.experiment_id}#chunk{k}"
+                                                 for k in range(4)]
     with pytest.raises(ValueError):
         ds.daily_slices()

@@ -34,7 +34,8 @@ import cohortpolicy.ingest as ingest_module
 from cohortpolicy.ingest import IngestSchema, csv_blocks, csv_rows, ingest
 from cohortpolicy.pipeline import RunConfig, govern_pipeline
 from cohortpolicy.search import load_policy_table
-from cohortpolicy.synth import conflict_scenario, generate_experiment
+from cohortpolicy.synth import (BenchmarkConfig, build_benchmark, conflict_scenario,
+                                generate_experiment)
 
 from conftest import traced_peak_mb
 
@@ -806,6 +807,22 @@ def test_governed_run_stays_under_its_memory_bound():
                        seed=1)
     assert govern_pipeline(config).iterations >= 1
     assert traced_peak_mb(lambda: govern_pipeline(config)) <= GOVERN_40K_PEAK_MB
+
+
+# Benchmark synthesis at selector-bench's shape: 20 experiments of 2 000
+# users, 3 features, 8 bins and a budget of 128 policies per cut. It
+# peaked at 3.32-3.35 MB while a table was composed cut by cut, and at
+# 3.31 MB with every cut of a table composed in one pass; 3.0 MB of that is
+# the twenty finished tables.
+BENCHMARK_PEAK_MB = 3.32
+
+
+def test_benchmark_synthesis_stays_under_its_memory_bound():
+    cfg = BenchmarkConfig(seed=5, n_experiments=20, n_users=2000, n_features=3,
+                          n_metrics=2, n_actions=3, noise_sd=1.0, n_bins=8,
+                          policy_budget=128)
+    assert len(build_benchmark(cfg).policy_tables) == 20
+    assert traced_peak_mb(lambda: build_benchmark(cfg)) <= BENCHMARK_PEAK_MB
 
 
 # An experiment file shaped like decay-ingest-14k's: 14 000 users, 7 columns.

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import cohortpolicy.cube as cube_module
 import cohortpolicy.experiment as experiment
 import cohortpolicy.pipeline as pipeline
 import cohortpolicy.search as search
@@ -196,10 +197,11 @@ def test_in_window_decay_exhausts_refinements(tmp_path):
     assert len(rejected_ids) == 2  # a different policy each iteration
 
 
-def test_data_without_day_labels_backtest_chunks_not_days():
+def test_data_without_day_labels_backtest_chunks_not_days(tmp_path):
     # Without day labels the backtest's "days" are chunks of id-sorted
-    # users: its rows and its narrative say so, and NO_TIME_AXIS marks the
-    # report without rejecting it. Day-labelled data keep their days.
+    # users: its rows, its narrative and its file's first column say so,
+    # and NO_TIME_AXIS marks the report without rejecting it. Day-labelled
+    # data keep their days.
     unlabelled = replace(conflict_scenario(seed=7, n_users=8000), n_days=0)
     for scenario, unit, codes in ((unlabelled, "chunk", ["NO_TIME_AXIS"]),
                                   (conflict_scenario(seed=7, n_users=8000), "day", [])):
@@ -210,6 +212,9 @@ def test_data_without_day_labels_backtest_chunks_not_days():
         assert backtest.reason_codes == codes
         assert backtest.narrative == f"cumulative lift consistent over 14 {unit}s"
         assert result.backtest_series.days == [f"conflict#{unit}{k}" for k in range(14)]
+        path = tmp_path / f"{unit}.csv"
+        result.backtest_series.save_csv(path, result.metrics)
+        assert path.read_text().splitlines()[1].startswith(f"{unit},")
 
 
 def one_effect_scenario(seed, n_users=300):
@@ -273,7 +278,8 @@ def test_governed_run_makes_one_moments_pass_per_grid(monkeypatch, max_refinemen
             return original(ds, codes, shape)
         return counted
 
-    monkeypatch.setattr(search, "cell_moments", counting(search.cell_moments))
+    monkeypatch.setattr(cube_module, "cell_moments",
+                        counting(cube_module.cell_moments))
     monkeypatch.setattr(experiment, "cell_moments", counting(experiment.cell_moments))
     result = govern_pipeline(RunConfig(seed=8, max_refinements=max_refinements,
                                        scenario=one_effect_scenario(8)))
@@ -372,7 +378,7 @@ def test_governance_does_not_mutate_estimates():
     # unchanged bit for bit; a one-day evaluation agrees to rounding.
     policy = result.recommendation
     cube = search.moments_cube(ds, [policy.cut], ds.day_codes(config.backtest_days))
-    [(_, effects)] = search.cut_effects(cube, [policy.cut])
+    effects = search.cut_effects(cube, [policy.cut])
     assert search.compose_estimates(cube, effects, [policy]) == [policy.estimates]
     fresh = evaluate_policies(ds, [policy])[0]
     for metric, est in fresh.estimates.items():

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cohortpolicy import ingest, search
+import cohortpolicy.cube as cube_module
+from cohortpolicy import ingest
 from cohortpolicy.errors import EstimationError, RowIngestError
 from cohortpolicy.evaluation import (KINDS, SINGLE_METRIC, InstructionSpec,
                                      ground_truth_oracle)
@@ -356,9 +357,13 @@ def test_table_sorts_by_id_and_rejects_a_repeated_id():
 # -- enumeration and composition ---------------------------------------------------
 
 
+# Wide rows too: 3 actions over 40 slots, or 4 over 33, make more rows than
+# int64 counts.
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 9), st.integers(1, 40),
-       st.integers(0, 3), st.integers(0, 2 ** 32))
+@given(st.integers(1, 4), st.integers(1, 9) | st.integers(30, 40),
+       st.integers(1, 40), st.integers(0, 3), st.integers(0, 2 ** 32))
+@example(4, 33, 20, 1, 7)
+@example(3, 40, 40, 2, 8)
 def test_sampler_draws_the_same_stream(n_actions, slots, budget, control, seed):
     # The block draws give the rows, and leave the generator where, the
     # one-row-per-call loop does.
@@ -368,7 +373,7 @@ def test_sampler_draws_the_same_stream(n_actions, slots, budget, control, seed):
     want = reference_sample_assignments(n_actions, slots, budget, control, want_rng)
     got = _sample_assignments(n_actions, slots, budget, control, got_rng)
     assert [tuple(row) for row in got.tolist()] == want
-    assert got_rng.integers(0, 2 ** 62) == want_rng.integers(0, 2 ** 62)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @st.composite
@@ -465,29 +470,25 @@ def test_pooled_binary_cut_effects_match_a_direct_pass(case):
     # single-user cells, and some cuts are listed twice.
     ds, cuts = case
     scale = max(float(np.abs(ds.outcome_matrix).max(initial=0.0)), 1e-300)
-    seen = []
-    for positions, effects in cut_effects(moments_cube(ds, cuts), cuts):
-        grids = {(cuts[p].feature, cuts[p].n_bins) if cuts[p] is not None else None
-                 for p in positions}
-        assert len(positions) == 1 or (
-            len(grids) == 1 and all(cuts[p].kind == "binary" for p in positions))
-        # One range, every day of a one-day cube.
-        assert effects.counts.shape[:2] == (len(positions), 1)
-        effects = search._take(effects, (slice(None), 0))
-        for j, position in enumerate(positions):
-            seen.append(position)
-            cut = cuts[position]
-            want = direct_effects(ds, cut)
-            assert effects.counts[j].tolist() == want.counts.tolist()
-            assert effects.supported[j].tolist() == want.supported.tolist()
-            for got, expected in ((effects.mean[j], want.mean),
-                                  (effects.std_err[j], want.std_err)):
-                if cut is None or cut.kind == "individual":
-                    assert bits(got.ravel().tolist()) == bits(expected.ravel().tolist())
-                else:
-                    bound = POOLED_REL * np.maximum(np.abs(expected), scale)
-                    assert (np.abs(got - expected) <= bound).all()
-    assert sorted(seen) == list(range(len(cuts)))
+    effects = cut_effects(moments_cube(ds, cuts), cuts)
+    # One range, every day of a one-day cube; every cut has the slots of
+    # the widest grid, the slots past its own empty.
+    width = max(cut.n_bins if cut is not None else 1 for cut in cuts)
+    assert effects.counts.shape == (1, len(cuts), width, len(ds.actions))
+    for j, cut in enumerate(cuts):
+        want = direct_effects(ds, cut)
+        n = len(want.counts)
+        assert effects.counts[0, j, n:].tolist() == [[0] * len(ds.actions)] * (width - n)
+        assert not effects.mean[0, j, n:].any() and not effects.std_err[0, j, n:].any()
+        assert effects.counts[0, j, :n].tolist() == want.counts.tolist()
+        assert effects.supported[0, j, :n].tolist() == want.supported.tolist()
+        for got, expected in ((effects.mean[0, j, :n], want.mean),
+                              (effects.std_err[0, j, :n], want.std_err)):
+            if cut is None or cut.kind == "individual":
+                assert bits(got.ravel().tolist()) == bits(expected.ravel().tolist())
+            else:
+                bound = POOLED_REL * np.maximum(np.abs(expected), scale)
+                assert (np.abs(got - expected) <= bound).all()
 
 
 def test_one_moments_pass_per_feature_grid(monkeypatch):
@@ -508,11 +509,10 @@ def test_one_moments_pass_per_feature_grid(monkeypatch):
                            metrics=("m1",), features=("f1", "f2"))
     cuts = [*enumerate_cuts(ds, {"features": ["f1", "f2"], "n_bins": 4}),
             CutSpec("f1", "binary", 3, 1), CutSpec("f1", "binary", 3, 2)]
-    monkeypatch.setattr(search, "cell_moments", counted)
-    groups = cut_effects(moments_cube(ds, cuts), cuts)
+    monkeypatch.setattr(cube_module, "cell_moments", counted)
+    effects = cut_effects(moments_cube(ds, cuts), cuts)
     assert passes == [(1, 4), (1, 4), (1, 3)]
-    assert [positions for positions, _ in groups] == [[0], [1, 2, 3], [4], [5, 6, 7],
-                                                      [8, 9]]
+    assert effects.counts.shape == (1, len(cuts), 4, 3)
 
 
 @settings(max_examples=200, deadline=None)

@@ -143,6 +143,7 @@ def test_evaluate_policies_batch_matches_single(rng):
     batch = evaluate_policies(ds, policies)
     for policy, from_batch in zip(policies, batch):
         assert evaluate_policies(ds, [policy])[0].estimates == from_batch.estimates
+    assert evaluate_policies(ds, []) == []
 
 
 def test_evaluate_policies_invariant_to_row_order(rng):
@@ -344,8 +345,8 @@ def test_day_ranges_match_pinned_evaluation(case):
     cuts = [cut] if cut is not None else []
     cube = moments_cube(ds, cuts, (day, labels))
     for policy in enumerate_policies(ds, cuts, budget=12):
-        [(_, effects)] = cut_effects(cube, [policy.cut], lo, hi)
-        got = compose_estimates(cube, effects, [policy])
+        got = compose_estimates(cube, cut_effects(cube, [policy.cut], lo, hi),
+                                [policy])
         assert len(got) == len(lo)
         for result, a, b in zip(got, lo.tolist(), hi.tolist()):
             try:
