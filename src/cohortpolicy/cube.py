@@ -1,12 +1,13 @@
-"""The moments cube: an experiment's users read once, as per-(day, slot,
-arm) sums, and the arithmetic that reads policies off it.
+"""The moments cube: an experiment's users read once, as per-(day, grid,
+slot, arm) sums, and the arithmetic that reads policies off it.
 
 `moments_cube` makes one `cell_moments` pass per feature and bin count on
-its N-bin grid; nothing reads the users after it. `cut_effects` reads the
-slot effects of any cuts on any ranges of days, and `compose_policies`
-sums each policy's slot effects. The policy table
-(`search.build_policy_table`) and the validation hooks read the users
-through these alone.
+its N-bin grid, into one stacked array; nothing reads the users after it.
+`cut_effects` reads the slot effects of any cuts on any ranges of days,
+every slot of a cut being a range of its grid's slots, and
+`compose_policies` sums each policy's slot effects on its table. The
+policy table (`search.build_policy_table`) and the validation hooks read
+the users through these alone.
 """
 
 from __future__ import annotations
@@ -18,25 +19,7 @@ import numpy as np
 
 from .experiment import (CellMoments, ExperimentDataset, SlotEffects, cell_moments,
                          effects_from_moments, pool_moments)
-from .segmentation import INDIVIDUAL, CutSpec, cut_slot_codes
-
-
-def _pool_slots(moments: CellMoments, thresholds: Sequence[int]) -> CellMoments:
-    # The moments of the binary cuts at `thresholds` on a grid of N slots,
-    # the last cell axis of `moments`: a (cut, ..., 2, arm) table whose
-    # slots pool the grid's slots [0, i0) and [i0, N).
-    n, k = moments.counts.shape[-2], len(thresholds)
-    lo = np.array([0] * k + list(thresholds))
-    hi = np.array(list(thresholds) + [n] * k)
-    pooled = pool_moments(CellMoments(counts=np.moveaxis(moments.counts, -2, 0),
-                                      sums=np.moveaxis(moments.sums, -3, 0),
-                                      m2=np.moveaxis(moments.m2, -3, 0)), lo, hi)
-
-    def by_cut(a: np.ndarray, slot_axis: int) -> np.ndarray:
-        return np.moveaxis(a.reshape(2, k, *a.shape[1:]), 0, slot_axis)
-
-    return CellMoments(counts=by_cut(pooled.counts, -2), sums=by_cut(pooled.sums, -3),
-                       m2=by_cut(pooled.m2, -3))
+from .segmentation import BINARY, INDIVIDUAL, CutSpec, cut_slot_codes
 
 
 def _grid(cut: CutSpec | None) -> CutSpec | None:
@@ -44,45 +27,69 @@ def _grid(cut: CutSpec | None) -> CutSpec | None:
     return None if cut is None else CutSpec(cut.feature, INDIVIDUAL, cut.n_bins)
 
 
+def _width(grid: CutSpec | None) -> int:
+    return 1 if grid is None else grid.slot_count
+
+
+def _slot_edges(cut: CutSpec | None) -> list[int]:
+    # Slot s of `cut` holds its grid's slots [edges[s], edges[s + 1]).
+    if cut is None:
+        return [0, 1]
+    if cut.kind == BINARY:
+        return [0, cut.threshold_index, cut.n_bins]
+    return list(range(cut.n_bins + 1))
+
+
 @dataclass(frozen=True, eq=False)
 class MomentsCube:
     """All that the policy table and the validation hooks read of an
-    experiment's users: `grids` maps each grid (a feature's N-bin
-    individual cut, or None for the whole population) to the CellMoments
-    of its (day, slot) cells. `days` holds the day labels and `control`
-    indexes the control arm in `actions`. `time_axis` is False when the
-    users carry no day labels, so that the "days" are chunks of id-sorted
-    users (`ExperimentDataset.day_codes`), not time."""
+    experiment's users: `moments` holds the CellMoments of every (day,
+    grid, slot) cell, where `grids` lists the grids in order (a feature's
+    N-bin individual cut, or None for the whole population) and slot runs
+    over the widest grid's slots, a narrower grid's extra slots empty.
+    `days` holds the day labels and `control` indexes the control arm in
+    `actions`. `time_axis` is False when the users carry no day labels, so
+    that the "days" are chunks of id-sorted users
+    (`ExperimentDataset.day_codes`), not time."""
 
     experiment_id: str
     actions: tuple[str, ...]
     control: int
     metrics: tuple[str, ...]
     days: list[int]
-    grids: dict[CutSpec | None, CellMoments]
+    grids: tuple[CutSpec | None, ...]
+    moments: CellMoments
     time_axis: bool
 
 
 def moments_cube(ds: ExperimentDataset, cuts: Sequence[CutSpec | None],
                  days: tuple[np.ndarray, list[int]] | None = None) -> MomentsCube:
     """One `cell_moments` pass over (day, slot) x arm cells per grid that
-    `cuts` read; an empty cut list, whose policies are the global ones,
-    reads the whole population. `days` is every user's day code and the day
-    labels, as `ds.day_codes` returns them; by default all users are on
-    one day, labelled 0.
+    `cuts` read, each written into its grid's row of the stacked (day,
+    grid, slot, arm) moments; an empty cut list, whose policies are the
+    global ones, reads the whole population. `days` is every user's day
+    code and the day labels, as `ds.day_codes` returns them; by default
+    all users are on one day, labelled 0.
     """
     day, labels = days or (0, [0])
-    grids: dict[CutSpec | None, CellMoments] = {}
-    for grid in dict.fromkeys(map(_grid, cuts or [None])):
-        n_slots = grid.slot_count if grid is not None else 1
+    grids = tuple(dict.fromkeys(map(_grid, cuts or [None])))
+    shape = (len(labels), len(grids), max(map(_width, grids)), len(ds.actions))
+    moments = CellMoments(counts=np.zeros(shape, dtype=np.intp),
+                          sums=np.zeros((*shape, len(ds.metrics))),
+                          m2=np.zeros((*shape, len(ds.metrics))))
+    for k, grid in enumerate(grids):
+        width = _width(grid)
         # One fresh code array per grid, turned into its cell codes in place.
         codes = cut_slot_codes(ds, grid)
-        codes += day * n_slots
-        grids[grid] = cell_moments(ds, codes, (len(labels), n_slots))
+        codes += day * width
+        cells = cell_moments(ds, codes, (len(labels), width))
+        moments.counts[:, k, :width] = cells.counts
+        moments.sums[:, k, :width] = cells.sums
+        moments.m2[:, k, :width] = cells.m2
     return MomentsCube(experiment_id=ds.experiment_id, actions=ds.actions,
                        control=ds.actions.index(ds.control_action),
                        metrics=ds.metrics, days=list(labels), grids=grids,
-                       time_axis=ds.days is not None)
+                       moments=moments, time_axis=ds.days is not None)
 
 
 def cut_effects(cube: MomentsCube, cuts: Sequence[CutSpec | None],
@@ -93,52 +100,41 @@ def cut_effects(cube: MomentsCube, cuts: Sequence[CutSpec | None],
     (by default, of all its days): one SlotEffects of (range, cut, slot,
     arm) cells. The cube holds the grids of `cuts`.
 
-    The cuts are read in a fixed number of array passes: the cube's grids
-    are stacked and pool each range's days at once (`pool_moments`), which
-    gives the individual cuts' slots, and one `_pool_slots` pass over them
-    gives the binary cuts'. Every cut has the slots of the widest grid;
-    slots past its own are empty, with zero counts, effects and errors. A
-    one-day range reads that day's cells exactly. A binary cut at
-    threshold i0 puts in its upper slot the users whose N-bin code is at
-    least i0 (the codes `cut_slot_codes` gives it, ties included), so its
-    two slots pool the grid's slots [0, i0) and [i0, N): counts are exact,
-    and means and standard errors agree with a pass over the cut's own
-    codes to rounding. Each step is elementwise, or sums in the order of a
-    read of one grid, so a cut's effects are bit-identical to those read
-    alone.
+    Every slot of a cut is a range of its grid's slots: an individual
+    cut's slot s is [s, s+1), a binary cut's at threshold index i0 are
+    [0, i0) and [i0, N), the whole population's is [0, 1), and the slots
+    past a cut's own, up to the widest grid that `cuts` read, are empty,
+    with zero counts, effects and errors. The read indexes the cube's rows
+    of those grids, pools each day range (`pool_moments`), then pools each
+    distinct slot range that the cuts use, on every grid at once, and
+    gathers each cut's slots. A one-day range reads that day's cells, and
+    an individual slot its grid's slot, exactly. The upper slot of a
+    binary cut holds the users whose N-bin code is at least i0 (the codes
+    `cut_slot_codes` gives it, ties included): its counts are exact, and
+    means and standard errors agree with a pass over the cut's own codes
+    to rounding. Each step is elementwise, or sums in the order of a read
+    of one grid, so a cut's effects are bit-identical to those read alone.
     """
     if lo is None:
         lo, hi = [0], [len(cube.days)]
     cut_grids = list(map(_grid, cuts))
     grids = list(dict.fromkeys(cut_grids))
-    shape = (len(cube.days), len(grids),
-             max((grid.slot_count if grid is not None else 1 for grid in grids),
-                 default=1), len(cube.actions))
-    stacked = CellMoments(counts=np.zeros(shape, dtype=np.intp),
-                          sums=np.zeros((*shape, len(cube.metrics))),
-                          m2=np.zeros((*shape, len(cube.metrics))))
-    for k, grid in enumerate(grids):
-        cells = cube.grids[grid]
-        width = cells.counts.shape[1]
-        stacked.counts[:, k, :width] = cells.counts
-        stacked.sums[:, k, :width] = cells.sums
-        stacked.m2[:, k, :width] = cells.m2
-    fine = pool_moments(stacked, lo, hi)
-    # Each cut's grid row.
-    grid_of = np.array([grids.index(grid) for grid in cut_grids], dtype=np.intp)
-    cells = [part[:, grid_of] for part in (fine.counts, fine.sums, fine.m2)]
-    # Each cut's threshold index, 0 for a cut that is not binary.
-    split = np.array([getattr(cut, "threshold_index", None) or 0 for cut in cuts],
-                     dtype=np.intp)
-    binary = split > 0
-    if binary.any():
-        thresholds = sorted(set(split[binary].tolist()))
-        halves = _pool_slots(fine, thresholds)
-        at = (np.searchsorted(thresholds, split[binary]), slice(None), grid_of[binary])
-        for part, half in zip(cells, (halves.counts, halves.sums, halves.m2)):
-            part[:, binary] = 0
-            part[:, binary, :2] = np.moveaxis(half[at], 0, 1)
-    return effects_from_moments(CellMoments(*cells), cube.control)
+    width = max(map(_width, grids), default=1)
+    rows = np.array([cube.grids.index(grid) for grid in grids], dtype=np.intp)
+    fine = pool_moments(CellMoments(*(part[:, rows, :width] for part in (
+        cube.moments.counts, cube.moments.sums, cube.moments.m2))), lo, hi)
+    # Each distinct range of grid slots, numbered once, the empty range
+    # first; slot s of cut c is range `which[c, s]`.
+    ranges = {(0, 0): 0}
+    which = [[ranges.setdefault(span, len(ranges)) for span in zip(edges, edges[1:])]
+             for edges in map(_slot_edges, cuts)]
+    which = np.array([row + [0] * (width - len(row)) for row in which],
+                     dtype=np.intp).reshape(len(cuts), width)
+    pooled = pool_moments(fine, *np.array(list(ranges), dtype=np.intp).T, axis=2)
+    at = (slice(None), np.array([grids.index(grid) for grid in cut_grids],
+                                dtype=np.intp)[:, None], which)
+    return effects_from_moments(CellMoments(pooled.counts[at], pooled.sums[at],
+                                            pooled.m2[at]), cube.control)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,8 +144,7 @@ class Composition:
     `mean` and `std_err` are (P, metrics) arrays, `n_treated` and
     `n_control` (P,) arrays counting the users of each policy's treated
     slots and their controls, and `unsupported` holds each policy's first
-    unsupported slot, or -1 where every slot is supported. Policies
-    composed on every table of the effects put the tables' axes first.
+    unsupported slot, or -1 where every slot is supported.
     """
 
     mean: np.ndarray
@@ -160,12 +155,11 @@ class Composition:
 
 
 def compose_policies(effects: SlotEffects, arms: np.ndarray, control: int,
-                     rows: np.ndarray | None = None) -> Composition:
+                     rows: np.ndarray) -> Composition:
     """The policies whose (P, slots) arm codes, indices into the cube's
-    actions with `control` the control arm, are `arms`, on the cuts that
-    `effects` describes: each of its tables composes every policy, or,
-    given an index array `rows` into its tables, in order, policy p reads
-    table `rows[p]`.
+    actions with `control` the control arm, are `arms`, where policy p
+    reads table `rows[p]` of `effects`: its (range, cut) tables, numbered
+    in order.
 
     A policy's lift is the size-weighted sum, in slot order, of the effects
     of its treated, non-empty slots; its variance is the sum of the squared
@@ -188,21 +182,18 @@ def compose_policies(effects: SlotEffects, arms: np.ndarray, control: int,
     users = np.stack([counts * treated, counts[..., control, None] * treated], axis=-1)
     lacking = (~effects.supported & (sizes[..., None] > 0)).ravel()
     terms, users = terms.reshape(-1, 2 * n_metrics), users.reshape(-1, 2)
-    if rows is None:
-        rows = np.arange(sizes[..., 0].size).reshape(*sizes.shape[:-1], 1)
     first = rows * (n_slots * n_arms)
-    shape = np.broadcast_shapes(first.shape, (len(arms),))
     # Sums run in slot order from zero; the control arm's column and every
     # empty slot hold zero effect and zero error.
-    total = np.zeros((*shape, 2 * n_metrics))
-    n_users = np.zeros((*shape, 2), dtype=counts.dtype)
-    unsupported = np.full(shape, -1)
+    total = np.zeros((len(arms), 2 * n_metrics))
+    n_users = np.zeros((len(arms), 2), dtype=counts.dtype)
+    unsupported = np.full(len(arms), -1)
     for slot in range(arms.shape[1]):
         cell = first + slot * n_arms + arms[:, slot]
         total += terms[cell]
         n_users += users[cell]
         np.putmask(unsupported, lacking[cell] & (unsupported < 0), slot)
-    return Composition(mean=total[..., :n_metrics],
-                       std_err=np.sqrt(total[..., n_metrics:]),
-                       n_treated=n_users[..., 0], n_control=n_users[..., 1],
+    return Composition(mean=total[:, :n_metrics],
+                       std_err=np.sqrt(total[:, n_metrics:]),
+                       n_treated=n_users[:, 0], n_control=n_users[:, 1],
                        unsupported=unsupported)

@@ -296,27 +296,31 @@ def cell_moments(ds: ExperimentDataset, codes: np.ndarray,
                        m2=np.stack(m2s, axis=-1).reshape(shape))
 
 
-def pool_moments(moments: CellMoments, lo: np.ndarray, hi: np.ndarray
-                 ) -> CellMoments:
-    """The moments of the cells in each range [lo[i], hi[i]) of the first
-    cell axis, pooled per remaining cell, with a new leading range axis.
+def pool_moments(moments: CellMoments, lo: np.ndarray, hi: np.ndarray,
+                 axis: int = 0) -> CellMoments:
+    """The moments of the cells in each range [lo[i], hi[i]) of cell axis
+    `axis`, pooled per remaining cell: a range axis takes that axis's
+    place. An empty range pools no cells.
 
     Groups merge as in Chan, Golub & LeVeque (1979): n = sum n_d,
     sum = sum sum_d and M2 = sum M2_d + sum n_d (mean_d - mean)^2. A
     one-cell range returns that cell's moments exactly.
     """
-    index = np.arange(len(moments.counts))
+    index = np.arange(moments.counts.shape[axis])
     inside = (index >= np.asarray(lo)[:, None]) & (index < np.asarray(hi)[:, None])
-    # Range axis first, then the first cell axis, which the sums run over
-    # in cell order.
-    inside = inside.reshape(inside.shape + (1,) * (moments.counts.ndim - 1))
-    counts = np.where(inside, moments.counts, 0).sum(axis=1)
-    sums = np.where(inside[..., None], moments.sums, 0.0).sum(axis=1)
-    mean = sums / np.maximum(counts, 1)[..., None]
-    cell_mean = moments.sums / np.maximum(moments.counts, 1)[..., None]
-    spread = moments.counts[..., None] * np.square(cell_mean - mean[:, None])
-    m2 = np.where(inside[..., None], moments.m2 + spread, 0.0).sum(axis=1)
-    return CellMoments(counts=counts, sums=sums, m2=m2)
+    # Each part gains the range axis before its cell axis, which the sums
+    # run over in cell order.
+    inside = inside.reshape((1,) * axis + inside.shape
+                            + (1,) * (moments.counts.ndim - axis - 1))
+    counts, sums, m2 = (np.expand_dims(part, axis)
+                        for part in (moments.counts, moments.sums, moments.m2))
+    pooled_counts = np.where(inside, counts, 0).sum(axis=axis + 1)
+    pooled_sums = np.where(inside[..., None], sums, 0.0).sum(axis=axis + 1)
+    mean = pooled_sums / np.maximum(pooled_counts, 1)[..., None]
+    cell_mean = sums / np.maximum(counts, 1)[..., None]
+    spread = counts[..., None] * np.square(cell_mean - np.expand_dims(mean, axis + 1))
+    m2 = np.where(inside[..., None], m2 + spread, 0.0).sum(axis=axis + 1)
+    return CellMoments(counts=pooled_counts, sums=pooled_sums, m2=m2)
 
 
 def effects_from_moments(moments: CellMoments, control: int) -> SlotEffects:

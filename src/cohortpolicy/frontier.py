@@ -88,10 +88,12 @@ def tolerance_filter(candidates: Policies, cfg: ToleranceConfig,
     `dominated_by` records the first dominator in ascending id order, for
     deterministic audit logs. No candidates yield an empty result. Every
     metric in `cfg.minimize` must be one of the metrics (by default the
-    table's, or the first candidate's).
+    table's, or the first candidate's); without candidates, only metrics
+    given or a table's are checked.
     """
     ids, metric_order, mean, std_err = policy_columns(candidates, metrics)
-    check_minimize(cfg.minimize, metric_order)
+    if ids or metric_order:
+        check_minimize(cfg.minimize, metric_order)
     mu = mean * np.array([cfg.sign(metric) for metric in metric_order])
     eps = cfg.tau * std_err
     # floor[p] and ceiling[p] bound p's tolerance band; q dominates p when

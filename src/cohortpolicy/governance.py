@@ -368,8 +368,9 @@ def validation_spans(n_days: int, n_slices: int) -> tuple[np.ndarray, np.ndarray
 def _span_estimates(cube: MomentsCube, policy: PolicyCandidate, n_slices: int
                     ) -> list[Estimates | EstimationError]:
     # The policy's estimates on the `validation_spans` of the cube's days.
-    return compose_estimates(cube, cut_effects(
-        cube, [policy.cut], *validation_spans(len(cube.days), n_slices)), [policy])
+    lo, hi = validation_spans(len(cube.days), n_slices)
+    return compose_estimates(cube, cut_effects(cube, [policy.cut], lo, hi),
+                             [policy] * len(lo), np.arange(len(lo)))
 
 
 def run_backtest(policy: PolicyCandidate, window: ExperimentDataset,
@@ -409,7 +410,7 @@ def backtest_verdict(policy: PolicyCandidate, cube: MomentsCube,
             raise ValueError(
                 f"policy {policy.policy_id!r} has no estimate for {metric!r}")
     n_days = len(cube.days)
-    users = next(iter(cube.grids.values())).counts.sum(axis=(1, 2))
+    users = cube.moments.counts[:, 0].sum(axis=(1, 2))
 
     days, daily_series, cumulative_series, codes, notes = [], [], [], [], []
     unit = "day" if cube.time_axis else "chunk"

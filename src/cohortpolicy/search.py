@@ -162,13 +162,11 @@ Estimates = dict[str, MetricEstimate]
 
 
 def compose_estimates(cube: MomentsCube, effects: SlotEffects,
-                      policies: Sequence[PolicyCandidate],
-                      rows: np.ndarray | None = None
+                      policies: Sequence[PolicyCandidate], rows: np.ndarray
                       ) -> list[Estimates | EstimationError]:
-    """Each policy's estimates on the tables of `effects` (`cut_effects` of
-    `cube`), or the EstimationError naming its first unsupported slot: on
-    each table in turn, every policy in turn, or, given `rows`, policy p on
-    table `rows[p]`."""
+    """Each policy's estimates on its table of `effects` (`cut_effects` of
+    `cube`), policy p on table `rows[p]` as `compose_policies` numbers
+    them, or the EstimationError naming its first unsupported slot."""
     arm_of = {action: k for k, action in enumerate(cube.actions)}
     width = effects.counts.shape[-2]
     try:
@@ -178,13 +176,11 @@ def compose_estimates(cube: MomentsCube, effects: SlotEffects,
     except KeyError as exc:
         raise ValueError(f"unknown action {exc.args[0]!r}") from None
     composed = compose_policies(effects, arms, cube.control, rows)
-    n_metrics = len(cube.metrics)
     out: list[Estimates | EstimationError] = []
     for policy, means, errors, n_t, n_c, slot in zip(
-            itertools.cycle(policies), composed.mean.reshape(-1, n_metrics).tolist(),
-            composed.std_err.reshape(-1, n_metrics).tolist(),
-            composed.n_treated.ravel().tolist(), composed.n_control.ravel().tolist(),
-            composed.unsupported.ravel().tolist()):
+            policies, composed.mean.tolist(), composed.std_err.tolist(),
+            composed.n_treated.tolist(), composed.n_control.tolist(),
+            composed.unsupported.tolist()):
         if slot >= 0:
             out.append(EstimationError(
                 f"policy {policy.policy_id!r} slot {slot}: no treated/control "
@@ -239,7 +235,7 @@ def evaluate_policy_pinned(ds: ExperimentDataset, policy: PolicyCandidate,
     day[rows] = 1
     cube = moments_cube(ds, [policy.cut], (day, [0, 1]))
     [result] = compose_estimates(cube, cut_effects(cube, [policy.cut], [1], [2]),
-                                 [policy])
+                                 [policy], np.zeros(1, dtype=np.intp))
     return _evaluated(policy, result)
 
 
@@ -540,9 +536,13 @@ class PolicyTable(Mapping):
 
     def take(self, rows: np.ndarray | Sequence[str]) -> "PolicyTable":
         """The table of the rows that a boolean row mask selects, or of the
-        policy ids given."""
-        picks = (np.flatnonzero(rows).tolist() if isinstance(rows, np.ndarray)
-                 else [self.row(pid) for pid in rows])
+        policy ids given; any other array is a ValueError."""
+        if isinstance(rows, np.ndarray):
+            if rows.dtype != bool:
+                raise ValueError(f"a row mask must be boolean, got {rows.dtype}")
+            picks = np.flatnonzero(rows).tolist()
+        else:
+            picks = [self.row(pid) for pid in rows]
         columns = (self.ids, self.feature, self.cut, self.actions)
         return PolicyTable(self.metrics, *([c[i] for i in picks] for c in columns),
                            *(a[picks] for a in (self.mean, self.std_err,

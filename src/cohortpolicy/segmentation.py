@@ -88,15 +88,15 @@ def _bound_str(value: float) -> str | float:
 
 
 def sort_values(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Ascending copy of a float column, or of each row of a matrix: bit for
-    bit what `np.sort(values, kind="stable")` gives, from numpy's faster
-    default sort.
+    """Ascending copy of a finite float column, or of each row of a matrix:
+    bit for bit what `np.sort(values, kind="stable")` gives, from numpy's
+    faster default sort.
 
-    Equal floats have equal bits, except 0.0 beside -0.0, and NaNs (which
-    sort last). The stable sort keeps those runs in input order, while the
-    default sort may return its zeros with one sign and its NaNs with one
-    bit pattern; so a row's zero and NaN runs, where present, are copied
-    from its input in order.
+    Equal floats have equal bits, except 0.0 beside -0.0. The stable sort
+    keeps that run in input order, while the default sort may return its
+    zeros with one sign; so a row's zero run, where present, is copied
+    from its input in order. Callers pass finite values: datasets,
+    snapshot pairs and `quantile` reject the others.
     """
     arr = np.asarray(values, dtype=float)
     out = np.sort(arr)
@@ -104,9 +104,6 @@ def sort_values(values: Sequence[float] | np.ndarray) -> np.ndarray:
         lo, hi = row.searchsorted(0.0, "left"), row.searchsorted(0.0, "right")
         if lo < hi:
             row[lo:hi] = source[source == 0.0]
-        first_nan = row.searchsorted(np.nan)
-        if first_nan < row.size:
-            row[first_nan:] = source[np.isnan(source)]
     return out
 
 
@@ -204,24 +201,12 @@ def binary_split(ds: ExperimentDataset, feature: str, threshold_index: int,
     return low, high
 
 
-def full_population_segment(ds: ExperimentDataset) -> Segment:
-    """The degenerate single-slot partition: every user, unbounded interval."""
-    return Segment(feature="", lower=NEG_INF, upper=POS_INF, size=ds.n_users)
-
-
 def materialize(ds: ExperimentDataset, cut: CutSpec | None) -> list[Segment]:
-    """Segments of `cut` against `ds`; None means the whole population."""
+    """Segments of `cut` against `ds`; None means the whole population, one
+    feature-less segment over an unbounded interval."""
     if cut is None:
-        return [full_population_segment(ds)]
+        return [Segment(feature="", lower=NEG_INF, upper=POS_INF, size=ds.n_users)]
     return _segments(ds, cut)
-
-
-def interior_cutpoints(values: Sequence[float] | np.ndarray, n_bins: int) -> list[float]:
-    """The N-1 interior quantile boundaries Q(i/N), i = 1..N-1."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cutpoints of empty values are undefined")
-    return sorted_boundaries(sort_values(arr), n_bins)[:-1]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cohortpolicy.errors import EstimationError, IntegrityError
 from cohortpolicy.experiment import (ExperimentDataset, MetricEstimate,
                                      compute_ate, segment_hte)
-from cohortpolicy.segmentation import Segment, full_population_segment
+from cohortpolicy.segmentation import Segment, materialize
 from cohortpolicy.synth import ScenarioConfig, PlantedEffect, generate_experiment
 
 from conftest import build_dataset, shuffled
@@ -191,7 +191,7 @@ def test_segment_hte_full_population_equals_ate():
     arms = (["t1", "t2", "control", "control"] * 10)
     outcomes = rng.normal(size=40)
     ds = build_dataset(values, arms, outcomes)
-    segment = full_population_segment(ds)
+    segment = materialize(ds, None)[0]
     for action in ds.treatments:
         ate = compute_ate(ds, action, "m1")
         hte = segment_hte(ds, segment, action, "m1")

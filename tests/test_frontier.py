@@ -128,6 +128,17 @@ def test_empty_input_empty_result():
     assert result.admitted == [] and result.dominated_by == {}
 
 
+def test_empty_input_checks_minimize_only_against_known_metrics():
+    # No candidates name no metrics, so a metric to minimize is not checked;
+    # metrics given are.
+    cfg = ToleranceConfig(tau=1.0, minimize=("m1",))
+    result = tolerance_filter([], cfg)
+    assert (result.admitted, result.dominated_by, result.tau_used) == ([], {}, 1.0)
+    assert tolerance_filter([], cfg, metrics=("m1", "m2")).admitted == []
+    with pytest.raises(ValueError, match="m1"):
+        tolerance_filter([], cfg, metrics=("m2",))
+
+
 def test_first_dominator_in_id_order():
     p = make_policy("p", [0.0, 0.0])
     d1 = make_policy("a_dominator", [1.0, 1.0])

@@ -4,6 +4,7 @@ import weakref
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cohortpolicy.cube as cube_module
@@ -379,7 +380,8 @@ def test_governance_does_not_mutate_estimates():
     policy = result.recommendation
     cube = search.moments_cube(ds, [policy.cut], ds.day_codes(config.backtest_days))
     effects = search.cut_effects(cube, [policy.cut])
-    assert search.compose_estimates(cube, effects, [policy]) == [policy.estimates]
+    assert search.compose_estimates(cube, effects, [policy], np.zeros(1, dtype=int)) \
+        == [policy.estimates]
     fresh = evaluate_policies(ds, [policy])[0]
     for metric, est in fresh.estimates.items():
         assert est.mean == pytest.approx(policy.estimates[metric].mean, rel=1e-12)

@@ -491,6 +491,49 @@ def test_pooled_binary_cut_effects_match_a_direct_pass(case):
                 assert (np.abs(got - expected) <= bound).all()
 
 
+@st.composite
+def stacked_reads(draw):
+    ds, cuts = draw(listed_cuts())
+    # More chunks than users leave some days empty.
+    days = ds.day_codes(draw(st.integers(1, 40)))
+    ends = st.integers(0, len(days[1]))
+    spans = draw(st.lists(st.tuples(ends, ends).map(sorted), min_size=1, max_size=4))
+    lo, hi = (np.array(end, dtype=np.intp) for end in zip(*spans))
+    return ds, draw(st.sampled_from([cuts, []])), days, lo, hi
+
+
+def cells_of(effects, cut_row, n_slots):
+    # The bytes of one cut's first `n_slots` slots on every range.
+    return [np.ascontiguousarray(part[:, cut_row, :n_slots]).tobytes()
+            for part in (effects.counts, effects.mean, effects.std_err,
+                         effects.supported)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacked_reads())
+def test_a_cut_reads_the_same_whatever_else_the_cube_holds_or_the_read_names(case):
+    # Grids of mixed widths stack with padding; tied bins and empty days
+    # leave empty cells. A cut read from the cube of every cut equals, bit
+    # for bit, the cut read from a cube of its own grid, and its row of a
+    # read of every cut, which is empty past its own slots.
+    ds, cuts, days, lo, hi = case
+    cube = moments_cube(ds, cuts, days)
+    every = cut_effects(cube, cuts, lo, hi)
+    width = max((cut.n_bins if cut is not None else 1 for cut in cuts), default=1)
+    assert every.counts.shape == (len(lo), len(cuts), width, len(ds.actions))
+    for j, cut in enumerate(cuts or [None]):
+        n = cut.slot_count if cut is not None else 1
+        got = cut_effects(cube, [cut], lo, hi)
+        # Read alone, a cut has its grid's slots.
+        assert got.counts.shape[1:3] == (1, cut.n_bins if cut is not None else 1)
+        alone = cut_effects(moments_cube(ds, [cut], days), [cut], lo, hi)
+        for effects, row in [(got, 0), (alone, 0)] + ([(every, j)] if cuts else []):
+            assert cells_of(effects, row, n) == cells_of(got, 0, n)
+            assert not effects.counts[:, row, n:].any()
+            assert not effects.mean[:, row, n:].any()
+            assert not effects.std_err[:, row, n:].any()
+
+
 def test_one_moments_pass_per_feature_grid(monkeypatch):
     # Two features' individual and binary cuts at 4 bins, plus f1's binary
     # cuts at 3 bins: three grids, three passes.
@@ -581,6 +624,10 @@ def test_take_selects_rows_by_mask_or_id():
     assert len(empty) == 0 and empty.mean.shape == (0, 2)
     with pytest.raises(KeyError):
         table.take(["d"])
+    # An index array is not a mask: read as one, [0, 2] would pick row 1.
+    for index in (np.array([0, 2]), np.array([0])):
+        with pytest.raises(ValueError, match="boolean"):
+            table.take(index)
 
 
 def test_candidate_recovers_cut_and_assignment_from_a_row():

@@ -346,7 +346,7 @@ def test_day_ranges_match_pinned_evaluation(case):
     cube = moments_cube(ds, cuts, (day, labels))
     for policy in enumerate_policies(ds, cuts, budget=12):
         got = compose_estimates(cube, cut_effects(cube, [policy.cut], lo, hi),
-                                [policy])
+                                [policy] * len(lo), np.arange(len(lo)))
         assert len(got) == len(lo)
         for result, a, b in zip(got, lo.tolist(), hi.tolist()):
             try:

@@ -15,7 +15,8 @@ from cohortpolicy.governance import (load_snapshots, save_snapshots, shift_ratio
                                      stability_verdicts)
 from cohortpolicy.segmentation import (CutEnumerationConfig, binary_split,
                                        cut_slot_codes, enumerate_cuts,
-                                       individual_split, interior_cutpoints)
+                                       individual_split, sort_values,
+                                       sorted_boundaries)
 from cohortpolicy.synth import (BenchmarkConfig, DriftSpec, PlantedEffect,
                                 ScenarioConfig, build_benchmark,
                                 conflict_scenario, drift_snapshots,
@@ -124,7 +125,7 @@ def dict_snapshots(ds, drift, seed):
     values = ds.feature_values(drift.feature)
     user_ids = ds.user_ids.tolist()
     n = len(user_ids)
-    cuts = interior_cutpoints(values, 4)
+    cuts = sorted_boundaries(sort_values(values), 4)[:-1]
     buckets = np.searchsorted(cuts, values, side="left")
     n_buckets = len(cuts) + 1
     span = float(values.max() - values.min()) or 1.0
@@ -174,7 +175,8 @@ def one_feature_dataset(n_users, data_seed, tied):
 
 
 def test_tied_dataset_ties_every_quartile_cutpoint():
-    assert len(set(interior_cutpoints(tied_dataset().feature_values("f1"), 4))) == 1
+    values = tied_dataset().feature_values("f1")
+    assert len(set(sorted_boundaries(sort_values(values), 4)[:-1])) == 1
 
 
 # Untied data leaves each mover three other buckets to move to; the tied
