@@ -10,6 +10,7 @@ is built here; hooks only emit verdicts, they never mutate estimates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -541,15 +542,99 @@ def _raise_first_bad_row(path: str | Path) -> None:
                                       f"of {SNAPSHOT_LABELS}")
 
 
+def _joined(parts: list, dtype=float) -> np.ndarray:
+    # The parts as one array; the list is emptied, so each row is held once.
+    joined = np.concatenate([np.empty(0, dtype=dtype), *parts])
+    parts.clear()
+    return joined
+
+
+def _by_user(feature: str, label: str, ids: np.ndarray, *columns: np.ndarray
+             ) -> tuple[np.ndarray, ...]:
+    # One (feature, label) group's users in id order, and each value column
+    # aligned with them in the same order. Users already in strictly
+    # increasing id order are not sorted.
+    if (ids[1:] > ids[:-1]).all():
+        return ids, *columns
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    repeated = np.flatnonzero(ids[1:] == ids[:-1])
+    if repeated.size:
+        raise IntegrityError(f"user {str(ids[repeated[0]])!r} has more than "
+                             f"one {label} value for feature {feature!r}")
+    return ids, *(column[order] for column in columns)
+
+
+class _FeatureRows:
+    # One feature's snapshot rows in file order, gathered block by block: a
+    # t0 id part and value part per block, and a t1 value part per block with
+    # its ids, or with only its rows (a slice) where those ids equal the t0
+    # ids at the same running row offset, as in every file `save_snapshots`
+    # writes. So the t1 ids of such a file are never held.
+
+    def __init__(self):
+        self.t0_ids: list[np.ndarray] = []
+        self.t0_values: list[np.ndarray] = []
+        self.t0_ends: list[int] = []  # the running row count after each t0 part
+        self.t1_ids: list[np.ndarray | slice] = []
+        self.t1_values: list[np.ndarray] = []
+        self.t1_rows = 0
+
+    def add(self, t1: int, ids: np.ndarray, values: np.ndarray) -> None:
+        if t1:
+            rows = slice(self.t1_rows, self.t1_rows + len(ids))
+            self.t1_ids.append(rows if self._repeats_t0(rows, ids) else ids)
+            self.t1_rows = rows.stop
+            self.t1_values.append(values)
+        else:
+            self.t0_ends.append(len(ids) + (self.t0_ends[-1] if self.t0_ends else 0))
+            self.t0_ids.append(ids)
+            self.t0_values.append(values)
+
+    def _repeats_t0(self, rows: slice, ids: np.ndarray) -> bool:
+        # Whether `ids` equal the t0 ids at `rows`, read across the t0 parts
+        # that hold them.
+        ends, start, stop = self.t0_ends, rows.start, rows.stop
+        if not ends or stop > ends[-1]:
+            return False
+        part = bisect_right(ends, start)
+        while start < stop:
+            first = ends[part] - len(self.t0_ids[part])
+            piece = self.t0_ids[part][start - first:stop - first]
+            if not np.array_equal(piece, ids[:len(piece)]):
+                return False
+            ids, start, part = ids[len(piece):], start + len(piece), part + 1
+        return True
+
+    def pair(self, feature: str) -> FeatureSnapshotPair:
+        # The feature's pair; its parts are emptied once joined, so each row
+        # is held once.
+        ids = _joined(self.t0_ids, str)
+        if self.t1_rows == len(ids) and all(
+                isinstance(part, slice) for part in self.t1_ids):
+            # t1 holds t0's users in t0's file order.
+            ids, t0, t1 = _by_user(feature, "t0", ids, _joined(self.t0_values),
+                                   _joined(self.t1_values))
+        else:
+            t1_ids = _joined([ids[part] if isinstance(part, slice) else part
+                              for part in self.t1_ids], str)
+            self.t1_ids.clear()
+            ids, t0 = _by_user(feature, "t0", ids, _joined(self.t0_values))
+            t1_ids, t1 = _by_user(feature, "t1", t1_ids, _joined(self.t1_values))
+            if not np.array_equal(ids, t1_ids):
+                ids, i0, i1 = np.intersect1d(ids, t1_ids, assume_unique=True,
+                                             return_indices=True)
+                t0, t1 = t0[i0], t1[i1]
+        return FeatureSnapshotPair(feature=feature, user_ids=ids, t0=t0, t1=t1)
+
+
 def _snapshot_blocks(path: str | Path
-                     ) -> tuple[dict[str, tuple[list, list, list, list]],
-                                tuple[int, float] | None]:
-    # Per feature, in order of first appearance: its t0 user and value
-    # arrays and its t1 user and value arrays, one of each per block that
-    # holds such rows. Also the first non-finite value's 1-based data row
-    # and value, or None. Raises ValueError on a short row, an unparsable
-    # value or a bad label.
-    features: dict[str, tuple[list, list, list, list]] = {}
+                     ) -> tuple[dict[str, _FeatureRows], tuple[int, float] | None]:
+    # Each feature's rows, in order of first appearance, gathered one part
+    # per (feature, label) group of each block (see `_FeatureRows`). Also
+    # the first non-finite value's 1-based data row and value, or None.
+    # Raises ValueError on a short row, an unparsable value or a bad label.
+    features: dict[str, _FeatureRows] = {}
     non_finite, rows = None, 0
     for text, numbers in csv_blocks(path, ("user_id", "feature_id", "snapshot"),
                                     ("value",)):
@@ -573,33 +658,15 @@ def _snapshot_blocks(path: str | Path
             names, appearance = unique.tolist(), unique[np.argsort(first)].tolist()
             group = 2 * group + is_t1
         for name in appearance:
-            features.setdefault(name, ([], [], [], []))
-        # Rows of one (feature, label) group, each group in file order.
+            if name not in features:
+                features[name] = _FeatureRows()
+        # Rows of one (feature, label) group, each group in file order; a
+        # feature's t0 part comes before its t1 part.
         order = np.argsort(group, kind="stable")
         for part in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
             code, t1 = divmod(int(group[part[0]]), 2)
-            lists = features[names[code]]
-            lists[2 * t1].append(users[part])
-            lists[2 * t1 + 1].append(values[part])
+            features[names[code]].add(t1, users[part], values[part])
     return features, non_finite
-
-
-def _by_user(feature: str, label: str, users: list[np.ndarray],
-             values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    # One (feature, label) group's users in id order with their values. The
-    # blocks are emptied once joined, so each row is held once.
-    ids = np.concatenate([np.empty(0, dtype=str), *users])
-    value = np.concatenate([np.empty(0), *values])
-    users.clear()
-    values.clear()
-    if not (ids[1:] > ids[:-1]).all():
-        order = np.argsort(ids, kind="stable")
-        ids, value = ids[order], value[order]
-        repeated = np.flatnonzero(ids[1:] == ids[:-1])
-        if repeated.size:
-            raise IntegrityError(f"user {str(ids[repeated[0]])!r} has more than "
-                                 f"one {label} value for feature {feature!r}")
-    return ids, value
 
 
 def load_snapshots(path: str | Path) -> dict[str, FeatureSnapshotPair]:
@@ -610,13 +677,18 @@ def load_snapshots(path: str | Path) -> dict[str, FeatureSnapshotPair]:
     reader's dialect, and values parse as Python's float() parses them.
     Each block's rows are split by (feature, label) as they arrive; a block
     of one feature, as an exported file's blocks are, is split by label
-    alone. Each feature is then
-    paired on its own: a group's users are sorted only when they are not
-    already in strictly increasing id order, and t0 and t1 are matched
-    directly when they hold the same users. So the file's columns are held
-    once, and a sorted, aligned file is never re-sorted. Each pair keeps
-    the users present in both snapshots of its feature; users present in
-    only one are dropped. A header without one of the four columns raises
+    alone. A t1 part whose users equal its feature's t0 users at the same
+    running row offset keeps only its range of rows, so the t1 ids of
+    every file that `save_snapshots` writes are never held. Each feature
+    is then paired on its own. t0's users are sorted only when they are
+    not already in strictly increasing id order. A feature whose every t1
+    part repeats t0's users, all of them, is paired on t0's ids, its t1
+    values taking t0's sort order; any other feature sorts its t1 users the
+    same way and matches them against t0's, directly when both hold the
+    same users. So a sorted, aligned file is never re-sorted, and a
+    shuffled or gapped one gives the same pairs. Each pair keeps the users
+    present in both snapshots of its feature; users present in only one
+    are dropped. A header without one of the four columns raises
     SchemaError. A short row, a non-numeric value or a label other than
     t0/t1 raises RowIngestError with the first such 1-based data row; then
     a non-finite value does the same; a repeated (user, feature, snapshot)
@@ -631,18 +703,7 @@ def load_snapshots(path: str | Path) -> dict[str, FeatureSnapshotPair]:
     if non_finite is not None:
         row, value = non_finite
         raise RowIngestError(row, f"non-finite value {value}")
-    pairs: dict[str, FeatureSnapshotPair] = {}
-    for feature in list(features):
-        t0_users, t0_values, t1_users, t1_values = features.pop(feature)
-        ids, t0 = _by_user(feature, "t0", t0_users, t0_values)
-        t1_ids, t1 = _by_user(feature, "t1", t1_users, t1_values)
-        if not np.array_equal(ids, t1_ids):
-            ids, i0, i1 = np.intersect1d(ids, t1_ids, assume_unique=True,
-                                         return_indices=True)
-            t0, t1 = t0[i0], t1[i1]
-        pairs[feature] = FeatureSnapshotPair(feature=feature, user_ids=ids,
-                                             t0=t0, t1=t1)
-    return pairs
+    return {feature: features.pop(feature).pair(feature) for feature in list(features)}
 
 
 def save_snapshots(path: str | Path,

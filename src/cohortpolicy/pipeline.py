@@ -20,8 +20,8 @@ from .errors import ConfigError
 from .experiment import ExperimentDataset
 from .frontier import (FrontierResult, ToleranceConfig, save_frontier,
                        save_frontier_coords, tolerance_filter)
-from .governance import (MIN_ROBUSTNESS_SLICES, FeatureSnapshotPair, HookReport,
-                         StabilityThresholds, load_snapshots, pre_search_filter,
+from .governance import (MIN_ROBUSTNESS_SLICES, HookReport, StabilityThresholds,
+                         StabilityVerdict, load_snapshots, pre_search_filter,
                          save_reports, select_candidate, stability_verdicts,
                          validate_candidate)
 from .ingest import IngestSchema, ingest, read_json, write_json
@@ -127,18 +127,43 @@ class PipelineResult:
         return self.status == "recommended"
 
 
-def _load_inputs(config: RunConfig
-                 ) -> tuple[ExperimentDataset, dict[str, FeatureSnapshotPair]]:
+def _check_primary_metric(config: RunConfig, metrics: tuple[str, ...]) -> None:
+    if config.primary_metric and config.primary_metric not in metrics:
+        raise ConfigError(f"primary metric {config.primary_metric!r} not in "
+                          f"dataset metrics")
+
+
+def _load_inputs(config: RunConfig) -> tuple[ExperimentDataset, list[StabilityVerdict]]:
+    # The dataset and the stability verdicts of its eligible features, the
+    # primary metric checked first (see `govern_pipeline`). A scenario's
+    # pairs share its dataset's ids and t0 rows, so it is synthesized first.
     if config.scenario is not None:
         ds, _ = generate_experiment(config.scenario)
-        return ds, drift_snapshots(config.scenario, ds)
-    ds = ingest(config.dataset_path, IngestSchema.from_json(config.schema_path))
-    return ds, load_snapshots(config.snapshots_path)
+        snapshots = drift_snapshots(config.scenario, ds)
+        _check_primary_metric(config, ds.metrics)
+        return ds, stability_verdicts(config.features or ds.features, snapshots,
+                                      config.thresholds)
+    schema = IngestSchema.from_json(config.schema_path)
+    _check_primary_metric(config, schema.metric_columns)
+    verdicts = stability_verdicts(config.features or schema.feature_columns,
+                                  load_snapshots(config.snapshots_path),
+                                  config.thresholds)
+    return ingest(config.dataset_path, schema), verdicts
 
 
 def govern_pipeline(config: RunConfig) -> PipelineResult:
     """Run the full governed search and return the hook-report trail plus
     either a recommended policy or a terminal rejection.
+
+    A file run reads its inputs in this order: the schema, which the
+    primary metric is checked against before any data file is read; the
+    snapshot file, whose pairs `stability_verdicts` judges and which are
+    released as it returns; then the dataset. So the pairs and the dataset
+    are never held together, and when both files are malformed the
+    snapshot file's error is raised. The dataset is parsed and validated on
+    every run, even one whose filter admits no feature. A scenario run
+    synthesizes the dataset, then its snapshot pairs, and checks the
+    primary metric before it judges them.
 
     Every verdict comes from `governance`: the pre-search filter, the
     choice of candidate (`select_candidate`) and its robustness slices and
@@ -159,15 +184,9 @@ def govern_pipeline(config: RunConfig) -> PipelineResult:
     is its table row (`PolicyTable.candidate`), estimates and user counts
     included.
     """
-    ds, snapshots = _load_inputs(config)
+    ds, verdicts = _load_inputs(config)
     primary = config.primary_metric or ds.metrics[0]
-    if primary not in ds.metrics:
-        raise ConfigError(f"primary metric {primary!r} not in dataset metrics")
-    eligible = config.features or ds.features
     tolerance = ToleranceConfig(tau=config.tau, minimize=config.minimize_metrics)
-
-    verdicts = stability_verdicts(eligible, snapshots, config.thresholds)
-    del snapshots  # nothing after the stability filter reads the pairs
     pre_report, admitted_features = pre_search_filter(verdicts)
     if not admitted_features:
         return PipelineResult(status="rejected", recommendation=None,

@@ -497,6 +497,76 @@ def test_repeat_inside_a_sorted_snapshot_is_rejected(tmp_path):
             load_snapshots(path)
 
 
+@st.composite
+def snapshot_exports(draw):
+    """Snapshot rows (user, feature, value, label), one per (user, feature,
+    label), laid out as an export writes them or close to it. Each
+    feature's t1 users repeat its t0 users in t0's order, apart from a few
+    edits: a user dropped or added at t1, or two neighbouring rows swapped.
+    The (feature, label) runs of rows follow one another, t0 before t1, or
+    are interleaved row by row."""
+    runs = []
+    for feature in draw(st.lists(st.sampled_from(["f1", "f2", "f3"]), min_size=1,
+                                 max_size=3, unique=True)):
+        t0 = draw(st.lists(st.integers(0, 12), max_size=12, unique=True))
+        if draw(st.booleans()):
+            t0.sort()  # numeric order, which is not id order from u10 on
+        t1 = list(t0)
+        for edit in draw(st.lists(st.sampled_from(["drop", "add", "swap"]), max_size=3)):
+            if edit == "drop" and t1:
+                del t1[draw(st.integers(0, len(t1) - 1))]
+            elif edit == "add":
+                user = draw(st.integers(0, 15))
+                if user not in t1:
+                    t1.insert(draw(st.integers(0, len(t1))), user)
+            elif edit == "swap" and len(t1) >= 2:
+                k = draw(st.integers(0, len(t1) - 2))
+                t1[k], t1[k + 1] = t1[k + 1], t1[k]
+        for label, users in (("t0", t0), ("t1", t1)):
+            runs.append([(f"u{user}", feature,
+                          draw(st.floats(-1e3, 1e3, allow_nan=False)), label)
+                         for user in users])
+    if draw(st.booleans()):
+        return [row for run in runs for row in run]
+    order = draw(st.permutations([k for k, run in enumerate(runs) for _ in run]))
+    rows = [iter(run) for run in runs]
+    return [next(rows[k]) for k in order]
+
+
+def dict_reference_snapshots(rows):
+    # Each (user, feature, label)'s value in a dict; each feature's pair
+    # holds the users of both its snapshots, in id order.
+    value = {(user, feature, label): v for user, feature, v, label in rows}
+    pairs = {}
+    for feature in dict.fromkeys(feature for _, feature, _, _ in rows):
+        users = [{user for user, f, label in value if (f, label) == (feature, t)}
+                 for t in SNAPSHOT_LABELS]
+        common = sorted(users[0] & users[1])
+        pairs[feature] = FeatureSnapshotPair(
+            feature=feature, user_ids=np.array(common, dtype=str),
+            t0=[value[user, feature, "t0"] for user in common],
+            t1=[value[user, feature, "t1"] for user in common])
+    return pairs
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, None])
+@_HYPOTHESIS
+@given(rows=snapshot_exports())
+def test_snapshot_pairs_equal_a_dict_of_rows(tmp_path_factory, block_rows, rows):
+    # A t1 block that repeats its feature's t0 ids at the same row offset
+    # shares them; every other block keeps its own, wherever the blocks
+    # split the file.
+    path = tmp_path_factory.mktemp("snapshots") / "snapshots.csv"
+    path.write_text("user_id,feature_id,value,snapshot\n" + "".join(
+        f"{user},{feature},{v!r},{label}\n" for user, feature, v, label in rows))
+    with mock.patch.object(ingest_module, "_BLOCK_ROWS",
+                           block_rows or ingest_module._BLOCK_ROWS):
+        pairs = load_snapshots(path)
+    want = dict_reference_snapshots(rows)
+    assert list(pairs) == list(want)
+    _assert_same_pairs(pairs, want)
+
+
 def test_ingest_drops_a_byte_order_mark(tmp_path):
     # Spreadsheets save CSV as UTF-8 with a byte-order mark, which used to
     # stick to the first column's name.
@@ -720,6 +790,8 @@ STREAM_ROWS = 50_000
 # snapshot) as it streams, and sorts one snapshot at a time: 3.0 MB on
 # the feature-ordered file below and 3.2 MB on its row-shuffled copy,
 # where a whole-file sort of every row's id and group peaked at 8.6 MB.
+# Since a t1 block shares the t0 ids it repeats, the feature-ordered file
+# peaks at 1.9 MB.
 INGEST_PEAK_MB = 16.0
 SNAPSHOT_PEAK_MB = 5.0
 
@@ -758,16 +830,16 @@ def test_loaders_stream_large_files(tmp_path):
 
 # A snapshot file shaped like a 14 000-user governed run's: 2 features, t0
 # then t1 in id order, 3% of users redrawn at t1. Its 56 000 rows peaked at
-# 7.1 MB when the loader sorted every row's id and group as one array, and
-# at 2.4 MB once each snapshot is held once and paired without a sort.
+# 7.1 MB when the loader sorted every row's id and group as one array, at
+# 2.26 MB once each snapshot is held once and paired without a sort, and
+# at 1.56 MB once t1 shares t0's ids.
 DECAY_USERS = 14_000
-DECAY_PEAK_MB = 3.5
+DECAY_PEAK_MB = 1.6
 
 
-def test_sorted_snapshot_file_loads_under_its_memory_bound(tmp_path):
+def _write_decay_snapshots(path):
     rng = np.random.default_rng(14)
     ids = [f"u{i:05d}" for i in range(DECAY_USERS)]
-    path = tmp_path / "snapshots.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user_id,feature_id,value,snapshot\n")
         for feature in ("f1", "f2"):
@@ -778,6 +850,11 @@ def test_sorted_snapshot_file_loads_under_its_memory_bound(tmp_path):
             for label, values in (("t0", t0), ("t1", t1)):
                 fh.writelines(f"{uid},{feature},{value!r},{label}\n"
                               for uid, value in zip(ids, values.tolist()))
+
+
+def test_sorted_snapshot_file_loads_under_its_memory_bound(tmp_path):
+    path = tmp_path / "snapshots.csv"
+    _write_decay_snapshots(path)
     pairs = load_snapshots(path)
     assert [pair.user_ids.size for pair in pairs.values()] == [DECAY_USERS] * 2
     assert traced_peak_mb(lambda: load_snapshots(path)) <= DECAY_PEAK_MB
@@ -832,22 +909,48 @@ def test_benchmark_synthesis_stays_under_its_memory_bound():
 # the blocks.
 INGEST_USERS = 14_000
 INGEST_14K_PEAK_MB = 2.1
+INGEST_14K_SCHEMA = IngestSchema(user_id_column="user_id", arm_column="arm",
+                                 feature_columns=("f1", "f2"),
+                                 metric_columns=("m1", "m2"),
+                                 control_action="a0", day_column="day")
 
 
-def test_experiment_file_ingests_under_its_memory_bound(tmp_path):
-    schema = IngestSchema(user_id_column="user_id", arm_column="arm",
-                          feature_columns=("f1", "f2"), metric_columns=("m1", "m2"),
-                          control_action="a0", day_column="day")
+def _write_decay_experiment(path):
     rng = np.random.default_rng(14)
     f1 = rng.random(INGEST_USERS)
     numbers = [f1, f1 ** 2, rng.normal(size=INGEST_USERS), rng.normal(size=INGEST_USERS)]
     arms = rng.integers(0, 3, INGEST_USERS).tolist()
     days = rng.integers(0, 14, INGEST_USERS).tolist()
-    path = tmp_path / "experiment.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user_id,arm,f1,f2,m1,m2,day\n")
         fh.writelines(f"u{i:05d},a{arm},{a!r},{b!r},{c!r},{d!r},{day}\n"
                       for i, (arm, day, a, b, c, d) in enumerate(
                           zip(arms, days, *(column.tolist() for column in numbers))))
-    assert ingest(path, schema).n_users == INGEST_USERS
-    assert traced_peak_mb(lambda: ingest(path, schema)) <= INGEST_14K_PEAK_MB
+
+
+def test_experiment_file_ingests_under_its_memory_bound(tmp_path):
+    path = tmp_path / "experiment.csv"
+    _write_decay_experiment(path)
+    assert ingest(path, INGEST_14K_SCHEMA).n_users == INGEST_USERS
+    assert traced_peak_mb(lambda: ingest(path, INGEST_14K_SCHEMA)) <= INGEST_14K_PEAK_MB
+
+
+# A governed run on both decay-shaped files. It peaked at 3.27 MB while the
+# snapshot file was loaded on top of the ingested dataset, and at 2.03 MB
+# once the pairs are judged and released before the dataset is read; its
+# peak is then `ingest`'s.
+GOVERN_FILES_PEAK_MB = 2.1
+
+
+def test_governed_file_run_stays_under_its_memory_bound(tmp_path):
+    data, snapshots = tmp_path / "experiment.csv", tmp_path / "snapshots.csv"
+    _write_decay_experiment(data)
+    _write_decay_snapshots(snapshots)
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"user_id": "user_id", "arm": "arm", "control": "a0",
+                                  "features": ["f1", "f2"], "metrics": ["m1", "m2"],
+                                  "day": "day"}))
+    config = RunConfig(seed=1, dataset_path=str(data), schema_path=str(schema),
+                       snapshots_path=str(snapshots))
+    assert govern_pipeline(config).reports[0].narrative == "2 features admitted, 0 filtered out"
+    assert traced_peak_mb(lambda: govern_pipeline(config)) <= GOVERN_FILES_PEAK_MB

@@ -12,7 +12,7 @@ import cohortpolicy.experiment as experiment
 import cohortpolicy.pipeline as pipeline
 import cohortpolicy.search as search
 from cohortpolicy.config import from_mapping as read_config
-from cohortpolicy.errors import ConfigError
+from cohortpolicy.errors import ConfigError, RowIngestError
 from cohortpolicy.experiment import ExperimentDataset
 from cohortpolicy.governance import (CODE_INSUFFICIENT_DATA, SIGNIFICANCE_Z,
                                      StabilityThresholds)
@@ -26,6 +26,7 @@ from cohortpolicy.synth import (BenchmarkConfig, DriftSpec, ScenarioConfig,
                                 generate_experiment, generate_snapshots,
                                 PlantedEffect, stitch_days)
 from cohortpolicy.governance import save_snapshots
+from cohortpolicy.ingest import IngestSchema, ingest
 
 
 def small_conflict_config(**overrides):
@@ -196,6 +197,32 @@ def test_in_window_decay_exhausts_refinements(tmp_path):
     assert len(policy_rejects) >= 2
     rejected_ids = {e for r in policy_rejects for e in r.entities}
     assert len(rejected_ids) == 2  # a different policy each iteration
+
+
+def test_a_bad_snapshot_file_is_named_before_a_bad_dataset(tmp_path):
+    # The snapshot file is read, judged and released before the dataset.
+    data, schema, snapshots = decayed_file_inputs(tmp_path)
+    with open(data, "a", encoding="utf-8") as fh:
+        fh.write("u_bad,a1,oops,1.0,3\n")
+    with open(snapshots, "a", encoding="utf-8") as fh:
+        fh.write("u_bad,f1,1.0,t9\n")
+    with pytest.raises(RowIngestError, match="non-numeric value 'oops'"):
+        ingest(data, IngestSchema.from_json(schema))
+    config = RunConfig(seed=41, dataset_path=str(data), schema_path=str(schema),
+                       snapshots_path=str(snapshots))
+    with pytest.raises(RowIngestError, match="snapshot label 't9' is not one of"):
+        govern_pipeline(config)
+
+
+def test_a_primary_metric_missing_from_the_schema_is_rejected_before_any_file(tmp_path):
+    _, schema, _ = decayed_file_inputs(tmp_path)
+    named = "primary metric 'm9' not in dataset metrics"
+    with pytest.raises(ConfigError, match=named):
+        govern_pipeline(RunConfig(primary_metric="m9", schema_path=str(schema),
+                                  dataset_path=str(tmp_path / "absent.csv"),
+                                  snapshots_path=str(tmp_path / "absent.csv")))
+    with pytest.raises(ConfigError, match=named):
+        govern_pipeline(RunConfig(primary_metric="m9", scenario=one_effect_scenario(8)))
 
 
 def test_data_without_day_labels_backtest_chunks_not_days(tmp_path):
