@@ -15,6 +15,8 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .cube import moments_cube
 from .errors import CohortPolicyError, ConfigError
 from .evaluation import (evaluate_selector, load_ground_truths, load_rankings,
@@ -90,13 +92,12 @@ def cmd_synth(args) -> int:
     out = _out_dir(args, "synth")
     ds, truth = generate_experiment(cfg)
     header = ["user_id", "arm", *ds.features, *ds.metrics]
-    # `.tolist()` gives Python scalars, which are written as plain numbers.
-    columns = [ds.user_ids.tolist(), [ds.actions[c] for c in ds.arm_codes.tolist()],
-               *ds.feature_matrix.tolist(), *ds.outcome_matrix.tolist()]
+    columns = [ds.user_ids, np.array(ds.actions, dtype=object)[ds.arm_codes],
+               *ds.feature_matrix, *ds.outcome_matrix]
     include_day = ds.days is not None
     if include_day:
         header.append("day")
-        columns.append(ds.days.tolist())
+        columns.append(ds.days)
     write_csv(out / "dataset.csv", header, columns)
     schema = {
         "user_id": "user_id", "arm": "arm", "control": ds.control_action,

@@ -194,4 +194,4 @@ def save_frontier_coords(path: str | Path, policies: Policies,
     ids = [ids[row] for row in rows]
     write_csv(path, ["policy_id", f"{metric_pair[0]}_mean",
                      f"{metric_pair[1]}_mean", "admitted"],
-              [ids, *mean[rows].T.tolist(), [int(pid in admitted) for pid in ids]])
+              [ids, *mean[rows].T, [int(pid in admitted) for pid in ids]])

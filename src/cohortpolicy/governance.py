@@ -710,15 +710,14 @@ def save_snapshots(path: str | Path,
                    pairs: Mapping[str, FeatureSnapshotPair]) -> None:
     """Write snapshot rows through `ingest.write_csv`, feature by feature in
     name order: each user's t0 value, then each user's t1 value."""
-    columns: list[list] = [[], [], [], []]
-    for feature in sorted(pairs):
-        pair = pairs[feature]
-        for label, values in zip(SNAPSHOT_LABELS, (pair.t0, pair.t1)):
-            columns[0] += pair.user_ids.tolist()
-            columns[1] += [feature] * len(values)
-            columns[2] += values.tolist()
-            columns[3] += [label] * len(values)
-    write_csv(path, SNAPSHOT_COLUMNS, columns)
+    parts = [(feature, label, pairs[feature].user_ids, values)
+             for feature in sorted(pairs) for label, values
+             in zip(SNAPSHOT_LABELS, (pairs[feature].t0, pairs[feature].t1))]
+    features, labels, ids, values = zip(*parts) if parts else ((), (), [[]], [[]])
+    sizes = [len(column) for column in ids]
+    write_csv(path, SNAPSHOT_COLUMNS, [
+        np.concatenate(ids), np.repeat(np.array(features, dtype=object), sizes),
+        np.concatenate(values), np.repeat(np.array(labels, dtype=object), sizes)])
 
 
 def save_reports(path: str | Path, reports: Sequence[HookReport]) -> None:

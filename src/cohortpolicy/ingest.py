@@ -10,12 +10,13 @@ Every other module reads and writes its files here. `csv_blocks` is the
 one CSV reader: `ingest`, `governance.load_snapshots` and
 `search.load_policy_table` stream their files through it in fixed-size
 blocks of text and float64 columns, and `csv_rows` re-reads a file row by
-row only to name the first bad row. `write_csv` is the one CSV writer: it
-starts the file with the `format_version` comment line, formats cells as
-`csv.writer` would (without using it), a column at a time, writes the
-joined rows in blocks, and quotes any row that `csv_blocks` would
-otherwise not read back
-cell for cell. `write_json`
+row only to name the first bad row. `write_csv` is the one CSV writer and
+the one place where values become CSV text: a column is a list or a 1-D
+numpy array, read one block of rows at a time. It starts the file with the
+`format_version` comment line, formats cells as `csv.writer` would
+(without using it), a column at a time, and decides quoting per block: a
+block holding a row that `csv_blocks` would otherwise not read back cell
+for cell is written row by row, that row's text quoted. `write_json`
 and `write_jsonl` add `format_version` to every object they write;
 `read_json` and `read_jsonl` drop it and name the file (and line) of
 malformed JSON, and each builds its typed records (`read_json` when
@@ -173,10 +174,6 @@ def _unreadable(row: Sequence) -> bool:
         is_bare and "\r" in cell for is_bare, cell in zip(bare, row))
 
 
-def _is_text(column: Sequence) -> bool:
-    return len(column) > 0 and isinstance(column[0], str)
-
-
 # A text cell holding one of these is quoted.
 _SPECIAL = re.compile('[,"\n]')
 
@@ -229,31 +226,29 @@ def write_csv(path: str | Path, header: Sequence[str],
     `format_version` comment line, the header, then one row per entry of
     the equal-length `columns`.
 
-    A column holds text (str) or numbers. Cells are written as csv.writer
-    (with "\\n" line ends) writes them: a float by `repr`, an int by `str`,
-    and a text cell holding a comma, a quote or a newline quoted, its
-    quotes doubled. A row that this would write unreadably (see
-    `_unreadable`) is written with every text cell quoted instead, as
-    csv.writer's QUOTE_NONNUMERIC mode does. Rows are checked one by one
-    only when a text column holds a carriage return or the first column a
-    cell that starts with `#`; otherwise rows are formatted column by
-    column and written in blocks of `_WRITE_ROWS`.
+    A column is a list or a 1-D numpy array of text (str) or numbers. It is
+    read `_WRITE_ROWS` rows at a time, an array block turned into Python
+    values by one `tolist`, so a caller hands over its arrays as they are.
+    Cells are written as csv.writer (with "\\n" line ends) writes them: a
+    float by `repr`, an int by `str`, and a text cell holding a comma, a
+    quote or a newline quoted, its quotes doubled. A row that this would
+    write unreadably (see `_unreadable`) is written with every text cell
+    quoted instead, as csv.writer's QUOTE_NONNUMERIC mode does. Quoting is
+    decided per block: a block is formatted column by column, and formatted
+    again row by row only when its text holds a carriage return or a line
+    that starts with `#`.
     """
-    first = [header[0], *columns[0]] if _is_text(columns[0]) else header[:1]
-    suspect = "\n#" in "\n" + "\n".join(first) or any(
-        "\r" in "".join(column) for column in (header, *filter(_is_text, columns)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(VERSION_LINE + "\n")
-        if suspect:
-            fh.writelines(map(_row_line, chain([header], zip(*columns))))
-            return
-        fh.write(_line([_cell(name) for name in header]) + "\n")
+        fh.write(VERSION_LINE + "\n" + _row_line(header))
         for start in range(0, len(columns[0]), _WRITE_ROWS):
-            block = [_column_cells(column[start:start + _WRITE_ROWS])
-                     for column in columns]
-            fh.write("".join(_line(cells) + "\n" for cells in zip(*block))
-                     if len(block) == 1 else
-                     "\n".join(map(",".join, zip(*block))) + "\n")
+            block = [column[start:start + _WRITE_ROWS] for column in columns]
+            block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            cells = [_column_cells(column) for column in block]
+            text = ("".join(_line(row) + "\n" for row in zip(*cells))
+                    if len(cells) == 1 else "\n".join(map(",".join, zip(*cells))) + "\n")
+            if "\r" in text or text.startswith("#") or "\n#" in text:
+                text = "".join(map(_row_line, zip(*block)))
+            fh.write(text)
 
 
 # -- the CSV reader ----------------------------------------------------------

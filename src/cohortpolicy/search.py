@@ -625,7 +625,7 @@ def save_policy_table(path: str | Path, table: PolicyTable) -> None:
     descriptor, per-slot actions, and per-metric mean/std_err columns, one
     row per policy in id order."""
     numbers = np.stack([table.mean, table.std_err], axis=-1).reshape(
-        len(table), 2 * len(table.metrics)).T.tolist()
+        len(table), 2 * len(table.metrics)).T
     write_csv(path, [*_KEY_COLUMNS, *_value_columns(table.metrics)],
               [table.ids, table.feature, table.cut, table.actions, *numbers])
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from cohortpolicy import ingest
 from cohortpolicy.cli import main
 from cohortpolicy.pipeline import RunConfig
 from cohortpolicy.synth import (DriftSpec, PlantedEffect, ScenarioConfig,
@@ -274,22 +275,26 @@ def test_pipeline_on_synthesized_files_is_unchanged(tmp_path, monkeypatch):
     assert (code, digests(Path("run"))) == EXPECTED["recommended_fourth_files"]
 
 
-def test_synth_govern_and_ingest_outputs_are_unchanged(tmp_path):
+def test_synth_govern_and_ingest_outputs_are_unchanged(tmp_path, monkeypatch):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(
         RunConfig(scenario=conflict_scenario(seed=7)).to_json()["scenario"]))
-    synth = tmp_path / "synth"
-    assert main(["synth", "--scenario", str(scenario), "--out", str(synth)]) == 0
-    assert digests(synth) == EXPECTED["synth_scenario"]
-    govern = tmp_path / "govern"
-    assert main(["govern", "--snapshots", str(synth / "snapshots.csv"),
-                 "--out", str(govern)]) == 0
-    assert digests(govern) == EXPECTED["govern"]
-    ingested = tmp_path / "ingest"
-    assert main(["ingest", "--data", str(synth / "dataset.csv"),
-                 "--schema", str(synth / "schema.json"),
-                 "--out", str(ingested)]) == 0
-    assert digests(ingested) == EXPECTED["ingest"]
+    # Written in the default blocks and in blocks of 1000 rows, in which
+    # dataset.csv spans several blocks too.
+    for write_rows in (ingest._WRITE_ROWS, 1000):
+        monkeypatch.setattr(ingest, "_WRITE_ROWS", write_rows)
+        synth = tmp_path / f"synth_{write_rows}"
+        assert main(["synth", "--scenario", str(scenario), "--out", str(synth)]) == 0
+        assert digests(synth) == EXPECTED["synth_scenario"]
+        govern = tmp_path / f"govern_{write_rows}"
+        assert main(["govern", "--snapshots", str(synth / "snapshots.csv"),
+                     "--out", str(govern)]) == 0
+        assert digests(govern) == EXPECTED["govern"]
+        ingested = tmp_path / f"ingest_{write_rows}"
+        assert main(["ingest", "--data", str(synth / "dataset.csv"),
+                     "--schema", str(synth / "schema.json"),
+                     "--out", str(ingested)]) == 0
+        assert digests(ingested) == EXPECTED["ingest"]
 
 
 def test_drifted_synth_and_govern_outputs_are_unchanged(tmp_path):

@@ -259,8 +259,22 @@ def csv_files(draw):
     return header, columns, draw(st.sampled_from([1, 2, 3, 4096]))
 
 
+def as_array(column):
+    """A drawn column as the array a caller would hand over: float64 for
+    floats, int64 when every value fits, str for text, object otherwise."""
+    if all(isinstance(value, float) for value in column):
+        return np.array(column, dtype=np.float64)
+    if all(isinstance(value, int) and -2 ** 63 <= value < 2 ** 63 for value in column):
+        return np.array(column, dtype=np.int64)
+    if all(isinstance(value, str) for value in column):
+        return np.array(column, dtype=str)
+    return np.array(column, dtype=object)
+
+
 # Int, float, mixed and text columns, and names holding '\r' or a leading
-# '#', each written in blocks of a few rows as well as in one.
+# '#', each written in blocks of a few rows as well as in one, from lists
+# and from arrays: quoting decided per block gives the bytes the reference
+# decides for the whole file.
 @settings(max_examples=300, deadline=None)
 @given(csv_files())
 @example((["#a", "b\rc", "n"], [["#x", "y\r", ""], [0.5, -0.0, 1], [1, 2, 3]], 2))
@@ -272,9 +286,11 @@ def test_write_csv_matches_csv_writer(tmp_path_factory, case):
     default, ingest._WRITE_ROWS = ingest._WRITE_ROWS, block_rows
     try:
         write_csv(folder / "got.csv", header, columns)
+        write_csv(folder / "arrays.csv", header, [as_array(column) for column in columns])
     finally:
         ingest._WRITE_ROWS = default
     assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
+    assert (folder / "arrays.csv").read_bytes() == (folder / "want.csv").read_bytes()
 
 
 # Names hold '#' and a lone '\r' too: an id starting with '#' and a cell
