@@ -10,7 +10,13 @@ Every other module reads and writes its files here. `csv_blocks` is the
 one CSV reader: `ingest`, `governance.load_snapshots` and
 `search.load_policy_table` stream their files through it in fixed-size
 blocks of text and float64 columns, and `csv_rows` re-reads a file row by
-row only to name the first bad row. `write_csv` is the one CSV writer and
+row only to name the first bad row. Its dialect is csv.reader's, and a
+line that starts with `#` where a record would start is a comment
+(`_records`). Two parsers read it: numpy's typed parse takes the chunks
+of lines before the first quote, each without its comment lines, and
+csv.reader takes the header, the rows of `csv_rows` and the rest (see
+`csv_blocks`), refusing a cell longer than csv.field_size_limit() (a
+RowIngestError naming its row). `write_csv` is the one CSV writer and
 the one place where values become CSV text: a column is a list or a 1-D
 numpy array, read one block of rows at a time. It starts the file with the
 `format_version` comment line, formats cells as `csv.writer` would
@@ -25,6 +31,7 @@ given a record type) with `config.from_mapping`.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import re
@@ -261,78 +268,57 @@ def write_csv(path: str | Path, header: Sequence[str],
 _BLOCK_ROWS = 1024
 
 _CSV = {"delimiter": ",", "quotechar": '"', "comments": None}
-# From a chunk holding one of these on, the file is parsed as text: numpy's
+# From a chunk holding one of these on, csv.reader reads the file: numpy's
 # number parser skips \x1c-\x1f as whitespace where float() rejects them,
 # and its str fields drop trailing NULs where a text cell keeps them.
 _TEXT_ONLY = "\x00\x1c\x1d\x1e\x1f"
 # The width a typed parse first gives its str fields; a field that fills
 # its width is parsed again at the chunk's longest line, up to the widest
 # width. A str field costs its width in every row, so from a chunk with
-# longer lines on, the file is parsed as text.
+# longer lines on, csv.reader reads the file.
 _FIELD_WIDTH = 16
 _MAX_FIELD_WIDTH = 256
 
 
-def _records(lines: Iterable[str], max_rows: int | None,
-             usecols: list[int] | None = None) -> np.ndarray:
-    # One (rows, fields) object array of str. loadtxt stops exactly after
-    # its last row, so the next call on `lines` resumes there. Blank lines
-    # are skipped and not counted as rows.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # no data left
-        return np.loadtxt(lines, dtype=object, usecols=usecols,
-                          max_rows=max_rows, ndmin=2, **_CSV)
+def _records(lines: Iterable[str]) -> Iterator[list[str]]:
+    # The records that csv.reader reads from `lines`, which start at a
+    # record's start, minus comments: a line that starts with `#` where a
+    # record would start. A blank line gives []. csv.reader reads no line
+    # past the end of its record, so `lines` can be read on from there. A
+    # cell longer than csv.field_size_limit() raises ValueError.
+    at_start = True
+
+    def data_lines():
+        nonlocal at_start
+        for line in lines:
+            if not (at_start and line.startswith("#")):
+                at_start = False
+                yield line
+
+    try:
+        for record in csv.reader(data_lines()):
+            yield record
+            at_start = True
+    except csv.Error as exc:
+        raise ValueError(str(exc)) from None
 
 
-def _ends_quoted(line: str, quoted: bool) -> bool:
-    # Whether a physical line that starts inside a quoted field or not
-    # (`quoted`) ends inside one. As loadtxt reads a field: a quote opens it
-    # only as its first character, "" inside it is a quote, and after its
-    # closing quote any quote is text up to the next comma.
-    i = 0
-    while True:
-        if quoted:
-            i = line.find('"', i)
-            if i < 0:
-                return True
-            if line.startswith('"', i + 1):
-                i += 2
-                continue
-            quoted = False
-        elif line.startswith('"', i):
-            quoted, i = True, i + 1
-            continue
-        i = line.find(",", i) + 1
-        if i == 0:
-            return False
-
-
-def _data_lines(fh) -> Iterator[str]:
-    # The physical lines of `fh` minus comments: lines that start with `#`
-    # outside a quoted field. Only a line holding a quote can open or close
-    # one, so the others are not scanned.
-    quoted = False
-    for line in fh:
-        if quoted or not line.startswith("#"):
-            yield line
-            if quoted or '"' in line:
-                quoted = _ends_quoted(line, quoted)
-
-
-def _open_csv(fh, columns: Sequence[str]) -> tuple[Iterator[str], list[str], list[int]]:
-    # Returns the data lines after the header, the header's fields and each
-    # requested column's position in it. `fh` is left just after the header.
-    lines = _data_lines(fh)
-    first = next(lines, "")
-    lines = chain([first], lines)
-    # A blank first line is an empty header; loadtxt would skip it.
-    header = [] if first.strip("\r\n") == "" else _records(lines, 1)[0].tolist()
+def _open_csv(fh, columns: Sequence[str]
+              ) -> tuple[Iterator[list[str]], list[str], list[int]]:
+    # Returns the data records after the header, the header's fields and
+    # each requested column's position in it. `fh` is left just after the
+    # header. A blank first line is an empty header.
+    records = _records(fh)
+    try:
+        header = next(records, [])
+    except ValueError as exc:
+        raise SchemaError(f"input header: {exc}") from None
     for column in columns:
         if column not in header:
             raise SchemaError(f"input is missing declared column {column!r}")
         if header.count(column) > 1:
             raise SchemaError(f"input names column {column!r} more than once")
-    return lines, header, [header.index(column) for column in columns]
+    return records, header, [header.index(column) for column in columns]
 
 
 def csv_header(path: str | Path) -> list[str]:
@@ -341,16 +327,30 @@ def csv_header(path: str | Path) -> list[str]:
         return _open_csv(fh, ())[1]
 
 
-def _plain(text: str) -> bool:
-    # Whether a chunk can skip the comment filter and parse typed: it holds
-    # no quote, no line that starts with `#` and none of `_TEXT_ONLY`.
-    # One-character searches are quick, so `#` is looked for first.
-    return not ('"' in text or any(c in text for c in _TEXT_ONLY) or (
-        "#" in text and (text.startswith("#") or "\n#" in text or "\r#" in text)))
+def _plain(chunk: list[str]) -> list[str] | None:
+    """The lines to parse typed of a chunk that starts at a record's start,
+    or None if it holds a quote or one of `_TEXT_ONLY`. Without a quote,
+    every line starts a record, so the comment lines dropped here are the
+    lines that start with `#`."""
+    text = "".join(chunk)
+    if '"' in text or any(c in text for c in _TEXT_ONLY):
+        return None
+    return [line for line in chunk if not line.startswith("#")] if "#" in text else chunk
 
 
-def _split(cells: np.ndarray, n_text: int) -> tuple[list[np.ndarray], np.ndarray]:
-    # A text parse's block: its text columns, and its numbers through float().
+def _text_block(records: Sequence[Sequence], positions: Sequence[int], n_text: int
+                ) -> tuple[list[np.ndarray], np.ndarray]:
+    # The requested fields of some records as a block: the first `n_text`
+    # as str() of their cells, the rest through float(). A record too short
+    # to hold them raises ValueError.
+    cells = np.empty((len(records), len(positions)), dtype=object)
+    try:
+        for j, p in enumerate(positions):
+            column = (record[p] for record in records)
+            cells[:, j] = np.fromiter(column if j >= n_text else map(str, column),
+                                      dtype=object, count=len(records))
+    except IndexError:
+        raise ValueError("a row is too short for the requested columns") from None
     return list(cells[:, :n_text].T), cells[:, n_text:].astype(float)
 
 
@@ -359,9 +359,9 @@ def _typed_block(chunk: list[str], positions: list[int], widths: list[int]
     # The text columns, each a str array at its own width, and the float64
     # numbers of a plain chunk's rows. `widths` holds the str fields' widths
     # and is widened in place when a field fills its width (it may have been
-    # cut). A number that numpy's parser rejects sends the chunk to a text
-    # parse; a field that fills its width in a line too long for the widest
-    # field gives None.
+    # cut). A number that numpy's parser rejects sends the chunk to
+    # csv.reader; a field that fills its width in a line too long for the
+    # widest field gives None.
     n_text = len(widths)
     while True:
         dtype = np.dtype([*((f"t{j}", f"U{w}") for j, w in enumerate(widths)),
@@ -372,7 +372,7 @@ def _typed_block(chunk: list[str], positions: list[int], widths: list[int]
                 block = np.loadtxt(chunk, dtype=dtype, usecols=positions,
                                    ndmin=1, **_CSV)
         except ValueError:
-            return _split(_records(chunk, None, positions), n_text)
+            return _text_block(list(filter(None, _records(chunk))), positions, n_text)
         lengths = [int(np.char.str_len(block[f"t{j}"]).max(initial=0))
                    for j in range(n_text)]
         if all(n < w for n, w in zip(lengths, widths)):
@@ -392,65 +392,68 @@ def csv_blocks(path: str | Path, text_columns: Sequence[str],
     Each block is a pair: a list with one str array per text column (its
     cells as str objects, or numpy str at the column's width) and a (rows,
     len(number_columns)) float64 array, each in the order given. The
-    dialect: the file is UTF-8, and a byte-order mark before its first line
-    (as spreadsheets write) is dropped; a physical line that starts with `#`
-    outside a quoted field is a comment and is dropped, blank lines are
-    skipped, fields are comma-separated with standard double-quote quoting
-    (quoted commas, newlines and doubled quotes), and fields beyond the
-    requested columns are ignored. A header that lacks a requested column,
-    or names one more than once, raises SchemaError.
+    dialect is csv.reader's: the file is UTF-8, and a byte-order mark
+    before its first line (as spreadsheets write) is dropped; fields are
+    comma-separated with standard double-quote quoting (quoted commas,
+    newlines and doubled quotes); a physical line that starts with `#`
+    where a record would start (not inside a quoted field) is a comment and
+    is dropped; blank lines are skipped; and fields beyond the requested
+    columns are ignored. A header that lacks a requested column, or names
+    one more than once, raises SchemaError.
 
     The file is read in chunks of `_BLOCK_ROWS` physical lines. A chunk
-    without a quote or a comment line is parsed by numpy in one typed pass:
-    numbers in C, text as numpy str. A number that parser rejects (`1_0`,
-    `١`) sends the chunk to a text parse whose numbers go through float(),
-    which gives the same value wherever both parse. From the first chunk
-    that holds a quote or a comment line, or text cells that would need a
-    str field wider than `_MAX_FIELD_WIDTH`, the rest of the file goes
-    through the comment filter, and its numbers through float().
-    A row too short to hold every
-    requested column, or a number that float() rejects, raises ValueError
-    here; `csv_rows` names its row.
+    without a quote or any of `_TEXT_ONLY` (`_plain`) drops its comment
+    lines and numpy parses it in one typed pass: numbers in C, text as
+    numpy str. csv.reader, its numbers through float() (the same values
+    wherever both parse), reads a chunk holding a number numpy rejects
+    (`1_0`, `١`), and the rest of the file from the first chunk that is not
+    plain or holds text that would need a str field wider than
+    `_MAX_FIELD_WIDTH`. A row too short to hold every requested column, a
+    number that float() rejects, or a cell that csv.reader finds longer than
+    csv.field_size_limit() (131 072 characters) raises ValueError here;
+    `csv_rows` names its row.
     """
     n_text = len(text_columns)
     widths = [_FIELD_WIDTH] * n_text
     with open(path, newline="", encoding="utf-8-sig") as fh:
         _, _, positions = _open_csv(fh, [*text_columns, *number_columns])
         while chunk := list(islice(fh, _BLOCK_ROWS)):
-            if not _plain("".join(chunk)) or (
-                    block := _typed_block(chunk, positions, widths)) is None:
+            if (lines := _plain(chunk)) is None or (
+                    block := _typed_block(lines, positions, widths)) is None:
                 break
             if len(block[1]):
                 yield block
         else:
             return
-        lines = _data_lines(chain(chunk, fh))
-        while len(cells := _records(lines, _BLOCK_ROWS, positions)):
-            yield _split(cells, n_text)
+        records = filter(None, _records(chain(chunk, fh)))
+        while rows := list(islice(records, _BLOCK_ROWS)):
+            yield _text_block(rows, positions, n_text)
 
 
 def csv_rows(path: str | Path, columns: Sequence[str]
              ) -> Iterator[tuple[int, list, RowIngestError | None]]:
-    """The rows of `csv_blocks`, one at a time, for finding a bad row.
+    """The rows of `csv_blocks`, one csv.reader record at a time, for
+    finding a bad row.
 
     Yields (row, cells, short) per data row: the 1-based data row number,
     the requested cells as text (None where the row is too short) and, for
-    a short row, the RowIngestError that names it (else None). Loaders
-    read this only after `csv_blocks` failed, to raise the first bad row's
-    error.
+    a short row, the RowIngestError that names it (else None). A cell
+    longer than csv.field_size_limit() raises RowIngestError naming its
+    row when that row is reached. Loaders read this only after
+    `csv_blocks` failed, to raise the first bad row's error.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        lines, header, positions = _open_csv(fh, columns)
+        records, header, positions = _open_csv(fh, columns)
         row = 0
-        while len(record := _records(lines, 1)):
-            row += 1
-            fields = record[0]
-            cells = [fields[p] if p < len(fields) else None for p in positions]
-            short = None
-            if max(positions) >= len(fields):
-                short = RowIngestError(row, f"expected {len(header)} fields, "
-                                            f"got {len(fields)}")
-            yield row, cells, short
+        try:
+            for row, fields in enumerate(filter(None, records), 1):
+                cells = [fields[p] if p < len(fields) else None for p in positions]
+                short = (RowIngestError(row, f"expected {len(header)} fields, got "
+                                             f"{len(fields)}")
+                         if max(positions) >= len(fields) else None)
+                yield row, cells, short
+        except ValueError as exc:  # a cell over csv's field size limit
+            raise RowIngestError(row + 1, str(exc)) from None
 
 
 _ABSENT = object()  # a JSONL row's missing key
@@ -485,20 +488,14 @@ def _jsonl_rows(path: Path, columns: Sequence[str]
 def _jsonl_blocks(path: Path, text_columns: Sequence[str],
                   number_columns: Sequence[str]
                   ) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
-    # JSONL rows as csv_blocks' blocks, so one validator reads both. The
-    # text cells become str() of their JSON values and the numbers go
-    # through float().
-    n_text = len(text_columns)
-    rows = _jsonl_rows(path, [*text_columns, *number_columns])
+    # JSONL rows as csv_blocks' blocks, so one validator reads both: the
+    # text cells become str() of their JSON values.
+    columns = [*text_columns, *number_columns]
+    rows = _jsonl_rows(path, columns)
     while chunk := [cells for _, cells, _ in islice(rows, _BLOCK_ROWS)]:
         if any(cell is _ABSENT for cells in chunk for cell in cells):
             raise ValueError("a JSONL row lacks a column")
-        block = np.empty((len(chunk), n_text + len(number_columns)), dtype=object)
-        for j in range(block.shape[1]):
-            column = (cells[j] for cells in chunk)
-            block[:, j] = np.fromiter(column if j >= n_text else map(str, column),
-                                      dtype=object, count=len(chunk))
-        yield _split(block, n_text)
+        yield _text_block(chunk, range(len(columns)), len(text_columns))
 
 
 # Day labels are stored as int64; these floats bound the labels that fit.

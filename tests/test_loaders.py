@@ -229,12 +229,12 @@ def reference_load_snapshots(path):
 
 # -- generated files ----------------------------------------------------------
 
-_TEXT = st.text(alphabet=st.sampled_from(list('ab,"\n\r#é ')), max_size=5)
+_TEXT = st.text(alphabet=st.sampled_from(list('ab,"\n\r#é \x00\x1c\t')), max_size=5)
 _NUMBER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-5, 30).map(str),
     st.sampled_from(["nan", "inf", "-Infinity", "1_000", "", " 2.5 ", "١٢",
-                     "oops", "-0", "1e400", "0x10"]))
+                     "oops", "-0", "1e400", "0x10", "\x1c1", "1\x00", "\t2"]))
 
 
 @st.composite
@@ -757,6 +757,60 @@ def test_a_chunk_too_wide_for_typed_text_sends_the_rest_to_the_text_parse(tmp_pa
     with _small_blocks(), mock.patch.object(ingest_module, "_typed_block", typed):
         assert ingest(path, SCHEMA).user_ids.tolist() == users
     assert typed.call_count == 1
+
+
+def test_a_comment_line_in_an_unquoted_chunk_stays_typed(tmp_path):
+    # Every line of a chunk without a quote starts a record, so the chunk
+    # drops its comment line and still parses typed, as the chunks after it do.
+    rows = [f"u{i},control,{i},2,3,{i % 4},x" for i in range(10)]
+    plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
+    plain.write_text("\n".join([",".join(HEADER), *rows]) + "\n")
+    commented.write_text("\n".join([",".join(HEADER), *rows[:5], "# note",
+                                    *rows[5:]]) + "\n")
+    with _small_blocks():
+        want = list(csv_blocks(plain, HEADER[:2], HEADER[2:6]))
+        got = list(csv_blocks(commented, HEADER[:2], HEADER[2:6]))
+    assert all(column.dtype.kind == "U" for text, _ in got for column in text)
+    for j in range(2):
+        assert np.concatenate([text[j] for text, _ in got]).tolist() == \
+            np.concatenate([text[j] for text, _ in want]).tolist()
+    assert np.concatenate([numbers for _, numbers in got]).tobytes() == \
+        np.concatenate([numbers for _, numbers in want]).tobytes()
+
+
+@pytest.mark.parametrize("loader, header, row", [
+    (lambda p: ingest(p, SCHEMA), HEADER, "u{},control,1,2,3,4,{}"),
+    (load_snapshots, ["user_id", "feature_id", "value", "snapshot", "note"],
+     "u{},f1,1,t0,{}"),
+    (lambda p: load_policy_table(p), KEYS + VALUES + ["note"], "p{},f,c,a,1,2,{}"),
+])
+def test_a_cell_over_the_field_size_limit_names_its_row(tmp_path, loader, header, row):
+    # csv.reader refuses a cell longer than csv.field_size_limit(); the
+    # loaders name its data row, and the process-wide limit is left as it is.
+    limit = csv.field_size_limit()
+    long_cell = '"' + "n" * (limit + 1) + '"'
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join([",".join(header), row.format(1, "x"),
+                               row.format(2, long_cell), row.format(3, "x")]) + "\n")
+    with pytest.raises(RowIngestError, match=f"row 2: field larger than field "
+                                             f"limit \\({limit}\\)"):
+        loader(path)
+    path.write_text(",".join(header) + "," + long_cell + "\n")
+    with pytest.raises(SchemaError, match="input header: field larger than field"):
+        loader(path)
+    assert csv.field_size_limit() == limit
+
+
+def test_ingest_command_fails_on_a_cell_over_the_field_size_limit(tmp_path, capsys):
+    path, schema = tmp_path / "data.csv", tmp_path / "schema.json"
+    path.write_text(",".join(HEADER) + "\nu1,control,1,2,3,4,\""
+                    + "n" * (csv.field_size_limit() + 1) + "\"\n")
+    schema.write_text(json.dumps({"user_id": "uid", "arm": "group",
+                                  "features": ["age"], "metrics": ["spend", "clicks"],
+                                  "day": "day"}))
+    assert main(["ingest", "--data", str(path), "--schema", str(schema),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "RowIngestError: row 1: field larger than field limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("loader, header, row", [
