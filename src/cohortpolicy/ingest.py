@@ -12,13 +12,12 @@ one CSV reader: `ingest`, `governance.load_snapshots` and
 blocks of text and float64 columns, and `csv_rows` re-reads a file row by
 row only to name the first bad row. Its dialect is csv.reader's, and a
 line that starts with `#` where a record would start is a comment
-(`_records`). Two parsers read it: numpy's typed parse takes the chunks
-of lines before the first quote, each without its comment lines, and
-csv.reader takes the header, the rows of `csv_rows` and the rest (see
-`csv_blocks`), refusing a cell longer than csv.field_size_limit() (a
-RowIngestError naming its row). `write_csv` is the one CSV writer and
-the one place where values become CSV text: a column is a list or a 1-D
-numpy array, read one block of rows at a time. It starts the file with the
+(`_records`). numpy's typed parse reads the plain chunks (`_plain`), and
+csv.reader the header, the rows of `csv_rows` and the rest, refusing a
+cell longer than csv.field_size_limit() wherever it sits (a
+RowIngestError naming its row). `write_csv` is the one CSV writer and the
+one place where values become CSV text: a column is a list or a 1-D numpy
+array, read one block of rows at a time. It starts the file with the
 `format_version` comment line, formats cells as `csv.writer` would
 (without using it), a column at a time, and decides quoting per block: a
 block holding a row that `csv_blocks` would otherwise not read back cell
@@ -329,11 +328,12 @@ def csv_header(path: str | Path) -> list[str]:
 
 def _plain(chunk: list[str]) -> list[str] | None:
     """The lines to parse typed of a chunk that starts at a record's start,
-    or None if it holds a quote or one of `_TEXT_ONLY`. Without a quote,
-    every line starts a record, so the comment lines dropped here are the
-    lines that start with `#`."""
-    text = "".join(chunk)
-    if '"' in text or any(c in text for c in _TEXT_ONLY):
+    or None if it holds a quote, one of `_TEXT_ONLY` or a line longer than
+    csv.field_size_limit(). Without a quote, every line starts a record, so
+    the comment lines dropped here are the lines that start with `#`."""
+    text, limit = "".join(chunk), csv.field_size_limit()
+    if any(c in text for c in '"' + _TEXT_ONLY) or (
+            len(text) > limit and max(map(len, chunk)) > limit):
         return None
     return [line for line in chunk if not line.startswith("#")] if "#" in text else chunk
 
@@ -401,17 +401,16 @@ def csv_blocks(path: str | Path, text_columns: Sequence[str],
     columns are ignored. A header that lacks a requested column, or names
     one more than once, raises SchemaError.
 
-    The file is read in chunks of `_BLOCK_ROWS` physical lines. A chunk
-    without a quote or any of `_TEXT_ONLY` (`_plain`) drops its comment
-    lines and numpy parses it in one typed pass: numbers in C, text as
-    numpy str. csv.reader, its numbers through float() (the same values
-    wherever both parse), reads a chunk holding a number numpy rejects
-    (`1_0`, `١`), and the rest of the file from the first chunk that is not
-    plain or holds text that would need a str field wider than
-    `_MAX_FIELD_WIDTH`. A row too short to hold every requested column, a
-    number that float() rejects, or a cell that csv.reader finds longer than
-    csv.field_size_limit() (131 072 characters) raises ValueError here;
-    `csv_rows` names its row.
+    The file is read in chunks of `_BLOCK_ROWS` physical lines. numpy
+    parses a plain chunk (`_plain`) in one typed pass, without its comment
+    lines: numbers in C, text as numpy str. csv.reader, its numbers through
+    float() (the same values wherever both parse), reads a chunk holding a
+    number numpy rejects (`1_0`, `١`), and the rest of the file from the
+    first chunk that is not plain or holds text that would need a str field
+    wider than `_MAX_FIELD_WIDTH`. A row too short to hold every requested
+    column, a number that float() rejects, or a cell in any column longer
+    than csv.field_size_limit() (131 072 characters) raises ValueError
+    here; `csv_rows` names its row.
     """
     n_text = len(text_columns)
     widths = [_FIELD_WIDTH] * n_text

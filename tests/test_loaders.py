@@ -785,19 +785,20 @@ def test_a_comment_line_in_an_unquoted_chunk_stays_typed(tmp_path):
     (lambda p: load_policy_table(p), KEYS + VALUES + ["note"], "p{},f,c,a,1,2,{}"),
 ])
 def test_a_cell_over_the_field_size_limit_names_its_row(tmp_path, loader, header, row):
-    # csv.reader refuses a cell longer than csv.field_size_limit(); the
-    # loaders name its data row, and the process-wide limit is left as it is.
+    # csv.reader refuses a cell longer than csv.field_size_limit(), quoted
+    # or not, and in a column no loader requests too; the loaders name its
+    # data row, and the process-wide limit is left as it is.
     limit = csv.field_size_limit()
-    long_cell = '"' + "n" * (limit + 1) + '"'
     path = tmp_path / "data.csv"
-    path.write_text("\n".join([",".join(header), row.format(1, "x"),
-                               row.format(2, long_cell), row.format(3, "x")]) + "\n")
-    with pytest.raises(RowIngestError, match=f"row 2: field larger than field "
-                                             f"limit \\({limit}\\)"):
-        loader(path)
-    path.write_text(",".join(header) + "," + long_cell + "\n")
-    with pytest.raises(SchemaError, match="input header: field larger than field"):
-        loader(path)
+    for long_cell in ["n" * (limit + 1), '"' + "n" * (limit + 1) + '"']:
+        path.write_text("\n".join([",".join(header), row.format(1, "x"),
+                                   row.format(2, long_cell), row.format(3, "x")]) + "\n")
+        with pytest.raises(RowIngestError, match=f"row 2: field larger than field "
+                                                 f"limit \\({limit}\\)"):
+            loader(path)
+        path.write_text(",".join(header) + "," + long_cell + "\n")
+        with pytest.raises(SchemaError, match="input header: field larger than field"):
+            loader(path)
     assert csv.field_size_limit() == limit
 
 
