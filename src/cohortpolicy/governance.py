@@ -151,6 +151,24 @@ class HookReport:
 # -- feature stability ---------------------------------------------------------
 
 
+def _shift_ratios(pair: FeatureSnapshotPair) -> tuple[float, float]:
+    # The quantile and the binary shift ratio of `shift_ratio`, from one
+    # bucketing of t0 and t1 on the t0 quartile cuts, as int8 codes. The
+    # binary cuts p25 and p75 are two of those cuts: a value's binary
+    # bucket is its quartile bucket less one if it lies above p50.
+    n = pair.user_ids.size
+    if n < 2:
+        raise InsufficientDataError(
+            f"feature {pair.feature!r}: need >= 2 users present in both "
+            f"snapshots, got {n}")
+    cuts = pair.t0_quartiles[:-1]
+    before, after = (slot_codes(values, cuts, np.int8) for values in (pair.t0, pair.t1))
+    moved_quantile = np.count_nonzero(before != after)
+    before -= before >= 2
+    after -= after >= 2
+    return moved_quantile / n, np.count_nonzero(before != after) / n
+
+
 def shift_ratio(pair: FeatureSnapshotPair, cut: str = QUANTILE_CUT) -> float:
     """Fraction of users whose cohort bucket changed between snapshots.
 
@@ -159,20 +177,12 @@ def shift_ratio(pair: FeatureSnapshotPair, cut: str = QUANTILE_CUT) -> float:
     values are re-bucketed against those fixed t0 cutpoints, so the ratio
     measures user migration rather than distribution reshaping.
     """
-    n = pair.user_ids.size
-    if n < 2:
-        raise InsufficientDataError(
-            f"feature {pair.feature!r}: need >= 2 users present in both "
-            f"snapshots, got {n}")
-    p25, p50, p75, _ = pair.t0_quartiles
+    quantile, binary = _shift_ratios(pair)
     if cut == QUANTILE_CUT:
-        cuts = [p25, p50, p75]
-    elif cut == BINARY_CUT:
-        cuts = [p25, p75]
-    else:
-        raise ValueError(f"unknown cut basis {cut!r}")
-    moved = np.count_nonzero(slot_codes(pair.t0, cuts) != slot_codes(pair.t1, cuts))
-    return moved / n
+        return quantile
+    if cut == BINARY_CUT:
+        return binary
+    raise ValueError(f"unknown cut basis {cut!r}")
 
 
 def classify_stability(feature: str, shift_quantile: float | None = None,
@@ -199,17 +209,16 @@ def stability_verdicts(features: Sequence[str],
                        snapshots: Mapping[str, FeatureSnapshotPair],
                        thresholds: StabilityThresholds = StabilityThresholds()
                        ) -> list[StabilityVerdict]:
-    """One verdict per feature, from its quantile and binary shift ratios."""
+    """One verdict per feature, from its quantile and binary shift ratios
+    (`shift_ratio`), both read from one bucketing of the feature's pair."""
     verdicts = []
     for feature in features:
         pair = snapshots.get(feature)
         if pair is None:
             raise ConfigError(f"no snapshot data for feature {feature!r}")
-        verdicts.append(classify_stability(
-            feature,
-            shift_quantile=shift_ratio(pair, QUANTILE_CUT),
-            shift_binary=shift_ratio(pair, BINARY_CUT),
-            thresholds=thresholds))
+        quantile, binary = _shift_ratios(pair)
+        verdicts.append(classify_stability(feature, shift_quantile=quantile,
+                                           shift_binary=binary, thresholds=thresholds))
     return verdicts
 
 

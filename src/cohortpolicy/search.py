@@ -18,6 +18,8 @@ into `PolicyCandidate`s.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -251,30 +253,39 @@ def build_policy_table(cube: MomentsCube, cuts: Sequence[CutSpec],
     cuts: one `cut_effects` read of every cut, and one `compose_policies`
     call in which each policy reads its own cut's table, its arm codes
     padded with the control arm to the tables' slots. Each distinct arm
-    matrix's action names are joined once.
+    matrix's action names are joined and sorted once, and the cuts are
+    taken in the order of their id prefixes, so the policies reach the
+    table in id order unless one prefix begins another.
     """
-    assigned = _cut_assignments(cuts, len(cube.actions), budget, cube.control, seed)
-    matrices = list(assigned.values())
-    bounds = np.cumsum([0] + [len(arms) for arms in matrices]).tolist()
-    effects = cut_effects(cube, list(assigned))
+    assigned = list(_cut_assignments(cuts, len(cube.actions), budget, cube.control,
+                                     seed).items())
+    effects = cut_effects(cube, [cut for cut, _ in assigned])
+    names = np.array(cube.actions, dtype=object)
+    ordered: dict[int, tuple[np.ndarray, list[str]]] = {}
+    for _, arms in assigned:
+        if id(arms) not in ordered:
+            joined = list(map("-".join, names[arms].tolist()))
+            order = sorted(range(len(joined)), key=joined.__getitem__)
+            ordered[id(arms)] = arms[order], [joined[i] for i in order]
+    prefixes = [f"{cut.describe()}." if cut is not None else "global."
+                for cut, _ in assigned]
+    by_id = sorted(range(len(assigned)), key=prefixes.__getitem__)
+    sizes = [len(assigned[t][1]) for t in by_id]
+    bounds = np.cumsum([0] + sizes).tolist()
     stacked = np.full((bounds[-1], effects.counts.shape[-2]), cube.control,
                       dtype=np.min_scalar_type(len(cube.actions)))
-    for arms, at in zip(matrices, bounds):
-        stacked[at:at + len(arms), :arms.shape[1]] = arms
-    composed = compose_policies(effects, stacked, cube.control,
-                                np.repeat(np.arange(len(matrices)), np.diff(bounds)))
-    names = np.array(cube.actions, dtype=object)
-    joined = {key: list(map("-".join, names[arms].tolist()))
-              for key, arms in {id(arms): arms for arms in matrices}.items()}
     columns: list[list[str]] = [[], [], [], []]
-    for cut, arms in assigned.items():
-        actions = joined[id(arms)]
-        prefix, feature, name = ((f"{cut.describe()}.", cut.feature, cut.short_descriptor)
-                                 if cut is not None else ("global.", "", "global"))
-        columns[0] += [prefix + action for action in actions]
+    for t, at in zip(by_id, bounds):
+        cut, arms = assigned[t]
+        rows, actions = ordered[id(arms)]
+        stacked[at:at + len(rows), :rows.shape[1]] = rows
+        feature, name = ((cut.feature, cut.short_descriptor) if cut is not None
+                         else ("", "global"))
+        columns[0] += [prefixes[t] + action for action in actions]
         columns[1] += [feature] * len(actions)
         columns[2] += [name] * len(actions)
         columns[3] += actions
+    composed = compose_policies(effects, stacked, cube.control, np.repeat(by_id, sizes))
     numbers = [composed.mean, composed.std_err, composed.n_treated, composed.n_control]
     keep = composed.unsupported < 0
     if not keep.all():
@@ -316,17 +327,20 @@ def check_minimize(minimize: Sequence[str], metrics: Sequence[str]) -> None:
                              f"the metrics {list(metrics)}")
 
 
-# Weights are scored this many at a time. A governed run can reach its
-# peak RSS in Top-K, where every (weights x policies) temporary adds to it;
-# blocks this small keep each one to tens of kilobytes.
-_WEIGHT_BLOCK = 16
+# Top-K works in blocks of at most this many (row, row) or (weight, row)
+# cells. A governed run can reach its peak RSS in Top-K, where each
+# block's temporaries add to it; this budget keeps each one to 128 KB of
+# float64 scores, while a block is large enough that numpy's per-call cost
+# stays small beside its arithmetic.
+_BLOCK_CELLS = 16384
 
 
 def _check_weights(weights: np.ndarray, n_metrics: int) -> None:
     if weights.ndim != 2 or weights.shape[1] != n_metrics or not n_metrics:
         raise ValueError(f"weights must be a (samples, {n_metrics}) matrix, one "
                          f"column per metric, got shape {weights.shape}")
-    bad = (weights < 0).any(axis=1) | (np.abs(weights.sum(axis=1) - 1.0) > 1e-9)
+    # Written so that a NaN, which fails every comparison, fails the test.
+    bad = ~((weights >= 0).all(axis=1) & (np.abs(weights.sum(axis=1) - 1.0) <= 1e-9))
     if bad.any():
         row = int(bad.argmax())
         raise ValueError(f"weight row {row} must be non-negative and sum to 1, "
@@ -401,19 +415,55 @@ def _scores(mu: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _skyband(mu: np.ndarray, depth: int, limit: int) -> np.ndarray:
+    # The mask of rows that fewer than `depth` lower rows weakly dominate
+    # (every mean of the lower row at least as high): the k-skyband, with
+    # dominators restricted to lower ids. A block of rows at a time is
+    # compared with the kept rows before it and the block's own lower rows.
+    # That finds every dropped row: the `depth` lowest rows that dominate a
+    # row are all kept, since whatever dominates one of them is lower still
+    # and dominates the row too. The first `depth` rows are always kept, and
+    # so is every row after the kept rows reach `limit`: testing a row
+    # costs a comparison per kept row, and keeping it a score per weight.
+    n = len(mu)
+    keep = np.ones(n, dtype=bool)
+    start = min(depth, n)
+    while start < n and (rivals := np.count_nonzero(keep[:start])) < limit:
+        # The largest block whose (block, rivals + block) cells fit the budget.
+        step = max(1, (math.isqrt(rivals * rivals + 4 * _BLOCK_CELLS) - rivals) // 2)
+        end = min(start + step, n)
+        ahead, block = mu[:end][keep[:end]], mu[start:end]
+        beaten = ahead[:, 0] >= block[:, 0, None]
+        for m in range(1, mu.shape[1]):
+            beaten &= ahead[:, m] >= block[:, m, None]
+        beaten[:, rivals:] &= np.tri(end - start, k=-1, dtype=bool)
+        keep[start:end] = np.count_nonzero(beaten, axis=1) < depth
+        start = end
+    return keep
+
+
 def rank_policies(policies: Policies, weights: np.ndarray, depth: int,
                   metrics: Sequence[str] | None = None,
                   minimize: Sequence[str] = ()) -> PolicyRanking:
-    """Score every policy against every weight once and keep each weight's
-    `depth` best (all of them, if fewer), for `PolicyRanking.top_k`.
+    """Score every policy that can be among a weight's `depth` best against
+    every weight once and keep each weight's `depth` best (all of them, if
+    fewer), for `PolicyRanking.top_k`.
 
     `weights` is a (samples, metrics) matrix, as `sample_weights` gives:
-    each row non-negative and summing to 1 within 1e-9. Scores are weighted
-    sums of means oriented so that higher is better: the means of metrics
-    in `minimize`, each of which must be one of the metrics, enter negated.
-    Ties in score break by ascending policy_id, so the ranking is
+    each row finite, non-negative and summing to 1 within 1e-9. Scores are
+    weighted sums of means oriented so that higher is better: the means of
+    metrics in `minimize`, each of which must be one of the metrics, enter
+    negated. Ties in score break by ascending policy_id, so the ranking is
     independent of input ordering and scheduling. A policy's score is the
     same whatever other rows the table holds (`_scores`).
+
+    Before scoring, a row that at least `depth` lower-id rows weakly
+    dominate in every oriented mean is dropped (`_skyband`); the rest are
+    scored a block of weights at a time. The drop is exact: rounding is
+    monotone, so a weak dominator's score, a sum of products with weights
+    >= 0, is at least as high at every weight, and the tie rule puts the
+    lower id first; so each of those `depth` rows ranks above the dropped
+    row at every weight.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -425,21 +475,27 @@ def rank_policies(policies: Policies, weights: np.ndarray, depth: int,
     _check_weights(w_matrix, len(metric_order))
     mu = mu * np.array([-1.0 if metric in minimize else 1.0 for metric in metric_order])
     depth = min(depth, len(ids))
+    kept = np.flatnonzero(_skyband(mu, depth, len(w_matrix)))
+    mu = mu[kept]
 
     rows = np.empty((len(w_matrix), depth), dtype=np.intp)
-    for start in range(0, len(w_matrix), _WEIGHT_BLOCK):
-        block = w_matrix[start:start + _WEIGHT_BLOCK]
-        scores = _scores(mu, block)
+    step = max(1, _BLOCK_CELLS // len(mu))
+    for start in range(0, len(w_matrix), step):
+        scores = _scores(mu, w_matrix[start:start + step])
         # Every score at least each weight's depth-th largest survives, ties
-        # included; one sort orders them by weight, descending score and
-        # ascending id (rows are in id order).
+        # included, in (weight, row) order. One stable sort by weight and
+        # descending score keeps the rows, which are in id order, ascending
+        # within a tie. Its key is complex, whose parts compare in that
+        # order: np.lexsort on the two keys took five times as long.
         kth = np.partition(scores, -depth, axis=1)[:, -depth]
         weight, row = np.nonzero(scores >= kth[:, None])
-        order = np.lexsort((row, -scores[weight, row], weight))
+        key = np.empty(weight.size, dtype=complex)
+        key.real, key.imag = weight, -scores[weight, row]
+        order = np.argsort(key, kind="stable")
         weight, row = weight[order], row[order]
         rank = np.arange(weight.size) - np.searchsorted(weight, weight)
-        keep = rank < depth
-        rows[start + weight[keep], rank[keep]] = row[keep]
+        first = rank < depth
+        rows[start + weight[first], rank[first]] = kept[row[first]]
     return PolicyRanking(ids=ids, rows=rows)
 
 
@@ -487,16 +543,23 @@ class PolicyTable(Mapping):
         shape = (len(ids), len(self.metrics))
         mean = np.asarray(mean, dtype=float).reshape(shape)
         std_err = np.asarray(std_err, dtype=float).reshape(shape)
-        repeat = _first_repeat(ids)
-        if repeat is not None:
-            raise ValueError(f"policy {ids[repeat]!r} is listed more than once")
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        self.ids = [ids[i] for i in order]
-        self.feature = [feature[i] for i in order]
-        self.cut = [cut[i] for i in order]
-        self.actions = [actions[i] for i in order]
-        # One index array for the four columns, not one list conversion each.
-        index = np.array(order, dtype=np.intp)
+        if all(map(operator.lt, ids, itertools.islice(ids, 1, None))):
+            # Ascending ids, as `build_policy_table` and `take` give them,
+            # repeat none and need no reordering.
+            self.ids, self.feature, self.cut, self.actions = map(
+                list, (ids, feature, cut, actions))
+            index = np.arange(len(ids))
+        else:
+            repeat = _first_repeat(ids)
+            if repeat is not None:
+                raise ValueError(f"policy {ids[repeat]!r} is listed more than once")
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            self.ids = [ids[i] for i in order]
+            self.feature = [feature[i] for i in order]
+            self.cut = [cut[i] for i in order]
+            self.actions = [actions[i] for i in order]
+            # One index array for the four columns, not one list conversion each.
+            index = np.array(order, dtype=np.intp)
         self.mean = mean[index]
         self.std_err = std_err[index]
         self.n_treated, self.n_control = (

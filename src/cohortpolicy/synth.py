@@ -122,21 +122,28 @@ def _effect_mask(values: np.ndarray, sorted_values: np.ndarray, q_lo: float,
 
 def _user_ids(n: int) -> np.ndarray:
     # "u" and i zero-padded to max(5, len(str(n))) digits for i < n, as one
-    # <U array written as its UCS-4 code points, one digit column at a time.
+    # <U array written as its UCS-4 code points. At place value p the
+    # digits run 0..9 in runs of p users, so each digit column is set by
+    # broadcasting the ten digit codes into views of it: its whole cycles
+    # of ten runs, then the full runs of the last cycle, then the rest.
     width = max(5, len(str(n)))
     codes = np.empty((n, width + 1), dtype=np.uint32)
     codes[:, 0] = ord("u")
-    rest = np.arange(n)
-    for column in range(width, 0, -1):
-        codes[:, column] = rest % 10
-        rest //= 10
-    codes[:, 1:] += ord("0")
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+    for column in range(1, width + 1):
+        run = 10 ** (width - column)
+        whole = n - n % (10 * run)
+        codes[:whole, column].reshape(-1, 10, run)[...] = digits[:, None]
+        full = (n - whole) // run
+        codes[whole:whole + full * run, column].reshape(full, run)[...] = digits[:full, None]
+        codes[whole + full * run:, column] = digits[full]
     return codes.view(f"<U{width + 1}").reshape(n)
 
 
 def _balanced_codes(n_labels: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    # Codes 0..n_labels-1 tiled over n users, then shuffled.
-    return (np.arange(n) % n_labels)[rng.permutation(n)]
+    # Codes 0..n_labels-1 tiled over n users, then shuffled:
+    # (arange(n) % n_labels)[permutation] is permutation % n_labels.
+    return rng.permutation(n) % n_labels
 
 
 def generate_experiment(cfg: ScenarioConfig,
@@ -158,6 +165,7 @@ def generate_experiment(cfg: ScenarioConfig,
 
     outcome_matrix = np.zeros((len(metrics), n))
     sorted_rows: dict[int, np.ndarray] = {}
+    arms: dict[int, np.ndarray] = {}
     truth_effects = []
     for effect in cfg.planted_effects:
         for kind, name, names in (("feature", effect.feature, features),
@@ -171,13 +179,18 @@ def generate_experiment(cfg: ScenarioConfig,
             sorted_rows[row] = sort_values(feature_matrix[row])
         in_range = _effect_mask(feature_matrix[row], sorted_rows[row],
                                 effect.q_lo, effect.q_hi)
-        mask = in_range & (arm_codes == actions.index(effect.action))
-        outcome_matrix[metrics.index(effect.metric), mask] += effect.lift * lift_scale
+        arm = actions.index(effect.action)
+        if arm not in arms:
+            arms[arm] = arm_codes == arm
+        mask = in_range & arms[arm]
+        outcome = outcome_matrix[metrics.index(effect.metric)]
+        np.add(outcome, effect.lift * lift_scale, out=outcome, where=mask)
         truth_effects.append({
             "feature": effect.feature, "q_lo": effect.q_lo, "q_hi": effect.q_hi,
             "action": effect.action, "metric": effect.metric,
             "lift": effect.lift * lift_scale,
-            "n_in_range": int(in_range.sum()), "n_affected": int(mask.sum()),
+            "n_in_range": int(np.count_nonzero(in_range)),
+            "n_affected": int(np.count_nonzero(mask)),
         })
     if cfg.noise_sd > 0:
         for row in outcome_matrix:
@@ -268,7 +281,6 @@ def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int
     n = ds.n_users
     cuts = np.array(sorted_boundaries(ds.sorted_feature_values(drift.feature),
                                       QUARTILES)[:-1])
-    buckets = slot_codes(values, cuts)
     span = float(values.max() - values.min()) or 1.0
     # Buckets emptied by tied cutpoints cannot receive a value; skip them.
     # Both end buckets are always open, so every mover has k >= 1 targets.
@@ -282,7 +294,7 @@ def generate_snapshots(ds: ExperimentDataset, drift: DriftSpec, seed: int
     picks = rng.integers(0, reachable.size - 1, size=rows.size)
     uniforms = rng.random(rows.size)
     # A pick indexes the reachable buckets with the mover's own left out.
-    picks += picks >= np.searchsorted(reachable, buckets[rows])
+    picks += picks >= np.searchsorted(reachable, slot_codes(values[rows], cuts))
     target = reachable[picks]
     below, above = target == 0, target == cuts.size
     inner = ~(below | above)

@@ -2,15 +2,18 @@ import itertools
 import math
 import statistics
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cohortpolicy.search as search
 from cohortpolicy.errors import ConfigError, EstimationError
 from cohortpolicy.experiment import ExperimentDataset, compute_ate
-from cohortpolicy.search import (PolicyCandidate, _scores, build_policy_table,
+from cohortpolicy.search import (PolicyCandidate, PolicyTable, _scores, _skyband,
+                                 build_policy_table,
                                  collect_candidates, compose_estimates, cut_effects,
                                  enumerate_policies, evaluate_policies,
                                  evaluate_policy_pinned, global_policies,
@@ -19,7 +22,7 @@ from cohortpolicy.search import (PolicyCandidate, _scores, build_policy_table,
                                  sample_weights, save_policy_table)
 from cohortpolicy.segmentation import CutSpec, enumerate_cuts
 
-from conftest import build_dataset, make_policy, shuffled, table_of
+from conftest import build_dataset, make_policy, shuffled, table_of, traced_peak_mb
 
 
 def two_arm_dataset(n=16, outcome=None):
@@ -433,6 +436,17 @@ def test_weights_validate():
         collect_candidates([make_policy("a", [])], np.ones((1, 0)), top_k=1)
 
 
+def test_non_finite_weights_are_rejected_naming_the_row():
+    # NaN fails every comparison, so a NaN row once passed the check and
+    # came back as uninitialized row indices.
+    table = table_of([make_policy(f"p{k}", [float(k), -float(k)]) for k in range(6)],
+                     ("m1", "m2"))
+    nan, inf = float("nan"), float("inf")
+    for row in ([nan, nan], [nan, 1.0], [0.5, nan], [inf, 0.0]):
+        with pytest.raises(ValueError, match="weight row 1 must be non-negative"):
+            rank_policies(table, np.array([[0.5, 0.5], row]), 3)
+
+
 # -- scalarized score ---------------------------------------------------------------
 
 
@@ -681,6 +695,105 @@ def test_ranking_refuses_more_exclusions_than_its_depth():
     # A ranking that holds every policy takes any number.
     full = rank_policies(policies, np.ones((3, 1)), depth=10)
     assert full.top_k_ids(2, ["f", "e", "d", "c"]) == ["a", "b"]
+
+
+def unpruned_rows(mu, weights, depth):
+    """`rank_policies`' rows before the k-skyband prune: every row of the
+    oriented means `mu` scored against every weight, 16 weights a block."""
+    depth = min(depth, len(mu))
+    rows = np.empty((len(weights), depth), dtype=np.intp)
+    for start in range(0, len(weights), 16):
+        scores = _scores(mu, weights[start:start + 16])
+        kth = np.partition(scores, -depth, axis=1)[:, -depth]
+        weight, row = np.nonzero(scores >= kth[:, None])
+        order = np.lexsort((row, -scores[weight, row], weight))
+        weight, row = weight[order], row[order]
+        rank = np.arange(weight.size) - np.searchsorted(weight, weight)
+        keep = rank < depth
+        rows[start + weight[keep], rank[keep]] = row[keep]
+    return rows
+
+
+@st.composite
+def skyband_cases(draw):
+    # Means drawn from a few values, so that means tie, whole rows repeat
+    # and -0.0 sits beside 0.0; ids in any order; weights with zero
+    # entries; depth up to past the table's length; and cell budgets small
+    # enough that every pass runs in many blocks.
+    n_metrics = draw(st.integers(1, 3))
+    metrics = tuple(f"m{i + 1}" for i in range(n_metrics))
+    pool = draw(st.lists(st.one_of(st.just(0.0), st.just(-0.0),
+                                   st.integers(-3, 3).map(float),
+                                   st.floats(-5, 5, allow_nan=False)),
+                         min_size=1, max_size=6))
+    n = draw(st.integers(1, 90))
+    mean = draw(st.lists(st.lists(st.sampled_from(pool), min_size=n_metrics,
+                                  max_size=n_metrics), min_size=n, max_size=n))
+    ids = [f"p{k:03d}" for k in draw(st.permutations(range(n)))]
+    table = PolicyTable(metrics, ids, [""] * n, ["global"] * n, ["a0"] * n,
+                        mean, np.zeros((n, n_metrics)))
+    n_weights = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        weights = sample_weights(n_metrics, n_weights, draw(st.integers(0, 999)))
+    else:
+        grid = st.lists(st.integers(0, 3), min_size=n_metrics,
+                        max_size=n_metrics).filter(any)
+        weights = np.array([[x / sum(row) for x in row]
+                            for row in draw(st.lists(grid, min_size=n_weights,
+                                                     max_size=n_weights))])
+    depth = draw(st.integers(1, n + 3))
+    minimize = tuple(draw(st.lists(st.sampled_from(metrics), unique=True)))
+    cells = draw(st.sampled_from([1, 5, 64, search._BLOCK_CELLS]))
+    return table, weights, depth, minimize, cells
+
+
+def oriented_means(table, minimize):
+    _, metrics, mu, _ = policy_columns(table)
+    return mu * np.array([-1.0 if metric in minimize else 1.0 for metric in metrics])
+
+
+@settings(max_examples=300, deadline=None)
+@given(skyband_cases())
+def test_pruned_ranking_equals_the_unpruned_ranking(case):
+    table, weights, depth, minimize, cells = case
+    with mock.patch.object(search, "_BLOCK_CELLS", cells):
+        ranking = rank_policies(table, weights, depth, minimize=minimize)
+    want = unpruned_rows(oriented_means(table, minimize), weights, depth)
+    assert ranking.rows.dtype == want.dtype and ranking.rows.shape == want.shape
+    assert ranking.rows.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(skyband_cases())
+def test_the_prune_drops_the_rows_that_depth_lower_rows_dominate(case):
+    table, _, depth, minimize, cells = case
+    mu = oriented_means(table, minimize)
+    dominators = [sum(all(mu[j] >= mu[i]) for j in range(i)) for i in range(len(mu))]
+    with mock.patch.object(search, "_BLOCK_CELLS", cells):
+        full = _skyband(mu, depth, len(mu))
+        # A prune that stops testing at a few kept rows keeps a superset.
+        limited = _skyband(mu, depth, 2)
+    assert full.tolist() == [d < depth for d in dominators]
+    assert (limited | ~full).all()
+
+
+# A governed run's Top-K blocks keep each temporary to a budget of cells:
+# at this shape (3000 rows, 1000 weights, 8 deep) the ranking peaked at
+# 1.73 MB when it scored every row 16 weights at a time.
+RANK_3000_PEAK_MB = 1.2
+
+
+def test_ranking_a_large_table_stays_under_its_memory_bound():
+    rng = np.random.default_rng(3)
+    n = 3000
+    tables = [PolicyTable(("m1", "m2"), [f"p{k:04d}" for k in range(n)], [""] * n,
+                          ["global"] * n, ["a0"] * n, mean, np.zeros((n, 2)))
+              for mean in (rng.normal(size=(n, 2)),
+                           # A front: no row dominates another.
+                           np.linspace(-1.0, 1.0, n)[:, None] * [1.0, -1.0])]
+    weights = sample_weights(2, 1000, 0)
+    for table in tables:
+        assert traced_peak_mb(lambda: rank_policies(table, weights, 8)) < RANK_3000_PEAK_MB
 
 
 @settings(max_examples=200, deadline=None)

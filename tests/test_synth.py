@@ -272,7 +272,7 @@ def fstring_ids(n):
     return np.array([f"u{i:0{width}d}" for i in range(n)])
 
 
-@pytest.mark.parametrize("n", [1, 99_999, 100_000, 100_001])
+@pytest.mark.parametrize("n", [1, 999, 1000, 1001, 12_345, 99_999, 100_000, 100_001])
 def test_user_ids_match_fstring_ids_at_width_boundaries(n):
     ds, _ = generate_experiment(ScenarioConfig(seed=5, n_users=n, n_features=1,
                                                n_metrics=1, n_actions=1))
