@@ -24,7 +24,7 @@ from .errors import (ConfigError, EstimationError, InsufficientDataError,
 from .experiment import ExperimentDataset, MetricEstimate
 from .ingest import csv_blocks, csv_rows, read_jsonl, write_csv, write_jsonl
 from .search import Estimates, Policies, PolicyCandidate, compose_estimates, policy_columns
-from .segmentation import slot_codes, sort_values, sorted_boundaries
+from .segmentation import sort_values, sorted_boundaries
 
 STAGE_PRE_SEARCH = "pre_search"
 STAGE_POST_SEARCH = "post_search"
@@ -153,20 +153,23 @@ class HookReport:
 
 def _shift_ratios(pair: FeatureSnapshotPair) -> tuple[float, float]:
     # The quantile and the binary shift ratio of `shift_ratio`, from one
-    # bucketing of t0 and t1 on the t0 quartile cuts, as int8 codes. The
-    # binary cuts p25 and p75 are two of those cuts: a value's binary
-    # bucket is its quartile bucket less one if it lies above p50.
+    # comparison of t0 and t1 with each t0 quartile cut. A value's bucket
+    # is fixed by which cuts lie below it, so a user changed bucket iff t0
+    # and t1 lie on different sides of some cut; the binary cuts p25 and
+    # p75 are two of the three quartile cuts. Bool masks, not int8 bucket
+    # codes: their loops are the ones the run already uses, while the
+    # int8 loops' code pages raised a 14k-user file run's peak RSS.
     n = pair.user_ids.size
     if n < 2:
         raise InsufficientDataError(
             f"feature {pair.feature!r}: need >= 2 users present in both "
             f"snapshots, got {n}")
-    cuts = pair.t0_quartiles[:-1]
-    before, after = (slot_codes(values, cuts, np.int8) for values in (pair.t0, pair.t1))
-    moved_quantile = np.count_nonzero(before != after)
-    before -= before >= 2
-    after -= after >= 2
-    return moved_quantile / n, np.count_nonzero(before != after) / n
+    p25, p50, p75, _ = pair.t0_quartiles
+    moved = (pair.t0 <= p25) != (pair.t1 <= p25)
+    moved |= (pair.t0 <= p75) != (pair.t1 <= p75)
+    binary = np.count_nonzero(moved)
+    moved |= (pair.t0 <= p50) != (pair.t1 <= p50)
+    return np.count_nonzero(moved) / n, binary / n
 
 
 def shift_ratio(pair: FeatureSnapshotPair, cut: str = QUANTILE_CUT) -> float:
@@ -210,7 +213,8 @@ def stability_verdicts(features: Sequence[str],
                        thresholds: StabilityThresholds = StabilityThresholds()
                        ) -> list[StabilityVerdict]:
     """One verdict per feature, from its quantile and binary shift ratios
-    (`shift_ratio`), both read from one bucketing of the feature's pair."""
+    (`shift_ratio`), both read from one comparison of the feature's t0 and
+    t1 with each t0 quartile cut."""
     verdicts = []
     for feature in features:
         pair = snapshots.get(feature)

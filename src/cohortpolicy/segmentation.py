@@ -142,9 +142,8 @@ def sorted_boundaries(sorted_values: np.ndarray, n_bins: int) -> list[float]:
 
 
 def slot_codes(values: Sequence[float] | np.ndarray,
-               cutpoints: Sequence[float], dtype=np.intp) -> np.ndarray:
-    """Slot of each value against fixed interior cutpoints, as `dtype`
-    codes.
+               cutpoints: Sequence[float]) -> np.ndarray:
+    """Slot of each value against fixed interior cutpoints.
 
     Slots are (-inf, c1], (c1, c2], ..., (c_{B-1}, +inf): a value's slot is
     the number of cutpoints strictly below it, so out-of-range values fall
@@ -154,7 +153,7 @@ def slot_codes(values: Sequence[float] | np.ndarray,
     non-NaN cutpoints, made with one comparison pass per cutpoint.
     """
     arr = np.asarray(values, dtype=float)
-    codes = np.full(arr.shape, len(cutpoints), dtype=dtype)
+    codes = np.full(arr.shape, len(cutpoints), dtype=np.intp)
     for cut in cutpoints:
         codes -= arr <= cut
     return codes
