@@ -182,15 +182,16 @@ def generate_experiment(cfg: ScenarioConfig,
         arm = actions.index(effect.action)
         if arm not in arms:
             arms[arm] = arm_codes == arm
-        mask = in_range & arms[arm]
-        outcome = outcome_matrix[metrics.index(effect.metric)]
-        np.add(outcome, effect.lift * lift_scale, out=outcome, where=mask)
+        # Added at the affected users' indices: `np.add(..., where=mask)`
+        # took three times as long at 40k users.
+        affected = np.flatnonzero(in_range & arms[arm])
+        outcome_matrix[metrics.index(effect.metric), affected] += effect.lift * lift_scale
         truth_effects.append({
             "feature": effect.feature, "q_lo": effect.q_lo, "q_hi": effect.q_hi,
             "action": effect.action, "metric": effect.metric,
             "lift": effect.lift * lift_scale,
             "n_in_range": int(np.count_nonzero(in_range)),
-            "n_affected": int(np.count_nonzero(mask)),
+            "n_affected": affected.size,
         })
     if cfg.noise_sd > 0:
         for row in outcome_matrix:
