@@ -290,7 +290,7 @@ def cell_moments(ds: ExperimentDataset, codes: np.ndarray,
         sums.append(total)
         m2s.append(np.bincount(cell, weights=np.square(dev, out=dev),
                                minlength=count.size))
-        # Freed before the next metric's is made, so that one is ever held:
+        # Freed before the next metric's is made, so that only one is held:
         # two at once set a governed run's peak RSS.
         del dev
     shape = (*shape, n_arms, len(sums))
