@@ -156,9 +156,9 @@ def _shift_ratios(pair: FeatureSnapshotPair) -> tuple[float, float]:
     # comparison of t0 and t1 with each t0 quartile cut. A value's bucket
     # is fixed by which cuts lie below it, so a user changed bucket iff t0
     # and t1 lie on different sides of some cut; the binary cuts p25 and
-    # p75 are two of the three quartile cuts. Bool masks rather than int8
-    # bucket codes, whose numpy loops no other stage runs: their code pages
-    # raised a 14k-user file run's peak RSS.
+    # p75 are two of the three quartile cuts. Bool masks, not int8 bucket
+    # codes: those raised a 14k-user file run's peak RSS in paired runs,
+    # and took longer.
     n = pair.user_ids.size
     if n < 2:
         raise InsufficientDataError(
