@@ -18,8 +18,6 @@ into `PolicyCandidate`s.
 from __future__ import annotations
 
 import itertools
-import math
-import operator
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -431,7 +429,7 @@ def _skyband(mu: np.ndarray, depth: int, limit: int) -> np.ndarray:
     start = min(depth, n)
     while start < n and (rivals := np.count_nonzero(keep[:start])) < limit:
         # The largest block whose (block, rivals + block) cells fit the budget.
-        step = max(1, (math.isqrt(rivals * rivals + 4 * _BLOCK_CELLS) - rivals) // 2)
+        step = max(1, (int((rivals * rivals + 4 * _BLOCK_CELLS) ** 0.5) - rivals) // 2)
         end = min(start + step, n)
         ahead, block = mu[:end][keep[:end]], mu[start:end]
         beaten = ahead[:, 0] >= block[:, 0, None]
@@ -544,23 +542,16 @@ class PolicyTable(Mapping):
         shape = (len(ids), len(self.metrics))
         mean = np.asarray(mean, dtype=float).reshape(shape)
         std_err = np.asarray(std_err, dtype=float).reshape(shape)
-        if all(map(operator.lt, ids, itertools.islice(ids, 1, None))):
-            # Ascending ids, as `build_policy_table` and `take` give them,
-            # repeat none and need no reordering.
-            self.ids, self.feature, self.cut, self.actions = map(
-                list, (ids, feature, cut, actions))
-            index = np.arange(len(ids))
-        else:
-            repeat = _first_repeat(ids)
-            if repeat is not None:
-                raise ValueError(f"policy {ids[repeat]!r} is listed more than once")
-            order = sorted(range(len(ids)), key=ids.__getitem__)
-            self.ids = [ids[i] for i in order]
-            self.feature = [feature[i] for i in order]
-            self.cut = [cut[i] for i in order]
-            self.actions = [actions[i] for i in order]
-            # One index array for the four columns, not one list conversion each.
-            index = np.array(order, dtype=np.intp)
+        repeat = _first_repeat(ids)
+        if repeat is not None:
+            raise ValueError(f"policy {ids[repeat]!r} is listed more than once")
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.ids = [ids[i] for i in order]
+        self.feature = [feature[i] for i in order]
+        self.cut = [cut[i] for i in order]
+        self.actions = [actions[i] for i in order]
+        # One index array for the four columns, not one list conversion each.
+        index = np.array(order, dtype=np.intp)
         self.mean = mean[index]
         self.std_err = std_err[index]
         self.n_treated, self.n_control = (
